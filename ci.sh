@@ -20,16 +20,20 @@
 #   6. chunker   — chunker_bench smoke: per-chunker byte-exact restore
 #      probe, SWAR/scalar/calibrated FastCDC cut-point identity, and the
 #      FastCDC >= Rabin throughput gate
-#   7. lint      — mhd-lint invariant passes incl. L7 lock-order and L8
+#   7. benchmark — the repo benchmark still builds against this tree and
+#      runs end to end: `benchmark/run.sh --smoke` (every workload once on
+#      the tiny corpus, traced, outputs checked) and the harness's own
+#      tests
+#   8. lint      — mhd-lint invariant passes incl. L7 lock-order and L8
 #      id-range (ratcheted against lint-baseline.json, SARIF emitted) +
 #      exhaustive model checking of all six protocols (flush, trace-ring,
 #      GC-protection/splice-order, two-phase publish, intent-record
 #      crash recovery, compaction-vs-GC) on separate threads with
 #      --require-complete, plus all seven seeded-bug mutants as negative
 #      tests of the checker itself
-#   8. rustfmt   — style, enforced via rustfmt.toml
-#   9. clippy    — all targets, warnings are errors
-#  10. rustdoc   — every public item documented, no broken links
+#   9. rustfmt   — style, enforced via rustfmt.toml
+#  10. clippy    — all targets, warnings are errors
+#  11. rustdoc   — every public item documented, no broken links
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -51,7 +55,15 @@ cargo test -q -p mhd-integration --test fault_injection
 
 step "crash safety: mhd backup --durability fsync smoke run + fsck"
 SMOKE=$(mktemp -d)
-trap 'rm -rf "$SMOKE"' EXIT
+# The benchmark stage parks benchmark/Cargo.lock in $SMOKE; however the
+# script ends, the lock goes back before $SMOKE goes away.
+cleanup() {
+    if [[ -f "$SMOKE/benchmark.lock" ]]; then
+        cp "$SMOKE/benchmark.lock" benchmark/Cargo.lock
+    fi
+    rm -rf "$SMOKE"
+}
+trap cleanup EXIT
 mkdir -p "$SMOKE/src"
 head -c 262144 /dev/urandom > "$SMOKE/src/disk.img"
 ./target/release/mhd backup "$SMOKE/src" --store "$SMOKE/store" \
@@ -152,6 +164,16 @@ CHUNKER_BENCH_REQUIRE_FASTCDC=1 ./target/release/chunker_bench \
     echo "error: chunker_bench.json was not written" >&2
     exit 1
 }
+
+step "benchmark: smoke run of every workload + harness tests"
+# benchmark/ is a package of its own (own lock file, own target dir) that
+# path-depends on crates/*; a change here that renames what it calls
+# breaks it without the root workspace noticing. Cargo rewrites the
+# harness's lock when a crate's dependency list moved; the lock belongs
+# to benchmark-only changes, so `cleanup` puts it back, pass or fail.
+cp benchmark/Cargo.lock "$SMOKE/benchmark.lock"
+bash benchmark/run.sh --smoke > /dev/null
+(cd benchmark && cargo test --offline -q)
 
 step "lint: mhd-lint invariant passes + model checking"
 # Release binary: the publish/intent/compact-gc state spaces are explored

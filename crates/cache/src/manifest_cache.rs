@@ -1,14 +1,14 @@
 //! The Manifest cache used by the deduplication engines.
 
 use mhd_hash::{ChunkHash, FxHashMap};
-use mhd_store::{Manifest, ManifestId};
+use mhd_store::{Manifest, ManifestEntry, ManifestId};
 
 use crate::LruCache;
 
 /// A resident Manifest plus its hash index and dirty flag.
 pub struct CachedManifest {
     /// The manifest content. Mutations must go through
-    /// [`ManifestCache::mutate`] so the indexes stay consistent.
+    /// [`ManifestCache::splice_entry`] so the indexes stay consistent.
     manifest: Manifest,
     /// hash → entry index within `manifest.entries` (later entries win).
     index: FxHashMap<ChunkHash, u32>,
@@ -67,23 +67,37 @@ impl ManifestCache {
         self.lru.contains(&id)
     }
 
+    /// Records that manifest `id` contains `hash`.
+    fn link(by_hash: &mut FxHashMap<ChunkHash, Vec<ManifestId>>, hash: ChunkHash, id: ManifestId) {
+        let ids = by_hash.entry(hash).or_default();
+        if !ids.contains(&id) {
+            ids.push(id);
+        }
+    }
+
+    /// Records that manifest `id` no longer contains `hash`.
+    fn unlink(
+        by_hash: &mut FxHashMap<ChunkHash, Vec<ManifestId>>,
+        hash: &ChunkHash,
+        id: ManifestId,
+    ) {
+        if let Some(ids) = by_hash.get_mut(hash) {
+            ids.retain(|&other| other != id);
+            if ids.is_empty() {
+                by_hash.remove(hash);
+            }
+        }
+    }
+
     fn index_insert(by_hash: &mut FxHashMap<ChunkHash, Vec<ManifestId>>, m: &Manifest) {
         for e in &m.entries {
-            let ids = by_hash.entry(e.hash).or_default();
-            if !ids.contains(&m.id) {
-                ids.push(m.id);
-            }
+            Self::link(by_hash, e.hash, m.id);
         }
     }
 
     fn index_remove(by_hash: &mut FxHashMap<ChunkHash, Vec<ManifestId>>, m: &Manifest) {
         for e in &m.entries {
-            if let Some(ids) = by_hash.get_mut(&e.hash) {
-                ids.retain(|&id| id != m.id);
-                if ids.is_empty() {
-                    by_hash.remove(&e.hash);
-                }
-            }
+            Self::unlink(by_hash, &e.hash, m.id);
         }
     }
 
@@ -134,21 +148,56 @@ impl ManifestCache {
         self.lru.peek(&id)
     }
 
-    /// Mutates a resident manifest in place (the HHR re-chunking path),
-    /// rebuilding its hash indexes and marking it dirty.
+    /// Replaces entry `at` of a resident manifest with `replacement` (the
+    /// HHR re-chunking path) and marks the manifest dirty.
     ///
-    /// Returns `false` when `id` is not resident.
-    pub fn mutate(&mut self, id: ManifestId, f: impl FnOnce(&mut Manifest)) -> bool {
-        // Remove the old index contribution first (entry hashes change).
+    /// Only the spliced range is hashed into the indexes: the replaced
+    /// entry's hash leaves both unless another entry of the manifest
+    /// still carries it, and the new hashes enter. What remains linear in
+    /// the manifest is two passes that neither hash nor allocate — the
+    /// positions behind the splice shift, and the entries before it are
+    /// compared against the replaced hash. The result equals a
+    /// from-scratch [`Manifest::build_index`] (later entries win a
+    /// repeated hash).
+    ///
+    /// Returns `false` when `id` is not resident or `at` is out of range.
+    pub fn splice_entry(
+        &mut self,
+        id: ManifestId,
+        at: usize,
+        replacement: Vec<ManifestEntry>,
+    ) -> bool {
         let Some(cached) = self.lru.get_mut(&id) else { return false };
+        let Some(removed) = cached.manifest.entries.get(at).map(|e| e.hash) else { return false };
         mhd_obs::counter!("cache.manifest_mutations").inc();
-        let old = cached.manifest.clone();
-        f(&mut cached.manifest);
-        cached.index = cached.manifest.build_index();
         cached.dirty = true;
-        let new = cached.manifest.clone();
-        Self::index_remove(&mut self.by_hash, &old);
-        Self::index_insert(&mut self.by_hash, &new);
+        let added = replacement.len();
+        cached.manifest.entries.splice(at..at + 1, replacement);
+        let entries = &cached.manifest.entries;
+
+        let at = at as u32;
+        for pos in cached.index.values_mut().filter(|pos| **pos > at) {
+            *pos = *pos + added as u32 - 1;
+        }
+        if cached.index.get(&removed) == Some(&at) {
+            // The latest occurrence went away: fall back to an earlier one.
+            match entries[..at as usize].iter().rposition(|e| e.hash == removed) {
+                Some(earlier) => {
+                    cached.index.insert(removed, earlier as u32);
+                }
+                None => {
+                    cached.index.remove(&removed);
+                }
+            }
+        }
+        for (pos, e) in entries.iter().enumerate().skip(at as usize).take(added) {
+            let latest = cached.index.entry(e.hash).or_insert(pos as u32);
+            *latest = (*latest).max(pos as u32);
+            Self::link(&mut self.by_hash, e.hash, id);
+        }
+        if !cached.index.contains_key(&removed) {
+            Self::unlink(&mut self.by_hash, &removed, id);
+        }
         true
     }
 
@@ -164,7 +213,9 @@ impl ManifestCache {
 mod tests {
     use super::*;
     use mhd_hash::sha1;
-    use mhd_store::{DiskChunkId, ManifestEntry, ManifestFormat};
+    use mhd_store::{DiskChunkId, ManifestFormat};
+    use rand::prelude::*;
+    use rand::rngs::StdRng;
 
     fn manifest(id: u64, hashes: &[u64]) -> Manifest {
         let mut m = Manifest::new(ManifestId(id), ManifestFormat::HookFlags);
@@ -217,18 +268,80 @@ mod tests {
         assert_eq!(evicted.id, ManifestId(2));
     }
 
+    fn entry(id: u64, h: u64, offset: u64, size: u64) -> ManifestEntry {
+        ManifestEntry {
+            hash: sha1(&h.to_le_bytes()),
+            container: DiskChunkId(id),
+            offset,
+            size,
+            is_hook: false,
+        }
+    }
+
     #[test]
-    fn mutate_reindexes_and_marks_dirty() {
+    fn splice_reindexes_and_marks_dirty() {
         let mut c = ManifestCache::new(2);
         let _ = c.insert(manifest(1, &[10, 11]), false);
-        assert!(c.mutate(ManifestId(1), |m| {
-            // Replace entry 0's hash (an HHR-style re-chunk).
-            m.entries[0].hash = sha1(&99u64.to_le_bytes());
-        }));
+        // Split entry 0 in two (an HHR-style re-chunk).
+        assert!(c.splice_entry(ManifestId(1), 0, vec![entry(1, 98, 0, 4), entry(1, 99, 4, 6)]));
         assert!(c.find_hash(&sha1(&10u64.to_le_bytes())).is_none());
-        assert_eq!(c.find_hash(&sha1(&99u64.to_le_bytes())), Some((ManifestId(1), 0)));
+        assert_eq!(c.find_hash(&sha1(&99u64.to_le_bytes())), Some((ManifestId(1), 1)));
+        assert_eq!(c.find_hash(&sha1(&11u64.to_le_bytes())), Some((ManifestId(1), 2)));
         assert!(c.peek(ManifestId(1)).unwrap().is_dirty());
-        assert!(!c.mutate(ManifestId(9), |_| {}));
+        assert!(!c.splice_entry(ManifestId(9), 0, Vec::new()));
+        assert!(!c.splice_entry(ManifestId(1), 3, Vec::new()));
+    }
+
+    #[test]
+    fn random_splices_equal_a_from_scratch_rebuild() {
+        // A small hash alphabet forces repeats within and across
+        // manifests: the case where "which entry does the index name"
+        // and "does the manifest still hold this hash" are not obvious.
+        let mut rng = StdRng::seed_from_u64(77);
+        let mut c = ManifestCache::new(4);
+        for id in 1..=3u64 {
+            let hashes: Vec<u64> = (0..12).map(|_| rng.random_range(0..8u64)).collect();
+            let _ = c.insert(manifest(id, &hashes), false);
+        }
+        for _ in 0..300 {
+            let id = ManifestId(rng.random_range(1..=3u64));
+            let len = c.peek(id).unwrap().manifest().entries.len();
+            if len > 64 {
+                continue;
+            }
+            let at = rng.random_range(0..len);
+            let replacement: Vec<ManifestEntry> = (0..rng.random_range(1..=3usize))
+                .map(|_| entry(id.0, rng.random_range(0..8u64), 0, 1))
+                .collect();
+            assert!(c.splice_entry(id, at, replacement));
+
+            let mut by_hash: FxHashMap<ChunkHash, Vec<ManifestId>> = FxHashMap::default();
+            for id in (1..=3u64).map(ManifestId) {
+                let cached = c.peek(id).unwrap();
+                assert_eq!(cached.index, cached.manifest.build_index(), "per-manifest index");
+                for e in &cached.manifest.entries {
+                    let ids = by_hash.entry(e.hash).or_default();
+                    if !ids.contains(&id) {
+                        ids.push(id);
+                    }
+                }
+            }
+            // Resolution order among manifests sharing a hash is
+            // insertion history, not content: compare as sets.
+            let sorted = |map: &FxHashMap<ChunkHash, Vec<ManifestId>>| {
+                let mut pairs: Vec<_> = map
+                    .iter()
+                    .map(|(h, ids)| {
+                        let mut ids = ids.clone();
+                        ids.sort();
+                        (*h, ids)
+                    })
+                    .collect();
+                pairs.sort();
+                pairs
+            };
+            assert_eq!(sorted(&c.by_hash), sorted(&by_hash), "cache-wide index");
+        }
     }
 
     #[test]

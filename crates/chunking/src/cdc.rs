@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use crate::params::ChunkerParams;
-use crate::rabin::{RabinFingerprint, RabinTables};
+use crate::rabin::RabinTables;
 use crate::Chunker;
 
 /// Content-defined chunker using a rolling Rabin fingerprint.
@@ -61,24 +61,12 @@ impl Chunker for RabinChunker {
         let mask = p.mask();
         let magic = p.magic();
 
-        // Warm the fingerprint over the `window` bytes preceding the first
-        // testable position (position start+min is the first allowed cut;
-        // its window covers [start+min-window, start+min)).
-        let mut fp = RabinFingerprint::new(self.tables.clone());
-        let first_test = start + p.min;
-        for &b in &data[first_test - p.window..first_test] {
-            fp.roll(b);
-        }
-        if fp.value() & mask == magic {
-            return first_test;
-        }
-        for (i, &b) in data[first_test..start + limit].iter().enumerate() {
-            fp.roll(b);
-            if fp.value() & mask == magic {
-                return first_test + i + 1;
-            }
-        }
-        start + limit
+        // Position start+min is the first allowed cut; its window covers
+        // [start+min-window, start+min), inside this chunk because
+        // `window <= min` (checked by `ChunkerParams::validate`).
+        self.tables
+            .scan(data, start + p.min, start + limit, |_, fp| fp & mask == magic)
+            .unwrap_or(start + limit)
     }
 
     fn expected_chunk_size(&self) -> usize {

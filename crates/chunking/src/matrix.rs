@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 
 use crate::{
     AdaptiveChunker, AnyChunker, Chunker, ChunkerKind, ChunkerParams, DeviceProfile,
-    FastCdcChunker, StreamChunker,
+    FastCdcChunker, RabinFingerprint, RabinTables, StreamChunker,
 };
 
 fn random_data(len: usize, seed: u64) -> Vec<u8> {
@@ -176,6 +176,69 @@ fn swar_scanner_is_byte_identical_to_scalar() {
                 scalar,
                 "avg={avg} corpus {i}: calibrated default diverges from scalar"
             );
+        }
+    }
+}
+
+/// The cut the ring-buffer [`RabinFingerprint`] finds from `start`: the
+/// reference the ring-free `RabinTables::scan` kernel must reproduce.
+/// `backup` is TTTD's `(mask, magic)` fallback divisor.
+fn ring_reference_cut(
+    p: &ChunkerParams,
+    tables: &std::sync::Arc<RabinTables>,
+    backup: Option<(u64, u64)>,
+    data: &[u8],
+    start: usize,
+) -> usize {
+    let remaining = data.len() - start;
+    if remaining <= p.min {
+        return data.len();
+    }
+    let limit = remaining.min(p.max);
+    let mut fp = RabinFingerprint::new(tables.clone());
+    let first_test = start + p.min;
+    for &b in &data[first_test - p.window..first_test] {
+        fp.roll(b);
+    }
+    let mut fallback = None;
+    for pos in first_test..=start + limit {
+        if pos > first_test {
+            fp.roll(data[pos - 1]);
+        }
+        if fp.value() & p.mask() == p.magic() {
+            return pos;
+        }
+        if backup.is_some_and(|(mask, magic)| fp.value() & mask == magic) {
+            fallback = Some(pos);
+        }
+    }
+    fallback.filter(|_| limit == p.max).unwrap_or(start + limit)
+}
+
+#[test]
+fn rabin_and_tttd_match_the_ring_buffer_reference() {
+    for avg in [2usize, 64, 512, 4096] {
+        let p = ChunkerParams::with_avg(avg).unwrap();
+        let tables = RabinTables::default_with_window(p.window);
+        let backup_mask = p.mask() >> 1;
+        let backup = (backup_mask != 0).then_some((backup_mask, p.magic() & backup_mask));
+        let rabin = ChunkerKind::Rabin.build(avg).unwrap();
+        let tttd = ChunkerKind::Tttd.build(avg).unwrap();
+        for (i, data) in corpora(500 + avg as u64).iter().enumerate() {
+            for (chunker, backup) in [(&rabin, None), (&tttd, backup)] {
+                let mut start = 0usize;
+                let mut expect = Vec::new();
+                while start < data.len() {
+                    start = ring_reference_cut(&p, &tables, backup, data, start);
+                    expect.push(start);
+                }
+                assert_eq!(
+                    chunker.cut_points(data),
+                    expect,
+                    "{} avg={avg} corpus {i}: cut points moved",
+                    chunker.kind()
+                );
+            }
         }
     }
 }

@@ -79,6 +79,51 @@ impl RabinTables {
     pub fn window(&self) -> usize {
         self.window
     }
+
+    /// Appends `byte` to a window that is not yet full:
+    /// `fp = (fp · x^8 + byte) mod P`.
+    #[inline]
+    pub(crate) fn push(&self, fp: u64, byte: u8) -> u64 {
+        let hi = (fp >> self.shift) as usize;
+        (((fp & self.lo_mask) << 8) | byte as u64) ^ self.push[hi]
+    }
+
+    /// Slides a full window forward one byte: `out` leaves, `byte` enters.
+    #[inline]
+    pub(crate) fn slide(&self, fp: u64, out: u8, byte: u8) -> u64 {
+        self.push(fp ^ self.pop[out as usize], byte)
+    }
+
+    /// Scans `data[first_test..end]` with a full window: the fingerprint
+    /// is warmed over the `window` bytes before `first_test` (the caller
+    /// guarantees `first_test >= window`), then slid one byte at a time
+    /// with the outgoing byte read straight from `data` — no ring buffer.
+    /// `visit(pos, fp)` sees every testable position `first_test..=end`
+    /// in order with the fingerprint of `data[pos - window..pos]`, and
+    /// stops the scan by returning `true`; the stopping position is
+    /// returned.
+    #[inline]
+    pub(crate) fn scan(
+        &self,
+        data: &[u8],
+        first_test: usize,
+        end: usize,
+        mut visit: impl FnMut(usize, u64) -> bool,
+    ) -> Option<usize> {
+        let warm = &data[first_test - self.window..first_test];
+        let mut fp = warm.iter().fold(0u64, |fp, &b| self.push(fp, b));
+        if visit(first_test, fp) {
+            return Some(first_test);
+        }
+        let outgoing = &data[first_test - self.window..end - self.window];
+        for (i, (&byte, &out)) in data[first_test..end].iter().zip(outgoing).enumerate() {
+            fp = self.slide(fp, out, byte);
+            if visit(first_test + i + 1, fp) {
+                return Some(first_test + i + 1);
+            }
+        }
+        None
+    }
 }
 
 /// A rolling fingerprint over the trailing `window` bytes of a stream.
@@ -118,21 +163,19 @@ impl RabinFingerprint {
     /// Slides the window forward by one byte.
     #[inline]
     pub fn roll(&mut self, byte: u8) {
-        let t = &self.tables;
-        if self.filled {
-            // Remove the byte that falls out of the window.
-            let out = self.ring[self.pos];
-            self.fp ^= t.pop[out as usize];
-        }
+        // The byte at the ring cursor is the one falling out of a full
+        // window.
+        self.fp = if self.filled {
+            self.tables.slide(self.fp, self.ring[self.pos], byte)
+        } else {
+            self.tables.push(self.fp, byte)
+        };
         self.ring[self.pos] = byte;
         self.pos += 1;
         if self.pos == self.ring.len() {
             self.pos = 0;
             self.filled = true;
         }
-        // Append the new byte: fp = (fp * x^8 + byte) mod P.
-        let hi = (self.fp >> t.shift) as usize;
-        self.fp = (((self.fp & t.lo_mask) << 8) | byte as u64) ^ t.push[hi];
     }
 
     /// Resets to the empty-window state (reusing the allocation).

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use crate::params::ChunkerParams;
-use crate::rabin::{RabinFingerprint, RabinTables};
+use crate::rabin::RabinTables;
 use crate::Chunker;
 
 /// TTTD content-defined chunker.
@@ -58,31 +58,20 @@ impl Chunker for TttdChunker {
         let mask = p.mask();
         let magic = p.magic();
 
-        let mut fp = RabinFingerprint::new(self.tables.clone());
-        let first_test = start + p.min;
-        for &b in &data[first_test - p.window..first_test] {
-            fp.roll(b);
-        }
         let mut backup: Option<usize> = None;
-        let check = |value: u64, pos: usize, backup: &mut Option<usize>| -> bool {
+        let main_cut = self.tables.scan(data, start + p.min, start + limit, |pos, value| {
             if value & mask == magic {
                 return true;
             }
             if let Some((bmask, bmagic)) = self.backup {
                 if value & bmask == bmagic {
-                    *backup = Some(pos);
+                    backup = Some(pos);
                 }
             }
             false
-        };
-        if check(fp.value(), first_test, &mut backup) {
-            return first_test;
-        }
-        for (i, &b) in data[first_test..start + limit].iter().enumerate() {
-            fp.roll(b);
-            if check(fp.value(), first_test + i + 1, &mut backup) {
-                return first_test + i + 1;
-            }
+        });
+        if let Some(pos) = main_cut {
+            return pos;
         }
         // Reached the upper bound without a main-divisor match: prefer the
         // most recent backup candidate. (Only when the bound was actually

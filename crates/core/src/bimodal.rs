@@ -25,8 +25,9 @@ use mhd_workload::Snapshot;
 
 use crate::config::EngineConfig;
 use crate::engine::{
-    chunk_and_hash, DedupReport, Deduplicator, EngineError, EngineResult, SliceTracker,
+    chunk_and_hash, DedupReport, Deduplicator, EngineError, EngineResult, HashedChunk, SliceTracker,
 };
+use crate::frontend;
 
 /// Big-chunk-first deduplicator with transition-point re-chunking.
 pub struct BimodalEngine<B: Backend> {
@@ -109,9 +110,14 @@ impl<B: Backend> BimodalEngine<B> {
         Ok(found.map(|e| Extent { container: e.container, offset: e.offset, len: e.size }))
     }
 
-    fn process_file(&mut self, path: &str, data: &Bytes) -> EngineResult<()> {
+    /// Deduplicates one file, given its hashed big chunks.
+    fn process_file(
+        &mut self,
+        path: &str,
+        data: &Bytes,
+        bigs: Vec<HashedChunk>,
+    ) -> EngineResult<()> {
         self.input_bytes += data.len() as u64;
-        let bigs = chunk_and_hash(&self.big_chunker, data);
 
         // Pass 1: duplicate status of every big chunk (the big-chunk-first
         // queries).
@@ -203,8 +209,9 @@ impl<B: Backend> Deduplicator for BimodalEngine<B> {
 
     fn process_snapshot(&mut self, snapshot: &Snapshot) -> EngineResult<()> {
         let start = Instant::now();
-        for file in &snapshot.files {
-            self.process_file(&file.path, &file.data)?;
+        for ingested in frontend::ingest(&self.big_chunker, &snapshot.files) {
+            let (file, bigs) = ingested?;
+            self.process_file(&file.path, &file.data, bigs)?;
         }
         self.dedup_seconds += start.elapsed().as_secs_f64();
         Ok(())

@@ -21,8 +21,9 @@ use mhd_workload::Snapshot;
 
 use crate::config::EngineConfig;
 use crate::engine::{
-    chunk_and_hash, DedupReport, Deduplicator, EngineError, EngineResult, SliceTracker,
+    DedupReport, Deduplicator, EngineError, EngineResult, HashedChunk, SliceTracker,
 };
+use crate::frontend;
 
 /// Flat content-defined-chunking deduplicator with a full per-chunk index.
 pub struct CdcEngine<B: Backend> {
@@ -93,9 +94,13 @@ impl<B: Backend> CdcEngine<B> {
         Ok(found.map(|e| Extent { container: e.container, offset: e.offset, len: e.size }))
     }
 
-    fn process_file(&mut self, path: &str, data: &Bytes) -> EngineResult<()> {
+    fn process_file(
+        &mut self,
+        path: &str,
+        data: &Bytes,
+        chunks: Vec<HashedChunk>,
+    ) -> EngineResult<()> {
         self.input_bytes += data.len() as u64;
-        let chunks = chunk_and_hash(&self.chunker, data);
 
         let mut builder = self.substrate.new_disk_chunk();
         let mut entries: Vec<ManifestEntry> = Vec::new();
@@ -152,8 +157,9 @@ impl<B: Backend> Deduplicator for CdcEngine<B> {
 
     fn process_snapshot(&mut self, snapshot: &Snapshot) -> EngineResult<()> {
         let start = Instant::now();
-        for file in &snapshot.files {
-            self.process_file(&file.path, &file.data)?;
+        for ingested in frontend::ingest(&self.chunker, &snapshot.files) {
+            let (file, chunks) = ingested?;
+            self.process_file(&file.path, &file.data, chunks)?;
         }
         self.dedup_seconds += start.elapsed().as_secs_f64();
         Ok(())

@@ -5,7 +5,6 @@ use mhd_chunking::Chunker;
 use mhd_hash::{sha1, ChunkHash};
 use mhd_store::{IoStats, MetadataLedger, StoreError};
 use mhd_workload::Snapshot;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Result alias for engine operations.
@@ -19,6 +18,10 @@ pub enum EngineError {
     Store(StoreError),
     /// Invalid configuration.
     Config(String),
+    /// A chunk+hash job of the front end panicked; the message names the
+    /// file and carries the panic payload. Nothing of that file was
+    /// stored.
+    Frontend(String),
 }
 
 impl std::fmt::Display for EngineError {
@@ -26,6 +29,7 @@ impl std::fmt::Display for EngineError {
         match self {
             EngineError::Store(e) => write!(f, "storage error: {e}"),
             EngineError::Config(msg) => write!(f, "configuration error: {msg}"),
+            EngineError::Frontend(msg) => write!(f, "front-end error: {msg}"),
         }
     }
 }
@@ -34,7 +38,7 @@ impl std::error::Error for EngineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             EngineError::Store(e) => Some(e),
-            EngineError::Config(_) => None,
+            EngineError::Config(_) | EngineError::Frontend(_) => None,
         }
     }
 }
@@ -68,11 +72,11 @@ impl HashedChunk {
     }
 }
 
-/// Chunks `data` and hashes every chunk, fanning the SHA-1 work out over
-/// rayon (chunk boundaries are sequential by nature; hashing is not).
+/// Chunks `data` and hashes every chunk, on the calling thread.
 ///
-/// Takes the chunker as a trait object: every engine routes through here,
-/// so any [`Chunker`] — Rabin, TTTD, fixed, FastCDC, AE — plugs into every
+/// Takes the chunker as a trait object: every engine routes through here
+/// (whole files by way of the front end's jobs, sub-ranges directly), so
+/// any [`Chunker`] — Rabin, TTTD, fixed, FastCDC, AE — plugs into every
 /// engine unchanged.
 pub fn chunk_and_hash(chunker: &dyn Chunker, data: &Bytes) -> Vec<HashedChunk> {
     let spans = chunker.spans(data);
@@ -84,7 +88,7 @@ pub fn chunk_and_hash(chunker: &dyn Chunker, data: &Bytes) -> Vec<HashedChunk> {
         }
     }
     spans
-        .par_iter()
+        .iter()
         .map(|s| HashedChunk {
             offset: s.offset as u64,
             len: s.len as u32,

@@ -10,7 +10,7 @@ use crate::{
     SparseIndexEngine, SubChunkEngine,
 };
 
-fn random(len: usize, seed: u64) -> Vec<u8> {
+pub(crate) fn random(len: usize, seed: u64) -> Vec<u8> {
     let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     (0..len)
         .map(|_| {
@@ -22,7 +22,7 @@ fn random(len: usize, seed: u64) -> Vec<u8> {
         .collect()
 }
 
-fn snapshot(prefix: &str, datas: Vec<Vec<u8>>) -> Snapshot {
+pub(crate) fn snapshot(prefix: &str, datas: Vec<Vec<u8>>) -> Snapshot {
     Snapshot {
         machine: 0,
         day: 0,

@@ -55,7 +55,6 @@ pub mod compact;
 pub mod fsck;
 pub mod gc;
 pub mod metrics;
-pub mod pipeline;
 pub mod restore;
 pub mod shard;
 pub mod statefile;
@@ -67,6 +66,7 @@ mod engine;
 #[cfg(test)]
 mod engine_tests;
 mod fbc;
+mod frontend;
 mod mhd;
 mod sparse_index;
 mod subchunk;

@@ -39,9 +39,9 @@ use mhd_workload::Snapshot;
 
 use crate::config::{EngineConfig, HhrDupGranularity, HookIndex};
 use crate::engine::{
-    chunk_and_hash, DedupReport, Deduplicator, EngineError, EngineResult, HashedChunk,
-    HookPresence, SliceTracker,
+    DedupReport, Deduplicator, EngineError, EngineResult, HashedChunk, HookPresence, SliceTracker,
 };
+use crate::frontend;
 
 /// The BF-MHD engine (Bloom-filter-based MHD, the variant evaluated in §V).
 pub struct MhdEngine<B: Backend> {
@@ -543,10 +543,7 @@ impl<B: Backend> MhdEngine<B> {
             // Straddle: split the entry (HHR).
             let edge_len = buffer.back().map(|c| c.len as u64).unwrap_or(0);
             let replacement = self.hhr_split(e, &old, m.matched_bytes, &matched, edge_len, true);
-            let kk = k as usize;
-            self.cache.mutate(mid, |man| {
-                man.entries.splice(kk..kk + 1, replacement);
-            });
+            self.cache.splice_entry(mid, k as usize, replacement);
             break;
         }
         Ok((extents_rev, dup_bytes, dup_chunks))
@@ -639,18 +636,20 @@ impl<B: Backend> MhdEngine<B> {
             }
             let edge_len = chunks.get(i).map(|c| c.len as u64).unwrap_or(0);
             let replacement = self.hhr_split(e, &old, m.matched_bytes, &matched, edge_len, false);
-            self.cache.mutate(mid, |man| {
-                man.entries.splice(k..k + 1, replacement);
-            });
+            self.cache.splice_entry(mid, k, replacement);
             break;
         }
         Ok((extents, dup_bytes, i - start_i))
     }
 
-    /// Deduplicates one file.
-    fn process_file(&mut self, path: &str, data: &Bytes) -> EngineResult<()> {
+    /// Deduplicates one file, given its hashed chunks.
+    fn process_file(
+        &mut self,
+        path: &str,
+        data: &Bytes,
+        chunks: Vec<HashedChunk>,
+    ) -> EngineResult<()> {
         self.input_bytes += data.len() as u64;
-        let chunks = chunk_and_hash(&self.chunker, data);
         let _timer = mhd_obs::span!("stage.dedup_ns");
 
         let mut builder = self.substrate.new_disk_chunk();
@@ -953,8 +952,9 @@ impl<B: Backend> Deduplicator for MhdEngine<B> {
 
     fn process_snapshot(&mut self, snapshot: &Snapshot) -> EngineResult<()> {
         let start = Instant::now();
-        for file in &snapshot.files {
-            self.process_file(&file.path, &file.data)?;
+        for ingested in frontend::ingest(&self.chunker, &snapshot.files) {
+            let (file, chunks) = ingested?;
+            self.process_file(&file.path, &file.data, chunks)?;
         }
         self.dedup_seconds += start.elapsed().as_secs_f64();
         Ok(())

@@ -26,8 +26,9 @@ use mhd_workload::Snapshot;
 
 use crate::config::EngineConfig;
 use crate::engine::{
-    chunk_and_hash, DedupReport, Deduplicator, EngineError, EngineResult, HashedChunk, SliceTracker,
+    DedupReport, Deduplicator, EngineError, EngineResult, HashedChunk, SliceTracker,
 };
+use crate::frontend;
 
 /// One chunk queued into the current segment, tagged with its source file.
 struct SegChunk {
@@ -211,9 +212,10 @@ impl<B: Backend> Deduplicator for SparseIndexEngine<B> {
 
         let mut seg: Vec<SegChunk> = Vec::new();
         let mut seg_bytes = 0usize;
-        for (file_idx, data) in files.iter().enumerate() {
-            self.input_bytes += data.len() as u64;
-            for chunk in chunk_and_hash(&self.chunker, data) {
+        for (file_idx, ingested) in frontend::ingest(&self.chunker, &snapshot.files).enumerate() {
+            let (file, chunks) = ingested?;
+            self.input_bytes += file.data.len() as u64;
+            for chunk in chunks {
                 seg_bytes += chunk.len as usize;
                 seg.push(SegChunk { file_idx, chunk });
                 if seg_bytes >= self.config.segment_bytes() {

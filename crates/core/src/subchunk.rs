@@ -32,8 +32,9 @@ use mhd_workload::Snapshot;
 
 use crate::config::EngineConfig;
 use crate::engine::{
-    chunk_and_hash, DedupReport, Deduplicator, EngineError, EngineResult, SliceTracker,
+    chunk_and_hash, DedupReport, Deduplicator, EngineError, EngineResult, HashedChunk, SliceTracker,
 };
+use crate::frontend;
 
 /// Anchor-driven subchunk deduplicator.
 pub struct SubChunkEngine<B: Backend> {
@@ -117,9 +118,14 @@ impl<B: Backend> SubChunkEngine<B> {
         Ok(found.map(|e| Extent { container: e.container, offset: e.offset, len: e.size }))
     }
 
-    fn process_file(&mut self, path: &str, data: &Bytes) -> EngineResult<()> {
+    /// Deduplicates one file, given its hashed big chunks.
+    fn process_file(
+        &mut self,
+        path: &str,
+        data: &Bytes,
+        bigs: Vec<HashedChunk>,
+    ) -> EngineResult<()> {
         self.input_bytes += data.len() as u64;
-        let bigs = chunk_and_hash(&self.big_chunker, data);
 
         let mut entries: Vec<ManifestEntry> = Vec::new();
         let mut fm = FileManifest::new();
@@ -225,8 +231,9 @@ impl<B: Backend> Deduplicator for SubChunkEngine<B> {
 
     fn process_snapshot(&mut self, snapshot: &Snapshot) -> EngineResult<()> {
         let start = Instant::now();
-        for file in &snapshot.files {
-            self.process_file(&file.path, &file.data)?;
+        for ingested in frontend::ingest(&self.big_chunker, &snapshot.files) {
+            let (file, bigs) = ingested?;
+            self.process_file(&file.path, &file.data, bigs)?;
         }
         self.dedup_seconds += start.elapsed().as_secs_f64();
         Ok(())

@@ -26,7 +26,7 @@ pub const DEFAULT_SCOPE_KEYS: &[&str] =
 
 /// Fallback stage-name prefixes, mirroring `mhd_obs::STAGE_NAME_PREFIXES`.
 pub const DEFAULT_STAGE_PREFIXES: &[&str] =
-    &["backup", "commit", "daemon", "engine", "io", "pipeline", "shard"];
+    &["backup", "commit", "daemon", "engine", "frontend", "io", "shard"];
 
 /// A loaded workspace: every lintable source file plus crate manifests.
 #[derive(Debug)]
@@ -217,14 +217,15 @@ fn pass_allow_directives(ws: &Workspace, out: &mut Vec<Finding>) {
 /// Files on which a panic can strand a partially-committed store: the
 /// whole store crate, the CLI (user-facing I/O), the daemon (long-lived
 /// server holding sessions open), and the core modules that drive engine
-/// I/O and recovery.
+/// I/O and recovery — the front end included: a panic on one of its pool
+/// threads would take every session's ingest down with it.
 fn l1_restricted(rel: &str) -> bool {
     rel.starts_with("crates/store/src/")
         || rel.starts_with("crates/cli/src/")
         || rel.starts_with("crates/daemon/src/")
         || matches!(
             rel,
-            "crates/core/src/pipeline.rs"
+            "crates/core/src/frontend.rs"
                 | "crates/core/src/shard.rs"
                 | "crates/core/src/fsck.rs"
                 | "crates/core/src/mhd.rs"

@@ -170,6 +170,18 @@ fn real_workspace_is_clean_and_l7_actually_sees_the_daemon() {
         "an edge into the engine lock should have been a finding: {:?}",
         graph.edges
     );
+
+    // The front end's locks are leaves: declared, and never held across
+    // another acquisition (a job runs with neither its state lock nor the
+    // pool queue held).
+    for lock in ["Job.state", "Pool.queue"] {
+        assert!(graph.locks.iter().any(|l| l.id == lock), "{lock} not extracted");
+        assert!(
+            !graph.edges.iter().any(|e| e.from == lock),
+            "{lock} held across another acquisition: {:?}",
+            graph.edges
+        );
+    }
 }
 
 #[test]

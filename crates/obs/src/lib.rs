@@ -28,7 +28,7 @@
 //! [`Snapshot::scopes`] then carries one sub-snapshot per label, and
 //! [`Snapshot::diff`] isolates deltas between two snapshots. Scopes are
 //! per-thread; [`scope_labels`]/[`enter_scopes`] re-establish the current
-//! attribution on helper threads (the pipeline producer, shard workers).
+//! attribution on helper threads (front-end workers, shard workers).
 //!
 //! # Traces — the "when and where" side
 //!
@@ -240,7 +240,7 @@ pub struct CounterSnapshot {
 /// One histogram's state inside a [`Snapshot`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
-    /// Registered metric name (dotted, e.g. `"pipeline.consumer_ns"`).
+    /// Registered metric name (dotted, e.g. `"frontend.wait_ns"`).
     pub name: String,
     /// Number of recorded values.
     pub count: u64,

@@ -28,12 +28,12 @@ use serde::{Content, Deserialize, Serialize};
 
 /// The registered stage-name families: every [`stage`] label must begin
 /// with one of these prefixes (the text before any `=` or `.`
-/// qualifier — `"pipeline.producer"` and `"shard=3"` are both covered).
+/// qualifier — `"frontend.job"` and `"shard=3"` are both covered).
 /// `mhd-lint`'s L4 pass parses this constant from source and
 /// cross-checks every `mhd_obs::stage(..)` call site, keeping the
 /// analyzer's stage taxonomy closed under review.
 pub const STAGE_NAME_PREFIXES: &[&str] =
-    &["backup", "commit", "daemon", "engine", "io", "pipeline", "shard"];
+    &["backup", "commit", "daemon", "engine", "frontend", "io", "shard"];
 
 /// Direction of a match extension ([`TraceEvent::BmeExtend`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -239,7 +239,7 @@ mod rt {
     /// thread-local holds the second `Arc` reference, so a strong count
     /// of 1 means the thread's TLS was torn down and nothing can record
     /// into the ring again. Without this, churning worker threads (shard
-    /// fleets, pipeline producers) leak one ring buffer each for the
+    /// fleets, per-connection daemon threads) leak one ring buffer each for the
     /// process lifetime. Callers hold the registry lock's critical
     /// section briefly; a live thread always counts ≥ 2 and is kept.
     ///

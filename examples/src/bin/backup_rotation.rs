@@ -1,9 +1,8 @@
-//! A backup service processing a two-week daily rotation through the
-//! staged pipeline (chunk+hash prefetched on a producer thread), printing
-//! the cumulative savings after every day — the way an operator would
-//! watch a dedup appliance fill up.
+//! A backup service processing a two-week daily rotation, printing the
+//! cumulative savings after every day — the way an operator would watch
+//! a dedup appliance fill up.
 
-use mhd_core::{pipeline, Deduplicator, EngineConfig, MhdEngine};
+use mhd_core::{Deduplicator, EngineConfig, MhdEngine};
 use mhd_examples::human_bytes;
 use mhd_store::MemBackend;
 use mhd_workload::{Corpus, CorpusSpec};
@@ -20,9 +19,9 @@ fn main() {
 
     println!("\n{:>4}  {:>12}  {:>12}  {:>9}  {:>7}", "day", "ingested", "stored", "saved", "HHR");
     for day in 0..days {
-        // One day's streams: the pipeline overlaps staging with dedup.
-        let streams = &corpus.snapshots[day * machines..(day + 1) * machines];
-        pipeline::run_pipelined(&mut engine, streams, 4).expect("pipelined dedup");
+        for stream in &corpus.snapshots[day * machines..(day + 1) * machines] {
+            engine.process_snapshot(stream).expect("dedup");
+        }
 
         let ledger = engine.substrate().ledger();
         let ingested: u64 =

@@ -2,8 +2,8 @@
 //!
 //! * `quickstart` — deduplicate a two-day synthetic backup with BF-MHD and
 //!   restore it byte-exactly.
-//! * `backup_rotation` — a backup service processing daily streams
-//!   through the staged pipeline, reporting per-day savings.
+//! * `backup_rotation` — a backup service processing daily streams,
+//!   reporting per-day savings.
 //! * `image_farm` — a VM-image farm (clone-heavy) comparing MHD's
 //!   metadata bill against flat CDC.
 //! * `algorithm_shootout` — all engines over one corpus, side by

@@ -1,8 +1,7 @@
 //! Tests for the extension features beyond the paper's core: SI-MHD,
-//! compact recipe encoding (Meister-style), persistent engine state, and
-//! the staged pipeline at scale.
+//! compact recipe encoding (Meister-style), and persistent engine state.
 
-use mhd_core::{pipeline, restore, Deduplicator, EngineConfig, HookIndex, MhdEngine};
+use mhd_core::{restore, Deduplicator, EngineConfig, HookIndex, MhdEngine};
 use mhd_integration::run_named;
 use mhd_store::{FileManifest, MemBackend};
 use mhd_workload::{Corpus, CorpusSpec};
@@ -98,20 +97,4 @@ fn engine_state_survives_serialisation_mid_corpus() {
     assert_eq!(resumed_report.dup_bytes, whole_report.dup_bytes);
     assert_eq!(resumed_report.ledger.inodes_manifests, whole_report.ledger.inodes_manifests);
     assert!(restore::verify_corpus(second.substrate_mut(), &corpus).unwrap() > 0);
-}
-
-#[test]
-fn pipeline_scales_prefetch_depths() {
-    let corpus = Corpus::generate(CorpusSpec::tiny(814));
-    let mut reference: Option<u64> = None;
-    for prefetch in [1usize, 2, 8] {
-        let mut e = MhdEngine::new(MemBackend::new(), EngineConfig::new(512, 8)).unwrap();
-        let n = pipeline::run_pipelined(&mut e, &corpus.snapshots, prefetch).unwrap();
-        assert_eq!(n, corpus.snapshots.len());
-        let r = e.finish().unwrap();
-        match reference {
-            None => reference = Some(r.ledger.stored_data_bytes),
-            Some(expect) => assert_eq!(r.ledger.stored_data_bytes, expect, "prefetch {prefetch}"),
-        }
-    }
 }

@@ -1,5 +1,5 @@
-//! The `mhd-obs` layer observed end to end: a pipelined BF-MHD run must
-//! light up the counters and stage timers wired through every crate; two
+//! The `mhd-obs` layer observed end to end: a BF-MHD run must light up
+//! the counters and stage timers wired through every crate; two
 //! concurrent scoped runs must partition cleanly (per-scope sums equal
 //! the global delta); a sharded fleet must attribute per-shard occupancy;
 //! a multi-engine exhibit must yield per-engine sub-snapshots; and the
@@ -12,36 +12,40 @@
 //! process and registry).
 
 use mhd_bench::{run_engine, scaled_config, EngineKind};
-use mhd_core::pipeline::run_pipelined;
 use mhd_core::shard::ShardedMhd;
 use mhd_core::{Deduplicator, EngineConfig, MhdEngine};
 use mhd_store::MemBackend;
 use mhd_workload::{Corpus, CorpusSpec};
 
-/// Counters recorded on the engine-driving threads — the set whose
-/// per-scope values must sum to the global delta when every run is
-/// scoped.
-const PARTITIONED_COUNTERS: [&str; 6] = [
+/// Counters recorded on the engine-driving threads and on the front-end
+/// workers that inherit their scopes — the set whose per-scope values
+/// must sum to the global delta when every run is scoped.
+const PARTITIONED_COUNTERS: [&str; 5] = [
     "chunking.chunks",
     "hashing.chunks",
     "mhd.hook_hits",
-    "pipeline.snapshots_processed",
     "store.disk_chunk_writes",
     "cache.manifest_inserts",
 ];
 
+fn file_count(corpus: &Corpus) -> u64 {
+    corpus.snapshots.iter().map(|s| s.files.len() as u64).sum()
+}
+
 #[test]
-fn pipelined_mhd_run_populates_internal_metrics() {
+fn mhd_run_populates_internal_metrics() {
     mhd_obs::trace_start(mhd_obs::DEFAULT_TRACE_CAPACITY);
 
-    // ---- Phase 1: unscoped pipelined run lights up every crate. ----
+    // ---- Phase 1: unscoped run lights up every crate. ----
     let corpus = Corpus::generate(CorpusSpec::tiny(1234));
     // A manifest cache far smaller than the corpus's manifest population:
     // duplicate detection must go through the Bloom filter and the on-disk
     // Hook store, not just the RAM cache.
     let config = EngineConfig { cache_manifests: 2, ..EngineConfig::new(512, 8) };
     let mut engine = MhdEngine::new(MemBackend::new(), config).unwrap();
-    let n = run_pipelined(&mut engine, &corpus.snapshots, 2).unwrap();
+    for snapshot in &corpus.snapshots {
+        engine.process_snapshot(snapshot).unwrap();
+    }
     let report = engine.finish().unwrap();
     assert!(report.hhr_count > 0, "the corpus must exercise HHR");
 
@@ -62,9 +66,10 @@ fn pipelined_mhd_run_populates_internal_metrics() {
     let hashing = snap.histogram("stage.hashing_ns").expect("hashing-stage timer");
     assert!(hashing.count > 0 && hashing.sum > 0);
 
-    // Dedup stage ran once per file that produced a manifest.
+    // Dedup stage ran once per file.
     let dedup = snap.histogram("stage.dedup_ns").expect("dedup-stage timer");
-    assert!(dedup.count > 0 && dedup.sum > 0);
+    assert_eq!(dedup.count, file_count(&corpus));
+    assert!(dedup.sum > 0);
 
     // MHD events: hook hits feed BME/HHR; HHR fired per the report.
     assert!(snap.counter("mhd.hook_hits") > 0);
@@ -86,11 +91,9 @@ fn pipelined_mhd_run_populates_internal_metrics() {
     assert!(snap.counter("store.disk_chunk_writes") > 0);
     assert!(snap.counter("store.manifest_writes") > 0);
 
-    // Pipeline: every snapshot staged by the producer was processed.
-    assert_eq!(snap.counter("pipeline.snapshots_staged"), n as u64);
-    assert_eq!(snap.counter("pipeline.snapshots_processed"), n as u64);
-    let consumer = snap.histogram("pipeline.consumer_ns").expect("consumer occupancy");
-    assert_eq!(consumer.count, n as u64);
+    // Front end: the consumer can only have helped with shipped jobs
+    // (none are shipped on a one-core machine).
+    assert!(snap.counter("frontend.helped") <= snap.counter("frontend.jobs"));
 
     // No scope was entered yet: the snapshot has no scope section.
     assert!(snap.scopes.is_empty(), "unscoped run must not invent scopes");
@@ -100,7 +103,7 @@ fn pipelined_mhd_run_populates_internal_metrics() {
     let back: mhd_obs::Snapshot = serde_json::from_str(&json).unwrap();
     assert_eq!(back, snap);
 
-    // ---- Phase 2: two concurrent scoped pipelined runs partition. ----
+    // ---- Phase 2: two concurrent scoped runs partition. ----
     let baseline = snap;
     let corpora =
         [Corpus::generate(CorpusSpec::tiny(4321)), Corpus::generate(CorpusSpec::tiny(5432))];
@@ -110,7 +113,9 @@ fn pipelined_mhd_run_populates_internal_metrics() {
                 let _scope = mhd_obs::scope!("run={i}");
                 let config = EngineConfig { cache_manifests: 2, ..EngineConfig::new(512, 8) };
                 let mut engine = MhdEngine::new(MemBackend::new(), config).unwrap();
-                run_pipelined(&mut engine, &corpus.snapshots, 2).unwrap();
+                for snapshot in &corpus.snapshots {
+                    engine.process_snapshot(snapshot).unwrap();
+                }
                 engine.finish().unwrap();
             });
         }
@@ -128,16 +133,16 @@ fn pipelined_mhd_run_populates_internal_metrics() {
             "{name}: per-scope values must sum to the global delta"
         );
     }
-    // Histograms attribute too: each run's consumer occupancy is its own
-    // snapshot count, and the two sum to the global delta.
-    let h0 = run0.histogram("pipeline.consumer_ns").expect("scoped consumer occupancy");
-    let h1 = run1.histogram("pipeline.consumer_ns").expect("scoped consumer occupancy");
-    assert_eq!(h0.count, corpora[0].snapshots.len() as u64);
-    assert_eq!(h1.count, corpora[1].snapshots.len() as u64);
-    assert_eq!(
-        h0.count + h1.count,
-        delta.histogram("pipeline.consumer_ns").expect("global delta").count
-    );
+    // Histograms attribute too — including the hashing stage, which
+    // runs on whichever thread took the file: each run's sample count is
+    // its own file count, and the two sum to the global delta.
+    for name in ["stage.dedup_ns", "stage.hashing_ns"] {
+        let h0 = run0.histogram(name).expect("scoped stage occupancy");
+        let h1 = run1.histogram(name).expect("scoped stage occupancy");
+        assert_eq!(h0.count, file_count(&corpora[0]), "{name}");
+        assert_eq!(h1.count, file_count(&corpora[1]), "{name}");
+        assert_eq!(h0.count + h1.count, delta.histogram(name).expect("global delta").count);
+    }
 
     // ---- Phase 3: sharded fleet attributes per-shard occupancy. ----
     let baseline = after;
