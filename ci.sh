@@ -6,7 +6,9 @@
 #
 # Stages:
 #   1. tier-1: release build + full test suite (ROADMAP.md)
-#   2. crash safety — the fault matrix + a --durability fsync smoke backup
+#   2. crash safety — the fault matrix, a --durability fsync smoke backup,
+#      and a store torn between flush and persist recovered by `mhd` and
+#      by `mhd serve`
 #   3. feature matrix — the obs-disabled workspace still builds, and the
 #      store/core crash-safety tests pass with obs compiled out
 #   4. analysis  — `mhd compare` finds zero regressions across two
@@ -18,8 +20,7 @@
 #      two-phase commit (dedup equivalence across session counts, 4-session
 #      throughput >= 0.9x the 2-session figure, exhibit JSON produced)
 #   6. chunker   — chunker_bench smoke: per-chunker byte-exact restore
-#      probe, SWAR/scalar/calibrated FastCDC cut-point identity, and the
-#      FastCDC >= Rabin throughput gate
+#      probe and the FastCDC >= Rabin throughput gate
 #   7. benchmark — the repo benchmark still builds against this tree and
 #      runs end to end: `benchmark/run.sh --smoke` (every workload once on
 #      the tiny corpus, traced, outputs checked) and the harness's own
@@ -71,6 +72,56 @@ head -c 262144 /dev/urandom > "$SMOKE/src/disk.img"
 ./target/release/mhd fsck --store "$SMOKE/store"
 ./target/release/mhd restore smoke-0/disk.img --store "$SMOKE/store" -o "$SMOKE/restored.img"
 cmp "$SMOKE/src/disk.img" "$SMOKE/restored.img"
+
+step "crash safety: a store torn before persist is recovered by mhd and by mhd serve"
+# A kill between the engine's flush and the state.json rename leaves the
+# objects of the stream on disk and the previous session/ files in place:
+# back up a, set session/ aside, back up b, put session/ back. Every
+# stream is fresh random data, so the torn stream is found by the id
+# floors alone — this script knows nothing of the wip record format.
+for s in a b c; do
+    mkdir -p "$SMOKE/torn-src/$s"
+    head -c 200000 /dev/urandom > "$SMOKE/torn-src/$s/$s.img"
+done
+torn_store() {
+    ./target/release/mhd backup "$SMOKE/torn-src/a" --store "$1" --label s > /dev/null
+    cp -r "$1/session" "$1.session"
+    ./target/release/mhd backup "$SMOKE/torn-src/b" --store "$1" --label s > /dev/null
+    rm -rf "$1/session"
+    mv "$1.session" "$1/session"
+}
+# What must hold once something has opened the torn store for writes.
+recovered_store() {
+    ./target/release/mhd fsck --store "$1" > /dev/null
+    ./target/release/mhd restore s-0/a.img --store "$1" -o "$SMOKE/torn-restored.img" > /dev/null
+    cmp "$SMOKE/torn-src/a/a.img" "$SMOKE/torn-restored.img"
+    if ./target/release/mhd ls --store "$1" | grep -q 's-1_b.img'; then
+        echo "error: the torn stream is still listed in $1" >&2
+        exit 1
+    fi
+}
+torn_store "$SMOKE/torn-cli"
+./target/release/mhd fsck --store "$SMOKE/torn-cli" | tee "$SMOKE/torn-fsck.txt"
+grep -q 'rolled back' "$SMOKE/torn-fsck.txt" || {
+    echo "error: mhd fsck did not report the rollback" >&2
+    exit 1
+}
+./target/release/mhd backup "$SMOKE/torn-src/c" --store "$SMOKE/torn-cli" --label s
+recovered_store "$SMOKE/torn-cli"
+
+torn_store "$SMOKE/torn-serve"
+./target/release/mhd serve --store "$SMOKE/torn-serve" --socket "$SMOKE/torn.sock" &
+TORN_PID=$!
+for _ in $(seq 1 50); do
+    [[ -S "$SMOKE/torn.sock" ]] && break
+    sleep 0.1
+done
+./target/release/mhd client backup "$SMOKE/torn-src/c" \
+    --socket "$SMOKE/torn.sock" --tenant t --label day0
+./target/release/mhd client fsck --socket "$SMOKE/torn.sock"
+./target/release/mhd client shutdown --socket "$SMOKE/torn.sock"
+wait "$TORN_PID"
+recovered_store "$SMOKE/torn-serve"
 
 step "analysis: mhd compare on two same-seed runs + mhd trace analyze"
 ./target/release/table1 --bytes 4M --internals --out "$SMOKE/run_a" > /dev/null
@@ -152,12 +203,11 @@ DAEMON_BENCH_REQUIRE_SCALING=1 ./target/release/daemon_bench \
 }
 
 step "chunker: FastCDC/AE shootout smoke (chunker_bench)"
-# The bench's unconditional gates carry the correctness load: every
-# chunker's dedup run ends with a byte-exact restore probe, and the SWAR,
-# scalar, and calibrated FastCDC kernels must produce identical cut
-# points on the corpus. REQUIRE_FASTCDC adds the throughput gate — both
-# the calibrated and the forced-SWAR FastCDC rows must hold at least
-# Rabin's MiB/s (a release-codegen property, hence the release binary).
+# The bench's unconditional gate carries the correctness load: every
+# chunker's dedup run ends with a byte-exact restore probe.
+# REQUIRE_FASTCDC adds the throughput gate — the FastCDC row must hold at
+# least Rabin's MiB/s (a release-codegen property, hence the release
+# binary).
 CHUNKER_BENCH_REQUIRE_FASTCDC=1 ./target/release/chunker_bench \
     --bytes 24M --out "$SMOKE/chunker-bench" > /dev/null
 [[ -f "$SMOKE/chunker-bench/chunker_bench.json" ]] || {

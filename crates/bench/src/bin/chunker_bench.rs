@@ -5,11 +5,7 @@
 //! Two panels:
 //!
 //! * **scanner throughput** — MiB/s of `cut_points` over the concatenated
-//!   corpus bytes, best-of-N. FastCDC appears three times: the calibrated
-//!   default (whichever kernel `simd::best_scan` picked for this
-//!   machine), the forced SWAR scanner (8 gear positions tested per
-//!   branch), and the forced scalar reference — all three byte-identical
-//!   by assertion, so the rows are a pure kernel comparison;
+//!   corpus bytes, best-of-N;
 //! * **dedup quality** — the Fig 7/8-style BF-MHD run repeated per
 //!   chunker: duplicate-elimination ratio, chunks stored, metadata ratio.
 //!   After every run the first day of machine 0 is restored and compared
@@ -18,15 +14,14 @@
 //! Asserted gates:
 //!
 //! * restore identity per chunker — unconditional;
-//! * SWAR/scalar cut-point identity on the corpus bytes — unconditional;
-//! * FastCDC (SWAR) throughput ≥ Rabin — opt-in via
+//! * FastCDC throughput ≥ Rabin — opt-in via
 //!   `CHUNKER_BENCH_REQUIRE_FASTCDC=1` (set by CI's smoke stage; debug
 //!   builds invert the constant folding the release gate relies on).
 
 use std::time::Instant;
 
 use mhd_bench::{print_table, scaled_config, Cli};
-use mhd_chunking::{AnyChunker, Chunker, ChunkerKind, FastCdcChunker};
+use mhd_chunking::{AnyChunker, Chunker, ChunkerKind};
 use mhd_core::{restore, Deduplicator, MhdEngine};
 use mhd_store::MemBackend;
 use serde_json::json;
@@ -136,48 +131,12 @@ fn main() {
         }));
     }
 
-    // The forced-kernel FastCDC rows: same masks, same gear, only the
-    // scan kernel varies. Identity is asserted, so the row trio is a pure
-    // kernel comparison; the "fastcdc" row above used whichever kernel
-    // calibration selected.
-    let fast = FastCdcChunker::with_avg(ECS).expect("default ECS");
-    let (scalar_mib_s, scalar_cuts) = measure(&data, &|d| fast.cut_points_scalar(d));
-    let (swar_mib_s, swar_cuts) = measure(&data, &|d| fast.cut_points_swar(d));
-    assert_eq!(swar_cuts, scalar_cuts, "SWAR and scalar FastCDC diverged on the corpus bytes");
-    assert_eq!(
-        fast.cut_points(&data),
-        scalar_cuts,
-        "calibrated FastCDC diverged from the scalar reference on the corpus bytes"
-    );
-    let mean = format!("{:.0}", data.len() as f64 / scalar_cuts.len().max(1) as f64);
-    for (name, mib_s) in [("fastcdc-swar", swar_mib_s), ("fastcdc-scalar", scalar_mib_s)] {
-        rows.push(vec![
-            name.into(),
-            format!("{mib_s:.0}"),
-            mean.clone(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-        ]);
-        js.push(json!({
-            "chunker": name,
-            "mib_s": mib_s,
-            "chunks": scalar_cuts.len(),
-        }));
-    }
-    js.push(json!({
-        "selected_kernel": mhd_chunking::simd::best_scan_name(),
-        "swar_speedup_vs_scalar": swar_mib_s / scalar_mib_s.max(1e-9),
-    }));
-
     if std::env::var_os("CHUNKER_BENCH_REQUIRE_FASTCDC").is_some() {
-        for (name, mib_s) in [("calibrated", fastcdc_mib_s), ("forced-SWAR", swar_mib_s)] {
-            assert!(
-                mib_s >= rabin_mib_s,
-                "FastCDC ({name}) {mib_s:.0} MiB/s fell below Rabin \
-                 {rabin_mib_s:.0} MiB/s — the gear scanner has regressed"
-            );
-        }
+        assert!(
+            fastcdc_mib_s >= rabin_mib_s,
+            "FastCDC {fastcdc_mib_s:.0} MiB/s fell below Rabin {rabin_mib_s:.0} MiB/s — \
+             the gear scanner has regressed"
+        );
     }
 
     print_table(
@@ -186,11 +145,6 @@ fn main() {
         &rows,
     );
     println!("\nevery dedup row replays the identical corpus; only the chunker varies");
-    println!(
-        "fastcdc auto-selected the {} kernel; fastcdc-swar / fastcdc-scalar force each \
-         byte-identical kernel",
-        mhd_chunking::simd::best_scan_name()
-    );
 
     cli.write_json("chunker_bench.json", &js);
     cli.write_internals("chunker_bench_internals.json");

@@ -11,18 +11,68 @@
 //!
 //! This implementation uses the XOR-gear recurrence `h' = (h << 1) ^
 //! GEAR[b]` (GF(2)-linear, window limited to the trailing 64 bytes by the
-//! shift) and scans with whichever kernel [`crate::simd::best_scan`]
-//! selects — the SWAR wide-lane scanner when the build's codegen
-//! vectorizes it, the byte-at-a-time loop otherwise. The two are
-//! byte-identical, so the selection never changes chunk boundaries;
-//! [`FastCdcChunker::next_cut_scalar`] and
-//! [`FastCdcChunker::cut_points_swar`] keep both kernels individually
-//! reachable so benchmarks and the matrix property suite can pin the
-//! identity.
+//! shift) with a byte-at-a-time scan: the loop is latency-bound on a
+//! two-operation dependency chain with a well-predicted branch, which a
+//! safe-rust wide-lane (SWAR) form did not beat on the portable x86-64
+//! baseline (0.76–0.84× in `chunker_bench`), so there is one kernel.
+
+use std::sync::OnceLock;
 
 use crate::params::ChunkerParams;
-use crate::simd::{self, gear_table};
 use crate::Chunker;
+
+/// Seed for the deterministic gear table derivation.
+const GEAR_SEED: u64 = 0x6d68_645f_6368_756e; // "mhd_chun"
+
+/// `splitmix64` output mixing, the standard 64-bit finalizer.
+fn splitmix64(index: u64) -> u64 {
+    let mut z = index.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(GEAR_SEED);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The 256-entry gear table: one fixed 64-bit pattern per byte value,
+/// derived deterministically from `splitmix64` so every build and every
+/// platform chunk identically.
+fn gear_table() -> &'static [u64; 256] {
+    static TABLE: OnceLock<[u64; 256]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut t = [0u64; 256];
+        for (i, slot) in t.iter_mut().enumerate() {
+            *slot = splitmix64(i as u64 + 1);
+        }
+        t
+    })
+}
+
+/// Rolls the gear hash over one byte.
+#[inline(always)]
+fn gear_roll(gear: &[u64; 256], h: u64, byte: u8) -> u64 {
+    (h << 1) ^ gear[byte as usize]
+}
+
+/// Starting from hash state `h` (valid at position `from`), consumes bytes
+/// `data[from..to]`; after consuming the byte at index `j`, position `j + 1`
+/// is a cut when `h & mask == 0`. Returns the final hash state and the
+/// first cut position, if any.
+#[inline]
+fn scan(
+    gear: &[u64; 256],
+    data: &[u8],
+    mut h: u64,
+    from: usize,
+    to: usize,
+    mask: u64,
+) -> (u64, Option<usize>) {
+    for (i, &b) in data[from..to].iter().enumerate() {
+        h = gear_roll(gear, h, b);
+        if h & mask == 0 {
+            return (h, Some(from + i + 1));
+        }
+    }
+    (h, None)
+}
 
 /// How many mask bits normalization adds (before `avg`) or removes (after).
 const NORM_BITS: u32 = 2;
@@ -40,7 +90,7 @@ fn top_mask(bits: u32) -> u64 {
 }
 
 /// Content-defined chunker using the gear hash with FastCDC-style
-/// normalized chunking and a SWAR vectorized scanner.
+/// normalized chunking.
 ///
 /// ```
 /// use mhd_chunking::{Chunker, FastCdcChunker};
@@ -80,10 +130,11 @@ impl FastCdcChunker {
     pub fn params(&self) -> ChunkerParams {
         self.params
     }
+}
 
-    /// The two-phase normalized scan, parameterized over the scan kernel so
-    /// the SWAR and scalar paths share every masking decision.
-    fn next_cut_with(&self, data: &[u8], start: usize, scan: simd::ScanFn) -> usize {
+impl Chunker for FastCdcChunker {
+    /// The two-phase normalized scan.
+    fn next_cut(&self, data: &[u8], start: usize) -> usize {
         let p = &self.params;
         let remaining = data.len() - start;
         if remaining <= p.min {
@@ -96,7 +147,7 @@ impl FastCdcChunker {
         let first_test = start + p.min;
         let mut h = 0u64;
         for &b in &data[first_test - WARMUP.min(p.min)..first_test] {
-            h = simd::gear_roll(gear, h, b);
+            h = gear_roll(gear, h, b);
         }
         if h & self.mask_strict == 0 {
             return first_test;
@@ -111,42 +162,6 @@ impl FastCdcChunker {
         // Phase 2: loose mask from there to the hard bound.
         let (_, cut) = scan(gear, data, h, normal, limit, self.mask_loose);
         cut.unwrap_or(limit)
-    }
-
-    /// Byte-at-a-time reference path; byte-identical to the SWAR kernel.
-    pub fn next_cut_scalar(&self, data: &[u8], start: usize) -> usize {
-        self.next_cut_with(data, start, simd::scan_scalar)
-    }
-
-    /// All cut points via a specific scan kernel.
-    fn cut_points_with(&self, data: &[u8], scan: simd::ScanFn) -> Vec<usize> {
-        let mut cuts = Vec::with_capacity(data.len() / self.params.avg + 1);
-        let mut start = 0usize;
-        while start < data.len() {
-            let end = self.next_cut_with(data, start, scan);
-            debug_assert!(end > start);
-            cuts.push(end);
-            start = end;
-        }
-        cuts
-    }
-
-    /// All cut points via the scalar reference path (for benchmarks and
-    /// identity tests).
-    pub fn cut_points_scalar(&self, data: &[u8]) -> Vec<usize> {
-        self.cut_points_with(data, simd::scan_scalar)
-    }
-
-    /// All cut points via the SWAR kernel regardless of what calibration
-    /// selected (for benchmarks and identity tests).
-    pub fn cut_points_swar(&self, data: &[u8]) -> Vec<usize> {
-        self.cut_points_with(data, simd::scan_swar)
-    }
-}
-
-impl Chunker for FastCdcChunker {
-    fn next_cut(&self, data: &[u8], start: usize) -> usize {
-        self.next_cut_with(data, start, simd::best_scan())
     }
 
     fn expected_chunk_size(&self) -> usize {
@@ -169,6 +184,18 @@ mod tests {
         let mut v = vec![0u8; len];
         rng.fill_bytes(&mut v);
         v
+    }
+
+    #[test]
+    fn gear_table_is_deterministic_and_nondegenerate() {
+        let t = gear_table();
+        assert_eq!(t, gear_table());
+        // No zero entries (a zero gear value would make runs of that byte
+        // hash-transparent) and no duplicates.
+        assert!(t.iter().all(|&v| v != 0));
+        let mut sorted = *t;
+        sorted.sort_unstable();
+        assert!(sorted.windows(2).all(|w| w[0] != w[1]));
     }
 
     #[test]
@@ -215,6 +242,22 @@ mod tests {
             "only {realigned}/{} boundaries realigned",
             tail_b.len()
         );
+    }
+
+    #[test]
+    fn cut_points_are_pinned() {
+        // SHA-1 over the little-endian u64 cut offsets of a seeded 1 MiB
+        // buffer. Stores keep their chunker for life, so any change to
+        // these digests orphans every FastCDC store's dedup history.
+        let data = random_data(1 << 20, 0x0FA5_7CDC);
+        for (avg, want) in [
+            (512usize, "7ec3a2527bfc928e190164ec3e54d5c7ca4c609d"),
+            (4096, "4cd378a9a01989627b9be7436717f7dc79316ca3"),
+        ] {
+            let cuts = FastCdcChunker::with_avg(avg).unwrap().cut_points(&data);
+            let raw: Vec<u8> = cuts.iter().flat_map(|&c| (c as u64).to_le_bytes()).collect();
+            assert_eq!(mhd_hash::sha1(&raw).to_hex(), want, "avg={avg}: {} cuts", cuts.len());
+        }
     }
 
     #[test]

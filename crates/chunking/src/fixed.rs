@@ -3,8 +3,7 @@
 //! Included as the boundary-shifting strawman: a one-byte insertion at the
 //! start of a stream changes *every* subsequent fixed-size block, which is
 //! exactly the failure mode content-defined chunking exists to avoid. The
-//! workload crate's tests use it to demonstrate that effect, and Lee &
-//! Park-style adaptive schemes can select it for low-power devices.
+//! workload crate's tests use it to demonstrate that effect.
 
 use crate::Chunker;
 

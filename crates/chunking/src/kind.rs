@@ -24,7 +24,7 @@ pub enum ChunkerKind {
     Tttd,
     /// Fixed-size partitioning (FSP).
     Fixed,
-    /// Gear-hash FastCDC with normalized chunking and the SWAR scanner.
+    /// Gear-hash FastCDC with normalized chunking.
     FastCdc,
     /// Asymmetric Extremum (hash-free local-maximum) CDC.
     Ae,

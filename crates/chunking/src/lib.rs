@@ -18,11 +18,8 @@
 //!   bound,
 //! * [`FixedChunker`] — fixed-size partitioning (FSP), the Venti/OceanStore
 //!   strawman that suffers from boundary shifting,
-//! * [`AdaptiveChunker`] — the Lee & Park \[21\] per-input CDC/FSP
-//!   selection for constrained devices,
 //! * [`FastCdcChunker`] — the gear-hash chunker with FastCDC-style
-//!   normalized chunking, backed by a SWAR wide-lane cut-point scanner on
-//!   stable rust (see [`simd`]), and
+//!   normalized chunking, and
 //! * [`AeChunker`] — the Asymmetric Extremum chunker, which finds cut
 //!   points by local-maximum tracking with no rolling hash at all.
 //!
@@ -37,9 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod poly;
-pub mod simd;
 
-mod adaptive;
 mod ae;
 mod cdc;
 mod fastcdc;
@@ -54,7 +49,6 @@ mod tttd;
 #[cfg(test)]
 mod matrix;
 
-pub use adaptive::{estimate_entropy, AdaptiveChunker, DeviceProfile, Selected};
 pub use ae::AeChunker;
 pub use cdc::RabinChunker;
 pub use fastcdc::FastCdcChunker;

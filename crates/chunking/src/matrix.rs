@@ -9,17 +9,14 @@
 //! * **determinism** — identical inputs produce identical boundaries,
 //! * **stream equivalence** — [`StreamChunker`] reproduces the in-memory
 //!   boundaries byte-for-byte, including through a one-byte-at-a-time
-//!   reader,
-//! * **SWAR identity** — the vectorized FastCDC scanner produces exactly
-//!   the scalar reference's cut points.
+//!   reader.
 
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
 use crate::{
-    AdaptiveChunker, AnyChunker, Chunker, ChunkerKind, ChunkerParams, DeviceProfile,
-    FastCdcChunker, RabinFingerprint, RabinTables, StreamChunker,
+    AnyChunker, Chunker, ChunkerKind, ChunkerParams, RabinFingerprint, RabinTables, StreamChunker,
 };
 
 fn random_data(len: usize, seed: u64) -> Vec<u8> {
@@ -128,9 +125,6 @@ impl std::io::Read for Trickle<'_> {
 
 #[test]
 fn every_chunker_streams_identically_to_memory() {
-    // AdaptiveChunker is intentionally absent: its per-window entropy
-    // re-selection is allowed to differ between whole-input and windowed
-    // views. Every engine-selectable kind must match exactly.
     for avg in [64usize, 512] {
         for chunker in matrix(avg) {
             let kind = chunker.kind();
@@ -154,28 +148,6 @@ fn every_chunker_streams_identically_to_memory() {
             let trickled =
                 StreamChunker::new(Trickle(&data), chunker.clone()).collect_all().unwrap();
             assert_eq!(trickled, streamed, "{kind} avg={avg}: trickled reader diverges");
-        }
-    }
-}
-
-#[test]
-fn swar_scanner_is_byte_identical_to_scalar() {
-    // Forced SWAR, forced scalar, and the calibrated default must all
-    // agree, so kernel auto-selection can never move a chunk boundary.
-    for avg in [2usize, 64, 512, 4096] {
-        let chunker = FastCdcChunker::with_avg(avg).unwrap();
-        for (i, data) in corpora(400 + avg as u64).iter().enumerate() {
-            let scalar = chunker.cut_points_scalar(data);
-            assert_eq!(
-                chunker.cut_points_swar(data),
-                scalar,
-                "avg={avg} corpus {i}: SWAR and scalar cut points differ"
-            );
-            assert_eq!(
-                chunker.cut_points(data),
-                scalar,
-                "avg={avg} corpus {i}: calibrated default diverges from scalar"
-            );
         }
     }
 }
@@ -243,18 +215,6 @@ fn rabin_and_tttd_match_the_ring_buffer_reference() {
     }
 }
 
-#[test]
-fn adaptive_chunker_tiles_both_profiles() {
-    for profile in [DeviceProfile::Workstation, DeviceProfile::Mobile] {
-        let chunker = AdaptiveChunker::with_avg(512, profile).unwrap();
-        for data in corpora(77) {
-            let spans = chunker.spans(&data);
-            assert_eq!(spans.iter().map(|s| s.len).sum::<usize>(), data.len());
-            assert!(spans.iter().all(|s| s.len <= chunker.max_chunk_size()));
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -265,9 +225,4 @@ proptest! {
         }
     }
 
-    #[test]
-    fn prop_swar_identity_any_input(data in proptest::collection::vec(any::<u8>(), 0..8192)) {
-        let chunker = FastCdcChunker::with_avg(256).unwrap();
-        prop_assert_eq!(chunker.cut_points_swar(&data), chunker.cut_points_scalar(&data));
-    }
 }

@@ -3,17 +3,8 @@
 //!
 //! `serve` runs the multi-tenant daemon in the foreground until a client
 //! sends `SHUTDOWN` (see OPERATIONS.md for the operator runbook).
-//! `client` speaks the line protocol over the daemon's Unix socket:
-//!
-//! ```text
-//! mhd serve            --store <store> --socket <path> [--ecs N] [--sd N]
-//!                      [--chunker rabin|tttd|fixed|fastcdc|ae]
-//!                      [--io-threads N] [--durability none|rename|fsync] [--shards N]
-//! mhd client backup <dir>     --socket <path> --tenant T [--label NAME]
-//! mhd client restore <name>   --socket <path> --tenant T -o <path>
-//! mhd client ls               --socket <path> --tenant T
-//! mhd client gc|fsck|stats|ping|shutdown   --socket <path>
-//! ```
+//! `client` speaks the line protocol over the daemon's Unix socket
+//! (`mhd help` lists the verbs and flags of both).
 
 use std::path::{Path, PathBuf};
 
@@ -45,20 +36,11 @@ pub fn cmd_serve(args: &[String]) -> CliResult {
     }
 
     let daemon = Daemon::open(&store, config)?;
-    let recovery = daemon.store().recovery().clone();
+    let recovery = daemon.store().recovery();
     if recovery.is_clean() {
         eprintln!("serve: store {} is clean", store.display());
     } else {
-        eprintln!(
-            "serve: recovered store {}: rolled back {} torn session(s) \
-             ({} recipes, {} chunks, {} manifests, {} hooks)",
-            store.display(),
-            recovery.sessions_rolled_back,
-            recovery.recipes_rolled_back,
-            recovery.chunks_rolled_back,
-            recovery.manifests_rolled_back,
-            recovery.hooks_rolled_back,
-        );
+        eprintln!("serve: recovered store {}: {recovery}", store.display());
     }
     eprintln!("serve: listening on {}", socket.display());
     daemon.serve(&socket)?;

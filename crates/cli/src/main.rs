@@ -1,20 +1,7 @@
 //! `mhd` — deduplicate real directories with Metadata Harnessing
 //! Deduplication into a durable on-disk store.
 //!
-//! ```text
-//! mhd backup  <dir>  --store <store> [--label NAME] [--ecs N] [--sd N]
-//!                    [--chunker rabin|tttd|fixed|fastcdc|ae]
-//!                    [--io-threads N] [--durability none|rename|fsync] [--trace]
-//! mhd restore <name> --store <store> -o <path>
-//! mhd ls             --store <store>
-//! mhd stats          --store <store> [--internals [--pretty]]
-//! mhd trace          --store <store> [--format chrome|jsonl] [-o <path>]
-//! mhd trace analyze  <file.jsonl> | --store <store>  [--json] [--buckets N]
-//! mhd compare        <a.json> <b.json> [--fail-on <pct>] [--include-timings] [--json]
-//! mhd fsck           --store <store> [--deep]
-//! mhd serve          --store <store> --socket <path> [tuning flags]
-//! mhd client <verb>  --socket <path> [--tenant T] […]
-//! ```
+//! `mhd help` prints every verb and flag (the text lives in `usage()`).
 //!
 //! Each `backup` run is one backup stream (like one of the paper's daily
 //! disk images); repeated runs of the same directory deduplicate against
@@ -39,7 +26,7 @@ use session::Session;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  mhd backup  <dir>  --store <store> [--label NAME] [--ecs N] [--sd N]\n                     [--chunker rabin|tttd|fixed|fastcdc|ae]\n                     [--io-threads N] [--durability none|rename|fsync] [--trace]\n  mhd restore <name> --store <store> -o <path>\n  mhd ls             --store <store>\n  mhd stats          --store <store> [--internals [--pretty]]\n  mhd trace          --store <store> [--format chrome|jsonl] [-o <path>]\n  mhd trace analyze  <file.jsonl> | --store <store>  [--json] [--buckets N]\n  mhd compare        <a.json> <b.json> [--fail-on <pct>] [--include-timings] [--json]\n  mhd verify         --store <store> [--deep]\n  mhd fsck           --store <store> [--deep]   (crash recovery + verify)\n  mhd rm <prefix>    --store <store>   (delete recipes, then gc)\n  mhd gc             --store <store>\n  mhd compact        --store <store> [--threshold 0.7]\n  mhd serve          --store <store> --socket <path> [--ecs N] [--sd N]\n                     [--chunker rabin|tttd|fixed|fastcdc|ae]\n                     [--io-threads N] [--durability none|rename|fsync] [--shards N]\n  mhd client backup <dir>   --socket <path> --tenant T [--label NAME]\n  mhd client restore <name> --socket <path> --tenant T -o <path>\n  mhd client ls             --socket <path> --tenant T\n  mhd client gc|fsck|stats|ping|shutdown   --socket <path>"
+        "usage:\n  mhd backup  <dir>  --store <store> [--label NAME] [--ecs N] [--sd N]\n                     [--chunker rabin|tttd|fixed|fastcdc|ae]\n                     [--io-threads N] [--durability none|rename|fsync] [--trace]\n  mhd restore <name> --store <store> -o <path>\n  mhd ls             --store <store>\n  mhd stats          --store <store> [--internals [--pretty]]\n  mhd trace          --store <store> [--format chrome|jsonl] [-o <path>]\n  mhd trace analyze  <file.jsonl> | --store <store>  [--json] [--buckets N]\n  mhd compare        <a.json> <b.json> [--fail-on <pct>] [--include-timings] [--json]\n  mhd fsck           --store <store> [--deep]   (crash recovery + integrity walk; alias: verify)\n  mhd rm <prefix>    --store <store>   (delete recipes, then gc)\n  mhd gc             --store <store>\n  mhd compact        --store <store> [--threshold 0.7]\n  mhd serve          --store <store> --socket <path> [--ecs N] [--sd N]\n                     [--chunker rabin|tttd|fixed|fastcdc|ae]\n                     [--io-threads N] [--durability none|rename|fsync] [--shards N]\n  mhd client backup <dir>   --socket <path> --tenant T [--label NAME]\n  mhd client restore <name> --socket <path> --tenant T -o <path>\n  mhd client ls             --socket <path> --tenant T\n  mhd client gc|fsck|stats|ping|shutdown   --socket <path>"
     );
     std::process::exit(2)
 }
@@ -55,8 +42,7 @@ fn main() -> ExitCode {
         "trace" if args.get(1).is_some_and(|a| a == "analyze") => cmd_trace_analyze(&args[2..]),
         "trace" => cmd_trace(&args[1..]),
         "compare" => cmd_compare(&args[1..]),
-        "verify" => cmd_verify(&args[1..]),
-        "fsck" => cmd_fsck(&args[1..]),
+        "fsck" | "verify" => cmd_fsck(&args[1..]),
         "rm" => cmd_rm(&args[1..]),
         "gc" => cmd_gc(&args[1..]),
         "compact" => cmd_compact(&args[1..]),
@@ -122,8 +108,8 @@ fn cmd_backup(args: &[String]) -> CliResult {
     }
 
     let mut session = Session::open_with(&store, ecs, sd, chunker, io_config(args)?)?;
-    let stream = session.next_stream_index();
-    let snapshot = session::snapshot_from_dir(Path::new(dir), &format!("{label}-{stream}"))?;
+    let stream = format!("{label}-{}", session.next_stream_index());
+    let snapshot = session::snapshot_from_dir(Path::new(dir), &stream)?;
     let files = snapshot.files.len();
     let bytes: u64 = snapshot.files.iter().map(|f| f.data.len() as u64).sum();
 
@@ -131,13 +117,13 @@ fn cmd_backup(args: &[String]) -> CliResult {
     {
         let _scope = mhd_obs::scope!("cmd=backup");
         let _stage = mhd_obs::stage("backup");
-        session.backup(&snapshot)?;
+        session.backup(&stream, &snapshot)?;
     }
     let after = session.ledger_output_bytes();
     session.close()?;
 
     println!(
-        "backed up {files} files ({bytes} B) as {label}-{stream}: store grew by {} B ({:.1}% of input)",
+        "backed up {files} files ({bytes} B) as {stream}: store grew by {} B ({:.1}% of input)",
         after - before,
         (after - before) as f64 / bytes.max(1) as f64 * 100.0
     );
@@ -152,8 +138,7 @@ fn cmd_restore(args: &[String]) -> CliResult {
     let out = flag_value(args, "-o").or_else(|| flag_value(args, "--output"));
     let Some(out) = out else { return Err("-o <path> is required".into()) };
 
-    let mut session = Session::open_readonly(&store)?;
-    let data = session.restore(name)?;
+    let data = session::restore(&store, name)?;
     if let Some(parent) = Path::new(&out).parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
@@ -166,62 +151,34 @@ fn cmd_restore(args: &[String]) -> CliResult {
 
 fn cmd_ls(args: &[String]) -> CliResult {
     let store = store_path(args)?;
-    let mut session = Session::open_readonly(&store)?;
-    for name in session.list_files() {
+    for name in session::list_files(&store)? {
         println!("{name}");
     }
     Ok(())
 }
 
-fn cmd_verify(args: &[String]) -> CliResult {
-    let store = store_path(args)?;
-    let deep = args.iter().any(|a| a == "--deep");
-    let mut session = Session::open_readonly(&store)?;
-    let mut report = session.fsck();
-    println!(
-        "checked {} manifests ({} entries), {} hooks, {} file recipes",
-        report.manifests, report.entries, report.hooks, report.file_manifests
-    );
-    if deep {
-        let scrub = session.scrub();
-        println!("scrubbed container content hashes");
-        report.problems.extend(scrub.problems);
-    }
-    if report.is_healthy() {
-        println!("store is healthy");
-        Ok(())
-    } else {
-        for p in &report.problems {
-            eprintln!("PROBLEM: {p}");
-        }
-        Err(format!("{} integrity problems found", report.problems.len()).into())
-    }
-}
-
-/// `mhd fsck`: crash recovery plus the integrity walk. Opening the session
-/// runs the backend's recovery pass (rolling back torn tmp files and
-/// resolving write-ahead intents from an interrupted run); this command
-/// reports what that pass found, then verifies every structural invariant.
+/// `mhd fsck` (alias `verify`): crash recovery plus the integrity walk.
+/// Opening the session recovers the store exactly as the next `mhd backup`
+/// or `mhd serve` would (torn tmp files, write-ahead intents, and every
+/// object a killed writer left above the commit watermark); this command
+/// reports what that found and undid, then verifies every structural
+/// invariant.
 fn cmd_fsck(args: &[String]) -> CliResult {
     let store = store_path(args)?;
     let deep = args.iter().any(|a| a == "--deep");
-    let mut session = Session::open_readonly(&store)?;
-    let recovery = session.recovery_report().clone();
-    if recovery.is_clean() {
+    let mut session = Session::open_existing(&store)?;
+    if session.recovery().is_clean() {
         println!("recovery: store was clean (no interrupted writes)");
     } else {
-        println!(
-            "recovery: removed {} torn tmp file(s), resolved {} write intent(s)",
-            recovery.tmp_files_removed, recovery.intents_resolved
-        );
+        println!("recovery: {}", session.recovery());
     }
-    let mut report = session.fsck();
+    let mut report = mhd_core::fsck::check_store(session.substrate());
     println!(
         "checked {} manifests ({} entries), {} hooks, {} file recipes",
         report.manifests, report.entries, report.hooks, report.file_manifests
     );
     if deep {
-        let scrub = session.scrub();
+        let scrub = mhd_core::fsck::scrub(session.substrate());
         println!("scrubbed container content hashes");
         report.problems.extend(scrub.problems);
     }
@@ -241,8 +198,8 @@ fn cmd_rm(args: &[String]) -> CliResult {
         return Err("rm needs a recipe-name prefix (see `mhd ls`)".into());
     };
     let store = store_path(args)?;
-    let mut session = Session::open_readonly(&store)?;
-    let report = session.delete_stream(prefix)?;
+    let mut session = Session::open_existing(&store)?;
+    let report = mhd_core::gc::delete_stream(session.substrate(), prefix)?;
     session.close()?;
     println!(
         "deleted {} recipes; reclaimed {} containers ({} B), {} manifests, {} hooks; {} containers live",
@@ -258,8 +215,8 @@ fn cmd_rm(args: &[String]) -> CliResult {
 
 fn cmd_gc(args: &[String]) -> CliResult {
     let store = store_path(args)?;
-    let mut session = Session::open_readonly(&store)?;
-    let report = session.gc()?;
+    let mut session = Session::open_existing(&store)?;
+    let report = mhd_core::gc::collect(session.substrate())?;
     session.close()?;
     println!(
         "reclaimed {} containers ({} B), {} manifests, {} hooks; {} containers live",
@@ -276,7 +233,7 @@ fn cmd_compact(args: &[String]) -> CliResult {
     let store = store_path(args)?;
     let threshold: f64 =
         flag_value(args, "--threshold").map(|v| v.parse()).transpose()?.unwrap_or(0.7);
-    let mut session = Session::open_readonly(&store)?;
+    let mut session = Session::open_existing(&store)?;
     let report = session.compact(threshold)?;
     session.close()?;
     println!(
@@ -294,8 +251,8 @@ fn cmd_compact(args: &[String]) -> CliResult {
 /// aligned human-readable tables with `--pretty`. Metrics are
 /// process-local, so a read-only `stats` invocation has none of its own —
 /// the persisted snapshot is the interesting one.
-fn print_internals(session: &Session, pretty: bool) -> CliResult {
-    let Some(snapshot) = session.load_internals() else {
+fn print_internals(store: &Path, pretty: bool) -> CliResult {
+    let Some(snapshot) = session::load_internals(store) else {
         return Err(
             "no internals snapshot in this store yet; run a mutating command (e.g. `mhd backup`) first"
                 .into(),
@@ -357,8 +314,8 @@ fn cmd_trace(args: &[String]) -> CliResult {
     let store = store_path(args)?;
     let format = flag_value(args, "--format").unwrap_or_else(|| "chrome".to_string());
     let out = flag_value(args, "-o").or_else(|| flag_value(args, "--output"));
-    let session = Session::open_readonly(&store)?;
-    let Some(records) = session.load_trace() else {
+    session::require_store(&store)?;
+    let Some(records) = session::load_trace(&store) else {
         return Err("no trace in this store yet; run `mhd backup <dir> --trace` first".into());
     };
     let rendered = match format.as_str() {
@@ -402,8 +359,8 @@ fn cmd_trace_analyze(args: &[String]) -> CliResult {
             let store = store_path(args).map_err(|_| {
                 "trace analyze needs a <file.jsonl> argument or --store <store>".to_string()
             })?;
-            let session = Session::open_readonly(&store)?;
-            session.load_trace().ok_or_else(|| {
+            session::require_store(&store)?;
+            session::load_trace(&store).ok_or_else(|| {
                 "no trace in this store yet; run `mhd backup <dir> --trace` first".to_string()
             })?
         }
@@ -475,36 +432,33 @@ fn cmd_compare(args: &[String]) -> CliResult {
 
 fn cmd_stats(args: &[String]) -> CliResult {
     let store = store_path(args)?;
-    let session = Session::open_readonly(&store)?;
+    session::require_store(&store)?;
     if args.iter().any(|a| a == "--internals") {
-        return print_internals(&session, args.iter().any(|a| a == "--pretty"));
+        return print_internals(&store, args.iter().any(|a| a == "--pretty"));
     }
-    let report = session.report();
-    println!("input bytes:      {}", report.input_bytes);
-    println!("stored data:      {}", report.ledger.stored_data_bytes);
-    println!("duplicate bytes:  {} in {} slices", report.dup_bytes, report.dup_slices);
-    println!("metadata bytes:   {}", report.ledger.total_metadata_bytes());
-    println!(
-        "  hooks:          {} ({} inodes)",
-        report.ledger.hook_bytes, report.ledger.inodes_hooks
-    );
-    println!(
-        "  manifests:      {} ({} inodes)",
-        report.ledger.manifest_bytes, report.ledger.inodes_manifests
-    );
+    // The counters as last persisted: the slim `state.json` is all this
+    // needs (no sidecars, no engine, no recovery).
+    let state = mhd_core::statefile::load_slim_state(&store)?.unwrap_or_default();
+    let ledger = &state.substrate.ledger;
+    println!("input bytes:      {}", state.input_bytes);
+    println!("stored data:      {}", ledger.stored_data_bytes);
+    println!("duplicate bytes:  {} in {} slices", state.dup_bytes, state.dup_slices);
+    println!("metadata bytes:   {}", ledger.total_metadata_bytes());
+    println!("  hooks:          {} ({} inodes)", ledger.hook_bytes, ledger.inodes_hooks);
+    println!("  manifests:      {} ({} inodes)", ledger.manifest_bytes, ledger.inodes_manifests);
     println!(
         "  file recipes:   {} ({} inodes)",
-        report.ledger.file_manifest_bytes, report.ledger.inodes_file_manifests
+        ledger.file_manifest_bytes, ledger.inodes_file_manifests
     );
-    println!("HHR re-chunks:    {}", report.hhr_count);
-    if report.input_bytes > 0 {
+    println!("HHR re-chunks:    {}", state.hhr_count);
+    if state.input_bytes > 0 {
         println!(
             "data-only DER:    {:.3}",
-            report.input_bytes as f64 / report.ledger.stored_data_bytes.max(1) as f64
+            state.input_bytes as f64 / ledger.stored_data_bytes.max(1) as f64
         );
         println!(
             "real DER:         {:.3}",
-            report.input_bytes as f64 / report.ledger.total_output_bytes().max(1) as f64
+            state.input_bytes as f64 / ledger.total_output_bytes().max(1) as f64
         );
     }
     Ok(())

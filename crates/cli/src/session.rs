@@ -1,108 +1,46 @@
 //! A durable, resumable MHD session over a directory store.
 //!
 //! The store layout is the paper's four hash-addressable namespaces (via
-//! [`BatchedDirBackend`]) plus a `session/` directory holding the
-//! serialised engine state: `state.json` (counters, ledger and
-//! watermarks), the binary sidecars `bloom.bin` / `idmaps.bin` holding
-//! the O(store) payloads (see [`mhd_core::statefile`]), and `meta.json`
-//! (the store's chunking parameters and stream count). All files are
-//! rewritten through a tmp sibling + atomic rename, so a crash mid-close
-//! leaves the previous consistent state in place. Stores written before
-//! the sidecars existed inline everything in `state.json` and still
-//! open.
+//! [`BatchedDirBackend`]) plus the `session/` state files and `daemon/wip/`
+//! intent records that [`mhd_core::statefile`] owns — the same module
+//! `mhd serve` opens, recovers and persists through, so a stopped daemon
+//! store opens as a plain CLI session and vice versa; the order of a
+//! stream's steps (wip record, write, persist, retire) is
+//! [`OpenedStore`]'s. What is the CLI's own here: the note about kept
+//! parameters, the `label-N` stream naming, and the `mhd-obs` files
+//! (`session/internals.json`, `session/trace.jsonl`)
+//! a mutating command leaves for `mhd stats --internals` / `mhd trace`.
 //!
-//! The same layout is shared with `mhd serve` (the `mhd-daemon` crate):
-//! a stopped daemon store opens as a plain CLI session and vice versa.
+//! The read-only verbs (`restore`, `ls`, `stats`, `trace`) do not open a
+//! session at all: they read through [`statefile::read_view`] and
+//! [`statefile::load_slim_state`], which mutate nothing.
 
 use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
 use mhd_chunking::ChunkerKind;
-use mhd_core::{DedupReport, Deduplicator, EngineConfig, MhdEngine, MhdState};
-use mhd_store::{Backend, BatchedDirBackend, IoConfig, RecoveryReport};
+use mhd_core::statefile::{self, OpenedStore, RecoverySummary, StoreMeta};
+use mhd_core::Deduplicator;
+use mhd_store::{BatchedDirBackend, Durability, IoConfig, Substrate};
 use mhd_workload::{FileEntry, Snapshot};
-use serde::{Deserialize, Serialize};
 
-/// Session metadata persisted beside the engine state.
-#[derive(Serialize, Deserialize)]
-struct SessionMeta {
-    ecs: usize,
-    sd: usize,
-    streams: u64,
-    /// Chunking algorithm the store's chunks were cut with, spelled as the
-    /// CLI spelling (`rabin`, `tttd`, …). A store keeps its chunker for
-    /// life: re-backing up with a different one would cut boundaries the
-    /// existing chunks can never match.
-    chunker: String,
-}
+type BoxResult<T> = Result<T, Box<dyn std::error::Error>>;
 
-/// The pre-chunker `meta.json` layout; deserialising it recovers stores
-/// written before the chunker was persisted (those are always Rabin).
-#[derive(Deserialize)]
-struct LegacySessionMeta {
-    ecs: usize,
-    sd: usize,
-    streams: u64,
-}
-
-impl SessionMeta {
-    /// Parses `meta.json` bytes, accepting the legacy (chunker-less)
-    /// layout and defaulting it to Rabin.
-    fn parse(data: &[u8]) -> Result<Self, Box<dyn std::error::Error>> {
-        if let Ok(meta) = serde_json::from_slice::<SessionMeta>(data) {
-            return Ok(meta);
-        }
-        let legacy: LegacySessionMeta = serde_json::from_slice(data)?;
-        Ok(SessionMeta {
-            ecs: legacy.ecs,
-            sd: legacy.sd,
-            streams: legacy.streams,
-            chunker: ChunkerKind::Rabin.as_str().to_string(),
-        })
-    }
-
-    /// The persisted chunker, parsed back into a [`ChunkerKind`].
-    fn kind(&self) -> Result<ChunkerKind, Box<dyn std::error::Error>> {
-        Ok(self.chunker.parse::<ChunkerKind>().map_err(|e| e.to_string())?)
-    }
-}
-
-/// An open store: engine + persisted configuration.
+/// A store opened for writes: engine + persisted configuration.
 pub struct Session {
-    engine: MhdEngine<BatchedDirBackend>,
-    meta: SessionMeta,
+    store: OpenedStore<BatchedDirBackend>,
     root: PathBuf,
-    recovery: RecoveryReport,
+    durability: Durability,
 }
 
-/// Writes `data` to `path` through a hidden tmp sibling + atomic rename,
-/// so session state files can never be observed half-written; errors name
-/// the path involved.
-fn write_atomic(path: &Path, data: &[u8]) -> Result<(), Box<dyn std::error::Error>> {
-    let file_name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| format!("{}: not a file path", path.display()))?;
-    let tmp = path.with_file_name(format!(".{file_name}.tmp"));
-    std::fs::write(&tmp, data).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path).map_err(|e| format!("rename to {}: {e}", path.display()))?;
-    Ok(())
+/// Fails unless `root` holds a store some front end has persisted.
+pub fn require_store(root: &Path) -> BoxResult<StoreMeta> {
+    statefile::load_meta(root)?
+        .ok_or_else(|| format!("{} is not an mhd store", root.display()).into())
 }
 
 impl Session {
-    fn paths(root: &Path) -> (PathBuf, PathBuf) {
-        (root.join("session/state.json"), root.join("session/meta.json"))
-    }
-
-    /// Opens (or initialises) the store at `root` for backup, with default
-    /// I/O tuning and the paper's base chunker (Rabin). Test convenience;
-    /// the CLI always routes through [`Session::open_with`].
-    #[cfg(test)]
-    pub fn open(root: &Path, ecs: usize, sd: usize) -> Result<Self, Box<dyn std::error::Error>> {
-        Self::open_with(root, ecs, sd, ChunkerKind::Rabin, IoConfig::default())
-    }
-
-    /// Opens (or initialises) the store at `root` for backup.
+    /// Opens (or initialises) the store at `root` for writes.
     ///
     /// `ecs`/`sd`/`chunker` apply only when the store is new; an existing
     /// store keeps its original parameters (changing the chunking of a live
@@ -110,209 +48,123 @@ impl Session {
     /// tunes the batched backend (worker threads, batch sizes, durability)
     /// and applies per invocation.
     ///
-    /// Opening always runs the backend's crash-recovery pass first: any
-    /// write that was in flight when a previous process died is rolled
-    /// back before the engine reads a byte.
+    /// Opening always recovers first ([`statefile::open_write`]): writes
+    /// that were in flight when a previous process died, and every object
+    /// above the commit watermark, are rolled back before the engine reads
+    /// a byte.
     pub fn open_with(
         root: &Path,
         ecs: usize,
         sd: usize,
         chunker: ChunkerKind,
         io: IoConfig,
-    ) -> Result<Self, Box<dyn std::error::Error>> {
-        std::fs::create_dir_all(root.join("session"))
-            .map_err(|e| format!("create {}: {e}", root.join("session").display()))?;
-        let (state_path, meta_path) = Self::paths(root);
-
-        let meta: SessionMeta = if meta_path.exists() {
-            let meta = SessionMeta::parse(&std::fs::read(&meta_path)?)?;
-            if meta.ecs != ecs || meta.sd != sd || meta.kind()? != chunker {
-                eprintln!(
-                    "note: store was created with --ecs {} --sd {} --chunker {}; keeping those",
-                    meta.ecs, meta.sd, meta.chunker
-                );
-            }
-            meta
-        } else {
-            SessionMeta { ecs, sd, streams: 0, chunker: chunker.as_str().to_string() }
-        };
-
-        let mut backend = BatchedDirBackend::create_with(root, io)?;
-        let recovery = backend.recover()?;
-        if !recovery.is_clean() {
+    ) -> BoxResult<Self> {
+        let asked = StoreMeta { ecs, sd, streams: 0, chunker };
+        let store = statefile::open_write(root, asked, io, |backend| backend)?;
+        let meta = store.meta;
+        if (meta.ecs, meta.sd, meta.chunker) != (ecs, sd, chunker) {
             eprintln!(
-                "note: recovered store: removed {} torn tmp file(s), resolved {} write intent(s)",
-                recovery.tmp_files_removed, recovery.intents_resolved
+                "note: store was created with --ecs {} --sd {} --chunker {}; keeping those",
+                meta.ecs, meta.sd, meta.chunker
             );
         }
-        let config = EngineConfig::new(meta.ecs, meta.sd).with_chunker(meta.kind()?);
-        let mut engine = MhdEngine::new(backend, config)?;
-        if state_path.exists() {
-            let mut state: MhdState = serde_json::from_slice(&std::fs::read(&state_path)?)?;
-            mhd_core::statefile::attach_sidecars(&mut state, root)?;
-            engine.import_state(state)?;
+        if !store.recovery.is_clean() {
+            eprintln!("note: recovered store: {}", store.recovery);
         }
-        Ok(Session { engine, meta, root: root.to_path_buf(), recovery })
+        Ok(Session { store, root: root.to_path_buf(), durability: io.durability })
     }
 
-    /// What the crash-recovery pass found when this session opened.
-    pub fn recovery_report(&self) -> &RecoveryReport {
-        &self.recovery
+    /// Opens an existing store for maintenance (`fsck`, `rm`, `gc`, …)
+    /// under its own parameters.
+    pub fn open_existing(root: &Path) -> BoxResult<Self> {
+        let meta = require_store(root)?;
+        Self::open_with(root, meta.ecs, meta.sd, meta.chunker, IoConfig::default())
     }
 
-    /// Opens an existing store for read-only operations (no state needed
-    /// for restore, but stats come from the persisted state).
-    pub fn open_readonly(root: &Path) -> Result<Self, Box<dyn std::error::Error>> {
-        if !root.join("session").exists() {
-            return Err(format!("{} is not an mhd store", root.display()).into());
-        }
-        // ecs/sd/chunker don't matter for reads; pass the stored values so
-        // no spurious mismatch note is printed.
-        let (_, meta_path) = Self::paths(root);
-        let meta = SessionMeta::parse(&std::fs::read(meta_path)?)?;
-        let kind = meta.kind()?;
-        Self::open_with(root, meta.ecs, meta.sd, kind, IoConfig::default())
+    /// What recovery found and undid when this session opened.
+    pub fn recovery(&self) -> &RecoverySummary {
+        &self.store.recovery
     }
 
     /// Index for the next backup stream (for default labels).
     pub fn next_stream_index(&self) -> u64 {
-        self.meta.streams
+        self.store.meta.streams
     }
 
     /// Current total output (data + metadata) bytes.
     pub fn ledger_output_bytes(&self) -> u64 {
-        self.engine.substrate().ledger().total_output_bytes()
+        self.store.engine.substrate().ledger().total_output_bytes()
     }
 
-    /// Deduplicates one snapshot into the store.
-    pub fn backup(&mut self, snapshot: &Snapshot) -> Result<(), Box<dyn std::error::Error>> {
-        self.engine.process_snapshot(snapshot)?;
-        self.meta.streams += 1;
+    /// Deduplicates one snapshot into the store as `stream` (the prefix,
+    /// without trailing `/`, every recipe name of `snapshot` starts with),
+    /// under a wip record that [`Session::close`] retires.
+    pub fn backup(&mut self, stream: &str, snapshot: &Snapshot) -> BoxResult<()> {
+        self.store.begin_stream(stream)?;
+        self.store.engine.process_snapshot(snapshot)?;
+        self.store.meta.streams += 1;
         Ok(())
     }
 
     /// Flushes dirty state and persists the session.
-    pub fn close(mut self) -> Result<(), Box<dyn std::error::Error>> {
-        // finish() drains the cache (writing back dirty manifests); the
-        // report is merely informational here.
-        let _ = self.engine.finish()?;
-        let (state_path, meta_path) = Self::paths(&self.root);
-        // The O(store) payloads go to binary sidecars, written before the
-        // slim JSON — mhd_core::statefile documents the crash ordering.
-        let mut state = self.engine.export_state();
-        mhd_core::statefile::detach_sidecars(&mut state, &self.root)?;
-        write_atomic(&state_path, &serde_json::to_vec(&state)?)?;
-        write_atomic(&meta_path, &serde_json::to_vec(&self.meta)?)?;
+    pub fn close(mut self) -> BoxResult<()> {
+        self.store.commit()?;
+        let aside = |file: &str, data: &[u8]| {
+            statefile::write_atomic(&self.root.join(file), data, self.durability)
+        };
         // Persist this process's internal metrics so `mhd stats
         // --internals` can show what the last mutating run did.
         let snap = mhd_obs::snapshot();
         if !snap.is_empty() {
-            write_atomic(
-                &self.root.join("session/internals.json"),
-                serde_json::to_string_pretty(&snap)?.as_bytes(),
-            )?;
+            aside(INTERNALS_FILE, serde_json::to_string_pretty(&snap)?.as_bytes())?;
         }
         // Likewise the trace (when `--trace` armed it), for `mhd trace`.
         let records = mhd_obs::trace_drain();
         if !records.is_empty() {
-            write_atomic(
-                &self.root.join("session/trace.jsonl"),
-                mhd_obs::trace_to_jsonl(&records).as_bytes(),
-            )?;
+            aside(TRACE_FILE, mhd_obs::trace_to_jsonl(&records).as_bytes())?;
         }
         Ok(())
     }
 
-    /// The `mhd-obs` snapshot persisted by the last mutating command
-    /// (`None` when no such command has run against this store).
-    pub fn load_internals(&self) -> Option<mhd_obs::Snapshot> {
-        let data = std::fs::read(self.root.join("session/internals.json")).ok()?;
-        serde_json::from_slice(&data).ok()
-    }
-
-    /// The trace persisted by the last `backup --trace` run (`None` when
-    /// no traced command has run against this store).
-    pub fn load_trace(&self) -> Option<Vec<mhd_obs::TraceRecord>> {
-        let data = std::fs::read_to_string(self.root.join("session/trace.jsonl")).ok()?;
-        mhd_obs::trace_from_jsonl(&data).ok()
-    }
-
-    /// Restores one file by recipe name.
-    pub fn restore(&mut self, name: &str) -> Result<Vec<u8>, Box<dyn std::error::Error>> {
-        Ok(mhd_core::restore::restore_file(self.engine.substrate_mut(), name)?)
-    }
-
-    /// Lists stored file recipes.
-    pub fn list_files(&mut self) -> Vec<String> {
-        self.engine.substrate_mut().list_file_manifests()
-    }
-
-    /// Runs the store integrity checker.
-    pub fn fsck(&mut self) -> mhd_core::fsck::IntegrityReport {
-        mhd_core::fsck::check_store(self.engine.substrate_mut())
-    }
-
-    /// Recomputes container content hashes (bit-rot scrub).
-    pub fn scrub(&mut self) -> mhd_core::fsck::IntegrityReport {
-        mhd_core::fsck::scrub(self.engine.substrate_mut())
-    }
-
-    /// Deletes every recipe starting with `prefix` and reclaims space.
-    pub fn delete_stream(
-        &mut self,
-        prefix: &str,
-    ) -> Result<mhd_core::gc::GcReport, Box<dyn std::error::Error>> {
-        Ok(mhd_core::gc::delete_stream(self.engine.substrate_mut(), prefix)?)
-    }
-
-    /// Reclaims unreferenced containers.
-    pub fn gc(&mut self) -> Result<mhd_core::gc::GcReport, Box<dyn std::error::Error>> {
-        Ok(mhd_core::gc::collect(self.engine.substrate_mut())?)
+    /// The store's substrate, for the maintenance passes (`fsck`, `gc`, …)
+    /// that need nothing else of a session.
+    pub fn substrate(&mut self) -> &mut Substrate<BatchedDirBackend> {
+        self.store.engine.substrate_mut()
     }
 
     /// Rewrites containers whose live fraction is below `threshold`.
-    pub fn compact(
-        &mut self,
-        threshold: f64,
-    ) -> Result<mhd_core::compact::CompactReport, Box<dyn std::error::Error>> {
-        Ok(mhd_core::compact::compact(self.engine.substrate_mut(), threshold)?)
-    }
-
-    /// A report over everything processed so far (without finishing the
-    /// session).
-    pub fn report(&self) -> DedupReport {
-        DedupReport {
-            algorithm: "bf-mhd".into(),
-            input_bytes: 0, // filled below from state
-            dup_bytes: 0,
-            dup_slices: 0,
-            files: 0,
-            chunks_stored: 0,
-            chunks_dup: 0,
-            hhr_count: 0,
-            stats: *self.engine.substrate().stats(),
-            ledger: *self.engine.substrate().ledger(),
-            ram_index_bytes: 0,
-            dedup_seconds: 0.0,
-        }
-        .with_session(&self.engine.export_state())
+    pub fn compact(&mut self, threshold: f64) -> BoxResult<mhd_core::compact::CompactReport> {
+        Ok(self.store.compact(threshold)?)
     }
 }
 
-trait WithSession {
-    fn with_session(self, state: &MhdState) -> Self;
+const INTERNALS_FILE: &str = "session/internals.json";
+const TRACE_FILE: &str = "session/trace.jsonl";
+
+/// The `mhd-obs` snapshot persisted by the last mutating command
+/// (`None` when no such command has run against this store).
+pub fn load_internals(root: &Path) -> Option<mhd_obs::Snapshot> {
+    let data = std::fs::read(root.join(INTERNALS_FILE)).ok()?;
+    serde_json::from_slice(&data).ok()
 }
 
-impl WithSession for DedupReport {
-    fn with_session(mut self, state: &MhdState) -> Self {
-        self.input_bytes = state.input_bytes;
-        self.dup_bytes = state.dup_bytes;
-        self.dup_slices = state.dup_slices;
-        self.files = state.files;
-        self.chunks_stored = state.chunks_stored;
-        self.hhr_count = state.hhr_count;
-        self
-    }
+/// The trace persisted by the last `backup --trace` run (`None` when no
+/// traced command has run against this store).
+pub fn load_trace(root: &Path) -> Option<Vec<mhd_obs::TraceRecord>> {
+    let data = std::fs::read_to_string(root.join(TRACE_FILE)).ok()?;
+    mhd_obs::trace_from_jsonl(&data).ok()
+}
+
+/// Restores one file by recipe name, through the read view.
+pub fn restore(root: &Path, name: &str) -> BoxResult<Vec<u8>> {
+    require_store(root)?;
+    Ok(mhd_core::restore::restore_file(&mut statefile::read_view(root)?, name)?)
+}
+
+/// Lists stored file recipes, through the read view.
+pub fn list_files(root: &Path) -> BoxResult<Vec<String>> {
+    require_store(root)?;
+    Ok(statefile::read_view(root)?.list_file_manifests())
 }
 
 /// Builds a backup stream from a real directory: files are read in sorted
@@ -371,40 +223,45 @@ mod tests {
         }
     }
 
+    /// Opens `root` as `mhd backup --ecs 512 --sd 8` would.
+    fn open(root: &Path) -> Session {
+        Session::open_with(root, 512, 8, ChunkerKind::Rabin, IoConfig::default()).unwrap()
+    }
+
+    /// One `mhd backup`: open, back up `src` as `label`, close. Returns
+    /// (store growth, input bytes).
+    fn backup_once(mut s: Session, src: &Path, label: &str) -> (u64, u64) {
+        let before = s.ledger_output_bytes();
+        let snap = snapshot_from_dir(src, label).unwrap();
+        let input: u64 = snap.files.iter().map(|f| f.data.len() as u64).sum();
+        s.backup(label, &snap).unwrap();
+        let growth = s.ledger_output_bytes() - before;
+        s.close().unwrap();
+        (growth, input)
+    }
+
     #[test]
     fn backup_restore_round_trip_with_resume() {
         let src = temp_root("src");
         let store = temp_root("store");
         write_tree(&src, 1);
 
-        // First backup session.
-        let mut s = Session::open(&store, 512, 8).unwrap();
-        let snap = snapshot_from_dir(&src, "day0").unwrap();
-        s.backup(&snap).unwrap();
-        s.close().unwrap();
-
+        backup_once(open(&store), &src, "day0");
         // Second session (fresh process simulation): same content again —
         // the store must grow only marginally.
-        let mut s = Session::open(&store, 512, 8).unwrap();
-        let before = s.ledger_output_bytes();
-        let snap2 = snapshot_from_dir(&src, "day1").unwrap();
-        let input: u64 = snap2.files.iter().map(|f| f.data.len() as u64).sum();
-        s.backup(&snap2).unwrap();
-        s.close().unwrap();
-
-        let mut s = Session::open_readonly(&store).unwrap();
-        let growth = s.ledger_output_bytes() - before;
+        let (growth, input) = backup_once(open(&store), &src, "day1");
         assert!(
             growth < input / 5,
             "resumed session must dedup against persisted state (grew {growth} of {input})"
         );
+        assert!(std::fs::read_dir(statefile::wip_dir(&store)).unwrap().next().is_none());
 
         // Restore both days byte-exactly.
         for label in ["day0", "day1"] {
-            let restored = s.restore(&format!("{label}/a.bin")).unwrap();
+            let restored = restore(&store, &format!("{label}/a.bin")).unwrap();
             assert_eq!(restored, std::fs::read(src.join("a.bin")).unwrap());
         }
-        let names = s.list_files();
+        let names = list_files(&store).unwrap();
         assert!(names.iter().any(|n| n.contains("day0") && n.contains("c.txt")));
 
         std::fs::remove_dir_all(&src).unwrap();
@@ -416,52 +273,12 @@ mod tests {
         let src = temp_root("src2");
         let store = temp_root("store2");
         write_tree(&src, 2);
-        let mut s = Session::open(&store, 512, 8).unwrap();
-        s.backup(&snapshot_from_dir(&src, "d").unwrap()).unwrap();
-        s.close().unwrap();
+        backup_once(open(&store), &src, "d");
 
-        let s = Session::open_readonly(&store).unwrap();
-        let report = s.report();
-        assert!(report.input_bytes > 60_000);
-        assert!(report.ledger.stored_data_bytes > 0);
-
-        std::fs::remove_dir_all(&src).unwrap();
-        std::fs::remove_dir_all(&store).unwrap();
-    }
-
-    #[test]
-    fn legacy_inline_state_still_opens() {
-        let src = temp_root("src3");
-        let store = temp_root("store3");
-        write_tree(&src, 3);
-        let mut s = Session::open(&store, 512, 8).unwrap();
-        s.backup(&snapshot_from_dir(&src, "day0").unwrap()).unwrap();
-        s.close().unwrap();
-
-        // Rewrite the store in the pre-sidecar format: inline the
-        // payloads into state.json and delete the sidecar files.
-        let state_path = store.join("session/state.json");
-        let mut state: MhdState =
-            serde_json::from_slice(&std::fs::read(&state_path).unwrap()).unwrap();
-        mhd_core::statefile::attach_sidecars(&mut state, &store).unwrap();
-        assert!(!state.bloom.is_empty(), "sidecar bloom should have loaded");
-        std::fs::write(&state_path, serde_json::to_vec(&state).unwrap()).unwrap();
-        std::fs::remove_file(store.join("session/bloom.bin")).unwrap();
-        std::fs::remove_file(store.join("session/idmaps.bin")).unwrap();
-
-        // The inline-format store must open and keep deduplicating.
-        let mut s = Session::open(&store, 512, 8).unwrap();
-        let before = s.ledger_output_bytes();
-        let snap = snapshot_from_dir(&src, "day1").unwrap();
-        let input: u64 = snap.files.iter().map(|f| f.data.len() as u64).sum();
-        s.backup(&snap).unwrap();
-        s.close().unwrap();
-        let s = Session::open_readonly(&store).unwrap();
-        let growth = s.ledger_output_bytes() - before;
-        assert!(
-            growth < input / 5,
-            "legacy-format store must still dedup (grew {growth} of {input})"
-        );
+        let state = statefile::load_slim_state(&store).unwrap().unwrap();
+        assert!(state.input_bytes > 60_000);
+        assert!(state.substrate.ledger.stored_data_bytes > 0);
+        assert!(require_store(&src).is_err(), "a plain directory is not a store");
 
         std::fs::remove_dir_all(&src).unwrap();
         std::fs::remove_dir_all(&store).unwrap();
@@ -474,26 +291,19 @@ mod tests {
         write_tree(&src, 4);
 
         // Create the store with FastCDC.
-        let mut s =
+        let s =
             Session::open_with(&store, 512, 8, ChunkerKind::FastCdc, IoConfig::default()).unwrap();
-        s.backup(&snapshot_from_dir(&src, "day0").unwrap()).unwrap();
-        s.close().unwrap();
+        backup_once(s, &src, "day0");
 
         // Reopen with the Rabin default: the store must keep FastCDC and
         // still dedup the identical content.
-        let mut s = Session::open(&store, 512, 8).unwrap();
-        assert_eq!(s.meta.kind().unwrap(), ChunkerKind::FastCdc);
-        let before = s.ledger_output_bytes();
-        let snap = snapshot_from_dir(&src, "day1").unwrap();
-        let input: u64 = snap.files.iter().map(|f| f.data.len() as u64).sum();
-        s.backup(&snap).unwrap();
-        s.close().unwrap();
-
-        let mut s = Session::open_readonly(&store).unwrap();
-        assert_eq!(s.meta.kind().unwrap(), ChunkerKind::FastCdc);
-        let growth = s.ledger_output_bytes() - before;
+        let s = open(&store);
+        assert_eq!(s.store.meta.chunker, ChunkerKind::FastCdc);
+        let (growth, input) = backup_once(s, &src, "day1");
         assert!(growth < input / 5, "re-backup must dedup (grew {growth} of {input})");
-        let restored = s.restore("day1/a.bin").unwrap();
+
+        assert_eq!(require_store(&store).unwrap().chunker, ChunkerKind::FastCdc);
+        let restored = restore(&store, "day1/a.bin").unwrap();
         assert_eq!(restored, std::fs::read(src.join("a.bin")).unwrap());
 
         std::fs::remove_dir_all(&src).unwrap();
@@ -501,25 +311,16 @@ mod tests {
     }
 
     #[test]
-    fn legacy_meta_without_chunker_opens_as_rabin() {
-        let src = temp_root("src5");
-        let store = temp_root("store5");
-        write_tree(&src, 5);
-        let mut s = Session::open(&store, 512, 8).unwrap();
-        s.backup(&snapshot_from_dir(&src, "day0").unwrap()).unwrap();
-        s.close().unwrap();
+    fn a_stream_name_is_taken_for_good() {
+        let src = temp_root("src6");
+        let store = temp_root("store6");
+        write_tree(&src, 6);
+        backup_once(open(&store), &src, "day0");
 
-        // Rewrite meta.json in the pre-chunker layout.
-        let meta_path = store.join("session/meta.json");
-        let meta = SessionMeta::parse(&std::fs::read(&meta_path).unwrap()).unwrap();
-        std::fs::write(
-            &meta_path,
-            format!("{{\"ecs\":{},\"sd\":{},\"streams\":{}}}", meta.ecs, meta.sd, meta.streams),
-        )
-        .unwrap();
-
-        let s = Session::open_readonly(&store).unwrap();
-        assert_eq!(s.meta.kind().unwrap(), ChunkerKind::Rabin);
+        let mut s = open(&store);
+        let snap = snapshot_from_dir(&src, "day0").unwrap();
+        assert!(s.backup("day0", &snap).is_err(), "the rollback prefix must stay unambiguous");
+        assert!(std::fs::read_dir(statefile::wip_dir(&store)).unwrap().next().is_none());
 
         std::fs::remove_dir_all(&src).unwrap();
         std::fs::remove_dir_all(&store).unwrap();

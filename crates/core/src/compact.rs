@@ -3,16 +3,28 @@
 //! [`crate::gc`] reclaims whole containers, but after stream retirements a
 //! container often survives because a few of its blocks are still
 //! referenced — the rest is dead weight. Compaction rewrites such
-//! containers:
+//! containers in two phases:
 //!
+//! [`stage`]
 //! 1. compute entry-level liveness (a Manifest entry is live when any
 //!    recipe extent overlaps its byte range);
 //! 2. for containers whose live fraction falls below a threshold, write
-//!    the live entries' bytes (in order) into a fresh container;
+//!    the live entries' bytes (in order) into a fresh container, and flush.
+//!
+//! [`Staged::apply`]
 //! 3. re-offset the Manifest's live entries (the MHD tiling invariant
 //!    holds again over the new container) and re-target every recipe
-//!    extent that pointed into the old container;
-//! 4. delete the old container.
+//!    extent that pointed into the old container, and flush;
+//! 4. only then delete the old containers.
+//!
+//! Nothing references a staged container yet, so a store that dies after
+//! [`stage`] loses nothing when the next write-open deletes it as above
+//! the commit watermark (DESIGN.md §8) — along with every recipe pointing
+//! into one, which is why a durable front end persists its watermark
+//! *between* the phases ([`crate::statefile::OpenedStore::compact`]). From
+//! there on every crash point leaves each recipe pointing at a container
+//! that exists: old ones go last. [`compact`] runs both phases back to
+//! back for stores with no watermark to keep.
 //!
 //! Correctness rests on an alignment property checked in debug builds: a
 //! recipe extent only ever overlaps *live* entries, and those entries are
@@ -22,8 +34,8 @@
 
 use mhd_hash::FxHashMap;
 use mhd_store::{
-    Backend, DiskChunkId, Extent, FileKind, FileManifest, Manifest, ManifestId, StoreResult,
-    Substrate,
+    Backend, DiskChunkId, Extent, FileKind, FileManifest, Manifest, ManifestEntry, ManifestId,
+    StoreResult, Substrate,
 };
 
 /// What one compaction pass did.
@@ -40,6 +52,35 @@ pub struct CompactReport {
     pub containers_skipped: u64,
 }
 
+/// One container's rewrite: its live bytes already sit in `new`; the
+/// Manifest and the recipes still point into `old`.
+struct Rewrite {
+    manifest: Manifest,
+    /// `(old_start, old_end, new_start)` per live manifest entry.
+    moves: Vec<(u64, u64, u64)>,
+    old: DiskChunkId,
+    new: DiskChunkId,
+}
+
+impl Rewrite {
+    /// Where byte `old_off` of the old container lives in the new one
+    /// (`None` when it fell in a dead entry).
+    fn translate(&self, old_off: u64) -> Option<u64> {
+        self.moves
+            .iter()
+            .find(|&&(start, end, _)| old_off >= start && old_off < end)
+            .map(|&(start, _, new_start)| new_start + (old_off - start))
+    }
+}
+
+/// The outcome of [`stage`]: fresh containers on disk that nothing
+/// references yet, and the rewrites [`Staged::apply`] will point at them.
+pub struct Staged {
+    rewrites: Vec<Rewrite>,
+    recipes: Vec<(String, FileManifest)>,
+    report: CompactReport,
+}
+
 /// Compacts every single-manifest container whose live-byte fraction is
 /// below `threshold` (e.g. `0.7`). Returns what changed.
 ///
@@ -50,6 +91,12 @@ pub fn compact<B: Backend>(
     substrate: &mut Substrate<B>,
     threshold: f64,
 ) -> StoreResult<CompactReport> {
+    stage(substrate, threshold)?.apply(substrate)
+}
+
+/// Phase one of [`compact`]: picks the containers to rewrite and writes
+/// their live bytes into fresh containers, flushed before this returns.
+pub fn stage<B: Backend>(substrate: &mut Substrate<B>, threshold: f64) -> StoreResult<Staged> {
     assert!((0.0..=1.0).contains(&threshold), "threshold is a fraction");
     let mut report = CompactReport::default();
 
@@ -86,8 +133,9 @@ pub fn compact<B: Backend>(
         recipes.push((name, fm));
     }
 
-    // Per eligible manifest/container pair, decide and compact.
-    for manifest in &mut manifests {
+    // Per eligible manifest/container pair, decide and stage.
+    let mut rewrites = Vec::new();
+    for manifest in manifests {
         let Some(first) = manifest.entries.first() else { continue };
         let container = first.container;
         if manifest.entries.iter().any(|e| e.container != container)
@@ -119,7 +167,6 @@ pub fn compact<B: Backend>(
         // Build the new container from live entries, recording the offset
         // shift for each surviving old range.
         let mut new_bytes = Vec::with_capacity(live_bytes as usize);
-        // (old_start, old_end, new_start) per live entry.
         let mut moves: Vec<(u64, u64, u64)> = Vec::new();
         for (e, &is_live) in manifest.entries.iter().zip(&live) {
             if is_live {
@@ -129,88 +176,99 @@ pub fn compact<B: Backend>(
                 moves.push((e.offset, e.end(), new_start));
             }
         }
-        let new_id = substrate.write_disk_chunk_bytes(&new_bytes)?;
+        let new = substrate.write_disk_chunk_bytes(&new_bytes)?;
+        report.containers_compacted += 1;
+        report.bytes_reclaimed += total - live_bytes;
+        rewrites.push(Rewrite { manifest, moves, old: container, new });
+    }
+    substrate.flush()?;
+    Ok(Staged { rewrites, recipes, report })
+}
 
-        // Dead Hook entries lose their content: their on-disk Hook files
-        // (when they point at this manifest) must go too, or they dangle.
-        for (e, &is_live) in manifest.entries.iter().zip(&live) {
-            if !is_live && e.is_hook {
-                let name = e.hash.to_hex();
-                if let Ok(payload) = substrate.backend_mut().get(FileKind::Hook, &name) {
-                    if payload.len() == 20
-                        && u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"))
-                            == manifest.id.0
-                    {
-                        substrate.delete_hook_by_name(&name)?;
+impl Staged {
+    /// Phase two of [`compact`]: points the Manifests and recipes at the
+    /// staged containers, flushes, and only then deletes the old ones.
+    pub fn apply<B: Backend>(mut self, substrate: &mut Substrate<B>) -> StoreResult<CompactReport> {
+        for rewrite in &mut self.rewrites {
+            // Dead Hook entries lose their content: their on-disk Hook
+            // files (when they point at this manifest) must go too, or
+            // they dangle.
+            for e in &rewrite.manifest.entries {
+                if e.is_hook && rewrite.translate(e.offset).is_none() {
+                    let name = e.hash.to_hex();
+                    if let Ok(payload) = substrate.backend_mut().get(FileKind::Hook, &name) {
+                        if payload.len() == 20
+                            && u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"))
+                                == rewrite.manifest.id.0
+                        {
+                            substrate.delete_hook_by_name(&name)?;
+                        }
                     }
                 }
             }
-        }
 
-        // Re-offset the manifest (drop dead entries, shift live ones).
-        let translate = |old_off: u64| -> Option<u64> {
-            moves
-                .iter()
-                .find(|&&(start, end, _)| old_off >= start && old_off < end)
-                .map(|&(start, _, new_start)| new_start + (old_off - start))
-        };
-        let mut new_entries = Vec::with_capacity(moves.len());
-        for (e, &is_live) in manifest.entries.iter().zip(&live) {
-            if is_live {
-                let mut e = *e;
-                e.offset = translate(e.offset).expect("live entry translates");
-                e.container = new_id;
-                new_entries.push(e);
-            }
-        }
-        manifest.entries = new_entries;
-        // Every Manifest needs an entry point: if compaction dropped all
-        // Hook entries, promote the first survivor and persist its Hook.
-        if !manifest.entries.iter().any(|e| e.is_hook) {
-            if let Some(first) = manifest.entries.first_mut() {
-                first.is_hook = true;
-                let (hash, mid) = (first.hash, manifest.id);
-                substrate.write_hook(hash, mid)?;
-            }
-        }
-        debug_assert_eq!(manifest.check_tiling(new_bytes.len() as u64), Ok(()));
-        substrate.update_manifest(manifest)?;
-
-        // Re-target recipes.
-        for (name, fm) in &mut recipes {
-            let mut changed = false;
-            let mut rebuilt = FileManifest::new();
-            for e in fm.extents() {
-                if e.container == container {
-                    let new_off = translate(e.offset).unwrap_or_else(|| {
-                        panic!("recipe {name} extent {e:?} overlaps a dead entry")
-                    });
-                    debug_assert!(
-                        translate(e.offset + e.len - 1)
-                            .is_some_and(|end| end == new_off + e.len - 1),
-                        "extent must stay contiguous across compaction"
-                    );
-                    rebuilt.push(Extent { container: new_id, offset: new_off, len: e.len });
-                    changed = true;
-                    report.extents_rewritten += 1;
-                } else {
-                    rebuilt.push(*e);
+            // Re-offset the manifest (drop dead entries, shift live ones).
+            rewrite.manifest.entries = (rewrite.manifest.entries.iter())
+                .filter_map(|e| {
+                    let offset = rewrite.translate(e.offset)?;
+                    Some(ManifestEntry { offset, container: rewrite.new, ..*e })
+                })
+                .collect();
+            // Every Manifest needs an entry point: if compaction dropped
+            // all Hook entries, promote the first survivor and persist its
+            // Hook.
+            if !rewrite.manifest.entries.iter().any(|e| e.is_hook) {
+                if let Some(first) = rewrite.manifest.entries.first_mut() {
+                    first.is_hook = true;
+                    let (hash, mid) = (first.hash, rewrite.manifest.id);
+                    substrate.write_hook(hash, mid)?;
                 }
             }
-            if changed {
-                substrate.update_file_manifest(name, &rebuilt)?;
-                *fm = rebuilt;
+            let new_len = rewrite.moves.last().map_or(0, |&(start, end, at)| at + end - start);
+            debug_assert_eq!(rewrite.manifest.check_tiling(new_len), Ok(()));
+            substrate.update_manifest(&rewrite.manifest)?;
+
+            // Re-target recipes.
+            for (name, fm) in &mut self.recipes {
+                let mut changed = false;
+                let mut rebuilt = FileManifest::new();
+                for e in fm.extents() {
+                    if e.container == rewrite.old {
+                        let new_off = rewrite.translate(e.offset).unwrap_or_else(|| {
+                            panic!("recipe {name} extent {e:?} overlaps a dead entry")
+                        });
+                        debug_assert!(
+                            rewrite
+                                .translate(e.offset + e.len - 1)
+                                .is_some_and(|end| end == new_off + e.len - 1),
+                            "extent must stay contiguous across compaction"
+                        );
+                        rebuilt.push(Extent {
+                            container: rewrite.new,
+                            offset: new_off,
+                            len: e.len,
+                        });
+                        changed = true;
+                        self.report.extents_rewritten += 1;
+                    } else {
+                        rebuilt.push(*e);
+                    }
+                }
+                if changed {
+                    substrate.update_file_manifest(name, &rebuilt)?;
+                    *fm = rebuilt;
+                }
             }
         }
-
-        substrate.delete_disk_chunk(container)?;
-        report.containers_compacted += 1;
-        report.bytes_reclaimed += total - live_bytes;
+        // Compaction is a commit point: rewritten manifests and recipes
+        // must be on disk before the containers they used to point into
+        // go, and before the pass reports success.
+        substrate.flush()?;
+        for rewrite in &self.rewrites {
+            substrate.delete_disk_chunk(rewrite.old)?;
+        }
+        Ok(self.report)
     }
-    // Compaction is a commit point: rewritten containers, manifests and
-    // recipes must be on disk before the pass reports success.
-    substrate.flush()?;
-    Ok(report)
 }
 
 #[cfg(test)]

@@ -13,15 +13,14 @@
 //!   entries, so a dangling Hook means corruption);
 //! * every FileManifest decodes and its extents stay in-bounds.
 //!
-//! Used by the `mhd verify` CLI command and the integration tests, which
+//! Used by the `mhd fsck` CLI command and the integration tests, which
 //! run it after every engine (a deduplicator that corrupts its own
 //! invariants usually still restores *today* — fsck catches the latent
 //! damage).
 
 use mhd_hash::{sha1, ChunkHash};
 use mhd_store::{
-    Backend, DiskChunkId, FileKind, FileManifest, Manifest, ManifestFormat, ManifestId,
-    RecoveryReport, StoreResult, Substrate,
+    Backend, DiskChunkId, FileKind, FileManifest, Manifest, ManifestFormat, ManifestId, Substrate,
 };
 
 /// Outcome of an integrity walk.
@@ -44,17 +43,6 @@ impl IntegrityReport {
     pub fn is_healthy(&self) -> bool {
         self.problems.is_empty()
     }
-}
-
-/// Crash-recovery pass: asks the backend to detect and roll back
-/// mutations that were in flight when the store was last open — torn
-/// `.*.tmp` files (the write never committed; the target still holds its
-/// previous content) and unresolved overwrite intents (the rename either
-/// committed or the tmp was rolled back, so clearing the intent completes
-/// the operation either way). Run this *before* [`check_store`] on a store
-/// that may have been interrupted; on a clean store it is a no-op.
-pub fn recover_store<B: Backend>(substrate: &mut Substrate<B>) -> StoreResult<RecoveryReport> {
-    substrate.recover()
 }
 
 /// Walks the whole store. Reads go straight to the backend (no Table II

@@ -56,7 +56,6 @@ pub mod fsck;
 pub mod gc;
 pub mod metrics;
 pub mod restore;
-pub mod shard;
 pub mod statefile;
 
 mod bimodal;

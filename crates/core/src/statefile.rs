@@ -1,74 +1,157 @@
-//! Shared on-disk layout of a store's `session/` state files.
+//! The one front door to a store's `session/` and `daemon/wip/` files.
 //!
-//! Both the CLI (`mhd backup` and friends) and the daemon (`mhd serve`)
-//! persist engine state under `<store>/session/`, and each must open
-//! what the other wrote: a stopped daemon store is a plain CLI store and
-//! vice versa. This module owns the split between the JSON document and
-//! its binary sidecars so the two front ends cannot drift:
+//! Both front ends — the CLI (`mhd backup` and friends) and the daemon
+//! (`mhd serve`) — keep engine state next to the four object namespaces,
+//! and each must open what the other wrote. This module owns every byte
+//! of that state so the two cannot drift:
 //!
-//! * `state.json` — the [`MhdState`] counters, ledger and watermarks,
-//!   minus the two O(store) payloads below.
-//! * `bloom.bin` — the raw Bloom filter bits ([`MhdState::bloom`]).
-//! * `idmaps.bin` — the substrate's per-manifest size and per-chunk
-//!   hash maps in a fixed-width binary record format.
+//! * `session/meta.json` — [`StoreMeta`]: the chunking parameters a store
+//!   keeps for life, and its stream count.
+//! * `session/state.json` — the [`MhdState`] counters, ledger and id
+//!   allocators, minus the two O(store) payloads below. Its id allocators
+//!   are the **commit watermark** (DESIGN.md §8).
+//! * `session/bloom.bin` — the raw Bloom filter bits ([`MhdState::bloom`]).
+//! * `session/idmaps.bin` — the substrate's per-manifest size and
+//!   per-chunk hash maps in a fixed-width binary record format.
+//! * `daemon/wip/<stream>` — one empty intent record per stream being
+//!   written ([`wip_begin`] / [`wip_end`]); its *name* is the recipe
+//!   prefix to delete if the writer dies before [`persist`].
 //!
-//! The sidecars exist because serde_json renders a megabyte Bloom
-//! filter as roughly one JSON node per byte and the id maps as one node
-//! per entry. The daemon rewrites the state on every commit, so inlining
-//! them made each commit's serialized publish phase O(store) in JSON
-//! nodes — by far its widest part. As raw bytes both payloads serialize
-//! by memcpy.
+//! The sidecars exist because serde_json renders a megabyte Bloom filter
+//! as roughly one JSON node per byte and the id maps as one node per
+//! entry; as raw bytes both serialize by memcpy. [`persist`] writes them
+//! *before* `state.json`: a crash between the writes pairs newer sidecars
+//! with older counters, which is benign — a superset Bloom filter only
+//! costs false "maybe" probes, and map entries above the persisted
+//! watermark describe objects [`open_write`] deletes (their entries are
+//! overwritten when the ids are re-allocated).
 //!
-//! [`detach_sidecars`] writes the sidecars and strips the fields from
-//! the in-memory state; the caller then serializes the slim remainder to
-//! `state.json`. Writing the sidecars *first* is deliberate: a crash
-//! between the writes pairs *newer* sidecars with *older* counters,
-//! which is benign — a superset Bloom filter only costs false "maybe"
-//! probes, and map entries above the persisted watermark describe real
-//! on-disk objects that recovery already treats as unreferenced garbage
-//! (their entries are overwritten when the ids are re-allocated).
-//!
-//! Stores written before the sidecars existed inline everything in
-//! `state.json`; [`attach_sidecars`] only consults the sidecar files
-//! when the corresponding state fields are empty, so legacy stores open
-//! unchanged.
+//! Every file with content is written through [`write_atomic`]. Readers
+//! that only look ([`read_view`], [`load_slim_state`]) never create,
+//! remove or recover anything. Writers come in through [`open_write`];
+//! the [`OpenedStore`] it returns carries the order of a single writer's
+//! steps ([`OpenedStore::begin_stream`] → write → [`OpenedStore::commit`],
+//! and [`OpenedStore::compact`], which persists mid-pass).
 
-use std::io;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use crate::MhdState;
+use mhd_chunking::ChunkerKind;
+use mhd_store::{
+    safe_name, Backend, BatchedDirBackend, DirBackend, Durability, FileKind, FileManifest,
+    IoConfig, StoreError, StoreResult, Substrate,
+};
+use serde::{Deserialize, Serialize};
+
+use crate::compact::{self, CompactReport};
+use crate::{Deduplicator, EngineConfig, EngineResult, MhdEngine, MhdState};
 
 /// Magic + version tag for the `session/idmaps.bin` sidecar.
 const IDMAPS_MAGIC: &[u8; 8] = b"MHDIDMP1";
 
-/// Path of the Bloom filter sidecar under the store root.
-pub fn bloom_path(root: &Path) -> PathBuf {
-    root.join("session/bloom.bin")
+const STATE: &str = "session/state.json";
+const META: &str = "session/meta.json";
+const BLOOM: &str = "session/bloom.bin";
+const IDMAPS: &str = "session/idmaps.bin";
+
+/// Directory holding the per-stream intent records.
+pub fn wip_dir(root: &Path) -> PathBuf {
+    root.join("daemon/wip")
 }
 
-/// Path of the id-map sidecar under the store root.
-pub fn idmaps_path(root: &Path) -> PathBuf {
-    root.join("session/idmaps.bin")
+fn io_at(op: &'static str, path: &Path, source: std::io::Error) -> StoreError {
+    StoreError::IoAt { op, path: path.display().to_string(), source }
 }
 
-/// Writes `data` through a hidden tmp sibling + atomic rename so the
-/// sidecars can never be observed half-written; errors name the path.
-fn write_atomic(path: &Path, data: &[u8]) -> io::Result<()> {
-    let file_name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| invalid(format!("{}: not a file path", path.display())))?;
-    let tmp = path.with_file_name(format!(".{file_name}.tmp"));
-    std::fs::write(&tmp, data)
-        .map_err(|e| io::Error::new(e.kind(), format!("write {}: {e}", tmp.display())))?;
-    std::fs::rename(&tmp, path)
-        .map_err(|e| io::Error::new(e.kind(), format!("rename to {}: {e}", path.display())))?;
+fn corrupt(path: &Path, what: impl std::fmt::Display) -> StoreError {
+    StoreError::Corrupt(format!("{}: {what}", path.display()))
+}
+
+/// `sync_all` on a file or directory handle. Test builds record the path
+/// so the `--durability fsync` call path can be asserted.
+fn sync(file: &std::fs::File, path: &Path) -> StoreResult<()> {
+    #[cfg(test)]
+    tests::SYNCED.with(|s| s.borrow_mut().push(path.to_path_buf()));
+    file.sync_all().map_err(|e| io_at("fsync", path, e))
+}
+
+fn sync_dir(dir: &Path) -> StoreResult<()> {
+    let handle = std::fs::File::open(dir).map_err(|e| io_at("open dir", dir, e))?;
+    sync(&handle, dir)
+}
+
+/// Writes `data` to `path` through a hidden tmp sibling + atomic rename,
+/// so the file can never be observed half-written; errors name the path.
+/// Under [`Durability::Fsync`] the tmp file is synced before the rename
+/// and the parent directory after it, like every object the backends
+/// write at that level.
+pub fn write_atomic(path: &Path, data: &[u8], durability: Durability) -> StoreResult<()> {
+    let (Some(dir), Some(name)) = (path.parent(), path.file_name().and_then(|n| n.to_str())) else {
+        return Err(corrupt(path, "not a file path"));
+    };
+    let tmp = dir.join(format!(".{name}.tmp"));
+    let mut file = std::fs::File::create(&tmp).map_err(|e| io_at("create", &tmp, e))?;
+    file.write_all(data).map_err(|e| io_at("write", &tmp, e))?;
+    if durability == Durability::Fsync {
+        sync(&file, &tmp)?;
+    }
+    drop(file);
+    std::fs::rename(&tmp, path).map_err(|e| io_at("rename to", path, e))?;
+    if durability == Durability::Fsync {
+        sync_dir(dir)?;
+    }
     Ok(())
 }
 
-fn invalid(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
+/// Reads a whole file; `None` when it does not exist.
+fn read_file(path: &Path) -> StoreResult<Option<Vec<u8>>> {
+    match std::fs::read(path) {
+        Ok(data) => Ok(Some(data)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(io_at("read", path, e)),
+    }
 }
+
+// ----- meta.json ----------------------------------------------------------
+
+/// The parameters a store keeps for life, plus its stream count.
+///
+/// `ecs`/`sd`/`chunker` are fixed when the store is created: re-chunking
+/// a live store differently would cut boundaries the existing chunks can
+/// never match.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoreMeta {
+    /// Expected chunk size in bytes.
+    pub ecs: usize,
+    /// Slices per DiskChunk / Manifest (`SD`).
+    pub sd: usize,
+    /// Streams committed so far (the `N` of the CLI's `label-N/` names).
+    pub streams: u64,
+    /// Chunking algorithm the store's chunks were cut with.
+    pub chunker: ChunkerKind,
+}
+
+/// `meta.json` as encoded: the chunker in its CLI spelling (`rabin`, …).
+#[derive(Serialize, Deserialize)]
+struct MetaFile {
+    ecs: usize,
+    sd: usize,
+    streams: u64,
+    chunker: String,
+}
+
+/// Reads `session/meta.json`; `None` when the store has none yet. A file
+/// that does not parse — including one without a `chunker` — is an error
+/// naming it.
+pub fn load_meta(root: &Path) -> StoreResult<Option<StoreMeta>> {
+    let path = root.join(META);
+    let Some(data) = read_file(&path)? else { return Ok(None) };
+    let file: MetaFile = serde_json::from_slice(&data).map_err(|e| corrupt(&path, e))?;
+    let chunker = file.chunker.parse::<ChunkerKind>().map_err(|e| corrupt(&path, e))?;
+    Ok(Some(StoreMeta { ecs: file.ecs, sd: file.sd, streams: file.streams, chunker }))
+}
+
+// ----- state.json + sidecars ------------------------------------------------
 
 /// Encodes the substrate's id maps as the compact binary sidecar format:
 /// magic, two LE counts, then fixed-width entries (`id:u64, size:u64`
@@ -76,7 +159,7 @@ fn invalid(msg: String) -> io::Error {
 fn encode_idmaps(
     manifest_sizes: &[(u64, u64)],
     chunk_hashes: &[(u64, String)],
-) -> io::Result<Vec<u8>> {
+) -> Result<Vec<u8>, String> {
     let mut out = Vec::with_capacity(24 + manifest_sizes.len() * 16 + chunk_hashes.len() * 48);
     out.extend_from_slice(IDMAPS_MAGIC);
     out.extend_from_slice(&(manifest_sizes.len() as u64).to_le_bytes());
@@ -87,7 +170,7 @@ fn encode_idmaps(
     }
     for (id, hex) in chunk_hashes {
         if hex.len() != 40 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-            return Err(invalid(format!("chunk {id}: malformed hash {hex:?}")));
+            return Err(format!("chunk {id}: malformed hash {hex:?}"));
         }
         out.extend_from_slice(&id.to_le_bytes());
         out.extend_from_slice(hex.as_bytes());
@@ -98,92 +181,441 @@ fn encode_idmaps(
 /// Decodes [`encode_idmaps`] output; errors describe the corruption
 /// rather than panicking, since the sidecar is read at store open.
 #[allow(clippy::type_complexity)]
-fn decode_idmaps(raw: &[u8]) -> io::Result<(Vec<(u64, u64)>, Vec<(u64, String)>)> {
-    let take = |raw: &[u8], at: &mut usize, n: usize| -> io::Result<Vec<u8>> {
-        let end = at
-            .checked_add(n)
-            .filter(|&e| e <= raw.len())
-            .ok_or_else(|| invalid("truncated sidecar".into()))?;
-        let bytes = raw[*at..end].to_vec();
-        *at = end;
-        Ok(bytes)
-    };
-    let u64_at = |raw: &[u8], at: &mut usize| -> io::Result<u64> {
-        let bytes = take(raw, at, 8)?;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes"))) // lint: allow(expect): length fixed by take(8)
-    };
-    let mut at = 0usize;
-    if take(raw, &mut at, 8)? != IDMAPS_MAGIC {
-        return Err(invalid("bad idmaps magic".into()));
+fn decode_idmaps(raw: &[u8]) -> Result<(Vec<(u64, u64)>, Vec<(u64, String)>), String> {
+    fn take<'a>(rest: &mut &'a [u8], n: usize) -> Result<&'a [u8], String> {
+        let (head, tail) = rest.split_at_checked(n).ok_or("truncated sidecar")?;
+        *rest = tail;
+        Ok(head)
     }
-    let manifests = u64_at(raw, &mut at)? as usize;
-    let chunks = u64_at(raw, &mut at)? as usize;
+    fn u64_of(rest: &mut &[u8]) -> Result<u64, String> {
+        let bytes = <[u8; 8]>::try_from(take(rest, 8)?).map_err(|e| e.to_string())?;
+        Ok(u64::from_le_bytes(bytes))
+    }
+    let mut rest = raw;
+    if take(&mut rest, 8)? != IDMAPS_MAGIC {
+        return Err("bad idmaps magic".into());
+    }
+    let manifests = u64_of(&mut rest)? as usize;
+    let chunks = u64_of(&mut rest)? as usize;
     let need = manifests
         .checked_mul(16)
-        .and_then(|m| chunks.checked_mul(48).map(|c| m + c))
-        .ok_or_else(|| invalid("idmaps counts overflow".into()))?;
-    if raw.len() - at != need {
-        return Err(invalid(format!("idmaps length {} != expected {need}", raw.len() - at)));
+        .and_then(|m| chunks.checked_mul(48).and_then(|c| m.checked_add(c)))
+        .ok_or("idmaps counts overflow")?;
+    if rest.len() != need {
+        return Err(format!("idmaps length {} != expected {need}", rest.len()));
     }
     let mut manifest_sizes = Vec::with_capacity(manifests);
     for _ in 0..manifests {
-        let id = u64_at(raw, &mut at)?;
-        let size = u64_at(raw, &mut at)?;
-        manifest_sizes.push((id, size));
+        manifest_sizes.push((u64_of(&mut rest)?, u64_of(&mut rest)?));
     }
     let mut chunk_hashes = Vec::with_capacity(chunks);
     for _ in 0..chunks {
-        let id = u64_at(raw, &mut at)?;
-        let hex = String::from_utf8(take(raw, &mut at, 40)?)
-            .map_err(|_| invalid(format!("chunk {id}: non-UTF-8 hash")))?;
-        chunk_hashes.push((id, hex));
+        let id = u64_of(&mut rest)?;
+        let hex = std::str::from_utf8(take(&mut rest, 40)?)
+            .map_err(|_| format!("chunk {id}: non-UTF-8 hash"))?;
+        chunk_hashes.push((id, hex.to_string()));
     }
     Ok((manifest_sizes, chunk_hashes))
 }
 
-/// Moves the O(store) payloads of `state` into binary sidecars under
-/// `root`, leaving a slim state the caller serializes to `state.json`.
-///
-/// Must run *before* the state JSON is written — see the module docs for
-/// the crash-ordering argument.
-pub fn detach_sidecars(state: &mut MhdState, root: &Path) -> io::Result<()> {
-    let bloom = std::mem::take(&mut state.bloom);
-    write_atomic(&bloom_path(root), &bloom)?;
-    let manifest_sizes = std::mem::take(&mut state.substrate.manifest_sizes);
-    let chunk_hashes = std::mem::take(&mut state.substrate.chunk_hashes);
-    let idmaps = encode_idmaps(&manifest_sizes, &chunk_hashes)?;
-    write_atomic(&idmaps_path(root), &idmaps)?;
+/// Reads `session/state.json` alone: counters, ledger and id allocators,
+/// with the Bloom filter and id maps left empty. `None` when the store has
+/// never persisted. Enough for `mhd stats`; opening for writes goes
+/// through [`open_write`], which also loads the sidecars.
+pub fn load_slim_state(root: &Path) -> StoreResult<Option<MhdState>> {
+    let path = root.join(STATE);
+    let Some(data) = read_file(&path)? else { return Ok(None) };
+    serde_json::from_slice(&data).map(Some).map_err(|e| corrupt(&path, e))
+}
+
+/// `state.json` plus both sidecars. A missing sidecar is an error naming
+/// it: an empty Bloom filter would silently stop deduplicating against
+/// everything already stored.
+fn load_state(root: &Path) -> StoreResult<Option<MhdState>> {
+    let Some(mut state) = load_slim_state(root)? else { return Ok(None) };
+    let sidecar = |path: PathBuf| {
+        read_file(&path)?.ok_or_else(|| {
+            corrupt(&path, "missing beside session/state.json (sidecars are written with it)")
+        })
+    };
+    state.bloom = sidecar(root.join(BLOOM))?;
+    let idmaps = root.join(IDMAPS);
+    let (manifest_sizes, chunk_hashes) =
+        decode_idmaps(&sidecar(idmaps.clone())?).map_err(|e| corrupt(&idmaps, e))?;
+    state.substrate.manifest_sizes = manifest_sizes;
+    state.substrate.chunk_hashes = chunk_hashes;
+    Ok(Some(state))
+}
+
+/// Persists an exported engine state and the store metadata: sidecars,
+/// then `state.json` (the commit watermark), then `meta.json` — see the
+/// module docs for the crash-ordering argument. Call after
+/// [`Deduplicator::finish`], so every object
+/// the state describes is on disk first.
+pub fn persist(
+    root: &Path,
+    durability: Durability,
+    mut state: MhdState,
+    meta: &StoreMeta,
+) -> StoreResult<()> {
+    write_atomic(&root.join(BLOOM), &std::mem::take(&mut state.bloom), durability)?;
+    let idmaps = root.join(IDMAPS);
+    let encoded = encode_idmaps(
+        &std::mem::take(&mut state.substrate.manifest_sizes),
+        &std::mem::take(&mut state.substrate.chunk_hashes),
+    )
+    .map_err(|e| corrupt(&idmaps, e))?;
+    write_atomic(&idmaps, &encoded, durability)?;
+
+    let state_path = root.join(STATE);
+    let state_json = serde_json::to_vec(&state).map_err(|e| corrupt(&state_path, e))?;
+    write_atomic(&state_path, &state_json, durability)?;
+
+    let meta_path = root.join(META);
+    let file = MetaFile {
+        ecs: meta.ecs,
+        sd: meta.sd,
+        streams: meta.streams,
+        chunker: meta.chunker.as_str().to_string(),
+    };
+    let meta_json = serde_json::to_vec(&file).map_err(|e| corrupt(&meta_path, e))?;
+    write_atomic(&meta_path, &meta_json, durability)
+}
+
+// ----- wip records ----------------------------------------------------------
+
+/// A stream's record is named like its recipes: `safe_name(stream)`, of
+/// which every recipe name of the stream is an extension by `_`.
+fn wip_path(root: &Path, stream: &str) -> PathBuf {
+    wip_dir(root).join(safe_name(stream))
+}
+
+/// Records that `stream` (a recipe-name prefix without the trailing `/`:
+/// the daemon's `tenant/label`, the CLI's `label-N`) is about to be
+/// written. Must return before the stream's first object is written; the
+/// next [`open_write`] deletes every recipe under `stream/` unless
+/// [`wip_end`] ran first. The record is an empty file — creating it is
+/// atomic, and a name cannot be torn the way content can.
+pub fn wip_begin(root: &Path, durability: Durability, stream: &str) -> StoreResult<()> {
+    let path = wip_path(root, stream);
+    let file = std::fs::File::create(&path).map_err(|e| io_at("create", &path, e))?;
+    if durability == Durability::Fsync {
+        sync(&file, &path)?;
+        sync_dir(&wip_dir(root))?;
+    }
     Ok(())
 }
 
-/// Loads the sidecar payloads back into a `state` parsed from
-/// `state.json`. States from legacy stores (payloads inlined in the
-/// JSON) are left untouched; sidecar files simply missing beside an
-/// empty field are treated as an empty payload.
-pub fn attach_sidecars(state: &mut MhdState, root: &Path) -> io::Result<()> {
-    let bloom = bloom_path(root);
-    if state.bloom.is_empty() && bloom.exists() {
-        state.bloom = std::fs::read(&bloom)
-            .map_err(|e| io::Error::new(e.kind(), format!("read {}: {e}", bloom.display())))?;
-    }
-    let idmaps = idmaps_path(root);
-    if state.substrate.chunk_hashes.is_empty()
-        && state.substrate.manifest_sizes.is_empty()
-        && idmaps.exists()
-    {
-        let raw = std::fs::read(&idmaps)
-            .map_err(|e| io::Error::new(e.kind(), format!("read {}: {e}", idmaps.display())))?;
-        let (manifest_sizes, chunk_hashes) =
-            decode_idmaps(&raw).map_err(|e| invalid(format!("{}: {e}", idmaps.display())))?;
-        state.substrate.manifest_sizes = manifest_sizes;
-        state.substrate.chunk_hashes = chunk_hashes;
+/// Retires `stream`'s intent record. Call only after [`persist`] made the
+/// stream part of the watermark, or after nothing of it reached the store.
+pub fn wip_end(root: &Path, durability: Durability, stream: &str) -> StoreResult<()> {
+    let path = wip_path(root, stream);
+    std::fs::remove_file(&path).map_err(|e| io_at("remove", &path, e))?;
+    if durability == Durability::Fsync {
+        sync_dir(&wip_dir(root))?;
     }
     Ok(())
+}
+
+// ----- open, recover, roll back ----------------------------------------------
+
+/// What opening a store for writes undid: the backend's own pass over tmp
+/// files and write intents, then the rollback above the commit watermark.
+#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize)]
+pub struct RecoverySummary {
+    /// Torn tmp files removed by the backend's own recovery.
+    pub tmp_files_removed: u64,
+    /// Write intents resolved by the backend's own recovery.
+    pub intents_resolved: u64,
+    /// Torn streams rolled back from `daemon/wip` intent records.
+    pub sessions_rolled_back: u64,
+    /// Recipes (FileManifests) of torn streams deleted.
+    pub recipes_rolled_back: u64,
+    /// Above-watermark DiskChunks deleted.
+    pub chunks_rolled_back: u64,
+    /// Above-watermark Manifests deleted.
+    pub manifests_rolled_back: u64,
+    /// Hooks pointing above the manifest watermark deleted.
+    pub hooks_rolled_back: u64,
+}
+
+impl RecoverySummary {
+    /// Whether nothing was in flight and nothing sat above the watermark.
+    pub fn is_clean(&self) -> bool {
+        *self == RecoverySummary::default()
+    }
+}
+
+impl std::fmt::Display for RecoverySummary {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "removed {} torn tmp file(s), resolved {} write intent(s); rolled back {} torn \
+             session(s) ({} recipes, {} chunks, {} manifests, {} hooks)",
+            self.tmp_files_removed,
+            self.intents_resolved,
+            self.sessions_rolled_back,
+            self.recipes_rolled_back,
+            self.chunks_rolled_back,
+            self.manifests_rolled_back,
+            self.hooks_rolled_back,
+        )
+    }
+}
+
+/// A store opened for writes by [`open_write`], and the one place the
+/// order of a single writer's steps — wip record, write, flush, persist,
+/// retire the record — is spelled out. (The daemon interleaves writers
+/// under its own lock: it moves `engine` out and sequences [`wip_begin`]
+/// / [`persist`] / [`wip_end`] itself.)
+pub struct OpenedStore<B: Backend> {
+    /// The engine, resumed from the persisted state.
+    pub engine: MhdEngine<B>,
+    /// The store's own parameters (which win over the caller's).
+    pub meta: StoreMeta,
+    /// What recovery did on the way in.
+    pub recovery: RecoverySummary,
+    root: PathBuf,
+    durability: Durability,
+    /// The stream [`OpenedStore::begin_stream`] took a wip record for,
+    /// until [`OpenedStore::commit`] retires it.
+    wip: Option<String>,
+}
+
+impl<B: Backend> OpenedStore<B> {
+    /// Takes `stream`'s wip record; call before the stream's first write.
+    /// Until [`OpenedStore::commit`], a crash makes the next open — by
+    /// either front end — delete every recipe under `stream/`, even an
+    /// all-duplicate stream's, which no id floor identifies. That delete
+    /// is by prefix, so a stream that already has recipes is refused; the
+    /// check is one listing of the recipe names (no recipe is read).
+    pub fn begin_stream(&mut self, stream: &str) -> StoreResult<()> {
+        let prefix = safe_name(&format!("{stream}/"));
+        if self.engine.substrate_mut().list_file_manifests().iter().any(|n| n.starts_with(&prefix))
+        {
+            return Err(StoreError::AlreadyExists {
+                kind: FileKind::FileManifest,
+                name: format!("{stream}/"),
+            });
+        }
+        wip_begin(&self.root, self.durability, stream)?;
+        self.wip = Some(stream.to_string());
+        Ok(())
+    }
+
+    /// Flushes the engine, persists the watermark and — only now that the
+    /// stream is part of it — retires the wip record.
+    pub fn commit(&mut self) -> EngineResult<()> {
+        self.checkpoint()?;
+        if let Some(stream) = self.wip.take() {
+            wip_end(&self.root, self.durability, &stream)?;
+        }
+        Ok(())
+    }
+
+    /// Compacts sparse containers ([`crate::compact`]), persisting the
+    /// watermark between the two phases: the fresh containers are below
+    /// the chunk floor before any committed recipe points into one, so no
+    /// crash point costs a stream (module docs there). Finish with
+    /// [`OpenedStore::commit`].
+    pub fn compact(&mut self, threshold: f64) -> EngineResult<CompactReport> {
+        let staged = compact::stage(self.engine.substrate_mut(), threshold)?;
+        self.checkpoint()?;
+        Ok(staged.apply(self.engine.substrate_mut())?)
+    }
+
+    fn checkpoint(&mut self) -> EngineResult<()> {
+        // finish() writes back dirty manifests; its report is not needed.
+        let _ = self.engine.finish()?;
+        Ok(persist(&self.root, self.durability, self.engine.export_state(), &self.meta)?)
+    }
+}
+
+/// Opens (or initialises) the store at `root` for writes: `meta.json` or
+/// `new_store` → [`BatchedDirBackend`] (wrapped by `wrap`, so a front end
+/// can layer its index or fault injection underneath the engine) →
+/// [`Backend::recover`] → `state.json` + sidecars → rollback of everything
+/// above the commit watermark → engine with the state imported.
+///
+/// The caller must be the store's only writer.
+pub fn open_write<B: Backend>(
+    root: &Path,
+    new_store: StoreMeta,
+    io: IoConfig,
+    wrap: impl FnOnce(BatchedDirBackend) -> B,
+) -> EngineResult<OpenedStore<B>> {
+    for dir in [root.join("session"), wip_dir(root)] {
+        std::fs::create_dir_all(&dir).map_err(|e| io_at("create dir", &dir, e))?;
+    }
+    let meta = load_meta(root)?.unwrap_or(new_store);
+    let mut backend = wrap(BatchedDirBackend::create_with(root, io)?);
+    let backend_recovery = backend.recover()?;
+    let state = load_state(root)?;
+
+    // A store with no `state.json` has never committed: the floors are
+    // zero and the rollback is total — correct by the same rule.
+    let (chunk_floor, manifest_floor) = state
+        .as_ref()
+        .map_or((0, 0), |s| (s.substrate.next_chunk_id, s.substrate.next_manifest_id));
+    let mut recovery = RecoverySummary {
+        tmp_files_removed: backend_recovery.tmp_files_removed as u64,
+        intents_resolved: backend_recovery.intents_resolved as u64,
+        ..RecoverySummary::default()
+    };
+    rollback_above_watermark(
+        root,
+        io.durability,
+        &mut backend,
+        chunk_floor,
+        manifest_floor,
+        &mut recovery,
+    )?;
+
+    let config = EngineConfig::new(meta.ecs, meta.sd).with_chunker(meta.chunker);
+    let mut engine = MhdEngine::new(backend, config)?;
+    if let Some(state) = state {
+        engine.import_state(state)?;
+    }
+    Ok(OpenedStore {
+        engine,
+        meta,
+        recovery,
+        root: root.to_path_buf(),
+        durability: io.durability,
+        wip: None,
+    })
+}
+
+/// Names of `kind` whose id is at or above `floor` (ids are the object
+/// names, zero-padded hex; anything else is not ours and goes too).
+fn names_above<B: Backend>(backend: &mut B, kind: FileKind, floor: u64) -> Vec<String> {
+    let mut names = backend.list(kind);
+    names.retain(|name| u64::from_str_radix(name, 16).ok().is_none_or(|id| id >= floor));
+    names
+}
+
+/// Deletes every object a torn writer left above the commit watermark
+/// (DESIGN.md §8): recipes named by a wip record or holding an extent in
+/// a container at or above the chunk floor, then hooks pointing at or
+/// above the manifest floor, then those manifests, then those chunks —
+/// reverse `FLUSH_ORDER`, so no reference ever outlives its target — and
+/// retires the wip records last.
+///
+/// Deletes are **raw** backend operations: the persisted ledger never
+/// accounted for these objects, so substrate-level deletes would corrupt
+/// its counters.
+///
+/// Every write-open, clean or not, pays for the trigger: a listing each
+/// of the Manifest and DiskChunk names and a `read_dir` of `daemon/wip`
+/// ([`Backend::recover`] just walked those directories, but reports
+/// counts, not names). No object is read unless a wip record exists or a
+/// name is at or above its floor (hooks and recipes flush after both
+/// kinds, so a torn one never exists without them or a wip record).
+fn rollback_above_watermark<B: Backend>(
+    root: &Path,
+    durability: Durability,
+    backend: &mut B,
+    chunk_floor: u64,
+    manifest_floor: u64,
+    recovery: &mut RecoverySummary,
+) -> StoreResult<()> {
+    let wip_dir = wip_dir(root);
+    let mut wip_files: Vec<PathBuf> = Vec::new();
+    for entry in std::fs::read_dir(&wip_dir).map_err(|e| io_at("read dir", &wip_dir, e))? {
+        wip_files.push(entry.map_err(|e| io_at("read dir", &wip_dir, e))?.path());
+    }
+    let torn_manifests = names_above(backend, FileKind::Manifest, manifest_floor);
+    let torn_chunks = names_above(backend, FileKind::DiskChunk, chunk_floor);
+    if wip_files.is_empty() && torn_manifests.is_empty() && torn_chunks.is_empty() {
+        return Ok(());
+    }
+
+    // 1. Recipes. An all-duplicate stream writes nothing but recipes, so
+    //    only its wip record can identify those; a torn stream whose wip
+    //    record is gone (or never existed) gives itself away by pointing
+    //    above the chunk floor.
+    let torn_prefixes: Vec<String> = wip_files
+        .iter()
+        .filter_map(|wip| Some(format!("{}_", wip.file_name()?.to_str()?)))
+        .collect();
+    for name in backend.list(FileKind::FileManifest) {
+        // A recipe that does not decode is fsck's to report, not ours to
+        // judge torn.
+        let torn = torn_prefixes.iter().any(|p| name.starts_with(p))
+            || FileManifest::decode(&backend.get(FileKind::FileManifest, &name)?)
+                .is_ok_and(|recipe| recipe.extents().iter().any(|e| e.container.0 >= chunk_floor));
+        if torn {
+            backend.delete(FileKind::FileManifest, &name)?;
+            recovery.recipes_rolled_back += 1;
+        }
+    }
+    recovery.sessions_rolled_back = wip_files.len() as u64;
+
+    // 2. Hooks pointing at rolled-back manifests (payload first 8 bytes,
+    //    little endian, is the target ManifestId).
+    for name in backend.list(FileKind::Hook) {
+        let payload = backend.get(FileKind::Hook, &name)?;
+        let target = payload.get(..8).and_then(|raw| <[u8; 8]>::try_from(raw).ok());
+        if target.is_none_or(|raw| u64::from_le_bytes(raw) >= manifest_floor) {
+            // lint: allow(immutability): rollback of hooks above the commit watermark
+            backend.delete(FileKind::Hook, &name)?;
+            recovery.hooks_rolled_back += 1;
+        }
+    }
+
+    // 3. Above-watermark Manifests, then DiskChunks.
+    for (kind, names, count) in [
+        (FileKind::Manifest, torn_manifests, &mut recovery.manifests_rolled_back),
+        (FileKind::DiskChunk, torn_chunks, &mut recovery.chunks_rolled_back),
+    ] {
+        for name in names {
+            backend.delete(kind, &name)?;
+            *count += 1;
+        }
+    }
+    backend.flush()?;
+
+    // 4. Only now that the rollback is durable, retire the intent records.
+    for wip in &wip_files {
+        std::fs::remove_file(wip).map_err(|e| io_at("remove", wip, e))?;
+    }
+    if durability == Durability::Fsync {
+        sync_dir(&wip_dir)?;
+    }
+    Ok(())
+}
+
+/// A throwaway, non-mutating substrate over the store's directory tree:
+/// what `RESTORE`/`LS` and `mhd restore|ls` read through. It runs no
+/// recovery, touches no state file and is safe beside a live writer:
+/// writers flush in `FLUSH_ORDER` before they acknowledge, so every
+/// listed recipe of an acknowledged stream is complete on disk, and GC
+/// marks recipes live before sweeping.
+pub fn read_view(root: &Path) -> StoreResult<Substrate<DirBackend>> {
+    Ok(Substrate::new(DirBackend::create_with(root, Durability::None)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// Paths `sync` was called on, in order (this thread only).
+        pub(super) static SYNCED: RefCell<Vec<PathBuf>> = const { RefCell::new(Vec::new()) };
+    }
+
+    fn temp_root(tag: &str) -> PathBuf {
+        let root = std::env::temp_dir().join(format!("mhd-statefile-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(root.join("session")).unwrap();
+        std::fs::create_dir_all(wip_dir(&root)).unwrap();
+        root
+    }
+
+    fn meta() -> StoreMeta {
+        StoreMeta { ecs: 512, sd: 8, streams: 3, chunker: ChunkerKind::FastCdc }
+    }
 
     #[allow(clippy::type_complexity)]
     fn sample_maps() -> (Vec<(u64, u64)>, Vec<(u64, String)>) {
@@ -191,6 +623,14 @@ mod tests {
         let chunk_hashes =
             vec![(3, "0123456789abcdef0123456789abcdef01234567".to_string()), (9, "f".repeat(40))];
         (manifest_sizes, chunk_hashes)
+    }
+
+    fn sample_state() -> MhdState {
+        let (sizes, hashes) = sample_maps();
+        let mut state = MhdState { bloom: vec![0xAB; 4096], input_bytes: 77, ..Default::default() };
+        state.substrate.manifest_sizes = sizes;
+        state.substrate.chunk_hashes = hashes;
+        state
     }
 
     #[test]
@@ -205,7 +645,7 @@ mod tests {
     #[test]
     fn idmaps_rejects_malformed_hash() {
         let err = encode_idmaps(&[], &[(1, "not-hex".into())]).unwrap_err();
-        assert!(err.to_string().contains("malformed hash"), "{err}");
+        assert!(err.contains("malformed hash"), "{err}");
     }
 
     #[test]
@@ -219,44 +659,71 @@ mod tests {
     }
 
     #[test]
-    fn detach_then_attach_restores_state() {
-        let root =
-            std::env::temp_dir().join(format!("mhd-statefile-{}-{}", std::process::id(), line!()));
-        let _ = std::fs::remove_dir_all(&root);
-        std::fs::create_dir_all(root.join("session")).unwrap();
+    fn persist_then_load_restores_state_and_meta() {
+        let root = temp_root("roundtrip");
+        let full = sample_state();
+        persist(&root, Durability::Rename, full.clone(), &meta()).unwrap();
 
-        let (sizes, hashes) = sample_maps();
-        let mut state = MhdState { bloom: vec![0xAB; 4096], ..Default::default() };
-        state.substrate.manifest_sizes = sizes.clone();
-        state.substrate.chunk_hashes = hashes.clone();
-        let full = state.clone();
-
-        detach_sidecars(&mut state, &root).unwrap();
-        assert!(state.bloom.is_empty());
-        assert!(state.substrate.chunk_hashes.is_empty());
-        assert!(bloom_path(&root).exists());
-        assert!(idmaps_path(&root).exists());
-
-        attach_sidecars(&mut state, &root).unwrap();
+        assert_eq!(load_meta(&root).unwrap(), Some(meta()));
+        let slim = load_slim_state(&root).unwrap().unwrap();
+        assert_eq!(slim.input_bytes, 77);
+        assert!(slim.bloom.is_empty() && slim.substrate.chunk_hashes.is_empty());
+        let state = load_state(&root).unwrap().unwrap();
         assert_eq!(state.bloom, full.bloom);
-        assert_eq!(state.substrate.manifest_sizes, sizes);
-        assert_eq!(state.substrate.chunk_hashes, hashes);
+        assert_eq!(state.substrate.manifest_sizes, full.substrate.manifest_sizes);
+        assert_eq!(state.substrate.chunk_hashes, full.substrate.chunk_hashes);
 
         std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
-    fn attach_leaves_legacy_inline_state_untouched() {
-        let root =
-            std::env::temp_dir().join(format!("mhd-statefile-{}-{}", std::process::id(), line!()));
-        let _ = std::fs::remove_dir_all(&root);
-        std::fs::create_dir_all(root.join("session")).unwrap();
-        // A stale sidecar beside an inline state must not override it.
-        std::fs::write(bloom_path(&root), vec![0u8; 8]).unwrap();
+    fn meta_without_chunker_is_rejected_by_name() {
+        let root = temp_root("nochunker");
+        std::fs::write(root.join(META), r#"{"ecs":512,"sd":8,"streams":1}"#).unwrap();
+        let err = load_meta(&root).unwrap_err().to_string();
+        assert!(err.contains("meta.json"), "{err}");
+        let opened = open_write(&root, meta(), IoConfig::default(), |b| b);
+        assert!(opened.is_err_and(|e| e.to_string().contains("meta.json")));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
 
-        let mut state = MhdState { bloom: vec![0xCD; 16], ..Default::default() };
-        attach_sidecars(&mut state, &root).unwrap();
-        assert_eq!(state.bloom, vec![0xCD; 16]);
+    #[test]
+    fn state_without_a_sidecar_is_rejected_by_name() {
+        for (tag, victim) in [("nobloom", "bloom.bin"), ("noidmaps", "idmaps.bin")] {
+            let root = temp_root(tag);
+            persist(&root, Durability::Rename, sample_state(), &meta()).unwrap();
+            std::fs::remove_file(root.join("session").join(victim)).unwrap();
+            let err = load_state(&root).err().expect("missing sidecar must fail").to_string();
+            assert!(err.contains(victim), "{err}");
+            let opened = open_write(&root, meta(), IoConfig::default(), |b| b);
+            assert!(opened.is_err_and(|e| e.to_string().contains(victim)));
+            std::fs::remove_dir_all(&root).unwrap();
+        }
+    }
+
+    #[test]
+    fn fsync_durability_syncs_tmp_then_parent_and_rename_syncs_nothing() {
+        let root = temp_root("fsync");
+        let synced = || SYNCED.with(|s| std::mem::take(&mut *s.borrow_mut()));
+        let session = root.join("session");
+
+        persist(&root, Durability::Rename, sample_state(), &meta()).unwrap();
+        wip_begin(&root, Durability::Rename, "t/day0").unwrap();
+        wip_end(&root, Durability::Rename, "t/day0").unwrap();
+        assert_eq!(synced(), Vec::<PathBuf>::new());
+
+        // Every state file: its tmp before the rename, its directory after.
+        persist(&root, Durability::Fsync, sample_state(), &meta()).unwrap();
+        let want: Vec<PathBuf> = ["bloom.bin", "idmaps.bin", "state.json", "meta.json"]
+            .iter()
+            .flat_map(|f| [session.join(format!(".{f}.tmp")), session.clone()])
+            .collect();
+        assert_eq!(synced(), want);
+
+        wip_begin(&root, Durability::Fsync, "t/day0").unwrap();
+        wip_end(&root, Durability::Fsync, "t/day0").unwrap();
+        let wip = wip_dir(&root);
+        assert_eq!(synced(), vec![wip.join("t_day0"), wip.clone(), wip]);
 
         std::fs::remove_dir_all(&root).unwrap();
     }

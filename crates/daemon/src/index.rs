@@ -40,11 +40,6 @@ impl SharedHookIndex {
         SharedHookIndex { shards: (0..shards).map(|_| RwLock::new(FxHashMap::default())).collect() }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard_of(&self, hash: &ChunkHash) -> usize {
         (hash.prefix_u64() % self.shards.len() as u64) as usize
     }

@@ -24,10 +24,10 @@
 //!   (hook probes against the lock-free index), and only the short
 //!   publish phase — id-range reservation, `FLUSH_ORDER` splice, state
 //!   persist — serialises, so aggregate throughput grows with session
-//!   count. A crash mid-commit is rolled back at the next open by the
-//!   session **intent records** (`daemon/wip/<id>`) plus the persisted
-//!   id watermarks — the daemon-level reuse of the store's tmp+rename
-//!   intent discipline.
+//!   count. A crash mid-commit is rolled back at the next open — by
+//!   this daemon or by `mhd backup|fsck` — from the session **intent
+//!   records** (`daemon/wip/<stream>`) plus the persisted id watermarks
+//!   ([`mhd_core::statefile`], DESIGN.md §8).
 //! * **GC is watermark-protected.** Chunk ids are monotonic, so each
 //!   session registers the id watermark at open
 //!   ([`SessionRegistry`]); garbage collection sweeps only below
@@ -82,11 +82,13 @@ mod staging;
 pub use client::{Client, CommitSummary};
 pub use error::{DaemonError, DaemonResult};
 pub use index::{IndexingBackend, SharedHookIndex};
+/// What [`SharedStore::open`]'s recovery found and undid.
+pub use mhd_core::statefile::RecoverySummary;
 pub use protocol::{Request, MAX_FILE_BYTES, MAX_LINE_BYTES};
 pub use registry::SessionRegistry;
 pub use server::{Daemon, ServeHandle};
 pub use shared::{
-    CommitReport, DaemonConfig, DaemonStats, RecoverySummary, SharedStore, WriteSession,
-    LOCAL_ID_BASE, MAX_COMMIT_RETRIES,
+    CommitReport, DaemonConfig, DaemonStats, SharedStore, WriteSession, LOCAL_ID_BASE,
+    MAX_COMMIT_RETRIES,
 };
 pub use staging::{Overlay, StagingBackend};

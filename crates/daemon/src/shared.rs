@@ -8,10 +8,9 @@
 //!   still reference (watermark protection),
 //! * the [`SharedHookIndex`] (kept coherent by [`IndexingBackend`] on the
 //!   backend write path),
-//! * per-session **intent records** under `daemon/wip/`, the daemon-level
-//!   reuse of the store's tmp+rename discipline: a record is written
-//!   atomically at `BEGIN` and removed only after the commit is fully
-//!   persisted, so the next open knows exactly which streams were torn.
+//! * per-session **intent records** (`statefile::wip_begin` at `BEGIN`,
+//!   `wip_end` only after the commit is fully persisted), so the next
+//!   open knows exactly which streams were torn.
 //!
 //! # Two-phase commits
 //!
@@ -30,30 +29,15 @@
 //! flushes, and persists the watermark. `RESTORE`/`LS` use a read-only
 //! directory view and take no lock at all.
 //!
-//! # On-disk layout
+//! # On-disk layout and crash recovery
 //!
-//! A daemon store is a superset of a CLI store — `mhd fsck`, `mhd stats`
-//! and `mhd ls` work on it unchanged when the daemon is stopped:
-//!
-//! ```text
-//! store/
-//!   disk_chunks/  manifests/  hooks/  file_manifests/   (the four namespaces)
-//!   session/state.json   engine state  = the durable commit watermark
-//!   session/meta.json    ecs / sd / stream count
-//!   daemon/wip/<tenant>_<label>   intent record per in-flight session
-//! ```
-//!
-//! # Crash recovery
-//!
-//! `state.json` is rewritten atomically after every commit, so its id
-//! counters are the durable commit watermark: any object on disk with an
-//! id **at or above** them belongs to a commit that never acknowledged.
-//! Opening the store rolls those forward-orphans back with *raw* backend
-//! deletes (the ledger never accounted for them), in reverse
-//! `FLUSH_ORDER`: first the recipes of every stream named by a `wip`
-//! record, then above-watermark Hooks, Manifests and DiskChunks. A store
-//! with no `state.json` at all has never committed, so the floor is zero
-//! and the wipe is total — correct by the same rule.
+//! A daemon store *is* a CLI store: the four namespaces plus the
+//! `session/` state files and `daemon/wip/` intent records, all owned by
+//! [`mhd_core::statefile`], which both front ends open, recover and
+//! persist through. [`SharedStore::open`] is `statefile::open_write` plus
+//! what is the daemon's own (hook index, registry, locks); a store either
+//! front end tore is rolled back by whichever opens it next. DESIGN.md §8
+//! states the recovery rule.
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -63,15 +47,16 @@ use std::sync::Arc;
 use bytes::Bytes;
 use mhd_chunking::ChunkerKind;
 use mhd_core::gc::GcReport;
-use mhd_core::{Deduplicator, EngineConfig, MhdEngine, MhdState, SessionDelta};
+use mhd_core::statefile::{self, RecoverySummary, StoreMeta};
+use mhd_core::{Deduplicator, EngineConfig, MhdEngine, SessionDelta};
 use mhd_hash::{ChunkHash, FxHashSet};
 use mhd_store::{
-    safe_name, Backend, BatchedDirBackend, DirBackend, DiskChunkId, Durability, FaultBackend,
-    FaultPoint, FileKind, FileManifest, IoConfig, Manifest, ManifestId, Substrate,
+    safe_name, BatchedDirBackend, DiskChunkId, Durability, FaultBackend, FaultPoint, FileKind,
+    FileManifest, IoConfig, Manifest, ManifestId,
 };
 use mhd_workload::{FileEntry, Snapshot};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::error::{DaemonError, DaemonResult};
 use crate::index::{IndexingBackend, SharedHookIndex};
@@ -137,78 +122,6 @@ impl Default for DaemonConfig {
             io: IoConfig::default(),
             index_shards: 8,
         }
-    }
-}
-
-/// Mirrors the CLI's `session/meta.json` so daemon and CLI stores are
-/// interchangeable on disk.
-#[derive(Serialize, Deserialize)]
-struct StoreMeta {
-    ecs: usize,
-    sd: usize,
-    streams: u64,
-    /// Chunking algorithm, spelled as the CLI spelling (`rabin`, …).
-    chunker: String,
-}
-
-/// The pre-chunker `meta.json` layout; stores written before the chunker
-/// was persisted are always Rabin.
-#[derive(Deserialize)]
-struct LegacyStoreMeta {
-    ecs: usize,
-    sd: usize,
-    streams: u64,
-}
-
-impl StoreMeta {
-    /// Parses `meta.json` bytes, accepting the legacy (chunker-less)
-    /// layout and defaulting it to Rabin.
-    fn parse(data: &[u8]) -> Result<Self, String> {
-        if let Ok(meta) = serde_json::from_slice::<StoreMeta>(data) {
-            return Ok(meta);
-        }
-        let legacy: LegacyStoreMeta = serde_json::from_slice(data).map_err(|e| e.to_string())?;
-        Ok(StoreMeta {
-            ecs: legacy.ecs,
-            sd: legacy.sd,
-            streams: legacy.streams,
-            chunker: ChunkerKind::Rabin.as_str().to_string(),
-        })
-    }
-
-    /// The persisted chunker, parsed back into a [`ChunkerKind`].
-    fn kind(&self) -> Result<ChunkerKind, String> {
-        self.chunker.parse::<ChunkerKind>().map_err(|e| e.to_string())
-    }
-}
-
-/// What the open-time recovery pass did (backend pass + daemon rollback).
-#[derive(Debug, Default, Clone, Serialize)]
-pub struct RecoverySummary {
-    /// Torn tmp files removed by the backend's own recovery.
-    pub tmp_files_removed: u64,
-    /// Write intents resolved by the backend's own recovery.
-    pub intents_resolved: u64,
-    /// Torn sessions rolled back from `daemon/wip` intent records.
-    pub sessions_rolled_back: u64,
-    /// Recipes (FileManifests) of torn sessions deleted.
-    pub recipes_rolled_back: u64,
-    /// Above-watermark DiskChunks deleted.
-    pub chunks_rolled_back: u64,
-    /// Above-watermark Manifests deleted.
-    pub manifests_rolled_back: u64,
-    /// Hooks pointing above the manifest watermark deleted.
-    pub hooks_rolled_back: u64,
-}
-
-impl RecoverySummary {
-    /// Whether the store was already consistent.
-    pub fn is_clean(&self) -> bool {
-        self.sessions_rolled_back == 0
-            && self.recipes_rolled_back == 0
-            && self.chunks_rolled_back == 0
-            && self.manifests_rolled_back == 0
-            && self.hooks_rolled_back == 0
     }
 }
 
@@ -316,7 +229,9 @@ impl WriteSession {
 
 struct StoreInner {
     engine: MhdEngine<DaemonBackend>,
-    streams: u64,
+    /// The store's parameters and stream count, as last persisted or
+    /// about to be.
+    meta: StoreMeta,
     /// Monotonic publish sequence: bumped once per committed session.
     epoch: u64,
     /// Hook hashes of the last [`PUBLISH_LOG`] publishes, tagged by the
@@ -337,132 +252,38 @@ pub struct SharedStore {
     /// Lock-free mirror of `StoreInner::epoch`, read at phase-1 start.
     epoch: AtomicU64,
     recovery: RecoverySummary,
-    ecs: usize,
-    sd: usize,
-    chunker: ChunkerKind,
-}
-
-/// Writes `data` through a hidden tmp sibling + atomic rename so state
-/// files can never be observed half-written.
-fn write_atomic(path: &Path, data: &[u8]) -> DaemonResult<()> {
-    let file_name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| DaemonError::State(format!("{}: not a file path", path.display())))?;
-    let tmp = path.with_file_name(format!(".{file_name}.tmp"));
-    std::fs::write(&tmp, data)
-        .map_err(|e| DaemonError::State(format!("write {}: {e}", tmp.display())))?;
-    std::fs::rename(&tmp, path)
-        .map_err(|e| DaemonError::State(format!("rename to {}: {e}", path.display())))?;
-    Ok(())
-}
-
-/// Contents of one `daemon/wip/` intent record.
-#[derive(Serialize, Deserialize)]
-struct WipRecord {
-    tenant: String,
-    label: String,
+    /// The store's own chunking shape, for the lock-free staging engines.
+    engine_config: EngineConfig,
+    durability: Durability,
 }
 
 impl SharedStore {
-    fn state_path(root: &Path) -> PathBuf {
-        root.join("session/state.json")
+    /// The stream name `tenant`/`label` commits under: its recipes are
+    /// `tenant/label/<path>`, its wip record is keyed by it.
+    fn stream_of(tenant: &str, label: &str) -> String {
+        format!("{tenant}/{label}")
     }
 
-    fn meta_path(root: &Path) -> PathBuf {
-        root.join("session/meta.json")
-    }
-
-    fn wip_dir(root: &Path) -> PathBuf {
-        root.join("daemon/wip")
-    }
-
-    fn wip_path(&self, tenant: &str, label: &str) -> PathBuf {
-        // Tenant/label charsets exclude `_`, so this name is collision-free.
-        Self::wip_dir(&self.root).join(safe_name(&format!("{tenant}/{label}")))
-    }
-
-    /// Opens (or initialises) the shared store at `root`, running the
-    /// backend's crash-recovery pass and the daemon's session rollback
-    /// before anything reads a byte. See the module docs for the
-    /// recovery rules.
+    /// Opens (or initialises) the shared store at `root` through
+    /// [`statefile::open_write`] — backend recovery and the rollback of
+    /// everything above the commit watermark run before anything reads a
+    /// byte — then preloads the hook index.
     pub fn open(root: &Path, config: DaemonConfig) -> DaemonResult<SharedStore> {
-        for dir in [root.join("session"), Self::wip_dir(root)] {
-            std::fs::create_dir_all(&dir)
-                .map_err(|e| DaemonError::State(format!("create {}: {e}", dir.display())))?;
-        }
-
-        let meta_path = Self::meta_path(root);
-        let meta: StoreMeta = if meta_path.exists() {
-            let data = std::fs::read(&meta_path)
-                .map_err(|e| DaemonError::State(format!("read {}: {e}", meta_path.display())))?;
-            StoreMeta::parse(&data)
-                .map_err(|e| DaemonError::State(format!("parse {}: {e}", meta_path.display())))?
-        } else {
-            StoreMeta {
-                ecs: config.ecs,
-                sd: config.sd,
-                streams: 0,
-                chunker: config.chunker.as_str().to_string(),
-            }
-        };
-        let chunker = meta.kind().map_err(DaemonError::State)?;
-
-        let mut backend = BatchedDirBackend::create_with(root, config.io)?;
-        let backend_recovery = backend.recover()?;
-
         let index = Arc::new(SharedHookIndex::new(config.index_shards));
-        let backend = FaultBackend::with_point(backend, FaultPoint::never());
-        let mut backend = IndexingBackend::new(backend, index.clone());
-
-        // The persisted engine state is the durable commit watermark.
-        let state_path = Self::state_path(root);
-        let state: Option<MhdState> = if state_path.exists() {
-            let data = std::fs::read(&state_path)
-                .map_err(|e| DaemonError::State(format!("read {}: {e}", state_path.display())))?;
-            let mut state: MhdState = serde_json::from_slice(&data)
-                .map_err(|e| DaemonError::State(format!("parse {}: {e}", state_path.display())))?;
-            // Newer stores persist the Bloom filter and the id→hash/size
-            // maps as binary sidecars (see `persist_locked`); older ones
-            // inline them in the JSON. The same logic serves the CLI, so
-            // either front end opens stores the other wrote.
-            mhd_core::statefile::attach_sidecars(&mut state, root)
-                .map_err(|e| DaemonError::State(e.to_string()))?;
-            Some(state)
-        } else {
-            None
-        };
-        let (chunk_floor, manifest_floor) = state
-            .as_ref()
-            .map_or((0, 0), |s| (s.substrate.next_chunk_id, s.substrate.next_manifest_id));
-
-        let mut recovery = RecoverySummary {
-            tmp_files_removed: backend_recovery.tmp_files_removed as u64,
-            intents_resolved: backend_recovery.intents_resolved as u64,
-            ..RecoverySummary::default()
-        };
-        Self::rollback_torn_sessions(
-            root,
-            &mut backend,
-            chunk_floor,
-            manifest_floor,
-            &mut recovery,
-        )?;
-
-        let mut engine =
-            MhdEngine::new(backend, EngineConfig::new(meta.ecs, meta.sd).with_chunker(chunker))?;
-        if let Some(state) = state {
-            engine.import_state(state)?;
-        }
-        // Belt and braces: never allocate below anything still on disk.
-        engine.substrate_mut().ensure_id_floor(chunk_floor, manifest_floor);
+        let new_store =
+            StoreMeta { ecs: config.ecs, sd: config.sd, streams: 0, chunker: config.chunker };
+        let opened = statefile::open_write(root, new_store, config.io, |backend| {
+            let backend = FaultBackend::with_point(backend, FaultPoint::never());
+            IndexingBackend::new(backend, index.clone())
+        })?;
+        let mut engine = opened.engine;
         let loaded = engine.substrate_mut().backend_mut().populate_index();
         mhd_obs::counter!("daemon.index_preloaded").add(loaded as u64);
 
         let store = SharedStore {
             inner: Mutex::new(StoreInner {
                 engine,
-                streams: meta.streams,
+                meta: opened.meta,
                 epoch: 0,
                 publish_log: VecDeque::new(),
             }),
@@ -471,92 +292,15 @@ impl SharedStore {
             root: root.to_path_buf(),
             next_session: AtomicU64::new(1),
             epoch: AtomicU64::new(0),
-            recovery,
-            ecs: meta.ecs,
-            sd: meta.sd,
-            chunker,
+            recovery: opened.recovery,
+            engine_config: EngineConfig::new(opened.meta.ecs, opened.meta.sd)
+                .with_chunker(opened.meta.chunker),
+            durability: config.io.durability,
         };
         // Persist immediately: a brand-new store gets its watermark files,
         // a recovered one gets a clean baseline.
         store.persist()?;
         Ok(store)
-    }
-
-    /// Deletes, with **raw** backend operations, every object a torn
-    /// session left above the durable watermark. Raw deletes are
-    /// deliberate: the persisted ledger never accounted for these
-    /// objects, so substrate-level deletes would corrupt its counters.
-    fn rollback_torn_sessions(
-        root: &Path,
-        backend: &mut DaemonBackend,
-        chunk_floor: u64,
-        manifest_floor: u64,
-        recovery: &mut RecoverySummary,
-    ) -> DaemonResult<()> {
-        // 1. Recipes of every stream named by a wip intent record. These
-        //    go first (reverse FLUSH_ORDER): a recipe must never outlive
-        //    the chunks it references.
-        let wip_dir = Self::wip_dir(root);
-        let mut wip_files: Vec<PathBuf> = Vec::new();
-        let entries = std::fs::read_dir(&wip_dir)
-            .map_err(|e| DaemonError::State(format!("read {}: {e}", wip_dir.display())))?;
-        for entry in entries {
-            let entry = entry
-                .map_err(|e| DaemonError::State(format!("read {}: {e}", wip_dir.display())))?;
-            wip_files.push(entry.path());
-        }
-        for wip in &wip_files {
-            let data = std::fs::read(wip)
-                .map_err(|e| DaemonError::State(format!("read {}: {e}", wip.display())))?;
-            let record: WipRecord = serde_json::from_slice(&data)
-                .map_err(|e| DaemonError::State(format!("parse {}: {e}", wip.display())))?;
-            let prefix = safe_name(&format!("{}/{}/", record.tenant, record.label));
-            for name in backend.list(FileKind::FileManifest) {
-                if name.starts_with(&prefix) {
-                    backend.delete(FileKind::FileManifest, &name)?;
-                    recovery.recipes_rolled_back += 1;
-                }
-            }
-            recovery.sessions_rolled_back += 1;
-        }
-
-        // 2. Hooks pointing at rolled-back manifests (payload first 8
-        //    bytes, little endian, is the target ManifestId).
-        for name in backend.list(FileKind::Hook) {
-            let payload = backend.get(FileKind::Hook, &name)?;
-            let target = payload.get(..8).and_then(|raw| {
-                let raw: Result<[u8; 8], _> = raw.try_into();
-                raw.ok().map(u64::from_le_bytes)
-            });
-            if target.is_none_or(|mid| mid >= manifest_floor) {
-                // lint: allow(immutability): rollback of hooks above the commit watermark
-                backend.delete(FileKind::Hook, &name)?;
-                recovery.hooks_rolled_back += 1;
-            }
-        }
-
-        // 3. Above-watermark Manifests, then DiskChunks (ids are the
-        //    object names, zero-padded hex).
-        for (kind, floor, count) in [
-            (FileKind::Manifest, manifest_floor, &mut recovery.manifests_rolled_back),
-            (FileKind::DiskChunk, chunk_floor, &mut recovery.chunks_rolled_back),
-        ] {
-            for name in backend.list(kind) {
-                if u64::from_str_radix(&name, 16).ok().is_none_or(|id| id >= floor) {
-                    backend.delete(kind, &name)?;
-                    *count += 1;
-                }
-            }
-        }
-        backend.flush()?;
-
-        // 4. Only now that the rollback is durable, retire the intent
-        //    records.
-        for wip in &wip_files {
-            std::fs::remove_file(wip)
-                .map_err(|e| DaemonError::State(format!("remove {}: {e}", wip.display())))?;
-        }
-        Ok(())
     }
 
     /// What the open-time recovery pass found and did.
@@ -583,37 +327,12 @@ impl SharedStore {
     pub fn persist(&self) -> DaemonResult<()> {
         let mut inner = self.inner.lock();
         let _ = inner.engine.finish()?;
-        Self::persist_locked(&self.root, self.ecs, self.sd, self.chunker, &mut inner)
+        self.persist_locked(&inner)
     }
 
-    fn persist_locked(
-        root: &Path,
-        ecs: usize,
-        sd: usize,
-        chunker: ChunkerKind,
-        inner: &mut StoreInner,
-    ) -> DaemonResult<()> {
-        let mut state = inner.engine.export_state();
-        // The bulky parts of the state — the Bloom filter (megabytes of
-        // raw bits) and the per-chunk hash / per-manifest size maps —
-        // used to be inlined in the state JSON, where serde renders them
-        // as one JSON node per byte/entry. That made every commit's
-        // persistence O(store) in JSON nodes and was by far the widest
-        // part of the serialized publish phase. Both now go to binary
-        // sidecars (written first — `mhd_core::statefile` documents the
-        // crash-ordering argument), and the JSON keeps only the O(1)
-        // counters and watermarks.
-        mhd_core::statefile::detach_sidecars(&mut state, root)
-            .map_err(|e| DaemonError::State(e.to_string()))?;
-        let state_json = serde_json::to_vec(&state)
-            .map_err(|e| DaemonError::State(format!("encode state: {e}")))?;
-        write_atomic(&Self::state_path(root), &state_json)?;
-        let meta =
-            StoreMeta { ecs, sd, streams: inner.streams, chunker: chunker.as_str().to_string() };
-        let meta_json = serde_json::to_vec(&meta)
-            .map_err(|e| DaemonError::State(format!("encode meta: {e}")))?;
-        write_atomic(&Self::meta_path(root), &meta_json)?;
-        Ok(())
+    fn persist_locked(&self, inner: &StoreInner) -> DaemonResult<()> {
+        let state = inner.engine.export_state();
+        Ok(statefile::persist(&self.root, self.durability, state, &inner.meta)?)
     }
 
     /// Opens a write session for `tenant`/`label`: captures the GC
@@ -627,7 +346,7 @@ impl SharedStore {
         if !valid_tenant(label) {
             return Err(DaemonError::Protocol(format!("invalid label {label:?}")));
         }
-        let prefix = format!("{tenant}/{label}");
+        let prefix = Self::stream_of(tenant, label);
         let recipe_prefix = safe_name(&format!("{prefix}/"));
 
         // The existence check, watermark capture and registration happen
@@ -647,12 +366,9 @@ impl SharedStore {
         self.registry.register(sid, watermark, &prefix).map_err(DaemonError::Protocol)?;
         drop(inner);
 
-        let record = WipRecord { tenant: tenant.to_string(), label: label.to_string() };
-        let encoded = serde_json::to_vec(&record)
-            .map_err(|e| DaemonError::State(format!("encode wip record: {e}")))?;
-        if let Err(e) = write_atomic(&self.wip_path(tenant, label), &encoded) {
+        if let Err(e) = statefile::wip_begin(&self.root, self.durability, &prefix) {
             self.registry.deregister(sid);
-            return Err(e);
+            return Err(e.into());
         }
 
         mhd_obs::counter!("daemon.sessions_opened").inc();
@@ -729,13 +445,12 @@ impl SharedStore {
                 Self::splice_locked(&mut inner, staging)
             }
             .and_then(|hook_hashes| {
-                inner.streams += 1;
+                inner.meta.streams += 1;
                 let _t = mhd_obs::span!("daemon.commit_persist_ns");
-                match Self::persist_locked(&self.root, self.ecs, self.sd, self.chunker, &mut inner)
-                {
+                match self.persist_locked(&inner) {
                     Ok(()) => Ok(hook_hashes),
                     Err(e) => {
-                        inner.streams -= 1;
+                        inner.meta.streams -= 1;
                         Err(e)
                     }
                 }
@@ -774,13 +489,7 @@ impl SharedStore {
                     let recipe_prefix =
                         safe_name(&format!("{}/{}/", session.tenant, session.label));
                     Self::undo_failed_publish(&mut inner, &recipe_prefix);
-                    let _ = Self::persist_locked(
-                        &self.root,
-                        self.ecs,
-                        self.sd,
-                        self.chunker,
-                        &mut inner,
-                    );
+                    let _ = self.persist_locked(&inner);
                     drop(inner);
                     self.cleanup_session(&session.tenant, &session.label, session.sid);
                     Err(e)
@@ -794,10 +503,7 @@ impl SharedStore {
     /// as the presence oracle.
     fn build_staging_engine(&self) -> DaemonResult<MhdEngine<StagingBackend>> {
         let backend = StagingBackend::over(&self.root)?;
-        let mut engine = MhdEngine::new(
-            backend,
-            EngineConfig::new(self.ecs, self.sd).with_chunker(self.chunker),
-        )?;
+        let mut engine = MhdEngine::new(backend, self.engine_config)?;
         engine.substrate_mut().ensure_id_floor(LOCAL_ID_BASE, LOCAL_ID_BASE);
         engine.set_hook_presence(self.index.clone());
         Ok(engine)
@@ -939,8 +645,8 @@ impl SharedStore {
     /// session's recipes (so the stream name is reusable and no recipe
     /// can outlive the objects a later open-time rollback may delete) and
     /// flushes the deletions — they must be durable *before* the wip
-    /// record is removed, because open-time recovery only rolls back
-    /// recipes named by a wip record. Orphaned chunks/manifests/hooks
+    /// record is removed, because only the wip record identifies recipes
+    /// whose extents all point below the watermark. Orphaned chunks/manifests/hooks
     /// stay as unreferenced garbage above the persisted watermark: a
     /// later protected GC or the next open-time rollback reclaims them.
     fn undo_failed_publish(inner: &mut StoreInner, recipe_prefix: &str) {
@@ -971,16 +677,8 @@ impl SharedStore {
     fn cleanup_session(&self, tenant: &str, label: &str, sid: u64) {
         // Removal failure is not actionable here: a leftover record only
         // causes a benign re-rollback of an already-clean stream.
-        let _ = std::fs::remove_file(self.wip_path(tenant, label));
+        let _ = statefile::wip_end(&self.root, self.durability, &Self::stream_of(tenant, label));
         self.registry.deregister(sid);
-    }
-
-    /// A throwaway read-only substrate over the store's directory tree.
-    /// Safe without the engine lock: commits flush (in `FLUSH_ORDER`)
-    /// before they acknowledge, so every listed recipe is complete on
-    /// disk, and GC marks recipes live before sweeping.
-    fn read_view(&self) -> DaemonResult<Substrate<DirBackend>> {
-        Ok(Substrate::new(DirBackend::create_with(&self.root, Durability::None)?))
     }
 
     /// Restores one file. `name` is tenant-relative (`label/path`, as
@@ -991,7 +689,7 @@ impl SharedStore {
             return Err(DaemonError::Protocol(format!("invalid tenant name {tenant:?}")));
         }
         let full = format!("{tenant}/{name}");
-        let mut view = self.read_view()?;
+        let mut view = statefile::read_view(&self.root)?;
         Ok(mhd_core::restore::restore_file(&mut view, &full)?)
     }
 
@@ -1002,7 +700,7 @@ impl SharedStore {
             return Err(DaemonError::Protocol(format!("invalid tenant name {tenant:?}")));
         }
         let prefix = safe_name(&format!("{tenant}/"));
-        let mut view = self.read_view()?;
+        let mut view = statefile::read_view(&self.root)?;
         Ok(view
             .list_file_manifests()
             .into_iter()
@@ -1033,7 +731,7 @@ impl SharedStore {
         let watermark = inner.engine.substrate().chunk_id_watermark();
         let cutoff = self.registry.min_watermark().map_or(watermark, |w| w.min(watermark));
         let report = mhd_core::gc::collect_protected(inner.engine.substrate_mut(), cutoff)?;
-        Self::persist_locked(&self.root, self.ecs, self.sd, self.chunker, &mut inner)?;
+        self.persist_locked(&inner)?;
         mhd_obs::counter!("daemon.gc_runs").inc();
         Ok(report)
     }
@@ -1054,7 +752,7 @@ impl SharedStore {
             files: state.files,
             chunks_stored: state.chunks_stored,
             stored_bytes: inner.engine.substrate().ledger().total_output_bytes(),
-            streams: inner.streams,
+            streams: inner.meta.streams,
             active_sessions: self.registry.active(),
             active_streams: self.registry.active_prefixes(),
             index_entries: self.index.len(),
@@ -1199,7 +897,7 @@ mod tests {
             std::mem::forget(s);
         }
         // The wip record survived the "crash".
-        let wip = std::fs::read_dir(SharedStore::wip_dir(&root)).unwrap().count();
+        let wip = std::fs::read_dir(statefile::wip_dir(&root)).unwrap().count();
         assert_eq!(wip, 1);
 
         let store = SharedStore::open(&root, small_config()).unwrap();
@@ -1278,7 +976,7 @@ mod tests {
         // The lease and the intent record are released — the stream is
         // not stuck and GC is not pinned at a dead session's watermark.
         assert_eq!(store.registry().active(), 0);
-        assert_eq!(std::fs::read_dir(SharedStore::wip_dir(&root)).unwrap().count(), 0);
+        assert_eq!(std::fs::read_dir(statefile::wip_dir(&root)).unwrap().count(), 0);
 
         // The GC cutoff recovered: a run reclaims the orphaned splice.
         let report = store.gc().unwrap();
@@ -1315,7 +1013,7 @@ mod tests {
         // The historical bug: this path leaked the registry lease and the
         // wip intent record, wedging the stream until restart.
         assert_eq!(store.registry().active(), 0);
-        assert_eq!(std::fs::read_dir(SharedStore::wip_dir(&root)).unwrap().count(), 0);
+        assert_eq!(std::fs::read_dir(statefile::wip_dir(&root)).unwrap().count(), 0);
 
         // Repair the state path; the same stream commits cleanly.
         std::fs::remove_dir(&state).unwrap();

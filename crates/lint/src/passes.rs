@@ -22,11 +22,11 @@ use crate::source::{matching_close, SourceFile, ALLOW_NAMES};
 /// `mhd_obs::SCOPE_LABEL_KEYS`; the real registry is re-parsed from the
 /// obs source when present so the two cannot drift silently.
 pub const DEFAULT_SCOPE_KEYS: &[&str] =
-    &["chunker", "cmd", "engine", "fleet", "io", "run", "shard", "t", "tenant"];
+    &["chunker", "cmd", "engine", "io", "run", "shard", "t", "tenant"];
 
 /// Fallback stage-name prefixes, mirroring `mhd_obs::STAGE_NAME_PREFIXES`.
 pub const DEFAULT_STAGE_PREFIXES: &[&str] =
-    &["backup", "commit", "daemon", "engine", "frontend", "io", "shard"];
+    &["backup", "commit", "daemon", "engine", "frontend", "io"];
 
 /// A loaded workspace: every lintable source file plus crate manifests.
 #[derive(Debug)]
@@ -217,7 +217,8 @@ fn pass_allow_directives(ws: &Workspace, out: &mut Vec<Finding>) {
 /// Files on which a panic can strand a partially-committed store: the
 /// whole store crate, the CLI (user-facing I/O), the daemon (long-lived
 /// server holding sessions open), and the core modules that drive engine
-/// I/O and recovery — the front end included: a panic on one of its pool
+/// I/O and recovery (`statefile.rs` is the open/recover/persist path of
+/// both front ends) — the front end included: a panic on one of its pool
 /// threads would take every session's ingest down with it.
 fn l1_restricted(rel: &str) -> bool {
     rel.starts_with("crates/store/src/")
@@ -226,12 +227,11 @@ fn l1_restricted(rel: &str) -> bool {
         || matches!(
             rel,
             "crates/core/src/frontend.rs"
-                | "crates/core/src/shard.rs"
                 | "crates/core/src/fsck.rs"
                 | "crates/core/src/mhd.rs"
+                | "crates/core/src/statefile.rs"
                 | "crates/chunking/src/fastcdc.rs"
                 | "crates/chunking/src/ae.rs"
-                | "crates/chunking/src/simd.rs"
         )
 }
 

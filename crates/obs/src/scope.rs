@@ -24,7 +24,7 @@
 /// key here — which is also where dashboards and the snapshot comparator
 /// learn what to expect.
 pub const SCOPE_LABEL_KEYS: &[&str] =
-    &["chunker", "cmd", "engine", "fleet", "io", "run", "shard", "t", "tenant"];
+    &["chunker", "cmd", "engine", "io", "run", "shard", "t", "tenant"];
 
 #[cfg(feature = "obs")]
 mod imp {

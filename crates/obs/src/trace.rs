@@ -28,12 +28,12 @@ use serde::{Content, Deserialize, Serialize};
 
 /// The registered stage-name families: every [`stage`] label must begin
 /// with one of these prefixes (the text before any `=` or `.`
-/// qualifier — `"frontend.job"` and `"shard=3"` are both covered).
+/// qualifier — `"frontend.job"` and `"engine=mhd"` are both covered).
 /// `mhd-lint`'s L4 pass parses this constant from source and
 /// cross-checks every `mhd_obs::stage(..)` call site, keeping the
 /// analyzer's stage taxonomy closed under review.
 pub const STAGE_NAME_PREFIXES: &[&str] =
-    &["backup", "commit", "daemon", "engine", "frontend", "io", "shard"];
+    &["backup", "commit", "daemon", "engine", "frontend", "io"];
 
 /// Direction of a match extension ([`TraceEvent::BmeExtend`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

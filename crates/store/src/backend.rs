@@ -365,11 +365,6 @@ impl DirBackend {
         self.short_write_at = Some(self.writes + nth);
     }
 
-    /// Physical file writes performed so far.
-    pub fn physical_writes(&self) -> u64 {
-        self.writes
-    }
-
     fn path(&self, kind: FileKind, name: &str) -> PathBuf {
         self.root.join(kind.dir_name()).join(safe_name(name))
     }

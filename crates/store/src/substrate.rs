@@ -250,11 +250,6 @@ impl<B: Backend> Substrate<B> {
         }
     }
 
-    /// Whether a hook exists, without charging I/O (used by tests).
-    pub fn hook_exists(&mut self, hash: ChunkHash) -> bool {
-        self.backend.exists(FileKind::Hook, &hash.to_hex())
-    }
-
     // ----- Manifests ----------------------------------------------------
 
     /// Allocates a fresh Manifest identity.

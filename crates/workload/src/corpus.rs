@@ -37,11 +37,6 @@ impl Snapshot {
     pub fn total_bytes(&self) -> u64 {
         self.files.iter().map(|f| f.data.len() as u64).sum()
     }
-
-    /// Stream identifier used for FileManifest namespacing.
-    pub fn stream_id(&self) -> String {
-        format!("m{}/d{}", self.machine, self.day)
-    }
 }
 
 /// Generator ground truth, for calibration checks.

@@ -10,8 +10,6 @@
 //!   side.
 //! * `on_disk_store` — the same engine running against a real directory
 //!   backend instead of the in-memory substrate.
-//! * `fleet_backup` — sharded parallel deduplication with machine
-//!   affinity.
 //! * `retention` — the full lifecycle: backup, retirement (GC),
 //!   compaction, restore.
 //!

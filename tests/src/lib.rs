@@ -67,3 +67,27 @@ macro_rules! impl_access {
     };
 }
 impl_access!(MhdEngine, CdcEngine, BimodalEngine, SubChunkEngine, SparseIndexEngine, FbcEngine);
+
+/// Deterministic pseudo-random bytes (xorshift64), for tests that need
+/// incompressible, seed-reproducible payloads without an RNG dependency.
+pub fn xorshift_bytes(len: usize, seed: u64) -> Vec<u8> {
+    let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 24) as u8
+        })
+        .collect()
+}
+
+/// Two 64 KiB images where the second edits 1 KiB in the middle of the
+/// first — the canonical BME + HHR trigger (duplicates straddle the edit,
+/// so the merged manifest entry must be hysteresis-split and rewritten).
+pub fn hhr_pair_bytes() -> (Vec<u8>, Vec<u8>) {
+    let original = xorshift_bytes(64 << 10, 2);
+    let mut edited = original.clone();
+    edited[30_000..31_024].copy_from_slice(&xorshift_bytes(1024, 3));
+    (original, edited)
+}

@@ -14,8 +14,9 @@
 use std::path::PathBuf;
 
 use bytes::Bytes;
-use mhd_core::fsck::{check_store, recover_store};
+use mhd_core::fsck::check_store;
 use mhd_core::{CdcEngine, Deduplicator, EngineConfig, EngineError, MhdEngine};
+use mhd_integration::hhr_pair_bytes;
 use mhd_store::{
     Backend, BatchedDirBackend, DirBackend, Durability, FaultBackend, FaultPoint, FileKind,
     IoConfig, MemBackend,
@@ -33,18 +34,6 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn xorshift_bytes(len: usize, seed: u64) -> Vec<u8> {
-    let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    (0..len)
-        .map(|_| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            (x >> 24) as u8
-        })
-        .collect()
-}
-
 fn one_file_snapshot(label: &str, data: Vec<u8>) -> Snapshot {
     Snapshot {
         machine: 0,
@@ -53,14 +42,9 @@ fn one_file_snapshot(label: &str, data: Vec<u8>) -> Snapshot {
     }
 }
 
-/// A pair of backups where the second edits 1 KiB in the middle of the
-/// first — the canonical BME + HHR trigger (duplicates straddle the edit,
-/// so the merged manifest entry must be hysteresis-split and rewritten).
+/// The [`hhr_pair_bytes`] images as two one-file backups.
 fn hhr_backup_pair() -> (Snapshot, Snapshot) {
-    let original = xorshift_bytes(64 << 10, 2);
-    let mut edited = original.clone();
-    let patch = xorshift_bytes(1024, 3);
-    edited[30_000..31_024].copy_from_slice(&patch);
+    let (original, edited) = hhr_pair_bytes();
     (one_file_snapshot("day0", original), one_file_snapshot("day1", edited))
 }
 
@@ -199,9 +183,9 @@ fn torn_manifest_rewrite_preserves_old_content() {
     // The torn write went to a tmp file: recovery removes it (plus the
     // write-ahead intent), and the store is structurally sound.
     let substrate = engine.substrate_mut();
-    let report = recover_store(substrate).unwrap();
+    let report = substrate.recover().unwrap();
     assert!(report.tmp_files_removed >= 1, "torn tmp file must be found: {report:?}");
-    assert!(recover_store(substrate).unwrap().is_clean(), "recovery is idempotent");
+    assert!(substrate.recover().unwrap().is_clean(), "recovery is idempotent");
     let fsck = check_store(substrate);
     assert!(fsck.is_healthy(), "problems after torn rewrite: {:?}", fsck.problems);
 
@@ -292,7 +276,7 @@ fn crash_matrix_during_hhr_recovers_day0() {
 
         // Crash "happened": recover the store and check every invariant.
         let substrate = engine.substrate_mut();
-        recover_store(substrate).unwrap();
+        substrate.recover().unwrap();
         let fsck = check_store(substrate);
         assert!(
             fsck.is_healthy(),

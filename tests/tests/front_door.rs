@@ -1,0 +1,366 @@
+//! One store front door: a store either front end tore is recovered by
+//! whichever front end opens it next, a clean open reads no object, and
+//! the read view mutates nothing.
+//!
+//! "The CLI path" here is what `mhd backup` runs: `statefile::open_write`,
+//! then [`OpenedStore::begin_stream`] → process → [`OpenedStore::commit`]
+//! with the `label-N` stream name — `cli::Session` adds only messages and
+//! the obs files to it. The daemon path is the real [`SharedStore`]. Streams are named `t/d-N` under both — the
+//! CLI's label `t/d` with stream index `N`, the daemon's tenant `t` with
+//! label `d-N` — so each front end can retake the stream the other tore.
+//!
+//! A torn store is built the way a kill before persist leaves one: the
+//! four namespaces after the stream, the `session/` files from before it,
+//! and the stream's wip record (re-created through the call both front
+//! ends use).
+
+use std::path::{Path, PathBuf};
+
+use bytes::Bytes;
+use mhd_chunking::ChunkerKind;
+use mhd_core::statefile::{self, OpenedStore, StoreMeta};
+use mhd_core::{compact, fsck::check_store, gc, restore::restore_file, Deduplicator};
+use mhd_daemon::{DaemonConfig, SharedStore};
+use mhd_integration::{hhr_pair_bytes, xorshift_bytes};
+use mhd_store::{
+    Backend, BatchedDirBackend, Durability, FaultBackend, FaultOp, FaultPoint, FileKind, IoConfig,
+};
+use mhd_workload::{FileEntry, Snapshot};
+
+fn temp_root(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("mhd-frontdoor-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum FrontEnd {
+    Cli,
+    Daemon,
+}
+
+fn stream(n: u64) -> String {
+    format!("t/d-{n}")
+}
+
+fn cli_open(root: &Path) -> OpenedStore<BatchedDirBackend> {
+    let new_store = StoreMeta { ecs: 512, sd: 8, streams: 0, chunker: ChunkerKind::Rabin };
+    statefile::open_write(root, new_store, IoConfig::default(), |b| b).expect("cli open")
+}
+
+fn daemon_open(root: &Path) -> SharedStore {
+    SharedStore::open(root, DaemonConfig { ecs: 512, sd: 8, ..DaemonConfig::default() })
+        .expect("daemon open")
+}
+
+/// Backs `data` up as file `f0` of the store's next stream through
+/// `front`; returns how many bytes the store grew by.
+fn backup(front: FrontEnd, root: &Path, data: &[u8]) -> u64 {
+    match front {
+        FrontEnd::Cli => {
+            let mut store = cli_open(root);
+            let name = stream(store.meta.streams);
+            let before = store.engine.substrate().ledger().total_output_bytes();
+            let files =
+                vec![FileEntry { path: format!("{name}/f0"), data: Bytes::copy_from_slice(data) }];
+            store.begin_stream(&name).unwrap();
+            store.engine.process_snapshot(&Snapshot { machine: 0, day: 0, files }).unwrap();
+            store.meta.streams += 1;
+            store.commit().unwrap();
+            store.engine.substrate().ledger().total_output_bytes() - before
+        }
+        FrontEnd::Daemon => {
+            let store = daemon_open(root);
+            let label = format!("d-{}", store.stats().streams);
+            let mut session = store.begin_session("t", &label).unwrap();
+            session.stage("f0", data).unwrap();
+            store.commit(session).unwrap().grown_bytes
+        }
+    }
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+    }
+}
+
+/// Stream 0 = `first`, then stream 1 = `second` written by `writer` and
+/// torn: `session/` put back to its pre-stream-1 content, the wip record
+/// left in place unless `wip` is false (a store torn by a binary that
+/// took none).
+fn torn_store(tag: &str, writer: FrontEnd, first: &[u8], second: &[u8], wip: bool) -> PathBuf {
+    let root = temp_root(tag);
+    backup(writer, &root, first);
+    let saved = root.join("session.saved");
+    copy_dir(&root.join("session"), &saved);
+    backup(writer, &root, second);
+    std::fs::remove_dir_all(root.join("session")).unwrap();
+    std::fs::rename(&saved, root.join("session")).unwrap();
+    if wip {
+        statefile::wip_begin(&root, Durability::Rename, &stream(1)).unwrap();
+    }
+    root
+}
+
+fn recipes(root: &Path) -> Vec<String> {
+    statefile::read_view(root).unwrap().list_file_manifests()
+}
+
+/// The four assertions of the issue, after `reader` opens the torn store:
+/// the torn stream is gone, fsck is healthy, stream 0 restores
+/// byte-exactly, and stream 1 can be taken again and deduplicates.
+fn assert_recovered_by(reader: FrontEnd, root: &Path, first: &[u8], what: &str) {
+    let (recovery, healthy) = match reader {
+        FrontEnd::Cli => {
+            let mut opened = cli_open(root);
+            let report = check_store(opened.engine.substrate_mut());
+            (opened.recovery, report.problems)
+        }
+        FrontEnd::Daemon => {
+            let store = daemon_open(root);
+            (store.recovery().clone(), store.fsck().problems)
+        }
+    };
+    assert!(recovery.recipes_rolled_back >= 1, "{what}: torn recipe must go: {recovery}");
+    assert_eq!(recipes(root), vec!["t_d-0_f0".to_string()], "{what}: ls after {reader:?} open");
+    assert!(healthy.is_empty(), "{what}: fsck after {reader:?} open: {healthy:?}");
+    let restored = restore_file(&mut statefile::read_view(root).unwrap(), "t/d-0/f0").unwrap();
+    assert_eq!(restored, first, "{what}: stream 0 after {reader:?} open");
+    assert!(std::fs::read_dir(statefile::wip_dir(root)).unwrap().next().is_none(), "{what}");
+
+    let grown = backup(reader, root, first);
+    assert!(
+        grown < first.len() as u64 / 5,
+        "{what}: retaken stream 1 must dedup against stream 0 (grew {grown})"
+    );
+    assert_eq!(recipes(root), vec!["t_d-0_f0".to_string(), "t_d-1_f0".to_string()], "{what}");
+    let restored = restore_file(&mut statefile::read_view(root).unwrap(), "t/d-1/f0").unwrap();
+    assert_eq!(restored, first, "{what}: retaken stream 1");
+}
+
+/// (first stream, torn second stream) per kind of second stream.
+fn stream_pairs() -> Vec<(&'static str, Vec<u8>, Vec<u8>)> {
+    let unique = (xorshift_bytes(60_000, 11), xorshift_bytes(60_000, 12));
+    let (original, edited) = hhr_pair_bytes();
+    vec![
+        ("unique", unique.0.clone(), unique.1),
+        ("all-duplicate", unique.0.clone(), unique.0),
+        ("hhr", original, edited),
+    ]
+}
+
+#[test]
+fn store_torn_by_the_cli_is_recovered_by_either_front_end() {
+    for reader in [FrontEnd::Cli, FrontEnd::Daemon] {
+        for (kind, first, second) in stream_pairs() {
+            let what = format!("cli-torn {kind}");
+            let root =
+                torn_store(&format!("cli-{kind}-{reader:?}"), FrontEnd::Cli, &first, &second, true);
+            assert_recovered_by(reader, &root, &first, &what);
+            std::fs::remove_dir_all(&root).unwrap();
+        }
+        // Torn by a binary that took no wip record: the id floors alone
+        // must find the stream, recipes included.
+        let (_, first, second) = stream_pairs().swap_remove(0);
+        let root =
+            torn_store(&format!("cli-nowip-{reader:?}"), FrontEnd::Cli, &first, &second, false);
+        assert_recovered_by(reader, &root, &first, "cli-torn unique, no wip record");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+}
+
+#[test]
+fn daemon_commit_torn_after_splice_is_recovered_by_the_cli() {
+    for (kind, first, second) in stream_pairs() {
+        let root = torn_store(&format!("daemon-{kind}"), FrontEnd::Daemon, &first, &second, true);
+        assert_recovered_by(FrontEnd::Cli, &root, &first, &format!("daemon-torn {kind}"));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+}
+
+/// Where a `mhd compact` run dies.
+#[derive(Debug, Clone, Copy)]
+enum CompactKill {
+    /// Fresh containers flushed, watermark not yet persisted: the store
+    /// holds the pre-compact `session/`.
+    AfterStage,
+    /// Watermark persisted, Manifests re-targeted, no recipe yet.
+    AtFirstRecipeRewrite,
+    /// Everything re-targeted and flushed, no old container deleted yet.
+    AtFirstContainerDelete,
+    /// Compaction complete, the closing commit never ran.
+    BeforeCommit,
+}
+
+/// A store with a sparse container — stream 0 retired, stream 1 still
+/// holding its first half — on which `mhd compact` was killed at `kill`.
+/// Returns the root and what stream 1 must restore to.
+fn torn_compact(tag: &str, kill: CompactKill) -> (PathBuf, Vec<u8>) {
+    let root = temp_root(tag);
+    let first = xorshift_bytes(60_000, 31);
+    let second = [&first[..30_000], &xorshift_bytes(30_000, 32)[..]].concat();
+    backup(FrontEnd::Cli, &root, &first);
+    backup(FrontEnd::Cli, &root, &second);
+    let mut store = cli_open(&root);
+    gc::delete_stream(store.engine.substrate_mut(), "t_d-0").unwrap();
+    store.commit().unwrap();
+    drop(store);
+
+    let new_store = StoreMeta { ecs: 512, sd: 8, streams: 0, chunker: ChunkerKind::Rabin };
+    let mut store = statefile::open_write(&root, new_store, IoConfig::default(), |b| {
+        FaultBackend::with_point(b, FaultPoint::never())
+    })
+    .unwrap();
+    let fault = |store: &mut OpenedStore<FaultBackend<BatchedDirBackend>>, op, kind| {
+        store.engine.substrate_mut().backend_mut().arm(FaultPoint {
+            op,
+            kind: Some(kind),
+            fail_at: 0,
+        });
+    };
+    match kill {
+        CompactKill::AfterStage => {
+            let staged = compact::stage(store.engine.substrate_mut(), 0.95).unwrap();
+            drop(staged);
+        }
+        CompactKill::AtFirstRecipeRewrite => {
+            fault(&mut store, FaultOp::Write, FileKind::FileManifest);
+            assert!(store.compact(0.95).is_err(), "{kill:?}: the fault must hit");
+        }
+        CompactKill::AtFirstContainerDelete => {
+            fault(&mut store, FaultOp::Delete, FileKind::DiskChunk);
+            assert!(store.compact(0.95).is_err(), "{kill:?}: the fault must hit");
+        }
+        CompactKill::BeforeCommit => {
+            let report = store.compact(0.95).unwrap();
+            assert!(report.containers_compacted > 0, "the store must have a sparse container");
+        }
+    }
+    // The kill: whatever reached the backend stays, nothing else happens.
+    drop(store);
+    (root, second)
+}
+
+#[test]
+fn compact_torn_anywhere_loses_no_committed_stream() {
+    use CompactKill::*;
+    for reader in [FrontEnd::Cli, FrontEnd::Daemon] {
+        for kill in [AfterStage, AtFirstRecipeRewrite, AtFirstContainerDelete, BeforeCommit] {
+            let what = format!("compact killed {kill:?}, opened by {reader:?}");
+            let (root, second) = torn_compact(&format!("compact-{kill:?}-{reader:?}"), kill);
+            let (recovery, problems) = match reader {
+                FrontEnd::Cli => {
+                    let mut opened = cli_open(&root);
+                    let report = check_store(opened.engine.substrate_mut());
+                    (opened.recovery, report.problems)
+                }
+                FrontEnd::Daemon => {
+                    let store = daemon_open(&root);
+                    (store.recovery().clone(), store.fsck().problems)
+                }
+            };
+            // Only a container no recipe points into yet may be rolled back.
+            assert_eq!(recovery.recipes_rolled_back, 0, "{what}: {recovery}");
+            assert_eq!(
+                recovery.chunks_rolled_back,
+                u64::from(matches!(kill, AfterStage)),
+                "{what}: {recovery}"
+            );
+            assert!(problems.is_empty(), "{what}: fsck: {problems:?}");
+            assert_eq!(recipes(&root), vec!["t_d-1_f0".to_string()], "{what}");
+            let restored =
+                restore_file(&mut statefile::read_view(&root).unwrap(), "t/d-1/f0").unwrap();
+            assert_eq!(restored, second, "{what}: stream 1 must survive");
+
+            // The store is not wedged: it takes a stream, compacts to the
+            // end and stays sound.
+            let grown = backup(reader, &root, &second);
+            assert!(grown < second.len() as u64 / 5, "{what}: must still dedup (grew {grown})");
+            let mut store = cli_open(&root);
+            store.compact(0.95).unwrap();
+            store.commit().unwrap();
+            let report = check_store(store.engine.substrate_mut());
+            assert!(report.is_healthy(), "{what}: fsck after re-compact: {:?}", report.problems);
+            for name in ["t/d-1/f0", "t/d-2/f0"] {
+                let restored = restore_file(store.engine.substrate_mut(), name).unwrap();
+                assert_eq!(restored, second, "{what}: {name} after re-compact");
+            }
+            drop(store);
+            std::fs::remove_dir_all(&root).unwrap();
+        }
+    }
+}
+
+#[test]
+fn stores_interchange_with_identical_totals() {
+    let (first, second) = (xorshift_bytes(60_000, 21), xorshift_bytes(60_000, 22));
+    let mut totals = Vec::new();
+    for order in [[FrontEnd::Cli, FrontEnd::Daemon], [FrontEnd::Daemon, FrontEnd::Cli]] {
+        let root = temp_root(&format!("interchange-{:?}", order[0]));
+        backup(order[0], &root, &first);
+        backup(order[1], &root, &second);
+        let state = statefile::load_slim_state(&root).unwrap().unwrap();
+        let stats = daemon_open(&root).stats();
+        assert_eq!(stats.input_bytes, state.input_bytes);
+        assert_eq!(stats.stored_bytes, state.substrate.ledger.total_output_bytes());
+        assert_eq!(stats.streams, 2);
+        totals.push((state.input_bytes, state.chunks_stored, stats.stored_bytes));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+    assert_eq!(totals[0], totals[1], "either order of front ends stores the same");
+}
+
+/// Opens through the shared write-open with a counting layer under the
+/// engine; returns how many Hook objects the open itself read.
+fn hook_reads_at_open(root: &Path) -> u64 {
+    let new_store = StoreMeta { ecs: 512, sd: 8, streams: 0, chunker: ChunkerKind::Rabin };
+    let mut opened = statefile::open_write(root, new_store, IoConfig::default(), |b| {
+        FaultBackend::with_point(b, FaultPoint::read(Some(FileKind::Hook), u64::MAX))
+    })
+    .unwrap();
+    opened.engine.substrate_mut().backend_mut().matching_ops()
+}
+
+#[test]
+fn clean_reopen_reads_no_hook() {
+    let (_, first, second) = stream_pairs().swap_remove(0);
+    let root = temp_root("cleanopen");
+    backup(FrontEnd::Cli, &root, &first);
+    backup(FrontEnd::Daemon, &root, &second);
+    let hooks = statefile::read_view(&root).unwrap().backend_mut().list(FileKind::Hook);
+    assert!(!hooks.is_empty(), "the store must have hooks to not read");
+    assert_eq!(hook_reads_at_open(&root), 0, "a clean open must not walk the hooks");
+    std::fs::remove_dir_all(&root).unwrap();
+
+    // The counter is live: a torn store does read them.
+    let root = torn_store("tornopen", FrontEnd::Cli, &first, &second, true);
+    assert!(hook_reads_at_open(&root) > 0);
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn read_view_leaves_wip_records_and_tmp_files_alone() {
+    let (_, first, _) = stream_pairs().swap_remove(0);
+    let root = temp_root("readview");
+    backup(FrontEnd::Cli, &root, &first);
+    statefile::wip_begin(&root, Durability::Rename, "t/live").unwrap();
+    let debris = [root.join("chunks/.00000000000000ff.tmp"), root.join("session/.state.json.tmp")];
+    for path in &debris {
+        std::fs::write(path, b"half a write").unwrap();
+    }
+
+    // What `mhd ls` / `mhd restore` (and the daemon's LS / RESTORE) run.
+    assert_eq!(recipes(&root), vec!["t_d-0_f0".to_string()]);
+    let restored = restore_file(&mut statefile::read_view(&root).unwrap(), "t/d-0/f0").unwrap();
+    assert_eq!(restored, first);
+    assert!(statefile::load_slim_state(&root).unwrap().is_some());
+
+    assert!(statefile::wip_dir(&root).join("t_live").exists(), "wip record must survive a read");
+    for path in &debris {
+        assert!(path.exists(), "{} must survive a read", path.display());
+    }
+    std::fs::remove_dir_all(&root).unwrap();
+}

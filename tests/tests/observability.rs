@@ -1,10 +1,9 @@
 //! The `mhd-obs` layer observed end to end: a BF-MHD run must light up
 //! the counters and stage timers wired through every crate; two
 //! concurrent scoped runs must partition cleanly (per-scope sums equal
-//! the global delta); a sharded fleet must attribute per-shard occupancy;
-//! a multi-engine exhibit must yield per-engine sub-snapshots; and the
-//! recorded trace must round-trip through JSONL and export well-formed
-//! Chrome `trace_event` JSON.
+//! the global delta); a multi-engine exhibit must yield per-engine
+//! sub-snapshots; and the recorded trace must round-trip through JSONL
+//! and export well-formed Chrome `trace_event` JSON.
 //!
 //! The obs registry, scope table and trace rings are process-global, so
 //! this file keeps all assertions in one `#[test]` running the phases in
@@ -12,7 +11,6 @@
 //! process and registry).
 
 use mhd_bench::{run_engine, scaled_config, EngineKind};
-use mhd_core::shard::ShardedMhd;
 use mhd_core::{Deduplicator, EngineConfig, MhdEngine};
 use mhd_store::MemBackend;
 use mhd_workload::{Corpus, CorpusSpec};
@@ -144,40 +142,7 @@ fn mhd_run_populates_internal_metrics() {
         assert_eq!(h0.count + h1.count, delta.histogram(name).expect("global delta").count);
     }
 
-    // ---- Phase 3: sharded fleet attributes per-shard occupancy. ----
-    let baseline = after;
-    let fleet_corpus = Corpus::generate(CorpusSpec::tiny(6543));
-    let machines = fleet_corpus.spec().machines;
-    const SHARDS: usize = 3;
-    {
-        let _scope = mhd_obs::scope!("fleet=test");
-        let mut fleet = ShardedMhd::new_in_memory(SHARDS, EngineConfig::new(512, 8)).unwrap();
-        for day in fleet_corpus.snapshots.chunks(machines) {
-            fleet.process_batch(day).unwrap();
-        }
-        fleet.finish().unwrap();
-    }
-    let after = mhd_obs::snapshot();
-    let fleet_scope = after.scope("fleet=test").expect("fleet sub-snapshot");
-    let mut shard_chunks = 0u64;
-    for i in 0..SHARDS {
-        let shard = after.scope(&format!("shard={i}")).expect("per-shard sub-snapshot");
-        let occupancy = shard.histogram("shard.batch_ns").expect("per-shard occupancy timer");
-        assert!(occupancy.count > 0, "shard={i} ran at least one batch");
-        let streams = shard.histogram("shard.batch_streams").expect("queue-imbalance histogram");
-        assert_eq!(streams.count, occupancy.count);
-        shard_chunks += shard.counter("chunking.chunks");
-    }
-    // Shard threads carry the parent label too, so the per-shard work
-    // sums to the parent scope's (machine-affinity routing sends every
-    // stream to exactly one shard).
-    assert_eq!(shard_chunks, fleet_scope.counter("chunking.chunks"));
-    assert_eq!(
-        fleet_scope.counter("chunking.chunks"),
-        after.diff(&baseline).counter("chunking.chunks")
-    );
-
-    // ---- Phase 4: a multi-engine exhibit yields per-engine scopes. ----
+    // ---- Phase 3: a multi-engine exhibit yields per-engine scopes. ----
     let baseline = after;
     let bench_corpus = Corpus::generate(CorpusSpec::tiny(7654));
     let engines = [EngineKind::Mhd, EngineKind::Cdc];
@@ -201,7 +166,7 @@ fn mhd_run_populates_internal_metrics() {
         "per-engine chunk counts must sum to the global delta"
     );
 
-    // ---- Phase 5: the trace round-trips and exports valid Chrome JSON. ----
+    // ---- Phase 4: the trace round-trips and exports valid Chrome JSON. ----
     mhd_obs::trace_stop();
     let records = mhd_obs::trace_drain();
     assert!(!records.is_empty(), "the phases above must have produced trace events");
