@@ -209,3 +209,80 @@ fn duplicate_detection_is_order_sensitive_but_complete() {
         );
     }
 }
+
+/// SHA-1 over everything a run leaves behind that is not a timing: the
+/// report with `dedup_seconds` zeroed (as JSON) and the backend's sorted
+/// `(FileKind, name, payload)` listing.
+fn run_digest(report: &DedupReport, backend: &mut MemBackend) -> String {
+    use mhd_store::{Backend, FileKind};
+    let mut h = mhd_hash::Sha1::new();
+    let report = DedupReport { dedup_seconds: 0.0, ..report.clone() };
+    h.update(serde_json::to_string(&report).unwrap().as_bytes());
+    for kind in FileKind::ALL {
+        for name in backend.list(kind) {
+            let payload = backend.get(kind, &name).unwrap();
+            h.update(kind.dir_name().as_bytes());
+            h.update(&(name.len() as u64).to_le_bytes());
+            h.update(name.as_bytes());
+            h.update(&(payload.len() as u64).to_le_bytes());
+            h.update(&payload);
+        }
+    }
+    h.finalize().to_hex()
+}
+
+#[test]
+fn engine_outputs_are_pinned() {
+    // Every engine's complete output — counters, ledger and every stored
+    // byte — over a seeded corpus, with a two-manifest cache so evictions
+    // and dirty write-backs happen. The digests were taken before the
+    // engines were moved onto the shared scaffold; a refactor of the
+    // engines must leave them alone, and the front end's worker count
+    // must never show in them.
+    use mhd_chunking::ChunkerKind;
+    let corpus = mhd_workload::Corpus::generate(mhd_workload::CorpusSpec::tiny(19));
+    let pinned = [
+        ("bf-mhd", ChunkerKind::Rabin, "08c75e5d4f094f216ff7fa7c2a906eb85b6b173b"),
+        ("bf-mhd", ChunkerKind::FastCdc, "958930540e18adba94a9458cc2b6bd19b097af7b"),
+        ("cdc", ChunkerKind::Rabin, "813905fe148e5547c8cadf46d3e4c253b48f8fe7"),
+        ("cdc", ChunkerKind::FastCdc, "8121f8a68f2a6573689554a4c16bffb81823fe1c"),
+        ("bimodal", ChunkerKind::Rabin, "70ef48282959f81aa45403d62c88eaedb39d44ec"),
+        ("bimodal", ChunkerKind::FastCdc, "4f096b06f3afe764dbcf02d43f3cce261f68263d"),
+        ("subchunk", ChunkerKind::Rabin, "041696de01f10ccad38e1fcc0bf318e1d549c843"),
+        ("subchunk", ChunkerKind::FastCdc, "13edf4f06fbf62c1248b0476a28a946e118fa542"),
+        ("sparse-indexing", ChunkerKind::Rabin, "385fe8562f5a7d863159997a67d4a133fb3627d4"),
+        ("sparse-indexing", ChunkerKind::FastCdc, "858ef5032ef97e5812752d739ec92dfd5c0d3b26"),
+        ("fbc", ChunkerKind::Rabin, "7d250a23058e535063cf368dfd776ca22225b4b6"),
+        ("fbc", ChunkerKind::FastCdc, "a77867b6c8178a1372d3b3d940beb8f239cd6b9d"),
+    ];
+    macro_rules! digest {
+        ($engine:expr) => {{
+            let mut e = $engine.unwrap();
+            for s in &corpus.snapshots {
+                e.process_snapshot(s).unwrap();
+            }
+            let report = e.finish().unwrap();
+            if report.algorithm == "bf-mhd" {
+                assert!(report.hhr_count > 0, "the corpus must exercise HHR");
+                assert!(report.stats.manifest_output > report.files, "and dirty write-backs");
+            }
+            run_digest(&report, e.substrate_mut().backend_mut())
+        }};
+    }
+    for (name, chunker, want) in pinned {
+        let mut config = EngineConfig::new(512, 8).with_chunker(chunker);
+        config.cache_manifests = 2;
+        for workers in [0, 2] {
+            let got = crate::frontend::with_workers(workers, || match name {
+                "bf-mhd" => digest!(MhdEngine::new(MemBackend::new(), config)),
+                "cdc" => digest!(CdcEngine::new(MemBackend::new(), config)),
+                "bimodal" => digest!(BimodalEngine::new(MemBackend::new(), config)),
+                "subchunk" => digest!(SubChunkEngine::new(MemBackend::new(), config)),
+                "sparse-indexing" => digest!(SparseIndexEngine::new(MemBackend::new(), config)),
+                "fbc" => digest!(crate::FbcEngine::new(MemBackend::new(), config)),
+                other => panic!("unknown engine {other}"),
+            });
+            assert_eq!(got, want, "{name} {chunker:?} workers={workers}");
+        }
+    }
+}
