@@ -20,13 +20,7 @@ fn bench_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("engines_end_to_end");
     group.sample_size(10);
     group.throughput(Throughput::Bytes(bytes));
-    for kind in [
-        EngineKind::Mhd,
-        EngineKind::Cdc,
-        EngineKind::Bimodal,
-        EngineKind::SubChunk,
-        EngineKind::SparseIndexing,
-    ] {
+    for kind in EngineKind::ALL {
         group.bench_with_input(BenchmarkId::new("dedup", kind.label()), &corpus, |b, corpus| {
             b.iter(|| black_box(run_engine(kind, corpus, scaled_config(2048, 16, bytes))))
         });

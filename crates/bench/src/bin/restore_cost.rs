@@ -8,9 +8,6 @@
 
 use mhd_bench::{print_table, scaled_config, Cli, EngineKind};
 use mhd_core::restore;
-use mhd_core::{
-    BimodalEngine, CdcEngine, Deduplicator, FbcEngine, MhdEngine, SparseIndexEngine, SubChunkEngine,
-};
 use mhd_store::{MemBackend, Substrate};
 use serde_json::json;
 
@@ -49,35 +46,26 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut js = Vec::new();
-    macro_rules! measure {
-        ($kind:expr, $engine:expr) => {{
-            eprintln!("restore_cost: {}", $kind.label());
-            let mut engine = $engine.expect("config");
-            for s in &corpus.snapshots {
-                engine.process_snapshot(s).expect("dedup");
-            }
-            engine.finish().expect("finish");
-            let (extents, containers, accesses, files) =
-                restore_last_day(engine.substrate_mut(), &corpus);
-            rows.push(vec![
-                $kind.label().to_string(),
-                format!("{:.2}", extents as f64 / files as f64),
-                containers.to_string(),
-                format!("{:.2}", accesses as f64 / files as f64),
-            ]);
-            js.push(json!({"engine": $kind.label(), "files": files,
-                           "extents_per_file": extents as f64 / files as f64,
-                           "containers_touched": containers,
-                           "accesses_per_file": accesses as f64 / files as f64}));
-        }};
+    for kind in EngineKind::ALL {
+        eprintln!("restore_cost: {}", kind.label());
+        let mut engine = kind.build(MemBackend::new(), config).expect("config");
+        for s in &corpus.snapshots {
+            engine.process_snapshot(s).expect("dedup");
+        }
+        engine.finish().expect("finish");
+        let (extents, containers, accesses, files) =
+            restore_last_day(engine.substrate_mut(), &corpus);
+        rows.push(vec![
+            kind.label().to_string(),
+            format!("{:.2}", extents as f64 / files as f64),
+            containers.to_string(),
+            format!("{:.2}", accesses as f64 / files as f64),
+        ]);
+        js.push(json!({"engine": kind.label(), "files": files,
+                       "extents_per_file": extents as f64 / files as f64,
+                       "containers_touched": containers,
+                       "accesses_per_file": accesses as f64 / files as f64}));
     }
-
-    measure!(EngineKind::Mhd, MhdEngine::new(MemBackend::new(), config));
-    measure!(EngineKind::Bimodal, BimodalEngine::new(MemBackend::new(), config));
-    measure!(EngineKind::SubChunk, SubChunkEngine::new(MemBackend::new(), config));
-    measure!(EngineKind::SparseIndexing, SparseIndexEngine::new(MemBackend::new(), config));
-    measure!(EngineKind::Cdc, CdcEngine::new(MemBackend::new(), config));
-    measure!(EngineKind::Fbc, FbcEngine::new(MemBackend::new(), config));
 
     print_table(
         "Restore cost for the final day's backups (extension experiment)",

@@ -31,53 +31,11 @@
 use std::path::{Path, PathBuf};
 
 use mhd_core::metrics::{self, DiskModel, Metrics};
-use mhd_core::{
-    BimodalEngine, CdcEngine, DedupReport, Deduplicator, EngineConfig, FbcEngine, MhdEngine,
-    MhdOptions, SparseIndexEngine, SubChunkEngine,
-};
+pub use mhd_core::EngineKind;
+use mhd_core::{DedupReport, EngineConfig, MhdOptions};
 use mhd_store::MemBackend;
 use mhd_workload::{Corpus, CorpusSpec};
 use serde::Serialize;
-
-/// The engines of the paper's evaluation, in its plotting order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// BF-MHD (this paper).
-    Mhd,
-    /// Bimodal.
-    Bimodal,
-    /// SubChunk.
-    SubChunk,
-    /// SparseIndexing.
-    SparseIndexing,
-    /// Flat CDC (Tables I–II only; not plotted in Figs. 7–8).
-    Cdc,
-    /// Frequency-based chunking (paper §I–II; outside its evaluation —
-    /// available for the shootout and ablation comparisons).
-    Fbc,
-}
-
-impl EngineKind {
-    /// The four algorithms plotted in Figs. 7–8.
-    pub const FIGURE_SET: [EngineKind; 4] =
-        [EngineKind::Mhd, EngineKind::Bimodal, EngineKind::SubChunk, EngineKind::SparseIndexing];
-
-    /// The four algorithms of Tables I–II.
-    pub const TABLE_SET: [EngineKind; 4] =
-        [EngineKind::Mhd, EngineKind::SubChunk, EngineKind::Bimodal, EngineKind::Cdc];
-
-    /// Label as used in the paper's legends.
-    pub fn label(&self) -> &'static str {
-        match self {
-            EngineKind::Mhd => "BF-MHD",
-            EngineKind::Bimodal => "Bimodal",
-            EngineKind::SubChunk => "SubChunk",
-            EngineKind::SparseIndexing => "SparseIndexing",
-            EngineKind::Cdc => "CDC",
-            EngineKind::Fbc => "FBC",
-        }
-    }
-}
 
 /// Common command-line options for the experiment binaries.
 #[derive(Debug, Clone)]
@@ -298,35 +256,13 @@ pub struct RunResult {
 pub fn run_engine(kind: EngineKind, corpus: &Corpus, config: EngineConfig) -> RunResult {
     let _scope = mhd_obs::scope!("engine={}", kind.label());
     let _stage = mhd_obs::stage(format!("engine={}", kind.label()));
-    let report = match kind {
-        EngineKind::Mhd => {
-            drive(MhdEngine::new(MemBackend::new(), config).expect("config"), corpus)
-        }
-        EngineKind::Cdc => {
-            drive(CdcEngine::new(MemBackend::new(), config).expect("config"), corpus)
-        }
-        EngineKind::Bimodal => {
-            drive(BimodalEngine::new(MemBackend::new(), config).expect("config"), corpus)
-        }
-        EngineKind::SubChunk => {
-            drive(SubChunkEngine::new(MemBackend::new(), config).expect("config"), corpus)
-        }
-        EngineKind::SparseIndexing => {
-            drive(SparseIndexEngine::new(MemBackend::new(), config).expect("config"), corpus)
-        }
-        EngineKind::Fbc => {
-            drive(FbcEngine::new(MemBackend::new(), config).expect("config"), corpus)
-        }
-    };
-    let metrics = metrics::compute(&report, &DiskModel::default());
-    RunResult { engine: kind.label().to_string(), ecs: config.ecs, sd: config.sd, report, metrics }
-}
-
-fn drive<D: Deduplicator>(mut engine: D, corpus: &Corpus) -> DedupReport {
+    let mut engine = kind.build(MemBackend::new(), config).expect("config");
     for snapshot in &corpus.snapshots {
         engine.process_snapshot(snapshot).expect("in-memory dedup cannot fail");
     }
-    engine.finish().expect("finish")
+    let report = engine.finish().expect("finish");
+    let metrics = metrics::compute(&report, &DiskModel::default());
+    RunResult { engine: kind.label().to_string(), ecs: config.ecs, sd: config.sd, report, metrics }
 }
 
 /// The ECS sweep of the paper's figures.

@@ -11,265 +11,91 @@
 //! `N/SD + 2L(SD−1)` hooks (Table I): each duplicate slice flanks up to two
 //! re-chunked big chunks.
 
-use std::time::Instant;
-
 use bytes::Bytes;
-use mhd_bloom::BloomFilter;
-use mhd_cache::ManifestCache;
 use mhd_chunking::AnyChunker;
-use mhd_hash::ChunkHash;
-use mhd_store::{
-    Backend, Extent, FileManifest, Manifest, ManifestEntry, ManifestFormat, Substrate,
-};
-use mhd_workload::Snapshot;
+use mhd_store::{Backend, FileManifest, ManifestFormat, Substrate};
+use mhd_workload::{FileEntry, Snapshot};
 
 use crate::config::EngineConfig;
 use crate::engine::{
-    chunk_and_hash, DedupReport, Deduplicator, EngineError, EngineResult, HashedChunk, SliceTracker,
+    chunk_and_hash, chunker_at, ingest_files, DedupReport, Deduplicator, EngineResult, HashedChunk,
+    Query, Scaffold,
 };
-use crate::frontend;
 
 /// Big-chunk-first deduplicator with transition-point re-chunking.
 pub struct BimodalEngine<B: Backend> {
-    config: EngineConfig,
-    big_chunker: AnyChunker,
+    s: Scaffold<B>,
     small_chunker: AnyChunker,
-    substrate: Substrate<B>,
-    bloom: BloomFilter,
-    cache: ManifestCache,
-    slice: SliceTracker,
-    input_bytes: u64,
-    files: u64,
-    chunks_stored: u64,
-    big_chunks_stored: u64,
-    dedup_seconds: f64,
 }
 
 impl<B: Backend> BimodalEngine<B> {
     /// Creates an engine over `backend`.
     pub fn new(backend: B, config: EngineConfig) -> EngineResult<Self> {
-        config.validate().map_err(EngineError::Config)?;
-        let small_chunker =
-            config.chunker.build(config.ecs).map_err(|e| EngineError::Config(e.to_string()))?;
-        let big_chunker = config
-            .chunker
-            .build(config.big_chunk_size())
-            .map_err(|e| EngineError::Config(e.to_string()))?;
-        Ok(BimodalEngine {
-            big_chunker,
-            small_chunker,
-            substrate: Substrate::new(backend),
-            bloom: BloomFilter::with_bytes(config.bloom_bytes, (config.bloom_bytes * 2) as u64),
-            cache: ManifestCache::new(config.cache_manifests),
-            slice: SliceTracker::default(),
-            input_bytes: 0,
-            files: 0,
-            chunks_stored: 0,
-            big_chunks_stored: 0,
-            dedup_seconds: 0.0,
-            config,
-        })
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// The storage substrate (counters, ledger, restore access).
-    pub fn substrate_mut(&mut self) -> &mut Substrate<B> {
-        &mut self.substrate
-    }
-
-    /// Full-index lookup via cache → Bloom → Hook → Manifest, as in CDC.
-    /// `big` routes the query to the big-chunk counter.
-    fn lookup(&mut self, hash: ChunkHash, big: bool) -> EngineResult<Option<Extent>> {
-        if big {
-            self.substrate.stats_mut().big_chunk_query += 1;
-        } else {
-            self.substrate.stats_mut().small_chunk_query += 1;
-        }
-        let found = if let Some((mid, idx)) = self.cache.find_hash(&hash) {
-            self.substrate.stats_mut().cache_hits += 1;
-            Some(self.cache.peek(mid).expect("resident").manifest().entries[idx as usize])
-        } else if !self.bloom.contains(&hash) {
-            self.substrate.stats_mut().bloom_suppressed += 1;
-            None
-        } else if let Some(mid) = self.substrate.lookup_hook(hash)? {
-            let manifest = self.substrate.load_manifest(mid)?;
-            let e = manifest.entries.iter().find(|e| e.hash == hash).copied();
-            if let Some((evicted, dirty)) = self.cache.insert(manifest, false) {
-                if dirty {
-                    self.substrate.update_manifest(&evicted)?;
-                }
-            }
-            e
-        } else {
-            None
-        };
-        Ok(found.map(|e| Extent { container: e.container, offset: e.offset, len: e.size }))
+        let s = Scaffold::new(backend, config, config.big_chunk_size())?;
+        Ok(BimodalEngine { s, small_chunker: chunker_at(&config, config.ecs)? })
     }
 
     /// Deduplicates one file, given its hashed big chunks.
-    fn process_file(
-        &mut self,
-        path: &str,
-        data: &Bytes,
-        bigs: Vec<HashedChunk>,
-    ) -> EngineResult<()> {
-        self.input_bytes += data.len() as u64;
-
+    fn process_file(&mut self, file: &FileEntry, bigs: Vec<HashedChunk>) -> EngineResult<()> {
         // Pass 1: duplicate status of every big chunk (the big-chunk-first
         // queries).
-        let mut dup_extents: Vec<Option<Extent>> = Vec::with_capacity(bigs.len());
+        let mut dup_extents = Vec::with_capacity(bigs.len());
         for b in &bigs {
-            dup_extents.push(self.lookup(b.hash, true)?);
+            dup_extents.push(self.s.lookup(b.hash, Query::Big)?);
         }
 
         // Pass 2: store/dedup with transition-point re-chunking.
-        let mut builder = self.substrate.new_disk_chunk();
-        let mut entries: Vec<ManifestEntry> = Vec::new();
+        let mut out = self.s.begin();
         let mut fm = FileManifest::new();
-
         for (j, b) in bigs.iter().enumerate() {
             if let Some(extent) = dup_extents[j] {
-                self.slice.on_dup(extent.len, 1);
-                fm.push(extent);
+                self.s.dup(&mut fm, extent);
                 continue;
             }
             let at_transition = (j > 0 && dup_extents[j - 1].is_some())
                 || (j + 1 < bigs.len() && dup_extents[j + 1].is_some());
             if !at_transition {
                 // Store the big chunk whole: one entry, one hook.
-                self.slice.on_nondup();
-                let offset = builder.append(b.slice(data));
-                entries.push(ManifestEntry {
-                    hash: b.hash,
-                    container: builder.id(),
-                    offset,
-                    size: b.len as u64,
-                    is_hook: false,
-                });
-                fm.push(Extent { container: builder.id(), offset, len: b.len as u64 });
-                self.chunks_stored += 1;
-                self.big_chunks_stored += 1;
+                self.s.store(&mut out, &mut fm, b.hash, b.slice(&file.data));
                 continue;
             }
             // Transition point: re-chunk at the small size and dedup each
             // small chunk.
-            let big_bytes = Bytes::copy_from_slice(b.slice(data));
-            let smalls = chunk_and_hash(&self.small_chunker, &big_bytes);
-            for s in &smalls {
-                if let Some(extent) = self.lookup(s.hash, false)? {
-                    self.slice.on_dup(extent.len, 1);
-                    fm.push(extent);
-                } else {
-                    self.slice.on_nondup();
-                    let offset = builder.append(s.slice(&big_bytes));
-                    entries.push(ManifestEntry {
-                        hash: s.hash,
-                        container: builder.id(),
-                        offset,
-                        size: s.len as u64,
-                        is_hook: false,
-                    });
-                    fm.push(Extent { container: builder.id(), offset, len: s.len as u64 });
-                    self.chunks_stored += 1;
-                }
+            let big_bytes = Bytes::copy_from_slice(b.slice(&file.data));
+            for s in &chunk_and_hash(&self.small_chunker, &big_bytes) {
+                self.s.dedup_chunk(Query::Small, &mut out, &mut fm, s, &big_bytes)?;
             }
         }
-        self.slice.reset_run();
-
-        if !builder.is_empty() {
-            self.substrate.write_disk_chunk(builder)?;
-            let mid = self.substrate.new_manifest_id();
-            let manifest = Manifest { id: mid, format: ManifestFormat::Plain, entries };
-            self.substrate.write_manifest(&manifest)?;
-            for e in &manifest.entries {
-                self.substrate.write_hook(e.hash, mid)?;
-                self.bloom.insert(&e.hash);
-            }
-            if let Some((evicted, dirty)) = self.cache.insert(manifest, false) {
-                if dirty {
-                    self.substrate.update_manifest(&evicted)?;
-                }
-            }
-            self.files += 1;
-        }
-        self.substrate.write_file_manifest(path, &fm)?;
-        debug_assert_eq!(fm.total_len(), data.len() as u64);
-        Ok(())
+        // Every stored chunk, big or small, gets a Hook.
+        self.s.commit_file(file, &fm, out, ManifestFormat::Plain, Scaffold::hook_every_entry)
     }
 }
 
 impl<B: Backend> Deduplicator for BimodalEngine<B> {
+    type Backend = B;
+
     fn name(&self) -> &'static str {
         "bimodal"
     }
 
     fn process_snapshot(&mut self, snapshot: &Snapshot) -> EngineResult<()> {
-        let start = Instant::now();
-        for ingested in frontend::ingest(&self.big_chunker, &snapshot.files) {
-            let (file, bigs) = ingested?;
-            self.process_file(&file.path, &file.data, bigs)?;
-        }
-        self.dedup_seconds += start.elapsed().as_secs_f64();
-        Ok(())
+        ingest_files(self, snapshot, |e| &mut e.s, Self::process_file)
     }
 
     fn finish(&mut self) -> EngineResult<DedupReport> {
-        for (manifest, dirty) in self.cache.drain() {
-            if dirty {
-                self.substrate.update_manifest(&manifest)?;
-            }
-        }
-        self.substrate.flush()?;
-        Ok(DedupReport {
-            algorithm: self.name().to_string(),
-            input_bytes: self.input_bytes,
-            dup_bytes: self.slice.dup_bytes,
-            dup_slices: self.slice.slices,
-            files: self.files,
-            chunks_stored: self.chunks_stored,
-            chunks_dup: self.slice.dup_chunks,
-            hhr_count: 0,
-            stats: *self.substrate.stats(),
-            ledger: *self.substrate.ledger(),
-            ram_index_bytes: self.bloom.ram_bytes() as u64,
-            dedup_seconds: self.dedup_seconds,
-        })
+        self.s.finish(self.name(), self.s.bloom.ram_bytes() as u64)
+    }
+
+    fn substrate_mut(&mut self) -> &mut Substrate<B> {
+        &mut self.s.substrate
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine_tests::{random, snapshot};
     use mhd_store::MemBackend;
-    use mhd_workload::FileEntry;
-
-    fn snapshot(prefix: &str, datas: Vec<Vec<u8>>) -> Snapshot {
-        Snapshot {
-            machine: 0,
-            day: 0,
-            files: datas
-                .into_iter()
-                .enumerate()
-                .map(|(i, d)| FileEntry { path: format!("{prefix}/f{i}"), data: Bytes::from(d) })
-                .collect(),
-        }
-    }
-
-    fn random(len: usize, seed: u64) -> Vec<u8> {
-        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        (0..len)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (x >> 24) as u8
-            })
-            .collect()
-    }
 
     fn engine() -> BimodalEngine<MemBackend> {
         BimodalEngine::new(MemBackend::new(), EngineConfig::new(512, 8)).unwrap()

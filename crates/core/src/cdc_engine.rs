@@ -7,217 +7,61 @@
 //! duplicate data slice costs one Hook read plus one Manifest load, with
 //! subsequent chunks of the slice resolving in RAM.
 
-use std::time::Instant;
-
-use bytes::Bytes;
-use mhd_bloom::BloomFilter;
-use mhd_cache::ManifestCache;
-use mhd_chunking::AnyChunker;
-use mhd_hash::ChunkHash;
-use mhd_store::{
-    Backend, Extent, FileManifest, Manifest, ManifestEntry, ManifestFormat, Substrate,
-};
-use mhd_workload::Snapshot;
+use mhd_store::{Backend, FileManifest, ManifestFormat, Substrate};
+use mhd_workload::{FileEntry, Snapshot};
 
 use crate::config::EngineConfig;
 use crate::engine::{
-    DedupReport, Deduplicator, EngineError, EngineResult, HashedChunk, SliceTracker,
+    ingest_files, DedupReport, Deduplicator, EngineResult, HashedChunk, Query, Scaffold,
 };
-use crate::frontend;
 
 /// Flat content-defined-chunking deduplicator with a full per-chunk index.
 pub struct CdcEngine<B: Backend> {
-    config: EngineConfig,
-    chunker: AnyChunker,
-    substrate: Substrate<B>,
-    bloom: BloomFilter,
-    cache: ManifestCache,
-    slice: SliceTracker,
-    input_bytes: u64,
-    files: u64,
-    chunks_stored: u64,
-    dedup_seconds: f64,
+    s: Scaffold<B>,
 }
 
 impl<B: Backend> CdcEngine<B> {
     /// Creates an engine over `backend`.
     pub fn new(backend: B, config: EngineConfig) -> EngineResult<Self> {
-        config.validate().map_err(EngineError::Config)?;
-        let chunker =
-            config.chunker.build(config.ecs).map_err(|e| EngineError::Config(e.to_string()))?;
-        Ok(CdcEngine {
-            chunker,
-            substrate: Substrate::new(backend),
-            bloom: BloomFilter::with_bytes(config.bloom_bytes, (config.bloom_bytes * 2) as u64),
-            cache: ManifestCache::new(config.cache_manifests),
-            slice: SliceTracker::default(),
-            input_bytes: 0,
-            files: 0,
-            chunks_stored: 0,
-            dedup_seconds: 0.0,
-            config,
-        })
+        Ok(CdcEngine { s: Scaffold::new(backend, config, config.ecs)? })
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// The storage substrate (counters, ledger, restore access).
-    pub fn substrate_mut(&mut self) -> &mut Substrate<B> {
-        &mut self.substrate
-    }
-
-    fn lookup(&mut self, hash: ChunkHash) -> EngineResult<Option<Extent>> {
-        let found = if let Some((mid, idx)) = self.cache.find_hash(&hash) {
-            self.substrate.stats_mut().cache_hits += 1;
-            let e = self.cache.peek(mid).expect("resident").manifest().entries[idx as usize];
-            Some(e)
-        } else if !self.bloom.contains(&hash) {
-            self.substrate.stats_mut().bloom_suppressed += 1;
-            None
-        } else if let Some(mid) = self.substrate.lookup_hook(hash)? {
-            let manifest = self.substrate.load_manifest(mid)?;
-            let e = manifest.entries.iter().find(|e| e.hash == hash).copied();
-            debug_assert!(e.is_some(), "hook points at manifest lacking its hash");
-            if let Some((evicted, dirty)) = self.cache.insert(manifest, false) {
-                debug_assert!(!dirty, "CDC never dirties manifests");
-                if dirty {
-                    self.substrate.update_manifest(&evicted)?;
-                }
-            }
-            e
-        } else {
-            None // Bloom false positive
-        };
-        Ok(found.map(|e| Extent { container: e.container, offset: e.offset, len: e.size }))
-    }
-
-    fn process_file(
-        &mut self,
-        path: &str,
-        data: &Bytes,
-        chunks: Vec<HashedChunk>,
-    ) -> EngineResult<()> {
-        self.input_bytes += data.len() as u64;
-
-        let mut builder = self.substrate.new_disk_chunk();
-        let mut entries: Vec<ManifestEntry> = Vec::new();
+    fn process_file(&mut self, file: &FileEntry, chunks: Vec<HashedChunk>) -> EngineResult<()> {
+        let mut out = self.s.begin();
         let mut fm = FileManifest::new();
-
         for c in &chunks {
-            if let Some(extent) = self.lookup(c.hash)? {
-                debug_assert_eq!(extent.len, c.len as u64);
-                self.slice.on_dup(extent.len, 1);
-                fm.push(extent);
-            } else {
-                self.slice.on_nondup();
-                let offset = builder.append(c.slice(data));
-                entries.push(ManifestEntry {
-                    hash: c.hash,
-                    container: builder.id(),
-                    offset,
-                    size: c.len as u64,
-                    is_hook: false,
-                });
-                fm.push(Extent { container: builder.id(), offset, len: c.len as u64 });
-                self.chunks_stored += 1;
-            }
+            self.s.dedup_chunk(Query::Uncharged, &mut out, &mut fm, c, &file.data)?;
         }
-        self.slice.reset_run();
-
-        if !builder.is_empty() {
-            self.substrate.write_disk_chunk(builder)?;
-            let mid = self.substrate.new_manifest_id();
-            let manifest = Manifest { id: mid, format: ManifestFormat::Plain, entries };
-            self.substrate.write_manifest(&manifest)?;
-            // Full index: a Hook per stored chunk.
-            for e in &manifest.entries {
-                self.substrate.write_hook(e.hash, mid)?;
-                self.bloom.insert(&e.hash);
-            }
-            if let Some((evicted, dirty)) = self.cache.insert(manifest, false) {
-                if dirty {
-                    self.substrate.update_manifest(&evicted)?;
-                }
-            }
-            self.files += 1;
-        }
-        self.substrate.write_file_manifest(path, &fm)?;
-        debug_assert_eq!(fm.total_len(), data.len() as u64);
-        Ok(())
+        // Full index: a Hook per stored chunk.
+        self.s.commit_file(file, &fm, out, ManifestFormat::Plain, Scaffold::hook_every_entry)
     }
 }
 
 impl<B: Backend> Deduplicator for CdcEngine<B> {
+    type Backend = B;
+
     fn name(&self) -> &'static str {
         "cdc"
     }
 
     fn process_snapshot(&mut self, snapshot: &Snapshot) -> EngineResult<()> {
-        let start = Instant::now();
-        for ingested in frontend::ingest(&self.chunker, &snapshot.files) {
-            let (file, chunks) = ingested?;
-            self.process_file(&file.path, &file.data, chunks)?;
-        }
-        self.dedup_seconds += start.elapsed().as_secs_f64();
-        Ok(())
+        ingest_files(self, snapshot, |e| &mut e.s, Self::process_file)
     }
 
     fn finish(&mut self) -> EngineResult<DedupReport> {
-        for (manifest, dirty) in self.cache.drain() {
-            if dirty {
-                self.substrate.update_manifest(&manifest)?;
-            }
-        }
-        self.substrate.flush()?;
-        Ok(DedupReport {
-            algorithm: self.name().to_string(),
-            input_bytes: self.input_bytes,
-            dup_bytes: self.slice.dup_bytes,
-            dup_slices: self.slice.slices,
-            files: self.files,
-            chunks_stored: self.chunks_stored,
-            chunks_dup: self.slice.dup_chunks,
-            hhr_count: 0,
-            stats: *self.substrate.stats(),
-            ledger: *self.substrate.ledger(),
-            ram_index_bytes: self.bloom.ram_bytes() as u64,
-            dedup_seconds: self.dedup_seconds,
-        })
+        self.s.finish(self.name(), self.s.bloom.ram_bytes() as u64)
+    }
+
+    fn substrate_mut(&mut self) -> &mut Substrate<B> {
+        &mut self.s.substrate
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine_tests::{random, snapshot};
     use mhd_store::MemBackend;
-    use mhd_workload::FileEntry;
-
-    fn snapshot(prefix: &str, datas: Vec<Vec<u8>>) -> Snapshot {
-        Snapshot {
-            machine: 0,
-            day: 0,
-            files: datas
-                .into_iter()
-                .enumerate()
-                .map(|(i, d)| FileEntry { path: format!("{prefix}/f{i}"), data: Bytes::from(d) })
-                .collect(),
-        }
-    }
-
-    fn random(len: usize, seed: u64) -> Vec<u8> {
-        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        (0..len)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (x >> 24) as u8
-            })
-            .collect()
-    }
 
     #[test]
     fn dedups_identical_file() {

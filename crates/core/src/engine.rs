@@ -1,11 +1,31 @@
-//! The common engine interface and shared helpers.
+//! The common engine interface, the scaffold every engine is built on,
+//! and the registry of engines.
+//!
+//! An engine is a [`Scaffold`] — the substrate, the Bloom filter over
+//! its Hooks, the Manifest cache, the run counters, and the operations
+//! on them that are the same whatever the algorithm — plus a *policy*:
+//! which chunks to look up, when to re-chunk, which hashes get Hooks,
+//! which Manifest format. The policies live in the per-engine modules;
+//! [`EngineKind`] names them and builds any of them.
+
+use std::time::Instant;
 
 use bytes::Bytes;
-use mhd_chunking::Chunker;
+use mhd_bloom::BloomFilter;
+use mhd_cache::ManifestCache;
+use mhd_chunking::{AnyChunker, Chunker};
 use mhd_hash::{sha1, ChunkHash};
-use mhd_store::{IoStats, MetadataLedger, StoreError};
-use mhd_workload::Snapshot;
+use mhd_store::{
+    Backend, DiskChunkBuilder, Extent, FileManifest, IoStats, Manifest, ManifestEntry,
+    ManifestFormat, ManifestId, MetadataLedger, StoreError, Substrate,
+};
+use mhd_workload::{FileEntry, Snapshot};
 use serde::{Deserialize, Serialize};
+
+use crate::config::EngineConfig;
+use crate::{
+    frontend, BimodalEngine, CdcEngine, FbcEngine, MhdEngine, SparseIndexEngine, SubChunkEngine,
+};
 
 /// Result alias for engine operations.
 pub type EngineResult<T> = Result<T, EngineError>;
@@ -102,8 +122,8 @@ pub fn chunk_and_hash(chunker: &dyn Chunker, data: &Bytes) -> Vec<HashedChunk> {
 /// (duplicate slices), `F` (files producing manifests).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DedupReport {
-    /// Engine name ("bf-mhd", "cdc", "bimodal", "subchunk",
-    /// "sparse-indexing").
+    /// Engine name ("bf-mhd", "si-mhd", "cdc", "bimodal", "subchunk",
+    /// "sparse-indexing", "fbc").
     pub algorithm: String,
     /// Total input bytes processed.
     pub input_bytes: u64,
@@ -158,6 +178,9 @@ pub trait HookPresence: Send + Sync {
 /// compaction require a flushed store, and processing may resume
 /// afterwards (the caches simply start cold).
 pub trait Deduplicator {
+    /// The storage backend the engine runs over.
+    type Backend: Backend;
+
     /// Engine name as used in the paper's figures.
     fn name(&self) -> &'static str;
 
@@ -167,6 +190,371 @@ pub trait Deduplicator {
     /// Flushes dirty manifests and returns the cumulative report. May be
     /// called between batches; see the trait docs.
     fn finish(&mut self) -> EngineResult<DedupReport>;
+
+    /// The storage substrate (counters, ledger, restore access).
+    fn substrate_mut(&mut self) -> &mut Substrate<Self::Backend>;
+}
+
+/// Which of Table II's query columns a full-index lookup is charged to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Query {
+    /// CDC: the table has no query column for it.
+    Uncharged,
+    /// A big-chunk query.
+    Big,
+    /// A small-chunk query.
+    Small,
+    /// SubChunk: a small-chunk query, charged only when it reaches the
+    /// on-disk Hooks (its Bloom filter answers for the index itself).
+    SmallOnDisk,
+}
+
+/// A DiskChunk under construction and the Manifest entries describing
+/// what is in it.
+pub(crate) struct Pending {
+    pub(crate) builder: DiskChunkBuilder,
+    pub(crate) entries: Vec<ManifestEntry>,
+}
+
+/// What every engine owns, and what every engine does with it. `Bloom`
+/// is [`BloomFilter`] for the engines that gate on-disk Hooks with one
+/// and `()` for SparseIndexing, whose hooks live in RAM: no engine is
+/// handed an index it never probes.
+pub(crate) struct Scaffold<B: Backend, Bloom = BloomFilter> {
+    pub(crate) config: EngineConfig,
+    /// The chunker the front end cuts whole files with.
+    pub(crate) chunker: AnyChunker,
+    pub(crate) substrate: Substrate<B>,
+    pub(crate) bloom: Bloom,
+    pub(crate) cache: ManifestCache,
+    pub(crate) slice: SliceTracker,
+    pub(crate) input_bytes: u64,
+    pub(crate) files: u64,
+    pub(crate) chunks_stored: u64,
+    pub(crate) hhr_count: u64,
+    pub(crate) dedup_seconds: f64,
+}
+
+impl<B: Backend> Scaffold<B> {
+    /// Scaffold over `backend` whose front end cuts at `ingest_size`.
+    pub(crate) fn new(backend: B, config: EngineConfig, ingest_size: usize) -> EngineResult<Self> {
+        Self::build(backend, config, ingest_size, |c| {
+            BloomFilter::with_bytes(c.bloom_bytes, (c.bloom_bytes * 2) as u64)
+        })
+    }
+
+    /// Full-index lookup: Manifest cache, then Bloom filter, then the
+    /// on-disk Hook and the Manifest it points to (which becomes
+    /// resident, so the rest of a duplicate slice resolves in RAM).
+    pub(crate) fn lookup(&mut self, hash: ChunkHash, query: Query) -> EngineResult<Option<Extent>> {
+        match query {
+            Query::Big => self.substrate.stats_mut().big_chunk_query += 1,
+            Query::Small => self.substrate.stats_mut().small_chunk_query += 1,
+            Query::Uncharged | Query::SmallOnDisk => {}
+        }
+        let found = if let Some((mid, idx)) = self.cache.find_hash(&hash) {
+            self.substrate.stats_mut().cache_hits += 1;
+            self.cache.peek(mid).and_then(|c| c.manifest().entries.get(idx as usize).copied())
+        } else if !self.bloom.contains(&hash) {
+            self.substrate.stats_mut().bloom_suppressed += 1;
+            None
+        } else {
+            if query == Query::SmallOnDisk {
+                self.substrate.stats_mut().small_chunk_query += 1;
+            }
+            match self.substrate.lookup_hook(hash)? {
+                Some(mid) => {
+                    let manifest = self.substrate.load_manifest(mid)?;
+                    let e = manifest.entries.iter().find(|e| e.hash == hash).copied();
+                    debug_assert!(e.is_some(), "hook points at manifest lacking its hash");
+                    self.cache_insert(manifest)?;
+                    e
+                }
+                // A Bloom false positive — or, where Hooks are sparser
+                // than the filter (SubChunk), a duplicate no Hook reaches.
+                None => None,
+            }
+        };
+        Ok(found.map(|e| e.extent()))
+    }
+
+    /// Dedups one chunk of `file` against the full index: a duplicate
+    /// goes into the recipe at the extent found, anything else is stored.
+    /// Returns where the chunk's bytes live.
+    pub(crate) fn dedup_chunk(
+        &mut self,
+        query: Query,
+        out: &mut Pending,
+        fm: &mut FileManifest,
+        chunk: &HashedChunk,
+        file: &[u8],
+    ) -> EngineResult<Extent> {
+        Ok(match self.lookup(chunk.hash, query)? {
+            Some(extent) => {
+                debug_assert_eq!(extent.len, chunk.len as u64);
+                self.dup(fm, extent);
+                extent
+            }
+            None => self.store(out, fm, chunk.hash, chunk.slice(file)),
+        })
+    }
+
+    /// Writes the Hook `hash → manifest` and enters it in the Bloom filter.
+    pub(crate) fn write_hook(&mut self, hash: ChunkHash, manifest: ManifestId) -> EngineResult<()> {
+        self.substrate.write_hook(hash, manifest)?;
+        self.bloom.insert(&hash);
+        Ok(())
+    }
+
+    /// The full index: a Hook per Manifest entry.
+    pub(crate) fn hook_every_entry(&mut self, manifest: &Manifest) -> EngineResult<()> {
+        manifest.entries.iter().try_for_each(|e| self.write_hook(e.hash, manifest.id))
+    }
+}
+
+impl<B: Backend> Scaffold<B, ()> {
+    /// Scaffold with no Bloom filter.
+    pub(crate) fn without_bloom(
+        backend: B,
+        config: EngineConfig,
+        ingest_size: usize,
+    ) -> EngineResult<Self> {
+        Self::build(backend, config, ingest_size, |_| ())
+    }
+}
+
+impl<B: Backend, Bloom> Scaffold<B, Bloom> {
+    fn build(
+        backend: B,
+        config: EngineConfig,
+        ingest_size: usize,
+        bloom: impl FnOnce(&EngineConfig) -> Bloom,
+    ) -> EngineResult<Self> {
+        config.validate().map_err(EngineError::Config)?;
+        Ok(Scaffold {
+            chunker: chunker_at(&config, ingest_size)?,
+            substrate: Substrate::new(backend),
+            bloom: bloom(&config),
+            cache: ManifestCache::new(config.cache_manifests),
+            slice: SliceTracker::default(),
+            input_bytes: 0,
+            files: 0,
+            chunks_stored: 0,
+            hhr_count: 0,
+            dedup_seconds: 0.0,
+            config,
+        })
+    }
+
+    /// Starts a DiskChunk (its id is taken now).
+    pub(crate) fn begin(&mut self) -> Pending {
+        Pending { builder: self.substrate.new_disk_chunk(), entries: Vec::new() }
+    }
+
+    /// Makes `manifest` resident. "A Manifest that has been set dirty is
+    /// written back to the disk before it is freed": a dirty evictee goes
+    /// back to the store here.
+    pub(crate) fn cache_insert(&mut self, manifest: Manifest) -> EngineResult<()> {
+        if let Some((evicted, dirty)) = self.cache.insert(manifest, false) {
+            if dirty {
+                self.substrate.update_manifest(&evicted)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// A chunk is a duplicate of the bytes at `extent`.
+    pub(crate) fn dup(&mut self, fm: &mut FileManifest, extent: Extent) {
+        self.slice.on_dup(extent.len, 1);
+        fm.push(extent);
+    }
+
+    /// Stores a non-duplicate chunk: container append, Manifest entry,
+    /// recipe extent, counter.
+    pub(crate) fn store(
+        &mut self,
+        out: &mut Pending,
+        fm: &mut FileManifest,
+        hash: ChunkHash,
+        bytes: &[u8],
+    ) -> Extent {
+        self.slice.on_nondup();
+        let (container, offset) = (out.builder.id(), out.builder.append(bytes));
+        let entry =
+            ManifestEntry { hash, container, offset, size: bytes.len() as u64, is_hook: false };
+        out.entries.push(entry);
+        fm.push(entry.extent());
+        self.chunks_stored += 1;
+        entry.extent()
+    }
+
+    /// Commits a Manifest over `entries` (none: nothing was stored, no
+    /// Manifest): the Manifest, then whatever `index` writes to make it
+    /// findable — Hooks point at Manifests, so they follow it — then the
+    /// cache.
+    pub(crate) fn commit_manifest(
+        &mut self,
+        entries: Vec<ManifestEntry>,
+        format: ManifestFormat,
+        index: impl FnOnce(&mut Self, &Manifest) -> EngineResult<()>,
+    ) -> EngineResult<()> {
+        if entries.is_empty() {
+            return Ok(());
+        }
+        let manifest = Manifest { id: self.substrate.new_manifest_id(), format, entries };
+        self.substrate.write_manifest(&manifest)?;
+        index(self, &manifest)?;
+        self.cache_insert(manifest)?;
+        self.files += 1;
+        Ok(())
+    }
+
+    /// Writes the recipe of `file`, which also ends any open duplicate
+    /// slice. Last in a commit: everything a recipe names is written.
+    pub(crate) fn write_recipe(&mut self, file: &FileEntry, fm: &FileManifest) -> EngineResult<()> {
+        self.slice.reset_run();
+        debug_assert_eq!(fm.total_len(), file.data.len() as u64, "recipe must cover the file");
+        Ok(self.substrate.write_file_manifest(&file.path, fm)?)
+    }
+
+    /// The commit tail of one file, in the order that leaves no dangling
+    /// reference at any crash point: DiskChunk, Manifest, Hooks (and
+    /// Bloom), cache, recipe.
+    pub(crate) fn commit_file(
+        &mut self,
+        file: &FileEntry,
+        fm: &FileManifest,
+        out: Pending,
+        format: ManifestFormat,
+        index: impl FnOnce(&mut Self, &Manifest) -> EngineResult<()>,
+    ) -> EngineResult<()> {
+        self.substrate.write_disk_chunk(out.builder)?;
+        self.commit_manifest(out.entries, format, index)?;
+        self.write_recipe(file, fm)
+    }
+
+    /// Writes dirty cached Manifests back, flushes the store, and reports
+    /// the run so far. The time it takes counts as dedup time.
+    pub(crate) fn finish(
+        &mut self,
+        algorithm: &str,
+        ram_index_bytes: u64,
+    ) -> EngineResult<DedupReport> {
+        let start = Instant::now();
+        for (manifest, dirty) in self.cache.drain() {
+            if dirty {
+                self.substrate.update_manifest(&manifest)?;
+            }
+        }
+        self.substrate.flush()?;
+        self.dedup_seconds += start.elapsed().as_secs_f64();
+        Ok(DedupReport {
+            algorithm: algorithm.to_string(),
+            input_bytes: self.input_bytes,
+            dup_bytes: self.slice.dup_bytes,
+            dup_slices: self.slice.slices,
+            files: self.files,
+            chunks_stored: self.chunks_stored,
+            chunks_dup: self.slice.dup_chunks,
+            hhr_count: self.hhr_count,
+            stats: *self.substrate.stats(),
+            ledger: *self.substrate.ledger(),
+            ram_index_bytes,
+            dedup_seconds: self.dedup_seconds,
+        })
+    }
+}
+
+/// The configured chunking algorithm at expected chunk size `size`.
+pub(crate) fn chunker_at(config: &EngineConfig, size: usize) -> EngineResult<AnyChunker> {
+    config.chunker.build(size).map_err(|e| EngineError::Config(e.to_string()))
+}
+
+/// `process_snapshot` for an engine that dedups file by file (all but
+/// SparseIndexing, whose segments span files): the front end chunks and
+/// hashes ahead with the scaffold's chunker, `per_file` sees the files
+/// in order, and the whole call is timed.
+pub(crate) fn ingest_files<E, B: Backend>(
+    engine: &mut E,
+    snapshot: &Snapshot,
+    scaffold: impl Fn(&mut E) -> &mut Scaffold<B>,
+    per_file: impl Fn(&mut E, &FileEntry, Vec<HashedChunk>) -> EngineResult<()>,
+) -> EngineResult<()> {
+    let start = Instant::now();
+    for ingested in frontend::ingest(&scaffold(engine).chunker, &snapshot.files) {
+        let (file, chunks) = ingested?;
+        scaffold(engine).input_bytes += file.data.len() as u64;
+        per_file(engine, file, chunks)?;
+    }
+    scaffold(engine).dedup_seconds += start.elapsed().as_secs_f64();
+    Ok(())
+}
+
+/// The six engines, in the paper's plotting order: the registry every
+/// "all engines" loop iterates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EngineKind {
+    /// BF-MHD (this paper).
+    Mhd,
+    /// Bimodal.
+    Bimodal,
+    /// SubChunk.
+    SubChunk,
+    /// SparseIndexing.
+    SparseIndexing,
+    /// Flat CDC (Tables I–II only; not plotted in Figs. 7–8).
+    Cdc,
+    /// Frequency-based chunking (paper §I–II; outside its evaluation —
+    /// available for the shootout and ablation comparisons).
+    Fbc,
+}
+
+impl EngineKind {
+    /// Every engine.
+    pub const ALL: [EngineKind; 6] = [
+        EngineKind::Mhd,
+        EngineKind::Bimodal,
+        EngineKind::SubChunk,
+        EngineKind::SparseIndexing,
+        EngineKind::Cdc,
+        EngineKind::Fbc,
+    ];
+
+    /// The four algorithms plotted in Figs. 7–8.
+    pub const FIGURE_SET: [EngineKind; 4] =
+        [EngineKind::Mhd, EngineKind::Bimodal, EngineKind::SubChunk, EngineKind::SparseIndexing];
+
+    /// The four algorithms of Tables I–II.
+    pub const TABLE_SET: [EngineKind; 4] =
+        [EngineKind::Mhd, EngineKind::SubChunk, EngineKind::Bimodal, EngineKind::Cdc];
+
+    /// Label as used in the paper's legends.
+    pub fn label(&self) -> &'static str {
+        match self {
+            EngineKind::Mhd => "BF-MHD",
+            EngineKind::Bimodal => "Bimodal",
+            EngineKind::SubChunk => "SubChunk",
+            EngineKind::SparseIndexing => "SparseIndexing",
+            EngineKind::Cdc => "CDC",
+            EngineKind::Fbc => "FBC",
+        }
+    }
+
+    /// Builds this engine over `backend`.
+    pub fn build<B: Backend + 'static>(
+        self,
+        backend: B,
+        config: EngineConfig,
+    ) -> EngineResult<Box<dyn Deduplicator<Backend = B>>> {
+        Ok(match self {
+            EngineKind::Mhd => Box::new(MhdEngine::new(backend, config)?),
+            EngineKind::Bimodal => Box::new(BimodalEngine::new(backend, config)?),
+            EngineKind::SubChunk => Box::new(SubChunkEngine::new(backend, config)?),
+            EngineKind::SparseIndexing => Box::new(SparseIndexEngine::new(backend, config)?),
+            EngineKind::Cdc => Box::new(CdcEngine::new(backend, config)?),
+            EngineKind::Fbc => Box::new(FbcEngine::new(backend, config)?),
+        })
+    }
 }
 
 /// Tracks duplicate-slice runs: a slice is a maximal run of consecutive

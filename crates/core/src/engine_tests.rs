@@ -5,10 +5,7 @@ use bytes::Bytes;
 use mhd_store::MemBackend;
 use mhd_workload::{FileEntry, Snapshot};
 
-use crate::{
-    BimodalEngine, CdcEngine, DedupReport, Deduplicator, EngineConfig, MhdEngine,
-    SparseIndexEngine, SubChunkEngine,
-};
+use crate::{DedupReport, Deduplicator, EngineConfig, EngineKind, MhdEngine};
 
 pub(crate) fn random(len: usize, seed: u64) -> Vec<u8> {
     let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -34,33 +31,30 @@ pub(crate) fn snapshot(prefix: &str, datas: Vec<Vec<u8>>) -> Snapshot {
     }
 }
 
-fn run_all(snapshots: &[Snapshot], config: EngineConfig) -> Vec<DedupReport> {
-    macro_rules! drive {
-        ($engine:expr) => {{
-            let mut e = $engine.unwrap();
-            for s in snapshots {
-                e.process_snapshot(s).unwrap();
-            }
-            e.finish().unwrap()
-        }};
+/// Runs `kind` over `snapshots` in memory; returns the report and the
+/// finished engine (for its substrate).
+pub(crate) fn drive(
+    kind: EngineKind,
+    snapshots: &[Snapshot],
+    config: EngineConfig,
+) -> (DedupReport, Box<dyn Deduplicator<Backend = MemBackend>>) {
+    let mut e = kind.build(MemBackend::new(), config).unwrap();
+    for s in snapshots {
+        e.process_snapshot(s).unwrap();
     }
-    vec![
-        drive!(MhdEngine::new(MemBackend::new(), config)),
-        drive!(CdcEngine::new(MemBackend::new(), config)),
-        drive!(BimodalEngine::new(MemBackend::new(), config)),
-        drive!(SubChunkEngine::new(MemBackend::new(), config)),
-        drive!(SparseIndexEngine::new(MemBackend::new(), config)),
-    ]
+    (e.finish().unwrap(), e)
+}
+
+fn run_all(snapshots: &[Snapshot], config: EngineConfig) -> Vec<DedupReport> {
+    EngineKind::ALL.iter().map(|&kind| drive(kind, snapshots, config).0).collect()
 }
 
 #[test]
 fn all_engines_reject_invalid_config() {
     let bad = EngineConfig::new(1000, 8); // not a power of two
-    assert!(MhdEngine::new(MemBackend::new(), bad).is_err());
-    assert!(CdcEngine::new(MemBackend::new(), bad).is_err());
-    assert!(BimodalEngine::new(MemBackend::new(), bad).is_err());
-    assert!(SubChunkEngine::new(MemBackend::new(), bad).is_err());
-    assert!(SparseIndexEngine::new(MemBackend::new(), bad).is_err());
+    for kind in EngineKind::ALL {
+        assert!(kind.build(MemBackend::new(), bad).is_err(), "{kind:?}");
+    }
 }
 
 #[test]
@@ -240,6 +234,7 @@ fn engine_outputs_are_pinned() {
     // engines must leave them alone, and the front end's worker count
     // must never show in them.
     use mhd_chunking::ChunkerKind;
+    const CHUNKERS: [ChunkerKind; 2] = [ChunkerKind::Rabin, ChunkerKind::FastCdc];
     let corpus = mhd_workload::Corpus::generate(mhd_workload::CorpusSpec::tiny(19));
     let pinned = [
         ("bf-mhd", ChunkerKind::Rabin, "08c75e5d4f094f216ff7fa7c2a906eb85b6b173b"),
@@ -255,34 +250,20 @@ fn engine_outputs_are_pinned() {
         ("fbc", ChunkerKind::Rabin, "7d250a23058e535063cf368dfd776ca22225b4b6"),
         ("fbc", ChunkerKind::FastCdc, "a77867b6c8178a1372d3b3d940beb8f239cd6b9d"),
     ];
-    macro_rules! digest {
-        ($engine:expr) => {{
-            let mut e = $engine.unwrap();
-            for s in &corpus.snapshots {
-                e.process_snapshot(s).unwrap();
-            }
-            let report = e.finish().unwrap();
-            if report.algorithm == "bf-mhd" {
-                assert!(report.hhr_count > 0, "the corpus must exercise HHR");
-                assert!(report.stats.manifest_output > report.files, "and dirty write-backs");
-            }
-            run_digest(&report, e.substrate_mut().backend_mut())
-        }};
-    }
-    for (name, chunker, want) in pinned {
+    for (kind, chunker) in EngineKind::ALL.into_iter().flat_map(|k| CHUNKERS.map(|c| (k, c))) {
         let mut config = EngineConfig::new(512, 8).with_chunker(chunker);
         config.cache_manifests = 2;
         for workers in [0, 2] {
-            let got = crate::frontend::with_workers(workers, || match name {
-                "bf-mhd" => digest!(MhdEngine::new(MemBackend::new(), config)),
-                "cdc" => digest!(CdcEngine::new(MemBackend::new(), config)),
-                "bimodal" => digest!(BimodalEngine::new(MemBackend::new(), config)),
-                "subchunk" => digest!(SubChunkEngine::new(MemBackend::new(), config)),
-                "sparse-indexing" => digest!(SparseIndexEngine::new(MemBackend::new(), config)),
-                "fbc" => digest!(crate::FbcEngine::new(MemBackend::new(), config)),
-                other => panic!("unknown engine {other}"),
+            let (name, got) = crate::frontend::with_workers(workers, || {
+                let (report, mut e) = drive(kind, &corpus.snapshots, config);
+                if kind == EngineKind::Mhd {
+                    assert!(report.hhr_count > 0, "the corpus must exercise HHR");
+                    assert!(report.stats.manifest_output > report.files, "and dirty write-backs");
+                }
+                (e.name(), run_digest(&report, e.substrate_mut().backend_mut()))
             });
-            assert_eq!(got, want, "{name} {chunker:?} workers={workers}");
+            let want = pinned.iter().find(|p| (p.0, p.1) == (name, chunker)).map(|p| p.2);
+            assert_eq!(Some(got.as_str()), want, "{name} {chunker:?} workers={workers}");
         }
     }
 }

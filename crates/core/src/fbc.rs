@@ -13,23 +13,17 @@
 //! (`algorithm_shootout` example, `fbc_comparison` integration test) with
 //! the same accounting as the other engines.
 
-use std::time::Instant;
-
 use bytes::Bytes;
-use mhd_bloom::{BloomFilter, CountMinSketch};
-use mhd_cache::ManifestCache;
+use mhd_bloom::CountMinSketch;
 use mhd_chunking::AnyChunker;
-use mhd_hash::ChunkHash;
-use mhd_store::{
-    Backend, Extent, FileManifest, Manifest, ManifestEntry, ManifestFormat, Substrate,
-};
-use mhd_workload::Snapshot;
+use mhd_store::{Backend, FileManifest, ManifestFormat, Substrate};
+use mhd_workload::{FileEntry, Snapshot};
 
 use crate::config::EngineConfig;
 use crate::engine::{
-    chunk_and_hash, DedupReport, Deduplicator, EngineError, EngineResult, HashedChunk, SliceTracker,
+    chunk_and_hash, chunker_at, ingest_files, DedupReport, Deduplicator, EngineResult, HashedChunk,
+    Query, Scaffold,
 };
-use crate::frontend;
 
 /// How many sightings make a small chunk "frequent" enough to justify
 /// re-chunking the big chunk containing it.
@@ -37,57 +31,22 @@ const FREQUENCY_THRESHOLD: u32 = 2;
 
 /// Frequency-based-chunking deduplicator.
 pub struct FbcEngine<B: Backend> {
-    config: EngineConfig,
-    big_chunker: AnyChunker,
+    s: Scaffold<B>,
     small_chunker: AnyChunker,
-    substrate: Substrate<B>,
-    bloom: BloomFilter,
-    cache: ManifestCache,
     /// Frequency estimator over small-chunk hashes of the input stream.
     sketch: CountMinSketch,
-    slice: SliceTracker,
-    input_bytes: u64,
-    files: u64,
-    chunks_stored: u64,
     rechunked_bigs: u64,
-    dedup_seconds: f64,
 }
 
 impl<B: Backend> FbcEngine<B> {
     /// Creates an engine over `backend`.
     pub fn new(backend: B, config: EngineConfig) -> EngineResult<Self> {
-        config.validate().map_err(EngineError::Config)?;
-        let small_chunker =
-            config.chunker.build(config.ecs).map_err(|e| EngineError::Config(e.to_string()))?;
-        let big_chunker = config
-            .chunker
-            .build(config.big_chunk_size())
-            .map_err(|e| EngineError::Config(e.to_string()))?;
         Ok(FbcEngine {
-            big_chunker,
-            small_chunker,
-            substrate: Substrate::new(backend),
-            bloom: BloomFilter::with_bytes(config.bloom_bytes, (config.bloom_bytes * 2) as u64),
-            cache: ManifestCache::new(config.cache_manifests),
+            s: Scaffold::new(backend, config, config.big_chunk_size())?,
+            small_chunker: chunker_at(&config, config.ecs)?,
             sketch: CountMinSketch::with_epsilon(1e-4),
-            slice: SliceTracker::default(),
-            input_bytes: 0,
-            files: 0,
-            chunks_stored: 0,
             rechunked_bigs: 0,
-            dedup_seconds: 0.0,
-            config,
         })
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// The storage substrate (counters, ledger, restore access).
-    pub fn substrate_mut(&mut self) -> &mut Substrate<B> {
-        &mut self.substrate
     }
 
     /// Big chunks re-chunked due to frequent content (the FBC trigger).
@@ -95,53 +54,16 @@ impl<B: Backend> FbcEngine<B> {
         self.rechunked_bigs
     }
 
-    /// Full-index lookup via cache → Bloom → Hook → Manifest, as in
-    /// Bimodal (hooks exist for every stored chunk, big or small).
-    fn lookup(&mut self, hash: ChunkHash, big: bool) -> EngineResult<Option<Extent>> {
-        if big {
-            self.substrate.stats_mut().big_chunk_query += 1;
-        } else {
-            self.substrate.stats_mut().small_chunk_query += 1;
-        }
-        let found = if let Some((mid, idx)) = self.cache.find_hash(&hash) {
-            self.substrate.stats_mut().cache_hits += 1;
-            Some(self.cache.peek(mid).expect("resident").manifest().entries[idx as usize])
-        } else if !self.bloom.contains(&hash) {
-            self.substrate.stats_mut().bloom_suppressed += 1;
-            None
-        } else if let Some(mid) = self.substrate.lookup_hook(hash)? {
-            let manifest = self.substrate.load_manifest(mid)?;
-            let e = manifest.entries.iter().find(|e| e.hash == hash).copied();
-            if let Some((evicted, dirty)) = self.cache.insert(manifest, false) {
-                if dirty {
-                    self.substrate.update_manifest(&evicted)?;
-                }
-            }
-            e
-        } else {
-            None
-        };
-        Ok(found.map(|e| Extent { container: e.container, offset: e.offset, len: e.size }))
-    }
-
     /// Deduplicates one file, given its hashed big chunks.
-    fn process_file(
-        &mut self,
-        path: &str,
-        data: &Bytes,
-        bigs: Vec<HashedChunk>,
-    ) -> EngineResult<()> {
-        self.input_bytes += data.len() as u64;
-
-        let mut builder = self.substrate.new_disk_chunk();
-        let mut entries: Vec<ManifestEntry> = Vec::new();
+    fn process_file(&mut self, file: &FileEntry, bigs: Vec<HashedChunk>) -> EngineResult<()> {
+        let mut out = self.s.begin();
         let mut fm = FileManifest::new();
 
         for b in &bigs {
             // Frequency bookkeeping happens on the raw input (small
             // granularity), before any dedup decision — "estimated from
             // data that have been previously processed".
-            let big_bytes = Bytes::copy_from_slice(b.slice(data));
+            let big_bytes = Bytes::copy_from_slice(b.slice(&file.data));
             let smalls = chunk_and_hash(&self.small_chunker, &big_bytes);
             let frequent =
                 smalls.iter().any(|s| self.sketch.estimate(&s.hash) >= FREQUENCY_THRESHOLD);
@@ -150,143 +72,52 @@ impl<B: Backend> FbcEngine<B> {
             }
 
             // Big-chunk dedup first.
-            if let Some(extent) = self.lookup(b.hash, true)? {
-                self.slice.on_dup(extent.len, 1);
-                fm.push(extent);
-                continue;
-            }
-
-            if !frequent {
+            if let Some(extent) = self.s.lookup(b.hash, Query::Big)? {
+                self.s.dup(&mut fm, extent);
+            } else if !frequent {
                 // Cold content: store the big chunk whole (one entry, one
                 // hook — cheap metadata).
-                self.slice.on_nondup();
-                let offset = builder.append(&big_bytes);
-                entries.push(ManifestEntry {
-                    hash: b.hash,
-                    container: builder.id(),
-                    offset,
-                    size: b.len as u64,
-                    is_hook: false,
-                });
-                fm.push(Extent { container: builder.id(), offset, len: b.len as u64 });
-                self.chunks_stored += 1;
-                continue;
-            }
-
-            // Frequent content inside: re-chunk and dedup at the small
-            // granularity.
-            self.rechunked_bigs += 1;
-            for s in &smalls {
-                if let Some(extent) = self.lookup(s.hash, false)? {
-                    self.slice.on_dup(extent.len, 1);
-                    fm.push(extent);
-                } else {
-                    self.slice.on_nondup();
-                    let offset = builder.append(s.slice(&big_bytes));
-                    entries.push(ManifestEntry {
-                        hash: s.hash,
-                        container: builder.id(),
-                        offset,
-                        size: s.len as u64,
-                        is_hook: false,
-                    });
-                    fm.push(Extent { container: builder.id(), offset, len: s.len as u64 });
-                    self.chunks_stored += 1;
+                self.s.store(&mut out, &mut fm, b.hash, &big_bytes);
+            } else {
+                // Frequent content inside: re-chunk and dedup at the small
+                // granularity.
+                self.rechunked_bigs += 1;
+                for s in &smalls {
+                    self.s.dedup_chunk(Query::Small, &mut out, &mut fm, s, &big_bytes)?;
                 }
             }
         }
-        self.slice.reset_run();
-
-        if !builder.is_empty() {
-            self.substrate.write_disk_chunk(builder)?;
-            let mid = self.substrate.new_manifest_id();
-            let manifest = Manifest { id: mid, format: ManifestFormat::Plain, entries };
-            self.substrate.write_manifest(&manifest)?;
-            for e in &manifest.entries {
-                self.substrate.write_hook(e.hash, mid)?;
-                self.bloom.insert(&e.hash);
-            }
-            if let Some((evicted, dirty)) = self.cache.insert(manifest, false) {
-                if dirty {
-                    self.substrate.update_manifest(&evicted)?;
-                }
-            }
-            self.files += 1;
-        }
-        self.substrate.write_file_manifest(path, &fm)?;
-        debug_assert_eq!(fm.total_len(), data.len() as u64);
-        Ok(())
+        // As in Bimodal, hooks exist for every stored chunk, big or small.
+        self.s.commit_file(file, &fm, out, ManifestFormat::Plain, Scaffold::hook_every_entry)
     }
 }
 
 impl<B: Backend> Deduplicator for FbcEngine<B> {
+    type Backend = B;
+
     fn name(&self) -> &'static str {
         "fbc"
     }
 
     fn process_snapshot(&mut self, snapshot: &Snapshot) -> EngineResult<()> {
-        let start = Instant::now();
-        for ingested in frontend::ingest(&self.big_chunker, &snapshot.files) {
-            let (file, bigs) = ingested?;
-            self.process_file(&file.path, &file.data, bigs)?;
-        }
-        self.dedup_seconds += start.elapsed().as_secs_f64();
-        Ok(())
+        ingest_files(self, snapshot, |e| &mut e.s, Self::process_file)
     }
 
     fn finish(&mut self) -> EngineResult<DedupReport> {
-        for (manifest, dirty) in self.cache.drain() {
-            if dirty {
-                self.substrate.update_manifest(&manifest)?;
-            }
-        }
-        self.substrate.flush()?;
-        Ok(DedupReport {
-            algorithm: self.name().to_string(),
-            input_bytes: self.input_bytes,
-            dup_bytes: self.slice.dup_bytes,
-            dup_slices: self.slice.slices,
-            files: self.files,
-            chunks_stored: self.chunks_stored,
-            chunks_dup: self.slice.dup_chunks,
-            hhr_count: 0,
-            stats: *self.substrate.stats(),
-            ledger: *self.substrate.ledger(),
-            ram_index_bytes: (self.bloom.ram_bytes() + self.sketch.ram_bytes()) as u64,
-            dedup_seconds: self.dedup_seconds,
-        })
+        let ram = self.s.bloom.ram_bytes() + self.sketch.ram_bytes();
+        self.s.finish(self.name(), ram as u64)
+    }
+
+    fn substrate_mut(&mut self) -> &mut Substrate<B> {
+        &mut self.s.substrate
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine_tests::{random, snapshot};
     use mhd_store::MemBackend;
-    use mhd_workload::FileEntry;
-
-    fn snapshot(prefix: &str, datas: Vec<Vec<u8>>) -> Snapshot {
-        Snapshot {
-            machine: 0,
-            day: 0,
-            files: datas
-                .into_iter()
-                .enumerate()
-                .map(|(i, d)| FileEntry { path: format!("{prefix}/f{i}"), data: Bytes::from(d) })
-                .collect(),
-        }
-    }
-
-    fn random(len: usize, seed: u64) -> Vec<u8> {
-        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        (0..len)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (x >> 24) as u8
-            })
-            .collect()
-    }
 
     fn engine() -> FbcEngine<MemBackend> {
         FbcEngine::new(MemBackend::new(), EngineConfig::new(512, 8)).unwrap()

@@ -533,11 +533,8 @@ mod tests {
 
     use bytes::Bytes;
 
-    use crate::engine_tests::{random, snapshot};
-    use crate::{
-        BimodalEngine, CdcEngine, DedupReport, Deduplicator, EngineConfig, FbcEngine, MhdEngine,
-        SparseIndexEngine, SubChunkEngine,
-    };
+    use crate::engine_tests::{drive, random, snapshot};
+    use crate::{DedupReport, Deduplicator, EngineConfig, EngineKind, MhdEngine};
     use mhd_chunking::ChunkerKind;
     use mhd_store::{Backend, FaultBackend, FaultPoint, FileKind, MemBackend, StoreError};
     use mhd_workload::{Corpus, CorpusSpec, Snapshot};
@@ -565,24 +562,13 @@ mod tests {
     /// Runs every engine over `snapshots` and returns each one's report
     /// counters and stored objects.
     fn run_every_engine(snapshots: &[Snapshot], config: EngineConfig) -> Vec<(String, Objects)> {
-        macro_rules! drive {
-            ($engine:ident) => {{
-                let mut e = $engine::new(MemBackend::new(), config).unwrap();
-                for s in snapshots {
-                    e.process_snapshot(s).unwrap();
-                }
-                let report = e.finish().unwrap();
+        EngineKind::ALL
+            .iter()
+            .map(|&kind| {
+                let (report, mut e) = drive(kind, snapshots, config);
                 (counters(report), objects(e.substrate_mut().backend_mut()))
-            }};
-        }
-        vec![
-            drive!(MhdEngine),
-            drive!(CdcEngine),
-            drive!(BimodalEngine),
-            drive!(SubChunkEngine),
-            drive!(FbcEngine),
-            drive!(SparseIndexEngine),
-        ]
+            })
+            .collect()
     }
 
     #[test]

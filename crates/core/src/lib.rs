@@ -4,7 +4,7 @@
 //! Deduplication** ([`MhdEngine`]): Sampling-and-Hash-Merging (SHM),
 //! Bi-Directional Match Extension (BME/FME), and Hysteresis Hash
 //! Re-chunking (HHR) — together with the four comparison systems of its
-//! evaluation:
+//! evaluation and a fifth the paper discusses:
 //!
 //! * [`CdcEngine`] — flat content-defined chunking with a full per-chunk
 //!   hook index (the "CDC" column of Tables I–II),
@@ -19,10 +19,15 @@
 //!   selective re-chunking), the third big-chunk algorithm the paper's
 //!   §I–II discuss.
 //!
-//! All engines run against the same [`mhd_store::Substrate`], so their
+//! All six are one scaffold (substrate, Bloom filter, Manifest cache,
+//! counters, index lookup, per-file commit, ingest loop, report — private
+//! to this crate) plus a policy, so they run against the same
+//! [`mhd_store::Substrate`] with the same accounting and their
 //! [`IoStats`](mhd_store::IoStats) and
 //! [`MetadataLedger`](mhd_store::MetadataLedger) are directly comparable —
-//! the measured analogue of the paper's Tables I and II. [`metrics`]
+//! the measured analogue of the paper's Tables I and II. [`EngineKind`]
+//! names them and builds any of them behind the one [`Deduplicator`]
+//! interface. [`metrics`]
 //! derives the evaluation's figures of merit (data-only DER, real DER,
 //! MetaDataRatio, ThroughputRatio, DAD) and [`analysis`] provides the
 //! closed-form models of §IV for cross-checking.
@@ -74,7 +79,8 @@ pub use bimodal::BimodalEngine;
 pub use cdc_engine::CdcEngine;
 pub use config::{EngineConfig, HhrDupGranularity, HookIndex, MhdOptions};
 pub use engine::{
-    chunk_and_hash, DedupReport, Deduplicator, EngineError, EngineResult, HashedChunk, HookPresence,
+    chunk_and_hash, DedupReport, Deduplicator, EngineError, EngineKind, EngineResult, HashedChunk,
+    HookPresence,
 };
 pub use fbc::FbcEngine;
 pub use mhd::{MhdEngine, MhdState, SessionDelta};

@@ -24,41 +24,28 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant;
 
 use bytes::Bytes;
 use mhd_bloom::BloomFilter;
-use mhd_cache::ManifestCache;
-use mhd_chunking::AnyChunker;
 use mhd_hash::{sha1, ChunkHash, FxHashMap, FxHashSet};
 use mhd_store::{
-    Backend, DiskChunkBuilder, Extent, FileManifest, IoStats, Manifest, ManifestEntry,
-    ManifestFormat, ManifestId, StoreError, Substrate,
+    Backend, Extent, FileManifest, IoStats, ManifestEntry, ManifestFormat, ManifestId, StoreError,
+    Substrate,
 };
-use mhd_workload::Snapshot;
+use mhd_workload::{FileEntry, Snapshot};
 
 use crate::config::{EngineConfig, HhrDupGranularity, HookIndex};
 use crate::engine::{
-    DedupReport, Deduplicator, EngineError, EngineResult, HashedChunk, HookPresence, SliceTracker,
+    ingest_files, DedupReport, Deduplicator, EngineError, EngineResult, HashedChunk, HookPresence,
+    Pending, Scaffold,
 };
-use crate::frontend;
 
 /// The BF-MHD engine (Bloom-filter-based MHD, the variant evaluated in §V).
 pub struct MhdEngine<B: Backend> {
-    config: EngineConfig,
-    chunker: AnyChunker,
-    substrate: Substrate<B>,
-    bloom: BloomFilter,
+    s: Scaffold<B>,
     /// SI-MHD only: the in-RAM hook index replacing Bloom filter + on-disk
     /// Hook files.
     sparse_hooks: FxHashMap<ChunkHash, ManifestId>,
-    cache: ManifestCache,
-    slice: SliceTracker,
-    input_bytes: u64,
-    files: u64,
-    chunks_stored: u64,
-    hhr_count: u64,
-    dedup_seconds: f64,
     /// Optional shared-store presence oracle (two-phase daemon commits):
     /// consulted before the Bloom filter, which then only covers the
     /// hooks this engine wrote itself.
@@ -111,24 +98,11 @@ fn chunks_covering_prefix(chunks: &[HashedChunk], size: u64) -> Option<usize> {
 impl<B: Backend> MhdEngine<B> {
     /// Creates an engine over `backend` with the given configuration.
     pub fn new(backend: B, config: EngineConfig) -> EngineResult<Self> {
-        config.validate().map_err(EngineError::Config)?;
-        let chunker =
-            config.chunker.build(config.ecs).map_err(|e| EngineError::Config(e.to_string()))?;
         Ok(MhdEngine {
-            chunker,
-            substrate: Substrate::new(backend),
-            bloom: BloomFilter::with_bytes(config.bloom_bytes, (config.bloom_bytes * 2) as u64),
+            s: Scaffold::new(backend, config, config.ecs)?,
             sparse_hooks: FxHashMap::default(),
-            cache: ManifestCache::new(config.cache_manifests),
-            slice: SliceTracker::default(),
-            input_bytes: 0,
-            files: 0,
-            chunks_stored: 0,
-            hhr_count: 0,
-            dedup_seconds: 0.0,
             presence: None,
             missed: FxHashSet::default(),
-            config,
         })
     }
 
@@ -158,44 +132,39 @@ impl<B: Backend> MhdEngine<B> {
         Ok(None)
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
     /// The storage substrate (counters, ledger, restore access).
     pub fn substrate_mut(&mut self) -> &mut Substrate<B> {
-        &mut self.substrate
+        &mut self.s.substrate
     }
 
     /// Read access to the substrate.
     pub fn substrate(&self) -> &Substrate<B> {
         // Only &self accessors on Substrate are stats()/ledger(), which are
         // what callers need here.
-        &self.substrate
+        &self.s.substrate
     }
 
     /// Looks up an incoming chunk hash: RAM cache first, then Bloom filter,
     /// then the on-disk Hook store (loading the Manifest it points to).
     fn lookup(&mut self, hash: ChunkHash) -> EngineResult<Option<(ManifestId, u32)>> {
-        if let Some(hit) = self.cache.find_hash(&hash) {
-            self.substrate.stats_mut().cache_hits += 1;
+        if let Some(hit) = self.s.cache.find_hash(&hash) {
+            self.s.substrate.stats_mut().cache_hits += 1;
             return Ok(Some(hit));
         }
-        let mid = match self.config.mhd.hook_index {
+        let mid = match self.s.config.mhd.hook_index {
             HookIndex::Bloom => {
                 // With a presence oracle, the shared index answers for
                 // hooks other sessions published; the Bloom filter only
                 // covers this engine's own hooks.
                 let claimed = match &self.presence {
-                    Some(oracle) => oracle.contains(&hash) || self.bloom.contains(&hash),
-                    None => self.bloom.contains(&hash),
+                    Some(oracle) => oracle.contains(&hash) || self.s.bloom.contains(&hash),
+                    None => self.s.bloom.contains(&hash),
                 };
                 if !claimed {
-                    self.substrate.stats_mut().bloom_suppressed += 1;
+                    self.s.substrate.stats_mut().bloom_suppressed += 1;
                     return self.miss(hash);
                 }
-                match self.substrate.lookup_hook(hash)? {
+                match self.s.substrate.lookup_hook(hash)? {
                     Some(mid) => {
                         mhd_obs::counter!("mhd.hook_hits").inc();
                         mhd_obs::trace(mhd_obs::TraceEvent::HookHit);
@@ -217,7 +186,7 @@ impl<B: Backend> MhdEngine<B> {
                 None => return self.miss(hash),
             },
         };
-        let manifest = match self.substrate.load_manifest(mid) {
+        let manifest = match self.s.substrate.load_manifest(mid) {
             Ok(m) => m,
             // Under a presence oracle a hook can race the manifest it
             // points to (the lock-free index runs ahead of the publisher's
@@ -229,11 +198,11 @@ impl<B: Backend> MhdEngine<B> {
             }
             Err(e) => return Err(e.into()),
         };
-        self.insert_into_cache(manifest)?;
+        self.s.cache_insert(manifest)?;
         // Resolve the entry through the cache's per-manifest hash index
         // built on fill — a linear scan here is O(entries) per hook hit,
         // which dominates on large manifests.
-        let idx = self.cache.peek(mid).and_then(|cached| cached.find(&hash));
+        let idx = self.s.cache.peek(mid).and_then(|cached| cached.find(&hash));
         // Hooks are immutable and HHR never re-chunks Hook entries, so the
         // hash is always present in the Manifest its Hook points to —
         // except under a presence oracle, where the hook may map to a
@@ -248,15 +217,6 @@ impl<B: Backend> MhdEngine<B> {
         }
     }
 
-    fn insert_into_cache(&mut self, manifest: Manifest) -> EngineResult<()> {
-        if let Some((evicted, dirty)) = self.cache.insert(manifest, false) {
-            if dirty {
-                self.substrate.update_manifest(&evicted)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Flushes one SHM run of up to SD buffered chunks into the builder:
     /// the first chunk becomes a Hook entry, the remaining chunks one
     /// merged entry.
@@ -264,15 +224,14 @@ impl<B: Backend> MhdEngine<B> {
         &mut self,
         run: &[HashedChunk],
         data: &Bytes,
-        builder: &mut DiskChunkBuilder,
-        entries: &mut Vec<ManifestEntry>,
+        out: &mut Pending,
         fm: &mut FileManifest,
     ) {
-        debug_assert!(!run.is_empty() && run.len() <= self.config.sd);
-        let container = builder.id();
+        debug_assert!(!run.is_empty() && run.len() <= self.s.config.sd);
+        let container = out.builder.id();
         let first = &run[0];
-        let off0 = builder.append(first.slice(data));
-        entries.push(ManifestEntry {
+        let off0 = out.builder.append(first.slice(data));
+        out.entries.push(ManifestEntry {
             hash: first.hash,
             container,
             offset: off0,
@@ -283,8 +242,8 @@ impl<B: Backend> MhdEngine<B> {
             let merged_start = run[1].offset as usize;
             let merged_end = run[run.len() - 1].end() as usize;
             let merged = &data[merged_start..merged_end];
-            let off1 = builder.append(merged);
-            entries.push(ManifestEntry {
+            let off1 = out.builder.append(merged);
+            out.entries.push(ManifestEntry {
                 hash: sha1(merged),
                 container,
                 offset: off1,
@@ -292,7 +251,7 @@ impl<B: Backend> MhdEngine<B> {
                 is_hook: false,
             });
         }
-        self.chunks_stored += run.len() as u64;
+        self.s.chunks_stored += run.len() as u64;
         fm.push(Extent { container, offset: off0, len: (run[run.len() - 1].end() - first.offset) });
     }
 
@@ -302,20 +261,19 @@ impl<B: Backend> MhdEngine<B> {
         buffer: &mut VecDeque<HashedChunk>,
         count: usize,
         data: &Bytes,
-        builder: &mut DiskChunkBuilder,
-        entries: &mut Vec<ManifestEntry>,
+        out: &mut Pending,
         fm: &mut FileManifest,
     ) {
-        let mut run = Vec::with_capacity(count.min(self.config.sd));
+        let mut run = Vec::with_capacity(count.min(self.s.config.sd));
         let mut remaining = count;
         while remaining > 0 {
             run.clear();
-            while remaining > 0 && run.len() < self.config.sd {
+            while remaining > 0 && run.len() < self.s.config.sd {
                 // lint: allow(unwrap): callers pass count <= buffer.len(), checked at entry
                 run.push(buffer.pop_front().expect("flush_front within buffer length"));
                 remaining -= 1;
             }
-            self.flush_run(&run, data, builder, entries, fm);
+            self.flush_run(&run, data, out, fm);
         }
     }
 
@@ -382,9 +340,9 @@ impl<B: Backend> MhdEngine<B> {
         debug_assert!(dup_bytes > 0 && dup_bytes < e.size);
         let container = e.container;
         let nondup = e.size - dup_bytes;
-        let edge_len = if self.config.mhd.edge_hash { edge_len.min(nondup) } else { 0 };
+        let edge_len = if self.s.config.mhd.edge_hash { edge_len.min(nondup) } else { 0 };
         let rem_len = nondup - edge_len;
-        self.hhr_count += 1;
+        self.s.hhr_count += 1;
         mhd_obs::counter!("mhd.hhr_splits").inc();
         mhd_obs::histogram!("mhd.hhr_dup_bytes").record(dup_bytes);
 
@@ -411,7 +369,7 @@ impl<B: Backend> MhdEngine<B> {
 
         let mut out = Vec::with_capacity(parts.len() + dup_chunks.len());
         for (rel, len, is_dup) in parts {
-            if is_dup && self.config.mhd.hhr_dup == HhrDupGranularity::PerChunk {
+            if is_dup && self.s.config.mhd.hhr_dup == HhrDupGranularity::PerChunk {
                 // One entry per matched incoming chunk; their hashes are
                 // already known.
                 let mut cursor = rel;
@@ -459,14 +417,14 @@ impl<B: Backend> MhdEngine<B> {
         while k >= 0 && !buffer.is_empty() {
             let e = {
                 // lint: allow(unwrap): the BME loop runs under the cache pin taken at hit time
-                let cached = self.cache.peek(mid).expect("hit manifest resident");
+                let cached = self.s.cache.peek(mid).expect("hit manifest resident");
                 cached.manifest().entries[k as usize]
             };
             // lint: allow(unwrap): loop condition guarantees a non-empty buffer
             let tail = *buffer.back().expect("non-empty buffer");
             if e.hash == tail.hash {
                 buffer.pop_back();
-                extents_rev.push(Extent { container: e.container, offset: e.offset, len: e.size });
+                extents_rev.push(e.extent());
                 dup_bytes += e.size;
                 dup_chunks += 1;
                 k -= 1;
@@ -486,11 +444,7 @@ impl<B: Backend> MhdEngine<B> {
                         for _ in 0..count {
                             buffer.pop_back();
                         }
-                        extents_rev.push(Extent {
-                            container: e.container,
-                            offset: e.offset,
-                            len: e.size,
-                        });
+                        extents_rev.push(e.extent());
                         dup_bytes += e.size;
                         dup_chunks += count as u64;
                         k -= 1;
@@ -503,7 +457,7 @@ impl<B: Backend> MhdEngine<B> {
             if e.is_hook || e.size <= tail.len as u64 {
                 break;
             }
-            let old = match self.substrate.read_chunk_range(e.container, e.offset, e.size) {
+            let old = match self.s.substrate.read_chunk_range(e.container, e.offset, e.size) {
                 Ok(old) => old,
                 // Under a presence oracle the container may belong to a
                 // concurrent publisher and not be flushed yet: stop
@@ -543,7 +497,7 @@ impl<B: Backend> MhdEngine<B> {
             // Straddle: split the entry (HHR).
             let edge_len = buffer.back().map(|c| c.len as u64).unwrap_or(0);
             let replacement = self.hhr_split(e, &old, m.matched_bytes, &matched, edge_len, true);
-            self.cache.splice_entry(mid, k as usize, replacement);
+            self.s.cache.splice_entry(mid, k as usize, replacement);
             break;
         }
         Ok((extents_rev, dup_bytes, dup_chunks))
@@ -567,7 +521,7 @@ impl<B: Backend> MhdEngine<B> {
         while i < chunks.len() {
             let e = {
                 // lint: allow(unwrap): mid was pinned by the caller's lookup and peek never evicts
-                let cached = self.cache.peek(mid).expect("hit manifest resident");
+                let cached = self.s.cache.peek(mid).expect("hit manifest resident");
                 let entries = &cached.manifest().entries;
                 if k >= entries.len() {
                     break;
@@ -576,7 +530,7 @@ impl<B: Backend> MhdEngine<B> {
             };
             let c = chunks[i];
             if e.hash == c.hash {
-                extents.push(Extent { container: e.container, offset: e.offset, len: e.size });
+                extents.push(e.extent());
                 dup_bytes += e.size;
                 i += 1;
                 k += 1;
@@ -590,11 +544,7 @@ impl<B: Backend> MhdEngine<B> {
                     let start = c.offset as usize;
                     let end = start + e.size as usize;
                     if sha1(&data[start..end]) == e.hash {
-                        extents.push(Extent {
-                            container: e.container,
-                            offset: e.offset,
-                            len: e.size,
-                        });
+                        extents.push(e.extent());
                         dup_bytes += e.size;
                         i += count;
                         k += 1;
@@ -605,7 +555,7 @@ impl<B: Backend> MhdEngine<B> {
             if e.is_hook || e.size <= c.len as u64 {
                 break;
             }
-            let old = match self.substrate.read_chunk_range(e.container, e.offset, e.size) {
+            let old = match self.s.substrate.read_chunk_range(e.container, e.offset, e.size) {
                 Ok(old) => old,
                 // Under a presence oracle the container may belong to a
                 // concurrent publisher and not be flushed yet: stop
@@ -636,26 +586,20 @@ impl<B: Backend> MhdEngine<B> {
             }
             let edge_len = chunks.get(i).map(|c| c.len as u64).unwrap_or(0);
             let replacement = self.hhr_split(e, &old, m.matched_bytes, &matched, edge_len, false);
-            self.cache.splice_entry(mid, k, replacement);
+            self.s.cache.splice_entry(mid, k, replacement);
             break;
         }
         Ok((extents, dup_bytes, i - start_i))
     }
 
     /// Deduplicates one file, given its hashed chunks.
-    fn process_file(
-        &mut self,
-        path: &str,
-        data: &Bytes,
-        chunks: Vec<HashedChunk>,
-    ) -> EngineResult<()> {
-        self.input_bytes += data.len() as u64;
+    fn process_file(&mut self, file: &FileEntry, chunks: Vec<HashedChunk>) -> EngineResult<()> {
         let _timer = mhd_obs::span!("stage.dedup_ns");
+        let data = &file.data;
 
-        let mut builder = self.substrate.new_disk_chunk();
-        let mut entries: Vec<ManifestEntry> = Vec::new();
+        let mut out = self.s.begin();
         let mut fm = FileManifest::new();
-        let mut buffer: VecDeque<HashedChunk> = VecDeque::with_capacity(2 * self.config.sd);
+        let mut buffer: VecDeque<HashedChunk> = VecDeque::with_capacity(2 * self.s.config.sd);
         // Extents for still-buffered chunks are deferred; this queue holds
         // dup extents that must follow the next buffer flush in file order.
         let mut i = 0usize;
@@ -665,32 +609,25 @@ impl<B: Backend> MhdEngine<B> {
             match self.lookup(c.hash)? {
                 None => {
                     buffer.push_back(c);
-                    self.slice.on_nondup();
-                    if buffer.len() == 2 * self.config.sd {
+                    self.s.slice.on_nondup();
+                    if buffer.len() == 2 * self.s.config.sd {
                         // SHM partial flush: the front SD chunks can no
                         // longer be backward-extended (BME reach is the
                         // buffer) and go to the DiskChunk.
-                        self.flush_front(
-                            &mut buffer,
-                            self.config.sd,
-                            data,
-                            &mut builder,
-                            &mut entries,
-                            &mut fm,
-                        );
+                        self.flush_front(&mut buffer, self.s.config.sd, data, &mut out, &mut fm);
                     }
                     i += 1;
                 }
                 Some((mid, hit_idx)) => {
                     let hit_entry = {
                         // lint: allow(unwrap): lookup_hash just resolved mid, so it is resident
-                        let cached = self.cache.peek(mid).expect("resident");
+                        let cached = self.s.cache.peek(mid).expect("resident");
                         cached.manifest().entries[hit_idx as usize]
                     };
                     debug_assert_eq!(hit_entry.size, c.len as u64, "hash hit with size mismatch");
 
                     let (bme_extents_rev, bme_bytes, bme_chunks) =
-                        if self.config.mhd.backward_extension {
+                        if self.s.config.mhd.backward_extension {
                             self.backward_extend(mid, hit_idx, &mut buffer, data)?
                         } else {
                             (Vec::new(), 0, 0)
@@ -709,27 +646,17 @@ impl<B: Backend> MhdEngine<B> {
                     // order, so flush it first.
                     let remaining = buffer.len();
                     if remaining > 0 {
-                        self.flush_front(
-                            &mut buffer,
-                            remaining,
-                            data,
-                            &mut builder,
-                            &mut entries,
-                            &mut fm,
-                        );
+                        self.flush_front(&mut buffer, remaining, data, &mut out, &mut fm);
                     }
                     for ext in bme_extents_rev.into_iter().rev() {
                         fm.push(ext);
                     }
-                    fm.push(Extent {
-                        container: hit_entry.container,
-                        offset: hit_entry.offset,
-                        len: hit_entry.size,
-                    });
+                    fm.push(hit_entry.extent());
 
                     // Recompute the hit position: BME's HHR may have
                     // changed entry indices before it.
                     let hit_idx_now = self
+                        .s
                         .cache
                         .peek(mid)
                         // lint: allow(unwrap): mid stayed resident across extend_backward (no eviction)
@@ -738,7 +665,8 @@ impl<B: Backend> MhdEngine<B> {
                         // lint: allow(unwrap): HHR only re-chunks non-hook entries; the hit hash survives
                         .expect("hit hash still present");
 
-                    let (fme_extents, fme_bytes, consumed) = if self.config.mhd.forward_extension {
+                    let (fme_extents, fme_bytes, consumed) = if self.s.config.mhd.forward_extension
+                    {
                         self.forward_extend(mid, hit_idx_now, &chunks, i + 1, data)?
                     } else {
                         (Vec::new(), 0, 0)
@@ -758,7 +686,7 @@ impl<B: Backend> MhdEngine<B> {
 
                     let slice_bytes = bme_bytes + c.len as u64 + fme_bytes;
                     let slice_chunks = bme_chunks + 1 + consumed as u64;
-                    self.slice.on_dup(slice_bytes, slice_chunks);
+                    self.s.slice.on_dup(slice_bytes, slice_chunks);
                     i += 1 + consumed;
                 }
             }
@@ -766,35 +694,26 @@ impl<B: Backend> MhdEngine<B> {
         // Flush the buffer remainder and finalise the file.
         let remaining = buffer.len();
         if remaining > 0 {
-            self.flush_front(&mut buffer, remaining, data, &mut builder, &mut entries, &mut fm);
+            self.flush_front(&mut buffer, remaining, data, &mut out, &mut fm);
         }
-        self.slice.reset_run();
 
-        if !builder.is_empty() {
-            let container_len = builder.len();
-            self.substrate.write_disk_chunk(builder)?;
-            let mid = self.substrate.new_manifest_id();
-            let manifest = Manifest { id: mid, format: ManifestFormat::HookFlags, entries };
+        // Only the Hook entries are indexed: on disk behind the Bloom
+        // filter (BF-MHD) or in the RAM sparse index (SI-MHD).
+        let container_len = out.builder.len();
+        let sparse_hooks = &mut self.sparse_hooks;
+        self.s.commit_file(file, &fm, out, ManifestFormat::HookFlags, |s, manifest| {
             debug_assert_eq!(manifest.check_tiling(container_len), Ok(()));
-            self.substrate.write_manifest(&manifest)?;
             for e in manifest.entries.iter().filter(|e| e.is_hook) {
-                match self.config.mhd.hook_index {
-                    HookIndex::Bloom => {
-                        self.substrate.write_hook(e.hash, mid)?;
-                        self.bloom.insert(&e.hash);
-                    }
+                match s.config.mhd.hook_index {
+                    HookIndex::Bloom => s.write_hook(e.hash, manifest.id)?,
                     HookIndex::SparseIndex => {
                         // First mapping wins, like on-disk Hooks.
-                        self.sparse_hooks.entry(e.hash).or_insert(mid);
+                        sparse_hooks.entry(e.hash).or_insert(manifest.id);
                     }
                 }
             }
-            self.insert_into_cache(manifest)?;
-            self.files += 1;
-        }
-        self.substrate.write_file_manifest(path, &fm)?;
-        debug_assert_eq!(fm.total_len(), data.len() as u64, "file manifest must cover the file");
-        Ok(())
+            Ok(())
+        })
     }
 }
 
@@ -861,15 +780,15 @@ impl<B: Backend> MhdEngine<B> {
     /// started from zero.
     pub fn export_delta(&self) -> SessionDelta {
         SessionDelta {
-            input_bytes: self.input_bytes,
-            dup_slices: self.slice.slices,
-            dup_bytes: self.slice.dup_bytes,
-            dup_chunks: self.slice.dup_chunks,
-            files: self.files,
-            chunks_stored: self.chunks_stored,
-            hhr_count: self.hhr_count,
-            dedup_seconds: self.dedup_seconds,
-            stats: *self.substrate.stats(),
+            input_bytes: self.s.input_bytes,
+            dup_slices: self.s.slice.slices,
+            dup_bytes: self.s.slice.dup_bytes,
+            dup_chunks: self.s.slice.dup_chunks,
+            files: self.s.files,
+            chunks_stored: self.s.chunks_stored,
+            hhr_count: self.s.hhr_count,
+            dedup_seconds: self.s.dedup_seconds,
+            stats: *self.s.substrate.stats(),
         }
     }
 
@@ -878,22 +797,22 @@ impl<B: Backend> MhdEngine<B> {
     /// persisted filter stays coherent with the on-disk hook set (batch
     /// CLI runs reopen the same store from `state.json`).
     pub fn absorb_delta(&mut self, delta: &SessionDelta, hook_hashes: &[ChunkHash]) {
-        self.input_bytes += delta.input_bytes;
-        self.slice.slices += delta.dup_slices;
-        self.slice.dup_bytes += delta.dup_bytes;
-        self.slice.dup_chunks += delta.dup_chunks;
-        self.files += delta.files;
-        self.chunks_stored += delta.chunks_stored;
-        self.hhr_count += delta.hhr_count;
-        self.dedup_seconds += delta.dedup_seconds;
-        let stats = self.substrate.stats_mut();
+        self.s.input_bytes += delta.input_bytes;
+        self.s.slice.slices += delta.dup_slices;
+        self.s.slice.dup_bytes += delta.dup_bytes;
+        self.s.slice.dup_chunks += delta.dup_chunks;
+        self.s.files += delta.files;
+        self.s.chunks_stored += delta.chunks_stored;
+        self.s.hhr_count += delta.hhr_count;
+        self.s.dedup_seconds += delta.dedup_seconds;
+        let stats = self.s.substrate.stats_mut();
         stats.chunk_input += delta.stats.chunk_input;
         stats.hook_input += delta.stats.hook_input;
         stats.manifest_input += delta.stats.manifest_input;
         stats.cache_hits += delta.stats.cache_hits;
         stats.bloom_suppressed += delta.stats.bloom_suppressed;
         for hash in hook_hashes {
-            self.bloom.insert(hash);
+            self.s.bloom.insert(hash);
         }
     }
 
@@ -901,25 +820,25 @@ impl<B: Backend> MhdEngine<B> {
     /// [`Deduplicator::finish`] (so dirty manifests are flushed).
     pub fn export_state(&self) -> MhdState {
         MhdState {
-            substrate: self.substrate.export_state(),
-            bloom: self.bloom.to_bytes(),
+            substrate: self.s.substrate.export_state(),
+            bloom: self.s.bloom.to_bytes(),
             sparse_hooks: self.sparse_hooks.iter().map(|(h, m)| (h.to_hex(), m.0)).collect(),
-            input_bytes: self.input_bytes,
-            dup_slices: self.slice.slices,
-            dup_bytes: self.slice.dup_bytes,
-            dup_chunks: self.slice.dup_chunks,
-            files: self.files,
-            chunks_stored: self.chunks_stored,
-            hhr_count: self.hhr_count,
-            dedup_seconds: self.dedup_seconds,
+            input_bytes: self.s.input_bytes,
+            dup_slices: self.s.slice.slices,
+            dup_bytes: self.s.slice.dup_bytes,
+            dup_chunks: self.s.slice.dup_chunks,
+            files: self.s.files,
+            chunks_stored: self.s.chunks_stored,
+            hhr_count: self.s.hhr_count,
+            dedup_seconds: self.s.dedup_seconds,
         }
     }
 
     /// Restores a session exported by [`MhdEngine::export_state`]. The
     /// backend must be the same durable store.
     pub fn import_state(&mut self, state: MhdState) -> EngineResult<()> {
-        self.substrate.import_state(state.substrate)?;
-        self.bloom = BloomFilter::from_bytes(&state.bloom)
+        self.s.substrate.import_state(state.substrate)?;
+        self.s.bloom = BloomFilter::from_bytes(&state.bloom)
             .ok_or_else(|| EngineError::Config("corrupt bloom filter state".into()))?;
         self.sparse_hooks = state
             .sparse_hooks
@@ -930,101 +849,54 @@ impl<B: Backend> MhdEngine<B> {
                     .map_err(|e| EngineError::Config(format!("corrupt hook state: {e}")))
             })
             .collect::<EngineResult<_>>()?;
-        self.input_bytes = state.input_bytes;
-        self.slice.slices = state.dup_slices;
-        self.slice.dup_bytes = state.dup_bytes;
-        self.slice.dup_chunks = state.dup_chunks;
-        self.files = state.files;
-        self.chunks_stored = state.chunks_stored;
-        self.hhr_count = state.hhr_count;
-        self.dedup_seconds = state.dedup_seconds;
+        self.s.input_bytes = state.input_bytes;
+        self.s.slice.slices = state.dup_slices;
+        self.s.slice.dup_bytes = state.dup_bytes;
+        self.s.slice.dup_chunks = state.dup_chunks;
+        self.s.files = state.files;
+        self.s.chunks_stored = state.chunks_stored;
+        self.s.hhr_count = state.hhr_count;
+        self.s.dedup_seconds = state.dedup_seconds;
         Ok(())
     }
 }
 
 impl<B: Backend> Deduplicator for MhdEngine<B> {
+    type Backend = B;
+
     fn name(&self) -> &'static str {
-        match self.config.mhd.hook_index {
+        match self.s.config.mhd.hook_index {
             HookIndex::Bloom => "bf-mhd",
             HookIndex::SparseIndex => "si-mhd",
         }
     }
 
     fn process_snapshot(&mut self, snapshot: &Snapshot) -> EngineResult<()> {
-        let start = Instant::now();
-        for ingested in frontend::ingest(&self.chunker, &snapshot.files) {
-            let (file, chunks) = ingested?;
-            self.process_file(&file.path, &file.data, chunks)?;
-        }
-        self.dedup_seconds += start.elapsed().as_secs_f64();
-        Ok(())
+        ingest_files(self, snapshot, |e| &mut e.s, Self::process_file)
     }
 
     fn finish(&mut self) -> EngineResult<DedupReport> {
-        let start = Instant::now();
-        for (manifest, dirty) in self.cache.drain() {
-            if dirty {
-                self.substrate.update_manifest(&manifest)?;
-            }
-        }
-        self.substrate.flush()?;
-        self.dedup_seconds += start.elapsed().as_secs_f64();
-        Ok(DedupReport {
-            algorithm: self.name().to_string(),
-            input_bytes: self.input_bytes,
-            dup_bytes: self.slice.dup_bytes,
-            dup_slices: self.slice.slices,
-            files: self.files,
-            chunks_stored: self.chunks_stored,
-            chunks_dup: self.slice.dup_chunks,
-            hhr_count: self.hhr_count,
-            stats: *self.substrate.stats(),
-            ledger: *self.substrate.ledger(),
-            ram_index_bytes: match self.config.mhd.hook_index {
-                HookIndex::Bloom => self.bloom.ram_bytes() as u64,
-                // 20-byte hash + 8-byte manifest pointer per entry.
-                HookIndex::SparseIndex => 28 * self.sparse_hooks.len() as u64,
-            },
-            dedup_seconds: self.dedup_seconds,
-        })
+        let ram_index_bytes = match self.s.config.mhd.hook_index {
+            HookIndex::Bloom => self.s.bloom.ram_bytes() as u64,
+            // 20-byte hash + 8-byte manifest pointer per entry.
+            HookIndex::SparseIndex => 28 * self.sparse_hooks.len() as u64,
+        };
+        self.s.finish(self.name(), ram_index_bytes)
+    }
+
+    fn substrate_mut(&mut self) -> &mut Substrate<B> {
+        &mut self.s.substrate
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine_tests::{random, snapshot};
     use mhd_store::MemBackend;
 
     fn engine(ecs: usize, sd: usize) -> MhdEngine<MemBackend> {
         MhdEngine::new(MemBackend::new(), EngineConfig::new(ecs, sd)).unwrap()
-    }
-
-    fn snapshot_from(path_prefix: &str, datas: Vec<Vec<u8>>) -> Snapshot {
-        Snapshot {
-            machine: 0,
-            day: 0,
-            files: datas
-                .into_iter()
-                .enumerate()
-                .map(|(i, d)| mhd_workload::FileEntry {
-                    path: format!("{path_prefix}/f{i}"),
-                    data: Bytes::from(d),
-                })
-                .collect(),
-        }
-    }
-
-    fn random(len: usize, seed: u64) -> Vec<u8> {
-        // Small xorshift so tests need no rand dependency wiring here.
-        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        (0..len)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (x >> 24) as u8
-            })
-            .collect()
     }
 
     #[test]
@@ -1102,8 +974,8 @@ mod tests {
     fn identical_second_file_is_fully_dup() {
         let mut e = engine(512, 8);
         let content = random(64 << 10, 1);
-        e.process_snapshot(&snapshot_from("a", vec![content.clone()])).unwrap();
-        e.process_snapshot(&snapshot_from("b", vec![content])).unwrap();
+        e.process_snapshot(&snapshot("a", vec![content.clone()])).unwrap();
+        e.process_snapshot(&snapshot("b", vec![content])).unwrap();
         let r = e.finish().unwrap();
         assert_eq!(r.input_bytes, 2 * (64 << 10));
         // Second file eliminated entirely: stored bytes equal one copy.
@@ -1123,8 +995,8 @@ mod tests {
         let patch = random(1024, 3);
         edited[30_000..31_024].copy_from_slice(&patch);
 
-        e.process_snapshot(&snapshot_from("a", vec![original])).unwrap();
-        e.process_snapshot(&snapshot_from("b", vec![edited])).unwrap();
+        e.process_snapshot(&snapshot("a", vec![original])).unwrap();
+        e.process_snapshot(&snapshot("b", vec![edited])).unwrap();
         let r = e.finish().unwrap();
         // Must have found duplicates on both sides of the edit...
         assert!(r.dup_bytes > 48 << 10, "dup {}", r.dup_bytes);
@@ -1144,8 +1016,8 @@ mod tests {
             let patch = random(600, site as u64);
             day2[site..site + 600].copy_from_slice(&patch);
         }
-        e.process_snapshot(&snapshot_from("a", vec![base])).unwrap();
-        e.process_snapshot(&snapshot_from("b", vec![day2])).unwrap();
+        e.process_snapshot(&snapshot("a", vec![base])).unwrap();
+        e.process_snapshot(&snapshot("b", vec![day2])).unwrap();
         let r = e.finish().unwrap();
         // Paper bound: chunk reloads ≤ 2L.
         assert!(
@@ -1162,7 +1034,7 @@ mod tests {
         let sd = 8;
         let mut e = engine(512, sd);
         let content = random(256 << 10, 5); // ~512 chunks at ECS 512
-        e.process_snapshot(&snapshot_from("a", vec![content])).unwrap();
+        e.process_snapshot(&snapshot("a", vec![content])).unwrap();
         let r = e.finish().unwrap();
         let n = r.chunks_stored;
         // Entries ≈ 2·N/SD; allow slack for per-file rounding.
@@ -1179,7 +1051,7 @@ mod tests {
         let sd = 8;
         let mut e = engine(512, sd);
         let content = random(128 << 10, 6);
-        e.process_snapshot(&snapshot_from("a", vec![content])).unwrap();
+        e.process_snapshot(&snapshot("a", vec![content])).unwrap();
         let r = e.finish().unwrap();
         assert!(r.ledger.inodes_hooks <= r.chunks_stored / sd as u64 + 2 * r.files);
         assert!(r.ledger.inodes_hooks >= r.files, "at least one hook per manifest");
@@ -1188,8 +1060,7 @@ mod tests {
     #[test]
     fn empty_and_tiny_files() {
         let mut e = engine(512, 4);
-        e.process_snapshot(&snapshot_from("a", vec![vec![], vec![1, 2, 3], random(100, 7)]))
-            .unwrap();
+        e.process_snapshot(&snapshot("a", vec![vec![], vec![1, 2, 3], random(100, 7)])).unwrap();
         let r = e.finish().unwrap();
         assert_eq!(r.input_bytes, 103);
         // Empty file still gets a (zero-extent) FileManifest.
@@ -1202,7 +1073,7 @@ mod tests {
         let sd = 4;
         let mut e = engine(512, sd);
         let content = random(64 << 10, 8); // ~128 chunks >> 2·SD = 8
-        e.process_snapshot(&snapshot_from("a", vec![content])).unwrap();
+        e.process_snapshot(&snapshot("a", vec![content])).unwrap();
         let r = e.finish().unwrap();
         assert_eq!(r.files, 1);
         assert_eq!(r.stats.chunk_output, 1, "still one DiskChunk per file");
@@ -1216,8 +1087,8 @@ mod tests {
             let mut cfg = EngineConfig::new(512, 8);
             cfg.mhd.hook_index = index;
             let mut e = MhdEngine::new(MemBackend::new(), cfg).unwrap();
-            e.process_snapshot(&snapshot_from("a", vec![content.clone()])).unwrap();
-            e.process_snapshot(&snapshot_from("b", vec![content.clone()])).unwrap();
+            e.process_snapshot(&snapshot("a", vec![content.clone()])).unwrap();
+            e.process_snapshot(&snapshot("b", vec![content.clone()])).unwrap();
             e.finish().unwrap()
         };
         let bf = run(crate::HookIndex::Bloom);
@@ -1245,8 +1116,8 @@ mod tests {
             let mut cfg = EngineConfig::new(512, 8);
             cfg.mhd = opts;
             let mut e = MhdEngine::new(MemBackend::new(), cfg).unwrap();
-            e.process_snapshot(&snapshot_from("a", vec![base.clone()])).unwrap();
-            e.process_snapshot(&snapshot_from("b", vec![day2.clone()])).unwrap();
+            e.process_snapshot(&snapshot("a", vec![base.clone()])).unwrap();
+            e.process_snapshot(&snapshot("b", vec![day2.clone()])).unwrap();
             e.finish().unwrap()
         };
         let full = run(crate::MhdOptions::default());

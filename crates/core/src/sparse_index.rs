@@ -15,19 +15,14 @@
 
 use std::time::Instant;
 
-use bytes::Bytes;
-use mhd_cache::ManifestCache;
-use mhd_chunking::AnyChunker;
 use mhd_hash::{ChunkHash, FxHashMap};
 use mhd_store::{
-    Backend, Extent, FileManifest, Manifest, ManifestEntry, ManifestFormat, ManifestId, Substrate,
+    Backend, Extent, FileManifest, ManifestEntry, ManifestFormat, ManifestId, Substrate,
 };
-use mhd_workload::Snapshot;
+use mhd_workload::{FileEntry, Snapshot};
 
 use crate::config::EngineConfig;
-use crate::engine::{
-    DedupReport, Deduplicator, EngineError, EngineResult, HashedChunk, SliceTracker,
-};
+use crate::engine::{DedupReport, Deduplicator, EngineResult, HashedChunk, Scaffold};
 use crate::frontend;
 
 /// One chunk queued into the current segment, tagged with its source file.
@@ -38,48 +33,20 @@ struct SegChunk {
 
 /// Segment-and-champion deduplicator with a RAM sparse index.
 pub struct SparseIndexEngine<B: Backend> {
-    config: EngineConfig,
-    chunker: AnyChunker,
-    substrate: Substrate<B>,
-    cache: ManifestCache,
+    /// No Bloom filter: hooks are looked up in the RAM sparse index.
+    s: Scaffold<B, ()>,
     /// hook hash → up to `manifests_per_hook` manifest ids, most recent
     /// first.
     sparse_index: FxHashMap<ChunkHash, Vec<ManifestId>>,
-    slice: SliceTracker,
-    input_bytes: u64,
-    files: u64,
-    chunks_stored: u64,
-    dedup_seconds: f64,
 }
 
 impl<B: Backend> SparseIndexEngine<B> {
     /// Creates an engine over `backend`.
     pub fn new(backend: B, config: EngineConfig) -> EngineResult<Self> {
-        config.validate().map_err(EngineError::Config)?;
-        let chunker =
-            config.chunker.build(config.ecs).map_err(|e| EngineError::Config(e.to_string()))?;
         Ok(SparseIndexEngine {
-            chunker,
-            substrate: Substrate::new(backend),
-            cache: ManifestCache::new(config.cache_manifests),
+            s: Scaffold::without_bloom(backend, config, config.ecs)?,
             sparse_index: FxHashMap::default(),
-            slice: SliceTracker::default(),
-            input_bytes: 0,
-            files: 0,
-            chunks_stored: 0,
-            dedup_seconds: 0.0,
-            config,
         })
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// The storage substrate (counters, ledger, restore access).
-    pub fn substrate_mut(&mut self) -> &mut Substrate<B> {
-        &mut self.substrate
     }
 
     /// RAM held by the sparse index (Table III): per entry, the 20-byte
@@ -88,24 +55,23 @@ impl<B: Backend> SparseIndexEngine<B> {
         self.sparse_index.values().map(|v| 20 + 8 * v.len() as u64).sum()
     }
 
-    fn is_hook(&self, hash: &ChunkHash) -> bool {
-        hash.prefix_u64() % self.config.sd as u64 == 0
-    }
-
     /// Deduplicates one accumulated segment and writes its manifest.
     fn flush_segment(
         &mut self,
         seg: &mut Vec<SegChunk>,
-        files: &[Bytes],
+        files: &[FileEntry],
         fms: &mut [FileManifest],
     ) -> EngineResult<()> {
         if seg.is_empty() {
             return Ok(());
         }
+        let config = self.s.config;
+        let is_hook = |hash: &ChunkHash| hash.prefix_u64() % config.sd as u64 == 0;
+
         // 1. Champions: manifests voted for by this segment's hooks.
         let mut votes: FxHashMap<ManifestId, u32> = FxHashMap::default();
         for sc in seg.iter() {
-            if self.is_hook(&sc.chunk.hash) {
+            if is_hook(&sc.chunk.hash) {
                 if let Some(mids) = self.sparse_index.get(&sc.chunk.hash) {
                     for &mid in mids {
                         *votes.entry(mid).or_insert(0) += 1;
@@ -115,180 +81,118 @@ impl<B: Backend> SparseIndexEngine<B> {
         }
         let mut ranked: Vec<(ManifestId, u32)> = votes.into_iter().collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then(b.0 .0.cmp(&a.0 .0)));
-        ranked.truncate(self.config.max_champions());
+        ranked.truncate(config.max_champions());
 
         // 2. Load champions (cache-aware) and build the dedup map.
         let mut dedup: FxHashMap<ChunkHash, Extent> = FxHashMap::default();
         for (mid, _) in &ranked {
-            if self.cache.contains(*mid) {
-                self.substrate.stats_mut().cache_hits += 1;
-                self.cache.get(*mid); // touch
+            if self.s.cache.contains(*mid) {
+                self.s.substrate.stats_mut().cache_hits += 1;
+                self.s.cache.get(*mid); // touch
             } else {
-                let manifest = self.substrate.load_manifest(*mid)?;
-                if let Some((evicted, dirty)) = self.cache.insert(manifest, false) {
-                    debug_assert!(!dirty);
-                    if dirty {
-                        self.substrate.update_manifest(&evicted)?;
-                    }
-                }
+                let manifest = self.s.substrate.load_manifest(*mid)?;
+                self.s.cache_insert(manifest)?;
             }
-            let cached = self.cache.peek(*mid).expect("champion resident");
+            let cached = self.s.cache.peek(*mid).expect("champion resident");
             for e in &cached.manifest().entries {
-                dedup.entry(e.hash).or_insert(Extent {
-                    container: e.container,
-                    offset: e.offset,
-                    len: e.size,
-                });
+                dedup.entry(e.hash).or_insert(e.extent());
             }
         }
 
         // 3. Dedup each chunk against the champions (and earlier chunks of
-        // this segment), store the rest in the segment container.
-        let mut builder = self.substrate.new_disk_chunk();
-        let mut entries: Vec<ManifestEntry> = Vec::with_capacity(seg.len());
+        // this segment), store the rest in the segment container. The
+        // segment manifest records every chunk, dup or not.
+        let mut out = self.s.begin();
         for sc in seg.iter() {
-            let data = &files[sc.file_idx];
-            let c = &sc.chunk;
-            let extent = if let Some(e) = dedup.get(&c.hash) {
+            let (c, fm) = (&sc.chunk, &mut fms[sc.file_idx]);
+            if let Some(e) = dedup.get(&c.hash) {
                 debug_assert_eq!(e.len, c.len as u64);
-                self.slice.on_dup(e.len, 1);
-                *e
+                self.s.dup(fm, *e);
+                out.entries.push(ManifestEntry {
+                    hash: c.hash,
+                    container: e.container,
+                    offset: e.offset,
+                    size: e.len,
+                    is_hook: false,
+                });
             } else {
-                self.slice.on_nondup();
-                let offset = builder.append(c.slice(data));
-                let e = Extent { container: builder.id(), offset, len: c.len as u64 };
+                let bytes = c.slice(&files[sc.file_idx].data);
+                let e = self.s.store(&mut out, fm, c.hash, bytes);
                 dedup.insert(c.hash, e); // intra-segment duplicates
-                self.chunks_stored += 1;
-                e
-            };
-            entries.push(ManifestEntry {
-                hash: c.hash,
-                container: extent.container,
-                offset: extent.offset,
-                size: extent.len,
-                is_hook: false,
-            });
-            fms[sc.file_idx].push(extent);
+            }
         }
-        self.substrate.write_disk_chunk(builder)?;
+        self.s.substrate.write_disk_chunk(out.builder)?;
 
-        // 4. Segment manifest (every chunk, dup or not) + hook persistence
-        // + sparse index update.
-        let mid = self.substrate.new_manifest_id();
-        let manifest = Manifest { id: mid, format: ManifestFormat::PerEntryContainer, entries };
-        self.substrate.write_manifest(&manifest)?;
-        self.files += 1;
-        let mut seen_hooks: Vec<ChunkHash> = Vec::new();
-        for e in &manifest.entries {
-            if self.is_hook(&e.hash) && !seen_hooks.contains(&e.hash) {
-                seen_hooks.push(e.hash);
-                self.substrate.write_hook_occurrence(e.hash, mid)?;
-                let mids = self.sparse_index.entry(e.hash).or_default();
-                mids.insert(0, mid);
-                mids.truncate(self.config.manifests_per_hook());
+        // 4. Segment manifest + hook persistence + sparse index update.
+        let sparse_index = &mut self.sparse_index;
+        self.s.commit_manifest(out.entries, ManifestFormat::PerEntryContainer, |s, manifest| {
+            let mut seen_hooks: Vec<ChunkHash> = Vec::new();
+            for e in &manifest.entries {
+                if is_hook(&e.hash) && !seen_hooks.contains(&e.hash) {
+                    seen_hooks.push(e.hash);
+                    s.substrate.write_hook_occurrence(e.hash, manifest.id)?;
+                    let mids = sparse_index.entry(e.hash).or_default();
+                    mids.insert(0, manifest.id);
+                    mids.truncate(config.manifests_per_hook());
+                }
             }
-        }
-        if let Some((evicted, dirty)) = self.cache.insert(manifest, false) {
-            debug_assert!(!dirty);
-            if dirty {
-                self.substrate.update_manifest(&evicted)?;
-            }
-        }
+            Ok(())
+        })?;
         seg.clear();
         Ok(())
     }
 }
 
 impl<B: Backend> Deduplicator for SparseIndexEngine<B> {
+    type Backend = B;
+
     fn name(&self) -> &'static str {
         "sparse-indexing"
     }
 
     fn process_snapshot(&mut self, snapshot: &Snapshot) -> EngineResult<()> {
         let start = Instant::now();
-        let files: Vec<Bytes> = snapshot.files.iter().map(|f| f.data.clone()).collect();
         let mut fms: Vec<FileManifest> =
             snapshot.files.iter().map(|_| FileManifest::new()).collect();
 
         let mut seg: Vec<SegChunk> = Vec::new();
         let mut seg_bytes = 0usize;
-        for (file_idx, ingested) in frontend::ingest(&self.chunker, &snapshot.files).enumerate() {
+        let ingest = frontend::ingest(&self.s.chunker, &snapshot.files);
+        for (file_idx, ingested) in ingest.enumerate() {
             let (file, chunks) = ingested?;
-            self.input_bytes += file.data.len() as u64;
+            self.s.input_bytes += file.data.len() as u64;
             for chunk in chunks {
                 seg_bytes += chunk.len as usize;
                 seg.push(SegChunk { file_idx, chunk });
-                if seg_bytes >= self.config.segment_bytes() {
-                    self.flush_segment(&mut seg, &files, &mut fms)?;
+                if seg_bytes >= self.s.config.segment_bytes() {
+                    self.flush_segment(&mut seg, &snapshot.files, &mut fms)?;
                     seg_bytes = 0;
                 }
             }
         }
-        self.flush_segment(&mut seg, &files, &mut fms)?;
-        self.slice.reset_run();
+        self.flush_segment(&mut seg, &snapshot.files, &mut fms)?;
 
         for (file, fm) in snapshot.files.iter().zip(&fms) {
-            debug_assert_eq!(fm.total_len(), file.data.len() as u64);
-            self.substrate.write_file_manifest(&file.path, fm)?;
+            self.s.write_recipe(file, fm)?;
         }
-        self.dedup_seconds += start.elapsed().as_secs_f64();
+        self.s.dedup_seconds += start.elapsed().as_secs_f64();
         Ok(())
     }
 
     fn finish(&mut self) -> EngineResult<DedupReport> {
-        for (manifest, dirty) in self.cache.drain() {
-            debug_assert!(!dirty);
-            if dirty {
-                self.substrate.update_manifest(&manifest)?;
-            }
-        }
-        self.substrate.flush()?;
-        Ok(DedupReport {
-            algorithm: self.name().to_string(),
-            input_bytes: self.input_bytes,
-            dup_bytes: self.slice.dup_bytes,
-            dup_slices: self.slice.slices,
-            files: self.files,
-            chunks_stored: self.chunks_stored,
-            chunks_dup: self.slice.dup_chunks,
-            hhr_count: 0,
-            stats: *self.substrate.stats(),
-            ledger: *self.substrate.ledger(),
-            ram_index_bytes: self.sparse_index_ram_bytes(),
-            dedup_seconds: self.dedup_seconds,
-        })
+        self.s.finish(self.name(), self.sparse_index_ram_bytes())
+    }
+
+    fn substrate_mut(&mut self) -> &mut Substrate<B> {
+        &mut self.s.substrate
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine_tests::{random, snapshot};
     use mhd_store::MemBackend;
-    use mhd_workload::FileEntry;
-
-    fn snapshot(prefix: &str, datas: Vec<Vec<u8>>) -> Snapshot {
-        Snapshot {
-            machine: 0,
-            day: 0,
-            files: datas
-                .into_iter()
-                .enumerate()
-                .map(|(i, d)| FileEntry { path: format!("{prefix}/f{i}"), data: Bytes::from(d) })
-                .collect(),
-        }
-    }
-
-    fn random(len: usize, seed: u64) -> Vec<u8> {
-        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        (0..len)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (x >> 24) as u8
-            })
-            .collect()
-    }
 
     fn engine(ecs: usize, sd: usize) -> SparseIndexEngine<MemBackend> {
         SparseIndexEngine::new(MemBackend::new(), EngineConfig::new(ecs, sd)).unwrap()
@@ -312,7 +216,7 @@ mod tests {
         let mut e = engine(512, 8);
         let content = random(64 << 10, 2);
         e.process_snapshot(&snapshot("a", vec![content.clone()])).unwrap();
-        let after_first = e.substrate.ledger().manifest_bytes;
+        let after_first = e.s.substrate.ledger().manifest_bytes;
         e.process_snapshot(&snapshot("b", vec![content])).unwrap();
         let r = e.finish().unwrap();
         // The second, fully-duplicate stream still grows manifests by
@@ -343,7 +247,7 @@ mod tests {
         let mut e = engine(512, 4);
         let content = random(128 << 10, 3);
         e.process_snapshot(&snapshot("a", vec![content.clone()])).unwrap();
-        let hooks_after_first = e.substrate.ledger().inodes_hooks;
+        let hooks_after_first = e.s.substrate.ledger().inodes_hooks;
         e.process_snapshot(&snapshot("b", vec![content])).unwrap();
         let r = e.finish().unwrap();
         // The duplicate stream re-persists its hook occurrences (sampling

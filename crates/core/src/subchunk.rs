@@ -18,194 +18,88 @@
 //! chunk identities are kept in a RAM index whose probes are charged as
 //! big-chunk queries, following the paper's Table II accounting.
 
-use std::time::Instant;
-
 use bytes::Bytes;
-use mhd_bloom::BloomFilter;
-use mhd_cache::ManifestCache;
 use mhd_chunking::AnyChunker;
 use mhd_hash::{ChunkHash, FxHashMap};
-use mhd_store::{
-    Backend, Extent, FileManifest, Manifest, ManifestEntry, ManifestFormat, Substrate,
-};
-use mhd_workload::Snapshot;
+use mhd_store::{Backend, Extent, FileManifest, ManifestFormat, Substrate};
+use mhd_workload::{FileEntry, Snapshot};
 
 use crate::config::EngineConfig;
 use crate::engine::{
-    chunk_and_hash, DedupReport, Deduplicator, EngineError, EngineResult, HashedChunk, SliceTracker,
+    chunk_and_hash, chunker_at, ingest_files, DedupReport, Deduplicator, EngineResult, HashedChunk,
+    Query, Scaffold,
 };
-use crate::frontend;
 
 /// Anchor-driven subchunk deduplicator.
 pub struct SubChunkEngine<B: Backend> {
-    config: EngineConfig,
-    big_chunker: AnyChunker,
+    s: Scaffold<B>,
     small_chunker: AnyChunker,
-    substrate: Substrate<B>,
-    bloom: BloomFilter,
-    cache: ManifestCache,
     /// RAM index of big-chunk content: big hash → the extents its content
     /// resolves to (its small chunks' homes).
     big_index: FxHashMap<ChunkHash, Vec<Extent>>,
-    slice: SliceTracker,
-    input_bytes: u64,
-    files: u64,
-    chunks_stored: u64,
-    dedup_seconds: f64,
 }
 
 impl<B: Backend> SubChunkEngine<B> {
     /// Creates an engine over `backend`.
     pub fn new(backend: B, config: EngineConfig) -> EngineResult<Self> {
-        config.validate().map_err(EngineError::Config)?;
-        let small_chunker =
-            config.chunker.build(config.ecs).map_err(|e| EngineError::Config(e.to_string()))?;
-        let big_chunker = config
-            .chunker
-            .build(config.big_chunk_size())
-            .map_err(|e| EngineError::Config(e.to_string()))?;
         Ok(SubChunkEngine {
-            big_chunker,
-            small_chunker,
-            substrate: Substrate::new(backend),
-            bloom: BloomFilter::with_bytes(config.bloom_bytes, (config.bloom_bytes * 2) as u64),
-            cache: ManifestCache::new(config.cache_manifests),
+            s: Scaffold::new(backend, config, config.big_chunk_size())?,
+            small_chunker: chunker_at(&config, config.ecs)?,
             big_index: FxHashMap::default(),
-            slice: SliceTracker::default(),
-            input_bytes: 0,
-            files: 0,
-            chunks_stored: 0,
-            dedup_seconds: 0.0,
-            config,
         })
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// The storage substrate (counters, ledger, restore access).
-    pub fn substrate_mut(&mut self) -> &mut Substrate<B> {
-        &mut self.substrate
-    }
-
-    /// Small-chunk lookup: Manifest cache, then Bloom + the (sparse,
-    /// one-per-file) Hooks. Misses here are exactly the paper's missed
-    /// duplicates.
-    fn lookup_small(&mut self, hash: ChunkHash) -> EngineResult<Option<Extent>> {
-        let found = if let Some((mid, idx)) = self.cache.find_hash(&hash) {
-            self.substrate.stats_mut().cache_hits += 1;
-            Some(self.cache.peek(mid).expect("resident").manifest().entries[idx as usize])
-        } else if !self.bloom.contains(&hash) {
-            self.substrate.stats_mut().bloom_suppressed += 1;
-            None
-        } else {
-            self.substrate.stats_mut().small_chunk_query += 1;
-            if let Some(mid) = self.substrate.lookup_hook(hash)? {
-                let manifest = self.substrate.load_manifest(mid)?;
-                let e = manifest.entries.iter().find(|e| e.hash == hash).copied();
-                if let Some((evicted, dirty)) = self.cache.insert(manifest, false) {
-                    if dirty {
-                        self.substrate.update_manifest(&evicted)?;
-                    }
-                }
-                e
-            } else {
-                None // hash exists somewhere, but no hook reaches it: missed
-            }
-        };
-        Ok(found.map(|e| Extent { container: e.container, offset: e.offset, len: e.size }))
-    }
-
     /// Deduplicates one file, given its hashed big chunks.
-    fn process_file(
-        &mut self,
-        path: &str,
-        data: &Bytes,
-        bigs: Vec<HashedChunk>,
-    ) -> EngineResult<()> {
-        self.input_bytes += data.len() as u64;
-
-        let mut entries: Vec<ManifestEntry> = Vec::new();
+    fn process_file(&mut self, file: &FileEntry, bigs: Vec<HashedChunk>) -> EngineResult<()> {
+        let mut entries = Vec::new();
         let mut fm = FileManifest::new();
 
         for b in &bigs {
             // Big-chunk-first query (charged per the paper's Table II; the
             // Bloom filter suppresses never-seen big hashes).
-            if self.bloom.contains(&b.hash) {
-                self.substrate.stats_mut().big_chunk_query += 1;
+            if self.s.bloom.contains(&b.hash) {
+                self.s.substrate.stats_mut().big_chunk_query += 1;
                 if let Some(extents) = self.big_index.get(&b.hash) {
                     let total: u64 = extents.iter().map(|e| e.len).sum();
                     debug_assert_eq!(total, b.len as u64);
-                    for e in extents.clone() {
-                        fm.push(e);
+                    for e in extents {
+                        fm.push(*e);
                     }
-                    self.slice.on_dup(b.len as u64, 1);
+                    self.s.slice.on_dup(b.len as u64, 1);
                     continue;
                 }
             } else {
-                self.substrate.stats_mut().bloom_suppressed += 1;
+                self.s.substrate.stats_mut().bloom_suppressed += 1;
             }
 
             // Non-duplicate big chunk: re-chunk everything into small
             // chunks; coalesce its non-dup smalls into one container.
-            let big_bytes = Bytes::copy_from_slice(b.slice(data));
+            // Small-chunk lookups that the (sparse, one-per-file) Hooks do
+            // not reach are exactly the paper's missed duplicates.
+            let big_bytes = Bytes::copy_from_slice(b.slice(&file.data));
             let smalls = chunk_and_hash(&self.small_chunker, &big_bytes);
-            let mut builder = self.substrate.new_disk_chunk();
+            let mut out = self.s.begin();
             let mut homes: Vec<Extent> = Vec::with_capacity(smalls.len());
             for s in &smalls {
-                if let Some(extent) = self.lookup_small(s.hash)? {
-                    self.slice.on_dup(extent.len, 1);
-                    homes.push(extent);
-                    fm.push(extent);
-                } else {
-                    self.slice.on_nondup();
-                    let offset = builder.append(s.slice(&big_bytes));
-                    let extent = Extent { container: builder.id(), offset, len: s.len as u64 };
-                    entries.push(ManifestEntry {
-                        hash: s.hash,
-                        container: builder.id(),
-                        offset,
-                        size: s.len as u64,
-                        is_hook: false,
-                    });
-                    homes.push(extent);
-                    fm.push(extent);
-                    self.chunks_stored += 1;
-                }
+                let home =
+                    self.s.dedup_chunk(Query::SmallOnDisk, &mut out, &mut fm, s, &big_bytes)?;
+                homes.push(home);
             }
-            self.substrate.write_disk_chunk(builder)?;
+            self.s.substrate.write_disk_chunk(out.builder)?;
+            entries.append(&mut out.entries);
             self.big_index.insert(b.hash, coalesce(homes));
-            self.bloom.insert(&b.hash);
+            self.s.bloom.insert(&b.hash);
         }
-        self.slice.reset_run();
 
-        if !entries.is_empty() {
-            let mid = self.substrate.new_manifest_id();
-            // Small hashes enter the Bloom filter (the summary of the
-            // index); only the first one gets an on-disk Hook.
-            for e in &entries {
-                self.bloom.insert(&e.hash);
+        // Small hashes enter the Bloom filter (the summary of the index);
+        // only the first one gets an on-disk Hook.
+        self.s.commit_manifest(entries, ManifestFormat::Grouped, |s, manifest| {
+            for e in &manifest.entries {
+                s.bloom.insert(&e.hash);
             }
-            let first_hash = entries[0].hash;
-            let manifest = Manifest {
-                id: mid,
-                format: ManifestFormat::Grouped,
-                entries: std::mem::take(&mut entries),
-            };
-            self.substrate.write_manifest(&manifest)?;
-            self.substrate.write_hook(first_hash, mid)?;
-            if let Some((evicted, dirty)) = self.cache.insert(manifest, false) {
-                if dirty {
-                    self.substrate.update_manifest(&evicted)?;
-                }
-            }
-            self.files += 1;
-        }
-        self.substrate.write_file_manifest(path, &fm)?;
-        debug_assert_eq!(fm.total_len(), data.len() as u64);
-        Ok(())
+            Ok(s.substrate.write_hook(manifest.entries[0].hash, manifest.id)?)
+        })?;
+        self.s.write_recipe(file, &fm)
     }
 }
 
@@ -225,78 +119,35 @@ fn coalesce(extents: Vec<Extent>) -> Vec<Extent> {
 }
 
 impl<B: Backend> Deduplicator for SubChunkEngine<B> {
+    type Backend = B;
+
     fn name(&self) -> &'static str {
         "subchunk"
     }
 
     fn process_snapshot(&mut self, snapshot: &Snapshot) -> EngineResult<()> {
-        let start = Instant::now();
-        for ingested in frontend::ingest(&self.big_chunker, &snapshot.files) {
-            let (file, bigs) = ingested?;
-            self.process_file(&file.path, &file.data, bigs)?;
-        }
-        self.dedup_seconds += start.elapsed().as_secs_f64();
-        Ok(())
+        ingest_files(self, snapshot, |e| &mut e.s, Self::process_file)
     }
 
     fn finish(&mut self) -> EngineResult<DedupReport> {
-        for (manifest, dirty) in self.cache.drain() {
-            if dirty {
-                self.substrate.update_manifest(&manifest)?;
-            }
-        }
-        self.substrate.flush()?;
         let big_index_ram: u64 = self
             .big_index
             .values()
             .map(|v| 20 + (v.len() * std::mem::size_of::<Extent>()) as u64)
             .sum();
-        Ok(DedupReport {
-            algorithm: self.name().to_string(),
-            input_bytes: self.input_bytes,
-            dup_bytes: self.slice.dup_bytes,
-            dup_slices: self.slice.slices,
-            files: self.files,
-            chunks_stored: self.chunks_stored,
-            chunks_dup: self.slice.dup_chunks,
-            hhr_count: 0,
-            stats: *self.substrate.stats(),
-            ledger: *self.substrate.ledger(),
-            ram_index_bytes: self.bloom.ram_bytes() as u64 + big_index_ram,
-            dedup_seconds: self.dedup_seconds,
-        })
+        self.s.finish(self.name(), self.s.bloom.ram_bytes() as u64 + big_index_ram)
+    }
+
+    fn substrate_mut(&mut self) -> &mut Substrate<B> {
+        &mut self.s.substrate
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine_tests::{random, snapshot};
     use mhd_store::MemBackend;
-    use mhd_workload::FileEntry;
-
-    fn snapshot(prefix: &str, datas: Vec<Vec<u8>>) -> Snapshot {
-        Snapshot {
-            machine: 0,
-            day: 0,
-            files: datas
-                .into_iter()
-                .enumerate()
-                .map(|(i, d)| FileEntry { path: format!("{prefix}/f{i}"), data: Bytes::from(d) })
-                .collect(),
-        }
-    }
-
-    fn random(len: usize, seed: u64) -> Vec<u8> {
-        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        (0..len)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (x >> 24) as u8
-            })
-            .collect()
-    }
 
     fn engine() -> SubChunkEngine<MemBackend> {
         SubChunkEngine::new(MemBackend::new(), EngineConfig::new(512, 8)).unwrap()

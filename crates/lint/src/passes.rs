@@ -217,8 +217,9 @@ fn pass_allow_directives(ws: &Workspace, out: &mut Vec<Finding>) {
 /// Files on which a panic can strand a partially-committed store: the
 /// whole store crate, the CLI (user-facing I/O), the daemon (long-lived
 /// server holding sessions open), and the core modules that drive engine
-/// I/O and recovery (`statefile.rs` is the open/recover/persist path of
-/// both front ends) — the front end included: a panic on one of its pool
+/// I/O and recovery (`mhd.rs` and the scaffold in `engine.rs` are the
+/// engine both front ends ship; `statefile.rs` is their
+/// open/recover/persist path) — the front end included: a panic on one of its pool
 /// threads would take every session's ingest down with it.
 fn l1_restricted(rel: &str) -> bool {
     rel.starts_with("crates/store/src/")
@@ -226,7 +227,8 @@ fn l1_restricted(rel: &str) -> bool {
         || rel.starts_with("crates/daemon/src/")
         || matches!(
             rel,
-            "crates/core/src/frontend.rs"
+            "crates/core/src/engine.rs"
+                | "crates/core/src/frontend.rs"
                 | "crates/core/src/fsck.rs"
                 | "crates/core/src/mhd.rs"
                 | "crates/core/src/statefile.rs"

@@ -353,11 +353,6 @@ impl DirBackend {
         &self.root
     }
 
-    /// The configured durability level.
-    pub fn durability(&self) -> Durability {
-        self.durability
-    }
-
     /// Fault injection for crash tests: the `nth` physical file write
     /// (0-based, counted across puts and updates) writes only half its
     /// bytes and then fails, simulating a crash mid-write. One-shot.

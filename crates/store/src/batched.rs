@@ -241,11 +241,6 @@ impl BatchedDirBackend {
         self.inner.root()
     }
 
-    /// The active tuning knobs.
-    pub fn config(&self) -> &IoConfig {
-        &self.config
-    }
-
     /// Mutations currently queued in the overlay.
     pub fn pending_ops(&self) -> usize {
         self.pending.iter().map(|m| m.len()).sum()

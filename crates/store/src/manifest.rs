@@ -18,6 +18,7 @@
 use mhd_hash::{ChunkHash, FxHashMap};
 
 use crate::chunk_store::DiskChunkId;
+use crate::file_manifest::Extent;
 use crate::{StoreError, StoreResult};
 
 /// Identifier of a Manifest (dense sequence number; rendered as hex for
@@ -51,6 +52,11 @@ impl ManifestEntry {
     /// Exclusive end offset within the container.
     pub fn end(&self) -> u64 {
         self.offset + self.size
+    }
+
+    /// Where the block's bytes live.
+    pub fn extent(&self) -> Extent {
+        Extent { container: self.container, offset: self.offset, len: self.size }
     }
 }
 

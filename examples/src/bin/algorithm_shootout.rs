@@ -2,20 +2,10 @@
 //! paper's §V comparison.
 
 use mhd_core::metrics::{compute, DiskModel};
-use mhd_core::{
-    BimodalEngine, CdcEngine, DedupReport, Deduplicator, EngineConfig, FbcEngine, MhdEngine,
-    SparseIndexEngine, SubChunkEngine,
-};
+use mhd_core::{DedupReport, EngineConfig, EngineKind};
 use mhd_examples::human_bytes;
 use mhd_store::MemBackend;
 use mhd_workload::{Corpus, CorpusSpec};
-
-fn drive(engine: &mut dyn Deduplicator, corpus: &Corpus) -> DedupReport {
-    for s in &corpus.snapshots {
-        engine.process_snapshot(s).expect("dedup");
-    }
-    engine.finish().expect("finish")
-}
 
 fn main() {
     let corpus = Corpus::generate(CorpusSpec { seed: 5, ..CorpusSpec::paper_like(32 << 20) });
@@ -29,14 +19,16 @@ fn main() {
         "{:>16}  {:>9} {:>9} {:>11} {:>11} {:>8}",
         "algorithm", "data DER", "real DER", "metadata", "throughput", "accesses"
     );
-    let reports: Vec<DedupReport> = vec![
-        drive(&mut MhdEngine::new(MemBackend::new(), config).unwrap(), &corpus),
-        drive(&mut BimodalEngine::new(MemBackend::new(), config).unwrap(), &corpus),
-        drive(&mut SubChunkEngine::new(MemBackend::new(), config).unwrap(), &corpus),
-        drive(&mut SparseIndexEngine::new(MemBackend::new(), config).unwrap(), &corpus),
-        drive(&mut CdcEngine::new(MemBackend::new(), config).unwrap(), &corpus),
-        drive(&mut FbcEngine::new(MemBackend::new(), config).unwrap(), &corpus),
-    ];
+    let reports: Vec<DedupReport> = EngineKind::ALL
+        .iter()
+        .map(|kind| {
+            let mut engine = kind.build(MemBackend::new(), config).expect("config");
+            for s in &corpus.snapshots {
+                engine.process_snapshot(s).expect("dedup");
+            }
+            engine.finish().expect("finish")
+        })
+        .collect();
 
     for report in &reports {
         let m = compute(report, &disk);

@@ -3,70 +3,27 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use mhd_core::{
-    BimodalEngine, CdcEngine, DedupReport, Deduplicator, EngineConfig, FbcEngine, MhdEngine,
-    SparseIndexEngine, SubChunkEngine,
-};
+use mhd_core::{DedupReport, EngineConfig, EngineKind};
 use mhd_store::{MemBackend, Substrate};
-use mhd_workload::Corpus;
+use mhd_workload::Snapshot;
 
-/// Every engine under test, by name.
-pub const ALL_ENGINES: [&str; 6] =
-    ["bf-mhd", "cdc", "bimodal", "subchunk", "sparse-indexing", "fbc"];
-
-/// Runs the named engine over `corpus`; returns the report and the
-/// substrate for restore verification.
-pub fn run_named(
-    name: &str,
-    corpus: &Corpus,
+/// Runs `kind` over `snapshots`; returns the report and the substrate for
+/// restore verification.
+pub fn run_kind(
+    kind: EngineKind,
+    snapshots: &[Snapshot],
     config: EngineConfig,
 ) -> (DedupReport, Substrate<MemBackend>) {
-    macro_rules! drive {
-        ($engine:expr) => {{
-            let mut engine = $engine.expect("valid config");
-            for s in &corpus.snapshots {
-                engine.process_snapshot(s).expect("dedup");
-            }
-            let report = engine.finish().expect("finish");
-            (report, take_substrate(engine))
-        }};
+    let mut engine = kind.build(MemBackend::new(), config).expect("valid config");
+    for s in snapshots {
+        engine.process_snapshot(s).expect("dedup");
     }
-    // Each engine type owns its substrate; move it out via a byte-level
-    // swap with a fresh one (the engine is dropped right after).
-    fn take_substrate<E>(mut engine: E) -> Substrate<MemBackend>
-    where
-        E: SubstrateAccess,
-    {
-        std::mem::replace(engine.substrate_mut_dyn(), Substrate::new(MemBackend::new()))
-    }
-
-    match name {
-        "bf-mhd" => drive!(MhdEngine::new(MemBackend::new(), config)),
-        "cdc" => drive!(CdcEngine::new(MemBackend::new(), config)),
-        "bimodal" => drive!(BimodalEngine::new(MemBackend::new(), config)),
-        "subchunk" => drive!(SubChunkEngine::new(MemBackend::new(), config)),
-        "sparse-indexing" => drive!(SparseIndexEngine::new(MemBackend::new(), config)),
-        "fbc" => drive!(FbcEngine::new(MemBackend::new(), config)),
-        other => panic!("unknown engine {other}"),
-    }
+    let report = engine.finish().expect("finish");
+    // The engine owns its substrate (and is dropped right here): move it
+    // out by swapping a fresh one in.
+    let substrate = std::mem::replace(engine.substrate_mut(), Substrate::new(MemBackend::new()));
+    (report, substrate)
 }
-
-/// Uniform access to each engine's substrate.
-pub trait SubstrateAccess {
-    /// The engine's substrate.
-    fn substrate_mut_dyn(&mut self) -> &mut Substrate<MemBackend>;
-}
-
-macro_rules! impl_access {
-    ($($ty:ident),*) => {
-        $(impl SubstrateAccess for $ty<MemBackend> {
-            fn substrate_mut_dyn(&mut self) -> &mut Substrate<MemBackend> {
-                self.substrate_mut()
-            }
-        })*
-    };
-}
-impl_access!(MhdEngine, CdcEngine, BimodalEngine, SubChunkEngine, SparseIndexEngine, FbcEngine);
 
 /// Deterministic pseudo-random bytes (xorshift64), for tests that need
 /// incompressible, seed-reproducible payloads without an RNG dependency.

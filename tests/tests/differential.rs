@@ -2,9 +2,9 @@
 //! engine-independent ground truth computed directly over the corpus.
 
 use mhd_chunking::{Chunker, RabinChunker};
-use mhd_core::EngineConfig;
+use mhd_core::{EngineConfig, EngineKind};
 use mhd_hash::{sha1, ChunkHash, FxHashSet};
-use mhd_integration::{run_named, ALL_ENGINES};
+use mhd_integration::run_kind;
 use mhd_workload::{Corpus, CorpusSpec};
 
 /// Exact chunk-level duplicate bytes: a global hash set over the whole
@@ -37,12 +37,12 @@ fn no_engine_exceeds_the_chunk_level_ceiling_much() {
 
     let mut config = EngineConfig::new(ecs, 8);
     config.cache_manifests = 8;
-    for name in ALL_ENGINES {
-        let (report, _) = run_named(name, &corpus, config);
-        let slack = if name == "bf-mhd" { ceiling / 20 } else { 0 };
+    for kind in EngineKind::ALL {
+        let (report, _) = run_kind(kind, &corpus.snapshots, config);
+        let slack = if kind == EngineKind::Mhd { ceiling / 20 } else { 0 };
         assert!(
             report.dup_bytes <= ceiling + slack,
-            "{name} found {} dup bytes above the ceiling {ceiling}",
+            "{kind:?} found {} dup bytes above the ceiling {ceiling}",
             report.dup_bytes
         );
     }
@@ -55,12 +55,12 @@ fn cdc_dominates_big_chunk_engines_on_data() {
     let corpus = Corpus::generate(CorpusSpec { seed: 72, ..CorpusSpec::paper_like(12 << 20) });
     let mut config = EngineConfig::new(1024, 8);
     config.cache_manifests = 8;
-    let (cdc, _) = run_named("cdc", &corpus, config);
-    for name in ["bimodal", "subchunk", "fbc"] {
-        let (r, _) = run_named(name, &corpus, config);
+    let (cdc, _) = run_kind(EngineKind::Cdc, &corpus.snapshots, config);
+    for kind in [EngineKind::Bimodal, EngineKind::SubChunk, EngineKind::Fbc] {
+        let (r, _) = run_kind(kind, &corpus.snapshots, config);
         assert!(
             r.dup_bytes <= cdc.dup_bytes,
-            "{name} {} should not out-dedup full-index CDC {}",
+            "{kind:?} {} should not out-dedup full-index CDC {}",
             r.dup_bytes,
             cdc.dup_bytes
         );
@@ -73,11 +73,11 @@ fn stored_data_never_below_generator_fresh_bytes() {
     // emitted; no lossless deduplicator can store fewer.
     let corpus = Corpus::generate(CorpusSpec::tiny(73));
     let floor = corpus.stats.fresh_bytes;
-    for name in ALL_ENGINES {
-        let (report, _) = run_named(name, &corpus, EngineConfig::new(512, 8));
+    for kind in EngineKind::ALL {
+        let (report, _) = run_kind(kind, &corpus.snapshots, EngineConfig::new(512, 8));
         assert!(
             report.ledger.stored_data_bytes >= floor * 9 / 10,
-            "{name} stored {} below the information floor {floor}",
+            "{kind:?} stored {} below the information floor {floor}",
             report.ledger.stored_data_bytes
         );
     }

@@ -1,8 +1,8 @@
 //! Tests for the extension features beyond the paper's core: SI-MHD,
 //! compact recipe encoding (Meister-style), and persistent engine state.
 
-use mhd_core::{restore, Deduplicator, EngineConfig, HookIndex, MhdEngine};
-use mhd_integration::run_named;
+use mhd_core::{restore, Deduplicator, EngineConfig, EngineKind, HookIndex, MhdEngine};
+use mhd_integration::run_kind;
 use mhd_store::{FileManifest, MemBackend};
 use mhd_workload::{Corpus, CorpusSpec};
 
@@ -13,7 +13,7 @@ fn si_mhd_matches_bf_mhd_dedup_with_less_disk_metadata() {
     let mut si_cfg = bf_cfg;
     si_cfg.mhd.hook_index = HookIndex::SparseIndex;
 
-    let (bf, _) = run_named("bf-mhd", &corpus, bf_cfg);
+    let (bf, _) = run_kind(EngineKind::Mhd, &corpus.snapshots, bf_cfg);
 
     let mut si = MhdEngine::new(MemBackend::new(), si_cfg).unwrap();
     for s in &corpus.snapshots {
@@ -36,7 +36,8 @@ fn recipe_compression_saves_on_real_recipes() {
     // compactly: the varint/delta coding must round-trip and save
     // substantially on real extent patterns.
     let corpus = Corpus::generate(CorpusSpec::tiny(812));
-    let (_, mut substrate) = run_named("bf-mhd", &corpus, EngineConfig::new(512, 8));
+    let (_, mut substrate) =
+        run_kind(EngineKind::Mhd, &corpus.snapshots, EngineConfig::new(512, 8));
 
     let mut fixed = 0usize;
     let mut compact = 0usize;

@@ -15,7 +15,7 @@ use std::path::PathBuf;
 
 use bytes::Bytes;
 use mhd_core::fsck::check_store;
-use mhd_core::{CdcEngine, Deduplicator, EngineConfig, EngineError, MhdEngine};
+use mhd_core::{CdcEngine, Deduplicator, EngineConfig, EngineError, EngineKind, MhdEngine};
 use mhd_integration::hhr_pair_bytes;
 use mhd_store::{
     Backend, BatchedDirBackend, DirBackend, Durability, FaultBackend, FaultPoint, FileKind,
@@ -296,19 +296,19 @@ fn crash_matrix_during_hhr_recovers_day0() {
 
 /// The batched backend with worker threads and fsync durability must
 /// produce the same dedup results as the write-through backends — batching
-/// must be invisible to the engines. Exercised for all five paper engines.
+/// must be invisible to the engines. Exercised for every engine.
 #[test]
 fn engines_identical_across_backends() {
-    use mhd_core::{BimodalEngine, SparseIndexEngine, SubChunkEngine};
-
     let corpus = Corpus::generate(CorpusSpec::tiny(505));
+    let config = EngineConfig::new(512, 8);
 
-    fn run<B: Backend, D: Deduplicator>(
-        make: impl FnOnce(B) -> D,
+    fn run<B: Backend + 'static>(
+        kind: EngineKind,
         backend: B,
+        config: EngineConfig,
         corpus: &Corpus,
     ) -> mhd_core::DedupReport {
-        let mut engine = make(backend);
+        let mut engine = kind.build(backend, config).expect("config");
         for s in &corpus.snapshots {
             engine.process_snapshot(s).expect("dedup");
         }
@@ -317,47 +317,32 @@ fn engines_identical_across_backends() {
 
     // One comparison triple per engine: MemBackend (reference),
     // write-through DirBackend, and the batched pool with fsync.
-    macro_rules! compare {
-        ($name:literal, $ctor:expr) => {{
-            let mem = run($ctor, MemBackend::new(), &corpus);
-            let dir_root = temp_dir(concat!("equiv-dir-", $name));
-            let dir = run($ctor, DirBackend::create(&dir_root).unwrap(), &corpus);
-            let batched_root = temp_dir(concat!("equiv-batched-", $name));
-            let batched = run(
-                $ctor,
-                BatchedDirBackend::create_with(
-                    &batched_root,
-                    IoConfig {
-                        threads: 3,
-                        batch_ops: 7,
-                        durability: Durability::Fsync,
-                        ..IoConfig::default()
-                    },
-                )
-                .unwrap(),
-                &corpus,
-            );
-            for (label, other) in [("dir", &dir), ("batched", &batched)] {
-                assert_eq!(mem.input_bytes, other.input_bytes, "{} {label}", $name);
-                assert_eq!(mem.dup_bytes, other.dup_bytes, "{} {label}", $name);
-                assert_eq!(mem.dup_slices, other.dup_slices, "{} {label}", $name);
-                assert_eq!(mem.chunks_stored, other.chunks_stored, "{} {label}", $name);
-                assert_eq!(mem.chunks_dup, other.chunks_dup, "{} {label}", $name);
-                assert_eq!(mem.hhr_count, other.hhr_count, "{} {label}", $name);
-                assert_eq!(mem.stats, other.stats, "{} {label}", $name);
-                assert_eq!(mem.ledger, other.ledger, "{} {label}", $name);
-            }
-            std::fs::remove_dir_all(&dir_root).unwrap();
-            std::fs::remove_dir_all(&batched_root).unwrap();
-        }};
+    for kind in EngineKind::ALL {
+        let mem = run(kind, MemBackend::new(), config, &corpus);
+        let dir_root = temp_dir(&format!("equiv-dir-{kind:?}"));
+        let dir = run(kind, DirBackend::create(&dir_root).unwrap(), config, &corpus);
+        let batched_root = temp_dir(&format!("equiv-batched-{kind:?}"));
+        let io = IoConfig {
+            threads: 3,
+            batch_ops: 7,
+            durability: Durability::Fsync,
+            ..IoConfig::default()
+        };
+        let batched_backend = BatchedDirBackend::create_with(&batched_root, io).unwrap();
+        let batched = run(kind, batched_backend, config, &corpus);
+        for (label, other) in [("dir", &dir), ("batched", &batched)] {
+            assert_eq!(mem.input_bytes, other.input_bytes, "{kind:?} {label}");
+            assert_eq!(mem.dup_bytes, other.dup_bytes, "{kind:?} {label}");
+            assert_eq!(mem.dup_slices, other.dup_slices, "{kind:?} {label}");
+            assert_eq!(mem.chunks_stored, other.chunks_stored, "{kind:?} {label}");
+            assert_eq!(mem.chunks_dup, other.chunks_dup, "{kind:?} {label}");
+            assert_eq!(mem.hhr_count, other.hhr_count, "{kind:?} {label}");
+            assert_eq!(mem.stats, other.stats, "{kind:?} {label}");
+            assert_eq!(mem.ledger, other.ledger, "{kind:?} {label}");
+        }
+        std::fs::remove_dir_all(&dir_root).unwrap();
+        std::fs::remove_dir_all(&batched_root).unwrap();
     }
-
-    let config = EngineConfig::new(512, 8);
-    compare!("mhd", |b| MhdEngine::new(b, config).expect("config"));
-    compare!("cdc", |b| CdcEngine::new(b, config).expect("config"));
-    compare!("bimodal", |b| BimodalEngine::new(b, config).expect("config"));
-    compare!("subchunk", |b| SubChunkEngine::new(b, config).expect("config"));
-    compare!("sparse", |b| SparseIndexEngine::new(b, config).expect("config"));
 }
 
 /// Read-side fault points: a failed chunk reload during HHR's byte

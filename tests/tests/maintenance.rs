@@ -1,8 +1,8 @@
 //! GC and compaction across engines and over the directory backend: the
 //! maintenance path must be as engine-agnostic as the store format.
 
-use mhd_core::{compact, gc, restore, Deduplicator, EngineConfig};
-use mhd_integration::run_named;
+use mhd_core::{compact, gc, restore, Deduplicator, EngineConfig, EngineKind};
+use mhd_integration::run_kind;
 use mhd_workload::{Corpus, CorpusSpec};
 
 #[test]
@@ -10,23 +10,23 @@ fn gc_reclaims_for_every_engine_layout() {
     // Delete everything: every engine's store must drain to zero data and
     // zero metadata inodes (hook/manifest/container layouts all differ).
     let corpus = Corpus::generate(CorpusSpec::tiny(901));
-    for name in mhd_integration::ALL_ENGINES {
-        let (_, mut substrate) = run_named(name, &corpus, EngineConfig::new(512, 8));
+    for kind in EngineKind::ALL {
+        let (_, mut substrate) = run_kind(kind, &corpus.snapshots, EngineConfig::new(512, 8));
         let report = gc::delete_stream(&mut substrate, "m").unwrap();
-        assert!(report.recipes_deleted > 0, "{name}");
+        assert!(report.recipes_deleted > 0, "{kind:?}");
         let ledger = substrate.ledger();
-        assert_eq!(ledger.stored_data_bytes, 0, "{name}");
-        assert_eq!(ledger.inodes_disk_chunks, 0, "{name}");
-        assert_eq!(ledger.inodes_manifests, 0, "{name}");
-        assert_eq!(ledger.inodes_hooks, 0, "{name}");
+        assert_eq!(ledger.stored_data_bytes, 0, "{kind:?}");
+        assert_eq!(ledger.inodes_disk_chunks, 0, "{kind:?}");
+        assert_eq!(ledger.inodes_manifests, 0, "{kind:?}");
+        assert_eq!(ledger.inodes_hooks, 0, "{kind:?}");
     }
 }
 
 #[test]
 fn partial_gc_keeps_every_engine_restorable() {
     let corpus = Corpus::generate(CorpusSpec::tiny(902));
-    for name in mhd_integration::ALL_ENGINES {
-        let (_, mut substrate) = run_named(name, &corpus, EngineConfig::new(512, 8));
+    for kind in EngineKind::ALL {
+        let (_, mut substrate) = run_kind(kind, &corpus.snapshots, EngineConfig::new(512, 8));
         gc::delete_stream(&mut substrate, "m0/d0").unwrap();
         gc::delete_stream(&mut substrate, "m1/d0").unwrap();
         for snapshot in &corpus.snapshots {
@@ -35,12 +35,12 @@ fn partial_gc_keeps_every_engine_restorable() {
                     continue;
                 }
                 let restored = restore::restore_file(&mut substrate, &file.path)
-                    .unwrap_or_else(|e| panic!("{name} {}: {e}", file.path));
-                assert_eq!(restored, file.data, "{name} {}", file.path);
+                    .unwrap_or_else(|e| panic!("{kind:?} {}: {e}", file.path));
+                assert_eq!(restored, file.data, "{kind:?} {}", file.path);
             }
         }
         let fsck = mhd_core::fsck::check_store(&mut substrate);
-        assert!(fsck.is_healthy(), "{name}: {:?}", fsck.problems);
+        assert!(fsck.is_healthy(), "{kind:?}: {:?}", fsck.problems);
     }
 }
 
@@ -49,21 +49,21 @@ fn compaction_skips_multi_container_layouts_safely() {
     // SubChunk and SparseIndexing manifests span containers; compaction
     // must skip them (never corrupt them), even after retirements.
     let corpus = Corpus::generate(CorpusSpec::tiny(903));
-    for name in ["subchunk", "sparse-indexing"] {
-        let (_, mut substrate) = run_named(name, &corpus, EngineConfig::new(512, 8));
+    for kind in [EngineKind::SubChunk, EngineKind::SparseIndexing] {
+        let (_, mut substrate) = run_kind(kind, &corpus.snapshots, EngineConfig::new(512, 8));
         gc::delete_stream(&mut substrate, "m0/d0").unwrap();
         let report = compact::compact(&mut substrate, 0.99).unwrap();
         // Nothing eligible is fine; corruption is not.
         let _ = report;
         let fsck = mhd_core::fsck::check_store(&mut substrate);
-        assert!(fsck.is_healthy(), "{name}: {:?}", fsck.problems);
+        assert!(fsck.is_healthy(), "{kind:?}: {:?}", fsck.problems);
         for snapshot in &corpus.snapshots {
             for file in &snapshot.files {
                 if file.path.starts_with("m0/d0") {
                     continue;
                 }
                 let restored = restore::restore_file(&mut substrate, &file.path).unwrap();
-                assert_eq!(restored, file.data, "{name} {}", file.path);
+                assert_eq!(restored, file.data, "{kind:?} {}", file.path);
             }
         }
     }

@@ -3,8 +3,8 @@
 //! identity and accounting invariants hold.
 
 use bytes::Bytes;
-use mhd_core::{restore, EngineConfig};
-use mhd_integration::ALL_ENGINES;
+use mhd_core::{restore, EngineConfig, EngineKind};
+use mhd_integration::run_kind;
 use mhd_workload::{FileEntry, Snapshot};
 use proptest::prelude::*;
 
@@ -63,40 +63,6 @@ fn verify(
     Ok(())
 }
 
-fn run_over(
-    name: &str,
-    snapshots: &[Snapshot],
-    config: EngineConfig,
-) -> (mhd_core::DedupReport, mhd_store::Substrate<mhd_store::MemBackend>) {
-    // Reuse the corpus-driven helper by temporarily wrapping the streams.
-    // (run_named consumes a Corpus; build the equivalent inline.)
-    use mhd_core::Deduplicator;
-    use mhd_store::MemBackend;
-    macro_rules! drive {
-        ($engine:expr) => {{
-            let mut engine = $engine.expect("valid config");
-            for s in snapshots {
-                engine.process_snapshot(s).expect("dedup");
-            }
-            let report = engine.finish().expect("finish");
-            let substrate = std::mem::replace(
-                mhd_integration::SubstrateAccess::substrate_mut_dyn(&mut engine),
-                mhd_store::Substrate::new(MemBackend::new()),
-            );
-            (report, substrate)
-        }};
-    }
-    match name {
-        "bf-mhd" => drive!(mhd_core::MhdEngine::new(MemBackend::new(), config)),
-        "cdc" => drive!(mhd_core::CdcEngine::new(MemBackend::new(), config)),
-        "bimodal" => drive!(mhd_core::BimodalEngine::new(MemBackend::new(), config)),
-        "subchunk" => drive!(mhd_core::SubChunkEngine::new(MemBackend::new(), config)),
-        "sparse-indexing" => drive!(mhd_core::SparseIndexEngine::new(MemBackend::new(), config)),
-        "fbc" => drive!(mhd_core::FbcEngine::new(MemBackend::new(), config)),
-        other => panic!("unknown engine {other}"),
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -105,7 +71,7 @@ proptest! {
     fn prop_mhd_roundtrip(streams in arb_streams(), sd in 2usize..12) {
         let mut config = EngineConfig::new(256, sd);
         config.cache_manifests = 2; // force evictions and write-backs
-        let (report, mut substrate) = run_over("bf-mhd", &streams, config);
+        let (report, mut substrate) = run_kind(EngineKind::Mhd, &streams, config);
         prop_assert_eq!(
             report.ledger.stored_data_bytes + report.dup_bytes,
             report.input_bytes
@@ -118,16 +84,16 @@ proptest! {
     /// the machinery).
     #[test]
     fn prop_baselines_roundtrip(streams in arb_streams()) {
-        for name in ALL_ENGINES {
+        for kind in EngineKind::ALL {
             let mut config = EngineConfig::new(256, 4);
             config.cache_manifests = 2;
-            let (report, mut substrate) = run_over(name, &streams, config);
+            let (report, mut substrate) = run_kind(kind, &streams, config);
             prop_assert_eq!(
                 report.ledger.stored_data_bytes + report.dup_bytes,
                 report.input_bytes,
-                "{}", name
+                "{:?}", kind
             );
-            prop_assert!(verify(&mut substrate, &streams).is_ok(), "{}", name);
+            prop_assert!(verify(&mut substrate, &streams).is_ok(), "{:?}", kind);
         }
     }
 }
