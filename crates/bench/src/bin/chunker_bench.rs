@@ -1,55 +1,56 @@
-//! Chunker shootout (extension experiment, not in the paper): raw
-//! cut-point throughput and end-to-end dedup quality for every
-//! engine-selectable chunker (`--chunker` on `mhd backup`/`mhd serve`).
+//! Chunker shootout (extension experiment, not in the paper): dedup
+//! quality for every engine-selectable chunker (`--chunker` on
+//! `mhd backup`/`mhd serve`). Counts only — how fast each scanner runs is
+//! the repo benchmark's `chunking.mib_s` row (`benchmark/README.md`).
 //!
-//! Two panels:
-//!
-//! * **scanner throughput** — MiB/s of `cut_points` over the concatenated
-//!   corpus bytes, best-of-N;
-//! * **dedup quality** — the Fig 7/8-style BF-MHD run repeated per
-//!   chunker: duplicate-elimination ratio, chunks stored, metadata ratio.
-//!   After every run the first day of machine 0 is restored and compared
-//!   byte-for-byte, so a chunker can never "win" by corrupting restores.
-//!
-//! Asserted gates:
-//!
-//! * restore identity per chunker — unconditional;
-//! * FastCDC throughput ≥ Rabin — opt-in via
-//!   `CHUNKER_BENCH_REQUIRE_FASTCDC=1` (set by CI's smoke stage; debug
-//!   builds invert the constant folding the release gate relies on).
+//! Per chunker: the chunks it cuts from the corpus read as one backup
+//! stream, then the Fig 7/8-style BF-MHD run — duplicate-elimination
+//! ratio, chunks stored, metadata ratio. After every run the first day of
+//! machine 0 is restored and compared byte-for-byte, so a chunker can
+//! never "win" by corrupting restores.
 
-use std::time::Instant;
+use std::io::Read;
 
 use mhd_bench::{print_table, scaled_config, Cli};
-use mhd_chunking::{AnyChunker, Chunker, ChunkerKind};
+use mhd_chunking::{AnyChunker, ChunkerKind, StreamChunker};
 use mhd_core::{restore, Deduplicator, MhdEngine};
 use mhd_store::MemBackend;
+use mhd_workload::Corpus;
 use serde_json::json;
 
-/// Replays per throughput measurement; the fastest is reported.
-const REPEATS: usize = 3;
-
-/// Expected chunk size for both panels (the paper's default ECS).
+/// Expected chunk size (the paper's default ECS).
 const ECS: usize = 4096;
 
-/// Best-of-N MiB/s of one cut-point scanner over `data`, plus the cuts it
-/// found (returned so callers can sanity-check identity across scanners).
-fn measure(data: &[u8], scan: &dyn Fn(&[u8]) -> Vec<usize>) -> (f64, Vec<usize>) {
-    let mib = data.len() as f64 / (1 << 20) as f64;
-    let mut best = f64::INFINITY;
-    let mut cuts = Vec::new();
-    for _ in 0..REPEATS {
-        let start = Instant::now();
-        cuts = scan(data);
-        best = best.min(start.elapsed().as_secs_f64());
+/// The corpus as the paper's backup stream: every file of every snapshot
+/// end to end, so a chunk may span a file boundary.
+struct BackupStream<'a, I> {
+    files: I,
+    rest: &'a [u8],
+}
+
+impl<'a, I: Iterator<Item = &'a [u8]>> Read for BackupStream<'a, I> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        while self.rest.is_empty() {
+            match self.files.next() {
+                Some(file) => self.rest = file,
+                None => return Ok(0),
+            }
+        }
+        self.rest.read(buf)
     }
-    (mib / best, cuts)
+}
+
+/// Chunks `chunker` cuts from the whole corpus read as one stream.
+fn stream_chunks(corpus: &Corpus, chunker: AnyChunker) -> u64 {
+    let files = corpus.snapshots.iter().flat_map(|s| &s.files).map(|f| &f.data[..]);
+    let mut stream = StreamChunker::new(BackupStream { files, rest: &[] }, chunker);
+    std::iter::from_fn(|| stream.next_chunk().expect("reading memory cannot fail")).count() as u64
 }
 
 /// One BF-MHD corpus run with the given chunker; returns
 /// (dup_fraction, chunks_stored, metadata_ratio) after asserting the
 /// machine-0/day-0 restore probe.
-fn dedup_quality(corpus: &mhd_workload::Corpus, kind: ChunkerKind, sd: usize) -> (f64, u64, f64) {
+fn dedup_quality(corpus: &Corpus, kind: ChunkerKind, sd: usize) -> (f64, u64, f64) {
     let _scope = mhd_obs::scope!("chunker={}", kind);
     let config = scaled_config(ECS, sd, corpus.total_bytes()).with_chunker(kind);
     let mut engine = MhdEngine::new(MemBackend::new(), config).expect("config");
@@ -78,42 +79,17 @@ fn main() {
     let cli = Cli::parse();
     let corpus = cli.corpus();
 
-    // Scanner input: the corpus bytes themselves (mixed structured /
-    // mutated / duplicate content), concatenated like the paper's backup
-    // stream, capped so debug runs stay quick.
-    const SCAN_CAP: usize = 256 << 20;
-    let mut data = Vec::new();
-    'fill: for snapshot in &corpus.snapshots {
-        for file in &snapshot.files {
-            if data.len() + file.data.len() > SCAN_CAP {
-                break 'fill;
-            }
-            data.extend_from_slice(&file.data);
-        }
-    }
-    let input_mib = data.len() as f64 / (1 << 20) as f64;
-    eprintln!("chunker_bench: scanning {input_mib:.0} MiB of corpus bytes, ECS {ECS}");
-
     let mut rows = Vec::new();
     let mut js = Vec::new();
-    let mut rabin_mib_s = 0.0f64;
-    let mut fastcdc_mib_s = 0.0f64;
     for kind in ChunkerKind::ALL {
-        let chunker: AnyChunker = kind.build(ECS).expect("default ECS is buildable");
-        let (mib_s, cuts) = measure(&data, &|d| chunker.cut_points(d));
-        let mean_chunk = data.len() as f64 / cuts.len().max(1) as f64;
-        match kind {
-            ChunkerKind::Rabin => rabin_mib_s = mib_s,
-            ChunkerKind::FastCdc => fastcdc_mib_s = mib_s,
-            _ => {}
-        }
-
-        eprintln!("chunker_bench: {kind} dedup-quality run");
+        eprintln!("chunker_bench: {kind} at ECS {ECS}");
+        let chunker = kind.build(ECS).expect("default ECS is buildable");
+        let chunks = stream_chunks(&corpus, chunker);
+        let mean_chunk = corpus.total_bytes() as f64 / chunks.max(1) as f64;
         let (dup_fraction, chunks_stored, metadata_ratio) = dedup_quality(&corpus, kind, cli.sd);
 
         rows.push(vec![
             kind.to_string(),
-            format!("{mib_s:.0}"),
             format!("{mean_chunk:.0}"),
             format!("{:.1}%", dup_fraction * 100.0),
             chunks_stored.to_string(),
@@ -121,8 +97,7 @@ fn main() {
         ]);
         js.push(json!({
             "chunker": kind.to_string(),
-            "mib_s": mib_s,
-            "chunks": cuts.len(),
+            "chunks": chunks,
             "mean_chunk_bytes": mean_chunk,
             "dup_fraction": dup_fraction,
             "chunks_stored": chunks_stored,
@@ -131,17 +106,9 @@ fn main() {
         }));
     }
 
-    if std::env::var_os("CHUNKER_BENCH_REQUIRE_FASTCDC").is_some() {
-        assert!(
-            fastcdc_mib_s >= rabin_mib_s,
-            "FastCDC {fastcdc_mib_s:.0} MiB/s fell below Rabin {rabin_mib_s:.0} MiB/s — \
-             the gear scanner has regressed"
-        );
-    }
-
     print_table(
-        "Chunker shootout: scanner MiB/s + BF-MHD dedup quality (extension experiment)",
-        &["chunker", "MiB/s", "mean chunk", "dup", "chunks stored", "meta ratio"],
+        "Chunker shootout: BF-MHD dedup quality per chunker (extension experiment)",
+        &["chunker", "mean chunk", "dup", "chunks stored", "meta ratio"],
         &rows,
     );
     println!("\nevery dedup row replays the identical corpus; only the chunker varies");

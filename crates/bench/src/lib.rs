@@ -15,6 +15,12 @@
 //! | `table4` | Table IV — Hook+Manifest bytes in BF-MHD |
 //! | `table5` | Table V — Manifest-load disk accesses in BF-MHD |
 //! | `ablation` | DESIGN.md §5 — MHD design-choice ablations |
+//! | `dataset` | §V-D — engine-independent dataset characteristics |
+//! | `restore_cost` | extension — restore-side fragmentation per algorithm |
+//! | `chunker_bench` | extension — dedup quality per `--chunker` |
+//!
+//! Exhibits report counts and ratios. No binary here reads a clock: a
+//! speed is a row of the repo benchmark (`benchmark/run.sh`).
 //!
 //! Every binary accepts `--bytes N` (corpus size, default 256 MiB),
 //! `--seed N`, `--sd N` (the scaled sample distance, default 16) and

@@ -14,7 +14,7 @@
 //! shift) with a byte-at-a-time scan: the loop is latency-bound on a
 //! two-operation dependency chain with a well-predicted branch, which a
 //! safe-rust wide-lane (SWAR) form did not beat on the portable x86-64
-//! baseline (0.76–0.84× in `chunker_bench`), so there is one kernel.
+//! baseline (0.76–0.84×, EXPERIMENTS.md), so there is one kernel.
 
 use std::sync::OnceLock;
 

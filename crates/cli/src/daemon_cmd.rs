@@ -31,9 +31,6 @@ pub fn cmd_serve(args: &[String]) -> CliResult {
     if let Some(chunker) = flag_value(args, "--chunker") {
         config.chunker = chunker.parse::<mhd_chunking::ChunkerKind>().map_err(|e| e.to_string())?;
     }
-    if let Some(shards) = flag_value(args, "--shards") {
-        config.index_shards = shards.parse()?;
-    }
 
     let daemon = Daemon::open(&store, config)?;
     let recovery = daemon.store().recovery();

@@ -110,7 +110,7 @@ impl Session {
     pub fn close(mut self) -> BoxResult<()> {
         self.store.commit()?;
         let aside = |file: &str, data: &[u8]| {
-            statefile::write_atomic(&self.root.join(file), data, self.durability)
+            mhd_store::write_atomic(&self.root.join(file), data, self.durability)
         };
         // Persist this process's internal metrics so `mhd stats
         // --internals` can show what the last mutating run did.
@@ -170,12 +170,8 @@ pub fn list_files(root: &Path) -> BoxResult<Vec<String>> {
 /// Builds a backup stream from a real directory: files are read in sorted
 /// order, paths become recipe names under `label/`.
 pub fn snapshot_from_dir(dir: &Path, label: &str) -> Result<Snapshot, Box<dyn std::error::Error>> {
-    let mut paths: Vec<PathBuf> = Vec::new();
-    collect_files(dir, &mut paths)?;
-    paths.sort();
-    let mut files = Vec::with_capacity(paths.len());
-    for path in paths {
-        let rel = path.strip_prefix(dir).unwrap_or(&path).to_string_lossy().replace('\\', "/");
+    let mut files = Vec::new();
+    for (path, rel) in mhd_workload::trace::walk_dir(dir)? {
         files.push(FileEntry {
             path: format!("{label}/{rel}"),
             data: Bytes::from(std::fs::read(&path)?),
@@ -185,20 +181,6 @@ pub fn snapshot_from_dir(dir: &Path, label: &str) -> Result<Snapshot, Box<dyn st
         return Err(format!("{} contains no files", dir.display()).into());
     }
     Ok(Snapshot { machine: 0, day: 0, files })
-}
-
-fn collect_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        let ty = entry.file_type()?;
-        if ty.is_dir() {
-            collect_files(&path, out)?;
-        } else if ty.is_file() {
-            out.push(path);
-        } // symlinks and specials are skipped
-    }
-    Ok(())
 }
 
 #[cfg(test)]

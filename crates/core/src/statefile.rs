@@ -26,20 +26,20 @@
 //! watermark describe objects [`open_write`] deletes (their entries are
 //! overwritten when the ids are re-allocated).
 //!
-//! Every file with content is written through [`write_atomic`]. Readers
-//! that only look ([`read_view`], [`load_slim_state`]) never create,
-//! remove or recover anything. Writers come in through [`open_write`];
-//! the [`OpenedStore`] it returns carries the order of a single writer's
-//! steps ([`OpenedStore::begin_stream`] → write → [`OpenedStore::commit`],
-//! and [`OpenedStore::compact`], which persists mid-pass).
+//! Every file with content is written through [`mhd_store::write_atomic`].
+//! Readers that only look ([`read_view`], [`load_slim_state`]) never
+//! create, remove or recover anything. Writers come in through
+//! [`open_write`]; the [`OpenedStore`] it returns carries the order of a
+//! single writer's steps ([`OpenedStore::begin_stream`] → write →
+//! [`OpenedStore::commit`], and [`OpenedStore::compact`], which persists
+//! mid-pass).
 
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use mhd_chunking::ChunkerKind;
 use mhd_store::{
-    safe_name, Backend, BatchedDirBackend, DirBackend, Durability, FileKind, FileManifest,
-    IoConfig, StoreError, StoreResult, Substrate,
+    safe_name, write_atomic, Backend, BatchedDirBackend, DirBackend, Durability, FileKind,
+    FileManifest, IoConfig, StoreError, StoreResult, Substrate,
 };
 use serde::{Deserialize, Serialize};
 
@@ -67,8 +67,8 @@ fn corrupt(path: &Path, what: impl std::fmt::Display) -> StoreError {
     StoreError::Corrupt(format!("{}: {what}", path.display()))
 }
 
-/// `sync_all` on a file or directory handle. Test builds record the path
-/// so the `--durability fsync` call path can be asserted.
+/// `sync_all` on a wip record or its directory. Test builds record the
+/// path so the `--durability fsync` call path can be asserted.
 fn sync(file: &std::fs::File, path: &Path) -> StoreResult<()> {
     #[cfg(test)]
     tests::SYNCED.with(|s| s.borrow_mut().push(path.to_path_buf()));
@@ -78,29 +78,6 @@ fn sync(file: &std::fs::File, path: &Path) -> StoreResult<()> {
 fn sync_dir(dir: &Path) -> StoreResult<()> {
     let handle = std::fs::File::open(dir).map_err(|e| io_at("open dir", dir, e))?;
     sync(&handle, dir)
-}
-
-/// Writes `data` to `path` through a hidden tmp sibling + atomic rename,
-/// so the file can never be observed half-written; errors name the path.
-/// Under [`Durability::Fsync`] the tmp file is synced before the rename
-/// and the parent directory after it, like every object the backends
-/// write at that level.
-pub fn write_atomic(path: &Path, data: &[u8], durability: Durability) -> StoreResult<()> {
-    let (Some(dir), Some(name)) = (path.parent(), path.file_name().and_then(|n| n.to_str())) else {
-        return Err(corrupt(path, "not a file path"));
-    };
-    let tmp = dir.join(format!(".{name}.tmp"));
-    let mut file = std::fs::File::create(&tmp).map_err(|e| io_at("create", &tmp, e))?;
-    file.write_all(data).map_err(|e| io_at("write", &tmp, e))?;
-    if durability == Durability::Fsync {
-        sync(&file, &tmp)?;
-    }
-    drop(file);
-    std::fs::rename(&tmp, path).map_err(|e| io_at("rename to", path, e))?;
-    if durability == Durability::Fsync {
-        sync_dir(dir)?;
-    }
-    Ok(())
 }
 
 /// Reads a whole file; `None` when it does not exist.
@@ -701,29 +678,33 @@ mod tests {
         }
     }
 
+    /// The wip records' half of the `--durability fsync` call path; the
+    /// state files' half is `mhd_store::write_atomic`'s, asserted by the
+    /// test of this name in `mhd-store`.
     #[test]
     fn fsync_durability_syncs_tmp_then_parent_and_rename_syncs_nothing() {
         let root = temp_root("fsync");
         let synced = || SYNCED.with(|s| std::mem::take(&mut *s.borrow_mut()));
-        let session = root.join("session");
 
-        persist(&root, Durability::Rename, sample_state(), &meta()).unwrap();
         wip_begin(&root, Durability::Rename, "t/day0").unwrap();
         wip_end(&root, Durability::Rename, "t/day0").unwrap();
         assert_eq!(synced(), Vec::<PathBuf>::new());
-
-        // Every state file: its tmp before the rename, its directory after.
-        persist(&root, Durability::Fsync, sample_state(), &meta()).unwrap();
-        let want: Vec<PathBuf> = ["bloom.bin", "idmaps.bin", "state.json", "meta.json"]
-            .iter()
-            .flat_map(|f| [session.join(format!(".{f}.tmp")), session.clone()])
-            .collect();
-        assert_eq!(synced(), want);
 
         wip_begin(&root, Durability::Fsync, "t/day0").unwrap();
         wip_end(&root, Durability::Fsync, "t/day0").unwrap();
         let wip = wip_dir(&root);
         assert_eq!(synced(), vec![wip.join("t_day0"), wip.clone(), wip]);
+
+        // Either level leaves the four state files and no tmp behind.
+        for durability in [Durability::Rename, Durability::Fsync] {
+            persist(&root, durability, sample_state(), &meta()).unwrap();
+            let mut names: Vec<_> = std::fs::read_dir(root.join("session"))
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            assert_eq!(names, ["bloom.bin", "idmaps.bin", "meta.json", "state.json"]);
+        }
 
         std::fs::remove_dir_all(&root).unwrap();
     }

@@ -153,15 +153,12 @@ impl Client {
     /// committed. The session label is `label`; a failure aborts the
     /// session before returning.
     pub fn backup_dir(&mut self, dir: &Path, label: &str) -> DaemonResult<CommitSummary> {
-        let mut paths: Vec<std::path::PathBuf> = Vec::new();
-        collect_files(dir, &mut paths)?;
-        paths.sort();
+        let paths = mhd_workload::trace::walk_dir(dir)?;
         if paths.is_empty() {
             return Err(DaemonError::Protocol(format!("{} contains no files", dir.display())));
         }
         self.begin(label)?;
-        for path in paths {
-            let rel = path.strip_prefix(dir).unwrap_or(&path).to_string_lossy().replace('\\', "/");
+        for (path, rel) in paths {
             let data = match std::fs::read(&path) {
                 Ok(data) => data,
                 Err(e) => {
@@ -176,18 +173,4 @@ impl Client {
         }
         self.commit()
     }
-}
-
-fn collect_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> std::io::Result<()> {
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        let ty = entry.file_type()?;
-        if ty.is_dir() {
-            collect_files(&path, out)?;
-        } else if ty.is_file() {
-            out.push(path);
-        } // symlinks and specials are skipped
-    }
-    Ok(())
 }

@@ -27,19 +27,25 @@ use mhd_hash::{ChunkHash, FxHashMap};
 use mhd_store::{Backend, FileKind, ManifestId, RecoveryReport, StoreResult};
 use parking_lot::RwLock;
 
+/// Shards of a [`SharedHookIndex`]. A constant: SHA-1 prefixes spread
+/// evenly, `index_occupancy` in `STATS` shows when they do not, and no
+/// deployment has asked for another value.
+pub const INDEX_SHARDS: usize = 8;
+
 /// A concurrently-readable hash → manifest map, sharded to keep writer
 /// contention away from readers.
 pub struct SharedHookIndex {
     shards: Vec<RwLock<FxHashMap<ChunkHash, Option<ManifestId>>>>,
 }
 
-impl SharedHookIndex {
-    /// Creates an index with `shards` shards (coerced to at least 1).
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
-        SharedHookIndex { shards: (0..shards).map(|_| RwLock::new(FxHashMap::default())).collect() }
+impl Default for SharedHookIndex {
+    fn default() -> Self {
+        let shards = (0..INDEX_SHARDS).map(|_| RwLock::new(FxHashMap::default())).collect();
+        SharedHookIndex { shards }
     }
+}
 
+impl SharedHookIndex {
     fn shard_of(&self, hash: &ChunkHash) -> usize {
         (hash.prefix_u64() % self.shards.len() as u64) as usize
     }
@@ -232,7 +238,7 @@ mod tests {
 
     #[test]
     fn hook_writes_and_deletes_mirror_into_the_index() {
-        let index = Arc::new(SharedHookIndex::new(4));
+        let index = Arc::new(SharedHookIndex::default());
         let mut b = IndexingBackend::new(MemBackend::new(), index.clone());
         let hash = sha1(b"chunk");
         let mut payload = [0u8; 20];
@@ -249,7 +255,7 @@ mod tests {
 
     #[test]
     fn failed_put_publishes_nothing() {
-        let index = Arc::new(SharedHookIndex::new(2));
+        let index = Arc::new(SharedHookIndex::default());
         let mut b = IndexingBackend::new(MemBackend::new(), index.clone());
         let hash = sha1(b"x");
         b.put(FileKind::Hook, &hash.to_hex(), &[0u8; 20]).unwrap();
@@ -262,7 +268,7 @@ mod tests {
 
     #[test]
     fn non_hook_kinds_are_not_indexed() {
-        let index = Arc::new(SharedHookIndex::new(2));
+        let index = Arc::new(SharedHookIndex::default());
         let mut b = IndexingBackend::new(MemBackend::new(), index.clone());
         b.put(FileKind::DiskChunk, "0000000000000001", b"data").unwrap();
         b.put(FileKind::FileManifest, "t/l/f", b"fm").unwrap();
@@ -271,7 +277,7 @@ mod tests {
 
     #[test]
     fn populate_loads_plain_names_only() {
-        let index = Arc::new(SharedHookIndex::new(3));
+        let index = Arc::new(SharedHookIndex::default());
         let mut b = IndexingBackend::new(MemBackend::new(), index.clone());
         let h1 = sha1(b"a");
         let h2 = sha1(b"b");
@@ -287,12 +293,12 @@ mod tests {
 
     #[test]
     fn occupancy_covers_all_shards() {
-        let index = SharedHookIndex::new(4);
+        let index = SharedHookIndex::default();
         for i in 0..100u32 {
             index.publish(sha1(&i.to_le_bytes()), None);
         }
         let occ = index.occupancy();
-        assert_eq!(occ.len(), 4);
+        assert_eq!(occ.len(), INDEX_SHARDS);
         assert_eq!(occ.iter().sum::<usize>(), 100);
         assert_eq!(index.len(), 100);
         // SHA-1 prefixes spread well: no shard may be empty at n=100.

@@ -81,7 +81,7 @@ mod staging;
 
 pub use client::{Client, CommitSummary};
 pub use error::{DaemonError, DaemonResult};
-pub use index::{IndexingBackend, SharedHookIndex};
+pub use index::{IndexingBackend, SharedHookIndex, INDEX_SHARDS};
 /// What [`SharedStore::open`]'s recovery found and undid.
 pub use mhd_core::statefile::RecoverySummary;
 pub use protocol::{Request, MAX_FILE_BYTES, MAX_LINE_BYTES};

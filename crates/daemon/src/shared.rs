@@ -109,19 +109,11 @@ pub struct DaemonConfig {
     pub chunker: ChunkerKind,
     /// Batched-backend I/O tuning (threads, batch sizes, durability).
     pub io: IoConfig,
-    /// Shard count for the in-memory hook index.
-    pub index_shards: usize,
 }
 
 impl Default for DaemonConfig {
     fn default() -> Self {
-        DaemonConfig {
-            ecs: 4096,
-            sd: 16,
-            chunker: ChunkerKind::Rabin,
-            io: IoConfig::default(),
-            index_shards: 8,
-        }
+        DaemonConfig { ecs: 4096, sd: 16, chunker: ChunkerKind::Rabin, io: IoConfig::default() }
     }
 }
 
@@ -269,7 +261,7 @@ impl SharedStore {
     /// everything above the commit watermark run before anything reads a
     /// byte — then preloads the hook index.
     pub fn open(root: &Path, config: DaemonConfig) -> DaemonResult<SharedStore> {
-        let index = Arc::new(SharedHookIndex::new(config.index_shards));
+        let index = Arc::new(SharedHookIndex::default());
         let new_store =
             StoreMeta { ecs: config.ecs, sd: config.sd, streams: 0, chunker: config.chunker };
         let opened = statefile::open_write(root, new_store, config.io, |backend| {

@@ -3,7 +3,7 @@
 //!
 //! [`Snapshot::diff`] isolates one run's contribution inside a single
 //! process; this module compares *separate* runs — two snapshots written
-//! by different invocations (a baseline `results/io_bench.json` against a
+//! by different invocations (a baseline `table1_internals.json` against a
 //! candidate, or two CI runs of the same seeded exhibit). Metrics are
 //! aligned by scope label and metric name; every aligned pair yields a
 //! [`MetricDelta`] with absolute and relative change, and deltas past the

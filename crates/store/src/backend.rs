@@ -32,6 +32,8 @@
 use std::collections::BTreeMap;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use bytes::Bytes;
 
@@ -299,17 +301,64 @@ pub fn safe_name(name: &str) -> String {
 }
 
 /// The directory holding write-ahead intent records.
-pub(crate) fn intent_dir(root: &Path) -> PathBuf {
+fn intent_dir(root: &Path) -> PathBuf {
     root.join("intent")
 }
 
-pub(crate) fn io_at(op: &'static str, path: &Path, source: std::io::Error) -> StoreError {
+fn io_at(op: &'static str, path: &Path, source: std::io::Error) -> StoreError {
     StoreError::IoAt { op, path: path.display().to_string(), source }
 }
 
-pub(crate) fn fsync_dir(dir: &Path) -> StoreResult<()> {
-    let f = std::fs::File::open(dir).map_err(|e| io_at("open dir", dir, e))?;
-    f.sync_all().map_err(|e| io_at("fsync dir", dir, e))
+/// `sync_all` on a file or directory handle. Test builds record the path
+/// so the `--durability fsync` call path can be asserted.
+fn sync(file: &std::fs::File, path: &Path) -> StoreResult<()> {
+    #[cfg(test)]
+    tests::SYNCED.with(|s| s.borrow_mut().push(path.to_path_buf()));
+    file.sync_all().map_err(|e| io_at("fsync", path, e))
+}
+
+fn fsync_dir(dir: &Path) -> StoreResult<()> {
+    let handle = std::fs::File::open(dir).map_err(|e| io_at("open dir", dir, e))?;
+    sync(&handle, dir)
+}
+
+/// `path`'s directory and the hidden `.<name>.tmp` sibling a write lands
+/// in before it is renamed over `path`.
+fn tmp_sibling(path: &Path) -> StoreResult<(&Path, PathBuf)> {
+    match (path.parent(), path.file_name().and_then(|n| n.to_str())) {
+        (Some(dir), Some(name)) => Ok((dir, dir.join(format!(".{name}.tmp")))),
+        _ => Err(StoreError::Corrupt(format!("{}: not a file path", path.display()))),
+    }
+}
+
+/// Writes `data` to `path` through a hidden tmp sibling + atomic rename,
+/// so the file can never be observed half-written; errors name the path.
+/// Under [`Durability::Fsync`] the tmp file is synced before the rename
+/// and the parent directory after it. Every object the directory
+/// backends commit and every state file `mhd_core::statefile` persists
+/// goes through here.
+pub fn write_atomic(path: &Path, data: &[u8], durability: Durability) -> StoreResult<()> {
+    let (dir, tmp) = tmp_sibling(path)?;
+    let mut file = std::fs::File::create(&tmp).map_err(|e| io_at("create", &tmp, e))?;
+    file.write_all(data).map_err(|e| io_at("write", &tmp, e))?;
+    if durability == Durability::Fsync {
+        sync(&file, &tmp)?;
+    }
+    drop(file);
+    std::fs::rename(&tmp, path).map_err(|e| io_at("rename", path, e))?;
+    if durability == Durability::Fsync {
+        fsync_dir(dir)?;
+    }
+    Ok(())
+}
+
+/// The injected fault: half of `data` reaches `target`'s tmp sibling, the
+/// rename never happens — a crash mid-write.
+fn torn_write(target: &Path, data: &[u8]) -> StoreError {
+    if let Ok((_, tmp)) = tmp_sibling(target) {
+        let _ = std::fs::write(&tmp, &data[..data.len() / 2]);
+    }
+    StoreError::Io(std::io::Error::other(format!("injected short write at {}", target.display())))
 }
 
 /// Directory-tree backend: `root/{chunks,manifests,hooks,file_manifests}/`
@@ -319,13 +368,18 @@ pub(crate) fn fsync_dir(dir: &Path) -> StoreResult<()> {
 /// hex strings or sanitised paths, so no escaping is needed beyond `/`
 /// replacement). Temporary files are hidden (`.*.tmp`) and never reported
 /// by [`Backend::list`]/[`Backend::count`].
+///
+/// A clone is another handle on the same directory, sharing the fault
+/// hook: the batched backend's pool workers each commit through one, so
+/// there is one object-commit routine (`DirBackend::commit`) however a
+/// write reaches the disk.
+#[derive(Clone)]
 pub struct DirBackend {
     root: PathBuf,
     durability: Durability,
-    /// Physical file writes performed (fault-injection bookkeeping).
-    writes: u64,
-    /// Test-only: the n-th physical write is torn half-way and fails.
-    short_write_at: Option<u64>,
+    /// Test-only fault hook: physical writes left until one is torn
+    /// half-way and fails (0 = disarmed).
+    tear_in: Arc<AtomicU64>,
 }
 
 impl DirBackend {
@@ -345,7 +399,7 @@ impl DirBackend {
         }
         let intents = intent_dir(&root);
         std::fs::create_dir_all(&intents).map_err(|e| io_at("create dir", &intents, e))?;
-        Ok(DirBackend { root, durability, writes: 0, short_write_at: None })
+        Ok(DirBackend { root, durability, tear_in: Arc::default() })
     }
 
     /// The store root directory.
@@ -354,54 +408,46 @@ impl DirBackend {
     }
 
     /// Fault injection for crash tests: the `nth` physical file write
-    /// (0-based, counted across puts and updates) writes only half its
-    /// bytes and then fails, simulating a crash mid-write. One-shot.
+    /// from now (0-based, counted across puts and updates, on every
+    /// clone) writes only half its bytes and then fails, simulating a
+    /// crash mid-write. One-shot.
     pub fn fault_short_write_at(&mut self, nth: u64) {
-        self.short_write_at = Some(self.writes + nth);
+        self.tear_in.store(nth + 1, Ordering::SeqCst);
     }
 
     fn path(&self, kind: FileKind, name: &str) -> PathBuf {
         self.root.join(kind.dir_name()).join(safe_name(name))
     }
 
-    fn tmp_path(&self, kind: FileKind, name: &str) -> PathBuf {
-        self.root.join(kind.dir_name()).join(format!(".{}.tmp", safe_name(name)))
-    }
-
-    fn intent_path(&self, kind: FileKind, name: &str) -> PathBuf {
-        intent_dir(&self.root).join(format!("{}__{}", kind.dir_name(), safe_name(name)))
-    }
-
-    /// Writes `data` to `path`, honouring the short-write fault hook.
-    fn write_file(&mut self, path: &Path, data: &[u8]) -> StoreResult<()> {
-        let n = self.writes;
-        self.writes += 1;
-        let mut f = std::fs::File::create(path).map_err(|e| io_at("create", path, e))?;
-        if self.short_write_at == Some(n) {
-            self.short_write_at = None;
-            let _ = f.write_all(&data[..data.len() / 2]);
-            let _ = f.sync_all();
-            return Err(StoreError::Io(std::io::Error::other(format!(
-                "injected short write at {}",
-                path.display()
-            ))));
-        }
-        f.write_all(data).map_err(|e| io_at("write", path, e))?;
-        if self.durability == Durability::Fsync {
-            f.sync_all().map_err(|e| io_at("fsync", path, e))?;
-        }
-        Ok(())
-    }
-
-    /// The atomic commit path shared by `put` and `update`: write the
-    /// hidden tmp sibling, then rename it over the target.
-    fn commit(&mut self, kind: FileKind, name: &str, data: &[u8]) -> StoreResult<()> {
-        let tmp = self.tmp_path(kind, name);
+    /// The atomic commit path of every `put` and `update`, pooled or not:
+    /// [`write_atomic`], bracketed by a write-ahead intent record when
+    /// the object is already on disk (`overwrite`). The caller has
+    /// checked existence.
+    pub(crate) fn commit(
+        &self,
+        kind: FileKind,
+        name: &str,
+        data: &[u8],
+        overwrite: bool,
+    ) -> StoreResult<()> {
         let target = self.path(kind, name);
-        self.write_file(&tmp, data)?;
-        std::fs::rename(&tmp, &target).map_err(|e| io_at("rename", &target, e))?;
-        if self.durability == Durability::Fsync {
-            fsync_dir(&self.root.join(kind.dir_name()))?;
+        // Write-ahead intent: recovery knows an overwrite was in flight
+        // and can clear the torn tmp file it may have left behind.
+        let intent = (overwrite && self.durability != Durability::None).then(|| {
+            intent_dir(&self.root).join(format!("{}__{}", kind.dir_name(), safe_name(name)))
+        });
+        if let Some(intent) = &intent {
+            std::fs::write(intent, name.as_bytes())
+                .map_err(|e| io_at("write intent", intent, e))?;
+        }
+        let countdown =
+            self.tear_in.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
+        if countdown == Ok(1) {
+            return Err(torn_write(&target, data));
+        }
+        write_atomic(&target, data, self.durability)?;
+        if let Some(intent) = &intent {
+            std::fs::remove_file(intent).map_err(|e| io_at("clear intent", intent, e))?;
         }
         Ok(())
     }
@@ -412,27 +458,14 @@ impl Backend for DirBackend {
         if self.path(kind, name).exists() {
             return Err(StoreError::AlreadyExists { kind, name: name.to_string() });
         }
-        self.commit(kind, name, data)
+        self.commit(kind, name, data, false)
     }
 
     fn update(&mut self, kind: FileKind, name: &str, data: &[u8]) -> StoreResult<()> {
         if !self.path(kind, name).exists() {
             return Err(StoreError::NotFound { kind, name: name.to_string() });
         }
-        // Write-ahead intent: recovery knows an overwrite was in flight
-        // and can clear the torn tmp file it may have left behind.
-        let intent = (self.durability != Durability::None).then(|| self.intent_path(kind, name));
-        if let Some(intent) = &intent {
-            std::fs::write(intent, name.as_bytes())
-                .map_err(|e| io_at("write intent", intent, e))?;
-        }
-        let result = self.commit(kind, name, data);
-        if let Some(intent) = &intent {
-            if result.is_ok() {
-                std::fs::remove_file(intent).map_err(|e| io_at("clear intent", intent, e))?;
-            }
-        }
-        result
+        self.commit(kind, name, data, true)
     }
 
     fn get(&mut self, kind: FileKind, name: &str) -> StoreResult<Bytes> {
@@ -750,6 +783,13 @@ impl<B: Backend> Backend for FaultBackend<B> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::BatchedDirBackend;
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// Paths `sync` was called on, in order (this thread only).
+        pub(super) static SYNCED: RefCell<Vec<PathBuf>> = const { RefCell::new(Vec::new()) };
+    }
 
     pub(crate) fn exercise(backend: &mut dyn Backend) {
         backend.put(FileKind::DiskChunk, "a", b"hello world").unwrap();
@@ -859,15 +899,18 @@ pub(crate) mod tests {
         assert_eq!(&b.get(FileKind::DiskChunk, "c").unwrap()[..], b"data");
     }
 
-    #[test]
-    fn torn_update_preserves_old_content_and_recovers() {
-        let dir = temp_dir("torn");
-        let mut b = DirBackend::create_with(&dir, Durability::Rename).unwrap();
+    /// `flush` after each mutation makes the write-through and the
+    /// batched backend (whose `update`/`put` only enqueue) fail at the same
+    /// statement; `tear` is the backend's own `fault_short_write_at`.
+    fn torn_update<B: Backend>(mut b: B, tear: fn(&mut B, u64)) {
         b.put(FileKind::Manifest, "0", b"manifest v1, intact").unwrap();
+        b.flush().unwrap();
         // Kill the next physical write half-way: the rewrite must not
         // reach the target file.
-        b.fault_short_write_at(0);
-        let err = b.update(FileKind::Manifest, "0", b"manifest v2, much longer payload");
+        tear(&mut b, 0);
+        let err = b
+            .update(FileKind::Manifest, "0", b"manifest v2, much longer payload")
+            .and_then(|()| b.flush());
         assert!(matches!(err, Err(StoreError::Io(_))));
         assert_eq!(
             &b.get(FileKind::Manifest, "0").unwrap()[..],
@@ -881,21 +924,75 @@ pub(crate) mod tests {
         // …and a second pass is clean.
         assert!(b.recover().unwrap().is_clean());
         assert_eq!(b.list(FileKind::Manifest), vec!["0".to_string()]);
+    }
+
+    fn torn_put<B: Backend>(mut b: B, tear: fn(&mut B, u64)) {
+        tear(&mut b, 0);
+        assert!(b.put(FileKind::DiskChunk, "c0", &[7u8; 4096]).and_then(|()| b.flush()).is_err());
+        assert!(!b.exists(FileKind::DiskChunk, "c0"));
+        assert_eq!(b.count(FileKind::DiskChunk), 0, "tmp files are not objects");
+        assert_eq!(b.recover().unwrap().tmp_files_removed, 1);
+        // The name is reusable after recovery.
+        b.put(FileKind::DiskChunk, "c0", &[7u8; 4096]).unwrap();
+        b.flush().unwrap();
+        assert_eq!(b.size_of(FileKind::DiskChunk, "c0").unwrap(), 4096);
+    }
+
+    /// Both torn-write cases over the write-through backend and over the
+    /// batched one at its default `IoConfig` — pool threads, the writer
+    /// `mhd backup`/`mhd serve` ship with.
+    #[test]
+    fn torn_update_preserves_old_content_and_recovers() {
+        let dir = temp_dir("torn");
+        torn_update(
+            DirBackend::create_with(&dir, Durability::Rename).unwrap(),
+            DirBackend::fault_short_write_at,
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+        torn_update(
+            BatchedDirBackend::create(&dir).unwrap(),
+            BatchedDirBackend::fault_short_write_at,
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn torn_put_leaves_no_object() {
         let dir = temp_dir("torn-put");
+        torn_put(
+            DirBackend::create_with(&dir, Durability::Fsync).unwrap(),
+            DirBackend::fault_short_write_at,
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+        torn_put(BatchedDirBackend::create(&dir).unwrap(), BatchedDirBackend::fault_short_write_at);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn fsync_durability_syncs_tmp_then_parent_and_rename_syncs_nothing() {
+        let dir = temp_dir("fsync-path");
+        let synced = || SYNCED.with(|s| std::mem::take(&mut *s.borrow_mut()));
+        let manifests = dir.join("manifests");
+
+        let mut b = DirBackend::create_with(&dir, Durability::Rename).unwrap();
+        b.put(FileKind::Manifest, "0", b"v1").unwrap();
+        b.update(FileKind::Manifest, "0", b"v2").unwrap();
+        write_atomic(&dir.join("state"), b"s", Durability::Rename).unwrap();
+        assert_eq!(synced(), Vec::<PathBuf>::new());
+
+        // Every write: its tmp before the rename, its directory after.
         let mut b = DirBackend::create_with(&dir, Durability::Fsync).unwrap();
-        b.fault_short_write_at(0);
-        assert!(b.put(FileKind::DiskChunk, "c0", &[7u8; 4096]).is_err());
-        assert!(!b.exists(FileKind::DiskChunk, "c0"));
-        assert_eq!(b.count(FileKind::DiskChunk), 0, "tmp files are not objects");
-        assert_eq!(b.recover().unwrap().tmp_files_removed, 1);
-        // The name is reusable after recovery.
-        b.put(FileKind::DiskChunk, "c0", &[7u8; 4096]).unwrap();
-        assert_eq!(b.size_of(FileKind::DiskChunk, "c0").unwrap(), 4096);
+        b.update(FileKind::Manifest, "0", b"v3").unwrap();
+        write_atomic(&dir.join("state"), b"s", Durability::Fsync).unwrap();
+        b.delete(FileKind::Manifest, "0").unwrap();
+        let want = vec![
+            manifests.join(".0.tmp"),
+            manifests.clone(),
+            dir.join(".state.tmp"),
+            dir.clone(),
+            manifests,
+        ];
+        assert_eq!(synced(), want);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

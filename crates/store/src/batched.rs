@@ -28,13 +28,11 @@
 //! subsequent ranges from memory.
 
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use bytes::Bytes;
 
-use crate::backend::{fsync_dir, intent_dir, io_at, safe_name};
 use crate::sync::{bounded, mpsc, Sender};
 use crate::{Backend, DirBackend, Durability, FileKind, RecoveryReport, StoreError, StoreResult};
 
@@ -82,55 +80,13 @@ struct Job {
     done: mpsc::Sender<StoreResult<()>>,
 }
 
-/// The per-worker committer: replicates the directory backend's atomic
-/// tmp + rename (+ intent, + fsync) write path without sharing `&mut`
-/// state with the caller.
-#[derive(Clone)]
-struct JobWriter {
-    root: PathBuf,
-    durability: Durability,
-}
-
-impl JobWriter {
-    fn commit(&self, kind: FileKind, name: &str, data: &[u8], update: bool) -> StoreResult<()> {
-        let dir = self.root.join(kind.dir_name());
-        let safe = safe_name(name);
-        let tmp = dir.join(format!(".{safe}.tmp"));
-        let target = dir.join(&safe);
-        let intent = (update && self.durability != Durability::None)
-            .then(|| intent_dir(&self.root).join(format!("{}__{safe}", kind.dir_name())));
-        if let Some(intent) = &intent {
-            // lint: allow(raw-fs): this IS the commit helper — intent records the overwrite
-            std::fs::write(intent, name.as_bytes())
-                .map_err(|e| io_at("write intent", intent, e))?;
-        }
-        // lint: allow(raw-fs): tmp-file leg of the tmp+rename commit sequence
-        let mut f = std::fs::File::create(&tmp).map_err(|e| io_at("create", &tmp, e))?;
-        f.write_all(data).map_err(|e| io_at("write", &tmp, e))?;
-        if self.durability == Durability::Fsync {
-            f.sync_all().map_err(|e| io_at("fsync", &tmp, e))?;
-        }
-        drop(f);
-        // lint: allow(raw-fs): the atomic publish rename of the commit sequence
-        std::fs::rename(&tmp, &target).map_err(|e| io_at("rename", &target, e))?;
-        if self.durability == Durability::Fsync {
-            fsync_dir(&dir)?;
-        }
-        if let Some(intent) = &intent {
-            // lint: allow(raw-fs): clearing the intent completes the committed overwrite
-            std::fs::remove_file(intent).map_err(|e| io_at("clear intent", intent, e))?;
-        }
-        Ok(())
-    }
-}
-
 struct WorkerPool {
     jobs: Sender<Job>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl WorkerPool {
-    fn spawn(threads: usize, writer: JobWriter) -> StoreResult<Self> {
+    fn spawn(threads: usize, writer: DirBackend) -> StoreResult<Self> {
         let (tx, rx) = bounded::<Job>(threads * 4);
         let mut handles = Vec::with_capacity(threads);
         for i in 0..threads {
@@ -220,9 +176,7 @@ impl BatchedDirBackend {
     pub fn create_with(root: impl Into<PathBuf>, config: IoConfig) -> StoreResult<Self> {
         let inner = DirBackend::create_with(root, config.durability)?;
         let pool = if config.threads > 0 {
-            let writer =
-                JobWriter { root: inner.root().to_path_buf(), durability: config.durability };
-            Some(WorkerPool::spawn(config.threads, writer)?)
+            Some(WorkerPool::spawn(config.threads, inner.clone())?)
         } else {
             None
         };
@@ -239,6 +193,14 @@ impl BatchedDirBackend {
     /// The store root directory.
     pub fn root(&self) -> &Path {
         self.inner.root()
+    }
+
+    /// [`DirBackend::fault_short_write_at`] for the writes a flush makes,
+    /// on whichever thread makes them (pool threads race inside one
+    /// kind's batch: which object is the `nth` is fixed only for a batch
+    /// of one).
+    pub fn fault_short_write_at(&mut self, nth: u64) {
+        self.inner.fault_short_write_at(nth);
     }
 
     /// Mutations currently queued in the overlay.
@@ -338,16 +300,9 @@ impl BatchedDirBackend {
                     None => Ok(()),
                 }
             }
-            None => {
-                for (name, p) in drained {
-                    if p.update {
-                        self.inner.update(kind, &name, &p.data)?;
-                    } else {
-                        self.inner.put(kind, &name, &p.data)?;
-                    }
-                }
-                Ok(())
-            }
+            None => drained
+                .iter()
+                .try_for_each(|(name, p)| self.inner.commit(kind, name, &p.data, p.update)),
         }
     }
 }

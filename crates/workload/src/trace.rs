@@ -7,7 +7,7 @@
 //! can be imported and driven through the engines.
 
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
 
@@ -80,6 +80,30 @@ pub fn import_from_dir(root: &Path) -> io::Result<Vec<Snapshot>> {
     Ok(cells.into_iter().map(|(machine, day, files)| Snapshot { machine, day, files }).collect())
 }
 
+/// Every regular file under `dir`, recursively (symlinks and specials
+/// are skipped), sorted by path: each with its name relative to `dir`,
+/// `/`-separated on every platform. How `mhd backup` and
+/// `mhd client backup` read a directory.
+pub fn walk_dir(dir: &Path) -> io::Result<Vec<(PathBuf, String)>> {
+    let mut files = Vec::new();
+    let mut dirs = vec![dir.to_path_buf()];
+    while let Some(next) = dirs.pop() {
+        for entry in std::fs::read_dir(&next)? {
+            let entry = entry?;
+            let (ty, path) = (entry.file_type()?, entry.path());
+            if ty.is_dir() {
+                dirs.push(path);
+            } else if ty.is_file() {
+                let rel = path.strip_prefix(dir).unwrap_or(&path).to_string_lossy();
+                let rel = rel.replace('\\', "/");
+                files.push((path, rel));
+            }
+        }
+    }
+    files.sort();
+    Ok(files)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,6 +123,21 @@ mod tests {
             assert_eq!(a.day, b.day);
             assert_eq!(a.files, b.files);
         }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn walk_dir_is_sorted_recursive_and_relative() {
+        let root = std::env::temp_dir().join(format!("mhd-trace-walk-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(root.join("b/deep")).unwrap();
+        for name in ["z", "b/deep/x", "b/a"] {
+            std::fs::write(root.join(name), name).unwrap();
+        }
+        let walked = walk_dir(&root).unwrap();
+        let names: Vec<&str> = walked.iter().map(|(_, rel)| rel.as_str()).collect();
+        assert_eq!(names, ["b/a", "b/deep/x", "z"]);
+        assert!(walked.iter().all(|(path, rel)| std::fs::read(path).unwrap() == rel.as_bytes()));
         std::fs::remove_dir_all(&root).unwrap();
     }
 

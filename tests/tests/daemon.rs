@@ -286,7 +286,7 @@ fn stats_track_sessions_and_shared_index() {
     let Some(serde_json::Value::Array(occupancy)) = occupancy else {
         panic!("index_occupancy missing")
     };
-    assert_eq!(occupancy.len(), DaemonConfig::default().index_shards);
+    assert_eq!(occupancy.len(), mhd_daemon::INDEX_SHARDS);
     let total: u64 = occupancy
         .iter()
         .map(|v| match v {

@@ -1,6 +1,7 @@
 //! End-to-end correctness across all six engines: byte-exact restore,
 //! conservation of bytes, and metric sanity over a shared corpus.
 
+use mhd_chunking::ChunkerKind;
 use mhd_core::metrics::{compute, DiskModel};
 use mhd_core::{restore, EngineConfig, EngineKind};
 use mhd_integration::run_kind;
@@ -19,6 +20,22 @@ fn every_engine_restores_byte_exactly() {
         let verified = restore::verify_corpus(&mut substrate, &corpus)
             .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
         assert_eq!(verified, total_files, "{kind:?}");
+    }
+}
+
+/// Whatever boundaries a chunker cuts, every file of every snapshot
+/// restores byte-exact: no chunker can "win" a comparison by corrupting
+/// restores.
+#[test]
+fn mhd_restores_byte_exactly_under_every_chunker() {
+    let corpus = corpus();
+    let total_files: usize = corpus.snapshots.iter().map(|s| s.files.len()).sum();
+    for chunker in ChunkerKind::ALL {
+        let config = EngineConfig::new(512, 8).with_chunker(chunker);
+        let (_, mut substrate) = run_kind(EngineKind::Mhd, &corpus.snapshots, config);
+        let verified = restore::verify_corpus(&mut substrate, &corpus)
+            .unwrap_or_else(|e| panic!("{chunker}: {e}"));
+        assert_eq!(verified, total_files, "{chunker}");
     }
 }
 

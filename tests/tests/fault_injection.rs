@@ -6,10 +6,11 @@
 //! * **operation-boundary crashes** via [`FaultBackend`]: the n-th backend
 //!   operation fails before mutating anything — the store is whatever the
 //!   engine had committed up to that point;
-//! * **torn physical writes** via `DirBackend::fault_short_write_at`: a
-//!   file write stops half-way, modelling power loss mid-write — the
-//!   atomic tmp+rename path must keep the target object intact and
-//!   recovery must clean up the debris.
+//! * **torn physical writes** via `fault_short_write_at` on `DirBackend`
+//!   and on `BatchedDirBackend` (its pool threads commit through the same
+//!   routine): a file write stops half-way, modelling power loss
+//!   mid-write — the atomic tmp+rename path must keep the target object
+//!   intact and recovery must clean up the debris.
 
 use std::path::PathBuf;
 
@@ -168,15 +169,26 @@ fn earlier_files_restore_after_fault() {
 /// tmp file, never the target), and recovery must clean up the debris.
 #[test]
 fn torn_manifest_rewrite_preserves_old_content() {
-    let (day0, day1) = hhr_backup_pair();
     let dir = temp_dir("torn-hhr");
-    let backend = DirBackend::create_with(&dir, Durability::Rename).unwrap();
+    let plain = DirBackend::create_with(&dir, Durability::Rename).unwrap();
+    torn_manifest_rewrite(plain, DirBackend::fault_short_write_at);
+    std::fs::remove_dir_all(&dir).unwrap();
+    // The writer `mhd backup`/`mhd serve` ship with: default `IoConfig`.
+    let batched = BatchedDirBackend::create(&dir).unwrap();
+    torn_manifest_rewrite(batched, BatchedDirBackend::fault_short_write_at);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+fn torn_manifest_rewrite<B: Backend + 'static>(backend: B, tear: fn(&mut B, u64)) {
+    let (day0, day1) = hhr_backup_pair();
     let mut engine = MhdEngine::new(backend, EngineConfig::new(512, 8)).expect("config");
     engine.process_snapshot(&day0).unwrap();
     engine.process_snapshot(&day1).unwrap();
-    // finish() writes back the HHR-dirtied manifests; tear the very next
-    // physical file write half-way.
-    engine.substrate_mut().backend_mut().fault_short_write_at(0);
+    // Put both days' objects on disk (the batched backend may still hold
+    // them in its overlay), so that the next physical write is finish()
+    // writing back an HHR-dirtied manifest; tear that one half-way.
+    engine.substrate_mut().flush().unwrap();
+    tear(engine.substrate_mut().backend_mut(), 0);
     let err = engine.finish();
     assert!(matches!(err, Err(EngineError::Store(_))), "torn write must surface: {err:?}");
 
@@ -192,7 +204,6 @@ fn torn_manifest_rewrite_preserves_old_content() {
     // Day-0 content (committed before the torn rewrite) restores exactly.
     let restored = mhd_core::restore::restore_file(substrate, "day0/disk.img").unwrap();
     assert_eq!(restored, day0.files[0].data, "day0 must survive the torn day1 rewrite");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Satellite regression: per-kind fault points let a test target exactly
