@@ -38,8 +38,8 @@ use std::path::{Path, PathBuf};
 
 use mhd_chunking::ChunkerKind;
 use mhd_store::{
-    safe_name, write_atomic, Backend, BatchedDirBackend, DirBackend, Durability, FileKind,
-    FileManifest, IoConfig, StoreError, StoreResult, Substrate,
+    fsync_dir, fsync_file, safe_name, write_atomic, Backend, BatchedDirBackend, DirBackend,
+    Durability, FileKind, FileManifest, IoConfig, StoreError, StoreResult, Substrate,
 };
 use serde::{Deserialize, Serialize};
 
@@ -65,19 +65,6 @@ fn io_at(op: &'static str, path: &Path, source: std::io::Error) -> StoreError {
 
 fn corrupt(path: &Path, what: impl std::fmt::Display) -> StoreError {
     StoreError::Corrupt(format!("{}: {what}", path.display()))
-}
-
-/// `sync_all` on a wip record or its directory. Test builds record the
-/// path so the `--durability fsync` call path can be asserted.
-fn sync(file: &std::fs::File, path: &Path) -> StoreResult<()> {
-    #[cfg(test)]
-    tests::SYNCED.with(|s| s.borrow_mut().push(path.to_path_buf()));
-    file.sync_all().map_err(|e| io_at("fsync", path, e))
-}
-
-fn sync_dir(dir: &Path) -> StoreResult<()> {
-    let handle = std::fs::File::open(dir).map_err(|e| io_at("open dir", dir, e))?;
-    sync(&handle, dir)
 }
 
 /// Reads a whole file; `None` when it does not exist.
@@ -277,8 +264,8 @@ pub fn wip_begin(root: &Path, durability: Durability, stream: &str) -> StoreResu
     let path = wip_path(root, stream);
     let file = std::fs::File::create(&path).map_err(|e| io_at("create", &path, e))?;
     if durability == Durability::Fsync {
-        sync(&file, &path)?;
-        sync_dir(&wip_dir(root))?;
+        fsync_file(&file, &path)?;
+        fsync_dir(&wip_dir(root))?;
     }
     Ok(())
 }
@@ -289,7 +276,7 @@ pub fn wip_end(root: &Path, durability: Durability, stream: &str) -> StoreResult
     let path = wip_path(root, stream);
     std::fs::remove_file(&path).map_err(|e| io_at("remove", &path, e))?;
     if durability == Durability::Fsync {
-        sync_dir(&wip_dir(root))?;
+        fsync_dir(&wip_dir(root))?;
     }
     Ok(())
 }
@@ -557,7 +544,7 @@ fn rollback_above_watermark<B: Backend>(
         std::fs::remove_file(wip).map_err(|e| io_at("remove", wip, e))?;
     }
     if durability == Durability::Fsync {
-        sync_dir(&wip_dir)?;
+        fsync_dir(&wip_dir)?;
     }
     Ok(())
 }
@@ -575,12 +562,7 @@ pub fn read_view(root: &Path) -> StoreResult<Substrate<DirBackend>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-
-    thread_local! {
-        /// Paths `sync` was called on, in order (this thread only).
-        pub(super) static SYNCED: RefCell<Vec<PathBuf>> = const { RefCell::new(Vec::new()) };
-    }
+    use mhd_store::record_fsyncs;
 
     fn temp_root(tag: &str) -> PathBuf {
         let root = std::env::temp_dir().join(format!("mhd-statefile-{tag}-{}", std::process::id()));
@@ -678,33 +660,35 @@ mod tests {
         }
     }
 
-    /// The wip records' half of the `--durability fsync` call path; the
-    /// state files' half is `mhd_store::write_atomic`'s, asserted by the
-    /// test of this name in `mhd-store`.
     #[test]
     fn fsync_durability_syncs_tmp_then_parent_and_rename_syncs_nothing() {
         let root = temp_root("fsync");
-        let synced = || SYNCED.with(|s| std::mem::take(&mut *s.borrow_mut()));
+        let session = root.join("session");
 
-        wip_begin(&root, Durability::Rename, "t/day0").unwrap();
-        wip_end(&root, Durability::Rename, "t/day0").unwrap();
-        assert_eq!(synced(), Vec::<PathBuf>::new());
+        let synced = record_fsyncs(|| {
+            persist(&root, Durability::Rename, sample_state(), &meta()).unwrap();
+            wip_begin(&root, Durability::Rename, "t/day0").unwrap();
+            wip_end(&root, Durability::Rename, "t/day0").unwrap();
+        });
+        assert_eq!(synced, Vec::<PathBuf>::new());
 
-        wip_begin(&root, Durability::Fsync, "t/day0").unwrap();
-        wip_end(&root, Durability::Fsync, "t/day0").unwrap();
+        // Every state file: its tmp before the rename, its directory after;
+        // the sidecars before `state.json` (the watermark), `meta.json` last.
+        let synced = record_fsyncs(|| {
+            persist(&root, Durability::Fsync, sample_state(), &meta()).unwrap();
+        });
+        let want: Vec<PathBuf> = ["bloom.bin", "idmaps.bin", "state.json", "meta.json"]
+            .iter()
+            .flat_map(|f| [session.join(format!(".{f}.tmp")), session.clone()])
+            .collect();
+        assert_eq!(synced, want);
+
+        let synced = record_fsyncs(|| {
+            wip_begin(&root, Durability::Fsync, "t/day0").unwrap();
+            wip_end(&root, Durability::Fsync, "t/day0").unwrap();
+        });
         let wip = wip_dir(&root);
-        assert_eq!(synced(), vec![wip.join("t_day0"), wip.clone(), wip]);
-
-        // Either level leaves the four state files and no tmp behind.
-        for durability in [Durability::Rename, Durability::Fsync] {
-            persist(&root, durability, sample_state(), &meta()).unwrap();
-            let mut names: Vec<_> = std::fs::read_dir(root.join("session"))
-                .unwrap()
-                .map(|e| e.unwrap().file_name().into_string().unwrap())
-                .collect();
-            names.sort();
-            assert_eq!(names, ["bloom.bin", "idmaps.bin", "meta.json", "state.json"]);
-        }
+        assert_eq!(synced, vec![wip.join("t_day0"), wip.clone(), wip]);
 
         std::fs::remove_dir_all(&root).unwrap();
     }

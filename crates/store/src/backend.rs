@@ -29,6 +29,7 @@
 //!   rename and the parent directory after it, so a committed object
 //!   survives power loss, not just process death.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -309,17 +310,31 @@ fn io_at(op: &'static str, path: &Path, source: std::io::Error) -> StoreError {
     StoreError::IoAt { op, path: path.display().to_string(), source }
 }
 
-/// `sync_all` on a file or directory handle. Test builds record the path
-/// so the `--durability fsync` call path can be asserted.
-fn sync(file: &std::fs::File, path: &Path) -> StoreResult<()> {
-    #[cfg(test)]
-    tests::SYNCED.with(|s| s.borrow_mut().push(path.to_path_buf()));
+thread_local! {
+    /// Paths this thread fsynced since [`record_fsyncs`] armed it.
+    static FSYNCED: RefCell<Option<Vec<PathBuf>>> = const { RefCell::new(None) };
+}
+
+/// Test hook, like [`DirBackend::fault_short_write_at`]: runs `f` and
+/// returns every path it fsynced on this thread, in order, so the
+/// `--durability fsync` call path can be asserted in any crate.
+pub fn record_fsyncs(f: impl FnOnce()) -> Vec<PathBuf> {
+    FSYNCED.set(Some(Vec::new()));
+    f();
+    FSYNCED.take().unwrap_or_default()
+}
+
+/// `sync_all` on an open file or directory handle — the only one in the
+/// tree, so [`record_fsyncs`] sees every fsync.
+pub fn fsync_file(file: &std::fs::File, path: &Path) -> StoreResult<()> {
+    FSYNCED.with_borrow_mut(|armed| armed.iter_mut().for_each(|log| log.push(path.into())));
     file.sync_all().map_err(|e| io_at("fsync", path, e))
 }
 
-fn fsync_dir(dir: &Path) -> StoreResult<()> {
+/// Opens the directory `dir` and fsyncs it.
+pub fn fsync_dir(dir: &Path) -> StoreResult<()> {
     let handle = std::fs::File::open(dir).map_err(|e| io_at("open dir", dir, e))?;
-    sync(&handle, dir)
+    fsync_file(&handle, dir)
 }
 
 /// `path`'s directory and the hidden `.<name>.tmp` sibling a write lands
@@ -342,7 +357,7 @@ pub fn write_atomic(path: &Path, data: &[u8], durability: Durability) -> StoreRe
     let mut file = std::fs::File::create(&tmp).map_err(|e| io_at("create", &tmp, e))?;
     file.write_all(data).map_err(|e| io_at("write", &tmp, e))?;
     if durability == Durability::Fsync {
-        sync(&file, &tmp)?;
+        fsync_file(&file, &tmp)?;
     }
     drop(file);
     std::fs::rename(&tmp, path).map_err(|e| io_at("rename", path, e))?;
@@ -784,12 +799,6 @@ impl<B: Backend> Backend for FaultBackend<B> {
 pub(crate) mod tests {
     use super::*;
     use crate::BatchedDirBackend;
-    use std::cell::RefCell;
-
-    thread_local! {
-        /// Paths `sync` was called on, in order (this thread only).
-        pub(super) static SYNCED: RefCell<Vec<PathBuf>> = const { RefCell::new(Vec::new()) };
-    }
 
     pub(crate) fn exercise(backend: &mut dyn Backend) {
         backend.put(FileKind::DiskChunk, "a", b"hello world").unwrap();
@@ -971,20 +980,23 @@ pub(crate) mod tests {
     #[test]
     fn fsync_durability_syncs_tmp_then_parent_and_rename_syncs_nothing() {
         let dir = temp_dir("fsync-path");
-        let synced = || SYNCED.with(|s| std::mem::take(&mut *s.borrow_mut()));
         let manifests = dir.join("manifests");
 
         let mut b = DirBackend::create_with(&dir, Durability::Rename).unwrap();
-        b.put(FileKind::Manifest, "0", b"v1").unwrap();
-        b.update(FileKind::Manifest, "0", b"v2").unwrap();
-        write_atomic(&dir.join("state"), b"s", Durability::Rename).unwrap();
-        assert_eq!(synced(), Vec::<PathBuf>::new());
+        let synced = record_fsyncs(|| {
+            b.put(FileKind::Manifest, "0", b"v1").unwrap();
+            b.update(FileKind::Manifest, "0", b"v2").unwrap();
+            write_atomic(&dir.join("state"), b"s", Durability::Rename).unwrap();
+        });
+        assert_eq!(synced, Vec::<PathBuf>::new());
 
         // Every write: its tmp before the rename, its directory after.
         let mut b = DirBackend::create_with(&dir, Durability::Fsync).unwrap();
-        b.update(FileKind::Manifest, "0", b"v3").unwrap();
-        write_atomic(&dir.join("state"), b"s", Durability::Fsync).unwrap();
-        b.delete(FileKind::Manifest, "0").unwrap();
+        let synced = record_fsyncs(|| {
+            b.update(FileKind::Manifest, "0", b"v3").unwrap();
+            write_atomic(&dir.join("state"), b"s", Durability::Fsync).unwrap();
+            b.delete(FileKind::Manifest, "0").unwrap();
+        });
         let want = vec![
             manifests.join(".0.tmp"),
             manifests.clone(),
@@ -992,7 +1004,10 @@ pub(crate) mod tests {
             dir.clone(),
             manifests,
         ];
-        assert_eq!(synced(), want);
+        assert_eq!(synced, want);
+        // Disarmed again: nothing accumulates outside `record_fsyncs`.
+        fsync_dir(&dir).unwrap();
+        assert_eq!(record_fsyncs(|| ()), Vec::<PathBuf>::new());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -39,8 +39,8 @@ mod substrate;
 pub mod sync;
 
 pub use backend::{
-    safe_name, write_atomic, Backend, DirBackend, Durability, FaultBackend, FaultOp, FaultPoint,
-    FileKind, MemBackend, RecoveryReport,
+    fsync_dir, fsync_file, record_fsyncs, safe_name, write_atomic, Backend, DirBackend, Durability,
+    FaultBackend, FaultOp, FaultPoint, FileKind, MemBackend, RecoveryReport,
 };
 pub use batched::{BatchedDirBackend, IoConfig};
 pub use chunk_store::{DiskChunkBuilder, DiskChunkId};
