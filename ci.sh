@@ -6,7 +6,8 @@
 #
 # Stages:
 #   1. tier-1: release build + full test suite (ROADMAP.md)
-#   2. crash safety — the fault matrix, a --durability fsync smoke backup,
+#   2. crash safety — the fault matrix, a --durability fsync smoke backup
+#      (which must have hashed on the SHA extensions if the CPU has them),
 #      and a store torn between flush and persist recovered by `mhd` and
 #      by `mhd serve`
 #   3. feature matrix — the obs-disabled workspace still builds, and the
@@ -69,6 +70,15 @@ head -c 262144 /dev/urandom > "$SMOKE/src/disk.img"
 ./target/release/mhd fsck --store "$SMOKE/store"
 ./target/release/mhd restore smoke-0/disk.img --store "$SMOKE/store" -o "$SMOKE/restored.img"
 cmp "$SMOKE/src/disk.img" "$SMOKE/restored.img"
+# mhd picks its SHA-1 kernel from the CPU at run time. Where the CPU has
+# the SHA extensions, a green run must not be one that silently fell back
+# to the scalar rounds; elsewhere, say which kernel the run tested.
+KERNEL=$(./target/release/mhd stats --store "$SMOKE/store" | sed -n 's/^sha-1 kernel: *//p')
+echo "sha-1 kernel: $KERNEL"
+if grep -qw sha_ni /proc/cpuinfo 2> /dev/null && [[ "$KERNEL" != "sha-ni" ]]; then
+    echo "error: /proc/cpuinfo lists sha_ni but mhd hashes with '$KERNEL'" >&2
+    exit 1
+fi
 
 step "crash safety: a store torn before persist is recovered by mhd and by mhd serve"
 # A kill between the engine's flush and the state.json rename leaves the

@@ -461,5 +461,8 @@ fn cmd_stats(args: &[String]) -> CliResult {
             state.input_bytes as f64 / ledger.total_output_bytes().max(1) as f64
         );
     }
+    // A property of this host, not of the store: which SHA-1 block
+    // implementation `mhd` hashes with here (OPERATIONS.md).
+    println!("sha-1 kernel:     {}", mhd_hash::kernel());
     Ok(())
 }

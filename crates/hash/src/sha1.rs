@@ -2,12 +2,26 @@
 //!
 //! The offline crate set available to this workspace has no SHA
 //! implementation, and the paper's whole metadata format is built around
-//! 20-byte SHA-1 values, so we implement the algorithm directly. The
-//! implementation is the standard 80-round compression function with the
-//! message schedule computed in-place over a 16-word ring, which keeps the
-//! working set inside one cache line pair and is comfortably fast enough for
-//! the simulation workloads in this repository (hundreds of MB/s on a
-//! laptop-class core).
+//! 20-byte SHA-1 values, so we implement the algorithm directly.
+//!
+//! All hashing funnels into one block-compression entry point,
+//! [`compress_blocks`], which absorbs any number of whole 64-byte blocks
+//! into a five-word state. It has two implementations of the same
+//! function:
+//!
+//! * [`compress_blocks_scalar`] — the standard 80-round compression with
+//!   the message schedule computed in place over a 16-word ring. Compiled
+//!   and tested on every target, and the only path off x86_64 or on an
+//!   x86_64 CPU without the SHA extensions.
+//! * `sha1_x86::compress_blocks` — the same rounds on the CPU's SHA-1
+//!   instructions (`sha1rnds4`/`sha1nexte`/`sha1msg1`/`sha1msg2`), four
+//!   rounds per instruction with the state held in registers across all
+//!   blocks of a call. Several times the scalar rate (EXPERIMENTS.md).
+//!
+//! The choice is made from the running CPU (`is_x86_feature_detected!`,
+//! a cached flag load) once per `compress_blocks` call; nothing a user can
+//! set selects a path, and both produce the same digests bit for bit
+//! (`tests::prop_kernels_agree`). [`kernel`] names the one in use.
 
 use crate::ChunkHash;
 
@@ -55,6 +69,23 @@ impl Sha1 {
 
     /// Absorbs `data` into the digest state.
     pub fn update(&mut self, data: &[u8]) {
+        self.update_with(data, compress_blocks);
+    }
+
+    /// Number of bytes absorbed so far.
+    pub fn message_len(&self) -> u64 {
+        self.len
+    }
+
+    /// Consumes the hasher and returns the 160-bit digest.
+    pub fn finalize(self) -> ChunkHash {
+        self.finalize_with(compress_blocks)
+    }
+
+    /// [`Sha1::update`] over a given block-compression function (the
+    /// tests drive each implementation through the same buffering).
+    #[inline]
+    fn update_with(&mut self, data: &[u8], compress: impl Fn(&mut [u32; 5], &[u8])) {
         self.len = self.len.wrapping_add(data.len() as u64);
         let mut input = data;
 
@@ -64,45 +95,38 @@ impl Sha1 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&input[..take]);
             self.buf_len += take;
             input = &input[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                compress(&mut self.state, &block);
-                self.buf_len = 0;
-            } else {
+            if self.buf_len < 64 {
                 // Block still partial: all input was consumed by the top-up.
                 debug_assert!(input.is_empty());
                 return;
             }
+            compress(&mut self.state, &self.buf);
         }
 
-        // Whole blocks straight from the input.
-        let mut chunks = input.chunks_exact(64);
-        for block in &mut chunks {
-            compress(&mut self.state, block.try_into().expect("chunks_exact(64)"));
-        }
+        // Every whole block straight from the input, in one call.
+        let (blocks, rem) = input.split_at(input.len() & !63);
+        compress(&mut self.state, blocks);
 
         // Stash the tail.
-        let rem = chunks.remainder();
         self.buf[..rem.len()].copy_from_slice(rem);
         self.buf_len = rem.len();
     }
 
-    /// Number of bytes absorbed so far.
-    pub fn message_len(&self) -> u64 {
-        self.len
-    }
-
-    /// Consumes the hasher and returns the 160-bit digest.
-    pub fn finalize(mut self) -> ChunkHash {
-        let bit_len = self.len.wrapping_mul(8);
-
-        // Padding: 0x80, zeros, 64-bit big-endian bit length.
-        self.raw_update(&[0x80]);
-        while self.buf_len != 56 {
-            self.raw_update(&[0]);
+    /// [`Sha1::finalize`] over a given block-compression function.
+    #[inline]
+    fn finalize_with(mut self, compress: impl Fn(&mut [u32; 5], &[u8])) -> ChunkHash {
+        // Padding, written in place: 0x80, zeros up to the last eight bytes
+        // of a block, then the 64-bit big-endian bit length. A tail of 56
+        // bytes or more leaves no room for the length and spills the
+        // zeros into a second block.
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            compress(&mut self.state, &self.buf);
+            self.buf.fill(0);
         }
-        self.raw_update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+        self.buf[56..].copy_from_slice(&self.len.wrapping_mul(8).to_be_bytes());
+        compress(&mut self.state, &self.buf);
 
         let mut out = [0u8; 20];
         for (i, word) in self.state.iter().enumerate() {
@@ -110,26 +134,46 @@ impl Sha1 {
         }
         ChunkHash::from_bytes(out)
     }
-
-    /// `update` without advancing the message length (used for padding).
-    fn raw_update(&mut self, data: &[u8]) {
-        for &b in data {
-            self.buf[self.buf_len] = b;
-            self.buf_len += 1;
-            if self.buf_len == 64 {
-                let block = self.buf;
-                compress(&mut self.state, &block);
-                self.buf_len = 0;
-            }
-        }
-    }
 }
 
 /// One-shot convenience wrapper: `sha1(data)` == update-then-finalize.
+/// Every whole block of `data` is compressed where it lies; only the
+/// tail (under 64 bytes) is copied, into the block that takes the padding.
 pub fn sha1(data: &[u8]) -> ChunkHash {
     let mut h = Sha1::new();
     h.update(data);
     h.finalize()
+}
+
+/// Name of the block-compression implementation this process hashes
+/// with: `"sha-ni"` on an x86_64 CPU with the SHA extensions, `"scalar"`
+/// everywhere else. Two hosts that differ severalfold in backup speed for
+/// this reason alone are told apart by `mhd stats`, which prints it.
+pub fn kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if crate::sha1_x86::available() {
+        return "sha-ni";
+    }
+    "scalar"
+}
+
+/// Absorbs `blocks` — any number of whole 64-byte blocks — into `state`,
+/// on the CPU's SHA-1 instructions where it has them and on
+/// [`compress_blocks_scalar`] otherwise.
+fn compress_blocks(state: &mut [u32; 5], blocks: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::sha1_x86::compress_blocks(state, blocks) {
+        return;
+    }
+    compress_blocks_scalar(state, blocks);
+}
+
+/// The portable implementation of [`compress_blocks`].
+fn compress_blocks_scalar(state: &mut [u32; 5], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    for block in blocks.chunks_exact(64) {
+        compress(state, block.try_into().expect("chunks_exact(64)"));
+    }
 }
 
 /// The SHA-1 compression function over a single 64-byte block.
@@ -189,6 +233,37 @@ fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    type Compress = fn(&mut [u32; 5], &[u8]);
+
+    /// The hardware kernel, called directly rather than through the
+    /// dispatcher; `None` (and a line saying so) on a CPU without it.
+    fn sha_ni() -> Option<Compress> {
+        #[cfg(target_arch = "x86_64")]
+        if crate::sha1_x86::available() {
+            return Some(|state, blocks| assert!(crate::sha1_x86::compress_blocks(state, blocks)));
+        }
+        eprintln!("sha-ni kernel skipped: this CPU has no SHA extensions");
+        None
+    }
+
+    /// Both implementations by name, so one run on a capable CPU covers
+    /// both whichever of them `compress_blocks` dispatches to.
+    fn kernels() -> Vec<(&'static str, Compress)> {
+        let mut kernels: Vec<(&str, Compress)> = vec![("scalar", compress_blocks_scalar)];
+        kernels.extend(sha_ni().map(|k| ("sha-ni", k)));
+        kernels
+    }
+
+    /// Streaming digest of `parts` over one given implementation.
+    fn digest_with(compress: Compress, parts: &[&[u8]]) -> ChunkHash {
+        let mut h = Sha1::new();
+        for part in parts {
+            h.update_with(part, compress);
+        }
+        h.finalize_with(compress)
+    }
 
     /// FIPS 180-1 Appendix A/B vectors plus a few well-known digests.
     #[test]
@@ -211,18 +286,22 @@ mod tests {
         ];
         for (input, expect) in cases {
             assert_eq!(sha1(input).to_hex(), *expect, "input {:?}", input);
+            for (name, k) in kernels() {
+                assert_eq!(digest_with(k, &[input]).to_hex(), *expect, "{name}, input {input:?}");
+            }
         }
     }
 
     #[test]
     fn million_a() {
         // FIPS 180-1 Appendix C: one million repetitions of "a".
-        let mut h = Sha1::new();
+        let expect = "34aa973cd4c4daa4f61eeb2bdbad27316534016f";
         let block = [b'a'; 1000];
-        for _ in 0..1000 {
-            h.update(&block);
+        let parts = vec![&block[..]; 1000];
+        assert_eq!(sha1(&block.repeat(1000)).to_hex(), expect);
+        for (name, k) in kernels() {
+            assert_eq!(digest_with(k, &parts).to_hex(), expect, "{name}");
         }
-        assert_eq!(h.finalize().to_hex(), "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
     }
 
     #[test]
@@ -259,14 +338,55 @@ mod tests {
 
     #[test]
     fn lengths_around_block_boundary() {
-        // Exercise padding for every interesting length near 64 and 128.
+        // Exercise padding for every interesting length near 64 and 128:
+        // byte-at-a-time against whole-message, on each implementation.
         for len in (0..=130).chain([1000, 4096]) {
             let data = vec![0x5Cu8; len];
-            let mut h = Sha1::new();
-            for b in &data {
-                h.update(std::slice::from_ref(b));
+            let bytes: Vec<&[u8]> = data.chunks(1).collect();
+            let whole = sha1(&data);
+            for (name, k) in kernels() {
+                assert_eq!(digest_with(k, &bytes), whole, "{name}, len {len}, bytewise");
+                assert_eq!(digest_with(k, &[&data]), whole, "{name}, len {len}, whole");
             }
-            assert_eq!(h.finalize(), sha1(&data), "len {len}");
+        }
+    }
+
+    /// The dispatcher runs the implementation `kernel()` names, and on a
+    /// CPU with the extensions that is never the scalar one.
+    #[test]
+    fn kernel_names_the_dispatched_implementation() {
+        assert_eq!(kernel(), if sha_ni().is_some() { "sha-ni" } else { "scalar" });
+    }
+
+    proptest! {
+        /// Scalar == hardware == one-shot for arbitrary messages,
+        /// arbitrary `update` split points and an arbitrarily misaligned
+        /// input slice (the kernel's loads are unaligned by design).
+        #[test]
+        fn prop_kernels_agree(
+            msg in prop::collection::vec(any::<u8>(), 0..=8192),
+            cuts in prop::collection::vec(0usize..=8192, 0..6),
+            shift in 0usize..=15,
+        ) {
+            let mut shifted = vec![0u8; shift];
+            shifted.extend_from_slice(&msg);
+            let data = &shifted[shift..];
+
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
+            cuts.push(data.len());
+            cuts.sort_unstable();
+            let mut parts = Vec::new();
+            let mut from = 0;
+            for to in cuts {
+                parts.push(&data[from..to]);
+                from = to;
+            }
+
+            let whole = sha1(&msg);
+            for (name, k) in kernels() {
+                prop_assert_eq!(digest_with(k, &parts), whole, "{}, split", name);
+                prop_assert_eq!(digest_with(k, &[data]), whole, "{}, whole", name);
+            }
         }
     }
 }

@@ -15,7 +15,8 @@
 //!   (`SCOPE_LABEL_KEYS`, `STAGE_NAME_PREFIXES`), so traces aggregate;
 //! * **L5** — crate roots warn on missing docs, and only binary crates
 //!   may force the `obs` cargo feature;
-//! * **L6** — crates without `unsafe` forbid it at the root;
+//! * **L6** — every crate root forbids `unsafe_code`, or denies it so
+//!   that each use is a local `#[allow(unsafe_code)]`;
 //! * **L7** — the daemon's lock acquisition graph stays acyclic and the
 //!   engine lock is never acquired while another lock is held ([`locks`]);
 //! * **L8** — staging ids live above one canonical `LOCAL_ID_BASE` floor

@@ -707,31 +707,24 @@ fn pass_l5_obs_gating(ws: &Workspace, out: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------
-// L6: forbid(unsafe_code) everywhere unsafe isn't needed
+// L6: every crate root forbids or denies unsafe_code
 // ---------------------------------------------------------------------
 
+/// A crate with no `unsafe` carries `#![forbid(unsafe_code)]`; one that
+/// needs it carries `#![deny(unsafe_code)]`, which the compiler then
+/// makes every use answer with a local, greppable
+/// `#[allow(unsafe_code)]`. Either way the root says so — containing
+/// `unsafe` is no exemption.
 fn pass_l6_forbid_unsafe(ws: &Workspace, out: &mut Vec<Finding>) {
     for root in crate_roots(ws) {
-        let Some(crate_dir) =
-            root.rel.strip_suffix("/lib.rs").or_else(|| root.rel.strip_suffix("/main.rs"))
-        else {
-            continue;
-        };
-        // A crate using `unsafe` anywhere cannot forbid it at the root.
-        let crate_uses_unsafe = ws
-            .files
-            .iter()
-            .filter(|f| f.rel.starts_with(crate_dir))
-            .any(|f| f.toks.iter().any(|t| t.is_ident("unsafe")));
-        if crate_uses_unsafe {
-            continue;
-        }
         if !has_inner_attr(root, &["forbid", "deny"], "unsafe_code") {
             out.push(Finding {
                 pass: "L6-forbid-unsafe",
                 file: root.rel.clone(),
                 line: 1,
-                message: "crate has no unsafe code but the root lacks #![forbid(unsafe_code)]"
+                message: "crate root lacks #![forbid(unsafe_code)] (or, in a crate that \
+                          needs unsafe, #![deny(unsafe_code)] with #[allow(unsafe_code)] \
+                          on each use)"
                     .into(),
             });
         }

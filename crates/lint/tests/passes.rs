@@ -63,9 +63,13 @@ fn ws_bad_produces_every_expected_finding() {
         .iter()
         .any(|f| f.pass == "L4-obs-labels" && f.message.contains("not key=value")));
 
-    // L5/L6 crate-root hygiene + the gating rule.
+    // L5/L6 crate-root hygiene + the gating rule. Two roots have no
+    // unsafe and no forbid; the third contains `unsafe`, which exempts it
+    // from nothing (its `ws_good` twin denies at the root and allows on
+    // the one module).
     assert_eq!(count(&findings, "L5-missing-docs"), 2);
-    assert_eq!(count(&findings, "L6-forbid-unsafe"), 2);
+    assert_eq!(count(&findings, "L6-forbid-unsafe"), 3);
+    assert!(has(&findings, "L6-forbid-unsafe", "crates/hash/src/lib.rs", 1));
     assert_eq!(count(&findings, "L5-obs-gating"), 1);
     assert!(has(&findings, "L5-obs-gating", "crates/app/Cargo.toml", 7));
 

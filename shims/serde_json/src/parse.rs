@@ -161,13 +161,22 @@ impl<'a> Parser<'a> {
                         other => return Err(format!("bad escape \\{}", other as char)),
                     }
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is validated UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let ch = s.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                Some(lead) => {
+                    // Consume one UTF-8 character; the lead byte gives
+                    // its length.
+                    let len = match lead {
+                        0x00..=0x7F => 1,
+                        0xC0..=0xDF => 2,
+                        0xE0..=0xEF => 3,
+                        _ => 4,
+                    };
+                    let ch = self
+                        .bytes
+                        .get(self.pos..self.pos + len)
+                        .and_then(|b| std::str::from_utf8(b).ok())
+                        .ok_or("invalid UTF-8 in string")?;
+                    out.push_str(ch);
+                    self.pos += len;
                 }
             }
         }
@@ -214,5 +223,18 @@ impl<'a> Parser<'a> {
         text.parse::<f64>()
             .map(Content::F64)
             .map_err(|_| format!("invalid number {text:?} at byte {start}"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn strings_keep_characters_of_every_utf8_length() {
+        // 1-, 2-, 3- and 4-byte characters, mixed with an escape.
+        let text = "a\u{e9}\u{20ac}\u{1d11e}z";
+        let parsed = parse_content(&format!("\"{text}\\n\"")).expect("parses");
+        assert!(matches!(parsed, Content::Str(s) if s == format!("{text}\n")));
     }
 }
