@@ -21,8 +21,10 @@
 #   6. benchmark — the repo benchmark still builds against this tree and
 #      runs end to end: `benchmark/run.sh --smoke` (every workload once on
 #      the tiny corpus, traced, outputs checked) and the harness's own
-#      tests. No stage gates on a wall clock: speed is judged by
-#      `benchmark/run.sh --compare` (benchmark/README.md), not by CI
+#      tests; then fails if git sees an uncommitted change under
+#      `benchmark/` or to `BENCHMARK.json`. No stage gates on a wall
+#      clock: speed is judged by `benchmark/run.sh --compare`
+#      (benchmark/README.md), not by CI
 #   7. lint      — mhd-lint invariant passes incl. L7 lock-order and L8
 #      id-range (ratcheted against lint-baseline.json, SARIF emitted) +
 #      exhaustive model checking of all six protocols (flush, trace-ring,
@@ -200,6 +202,20 @@ step "benchmark: smoke run of every workload + harness tests"
 cp benchmark/Cargo.lock "$SMOKE/benchmark.lock"
 bash benchmark/run.sh --smoke > /dev/null
 (cd benchmark && cargo test --offline -q)
+# A change that claims a gain is measured by the parent's benchmark, so it
+# may not carry an edit under the benchmark's own paths. With the lock
+# back, anything git still sees there was put there by hand (or by an
+# earlier `run.sh`: `git checkout benchmark/Cargo.lock`); a benchmark-only
+# change is committed before this gate is run.
+cp "$SMOKE/benchmark.lock" benchmark/Cargo.lock
+if git rev-parse --git-dir > /dev/null 2>&1; then
+    dirty=$(git status --porcelain benchmark/ BENCHMARK.json)
+    if [[ -n "$dirty" ]]; then
+        echo "error: uncommitted changes under the benchmark's paths:" >&2
+        echo "$dirty" >&2
+        exit 1
+    fi
+fi
 
 step "lint: mhd-lint invariant passes + model checking"
 # Release binary: the publish/intent/compact-gc state spaces are explored

@@ -20,11 +20,14 @@ use crate::Chunker;
 ///
 /// A position is a cut point when the fingerprint of the trailing window
 /// matches the configured pattern and the current chunk is at least `min`
-/// bytes long; a cut is forced at `max` bytes. Positions below `min` are
-/// skipped entirely (the fingerprint is warmed over the `window` bytes
-/// preceding the first testable position), which is the standard
-/// optimisation and changes nothing semantically because the fingerprint
-/// depends only on the trailing window.
+/// bytes long; a cut is forced at `max` bytes. `next_cut` skips the
+/// positions below `min` entirely (the fingerprint is warmed over the
+/// `window` bytes preceding the first testable position), which is the
+/// standard optimisation and changes nothing semantically because the
+/// fingerprint depends only on the trailing window. For the same reason
+/// `cut_points` can fingerprint every position of a buffer four lanes at a
+/// time and apply `min`/`max` afterwards: same cut points, about twice the
+/// scanning speed (DESIGN.md §11).
 #[derive(Clone)]
 pub struct RabinChunker {
     params: ChunkerParams,
@@ -67,6 +70,41 @@ impl Chunker for RabinChunker {
         self.tables
             .scan(data, start + p.min, start + limit, |_, fp| fp & mask == magic)
             .unwrap_or(start + limit)
+    }
+
+    /// The whole-buffer scan: every position whose fingerprint matches is
+    /// found four lanes at a time (`RabinTables::candidates`), then this
+    /// serial pass applies min/max exactly as chaining `next_cut` does —
+    /// a candidate closer than `min` to the chunk start is skipped, a gap
+    /// of more than `max` is cut every `max` bytes.
+    fn cut_points(&self, data: &[u8]) -> Vec<usize> {
+        let p = &self.params;
+        let mut cuts = Vec::with_capacity(data.len() / p.avg + 1);
+        let mut start = 0usize;
+        let mut candidates = Vec::new();
+        // The first testable position of the input; `window <= min`.
+        let mut from = p.min;
+        while from < data.len() {
+            from = self.tables.candidates(data, from, p.mask(), p.magic(), &mut candidates);
+            for &candidate in &candidates {
+                while candidate - start > p.max {
+                    start += p.max;
+                    cuts.push(start);
+                }
+                if candidate - start >= p.min {
+                    cuts.push(candidate);
+                    start = candidate;
+                }
+            }
+        }
+        while data.len() - start > p.max {
+            start += p.max;
+            cuts.push(start);
+        }
+        if start < data.len() {
+            cuts.push(data.len());
+        }
+        cuts
     }
 
     fn expected_chunk_size(&self) -> usize {

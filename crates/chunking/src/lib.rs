@@ -88,11 +88,11 @@ pub trait Chunker {
     /// Finds the end of the next chunk starting at `start` within `data`.
     ///
     /// Returns an offset in `(start, data.len()]`, never more than
-    /// [`Chunker::max_chunk_size`] past `start`. This is the primitive the
-    /// default [`Chunker::cut_points`] loop and [`StreamChunker`] build on;
-    /// it is exposed so engines can re-chunk sub-ranges (Bimodal/SubChunk
-    /// re-chunking, HHR byte-range splitting) without materialising a
-    /// boundary vector.
+    /// [`Chunker::max_chunk_size`] past `start`. This defines the
+    /// chunker: chained from 0 it gives the cut list, [`StreamChunker`]
+    /// builds on it, and engines call it to re-chunk sub-ranges
+    /// (Bimodal/SubChunk re-chunking, HHR byte-range splitting) without
+    /// materialising a boundary vector.
     fn next_cut(&self, data: &[u8], start: usize) -> usize;
 
     /// Expected (average) chunk size in bytes, used by engines for
@@ -106,6 +106,13 @@ pub trait Chunker {
     fn max_chunk_size(&self) -> usize;
 
     /// Returns the sorted, exclusive end offsets of all chunks of `data`.
+    ///
+    /// The default chains [`Chunker::next_cut`] from 0. An implementation
+    /// may override it with a whole-buffer scan that is faster than one
+    /// cut at a time — [`FixedChunker`] computes the multiples,
+    /// [`RabinChunker`] finds candidates in four lanes — but the result
+    /// must equal the chained list; the chunker matrix checks that for
+    /// every implementation.
     fn cut_points(&self, data: &[u8]) -> Vec<usize> {
         let mut cuts = Vec::with_capacity(data.len() / self.expected_chunk_size().max(1) + 1);
         let mut start = 0usize;

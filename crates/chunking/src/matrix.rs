@@ -15,6 +15,7 @@ use proptest::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
+use crate::rabin::{LANE_SEGMENT, MIN_LANE_SEGMENT};
 use crate::{
     AnyChunker, Chunker, ChunkerKind, ChunkerParams, RabinFingerprint, RabinTables, StreamChunker,
 };
@@ -187,9 +188,22 @@ fn ring_reference_cut(
     fallback.filter(|_| limit == p.max).unwrap_or(start + limit)
 }
 
+/// The cut list `next_cut` gives when chained from 0: what a `cut_points`
+/// override (Rabin's four-lane scan, FSP's arithmetic) must reproduce.
+fn chained_cuts(chunker: &impl Chunker, data: &[u8]) -> Vec<usize> {
+    let mut cuts = Vec::new();
+    let mut start = 0usize;
+    while start < data.len() {
+        start = chunker.next_cut(data, start);
+        cuts.push(start);
+    }
+    cuts
+}
+
 #[test]
 fn rabin_and_tttd_match_the_ring_buffer_reference() {
-    for avg in [2usize, 64, 512, 4096] {
+    // avg 2 and 8 are the dense end: up to half of all positions match.
+    for avg in [2usize, 8, 64, 512, 4096] {
         let p = ChunkerParams::with_avg(avg).unwrap();
         let tables = RabinTables::default_with_window(p.window);
         let backup_mask = p.mask() >> 1;
@@ -210,7 +224,113 @@ fn rabin_and_tttd_match_the_ring_buffer_reference() {
                     "{} avg={avg} corpus {i}: cut points moved",
                     chunker.kind()
                 );
+                assert_eq!(
+                    chained_cuts(chunker, data),
+                    expect,
+                    "{} avg={avg} corpus {i}: chained next_cut moved",
+                    chunker.kind()
+                );
             }
+        }
+    }
+}
+
+#[test]
+fn every_cut_points_override_equals_chained_next_cut() {
+    for avg in [2usize, 64, 1024] {
+        for chunker in matrix(avg) {
+            for (i, data) in corpora(600 + avg as u64).iter().enumerate() {
+                assert_eq!(
+                    chunker.cut_points(data),
+                    chained_cuts(&chunker, data),
+                    "{} avg={avg} corpus {i}",
+                    chunker.kind()
+                );
+            }
+        }
+    }
+}
+
+/// Lengths on both sides of every seam of Rabin's whole-buffer scan: the
+/// window and `min` (nothing testable yet), the length from which the
+/// lanes run at all, one block, and two blocks with a single-lane and a
+/// four-lane tail.
+fn seam_lengths(p: &ChunkerParams) -> Vec<usize> {
+    let (lanes, block) = (4 * MIN_LANE_SEGMENT, 4 * LANE_SEGMENT);
+    let around = |n: usize| [n - 1, n, n + 1];
+    let mut lengths = vec![p.window - 1, p.window, p.window + 1, p.min - 1, p.min, p.min + 1];
+    lengths.extend(around(p.window + lanes));
+    lengths.extend(around(p.min + lanes));
+    lengths.extend(around(p.min + block));
+    lengths.extend([p.min + 2 * block + lanes - 1, p.min + 2 * block + lanes + 2000]);
+    lengths
+}
+
+#[test]
+fn rabin_cut_points_equal_chained_next_cut_across_every_seam() {
+    for avg in [2usize, 8, 64, 512, 4096] {
+        let p = ChunkerParams::with_avg(avg).unwrap();
+        let rabin = ChunkerKind::Rabin.build(avg).unwrap();
+        let lengths = seam_lengths(&p);
+        let longest = *lengths.iter().max().unwrap();
+        for (kind, data) in
+            [("random", random_data(longest, 700 + avg as u64)), ("constant", vec![0xA5; longest])]
+        {
+            for &len in &lengths {
+                assert_eq!(
+                    rabin.cut_points(&data[..len]),
+                    chained_cuts(&rabin, &data[..len]),
+                    "avg={avg} {kind} len={len}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn rabin_cut_points_take_a_planted_candidate_where_next_cut_does() {
+    for avg in [64usize, 512, 4096] {
+        let p = ChunkerParams::with_avg(avg).unwrap();
+        let rabin = ChunkerKind::Rabin.build(avg).unwrap();
+        // A window whose fingerprint matches, cut out of random bytes.
+        let mut fp = RabinFingerprint::new(RabinTables::default_with_window(p.window));
+        let noise = random_data(256 * avg, 800 + avg as u64);
+        let end = 1 + noise
+            .iter()
+            .position(|&b| {
+                fp.roll(b);
+                fp.warmed_up() && fp.value() & p.mask() == p.magic()
+            })
+            .expect("a candidate in 256 expected chunk sizes");
+        let matching = &noise[end - p.window..end];
+
+        // In all-zero data no position matches and every chunk is `max`
+        // long, so chunks start at multiples of `max` until the planted
+        // window ends one. `max` divides the lane segment: the first
+        // position of a lane (`min + k * LANE_SEGMENT`) is also the first
+        // one its chunk may cut at.
+        assert_eq!(LANE_SEGMENT % p.max, 0);
+        let len = p.min + 8 * LANE_SEGMENT + 4 * MIN_LANE_SEGMENT + 2000;
+        let (lane, block) = (p.min + LANE_SEGMENT, p.min + 4 * LANE_SEGMENT);
+        let planted_at = [
+            (p.min, true),     // the first testable position, start + min
+            (lane - 1, false), // the last position of lane 0: one short of min
+            (lane, true),
+            (lane + 1, false),
+            (block - 1, false),
+            (block, true),
+            (block + 1, false),
+            (3 * p.max, false),     // start + max
+            (block + p.max, false), // start + max, one chunk into the second block
+            (len - 1, false),
+            (len, true),
+        ];
+        for (at, is_first_eligible) in planted_at {
+            let mut data = vec![0u8; len];
+            data[at - p.window..at].copy_from_slice(matching);
+            let cuts = rabin.cut_points(&data);
+            assert_eq!(cuts, chained_cuts(&rabin, &data), "avg={avg} planted at {at}");
+            assert!(!is_first_eligible || cuts.contains(&at), "avg={avg}: no cut at {at}");
         }
     }
 }
@@ -225,4 +345,14 @@ proptest! {
         }
     }
 
+    /// At avg 64 the lanes run from 1040 bytes up, so most of these
+    /// lengths mix a four-lane block with a single-lane tail.
+    #[test]
+    fn prop_rabin_cut_points_equal_chained_next_cut(
+        data in proptest::collection::vec(any::<u8>(), 0..8192),
+        avg_bits in 1u32..10,
+    ) {
+        let rabin = ChunkerKind::Rabin.build(1 << avg_bits).unwrap();
+        prop_assert_eq!(rabin.cut_points(&data), chained_cuts(&rabin, &data));
+    }
 }
