@@ -35,6 +35,11 @@
 #   8. rustfmt   — style, enforced via rustfmt.toml
 #   9. clippy    — all targets, warnings are errors
 #  10. rustdoc   — every public item documented, no broken links
+#  11. owned      — the root Cargo.lock names no `rand`, `rayon`,
+#      `crossbeam` or `parking_lot` package (std and crates/workload's own
+#      PRNG replaced those facades), and every `results/fig*.json` /
+#      `results/table*.json` exhibit reports the `input_bytes` that
+#      `results/fig7.json` does: one corpus for every exhibit
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -254,6 +259,28 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 step "cargo doc (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
+
+step "owned: no facade for what std replaces, one corpus for every exhibit"
+if grep -nE '^name = "(rand|rayon|crossbeam|parking_lot)"$' Cargo.lock; then
+    echo "error: Cargo.lock names a facade this repo deleted (shims/README.md)" >&2
+    exit 1
+fi
+corpus_of() { grep -oE '"input_bytes": *[0-9]+' "$1" | sort -u; }
+CORPUS=$(corpus_of results/fig7.json)
+if [[ $(wc -l <<< "$CORPUS") -ne 1 ]]; then
+    echo "error: results/fig7.json does not report exactly one input_bytes" >&2
+    exit 1
+fi
+for exhibit in results/fig*.json results/table*.json; do
+    # Analyzer and obs side-channel files describe a run, not a corpus.
+    [[ "$exhibit" == *_trace.analysis.json || "$exhibit" == *_internals.json ]] && continue
+    if [[ "$(corpus_of "$exhibit")" != "$CORPUS" ]]; then
+        echo "error: $exhibit is not from results/fig7.json's corpus ($CORPUS):" >&2
+        corpus_of "$exhibit" >&2
+        exit 1
+    fi
+done
+echo "every paper exhibit reports $CORPUS"
 
 echo
 echo "all CI stages passed."

@@ -62,7 +62,5 @@ fn main() {
         &rows,
     );
 
-    cli.write_json("ablation.json", &js);
-    cli.write_internals("ablation_internals.json");
-    cli.write_trace();
+    cli.finish("ablation", &js);
 }

@@ -113,7 +113,5 @@ fn main() {
     );
     println!("\nevery dedup row replays the identical corpus; only the chunker varies");
 
-    cli.write_json("chunker_bench.json", &js);
-    cli.write_internals("chunker_bench_internals.json");
-    cli.write_trace();
+    cli.finish("chunker_bench", &js);
 }

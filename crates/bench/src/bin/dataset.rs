@@ -6,9 +6,8 @@
 //! same granularity, the LBFS argument for content-defined chunking).
 
 use mhd_bench::{print_table, Cli, ECS_SWEEP};
-use mhd_chunking::{Chunker, FixedChunker, RabinChunker};
+use mhd_chunking::{Chunker, FixedChunker, RabinChunker, Span};
 use mhd_hash::{sha1, ChunkHash, FxHashSet};
-use rayon::prelude::*;
 use serde_json::json;
 
 struct Characteristics {
@@ -32,15 +31,9 @@ fn analyse(corpus: &mhd_workload::Corpus, ecs: usize) -> Characteristics {
 
     for snapshot in &corpus.snapshots {
         for file in &snapshot.files {
-            // Hash all chunks of the file in parallel, then classify
-            // sequentially against the global sets.
-            let hashes: Vec<(usize, ChunkHash)> = cdc
-                .spans(&file.data)
-                .par_iter()
-                .map(|s| (s.len, sha1(&file.data[s.offset..s.end()])))
-                .collect();
+            let hashed = |s: Span| (s.len, sha1(&file.data[s.offset..s.end()]));
             let mut in_slice = false;
-            for (len, h) in hashes {
+            for (len, h) in cdc.spans(&file.data).into_iter().map(hashed) {
                 total += len as u64;
                 if !seen.insert(h) {
                     dup_bytes += len as u64;
@@ -52,12 +45,7 @@ fn analyse(corpus: &mhd_workload::Corpus, ecs: usize) -> Characteristics {
                     in_slice = false;
                 }
             }
-            for (len, h) in fsp
-                .spans(&file.data)
-                .par_iter()
-                .map(|s| (s.len, sha1(&file.data[s.offset..s.end()])))
-                .collect::<Vec<_>>()
-            {
+            for (len, h) in fsp.spans(&file.data).into_iter().map(hashed) {
                 if !seen_fsp.insert(h) {
                     dup_bytes_fsp += len as u64;
                 }
@@ -108,7 +96,5 @@ fn main() {
         corpus.stats.expected_dad() / 1024.0
     );
 
-    cli.write_json("dataset.json", &js);
-    cli.write_internals("dataset_internals.json");
-    cli.write_trace();
+    cli.finish("dataset", &js);
 }

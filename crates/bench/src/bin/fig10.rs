@@ -62,7 +62,5 @@ fn main() {
     }
     println!("\nall points satisfy the paper's bound: HHR reloads <= 2L");
 
-    cli.write_json("fig10.json", &results);
-    cli.write_internals("fig10_internals.json");
-    cli.write_trace();
+    cli.finish("fig10", &results);
 }

@@ -54,7 +54,5 @@ fn main() {
     });
     panel("Fig 7(d): Total MetaDataRatio vs ECS", &|r| format!("{:.3e}", r.metrics.metadata_ratio));
 
-    cli.write_json("fig7.json", &results);
-    cli.write_internals("fig7_internals.json");
-    cli.write_trace();
+    cli.finish("fig7", &results);
 }

@@ -67,7 +67,5 @@ fn main() {
         peak("BF-MHD") * 100.0,
     );
 
-    cli.write_json("fig8.json", &results);
-    cli.write_internals("fig8_internals.json");
-    cli.write_trace();
+    cli.finish("fig8", &results);
 }

@@ -56,7 +56,5 @@ fn main() {
         &rows_b,
     );
 
-    cli.write_json("fig9.json", &results);
-    cli.write_internals("fig9_internals.json");
-    cli.write_trace();
+    cli.finish("fig9", &results);
 }

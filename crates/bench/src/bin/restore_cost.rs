@@ -74,7 +74,5 @@ fn main() {
     );
     println!("\nlower is better everywhere; restore reads are one access per recipe extent");
 
-    cli.write_json("restore_cost.json", &js);
-    cli.write_internals("restore_cost_internals.json");
-    cli.write_trace();
+    cli.finish("restore_cost", &js);
 }

@@ -50,6 +50,7 @@ fn main() {
         ]);
         js.push(json!({
             "algorithm": algo.label(),
+            "input_bytes": corpus.total_bytes(),
             "symbols": sym,
             "model": model,
             "measured_ledger": ledger,
@@ -75,7 +76,5 @@ fn main() {
         &rows,
     );
 
-    cli.write_json("table1.json", &js);
-    cli.write_internals("table1_internals.json");
-    cli.write_trace();
+    cli.finish("table1", &js);
 }

@@ -45,6 +45,7 @@ fn main() {
         ]);
         js.push(json!({
             "algorithm": algo.label(),
+            "input_bytes": corpus.total_bytes(),
             "symbols": sym,
             "model": model,
             "model_total_with_bloom": model.total_with_bloom(sup_small, sup_big),
@@ -69,7 +70,5 @@ fn main() {
         &rows,
     );
 
-    cli.write_json("table2.json", &js);
-    cli.write_internals("table2_internals.json");
-    cli.write_trace();
+    cli.finish("table2", &js);
 }

@@ -20,7 +20,8 @@ fn main() {
         let ram_kb = r.report.ram_index_bytes / 1024;
         let pct = r.report.ram_index_bytes as f64 / r.report.input_bytes as f64 * 100.0;
         rows.push(vec![ecs.to_string(), ram_kb.to_string(), format!("{pct:.4}%")]);
-        js.push(json!({"ecs": ecs, "sparse_index_ram_bytes": r.report.ram_index_bytes,
+        js.push(json!({"ecs": ecs, "input_bytes": r.report.input_bytes,
+                       "sparse_index_ram_bytes": r.report.ram_index_bytes,
                        "fraction_of_input": pct / 100.0}));
     }
     print_table(
@@ -30,7 +31,5 @@ fn main() {
     );
     println!("\npaper: ~0.01% of the input size; smaller ECS -> more chunks -> more hooks");
 
-    cli.write_json("table3.json", &js);
-    cli.write_internals("table3_internals.json");
-    cli.write_trace();
+    cli.finish("table3", &js);
 }

@@ -25,7 +25,8 @@ fn main() {
                 (bytes / 1024).to_string(),
                 format!("{pct:.4}%"),
             ]);
-            js.push(json!({"sd": sd, "ecs": ecs, "hook_and_manifest_bytes": bytes,
+            js.push(json!({"sd": sd, "ecs": ecs, "input_bytes": r.report.input_bytes,
+                           "hook_and_manifest_bytes": bytes,
                            "fraction_of_input": pct / 100.0}));
         }
     }
@@ -36,7 +37,5 @@ fn main() {
     );
     println!("\npaper: 0.007%-0.02% of input; grows as SD shrinks and as ECS shrinks");
 
-    cli.write_json("table4.json", &js);
-    cli.write_internals("table4_internals.json");
-    cli.write_trace();
+    cli.finish("table4", &js);
 }

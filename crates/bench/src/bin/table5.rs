@@ -23,7 +23,7 @@ fn main() {
                 r.report.stats.manifest_loads().to_string(),
                 r.report.stats.cache_hits.to_string(),
             ]);
-            js.push(json!({"sd": sd, "ecs": ecs,
+            js.push(json!({"sd": sd, "ecs": ecs, "input_bytes": r.report.input_bytes,
                            "manifest_loads": r.report.stats.manifest_loads(),
                            "cache_hits": r.report.stats.cache_hits}));
         }
@@ -35,7 +35,5 @@ fn main() {
     );
     println!("\npaper: loads shrink as ECS grows; smaller SD loads slightly more");
 
-    cli.write_json("table5.json", &js);
-    cli.write_internals("table5_internals.json");
-    cli.write_trace();
+    cli.finish("table5", &js);
 }

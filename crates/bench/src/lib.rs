@@ -134,7 +134,7 @@ impl Cli {
     /// Writes a serialisable result as JSON under the output directory.
     /// I/O failures (full disk, bad permissions) report the path involved
     /// and exit non-zero instead of panicking.
-    pub fn write_json<T: Serialize>(&self, name: &str, value: &T) {
+    fn write_json<T: Serialize>(&self, name: &str, value: &T) {
         if let Err(e) = std::fs::create_dir_all(&self.out) {
             eprintln!("error: create results dir {}: {e}", self.out.display());
             std::process::exit(1);
@@ -148,14 +148,17 @@ impl Cli {
         eprintln!("wrote {}", path.display());
     }
 
-    /// With `--internals`, dumps the process-wide `mhd-obs` snapshot —
-    /// per-stage timers, cache hit/miss counters, Bloom probe stats, MHD
-    /// hook-hit/BME/HHR event counts — as a JSON side-channel next to the
-    /// exhibit's results. A no-op without the flag.
-    pub fn write_internals(&self, name: &str) {
+    /// Ends an exhibit: writes its results as `<exhibit>.json`; with
+    /// `--internals`, the process-wide `mhd-obs` snapshot — per-stage
+    /// timers, cache hit/miss counters, Bloom probe stats, MHD
+    /// hook-hit/BME/HHR event counts — as `<exhibit>_internals.json`
+    /// beside it; and the trace, if one was recorded.
+    pub fn finish<T: Serialize>(&self, exhibit: &str, results: &T) {
+        self.write_json(&format!("{exhibit}.json"), results);
         if self.internals {
-            self.write_json(name, &mhd_obs::snapshot());
+            self.write_json(&format!("{exhibit}_internals.json"), &mhd_obs::snapshot());
         }
+        self.write_trace();
     }
 
     /// With `--trace PATH`, drains the recorded trace and writes it as
@@ -164,8 +167,8 @@ impl Cli {
     /// analyzer on the drained records, prints its report to stderr and
     /// persists the analysis JSON (next to the trace, or as
     /// `trace_analysis.json` under `--out` when no trace path was
-    /// given). A no-op without either flag. Call once, at exhibit end.
-    pub fn write_trace(&self) {
+    /// given). A no-op without either flag.
+    fn write_trace(&self) {
         if self.trace.is_none() && !self.analyze {
             return;
         }

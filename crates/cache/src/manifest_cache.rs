@@ -214,8 +214,7 @@ mod tests {
     use super::*;
     use mhd_hash::sha1;
     use mhd_store::{DiskChunkId, ManifestFormat};
-    use rand::prelude::*;
-    use rand::rngs::StdRng;
+    use mhd_workload::Rng;
 
     fn manifest(id: u64, hashes: &[u64]) -> Manifest {
         let mut m = Manifest::new(ManifestId(id), ManifestFormat::HookFlags);
@@ -297,22 +296,21 @@ mod tests {
         // A small hash alphabet forces repeats within and across
         // manifests: the case where "which entry does the index name"
         // and "does the manifest still hold this hash" are not obvious.
-        let mut rng = StdRng::seed_from_u64(77);
+        let mut rng = Rng::new(77);
         let mut c = ManifestCache::new(4);
         for id in 1..=3u64 {
-            let hashes: Vec<u64> = (0..12).map(|_| rng.random_range(0..8u64)).collect();
+            let hashes: Vec<u64> = (0..12).map(|_| rng.below(8)).collect();
             let _ = c.insert(manifest(id, &hashes), false);
         }
         for _ in 0..300 {
-            let id = ManifestId(rng.random_range(1..=3u64));
+            let id = ManifestId(1 + rng.below(3));
             let len = c.peek(id).unwrap().manifest().entries.len();
             if len > 64 {
                 continue;
             }
-            let at = rng.random_range(0..len);
-            let replacement: Vec<ManifestEntry> = (0..rng.random_range(1..=3usize))
-                .map(|_| entry(id.0, rng.random_range(0..8u64), 0, 1))
-                .collect();
+            let at = rng.below(len as u64) as usize;
+            let replacement: Vec<ManifestEntry> =
+                (0..=rng.below(3)).map(|_| entry(id.0, rng.below(8), 0, 1)).collect();
             assert!(c.splice_entry(id, at, replacement));
 
             let mut by_hash: FxHashMap<ChunkHash, Vec<ManifestId>> = FxHashMap::default();

@@ -119,12 +119,11 @@ impl Chunker for RabinChunker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::prelude::*;
-    use rand::rngs::StdRng;
+    use mhd_workload::Rng;
 
     fn random_data(len: usize, seed: u64) -> Vec<u8> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..len).map(|_| rng.random()).collect()
+        let mut rng = Rng::new(seed);
+        (0..len).map(|_| rng.next_u64() as u8).collect()
     }
 
     #[test]

@@ -176,14 +176,10 @@ impl Chunker for FastCdcChunker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::prelude::*;
-    use rand::rngs::StdRng;
+    use mhd_workload::Rng;
 
     fn random_data(len: usize, seed: u64) -> Vec<u8> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut v = vec![0u8; len];
-        rng.fill_bytes(&mut v);
-        v
+        Rng::new(seed).bytes(len)
     }
 
     #[test]

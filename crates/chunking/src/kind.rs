@@ -2,7 +2,7 @@
 //! [`AnyChunker`] is the runtime-dispatched instance engines embed.
 //!
 //! The kind is what flows through configuration: `--chunker
-//! rabin|tttd|fixed|fastcdc|ae` on the CLI and daemon, a field in
+//! rabin|tttd|fixed|fastcdc` on the CLI and daemon, a field in
 //! `EngineConfig`, and a persisted entry in store metadata so re-backups
 //! and restores keep cutting the same boundaries the store was built with.
 
@@ -11,9 +11,7 @@ use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{
-    AeChunker, Chunker, FastCdcChunker, FixedChunker, ParamError, RabinChunker, TttdChunker,
-};
+use crate::{Chunker, FastCdcChunker, FixedChunker, ParamError, RabinChunker, TttdChunker};
 
 /// The selectable chunking algorithms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -26,19 +24,12 @@ pub enum ChunkerKind {
     Fixed,
     /// Gear-hash FastCDC with normalized chunking.
     FastCdc,
-    /// Asymmetric Extremum (hash-free local-maximum) CDC.
-    Ae,
 }
 
 impl ChunkerKind {
     /// Every kind, in CLI presentation order.
-    pub const ALL: [ChunkerKind; 5] = [
-        ChunkerKind::Rabin,
-        ChunkerKind::Tttd,
-        ChunkerKind::Fixed,
-        ChunkerKind::FastCdc,
-        ChunkerKind::Ae,
-    ];
+    pub const ALL: [ChunkerKind; 4] =
+        [ChunkerKind::Rabin, ChunkerKind::Tttd, ChunkerKind::Fixed, ChunkerKind::FastCdc];
 
     /// The CLI/store-metadata spelling.
     pub fn as_str(&self) -> &'static str {
@@ -47,7 +38,6 @@ impl ChunkerKind {
             ChunkerKind::Tttd => "tttd",
             ChunkerKind::Fixed => "fixed",
             ChunkerKind::FastCdc => "fastcdc",
-            ChunkerKind::Ae => "ae",
         }
     }
 
@@ -63,7 +53,6 @@ impl ChunkerKind {
                 AnyChunker::Fixed(FixedChunker::new(avg))
             }
             ChunkerKind::FastCdc => AnyChunker::FastCdc(FastCdcChunker::with_avg(avg)?),
-            ChunkerKind::Ae => AnyChunker::Ae(AeChunker::with_avg(avg)?),
         })
     }
 }
@@ -88,7 +77,7 @@ pub struct UnknownChunker(pub String);
 
 impl fmt::Display for UnknownChunker {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unknown chunker `{}` (expected rabin|tttd|fixed|fastcdc|ae)", self.0)
+        write!(f, "unknown chunker `{}` (expected rabin|tttd|fixed|fastcdc)", self.0)
     }
 }
 
@@ -119,8 +108,6 @@ pub enum AnyChunker {
     Fixed(FixedChunker),
     /// See [`FastCdcChunker`].
     FastCdc(FastCdcChunker),
-    /// See [`AeChunker`].
-    Ae(AeChunker),
 }
 
 impl AnyChunker {
@@ -131,7 +118,6 @@ impl AnyChunker {
             AnyChunker::Tttd(_) => ChunkerKind::Tttd,
             AnyChunker::Fixed(_) => ChunkerKind::Fixed,
             AnyChunker::FastCdc(_) => ChunkerKind::FastCdc,
-            AnyChunker::Ae(_) => ChunkerKind::Ae,
         }
     }
 
@@ -141,7 +127,6 @@ impl AnyChunker {
             AnyChunker::Tttd(c) => c,
             AnyChunker::Fixed(c) => c,
             AnyChunker::FastCdc(c) => c,
-            AnyChunker::Ae(c) => c,
         }
     }
 }

@@ -17,14 +17,12 @@
 //!   falls back to a secondary divisor instead of a hard cut at the upper
 //!   bound,
 //! * [`FixedChunker`] — fixed-size partitioning (FSP), the Venti/OceanStore
-//!   strawman that suffers from boundary shifting,
+//!   strawman that suffers from boundary shifting, and
 //! * [`FastCdcChunker`] — the gear-hash chunker with FastCDC-style
-//!   normalized chunking, and
-//! * [`AeChunker`] — the Asymmetric Extremum chunker, which finds cut
-//!   points by local-maximum tracking with no rolling hash at all.
+//!   normalized chunking.
 //!
 //! Chunker choice is a first-class parameter: [`ChunkerKind`] names each
-//! algorithm (`rabin|tttd|fixed|fastcdc|ae`), and [`AnyChunker`] is the
+//! algorithm (`rabin|tttd|fixed|fastcdc`), and [`AnyChunker`] is the
 //! concrete dispatch enum engines embed.
 //!
 //! All chunkers implement the [`Chunker`] trait and produce boundaries that
@@ -35,7 +33,6 @@
 
 pub mod poly;
 
-mod ae;
 mod cdc;
 mod fastcdc;
 mod fixed;
@@ -49,7 +46,6 @@ mod tttd;
 #[cfg(test)]
 mod matrix;
 
-pub use ae::AeChunker;
 pub use cdc::RabinChunker;
 pub use fastcdc::FastCdcChunker;
 pub use fixed::FixedChunker;

@@ -11,9 +11,8 @@
 //!   boundaries byte-for-byte, including through a one-byte-at-a-time
 //!   reader.
 
+use mhd_workload::Rng;
 use proptest::prelude::*;
-use rand::prelude::*;
-use rand::rngs::StdRng;
 
 use crate::rabin::{LANE_SEGMENT, MIN_LANE_SEGMENT};
 use crate::{
@@ -21,21 +20,18 @@ use crate::{
 };
 
 fn random_data(len: usize, seed: u64) -> Vec<u8> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut v = vec![0u8; len];
-    rng.fill_bytes(&mut v);
-    v
+    Rng::new(seed).bytes(len)
 }
 
 /// Structured corpora covering the regimes that break chunkers: random,
 /// constant runs, short inputs, rising ramps, and low-entropy data with
 /// random islands.
 fn corpora(seed: u64) -> Vec<Vec<u8>> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let mut islands = Vec::new();
     for _ in 0..40 {
-        islands.extend(std::iter::repeat_n(0x55u8, rng.random_range(200..2000)));
-        islands.extend((0..rng.random_range(50..300)).map(|_| rng.random::<u8>()));
+        islands.extend(std::iter::repeat_n(0x55u8, 200 + rng.below(1800) as usize));
+        islands.extend((0..50 + rng.below(250) as usize).map(|_| rng.next_u64() as u8));
     }
     vec![
         Vec::new(),

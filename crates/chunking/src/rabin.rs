@@ -290,9 +290,8 @@ impl RabinFingerprint {
 mod tests {
     use super::*;
     use crate::poly::direct_fingerprint;
+    use mhd_workload::Rng;
     use proptest::prelude::*;
-    use rand::prelude::*;
-    use rand::rngs::StdRng;
 
     fn tables(window: usize) -> Arc<RabinTables> {
         RabinTables::default_with_window(window)
@@ -409,7 +408,7 @@ mod tests {
         // lengths below are prefixes of it.
         let longest = 8 * LANE_SEGMENT + 4 * MIN_LANE_SEGMENT + 2000;
         let mut data = vec![0u8; longest + 64];
-        StdRng::seed_from_u64(22).fill_bytes(&mut data);
+        Rng::new(22).fill_bytes(&mut data);
         // (window, mask): from half of all positions matching to one in 4096.
         for (window, mask) in [(1usize, 1u64), (2, 7), (16, 63), (48, 511), (48, 4095)] {
             let t = tables(window);

@@ -72,14 +72,10 @@ impl SizeStats {
 mod tests {
     use super::*;
     use crate::{FixedChunker, RabinChunker};
-    use rand::prelude::*;
-    use rand::rngs::StdRng;
+    use mhd_workload::Rng;
 
     fn random(len: usize, seed: u64) -> Vec<u8> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut v = vec![0u8; len];
-        rng.fill_bytes(&mut v);
-        v
+        Rng::new(seed).bytes(len)
     }
 
     #[test]

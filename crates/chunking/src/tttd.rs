@@ -97,12 +97,11 @@ impl Chunker for TttdChunker {
 mod tests {
     use super::*;
     use crate::RabinChunker;
-    use rand::prelude::*;
-    use rand::rngs::StdRng;
+    use mhd_workload::Rng;
 
     fn random_data(len: usize, seed: u64) -> Vec<u8> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..len).map(|_| rng.random()).collect()
+        let mut rng = Rng::new(seed);
+        (0..len).map(|_| rng.next_u64() as u8).collect()
     }
 
     #[test]
@@ -110,11 +109,11 @@ mod tests {
         // Data with long compressible runs interrupted by random islands:
         // plain CDC cuts runs at hard max; TTTD finds backup cut points in
         // the random islands more often.
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = Rng::new(11);
         let mut data = Vec::new();
         for _ in 0..200 {
-            data.extend(std::iter::repeat_n(0xAAu8, rng.random_range(500..3000)));
-            data.extend((0..rng.random_range(100..400)).map(|_| rng.random::<u8>()));
+            data.extend(std::iter::repeat_n(0xAAu8, 500 + rng.below(2500) as usize));
+            data.extend((0..100 + rng.below(300) as usize).map(|_| rng.next_u64() as u8));
         }
         let cdc = RabinChunker::with_avg(512).unwrap();
         let tttd = TttdChunker::with_avg(512).unwrap();

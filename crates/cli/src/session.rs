@@ -15,13 +15,14 @@
 //! session at all: they read through [`statefile::read_view`] and
 //! [`statefile::load_slim_state`], which mutate nothing.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
 use mhd_chunking::ChunkerKind;
 use mhd_core::statefile::{self, OpenedStore, RecoverySummary, StoreMeta};
 use mhd_core::Deduplicator;
-use mhd_store::{BatchedDirBackend, Durability, IoConfig, Substrate};
+use mhd_store::{safe_name, BatchedDirBackend, Durability, IoConfig, Substrate};
 use mhd_workload::{FileEntry, Snapshot};
 
 type BoxResult<T> = Result<T, Box<dyn std::error::Error>>;
@@ -168,10 +169,21 @@ pub fn list_files(root: &Path) -> BoxResult<Vec<String>> {
 }
 
 /// Builds a backup stream from a real directory: files are read in sorted
-/// order, paths become recipe names under `label/`.
+/// order, paths become recipe names under `label/`. A recipe is stored
+/// under [`safe_name`] of its path, so two paths that sanitise to one
+/// name (`sub/b.bin` and `sub_b.bin`) cannot both be backed up: that is
+/// an error naming both, raised here, before the store is touched.
 pub fn snapshot_from_dir(dir: &Path, label: &str) -> Result<Snapshot, Box<dyn std::error::Error>> {
     let mut files = Vec::new();
+    let mut stored_as = BTreeMap::new();
     for (path, rel) in mhd_workload::trace::walk_dir(dir)? {
+        if let Some(other) = stored_as.insert(safe_name(&rel), rel.clone()) {
+            return Err(format!(
+                "{other} and {rel} would both be stored as recipe {}; rename one of them",
+                safe_name(&format!("{label}/{rel}"))
+            )
+            .into());
+        }
         files.push(FileEntry {
             path: format!("{label}/{rel}"),
             data: Bytes::from(std::fs::read(&path)?),
@@ -186,8 +198,7 @@ pub fn snapshot_from_dir(dir: &Path, label: &str) -> Result<Snapshot, Box<dyn st
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::prelude::*;
-    use rand::rngs::StdRng;
+    use mhd_workload::Rng;
 
     fn temp_root(tag: &str) -> PathBuf {
         let p = std::env::temp_dir().join(format!("mhd-cli-{tag}-{}", std::process::id()));
@@ -196,12 +207,10 @@ mod tests {
     }
 
     fn write_tree(root: &Path, seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::new(seed);
         std::fs::create_dir_all(root.join("sub")).unwrap();
         for (name, len) in [("a.bin", 40_000usize), ("sub/b.bin", 25_000), ("c.txt", 100)] {
-            let mut data = vec![0u8; len];
-            rng.fill_bytes(&mut data);
-            std::fs::write(root.join(name), data).unwrap();
+            std::fs::write(root.join(name), rng.bytes(len)).unwrap();
         }
     }
 

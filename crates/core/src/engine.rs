@@ -96,7 +96,7 @@ impl HashedChunk {
 ///
 /// Takes the chunker as a trait object: every engine routes through here
 /// (whole files by way of the front end's jobs, sub-ranges directly), so
-/// any [`Chunker`] — Rabin, TTTD, fixed, FastCDC, AE — plugs into every
+/// any [`Chunker`] — Rabin, TTTD, fixed, FastCDC — plugs into every
 /// engine unchanged.
 pub fn chunk_and_hash(chunker: &dyn Chunker, data: &Bytes) -> Vec<HashedChunk> {
     let spans = chunker.spans(data);

@@ -646,6 +646,22 @@ mod tests {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
+    /// A store written with a chunker this build no longer has (`ae`
+    /// was deleted) must not open for writes under another one: every
+    /// re-backup would cut different boundaries. (`mhd restore|ls` read
+    /// recipes, not `meta.json`, and keep working on such a store.)
+    #[test]
+    fn meta_naming_an_unknown_chunker_is_rejected_by_name() {
+        let root = temp_root("aechunker");
+        std::fs::write(root.join(META), r#"{"ecs":512,"sd":8,"streams":1,"chunker":"ae"}"#)
+            .unwrap();
+        let err = load_meta(&root).unwrap_err().to_string();
+        assert!(err.contains("meta.json") && err.contains("unknown chunker `ae`"), "{err}");
+        let opened = open_write(&root, meta(), IoConfig::default(), |b| b);
+        assert!(opened.is_err_and(|e| e.to_string().contains("unknown chunker `ae`")));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
     #[test]
     fn state_without_a_sidecar_is_rejected_by_name() {
         for (tag, victim) in [("nobloom", "bloom.bin"), ("noidmaps", "idmaps.bin")] {

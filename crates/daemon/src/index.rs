@@ -25,7 +25,8 @@ use std::sync::Arc;
 use bytes::Bytes;
 use mhd_hash::{ChunkHash, FxHashMap};
 use mhd_store::{Backend, FileKind, ManifestId, RecoveryReport, StoreResult};
-use parking_lot::RwLock;
+
+use crate::sync::RwLock;
 
 /// Shards of a [`SharedHookIndex`]. A constant: SHA-1 prefixes spread
 /// evenly, `index_occupancy` in `STATS` shows when they do not, and no
@@ -251,6 +252,28 @@ mod tests {
         b.delete(FileKind::Hook, &hash.to_hex()).unwrap();
         assert!(!index.contains(&hash));
         assert!(index.is_empty());
+    }
+
+    #[test]
+    fn a_panic_under_a_shard_lock_leaves_the_shard_usable() {
+        let index = SharedHookIndex::default();
+        let hash = sha1(b"published before the panic");
+        index.publish(hash, Some(ManifestId(3)));
+        let shard = index.shard_of(&hash);
+        let holder = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = index.shards[shard].write();
+                panic!("a publisher dies holding the shard lock");
+            })
+            .join()
+        });
+        assert!(holder.is_err());
+        // A std lock is poisoned from here on; `read()` and `write()`
+        // of this one still hand out their guards.
+        assert_eq!(index.lookup(&hash), Some(Some(ManifestId(3))));
+        index.forget(&hash);
+        index.publish(hash, None);
+        assert_eq!(index.occupancy()[shard], 1);
     }
 
     #[test]

@@ -78,6 +78,7 @@ mod registry;
 mod server;
 mod shared;
 mod staging;
+mod sync;
 
 pub use client::{Client, CommitSummary};
 pub use error::{DaemonError, DaemonResult};

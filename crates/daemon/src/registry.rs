@@ -23,7 +23,8 @@
 //! `mhd-lint --mutant gc-protect` and `--mutant splice-order`.
 
 use mhd_hash::FxHashMap;
-use parking_lot::Mutex;
+
+use crate::sync::Mutex;
 
 /// One registered session: its GC watermark and exclusive stream prefix.
 #[derive(Debug, Clone)]
@@ -117,6 +118,26 @@ mod tests {
         reg.deregister(1);
         reg.register(4, 9, "alice/day0").unwrap();
         assert_eq!(reg.active_prefixes(), vec!["alice/day0", "bob/day0"]);
+    }
+
+    #[test]
+    fn a_panic_under_the_registry_lock_leaves_it_usable() {
+        let reg = SessionRegistry::new();
+        reg.register(1, 5, "alice/day0").unwrap();
+        let holder = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = reg.inner.lock();
+                panic!("a session thread dies holding the registry lock");
+            })
+            .join()
+        });
+        assert!(holder.is_err());
+        // A std lock is poisoned from here on; this one hands out its
+        // guard, and the map is as the dead thread left it.
+        assert_eq!(reg.min_watermark(), Some(5));
+        reg.register(2, 9, "bob/day0").unwrap();
+        reg.deregister(1);
+        assert_eq!(reg.active_prefixes(), vec!["bob/day0"]);
     }
 
     #[test]

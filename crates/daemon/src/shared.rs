@@ -49,13 +49,12 @@ use mhd_chunking::ChunkerKind;
 use mhd_core::gc::GcReport;
 use mhd_core::statefile::{self, RecoverySummary, StoreMeta};
 use mhd_core::{Deduplicator, EngineConfig, MhdEngine, SessionDelta};
-use mhd_hash::{ChunkHash, FxHashSet};
+use mhd_hash::{ChunkHash, FxHashMap, FxHashSet};
 use mhd_store::{
     safe_name, BatchedDirBackend, DiskChunkId, Durability, FaultBackend, FaultPoint, FileKind,
     FileManifest, IoConfig, Manifest, ManifestId,
 };
 use mhd_workload::{FileEntry, Snapshot};
-use parking_lot::Mutex;
 use serde::Serialize;
 
 use crate::error::{DaemonError, DaemonResult};
@@ -63,6 +62,7 @@ use crate::index::{IndexingBackend, SharedHookIndex};
 use crate::protocol::{valid_path, valid_tenant, MAX_FILE_BYTES};
 use crate::registry::SessionRegistry;
 use crate::staging::StagingBackend;
+use crate::sync::Mutex;
 
 /// The backend stack every daemon store runs on. The fault layer is
 /// disarmed by default ([`FaultPoint::never`]) and exists so tests can
@@ -161,7 +161,8 @@ pub struct WriteSession {
     label: String,
     files: Vec<FileEntry>,
     staged_bytes: u64,
-    seen: FxHashSet<String>,
+    /// Staged paths by the name their recipe is stored under.
+    seen: FxHashMap<String, String>,
 }
 
 impl WriteSession {
@@ -196,8 +197,9 @@ impl WriteSession {
     }
 
     /// Stages one file for commit. Validates the path, rejects
-    /// duplicates and enforces the per-file size cap; the store is not
-    /// touched.
+    /// duplicates — a repeated path, or two paths whose recipes would be
+    /// stored under one [`safe_name`] — and enforces the per-file size
+    /// cap; the store is not touched.
     pub fn stage(&mut self, path: &str, data: &[u8]) -> DaemonResult<()> {
         if !valid_path(path) {
             return Err(DaemonError::Protocol(format!("invalid file path {path:?}")));
@@ -207,9 +209,15 @@ impl WriteSession {
                 "file {path:?} exceeds {MAX_FILE_BYTES} bytes"
             )));
         }
-        if !self.seen.insert(path.to_string()) {
-            return Err(DaemonError::Protocol(format!("duplicate file path {path:?}")));
+        let stored_as = safe_name(path);
+        if let Some(other) = self.seen.get(&stored_as) {
+            return Err(DaemonError::Protocol(if other == path {
+                format!("duplicate file path {path:?}")
+            } else {
+                format!("file paths {other:?} and {path:?} would both be stored as {stored_as:?}")
+            }));
         }
+        self.seen.insert(stored_as, path.to_string());
         self.files.push(FileEntry {
             path: format!("{}/{}/{path}", self.tenant, self.label),
             data: Bytes::copy_from_slice(data),
@@ -370,7 +378,7 @@ impl SharedStore {
             label: label.to_string(),
             files: Vec::new(),
             staged_bytes: 0,
-            seen: FxHashSet::default(),
+            seen: FxHashMap::default(),
         })
     }
 
@@ -756,8 +764,7 @@ impl SharedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::prelude::*;
-    use rand::rngs::StdRng;
+    use mhd_workload::Rng;
 
     fn temp_root(tag: &str) -> PathBuf {
         let p = std::env::temp_dir().join(format!("mhd-daemon-{tag}-{}", std::process::id()));
@@ -766,10 +773,7 @@ mod tests {
     }
 
     fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut data = vec![0u8; len];
-        rng.fill_bytes(&mut data);
-        data
+        Rng::new(seed).bytes(len)
     }
 
     fn small_config() -> DaemonConfig {
@@ -1080,7 +1084,11 @@ mod tests {
         assert!(s.stage("/abs", b"x").is_err());
         s.stage("ok.bin", b"x").unwrap();
         assert!(s.stage("ok.bin", b"y").is_err(), "duplicate path");
-        assert_eq!(s.staged_files(), 1);
+        // Two paths whose recipes would be one object: refused by name.
+        s.stage("sub/b.bin", b"x").unwrap();
+        let err = s.stage("sub_b.bin", b"y").unwrap_err().to_string();
+        assert!(err.contains("\"sub/b.bin\"") && err.contains("\"sub_b.bin\""), "{err}");
+        assert_eq!(s.staged_files(), 2);
         store.abort(s);
         // Committing an empty session is an error, not a no-op.
         let s = store.begin_session("t", "d2").unwrap();

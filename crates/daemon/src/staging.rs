@@ -25,12 +25,14 @@ use std::path::Path;
 
 use bytes::Bytes;
 use mhd_store::{
-    Backend, DirBackend, Durability, FileKind, RecoveryReport, StoreError, StoreResult,
+    safe_name, Backend, DirBackend, Durability, FileKind, RecoveryReport, StoreError, StoreResult,
 };
 
-/// The staged writes of one commit pipeline, keyed by object name within
-/// each kind. `BTreeMap` keeps splice order deterministic (name order
-/// equals id order for fixed-width hex names).
+/// The staged writes of one commit pipeline, keyed within each kind by
+/// the name the object will have on disk ([`safe_name`]): two names that
+/// sanitise to one object are one object here too, as in the shared
+/// store they are spliced into. `BTreeMap` keeps splice order
+/// deterministic (name order equals id order for fixed-width hex names).
 #[derive(Debug, Default)]
 pub struct Overlay {
     /// Brand-new objects, named in the session's private id range (or by
@@ -42,25 +44,15 @@ pub struct Overlay {
     pub updated: [BTreeMap<String, Vec<u8>>; 4],
 }
 
-/// Index of `kind` into the per-kind overlay arrays.
-fn slot(kind: FileKind) -> usize {
-    match kind {
-        FileKind::DiskChunk => 0,
-        FileKind::Manifest => 1,
-        FileKind::Hook => 2,
-        FileKind::FileManifest => 3,
-    }
-}
-
 impl Overlay {
     /// The fresh objects of one kind, in name order.
     pub fn fresh_of(&self, kind: FileKind) -> &BTreeMap<String, Vec<u8>> {
-        &self.fresh[slot(kind)]
+        &self.fresh[kind as usize]
     }
 
     /// The copy-on-write rewrites of one kind, in name order.
     pub fn updated_of(&self, kind: FileKind) -> &BTreeMap<String, Vec<u8>> {
-        &self.updated[slot(kind)]
+        &self.updated[kind as usize]
     }
 }
 
@@ -92,14 +84,15 @@ impl StagingBackend {
     }
 
     fn staged(&self, kind: FileKind, name: &str) -> Option<&Vec<u8>> {
-        self.overlay.fresh[slot(kind)]
+        self.overlay.fresh[kind as usize]
             .get(name)
-            .or_else(|| self.overlay.updated[slot(kind)].get(name))
+            .or_else(|| self.overlay.updated[kind as usize].get(name))
     }
 }
 
 impl Backend for StagingBackend {
     fn put(&mut self, kind: FileKind, name: &str, data: &[u8]) -> StoreResult<()> {
+        let name = &safe_name(name);
         // Only overlay collisions are refused here. The shared base is
         // deliberately *not* consulted: phase 1 holds no lock, so a base
         // existence check races with other sessions' publish phases — a
@@ -112,29 +105,31 @@ impl Backend for StagingBackend {
         if self.staged(kind, name).is_some() {
             return Err(StoreError::AlreadyExists { kind, name: name.to_string() });
         }
-        self.overlay.fresh[slot(kind)].insert(name.to_string(), data.to_vec());
+        self.overlay.fresh[kind as usize].insert(name.to_string(), data.to_vec());
         Ok(())
     }
 
     fn update(&mut self, kind: FileKind, name: &str, data: &[u8]) -> StoreResult<()> {
-        if let Some(entry) = self.overlay.fresh[slot(kind)].get_mut(name) {
+        let name = &safe_name(name);
+        if let Some(entry) = self.overlay.fresh[kind as usize].get_mut(name) {
             *entry = data.to_vec();
             return Ok(());
         }
-        if let Some(entry) = self.overlay.updated[slot(kind)].get_mut(name) {
+        if let Some(entry) = self.overlay.updated[kind as usize].get_mut(name) {
             *entry = data.to_vec();
             return Ok(());
         }
         if self.base.exists(kind, name) {
             // Copy-on-write: the shared object stays untouched until the
             // publish phase decides what to do with the rewrite.
-            self.overlay.updated[slot(kind)].insert(name.to_string(), data.to_vec());
+            self.overlay.updated[kind as usize].insert(name.to_string(), data.to_vec());
             return Ok(());
         }
         Err(StoreError::NotFound { kind, name: name.to_string() })
     }
 
     fn get(&mut self, kind: FileKind, name: &str) -> StoreResult<Bytes> {
+        let name = &safe_name(name);
         if let Some(data) = self.staged(kind, name) {
             return Ok(Bytes::from(data.clone()));
         }
@@ -148,6 +143,7 @@ impl Backend for StagingBackend {
         offset: u64,
         len: u64,
     ) -> StoreResult<Bytes> {
+        let name = &safe_name(name);
         if let Some(data) = self.staged(kind, name) {
             let end = offset.saturating_add(len);
             if end > data.len() as u64 {
@@ -164,6 +160,7 @@ impl Backend for StagingBackend {
     }
 
     fn size_of(&mut self, kind: FileKind, name: &str) -> StoreResult<u64> {
+        let name = &safe_name(name);
         if let Some(data) = self.staged(kind, name) {
             return Ok(data.len() as u64);
         }
@@ -171,6 +168,7 @@ impl Backend for StagingBackend {
     }
 
     fn exists(&mut self, kind: FileKind, name: &str) -> bool {
+        let name = &safe_name(name);
         self.staged(kind, name).is_some() || self.base.exists(kind, name)
     }
 
@@ -181,24 +179,25 @@ impl Backend for StagingBackend {
         // the racy base), overcounting by one until the splice resolves
         // it — tolerable for a staging view that only feeds pipeline
         // stats.
-        self.base.count(kind) + self.overlay.fresh[slot(kind)].len() as u64
+        self.base.count(kind) + self.overlay.fresh[kind as usize].len() as u64
     }
 
     fn list(&mut self, kind: FileKind) -> Vec<String> {
         let mut names = self.base.list(kind);
-        names.extend(self.overlay.fresh[slot(kind)].keys().cloned());
+        names.extend(self.overlay.fresh[kind as usize].keys().cloned());
         names.sort();
         names
     }
 
     fn delete(&mut self, kind: FileKind, name: &str) -> StoreResult<()> {
+        let name = &safe_name(name);
         // The dedup pipeline never deletes; GC and rollback run on the
         // shared store, not on a staging view. Allow retracting a staged
         // write, refuse touching shared objects.
-        if self.overlay.fresh[slot(kind)].remove(name).is_some() {
+        if self.overlay.fresh[kind as usize].remove(name).is_some() {
             return Ok(());
         }
-        if self.overlay.updated[slot(kind)].remove(name).is_some() {
+        if self.overlay.updated[kind as usize].remove(name).is_some() {
             return Ok(());
         }
         Err(StoreError::NotFound { kind, name: name.to_string() })
@@ -269,6 +268,37 @@ mod tests {
         assert_eq!(overlay.updated_of(FileKind::Manifest).len(), 1);
         // Drained: the backend is clean again.
         assert_eq!(s.count(FileKind::DiskChunk), 1);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The colliding-name part of the store's backend contract
+    /// (`mhd-store`'s `exercise_colliding_names`), for the overlay: the
+    /// shared base is deliberately not consulted by `put`, so only staged
+    /// names collide here.
+    #[test]
+    fn names_that_sanitise_alike_are_one_staged_object() {
+        let root = temp_root("colliding");
+        let mut s = StagingBackend::over(&root).unwrap();
+        let kind = FileKind::FileManifest;
+        s.put(kind, "t/day0/sub/b.bin", b"first").unwrap();
+        assert!(matches!(
+            s.put(kind, "t/day0/sub_b.bin", b"second"),
+            Err(StoreError::AlreadyExists { .. })
+        ));
+        for alias in ["t/day0/sub/b.bin", "t/day0/sub_b.bin", "t_day0_sub_b.bin"] {
+            assert!(s.exists(kind, alias));
+            assert_eq!(&s.get(kind, alias).unwrap()[..], b"first");
+            assert_eq!(&s.get_range(kind, alias, 1, 3).unwrap()[..], b"irs");
+            assert_eq!(s.size_of(kind, alias).unwrap(), 5);
+        }
+        assert_eq!(s.list(kind), vec!["t_day0_sub_b.bin".to_string()]);
+        s.update(kind, "t/day0/sub_b.bin", b"rewritten").unwrap();
+        assert_eq!(&s.get(kind, "t/day0/sub/b.bin").unwrap()[..], b"rewritten");
+        // What the publish phase splices is one object under the name it
+        // will have on disk.
+        let overlay = s.take_staged();
+        let staged: Vec<_> = overlay.fresh_of(kind).iter().collect();
+        assert_eq!(staged, [(&"t_day0_sub_b.bin".to_string(), &b"rewritten".to_vec())]);
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -1,4 +1,6 @@
-//! Concrete [`Model`]s of the workspace's two real concurrent protocols.
+//! Concrete [`Model`]s of the workspace's six concurrent protocols. The
+//! first three are described here, the later three where they are
+//! defined:
 //!
 //! * [`FlushModel`] — the `BatchedDirBackend` flush-barrier protocol: a
 //!   coordinator drains the pending overlay kind-by-kind in
@@ -23,6 +25,10 @@
 //!   or because the publish ran before the splice — and quiescence
 //!   additionally requires pre-existing garbage to actually be reclaimed
 //!   (so "protect everything" cannot pass either).
+//! * [`PublishModel`] — two sessions racing the daemon's two-phase
+//!   publish; [`IntentModel`] — the intent-record overwrite with a crash
+//!   or a failed rename at any step; [`CompactGcModel`] — compaction
+//!   racing the mark-sweep collector.
 //!
 //! Each model has a `mutant` constructor seeding the historical bug, used
 //! as a negative test: CI runs the mutants and *requires* the checker to

@@ -233,7 +233,6 @@ fn l1_restricted(rel: &str) -> bool {
                 | "crates/core/src/mhd.rs"
                 | "crates/core/src/statefile.rs"
                 | "crates/chunking/src/fastcdc.rs"
-                | "crates/chunking/src/ae.rs"
         )
 }
 

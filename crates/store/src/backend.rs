@@ -843,6 +843,42 @@ pub(crate) mod tests {
         assert!(backend.recover().unwrap().is_clean());
     }
 
+    /// The part of the contract only a directory-backed store has: it
+    /// keeps an object under [`safe_name`] of its name, so two names that
+    /// sanitise alike are one object — pending, flushed, read or deleted
+    /// under either spelling — and the second `put` fails instead of
+    /// replacing the first.
+    pub(crate) fn exercise_colliding_names(backend: &mut dyn Backend) {
+        let kind = FileKind::FileManifest;
+        backend.put(kind, "t/sub/b.bin", b"first").unwrap();
+        for flushed in [false, true] {
+            if flushed {
+                backend.flush().unwrap();
+            }
+            assert!(
+                matches!(
+                    backend.put(kind, "t/sub_b.bin", b"second"),
+                    Err(StoreError::AlreadyExists { .. })
+                ),
+                "colliding put accepted (flushed: {flushed})"
+            );
+            for alias in ["t/sub/b.bin", "t/sub_b.bin", "t_sub_b.bin"] {
+                assert!(backend.exists(kind, alias));
+                assert_eq!(&backend.get(kind, alias).unwrap()[..], b"first");
+                assert_eq!(&backend.get_range(kind, alias, 1, 3).unwrap()[..], b"irs");
+                assert_eq!(backend.size_of(kind, alias).unwrap(), 5);
+            }
+            assert_eq!(backend.count(kind), 1);
+            assert_eq!(backend.list(kind), vec!["t_sub_b.bin".to_string()]);
+        }
+        backend.update(kind, "t/sub_b.bin", b"rewritten").unwrap();
+        assert_eq!(&backend.get(kind, "t/sub/b.bin").unwrap()[..], b"rewritten");
+        backend.delete(kind, "t_sub/b.bin").unwrap();
+        assert!(!backend.exists(kind, "t/sub/b.bin"));
+        backend.flush().unwrap();
+        assert_eq!(backend.count(kind), 0);
+    }
+
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("mhd-store-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -858,7 +894,9 @@ pub(crate) mod tests {
     fn dir_backend_contract() {
         for durability in [Durability::None, Durability::Rename, Durability::Fsync] {
             let dir = temp_dir(&format!("contract-{}", durability.name()));
-            exercise(&mut DirBackend::create_with(&dir, durability).unwrap());
+            let mut backend = DirBackend::create_with(&dir, durability).unwrap();
+            exercise(&mut backend);
+            exercise_colliding_names(&mut backend);
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }

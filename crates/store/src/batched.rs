@@ -33,8 +33,10 @@ use std::time::Instant;
 
 use bytes::Bytes;
 
-use crate::sync::{bounded, mpsc, Sender};
-use crate::{Backend, DirBackend, Durability, FileKind, RecoveryReport, StoreError, StoreResult};
+use crate::sync::{mpsc, Arc, Mutex, PoisonError};
+use crate::{
+    safe_name, Backend, DirBackend, Durability, FileKind, RecoveryReport, StoreError, StoreResult,
+};
 
 /// Tuning knobs for [`BatchedDirBackend`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,21 +83,26 @@ struct Job {
 }
 
 struct WorkerPool {
-    jobs: Sender<Job>,
+    jobs: mpsc::SyncSender<Job>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl WorkerPool {
     fn spawn(threads: usize, writer: DirBackend) -> StoreResult<Self> {
-        let (tx, rx) = bounded::<Job>(threads * 4);
+        let (tx, rx) = mpsc::sync_channel::<Job>(threads * 4);
+        let rx = Arc::new(Mutex::new(rx));
         let mut handles = Vec::with_capacity(threads);
         for i in 0..threads {
-            let rx = rx.clone();
+            let rx = Arc::clone(&rx);
             let writer = writer.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("mhd-io-{i}"))
                 .spawn(move || {
-                    for job in rx.iter() {
+                    loop {
+                        // The receiver lock is held for this statement
+                        // alone, never across a write (`sync.rs`).
+                        let job = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                        let Ok(job) = job else { break };
                         let mut result = Ok(());
                         for (name, p) in &job.writes {
                             result = writer.commit(job.kind, name, &p.data, p.update);
@@ -153,6 +160,11 @@ impl ReadaheadCache {
 }
 
 /// Batched, crash-safe directory backend. See the module docs.
+///
+/// The overlay and the read-ahead cache are keyed by [`safe_name`], the
+/// name the object has on disk: two names that sanitise to one object
+/// are one object here too, so a colliding `put` fails with
+/// `AlreadyExists` exactly as on a write-through [`DirBackend`].
 ///
 /// Dropping the backend flushes pending writes best-effort; call
 /// [`Backend::flush`] explicitly (the engines do, in `finish()`) to observe
@@ -309,6 +321,7 @@ impl BatchedDirBackend {
 
 impl Backend for BatchedDirBackend {
     fn put(&mut self, kind: FileKind, name: &str, data: &[u8]) -> StoreResult<()> {
+        let name = &safe_name(name);
         if self.pending_of(kind).contains_key(name) || self.inner.exists(kind, name) {
             return Err(StoreError::AlreadyExists { kind, name: name.to_string() });
         }
@@ -316,6 +329,7 @@ impl Backend for BatchedDirBackend {
     }
 
     fn update(&mut self, kind: FileKind, name: &str, data: &[u8]) -> StoreResult<()> {
+        let name = &safe_name(name);
         // An update over a pending put coalesces into a single put — the
         // object never existed on disk, so there is nothing to overwrite.
         let still_put = match self.pending_of(kind).get(name) {
@@ -331,6 +345,7 @@ impl Backend for BatchedDirBackend {
     }
 
     fn get(&mut self, kind: FileKind, name: &str) -> StoreResult<Bytes> {
+        let name = &safe_name(name);
         if let Some(p) = self.pending_of(kind).get(name) {
             return Ok(p.data.clone());
         }
@@ -350,6 +365,7 @@ impl Backend for BatchedDirBackend {
         offset: u64,
         len: u64,
     ) -> StoreResult<Bytes> {
+        let name = &safe_name(name);
         let slice = |obj: &Bytes| -> StoreResult<Bytes> {
             let end = offset.checked_add(len).filter(|&e| e <= obj.len() as u64).ok_or(
                 StoreError::OutOfRange {
@@ -382,6 +398,7 @@ impl Backend for BatchedDirBackend {
     }
 
     fn size_of(&mut self, kind: FileKind, name: &str) -> StoreResult<u64> {
+        let name = &safe_name(name);
         if let Some(p) = self.pending_of(kind).get(name) {
             return Ok(p.data.len() as u64);
         }
@@ -389,6 +406,7 @@ impl Backend for BatchedDirBackend {
     }
 
     fn exists(&mut self, kind: FileKind, name: &str) -> bool {
+        let name = &safe_name(name);
         self.pending_of(kind).contains_key(name) || self.inner.exists(kind, name)
     }
 
@@ -410,6 +428,7 @@ impl Backend for BatchedDirBackend {
     }
 
     fn delete(&mut self, kind: FileKind, name: &str) -> StoreResult<()> {
+        let name = &safe_name(name);
         if kind == FileKind::DiskChunk {
             self.readahead.invalidate(name);
         }
@@ -464,7 +483,7 @@ impl Drop for BatchedDirBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::tests::exercise;
+    use crate::backend::tests::{exercise, exercise_colliding_names};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("mhd-batched-{tag}-{}", std::process::id()));
@@ -492,9 +511,53 @@ mod tests {
     fn batched_backend_contract() {
         for (tag, config) in configs() {
             let dir = temp_dir(&format!("contract-{tag}"));
-            exercise(&mut BatchedDirBackend::create_with(&dir, config).unwrap());
+            let mut backend = BatchedDirBackend::create_with(&dir, config).unwrap();
+            exercise(&mut backend);
+            exercise_colliding_names(&mut backend);
+            drop(backend);
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    #[test]
+    fn dropping_the_backend_ends_its_workers() {
+        let config = IoConfig { threads: 3, ..IoConfig::default() };
+        let busy = |dir: &Path| {
+            let mut b = BatchedDirBackend::create_with(dir, config).unwrap();
+            for i in 0..40 {
+                b.put(FileKind::DiskChunk, &format!("c{i}"), &[i as u8; 64]).unwrap();
+            }
+            b.flush().unwrap();
+            b
+        };
+
+        // What `Drop` does, a step at a time: the workers idle in `recv`
+        // until the pool's only sender goes, then every one of them ends.
+        let dir = temp_dir("drop-workers-steps");
+        let mut b = busy(&dir);
+        let pool = b.pool.take().unwrap();
+        let names: Vec<_> =
+            pool.handles.iter().map(|h| h.thread().name().unwrap().to_string()).collect();
+        assert_eq!(names, ["mhd-io-0", "mhd-io-1", "mhd-io-2"]);
+        assert!(pool.handles.iter().all(|h| !h.is_finished()), "idle workers wait for jobs");
+        drop(pool.jobs);
+        for handle in pool.handles {
+            handle.join().unwrap();
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // And `Drop` itself, which joins them: it returns.
+        let dir = temp_dir("drop-workers");
+        let b = busy(&dir);
+        let (dropped, wait) = mpsc::channel();
+        let dropper = std::thread::spawn(move || {
+            drop(b);
+            dropped.send(()).unwrap();
+        });
+        wait.recv_timeout(std::time::Duration::from_secs(30))
+            .expect("drop is still joining its workers");
+        dropper.join().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -2,12 +2,10 @@
 
 use bytes::Bytes;
 use mhd_hash::sha1;
-use rand::prelude::*;
-use rand::rngs::StdRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::mutate::Mutator;
+use crate::rng::Rng;
 use crate::spec::CorpusSpec;
 
 /// One file within a backup stream.
@@ -99,28 +97,22 @@ fn sub_seed(master: u64, machine: usize, day: usize) -> u64 {
 
 impl Corpus {
     /// Generates the corpus described by `spec`. Deterministic in
-    /// `spec.seed`; machine image evolution fans out over rayon.
+    /// `spec.seed`; machine image evolution fans out over scoped threads.
     pub fn generate(spec: CorpusSpec) -> Self {
         spec.validate();
 
         // Shared OS base image per family.
         let base_len = (spec.machine_bytes as f64 * spec.os_base_fraction) as usize;
         let bases: Vec<Vec<u8>> = (0..spec.os_families)
-            .map(|f| {
-                let mut rng = StdRng::seed_from_u64(sub_seed(spec.seed, usize::MAX - f, 0));
-                let mut v = vec![0u8; base_len];
-                rng.fill_bytes(&mut v);
-                v
-            })
+            .map(|f| Rng::new(sub_seed(spec.seed, usize::MAX - f, 0)).bytes(base_len))
             .collect();
 
         // Evolve each machine's image over the days, in parallel across
         // machines (each machine's history is sequential).
-        let per_machine: Vec<(Vec<Vec<u8>>, CorpusStats)> = (0..spec.machines)
-            .into_par_iter()
-            .map(|m| {
+        let per_machine: Vec<(Vec<Vec<u8>>, CorpusStats)> =
+            map_on_scoped_threads(spec.machines, |m| {
                 let family = m % spec.os_families;
-                let mut rng = StdRng::seed_from_u64(sub_seed(spec.seed, m, 0));
+                let mut rng = Rng::new(sub_seed(spec.seed, m, 0));
                 let unique_len = spec.machine_bytes as usize - base_len;
 
                 // The image is a static OS base region (shared within the
@@ -129,8 +121,7 @@ impl Corpus {
                 // way, and the static region is exactly what big-chunk
                 // algorithms (Bimodal/SubChunk) exploit.
                 let mut base = bases[family].clone();
-                let mut user = vec![0u8; unique_len];
-                rng.fill_bytes(&mut user);
+                let mut user = rng.bytes(unique_len);
 
                 let mut stats = CorpusStats {
                     // The family base is fresh only for the first machine of
@@ -149,15 +140,15 @@ impl Corpus {
                 days.push([base.as_slice(), user.as_slice()].concat());
 
                 for day in 1..spec.snapshots {
-                    let mut rng = StdRng::seed_from_u64(sub_seed(spec.seed, m, day));
+                    let mut rng = Rng::new(sub_seed(spec.seed, m, day));
                     let mut mstats = mutator.mutate(&mut user, &mut rng);
-                    if rng.random::<f64>() < spec.base_update_prob {
+                    if rng.unit_f64() < spec.base_update_prob {
                         mstats.absorb(mutator.mutate(&mut base, &mut rng));
                     } else {
                         // Untouched base: one long preserved run.
                         mstats.preserved_bytes += base.len() as u64;
                     }
-                    if rng.random::<f64>() < spec.fresh_append_prob {
+                    if rng.unit_f64() < spec.fresh_append_prob {
                         let len = (spec.machine_bytes as f64 * spec.fresh_append_fraction) as usize;
                         mstats.absorb(Mutator::append_fresh(&mut user, len, &mut rng));
                     }
@@ -168,8 +159,7 @@ impl Corpus {
                     days.push([base.as_slice(), user.as_slice()].concat());
                 }
                 (days, stats)
-            })
-            .collect();
+            });
 
         // Assemble in day-major backup order and split images into files.
         let mut snapshots = Vec::with_capacity(spec.machines * spec.snapshots);
@@ -197,17 +187,25 @@ impl Corpus {
     pub fn total_bytes(&self) -> u64 {
         self.stats.total_bytes
     }
+}
 
-    /// Concatenation of all files of all streams (test-sized corpora only).
-    pub fn concatenated(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.total_bytes() as usize);
-        for s in &self.snapshots {
-            for f in &s.files {
-                out.extend_from_slice(&f.data);
-            }
-        }
-        out
-    }
+/// `(0..n).map(f)` for `n > 0` on scoped threads: one contiguous block
+/// of indices per available core (no work stealing — the per-machine
+/// cost is uniform), results in index order.
+fn map_on_scoped_threads<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let block = n.div_ceil(cores.min(n));
+    let f = &f;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..n)
+            .step_by(block)
+            .map(|lo| scope.spawn(move || (lo..n.min(lo + block)).map(f).collect::<Vec<R>>()))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("corpus generation worker panicked"))
+            .collect()
+    })
 }
 
 /// Splits one image into ~`file_bytes` files sharing the image's `Bytes`

@@ -15,8 +15,11 @@
 //!   apart — this spacing *is* the DAD control), plus occasional fresh
 //!   appended data (new files),
 //! * everything derived from a single seed, with per-(machine, day)
-//!   sub-seeds so generation can fan out across threads (rayon) and still
-//!   be bit-for-bit deterministic.
+//!   sub-seeds so generation can fan out across threads (one scoped
+//!   thread per block of machines) and still be bit-for-bit
+//!   deterministic. The bytes come from this crate's own PRNG ([`Rng`],
+//!   generator v1): `tests/pinned.rs` pins two corpora by digest, so a
+//!   corpus is named by its flags across commits.
 //!
 //! Deduplication behaviour depends on the duplication *distribution* —
 //! slice lengths, churn rate, boundary shifts from insertions/deletions —
@@ -30,9 +33,11 @@
 
 mod corpus;
 mod mutate;
+mod rng;
 mod spec;
 pub mod trace;
 
 pub use corpus::{Corpus, CorpusStats, FileEntry, Snapshot};
-pub use mutate::{MutationKind, MutationStats, Mutator};
+pub use mutate::{MutationStats, Mutator};
+pub use rng::Rng;
 pub use spec::CorpusSpec;

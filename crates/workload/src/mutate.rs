@@ -1,20 +1,6 @@
 //! The day-to-day image mutation model.
 
-use rand::prelude::*;
-use rand::rngs::StdRng;
-
-/// What one mutation site does to the image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MutationKind {
-    /// Overwrite `len` bytes in place with fresh data (file edits; no
-    /// boundary shift).
-    Overwrite,
-    /// Insert `len` fresh bytes (file growth; shifts everything after it —
-    /// the case fixed-size chunking cannot handle).
-    Insert,
-    /// Delete `len` bytes (file truncation/removal; also shifts).
-    Delete,
-}
+use crate::rng::Rng;
 
 /// Ground-truth accounting of what a mutation pass changed.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -49,13 +35,13 @@ impl Mutator {
         Mutator { mean_slice_len: mean_slice_len as f64, mean_site_len: mean_site_len as f64 }
     }
 
-    fn exp(&self, rng: &mut StdRng, mean: f64) -> usize {
-        let u: f64 = rng.random::<f64>().max(1e-12);
+    fn exp(&self, rng: &mut Rng, mean: f64) -> usize {
+        let u = rng.unit_f64().max(1e-12);
         ((-u.ln()) * mean).round().max(1.0) as usize
     }
 
     /// Mutates `image` in place, returning what changed.
-    pub fn mutate(&self, image: &mut Vec<u8>, rng: &mut StdRng) -> MutationStats {
+    pub fn mutate(&self, image: &mut Vec<u8>, rng: &mut Rng) -> MutationStats {
         let mut stats = MutationStats::default();
         let mut out = Vec::with_capacity(image.len() + image.len() / 16);
         let mut pos = 0usize;
@@ -69,34 +55,26 @@ impl Mutator {
                 break;
             }
 
-            let span = self.exp(rng, self.mean_site_len);
+            // Every kind is clamped alike, so insert/delete volumes stay
+            // balanced and the image size stationary.
+            let span = self.exp(rng, self.mean_site_len).min(image.len() - pos);
             stats.sites += 1;
-            let kind = match rng.random_range(0..4u8) {
-                0 | 1 => MutationKind::Overwrite,
-                2 => MutationKind::Insert,
-                _ => MutationKind::Delete,
-            };
-            match kind {
-                MutationKind::Overwrite => {
-                    let span = span.min(image.len() - pos);
+            match rng.below(4) {
+                // 0, 1: overwrite in place (file edits; no boundary shift).
+                // 2: insert (file growth; old data continues after it, so
+                // everything behind shifts — the case fixed-size chunking
+                // cannot handle).
+                kind @ 0..=2 => {
                     let start = out.len();
                     out.resize(start + span, 0);
                     rng.fill_bytes(&mut out[start..]);
                     stats.fresh_bytes += span as u64;
-                    pos += span;
+                    if kind < 2 {
+                        pos += span;
+                    }
                 }
-                MutationKind::Insert => {
-                    // Clamp like Delete so insert/delete volumes stay
-                    // balanced and the image size stationary.
-                    let span = span.min(image.len() - pos);
-                    let start = out.len();
-                    out.resize(start + span, 0);
-                    rng.fill_bytes(&mut out[start..]);
-                    stats.fresh_bytes += span as u64;
-                    // pos unchanged: old data continues after the insert.
-                }
-                MutationKind::Delete => {
-                    let span = span.min(image.len() - pos);
+                // 3: delete (file truncation/removal; also shifts).
+                _ => {
                     stats.deleted_bytes += span as u64;
                     pos += span;
                 }
@@ -107,7 +85,7 @@ impl Mutator {
     }
 
     /// Appends `len` fresh bytes ("new files" churn).
-    pub fn append_fresh(image: &mut Vec<u8>, len: usize, rng: &mut StdRng) -> MutationStats {
+    pub fn append_fresh(image: &mut Vec<u8>, len: usize, rng: &mut Rng) -> MutationStats {
         let start = image.len();
         image.resize(start + len, 0);
         rng.fill_bytes(&mut image[start..]);
@@ -129,14 +107,12 @@ impl MutationStats {
 mod tests {
     use super::*;
 
-    fn rng(seed: u64) -> StdRng {
-        StdRng::seed_from_u64(seed)
+    fn rng(seed: u64) -> Rng {
+        Rng::new(seed)
     }
 
     fn image(len: usize, seed: u64) -> Vec<u8> {
-        let mut v = vec![0u8; len];
-        rng(seed).fill_bytes(&mut v);
-        v
+        rng(seed).bytes(len)
     }
 
     #[test]

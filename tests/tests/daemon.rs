@@ -176,6 +176,32 @@ fn abort_mid_write_leaves_no_orphans() {
     shutdown(&socket, handle);
 }
 
+/// Two paths that sanitise to one recipe name (`sub/b.bin`, `sub_b.bin`)
+/// used to commit as one recipe holding the second file's bytes.
+#[test]
+fn colliding_paths_fail_the_backup_and_leave_the_label_reusable() {
+    let (store, socket, handle) = spawn_daemon("colliding");
+    let src = store.with_file_name("src");
+    std::fs::create_dir_all(src.join("sub")).expect("create tree");
+    std::fs::write(src.join("sub/b.bin"), payload(30_000, 7)).expect("write");
+    std::fs::write(src.join("sub_b.bin"), payload(20_000, 8)).expect("write");
+
+    let mut c = Client::connect(&socket).expect("connect");
+    c.open("acme").expect("open");
+    let err = c.backup_dir(&src, "nightly").expect_err("colliding backup committed").to_string();
+    assert!(err.contains("sub/b.bin") && err.contains("sub_b.bin"), "{err}");
+    assert!(c.ls().expect("ls").is_empty(), "a recipe was stored");
+    assert!(c.fsck().expect("fsck").contains("healthy"));
+
+    std::fs::remove_file(src.join("sub_b.bin")).expect("remove");
+    let summary = c.backup_dir(&src, "nightly").expect("label released by the failed backup");
+    assert_eq!(summary.files, 1);
+    assert_eq!(c.ls().expect("ls"), vec!["nightly_sub_b.bin".to_string()]);
+    assert_eq!(c.restore("nightly_sub_b.bin").expect("restore"), payload(30_000, 7));
+
+    shutdown(&socket, handle);
+}
+
 #[test]
 fn gc_during_active_session_keeps_its_chunks_reachable() {
     let (_store, socket, handle) = spawn_daemon("gc-live");
