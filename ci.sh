@@ -7,9 +7,10 @@
 # Stages:
 #   1. tier-1: release build + full test suite (ROADMAP.md)
 #   2. crash safety — the fault matrix, a --durability fsync smoke backup
-#      (which must have hashed on the SHA extensions if the CPU has them),
-#      and a store torn between flush and persist recovered by `mhd` and
-#      by `mhd serve`
+#      (which must have hashed on the SHA extensions if the CPU has them,
+#      and whose deep scrub must pass, and fail naming the damaged entry
+#      once a byte of a copy is flipped), and a store torn between flush
+#      and persist recovered by `mhd` and by `mhd serve`
 #   3. feature matrix — the obs-disabled workspace still builds, and the
 #      store/core crash-safety tests pass with obs compiled out
 #   4. analysis  — `mhd compare` finds zero regressions across two
@@ -74,9 +75,28 @@ mkdir -p "$SMOKE/src"
 head -c 262144 /dev/urandom > "$SMOKE/src/disk.img"
 ./target/release/mhd backup "$SMOKE/src" --store "$SMOKE/store" \
     --durability fsync --io-threads 2 --chunker fastcdc --label smoke
-./target/release/mhd fsck --store "$SMOKE/store"
+./target/release/mhd fsck --store "$SMOKE/store" --deep
 ./target/release/mhd restore smoke-0/disk.img --store "$SMOKE/store" -o "$SMOKE/restored.img"
 cmp "$SMOKE/src/disk.img" "$SMOKE/restored.img"
+# The deep scrub re-hashes every manifest entry's bytes: one flipped byte
+# in a copy of the store must fail it, naming the container and the
+# damaged entry's offset+size.
+cp -r "$SMOKE/store" "$SMOKE/rot-store"
+ROT=$(basename "$(find "$SMOKE/rot-store/chunks" -type f | sort | head -n 1)")
+BYTE=$(od -An -tu1 -j 1000 -N 1 "$SMOKE/rot-store/chunks/$ROT" | tr -d ' ')
+# shellcheck disable=SC2059 # the octal escape is the byte written
+printf "\\$(printf '%03o' $((255 - BYTE)))" |
+    dd of="$SMOKE/rot-store/chunks/$ROT" bs=1 seek=1000 conv=notrunc status=none
+if ./target/release/mhd fsck --store "$SMOKE/rot-store" --deep 2> "$SMOKE/rot.txt"; then
+    echo "error: mhd fsck --deep passed a store with a flipped byte" >&2
+    exit 1
+fi
+grep -qE "chunk $ROT: manifest [0-9a-f]+ entry [0-9]+ \([0-9]+\+[0-9]+\): content hash mismatch" \
+    "$SMOKE/rot.txt" || {
+    echo "error: mhd fsck --deep did not name the damaged container and entry:" >&2
+    cat "$SMOKE/rot.txt" >&2
+    exit 1
+}
 # mhd picks its SHA-1 kernel from the CPU at run time. Where the CPU has
 # the SHA extensions, a green run must not be one that silently fell back
 # to the scalar rounds; elsewhere, say which kernel the run tested.
@@ -106,7 +126,7 @@ torn_store() {
 }
 # What must hold once something has opened the torn store for writes.
 recovered_store() {
-    ./target/release/mhd fsck --store "$1" > /dev/null
+    ./target/release/mhd fsck --store "$1" --deep > /dev/null
     ./target/release/mhd restore s-0/a.img --store "$1" -o "$SMOKE/torn-restored.img" > /dev/null
     cmp "$SMOKE/torn-src/a/a.img" "$SMOKE/torn-restored.img"
     if ./target/release/mhd ls --store "$1" | grep -q 's-1_b.img'; then
@@ -196,7 +216,7 @@ done
 ./target/release/mhd client fsck --socket "$SMOKE/mhd.sock"
 ./target/release/mhd client shutdown --socket "$SMOKE/mhd.sock"
 wait "$SERVE_PID"
-./target/release/mhd fsck --store "$SMOKE/daemon-store"
+./target/release/mhd fsck --store "$SMOKE/daemon-store" --deep
 
 step "benchmark: smoke run of every workload + harness tests"
 # benchmark/ is a package of its own (own lock file, own target dir) that

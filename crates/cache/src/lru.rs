@@ -124,6 +124,12 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         Some(&self.slab[idx as usize].value)
     }
 
+    /// Mutable lookup without touching recency.
+    pub fn peek_mut(&mut self, key: &K) -> Option<&mut V> {
+        let idx = *self.map.get(key)?;
+        Some(&mut self.slab[idx as usize].value)
+    }
+
     /// Whether `key` is resident (no recency update).
     pub fn contains(&self, key: &K) -> bool {
         self.map.contains_key(key)
@@ -257,6 +263,16 @@ mod tests {
         c.insert(2, "b");
         c.peek(&1);
         assert_eq!(c.insert(3, "c"), Some((1, "a")));
+    }
+
+    #[test]
+    fn peek_mut_writes_without_touching() {
+        let mut c = LruCache::new(2);
+        c.insert(1, "a");
+        c.insert(2, "b");
+        *c.peek_mut(&1).unwrap() = "a2";
+        assert!(c.peek_mut(&3).is_none());
+        assert_eq!(c.insert(3, "c"), Some((1, "a2")));
     }
 
     #[test]

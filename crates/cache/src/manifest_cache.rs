@@ -1,4 +1,15 @@
 //! The Manifest cache used by the deduplication engines.
+//!
+//! Besides the manifests and their hash indexes, each resident manifest
+//! carries a *child-digest* table for the MHD engine: merged-entry hash →
+//! SHA-1 over the 20-byte chunk hashes of a run of incoming chunks whose
+//! bytes were confirmed to hash to that entry. An incoming run with the
+//! same child digest holds the same bytes (under the SHA-1 collision
+//! assumption the chunk index already rests on), so a later probe
+//! compares ≈ 20 B per chunk instead of re-hashing the run's bytes. The
+//! table is written without touching recency, so it changes no eviction
+//! and no I/O count, and it goes with its manifest: at most one 40-byte
+//! pair per merged entry of a resident manifest.
 
 use mhd_hash::{ChunkHash, FxHashMap};
 use mhd_store::{Manifest, ManifestEntry, ManifestId};
@@ -14,6 +25,9 @@ pub struct CachedManifest {
     index: FxHashMap<ChunkHash, u32>,
     /// Needs write-back before eviction (set by HHR re-chunking).
     dirty: bool,
+    /// Entry hash → child digest of a run confirmed to hold its bytes
+    /// (module docs).
+    child_digests: FxHashMap<ChunkHash, ChunkHash>,
 }
 
 impl CachedManifest {
@@ -30,6 +44,11 @@ impl CachedManifest {
     /// Whether the manifest has unwritten modifications.
     pub fn is_dirty(&self) -> bool {
         self.dirty
+    }
+
+    /// The child digest remembered for the entry hashed `hash`, if any.
+    pub fn child_digest(&self, hash: &ChunkHash) -> Option<ChunkHash> {
+        self.child_digests.get(hash).copied()
     }
 }
 
@@ -111,7 +130,7 @@ impl ManifestCache {
     pub fn insert(&mut self, manifest: Manifest, dirty: bool) -> Option<(Manifest, bool)> {
         let index = manifest.build_index();
         Self::index_insert(&mut self.by_hash, &manifest);
-        let entry = CachedManifest { manifest, index, dirty };
+        let entry = CachedManifest { manifest, index, dirty, child_digests: FxHashMap::default() };
         mhd_obs::counter!("cache.manifest_inserts").inc();
         let evicted = self.lru.insert(entry.manifest.id, entry);
         evicted.map(|(_, old)| {
@@ -146,6 +165,25 @@ impl ManifestCache {
     /// Read access without touching recency.
     pub fn peek(&self, id: ManifestId) -> Option<&CachedManifest> {
         self.lru.peek(&id)
+    }
+
+    /// Remembers that the entry hashed `hash` of resident manifest `id`
+    /// holds the bytes of any chunk run whose child digest is `digest`.
+    /// Recency is not touched, so noting changes no eviction order.
+    /// Returns `false` (and notes nothing) when `id` is not resident or
+    /// has no entry hashed `hash`.
+    pub fn note_child_digest(
+        &mut self,
+        id: ManifestId,
+        hash: ChunkHash,
+        digest: ChunkHash,
+    ) -> bool {
+        let Some(cached) = self.lru.peek_mut(&id) else { return false };
+        if !cached.index.contains_key(&hash) {
+            return false;
+        }
+        cached.child_digests.insert(hash, digest);
+        true
     }
 
     /// Replaces entry `at` of a resident manifest with `replacement` (the
@@ -197,6 +235,7 @@ impl ManifestCache {
         }
         if !cached.index.contains_key(&removed) {
             Self::unlink(&mut self.by_hash, &removed, id);
+            cached.child_digests.remove(&removed);
         }
         true
     }
@@ -340,6 +379,51 @@ mod tests {
             };
             assert_eq!(sorted(&c.by_hash), sorted(&by_hash), "cache-wide index");
         }
+    }
+
+    #[test]
+    fn child_digests_leave_eviction_order_alone_and_go_with_their_manifest() {
+        let digest = |n: u64| sha1(&(1000 + n).to_le_bytes());
+        // The same access sequence with and without noting digests: every
+        // eviction names the same manifest.
+        let run = |note: bool| {
+            let mut c = ManifestCache::new(2);
+            let mut evicted = Vec::new();
+            for id in 1..=6u64 {
+                if let Some((m, _)) = c.insert(manifest(id, &[10 * id, 10 * id + 1]), false) {
+                    evicted.push(m.id);
+                }
+                if note {
+                    // Note on the older resident manifest: a touch here
+                    // would make the newer one the next evictee.
+                    let older = ManifestId(id.saturating_sub(1).max(1));
+                    c.note_child_digest(older, sha1(&(10 * older.0).to_le_bytes()), digest(id));
+                }
+                if id % 3 == 0 {
+                    c.find_hash(&sha1(&(10 * id).to_le_bytes()));
+                }
+            }
+            evicted
+        };
+        assert_eq!(run(true), run(false));
+
+        let mut c = ManifestCache::new(1);
+        let _ = c.insert(manifest(1, &[10, 11]), false);
+        let h11 = sha1(&11u64.to_le_bytes());
+        assert!(c.note_child_digest(ManifestId(1), h11, digest(1)));
+        assert_eq!(c.peek(ManifestId(1)).unwrap().child_digest(&h11), Some(digest(1)));
+        // Only a resident manifest's own entries take a digest.
+        assert!(!c.note_child_digest(ManifestId(1), sha1(&99u64.to_le_bytes()), digest(2)));
+        assert!(!c.note_child_digest(ManifestId(7), h11, digest(2)));
+        // Eviction drops the table; the reloaded manifest starts without it.
+        let (evicted, _) = c.insert(manifest(2, &[20]), false).unwrap();
+        assert_eq!(evicted.id, ManifestId(1));
+        let _ = c.insert(manifest(1, &[10, 11]), false);
+        assert_eq!(c.peek(ManifestId(1)).unwrap().child_digest(&h11), None);
+        // An HHR split of the entry drops its digest too.
+        assert!(c.note_child_digest(ManifestId(1), h11, digest(3)));
+        assert!(c.splice_entry(ManifestId(1), 1, vec![entry(1, 98, 10, 4), entry(1, 99, 14, 6)]));
+        assert_eq!(c.peek(ManifestId(1)).unwrap().child_digest(&h11), None);
     }
 
     #[test]

@@ -179,7 +179,10 @@ fn cmd_fsck(args: &[String]) -> CliResult {
     );
     if deep {
         let scrub = mhd_core::fsck::scrub(session.substrate());
-        println!("scrubbed container content hashes");
+        println!(
+            "re-hashed {} manifest entries over {} containers ({} bytes)",
+            scrub.entries, scrub.containers, scrub.bytes
+        );
         report.problems.extend(scrub.problems);
     }
     if report.is_healthy() {

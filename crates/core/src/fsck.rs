@@ -13,10 +13,17 @@
 //!   entries, so a dangling Hook means corruption);
 //! * every FileManifest decodes and its extents stay in-bounds.
 //!
+//! [`scrub`] (`mhd fsck --deep`) then checks the stored bytes themselves:
+//! every Manifest entry's hash is the SHA-1 of its byte range, and the
+//! entries of a container tile it, so re-hashing every entry's range
+//! covers every stored byte and names the damaged range.
+//!
 //! Used by the `mhd fsck` CLI command and the integration tests, which
 //! run it after every engine (a deduplicator that corrupts its own
 //! invariants usually still restores *today* — fsck catches the latent
 //! damage).
+
+use std::collections::BTreeMap;
 
 use mhd_hash::{sha1, ChunkHash};
 use mhd_store::{
@@ -34,6 +41,10 @@ pub struct IntegrityReport {
     pub hooks: usize,
     /// FileManifests inspected.
     pub file_manifests: usize,
+    /// Containers read ([`scrub`] only).
+    pub containers: usize,
+    /// Bytes re-hashed ([`scrub`] only).
+    pub bytes: u64,
     /// Human-readable problems found (empty == healthy).
     pub problems: Vec<String>,
 }
@@ -53,7 +64,7 @@ pub fn check_store<B: Backend>(substrate: &mut Substrate<B>) -> IntegrityReport 
 
     // Container sizes, for bounds checks.
     let chunk_names = backend.list(FileKind::DiskChunk);
-    let mut chunk_sizes = std::collections::BTreeMap::new();
+    let mut chunk_sizes = BTreeMap::new();
     for name in &chunk_names {
         match backend.size_of(FileKind::DiskChunk, name) {
             Ok(size) => {
@@ -64,7 +75,7 @@ pub fn check_store<B: Backend>(substrate: &mut Substrate<B>) -> IntegrityReport 
     }
 
     // Manifests.
-    let mut manifests = std::collections::BTreeMap::new();
+    let mut manifests = BTreeMap::new();
     for name in backend.list(FileKind::Manifest) {
         let Ok(id_num) = u64::from_str_radix(&name, 16) else {
             report.problems.push(format!("manifest {name}: non-hex name"));
@@ -181,34 +192,85 @@ pub fn check_store<B: Backend>(substrate: &mut Substrate<B>) -> IntegrityReport 
     report
 }
 
-/// Deep scrub: recomputes the SHA-1 of every DiskChunk and compares it to
-/// the content address recorded when the container was sealed (bit-rot
-/// detection on durable backends). Containers sealed before the current
-/// session whose hash is unknown (state not imported) are reported as
-/// unverifiable, not unhealthy.
+/// Deep scrub: reads each DiskChunk once and re-hashes the byte range of
+/// every Manifest entry in it against that entry's hash (bit-rot
+/// detection). A mismatch is reported as the container and the entry's
+/// `offset+size`. Entries tile their containers whatever session wrote
+/// them, so every stored byte is checked; a container, or a range of one,
+/// that no entry reaches is reported rather than skipped, and so is a
+/// container an entry names that cannot be read. A range several entries
+/// name (segment manifests repeat them) is hashed once; `entries` counts
+/// the ranges. Manifests that do not decode are [`check_store`]'s to
+/// report: the bytes they describe show up here as unreached.
 pub fn scrub<B: Backend>(substrate: &mut Substrate<B>) -> IntegrityReport {
     let mut report = IntegrityReport::default();
-    let names = substrate.backend_mut().list(FileKind::DiskChunk);
-    for name in names {
-        let Ok(id_num) = u64::from_str_radix(&name, 16) else {
-            report.problems.push(format!("chunk {name}: non-hex name"));
+    let backend = substrate.backend_mut();
+
+    // Container → its distinct `(offset, size, hash)` ranges, sorted by
+    // offset, each with the first (manifest, entry index) naming it.
+    type Ranges = BTreeMap<(u64, u64, ChunkHash), (ManifestId, usize)>;
+    let mut containers: BTreeMap<DiskChunkId, Ranges> = BTreeMap::new();
+    for name in backend.list(FileKind::DiskChunk) {
+        match u64::from_str_radix(&name, 16) {
+            Ok(id) => {
+                containers.entry(DiskChunkId(id)).or_default();
+            }
+            Err(_) => report.problems.push(format!("chunk {name}: non-hex name")),
+        }
+    }
+    for name in backend.list(FileKind::Manifest) {
+        let Ok(id) = u64::from_str_radix(&name, 16).map(ManifestId) else { continue };
+        let Ok(manifest) =
+            backend.get(FileKind::Manifest, &name).and_then(|d| Manifest::decode(id, &d))
+        else {
             continue;
         };
-        let id = DiskChunkId(id_num);
-        let Some(expected) = substrate.disk_chunk_hash(id) else {
-            continue; // sealed in an earlier session without imported state
-        };
-        let data = match substrate.backend_mut().get(FileKind::DiskChunk, &name) {
+        for (i, e) in manifest.entries.iter().enumerate() {
+            containers
+                .entry(e.container)
+                .or_default()
+                .entry((e.offset, e.size, e.hash))
+                .or_insert((id, i));
+        }
+    }
+
+    for (container, ranges) in containers {
+        let name = container.name();
+        let data = match backend.get(FileKind::DiskChunk, &name) {
             Ok(d) => d,
             Err(e) => {
                 report.problems.push(format!("chunk {name}: unreadable: {e}"));
                 continue;
             }
         };
-        if sha1(&data) != expected {
-            report
-                .problems
-                .push(format!("chunk {name}: content hash mismatch (expected {expected})"));
+        report.containers += 1;
+        // Bytes reached by some in-bounds entry, and where that reach ends.
+        let (mut reached, mut cursor) = (0u64, 0u64);
+        for (&(offset, size, hash), &(mid, i)) in &ranges {
+            let at =
+                || format!("chunk {name}: manifest {} entry {i} ({offset}+{size})", mid.name());
+            // Offsets come off the disk: an end past the container (or past
+            // u64) is reported, never sliced.
+            let Some(end) = offset.checked_add(size).filter(|&end| end <= data.len() as u64) else {
+                report.problems.push(format!("{}: exceeds container size {}", at(), data.len()));
+                continue;
+            };
+            report.entries += 1;
+            report.bytes += size;
+            if sha1(&data[offset as usize..end as usize]) != hash {
+                report.problems.push(format!("{}: content hash mismatch (expected {hash})", at()));
+            }
+            if end > cursor {
+                reached += end - offset.max(cursor);
+                cursor = end;
+            }
+        }
+        if reached < data.len() as u64 {
+            report.problems.push(format!(
+                "chunk {name}: {} of {} bytes reached by no manifest entry",
+                data.len() as u64 - reached,
+                data.len()
+            ));
         }
     }
     report
@@ -217,8 +279,9 @@ pub fn scrub<B: Backend>(substrate: &mut Substrate<B>) -> IntegrityReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Deduplicator, EngineConfig, MhdEngine};
-    use mhd_store::MemBackend;
+    use crate::engine_tests::{random, snapshot};
+    use crate::{Deduplicator, EngineConfig, EngineKind, MhdEngine};
+    use mhd_store::{ManifestEntry, MemBackend};
     use mhd_workload::{Corpus, CorpusSpec};
 
     fn dedupped_store() -> MhdEngine<MemBackend> {
@@ -256,6 +319,96 @@ mod tests {
         backend.update(FileKind::DiskChunk, &name, &data).unwrap();
         let report = scrub(e.substrate_mut());
         assert!(report.problems.iter().any(|p| p.contains("content hash mismatch")));
+    }
+
+    /// Flips the byte in the middle of `e`'s range and expects the scrub
+    /// to name the container and the entry's `offset+size`; then undoes it.
+    fn expect_damage_reported(e: &mut MhdEngine<MemBackend>, entry: ManifestEntry) {
+        let name = entry.container.name();
+        let at = (entry.offset + entry.size / 2) as usize;
+        let backend = e.substrate_mut().backend_mut();
+        let mut data = backend.get(FileKind::DiskChunk, &name).unwrap().to_vec();
+        data[at] ^= 0x01;
+        backend.update(FileKind::DiskChunk, &name, &data).unwrap();
+        let report = scrub(e.substrate_mut());
+        let range = format!("({}+{})", entry.offset, entry.size);
+        assert!(
+            report.problems.iter().any(|p| p.contains(&name)
+                && p.contains(&range)
+                && p.contains("content hash mismatch")),
+            "{entry:?}: {:?}",
+            report.problems
+        );
+        data[at] ^= 0x01;
+        let backend = e.substrate_mut().backend_mut();
+        backend.update(FileKind::DiskChunk, &name, &data).unwrap();
+        assert!(scrub(e.substrate_mut()).is_healthy());
+    }
+
+    fn manifest_entries(e: &mut MhdEngine<MemBackend>, id: ManifestId) -> Vec<ManifestEntry> {
+        let data = e.substrate_mut().backend_mut().get(FileKind::Manifest, &id.name()).unwrap();
+        Manifest::decode(id, &data).unwrap().entries
+    }
+
+    #[test]
+    fn scrub_names_damage_under_hook_merged_and_hhr_split_entries() {
+        let mut e = MhdEngine::new(MemBackend::new(), EngineConfig::new(512, 8)).unwrap();
+        let original = random(64 << 10, 2);
+        let mut edited = original.clone();
+        edited[30_000..31_024].copy_from_slice(&random(1024, 3));
+        e.process_snapshot(&snapshot("a", vec![original])).unwrap();
+        e.finish().unwrap();
+        let before = manifest_entries(&mut e, ManifestId(0));
+        e.process_snapshot(&snapshot("b", vec![edited])).unwrap();
+        assert!(e.finish().unwrap().hhr_count > 0);
+
+        let after = manifest_entries(&mut e, ManifestId(0));
+        let hook = *after.iter().find(|x| x.is_hook).unwrap();
+        let merged = *after.iter().find(|x| !x.is_hook && before.contains(x)).unwrap();
+        let split = *after.iter().find(|x| !before.contains(x)).expect("an HHR part");
+        let report = scrub(e.substrate_mut());
+        assert!(report.is_healthy(), "{:?}", report.problems);
+        assert_eq!(report.bytes, e.substrate_mut().ledger().stored_data_bytes);
+        for entry in [hook, merged, split] {
+            expect_damage_reported(&mut e, entry);
+        }
+    }
+
+    #[test]
+    fn scrub_reports_missing_and_unreached_containers() {
+        let mut e = dedupped_store();
+        let backend = e.substrate_mut().backend_mut();
+        let victim = backend.list(FileKind::DiskChunk)[0].clone();
+        backend.delete(FileKind::DiskChunk, &victim).unwrap();
+        let stray = DiskChunkId(u64::MAX >> 4).name();
+        backend.put(FileKind::DiskChunk, &stray, b"bytes no manifest describes").unwrap();
+        let report = scrub(e.substrate_mut());
+        let names = |needle: &str, what: &str| {
+            report.problems.iter().any(|p| p.contains(needle) && p.contains(what))
+        };
+        assert!(names(&victim, "unreadable"), "{:?}", report.problems);
+        assert!(
+            names(&stray, "27 of 27 bytes reached by no manifest entry"),
+            "{:?}",
+            report.problems
+        );
+        assert_eq!(report.problems.len(), 2, "{:?}", report.problems);
+    }
+
+    #[test]
+    fn fresh_store_of_every_engine_scrubs_clean() {
+        let corpus = Corpus::generate(CorpusSpec::tiny(72));
+        for kind in EngineKind::ALL {
+            let mut e = kind.build(MemBackend::new(), EngineConfig::new(512, 8)).unwrap();
+            for s in &corpus.snapshots {
+                e.process_snapshot(s).unwrap();
+            }
+            let stored = e.finish().unwrap().ledger.stored_data_bytes;
+            let report = scrub(e.substrate_mut());
+            assert!(report.is_healthy(), "{}: {:?}", kind.label(), report.problems);
+            assert!(report.entries > 0 && report.containers > 0, "{}", kind.label());
+            assert_eq!(report.bytes, stored, "{}: every stored byte re-hashed once", kind.label());
+        }
     }
 
     #[test]

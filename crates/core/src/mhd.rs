@@ -15,6 +15,15 @@
 //!   comparison, then — when the mismatching Manifest entry is a merged
 //!   block that may straddle the duplicate/non-duplicate edge — by
 //!   reloading the old bytes from the DiskChunk and comparing directly.
+//!   A merged entry that whole incoming chunks cover exactly is first
+//!   compared by *child digest* (SHA-1 over those chunks' 20-byte hashes)
+//!   against the one the Manifest cache remembers for it: the digests of a
+//!   file's new merged blocks are noted when its Manifest is committed,
+//!   and every match confirmed by hashing the bytes notes one too. Only
+//!   without a remembered digest, or with a different one (equal bytes cut
+//!   differently), are the run's bytes hashed. The loop therefore hashes
+//!   bytes for new merged blocks and HHR parts, and for duplicates only
+//!   the first time a resident manifest meets them.
 //! * **HHR** — a straddling merged entry is split into at most three new
 //!   entries: the remainder, the **EdgeHash** block (sized like the first
 //!   non-matching incoming chunk, to keep the same slice from re-triggering
@@ -27,7 +36,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use mhd_bloom::BloomFilter;
-use mhd_hash::{sha1, ChunkHash, FxHashMap, FxHashSet};
+use mhd_hash::{sha1, ChunkHash, FxHashMap, FxHashSet, Sha1};
 use mhd_store::{
     Backend, Extent, FileManifest, IoStats, ManifestEntry, ManifestFormat, ManifestId, StoreError,
     Substrate,
@@ -53,6 +62,9 @@ pub struct MhdEngine<B: Backend> {
     /// When a presence oracle is installed: every hash that missed
     /// lookup, for publish-time conflict detection.
     missed: FxHashSet<ChunkHash>,
+    /// `(merged hash, child digest)` of the current file's new merged
+    /// entries, noted in the cache once its Manifest is committed.
+    new_digests: Vec<(ChunkHash, ChunkHash)>,
 }
 
 /// Result of extending a match through one Manifest entry by byte
@@ -62,6 +74,16 @@ struct ByteMatch {
     matched_chunks: usize,
     /// Bytes matched (sum of matched chunk lengths).
     matched_bytes: u64,
+}
+
+/// SHA-1 over the 20-byte hashes of `run`'s chunks, in order: the child
+/// digest a merged entry is matched by before its bytes are (module docs).
+fn child_digest<'a>(run: impl IntoIterator<Item = &'a HashedChunk>) -> ChunkHash {
+    let mut h = Sha1::new();
+    for c in run {
+        h.update(c.hash.as_bytes());
+    }
+    h.finalize()
 }
 
 /// How many chunks, taken from the back of `buffer`, cover exactly `size`
@@ -103,6 +125,7 @@ impl<B: Backend> MhdEngine<B> {
             sparse_hooks: FxHashMap::default(),
             presence: None,
             missed: FxHashSet::default(),
+            new_digests: Vec::new(),
         })
     }
 
@@ -243,8 +266,10 @@ impl<B: Backend> MhdEngine<B> {
             let merged_end = run[run.len() - 1].end() as usize;
             let merged = &data[merged_start..merged_end];
             let off1 = out.builder.append(merged);
+            let hash = sha1(merged);
+            self.new_digests.push((hash, child_digest(&run[1..])));
             out.entries.push(ManifestEntry {
-                hash: sha1(merged),
+                hash,
                 container,
                 offset: off1,
                 size: merged.len() as u64,
@@ -275,6 +300,28 @@ impl<B: Backend> MhdEngine<B> {
             }
             self.flush_run(&run, data, out, fm);
         }
+    }
+
+    /// Whether the whole chunks `run`, whose bytes are `bytes`, hold the
+    /// bytes of merged entry `e` of resident manifest `mid`: by child
+    /// digest when the cache remembers the same one for `e`, else by
+    /// hashing `bytes` — and a match found that way is remembered.
+    fn merged_run_matches<'a>(
+        &mut self,
+        mid: ManifestId,
+        e: &ManifestEntry,
+        run: impl IntoIterator<Item = &'a HashedChunk>,
+        bytes: &[u8],
+    ) -> bool {
+        let digest = child_digest(run);
+        if self.s.cache.peek(mid).and_then(|c| c.child_digest(&e.hash)) == Some(digest) {
+            return true;
+        }
+        if sha1(bytes) != e.hash {
+            return false;
+        }
+        self.s.cache.note_child_digest(mid, e.hash, digest);
+        true
     }
 
     /// Byte-compares the tail of an old merged block against the buffer
@@ -432,15 +479,16 @@ impl<B: Backend> MhdEngine<B> {
             }
             // Merged entry: "new hash values are calculated for the
             // buffered chunk bytes before the HitChunk and compared with
-            // the hash values ... in the Manifest" — hash the trailing
-            // e.size buffered bytes (when they align with whole chunks)
-            // and compare, avoiding any disk I/O for fully-duplicate
-            // merged blocks.
+            // the hash values ... in the Manifest" — match the trailing
+            // e.size buffered bytes (when they align with whole chunks),
+            // by child digest or by hash, avoiding any disk I/O for
+            // fully-duplicate merged blocks.
             if !e.is_hook && e.size > tail.len as u64 {
                 if let Some(count) = chunks_covering_suffix(buffer, e.size) {
                     let end = tail.end() as usize;
                     let start = end - e.size as usize;
-                    if sha1(&data[start..end]) == e.hash {
+                    let run = buffer.range(buffer.len() - count..);
+                    if self.merged_run_matches(mid, &e, run, &data[start..end]) {
                         for _ in 0..count {
                             buffer.pop_back();
                         }
@@ -536,14 +584,15 @@ impl<B: Backend> MhdEngine<B> {
                 k += 1;
                 continue;
             }
-            // Merged entry: hash the next e.size bytes of lookahead (when
-            // whole chunks cover them exactly) and compare — fully
-            // duplicate merged blocks match without any disk I/O.
+            // Merged entry: match the next e.size bytes of lookahead (when
+            // whole chunks cover them exactly), by child digest or by
+            // hash — fully duplicate merged blocks match without any disk
+            // I/O.
             if !e.is_hook && e.size > c.len as u64 {
                 if let Some(count) = chunks_covering_prefix(&chunks[i..], e.size) {
                     let start = c.offset as usize;
                     let end = start + e.size as usize;
-                    if sha1(&data[start..end]) == e.hash {
+                    if self.merged_run_matches(mid, &e, &chunks[i..i + count], &data[start..end]) {
                         extents.push(e.extent());
                         dup_bytes += e.size;
                         i += count;
@@ -600,6 +649,7 @@ impl<B: Backend> MhdEngine<B> {
         let mut out = self.s.begin();
         let mut fm = FileManifest::new();
         let mut buffer: VecDeque<HashedChunk> = VecDeque::with_capacity(2 * self.s.config.sd);
+        self.new_digests.clear();
         // Extents for still-buffered chunks are deferred; this queue holds
         // dup extents that must follow the next buffer flush in file order.
         let mut i = 0usize;
@@ -701,8 +751,10 @@ impl<B: Backend> MhdEngine<B> {
         // filter (BF-MHD) or in the RAM sparse index (SI-MHD).
         let container_len = out.builder.len();
         let sparse_hooks = &mut self.sparse_hooks;
+        let mut committed = None;
         self.s.commit_file(file, &fm, out, ManifestFormat::HookFlags, |s, manifest| {
             debug_assert_eq!(manifest.check_tiling(container_len), Ok(()));
+            committed = Some(manifest.id);
             for e in manifest.entries.iter().filter(|e| e.is_hook) {
                 match s.config.mhd.hook_index {
                     HookIndex::Bloom => s.write_hook(e.hash, manifest.id)?,
@@ -713,7 +765,15 @@ impl<B: Backend> MhdEngine<B> {
                 }
             }
             Ok(())
-        })
+        })?;
+        // The new Manifest is resident now: its merged entries' digests
+        // go with it.
+        if let Some(mid) = committed {
+            for (hash, digest) in self.new_digests.drain(..) {
+                self.s.cache.note_child_digest(mid, hash, digest);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -837,7 +897,7 @@ impl<B: Backend> MhdEngine<B> {
     /// Restores a session exported by [`MhdEngine::export_state`]. The
     /// backend must be the same durable store.
     pub fn import_state(&mut self, state: MhdState) -> EngineResult<()> {
-        self.s.substrate.import_state(state.substrate)?;
+        self.s.substrate.import_state(state.substrate);
         self.s.bloom = BloomFilter::from_bytes(&state.bloom)
             .ok_or_else(|| EngineError::Config("corrupt bloom filter state".into()))?;
         self.sparse_hooks = state
@@ -968,6 +1028,37 @@ mod tests {
                 assert_eq!(cursor, entry.end(), "exact cover");
             }
         }
+    }
+
+    #[test]
+    fn merged_probe_trusts_a_remembered_digest_and_falls_back_to_bytes() {
+        let mut e = engine(512, 8);
+        let content = random(64 << 10, 11);
+        e.process_snapshot(&snapshot("a", vec![content.clone()])).unwrap();
+        // One all-new file: its container holds the file's bytes in order,
+        // and its Manifest is resident with a digest per merged entry.
+        let mid = ManifestId(0);
+        let merged =
+            *e.s.cache.peek(mid).unwrap().manifest().entries.iter().find(|x| !x.is_hook).unwrap();
+        let chunks = crate::engine::chunk_and_hash(&e.s.chunker, &Bytes::from(content.clone()));
+        let run: Vec<HashedChunk> = chunks
+            .into_iter()
+            .filter(|c| c.offset >= merged.offset && c.end() <= merged.end())
+            .collect();
+        assert_eq!(run.iter().map(|c| c.len as u64).sum::<u64>(), merged.size);
+        let bytes = &content[merged.offset as usize..merged.end() as usize];
+        let wrong = vec![0u8; bytes.len()];
+
+        // The remembered digest decides: the bytes handed in are not hashed.
+        assert!(e.merged_run_matches(mid, &merged, &run, &wrong));
+        // The same bytes cut into other chunks have another digest: the
+        // probe hashes the bytes, matches only the right ones, and
+        // remembers the new digest.
+        let recut =
+            [HashedChunk { offset: merged.offset, len: bytes.len() as u32, hash: sha1(bytes) }];
+        assert!(!e.merged_run_matches(mid, &merged, &recut, &wrong));
+        assert!(e.merged_run_matches(mid, &merged, &recut, bytes));
+        assert!(e.merged_run_matches(mid, &merged, &recut, &wrong));
     }
 
     #[test]

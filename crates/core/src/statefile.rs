@@ -11,8 +11,8 @@
 //!   allocators, minus the two O(store) payloads below. Its id allocators
 //!   are the **commit watermark** (DESIGN.md §8).
 //! * `session/bloom.bin` — the raw Bloom filter bits ([`MhdState::bloom`]).
-//! * `session/idmaps.bin` — the substrate's per-manifest size and
-//!   per-chunk hash maps in a fixed-width binary record format.
+//! * `session/idmaps.bin` — the substrate's per-manifest encoded sizes in
+//!   a fixed-width binary record format.
 //! * `daemon/wip/<stream>` — one empty intent record per stream being
 //!   written ([`wip_begin`] / [`wip_end`]); its *name* is the recipe
 //!   prefix to delete if the writer dies before [`persist`].
@@ -117,35 +117,31 @@ pub fn load_meta(root: &Path) -> StoreResult<Option<StoreMeta>> {
 
 // ----- state.json + sidecars ------------------------------------------------
 
-/// Encodes the substrate's id maps as the compact binary sidecar format:
-/// magic, two LE counts, then fixed-width entries (`id:u64, size:u64`
-/// and `id:u64, hash:40 hex bytes`).
-fn encode_idmaps(
-    manifest_sizes: &[(u64, u64)],
-    chunk_hashes: &[(u64, String)],
-) -> Result<Vec<u8>, String> {
-    let mut out = Vec::with_capacity(24 + manifest_sizes.len() * 16 + chunk_hashes.len() * 48);
+/// Width of one chunk entry of the sidecar (`id:u64` + 40 hex digits of
+/// a container content hash). Stores no longer record those hashes; the
+/// entries are still read, and dropped, from a store that has them.
+const IDMAPS_CHUNK_ENTRY: usize = 48;
+
+/// Encodes the substrate's manifest sizes as the compact binary sidecar
+/// format: magic, two LE counts, then fixed-width `id:u64, size:u64`
+/// entries. The second count is of chunk entries, always 0 here.
+fn encode_idmaps(manifest_sizes: &[(u64, u64)]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(24 + manifest_sizes.len() * 16);
     out.extend_from_slice(IDMAPS_MAGIC);
     out.extend_from_slice(&(manifest_sizes.len() as u64).to_le_bytes());
-    out.extend_from_slice(&(chunk_hashes.len() as u64).to_le_bytes());
+    out.extend_from_slice(&0u64.to_le_bytes());
     for (id, size) in manifest_sizes {
         out.extend_from_slice(&id.to_le_bytes());
         out.extend_from_slice(&size.to_le_bytes());
     }
-    for (id, hex) in chunk_hashes {
-        if hex.len() != 40 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-            return Err(format!("chunk {id}: malformed hash {hex:?}"));
-        }
-        out.extend_from_slice(&id.to_le_bytes());
-        out.extend_from_slice(hex.as_bytes());
-    }
-    Ok(out)
+    out
 }
 
-/// Decodes [`encode_idmaps`] output; errors describe the corruption
-/// rather than panicking, since the sidecar is read at store open.
-#[allow(clippy::type_complexity)]
-fn decode_idmaps(raw: &[u8]) -> Result<(Vec<(u64, u64)>, Vec<(u64, String)>), String> {
+/// Decodes [`encode_idmaps`] output, or a sidecar an older store wrote
+/// with chunk entries (each checked for shape, then ignored). Errors
+/// describe the corruption rather than panicking, since the sidecar is
+/// read at store open.
+fn decode_idmaps(raw: &[u8]) -> Result<Vec<(u64, u64)>, String> {
     fn take<'a>(rest: &mut &'a [u8], n: usize) -> Result<&'a [u8], String> {
         let (head, tail) = rest.split_at_checked(n).ok_or("truncated sidecar")?;
         *rest = tail;
@@ -163,7 +159,7 @@ fn decode_idmaps(raw: &[u8]) -> Result<(Vec<(u64, u64)>, Vec<(u64, String)>), St
     let chunks = u64_of(&mut rest)? as usize;
     let need = manifests
         .checked_mul(16)
-        .and_then(|m| chunks.checked_mul(48).and_then(|c| m.checked_add(c)))
+        .and_then(|m| chunks.checked_mul(IDMAPS_CHUNK_ENTRY).and_then(|c| m.checked_add(c)))
         .ok_or("idmaps counts overflow")?;
     if rest.len() != need {
         return Err(format!("idmaps length {} != expected {need}", rest.len()));
@@ -172,14 +168,13 @@ fn decode_idmaps(raw: &[u8]) -> Result<(Vec<(u64, u64)>, Vec<(u64, String)>), St
     for _ in 0..manifests {
         manifest_sizes.push((u64_of(&mut rest)?, u64_of(&mut rest)?));
     }
-    let mut chunk_hashes = Vec::with_capacity(chunks);
     for _ in 0..chunks {
         let id = u64_of(&mut rest)?;
-        let hex = std::str::from_utf8(take(&mut rest, 40)?)
-            .map_err(|_| format!("chunk {id}: non-UTF-8 hash"))?;
-        chunk_hashes.push((id, hex.to_string()));
+        if !take(&mut rest, 40)?.iter().all(u8::is_ascii_hexdigit) {
+            return Err(format!("chunk {id}: malformed hash"));
+        }
     }
-    Ok((manifest_sizes, chunk_hashes))
+    Ok(manifest_sizes)
 }
 
 /// Reads `session/state.json` alone: counters, ledger and id allocators,
@@ -204,10 +199,8 @@ fn load_state(root: &Path) -> StoreResult<Option<MhdState>> {
     };
     state.bloom = sidecar(root.join(BLOOM))?;
     let idmaps = root.join(IDMAPS);
-    let (manifest_sizes, chunk_hashes) =
+    state.substrate.manifest_sizes =
         decode_idmaps(&sidecar(idmaps.clone())?).map_err(|e| corrupt(&idmaps, e))?;
-    state.substrate.manifest_sizes = manifest_sizes;
-    state.substrate.chunk_hashes = chunk_hashes;
     Ok(Some(state))
 }
 
@@ -223,13 +216,8 @@ pub fn persist(
     meta: &StoreMeta,
 ) -> StoreResult<()> {
     write_atomic(&root.join(BLOOM), &std::mem::take(&mut state.bloom), durability)?;
-    let idmaps = root.join(IDMAPS);
-    let encoded = encode_idmaps(
-        &std::mem::take(&mut state.substrate.manifest_sizes),
-        &std::mem::take(&mut state.substrate.chunk_hashes),
-    )
-    .map_err(|e| corrupt(&idmaps, e))?;
-    write_atomic(&idmaps, &encoded, durability)?;
+    let encoded = encode_idmaps(&std::mem::take(&mut state.substrate.manifest_sizes));
+    write_atomic(&root.join(IDMAPS), &encoded, durability)?;
 
     let state_path = root.join(STATE);
     let state_json = serde_json::to_vec(&state).map_err(|e| corrupt(&state_path, e))?;
@@ -576,45 +564,90 @@ mod tests {
         StoreMeta { ecs: 512, sd: 8, streams: 3, chunker: ChunkerKind::FastCdc }
     }
 
-    #[allow(clippy::type_complexity)]
-    fn sample_maps() -> (Vec<(u64, u64)>, Vec<(u64, String)>) {
-        let manifest_sizes = vec![(1, 512), (7, 40_960)];
-        let chunk_hashes =
-            vec![(3, "0123456789abcdef0123456789abcdef01234567".to_string()), (9, "f".repeat(40))];
-        (manifest_sizes, chunk_hashes)
+    fn sample_sizes() -> Vec<(u64, u64)> {
+        vec![(1, 512), (7, 40_960)]
     }
 
     fn sample_state() -> MhdState {
-        let (sizes, hashes) = sample_maps();
         let mut state = MhdState { bloom: vec![0xAB; 4096], input_bytes: 77, ..Default::default() };
-        state.substrate.manifest_sizes = sizes;
-        state.substrate.chunk_hashes = hashes;
+        state.substrate.manifest_sizes = sample_sizes();
         state
     }
 
+    /// An `idmaps.bin` in the layout stores carried before container
+    /// hashes were dropped: the manifest sizes, then one 48-byte chunk
+    /// entry per container (`id:u64` + 40 hex digits).
+    fn older_idmaps(sizes: &[(u64, u64)], chunks: &[(u64, &str)]) -> Vec<u8> {
+        let mut out = IDMAPS_MAGIC.to_vec();
+        out.extend_from_slice(&(sizes.len() as u64).to_le_bytes());
+        out.extend_from_slice(&(chunks.len() as u64).to_le_bytes());
+        for (id, size) in sizes {
+            out.extend_from_slice(&id.to_le_bytes());
+            out.extend_from_slice(&size.to_le_bytes());
+        }
+        for (id, hex) in chunks {
+            out.extend_from_slice(&id.to_le_bytes());
+            out.extend_from_slice(hex.as_bytes());
+        }
+        out
+    }
+
+    const OLDER_CHUNKS: [(u64, &str); 2] = [
+        (3, "0123456789abcdef0123456789abcdef01234567"),
+        (9, "ffffffffffffffffffffffffffffffffffffffff"),
+    ];
+
     #[test]
     fn idmaps_round_trip() {
-        let (sizes, hashes) = sample_maps();
-        let raw = encode_idmaps(&sizes, &hashes).unwrap();
-        let (sizes2, hashes2) = decode_idmaps(&raw).unwrap();
-        assert_eq!(sizes, sizes2);
-        assert_eq!(hashes, hashes2);
+        let raw = encode_idmaps(&sample_sizes());
+        assert_eq!(raw.len(), 24 + 16 * sample_sizes().len());
+        assert_eq!(raw[16..24], [0u8; 8], "no chunk entries are written");
+        assert_eq!(decode_idmaps(&raw).unwrap(), sample_sizes());
+    }
+
+    #[test]
+    fn idmaps_reads_the_older_layout_and_ignores_its_chunk_entries() {
+        let raw = older_idmaps(&sample_sizes(), &OLDER_CHUNKS);
+        assert_eq!(raw.len(), 24 + 16 * 2 + 48 * 2);
+        assert_eq!(decode_idmaps(&raw).unwrap(), sample_sizes());
+
+        // A length that disagrees with the counts is still refused.
+        let mut long = raw.clone();
+        long.push(0);
+        assert!(decode_idmaps(&long).unwrap_err().contains("length"));
+        let mut miscounted = raw.clone();
+        miscounted[16] = 3; // claims three chunk entries, carries two
+        assert!(decode_idmaps(&miscounted).unwrap_err().contains("length"));
+
+        // The whole open path: an older `state.json` still names the
+        // (emptied) `chunk_hashes` list beside the older sidecar.
+        let root = temp_root("older");
+        persist(&root, Durability::Rename, sample_state(), &meta()).unwrap();
+        let state_json = std::fs::read_to_string(root.join(STATE)).unwrap();
+        let older_json = state_json.replacen('{', r#"{"chunk_hashes":[],"#, 1);
+        std::fs::write(root.join(STATE), older_json).unwrap();
+        std::fs::write(root.join(IDMAPS), &raw).unwrap();
+        let state = load_state(&root).unwrap().unwrap();
+        assert_eq!(state.substrate.manifest_sizes, sample_sizes());
+        assert_eq!(state.input_bytes, 77);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn idmaps_rejects_malformed_hash() {
-        let err = encode_idmaps(&[], &[(1, "not-hex".into())]).unwrap_err();
+        let raw = older_idmaps(&[], &[(1, "not-hex-not-hex-not-hex-not-hex-not-hex!")]);
+        let err = decode_idmaps(&raw).unwrap_err();
         assert!(err.contains("malformed hash"), "{err}");
     }
 
     #[test]
     fn idmaps_rejects_truncation_and_bad_magic() {
-        let (sizes, hashes) = sample_maps();
-        let raw = encode_idmaps(&sizes, &hashes).unwrap();
-        assert!(decode_idmaps(&raw[..raw.len() - 1]).is_err());
-        let mut bad = raw.clone();
-        bad[0] ^= 0xff;
-        assert!(decode_idmaps(&bad).is_err());
+        for raw in [encode_idmaps(&sample_sizes()), older_idmaps(&sample_sizes(), &OLDER_CHUNKS)] {
+            assert!(decode_idmaps(&raw[..raw.len() - 1]).is_err());
+            let mut bad = raw.clone();
+            bad[0] ^= 0xff;
+            assert!(decode_idmaps(&bad).is_err());
+        }
     }
 
     #[test]
@@ -626,11 +659,10 @@ mod tests {
         assert_eq!(load_meta(&root).unwrap(), Some(meta()));
         let slim = load_slim_state(&root).unwrap().unwrap();
         assert_eq!(slim.input_bytes, 77);
-        assert!(slim.bloom.is_empty() && slim.substrate.chunk_hashes.is_empty());
+        assert!(slim.bloom.is_empty() && slim.substrate.manifest_sizes.is_empty());
         let state = load_state(&root).unwrap().unwrap();
         assert_eq!(state.bloom, full.bloom);
         assert_eq!(state.substrate.manifest_sizes, full.substrate.manifest_sizes);
-        assert_eq!(state.substrate.chunk_hashes, full.substrate.chunk_hashes);
 
         std::fs::remove_dir_all(&root).unwrap();
     }

@@ -570,14 +570,10 @@ impl SharedStore {
             }
         };
 
-        // 1. DiskChunks (content hashes were recorded when staging sealed
-        //    them; the splice re-registers them for compaction/GC).
+        // 1. DiskChunks.
         for (name, data) in overlay.fresh_of(FileKind::DiskChunk) {
             let local = DiskChunkId(parse_id(name)?);
-            let hash = staging.substrate().disk_chunk_hash(local).ok_or_else(|| {
-                DaemonError::State(format!("staged chunk {name} lost its content hash"))
-            })?;
-            sub.splice_disk_chunk(map_chunk(local), data, hash)?;
+            sub.splice_disk_chunk(map_chunk(local), data)?;
         }
 
         // 2. Manifests: the session's own (remap id and containers)…

@@ -1,10 +1,11 @@
 //! DiskChunk identifiers and the in-RAM builder for accumulating
 //! non-duplicate bytes before they are sealed to the backend.
+//!
+//! A container carries no content hash of its own: every byte of it is
+//! described by a Manifest entry whose hash covers exactly that range,
+//! which is what `fsck --deep` re-hashes.
 
-use mhd_hash::{ChunkHash, Sha1};
-
-/// Identifier of a DiskChunk (dense sequence number; the content hash is
-/// recorded alongside at seal time for hash-addressability).
+/// Identifier of a DiskChunk (dense sequence number).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DiskChunkId(pub u64);
 
@@ -18,19 +19,16 @@ impl DiskChunkId {
 /// Accumulates the non-duplicate bytes destined for one DiskChunk.
 ///
 /// The paper buffers non-duplicate chunks in RAM and "only merge\[s\] the
-/// non-duplicate chunks belonging to one file into one DiskChunk". The
-/// builder tracks a running SHA-1 so the container's content address is
-/// available at seal time without a second pass.
+/// non-duplicate chunks belonging to one file into one DiskChunk".
 pub struct DiskChunkBuilder {
     id: DiskChunkId,
     data: Vec<u8>,
-    hasher: Sha1,
 }
 
 impl DiskChunkBuilder {
     /// Starts an empty container with the given identity.
     pub fn new(id: DiskChunkId) -> Self {
-        DiskChunkBuilder { id, data: Vec::new(), hasher: Sha1::new() }
+        DiskChunkBuilder { id, data: Vec::new() }
     }
 
     /// The container's identity.
@@ -42,7 +40,6 @@ impl DiskChunkBuilder {
     pub fn append(&mut self, bytes: &[u8]) -> u64 {
         let offset = self.data.len() as u64;
         self.data.extend_from_slice(bytes);
-        self.hasher.update(bytes);
         offset
     }
 
@@ -56,22 +53,15 @@ impl DiskChunkBuilder {
         self.data.is_empty()
     }
 
-    /// Read access to the accumulated bytes (HHR byte comparisons may need
-    /// data that has not been sealed yet).
-    pub fn data(&self) -> &[u8] {
-        &self.data
-    }
-
-    /// Finishes the container, returning `(id, content_hash, bytes)`.
-    pub fn seal(self) -> (DiskChunkId, ChunkHash, Vec<u8>) {
-        (self.id, self.hasher.finalize(), self.data)
+    /// Finishes the container, returning `(id, bytes)`.
+    pub fn seal(self) -> (DiskChunkId, Vec<u8>) {
+        (self.id, self.data)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mhd_hash::sha1;
 
     #[test]
     fn append_returns_offsets_and_seal_hashes_content() {
@@ -80,11 +70,9 @@ mod tests {
         assert_eq!(b.append(b"hello "), 0);
         assert_eq!(b.append(b"world"), 6);
         assert_eq!(b.len(), 11);
-        assert_eq!(b.data(), b"hello world");
-        let (id, hash, data) = b.seal();
+        let (id, data) = b.seal();
         assert_eq!(id, DiskChunkId(3));
         assert_eq!(data, b"hello world");
-        assert_eq!(hash, sha1(b"hello world"));
     }
 
     #[test]

@@ -19,6 +19,11 @@
 //! DiskChunks and Hooks are immutable here by construction: no update
 //! method exists for them, enforcing the paper's "the DiskChunk and the
 //! Hook files that have been written to disk will not be further modified".
+//!
+//! The substrate keeps no per-container content hash: the Manifest entries
+//! that tile a container already hash every byte of it, and `fsck --deep`
+//! checks the container against them. Its only per-object bookkeeping is
+//! each Manifest's encoded size.
 
 use bytes::Bytes;
 use mhd_hash::{ChunkHash, FxHashMap};
@@ -42,8 +47,6 @@ pub struct Substrate<B: Backend> {
     /// Size of each manifest as currently stored, so updates adjust the
     /// ledger by the delta.
     manifest_sizes: FxHashMap<ManifestId, u64>,
-    /// Content hash recorded per sealed DiskChunk (hash-addressability).
-    chunk_hashes: FxHashMap<DiskChunkId, ChunkHash>,
 }
 
 impl<B: Backend> Substrate<B> {
@@ -56,7 +59,6 @@ impl<B: Backend> Substrate<B> {
             next_chunk_id: 0,
             next_manifest_id: 0,
             manifest_sizes: FxHashMap::default(),
-            chunk_hashes: FxHashMap::default(),
         }
     }
 
@@ -111,14 +113,13 @@ impl<B: Backend> Substrate<B> {
         if builder.is_empty() {
             return Ok(false);
         }
-        let (id, content_hash, data) = builder.seal();
+        let (id, data) = builder.seal();
         self.backend.put(FileKind::DiskChunk, &id.name(), &data)?;
         mhd_obs::counter!("store.disk_chunk_writes").inc();
         mhd_obs::histogram!("store.disk_chunk_write_bytes").record(data.len() as u64);
         self.stats.chunk_output += 1;
         self.ledger.inodes_disk_chunks += 1;
         self.ledger.stored_data_bytes += data.len() as u64;
-        self.chunk_hashes.insert(id, content_hash);
         Ok(true)
     }
 
@@ -144,15 +145,10 @@ impl<B: Backend> Substrate<B> {
     }
 
     /// Writes an already-sealed DiskChunk payload under a previously
-    /// reserved id (the publish half of a two-phase commit: the bytes and
-    /// their content hash were produced by a staging substrate). Accounts
-    /// exactly like [`Substrate::write_disk_chunk`].
-    pub fn splice_disk_chunk(
-        &mut self,
-        id: DiskChunkId,
-        data: &[u8],
-        content_hash: ChunkHash,
-    ) -> StoreResult<()> {
+    /// reserved id (the publish half of a two-phase commit: the bytes were
+    /// produced by a staging substrate). Accounts exactly like
+    /// [`Substrate::write_disk_chunk`].
+    pub fn splice_disk_chunk(&mut self, id: DiskChunkId, data: &[u8]) -> StoreResult<()> {
         debug_assert!(id.0 < self.next_chunk_id, "splice into an unreserved chunk id");
         self.backend.put(FileKind::DiskChunk, &id.name(), data)?;
         mhd_obs::counter!("store.disk_chunk_writes").inc();
@@ -160,7 +156,6 @@ impl<B: Backend> Substrate<B> {
         self.stats.chunk_output += 1;
         self.ledger.inodes_disk_chunks += 1;
         self.ledger.stored_data_bytes += data.len() as u64;
-        self.chunk_hashes.insert(id, content_hash);
         Ok(())
     }
 
@@ -183,11 +178,6 @@ impl<B: Backend> Substrate<B> {
     /// which stat-style operations read without a data seek).
     pub fn disk_chunk_len(&mut self, id: DiskChunkId) -> StoreResult<u64> {
         self.backend.size_of(FileKind::DiskChunk, &id.name())
-    }
-
-    /// Content hash recorded when `id` was sealed.
-    pub fn disk_chunk_hash(&self, id: DiskChunkId) -> Option<ChunkHash> {
-        self.chunk_hashes.get(&id).copied()
     }
 
     // ----- Hooks --------------------------------------------------------
@@ -372,7 +362,6 @@ impl<B: Backend> Substrate<B> {
         self.backend.delete(FileKind::DiskChunk, &id.name())?;
         self.ledger.inodes_disk_chunks -= 1;
         self.ledger.stored_data_bytes -= len;
-        self.chunk_hashes.remove(&id);
         Ok(())
     }
 
@@ -449,29 +438,18 @@ impl<B: Backend> Substrate<B> {
             next_chunk_id: self.next_chunk_id,
             next_manifest_id: self.next_manifest_id,
             manifest_sizes: self.manifest_sizes.iter().map(|(k, v)| (k.0, *v)).collect(),
-            chunk_hashes: self.chunk_hashes.iter().map(|(k, v)| (k.0, v.to_hex())).collect(),
         }
     }
 
     /// Restores bookkeeping exported by [`Substrate::export_state`]. The
     /// backend must be the same store the state was exported from.
-    pub fn import_state(&mut self, state: SubstrateState) -> StoreResult<()> {
+    pub fn import_state(&mut self, state: SubstrateState) {
         self.stats = state.stats;
         self.ledger = state.ledger;
         self.next_chunk_id = state.next_chunk_id;
         self.next_manifest_id = state.next_manifest_id;
         self.manifest_sizes =
             state.manifest_sizes.into_iter().map(|(k, v)| (ManifestId(k), v)).collect();
-        self.chunk_hashes = state
-            .chunk_hashes
-            .into_iter()
-            .map(|(k, v)| {
-                ChunkHash::from_hex(&v)
-                    .map(|h| (DiskChunkId(k), h))
-                    .map_err(|e| crate::StoreError::Corrupt(format!("chunk hash: {e}")))
-            })
-            .collect::<StoreResult<_>>()?;
-        Ok(())
     }
 }
 
@@ -489,8 +467,6 @@ pub struct SubstrateState {
     pub next_manifest_id: u64,
     /// Current encoded size per manifest (update deltas need it).
     pub manifest_sizes: Vec<(u64, u64)>,
-    /// Content hash per sealed DiskChunk (hex).
-    pub chunk_hashes: Vec<(u64, String)>,
 }
 
 #[cfg(test)]
@@ -516,7 +492,6 @@ mod tests {
         assert_eq!(s.ledger().inodes_disk_chunks, 1);
         assert_eq!(s.ledger().stored_data_bytes, 10);
         assert_eq!(s.disk_chunk_len(id).unwrap(), 10);
-        assert_eq!(s.disk_chunk_hash(id), Some(sha1(b"0123456789")));
 
         let bytes = s.read_chunk_range(id, 2, 3).unwrap();
         assert_eq!(&bytes[..], b"234");
@@ -623,12 +598,12 @@ mod tests {
 
         // Import into a substrate over the same backend contents.
         let mut s2 = Substrate::new(MemBackend::new());
-        s2.import_state(back).unwrap();
+        s2.import_state(back);
         assert_eq!(s2.stats(), s.stats());
         assert_eq!(s2.ledger(), s.ledger());
         assert_eq!(s2.new_manifest_id(), ManifestId(1), "id allocation resumes");
         assert_eq!(s2.new_disk_chunk().id(), DiskChunkId(1));
-        assert_eq!(s2.disk_chunk_hash(DiskChunkId(0)), Some(sha1(b"payload")));
+        assert_eq!(s2.manifest_sizes, s.manifest_sizes, "update deltas resume");
     }
 
     #[test]

@@ -324,3 +324,72 @@ fn stats_track_sessions_and_shared_index() {
 
     shutdown(&socket, handle);
 }
+
+/// Entries of every Manifest in the store.
+fn manifest_entries(
+    view: &mut mhd_store::Substrate<mhd_store::DirBackend>,
+) -> Vec<mhd_store::ManifestEntry> {
+    use mhd_store::{Backend, FileKind, Manifest, ManifestId};
+    let backend = view.backend_mut();
+    let mut entries = Vec::new();
+    for name in backend.list(FileKind::Manifest) {
+        let id = ManifestId(u64::from_str_radix(&name, 16).expect("hex manifest name"));
+        let data = backend.get(FileKind::Manifest, &name).expect("read manifest");
+        entries.extend(Manifest::decode(id, &data).expect("decode manifest").entries);
+    }
+    entries
+}
+
+/// The deep scrub of a store the daemon wrote — chunks spliced in under
+/// remapped ids, a shared Manifest rewritten by HHR — reopened from disk
+/// names the container and entry range of every damaged byte.
+#[test]
+fn deep_scrub_names_damage_in_a_daemon_written_store_reopened_from_disk() {
+    let root = temp_dir("scrub");
+    let (store, socket) = (root.join("store"), root.join("mhd.sock"));
+    let config = DaemonConfig { ecs: 512, sd: 8, ..DaemonConfig::default() };
+    let handle = Daemon::open(&store, config).expect("open").spawn(&socket).expect("spawn");
+    let original = payload(64 << 10, 41);
+    let mut edited = original.clone();
+    edited[30_000..31_024].copy_from_slice(&payload(1024, 42));
+
+    let mut c = Client::connect(&socket).expect("connect");
+    c.open("acme").expect("open");
+    let mut before = Vec::new();
+    for (label, data) in [("day0", &original), ("day1", &edited)] {
+        c.begin(label).expect("begin");
+        c.send_file("disk.img", data).expect("send");
+        c.commit().expect("commit");
+        if before.is_empty() {
+            before = manifest_entries(&mut mhd_core::statefile::read_view(&store).expect("view"));
+        }
+    }
+    shutdown(&socket, handle);
+
+    let mut view = mhd_core::statefile::read_view(&store).expect("reopen");
+    let clean = mhd_core::fsck::scrub(&mut view);
+    assert!(clean.is_healthy(), "{:?}", clean.problems);
+    let after = manifest_entries(&mut view);
+    let hook = *after.iter().find(|e| e.is_hook).expect("a hook entry");
+    let merged = *after.iter().find(|e| !e.is_hook && before.contains(e)).expect("a merged entry");
+    let split = *after.iter().find(|e| !before.contains(e)).expect("an HHR part");
+
+    for entry in [hook, merged, split] {
+        let path = store.join("chunks").join(entry.container.name());
+        let good = std::fs::read(&path).expect("read container");
+        let mut bad = good.clone();
+        bad[(entry.offset + entry.size / 2) as usize] ^= 0x01;
+        std::fs::write(&path, &bad).expect("damage container");
+        let report = mhd_core::fsck::scrub(&mut mhd_core::statefile::read_view(&store).unwrap());
+        let range = format!("({}+{})", entry.offset, entry.size);
+        assert!(
+            report.problems.iter().any(|p| p.contains(&entry.container.name())
+                && p.contains(&range)
+                && p.contains("content hash mismatch")),
+            "{entry:?}: {:?}",
+            report.problems
+        );
+        std::fs::write(&path, &good).expect("repair container");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
