@@ -32,7 +32,6 @@
 //! EXPERIMENTS.md for the scaling argument.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 use std::path::{Path, PathBuf};
 

@@ -12,7 +12,6 @@
 //! digest already contains — re-hashing a hash would be wasted work.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 mod sketch;
 

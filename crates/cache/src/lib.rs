@@ -16,7 +16,6 @@
 //! write-back (the cache has no access to storage by design).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 mod lru;
 mod manifest_cache;

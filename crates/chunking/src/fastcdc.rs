@@ -16,6 +16,8 @@
 //! safe-rust wide-lane (SWAR) form did not beat on the portable x86-64
 //! baseline (0.76–0.84×, EXPERIMENTS.md), so there is one kernel.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::sync::OnceLock;
 
 use crate::params::ChunkerParams;

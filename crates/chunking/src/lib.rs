@@ -29,7 +29,6 @@
 //! exactly tile the input; `concat(chunks) == input` always holds.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod poly;
 

@@ -14,7 +14,7 @@
 //! deduplicated store (see the `mhd-daemon` crate and OPERATIONS.md).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

@@ -8,6 +8,8 @@
 //! which Manifest format. The policies live in the per-engine modules;
 //! [`EngineKind`] names them and builds any of them.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::time::Instant;
 
 use bytes::Bytes;

@@ -36,6 +36,8 @@
 //! for the ones running, so nothing outlives the `process_snapshot` call
 //! that asked for it.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};

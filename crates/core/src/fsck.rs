@@ -23,6 +23,8 @@
 //! invariants usually still restores *today* — fsck catches the latent
 //! damage).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::collections::BTreeMap;
 
 use mhd_hash::{sha1, ChunkHash};
@@ -140,7 +142,7 @@ pub fn check_store<B: Backend>(substrate: &mut Substrate<B>) -> IntegrityReport 
             report.problems.push(format!("hook {name}: payload {} != 20 bytes", payload.len()));
             continue;
         }
-        // lint: allow(unwrap): payload length was checked to be 20 just above
+        #[expect(clippy::expect_used, reason = "payload length was checked to be 20 just above")]
         let mid = ManifestId(u64::from_le_bytes(payload[..8].try_into().expect("8 bytes")));
         // SparseIndexing occurrence hooks are named `hash-manifest`.
         let hash_hex = name.split('-').next().unwrap_or(&name);

@@ -31,6 +31,8 @@
 //!   mutated in cache, marked dirty, and written back on eviction or at
 //!   finish. DiskChunks and Hooks are never modified.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -294,7 +296,10 @@ impl<B: Backend> MhdEngine<B> {
         while remaining > 0 {
             run.clear();
             while remaining > 0 && run.len() < self.s.config.sd {
-                // lint: allow(unwrap): callers pass count <= buffer.len(), checked at entry
+                #[expect(
+                    clippy::expect_used,
+                    reason = "callers pass count <= buffer.len(), checked at entry"
+                )]
                 run.push(buffer.pop_front().expect("flush_front within buffer length"));
                 remaining -= 1;
             }
@@ -463,11 +468,14 @@ impl<B: Backend> MhdEngine<B> {
 
         while k >= 0 && !buffer.is_empty() {
             let e = {
-                // lint: allow(unwrap): the BME loop runs under the cache pin taken at hit time
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the BME loop runs under the cache pin taken at hit time"
+                )]
                 let cached = self.s.cache.peek(mid).expect("hit manifest resident");
                 cached.manifest().entries[k as usize]
             };
-            // lint: allow(unwrap): loop condition guarantees a non-empty buffer
+            #[expect(clippy::expect_used, reason = "loop condition guarantees a non-empty buffer")]
             let tail = *buffer.back().expect("non-empty buffer");
             if e.hash == tail.hash {
                 buffer.pop_back();
@@ -522,7 +530,10 @@ impl<B: Backend> MhdEngine<B> {
             let mut matched: Vec<HashedChunk> = Vec::with_capacity(m.matched_chunks);
             let mut cursor = e.size;
             for _ in 0..m.matched_chunks {
-                // lint: allow(unwrap): matched_chunks counted from this buffer while matching
+                #[expect(
+                    clippy::expect_used,
+                    reason = "matched_chunks counted from this buffer while matching"
+                )]
                 let c = buffer.pop_back().expect("matched chunk present");
                 cursor -= c.len as u64;
                 extents_rev.push(Extent {
@@ -568,7 +579,10 @@ impl<B: Backend> MhdEngine<B> {
 
         while i < chunks.len() {
             let e = {
-                // lint: allow(unwrap): mid was pinned by the caller's lookup and peek never evicts
+                #[expect(
+                    clippy::expect_used,
+                    reason = "mid was pinned by the caller's lookup and peek never evicts"
+                )]
                 let cached = self.s.cache.peek(mid).expect("hit manifest resident");
                 let entries = &cached.manifest().entries;
                 if k >= entries.len() {
@@ -670,7 +684,10 @@ impl<B: Backend> MhdEngine<B> {
                 }
                 Some((mid, hit_idx)) => {
                     let hit_entry = {
-                        // lint: allow(unwrap): lookup_hash just resolved mid, so it is resident
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "lookup_hash just resolved mid, so it is resident"
+                        )]
                         let cached = self.s.cache.peek(mid).expect("resident");
                         cached.manifest().entries[hit_idx as usize]
                     };
@@ -705,14 +722,17 @@ impl<B: Backend> MhdEngine<B> {
 
                     // Recompute the hit position: BME's HHR may have
                     // changed entry indices before it.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "mid stayed resident across extend_backward (no eviction); \
+                                  HHR only re-chunks non-hook entries, so the hit hash survives"
+                    )]
                     let hit_idx_now = self
                         .s
                         .cache
                         .peek(mid)
-                        // lint: allow(unwrap): mid stayed resident across extend_backward (no eviction)
                         .expect("resident")
                         .find(&c.hash)
-                        // lint: allow(unwrap): HHR only re-chunks non-hook entries; the hit hash survives
                         .expect("hit hash still present");
 
                     let (fme_extents, fme_bytes, consumed) = if self.s.config.mhd.forward_extension

@@ -34,6 +34,8 @@
 //! [`OpenedStore::commit`], and [`OpenedStore::compact`], which persists
 //! mid-pass).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::path::{Path, PathBuf};
 
 use mhd_chunking::ChunkerKind;

@@ -225,25 +225,25 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap(); // lint: allow(unwrap): test setup
+        std::fs::create_dir_all(&dir).unwrap();
         dir
     }
 
     #[test]
     fn overlay_shadows_and_merges_with_base() {
         let root = temp_root("overlay");
-        let mut base = DirBackend::create_with(&root, Durability::None).unwrap(); // lint: allow(unwrap): test setup
-        base.put(FileKind::DiskChunk, "base", b"old").unwrap(); // lint: allow(unwrap): test setup
-        base.put(FileKind::Manifest, "m1", b"manifest-v1").unwrap(); // lint: allow(unwrap): test setup
-        base.put(FileKind::Hook, "h1", b"hook-shared").unwrap(); // lint: allow(unwrap): test setup
+        let mut base = DirBackend::create_with(&root, Durability::None).unwrap();
+        base.put(FileKind::DiskChunk, "base", b"old").unwrap();
+        base.put(FileKind::Manifest, "m1", b"manifest-v1").unwrap();
+        base.put(FileKind::Hook, "h1", b"hook-shared").unwrap();
 
-        let mut s = StagingBackend::over(&root).unwrap(); // lint: allow(unwrap): test setup
-                                                          // Reads fall through.
-        assert_eq!(&s.get(FileKind::DiskChunk, "base").unwrap()[..], b"old"); // lint: allow(unwrap): asserted
-                                                                              // Fresh writes stay in memory and shadow reads.
-        s.put(FileKind::DiskChunk, "new", b"fresh").unwrap(); // lint: allow(unwrap): asserted
-        assert_eq!(&s.get(FileKind::DiskChunk, "new").unwrap()[..], b"fresh"); // lint: allow(unwrap): asserted
-        assert_eq!(&s.get_range(FileKind::DiskChunk, "new", 1, 3).unwrap()[..], b"res"); // lint: allow(unwrap): asserted
+        let mut s = StagingBackend::over(&root).unwrap();
+        // Reads fall through.
+        assert_eq!(&s.get(FileKind::DiskChunk, "base").unwrap()[..], b"old");
+        // Fresh writes stay in memory and shadow reads.
+        s.put(FileKind::DiskChunk, "new", b"fresh").unwrap();
+        assert_eq!(&s.get(FileKind::DiskChunk, "new").unwrap()[..], b"fresh");
+        assert_eq!(&s.get_range(FileKind::DiskChunk, "new", 1, 3).unwrap()[..], b"res");
         assert!(s.get_range(FileKind::DiskChunk, "new", 3, 9).is_err());
         // Puts never overwrite staged objects…
         assert!(s.put(FileKind::DiskChunk, "new", b"x").is_err());
@@ -252,13 +252,13 @@ mod tests {
         // mid-pipeline (a racing hook publish) must not fail this
         // pipeline — the splice resolves the collision under the lock
         // (write_hook's first-mapping-wins guard).
-        s.put(FileKind::Hook, "h1", b"hook-mine").unwrap(); // lint: allow(unwrap): asserted
-        assert_eq!(&s.get(FileKind::Hook, "h1").unwrap()[..], b"hook-mine"); // lint: allow(unwrap): asserted
-                                                                             // Updates of shared objects copy on write.
-        s.update(FileKind::Manifest, "m1", b"manifest-v2").unwrap(); // lint: allow(unwrap): asserted
-        assert_eq!(&s.get(FileKind::Manifest, "m1").unwrap()[..], b"manifest-v2"); // lint: allow(unwrap): asserted
-        assert_eq!(&base.get(FileKind::Manifest, "m1").unwrap()[..], b"manifest-v1"); // lint: allow(unwrap): asserted
-                                                                                      // Listing and counting merge without double-counting.
+        s.put(FileKind::Hook, "h1", b"hook-mine").unwrap();
+        assert_eq!(&s.get(FileKind::Hook, "h1").unwrap()[..], b"hook-mine");
+        // Updates of shared objects copy on write.
+        s.update(FileKind::Manifest, "m1", b"manifest-v2").unwrap();
+        assert_eq!(&s.get(FileKind::Manifest, "m1").unwrap()[..], b"manifest-v2");
+        assert_eq!(&base.get(FileKind::Manifest, "m1").unwrap()[..], b"manifest-v1");
+        // Listing and counting merge without double-counting.
         assert_eq!(s.count(FileKind::DiskChunk), 2);
         assert_eq!(s.list(FileKind::DiskChunk), vec!["base".to_string(), "new".to_string()]);
         assert_eq!(s.count(FileKind::Manifest), 1);

@@ -18,11 +18,10 @@
 //! in contemporaneous systems (Venti, LBFS, Data Domain, Sparse Indexing).
 //! It is not used for any security purpose.
 
-// `deny`, not `forbid`: the SHA-extension kernel is the workspace's one
-// exception, allowed on its module below and nowhere else.
-#![deny(unsafe_code)]
+// No `forbid(unsafe_code)` here: the workspace's `deny` stands, and the
+// SHA-extension kernel is its one exception, allowed on its module below
+// and nowhere else.
 #![deny(clippy::undocumented_unsafe_blocks)]
-#![warn(missing_docs)]
 
 mod chunk_hash;
 mod fx;

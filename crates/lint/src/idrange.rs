@@ -21,10 +21,10 @@
 //! The model-checker side of the same contract is `PublishModel`, whose
 //! `no_remap`/`overlapping_reserve` mutants show what each rule prevents.
 
-use crate::findings::Finding;
 use crate::lexer::{TokKind, Token};
 use crate::passes::Workspace;
 use crate::source::{matching_close, SourceFile};
+use crate::Finding;
 
 fn in_scope(rel: &str) -> bool {
     rel.starts_with("crates/daemon/src/")

@@ -4,7 +4,8 @@
 //! The goal is *not* a faithful Rust grammar — it is to never confuse the
 //! constructs that would make a text-level `grep` lie:
 //!
-//! * comments (line, doc, and **nested** block comments) produce no tokens;
+//! * comments (line, doc, and **nested** block comments) produce no tokens
+//!   — line comments are returned on the side, for the allow directives;
 //! * string/char literals produce single tokens, so `"panic!("` inside a
 //!   string never looks like a macro call — including raw strings
 //!   (`r#"…"#`), byte strings, and escapes;
@@ -65,13 +66,25 @@ fn is_ident_continue(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// Lexes `src` into a token stream. Never fails: malformed input (e.g. an
-/// unterminated string) simply ends the current token at end-of-file,
-/// which is good enough for linting — the compiler rejects such files
-/// before the linter ever matters.
-pub fn lex(src: &str) -> Vec<Token> {
+/// One `//` comment (doc comments included), which yields no token.
+#[derive(Debug, Clone)]
+pub struct LineComment {
+    /// 1-based line of the comment.
+    pub line: u32,
+    /// The text after the `//`.
+    pub text: String,
+    /// True when code precedes the comment on its line.
+    pub trailing: bool,
+}
+
+/// Lexes `src` into a token stream and its line comments. Never fails:
+/// malformed input (e.g. an unterminated string) simply ends the current
+/// token at end-of-file, which is good enough for linting — the compiler
+/// rejects such files before the linter ever matters.
+pub fn lex(src: &str) -> (Vec<Token>, Vec<LineComment>) {
     let chars: Vec<char> = src.chars().collect();
     let mut toks = Vec::new();
+    let mut comments = Vec::new();
     let mut i = 0usize;
     let mut line = 1u32;
 
@@ -88,11 +101,15 @@ pub fn lex(src: &str) -> Vec<Token> {
             i += 1;
             continue;
         }
-        // Line comments (incl. /// and //!): skip to end of line.
+        // Line comments (incl. /// and //!): set aside to end of line.
         if c == '/' && chars.get(i + 1) == Some(&'/') {
+            let trailing =
+                chars[..i].iter().rev().take_while(|&&c| c != '\n').any(|c| !c.is_whitespace());
+            let start = i + 2;
             while i < chars.len() && chars[i] != '\n' {
                 i += 1;
             }
+            comments.push(LineComment { line, text: chars[start..i].iter().collect(), trailing });
             continue;
         }
         // Block comments, which nest in Rust.
@@ -241,7 +258,7 @@ pub fn lex(src: &str) -> Vec<Token> {
         toks.push(Token { kind: TokKind::Punct, text: c.to_string(), line });
         i += 1;
     }
-    toks
+    (toks, comments)
 }
 
 #[cfg(test)]
@@ -249,7 +266,7 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<(TokKind, String)> {
-        lex(src).into_iter().map(|t| (t.kind, t.text)).collect()
+        lex(src).0.into_iter().map(|t| (t.kind, t.text)).collect()
     }
 
     #[test]
@@ -286,7 +303,7 @@ mod tests {
 
     #[test]
     fn lines_are_tracked_across_multiline_constructs() {
-        let toks = lex("a\n/* x\ny */\nb\n\"s1\ns2\"\nc");
+        let (toks, _) = lex("a\n/* x\ny */\nb\n\"s1\ns2\"\nc");
         let find = |name: &str| toks.iter().find(|t| t.text == name).map(|t| t.line);
         assert_eq!(find("a"), Some(1));
         assert_eq!(find("b"), Some(4));

@@ -1,11 +1,12 @@
 //! `mhd-lint`: workspace invariant linter + deterministic concurrency
 //! model checker.
 //!
-//! The workspace maintains invariants the Rust compiler cannot check:
+//! What the compiler can check, it checks: the durability paths deny
+//! clippy's `unwrap_used`/`expect_used`/`panic`, and the root
+//! `[workspace.lints.rust]` table sets `missing_docs` and `unsafe_code`
+//! for every member. This crate keeps the invariants rustc and clippy
+//! cannot see:
 //!
-//! * **L1** — no `unwrap`/`expect`/`panic!` on durability paths (the
-//!   store, the CLI, and the core I/O modules): a panic mid-commit
-//!   strands a half-written store;
 //! * **L2** — backend mutations go through the tmp+rename commit helpers,
 //!   and `FileKind::FLUSH_ORDER` stays a reference-respecting
 //!   topological order that the batched backend actually uses;
@@ -13,10 +14,8 @@
 //!   (the paper's core invariant: HHR rewrites only Manifests);
 //! * **L4** — observability labels come from the registered vocabularies
 //!   (`SCOPE_LABEL_KEYS`, `STAGE_NAME_PREFIXES`), so traces aggregate;
-//! * **L5** — crate roots warn on missing docs, and only binary crates
-//!   may force the `obs` cargo feature;
-//! * **L6** — every crate root forbids `unsafe_code`, or denies it so
-//!   that each use is a local `#[allow(unsafe_code)]`;
+//! * **L5** — every member manifest inherits the workspace lint table,
+//!   and only binary crates may force the `obs` cargo feature;
 //! * **L7** — the daemon's lock acquisition graph stays acyclic and the
 //!   engine lock is never acquired while another lock is held ([`locks`]);
 //! * **L8** — staging ids live above one canonical `LOCAL_ID_BASE` floor
@@ -27,27 +26,34 @@
 //! batched flush-barrier, trace-ring prune, GC-watermark, two-phase
 //! publish, intent-record crash-recovery, and compaction-vs-GC protocols
 //! over every interleaving, treating every reachable state as a crash
-//! point. Findings ratchet against `lint-baseline.json` ([`findings`]):
-//! known debt is tolerated, new debt fails CI, burn-down is free.
+//! point. Any finding fails the run.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
-pub mod findings;
 pub mod idrange;
 pub mod lexer;
 pub mod locks;
 pub mod mck;
 pub mod models;
 pub mod passes;
-pub mod sarif;
 pub mod source;
 
-pub use findings::{Baseline, Finding, Ratchet};
 pub use idrange::pass_l8_id_range;
 pub use locks::{lock_graph, pass_l7_lock_order, LockGraph};
 pub use mck::{check, CheckResult, Model, Violation};
 pub use models::{CompactGcModel, FlushModel, IntentModel, PublishModel, RingModel};
 pub use passes::{run_passes, Workspace};
-pub use sarif::to_sarif;
 pub use source::SourceFile;
+
+/// One lint finding.
+#[derive(Debug, Clone)]
+pub struct Finding {
+    /// Pass identifier (e.g. `L3-immutability`).
+    pub pass: &'static str,
+    /// Workspace-relative file (or model name for checker findings).
+    pub file: String,
+    /// 1-based line, 0 when the finding is not line-anchored.
+    pub line: u32,
+    /// Human-readable description.
+    pub message: String,
+}

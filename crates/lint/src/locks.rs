@@ -35,10 +35,10 @@
 //! lock is held — the engine lock is the hierarchy root, so it must
 //! always be taken first.
 
-use crate::findings::Finding;
 use crate::lexer::{TokKind, Token};
 use crate::passes::Workspace;
 use crate::source::{matching_close, SourceFile};
+use crate::Finding;
 
 /// Method names that are never resolved to in-workspace functions: they
 /// shadow ubiquitous standard-library methods, so a call through them is

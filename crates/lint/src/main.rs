@@ -1,22 +1,18 @@
 //! CLI driver for the workspace linter and model checker.
 //!
 //! ```text
-//! mhd-lint [--root DIR] [--json] [--sarif FILE] [--baseline FILE]
-//!          [--write-baseline FILE] [--skip-mck] [--mck-only]
-//!          [--model NAME] [--max-states N] [--require-complete]
+//! mhd-lint [--root DIR] [--model NAME] [--max-states N]
 //!          [--mutant flush-order|ring-prune|gc-protect|splice-order|
 //!                    publish-epoch|intent-retire|compact-sweep]
 //! ```
 //!
-//! Exit codes: `0` clean (or all findings baselined), `1` new findings /
-//! model-checker violation / truncated exploration, `2` usage error.
+//! Exit codes: `0` clean, `1` any finding (a static-pass finding, a
+//! model-checker violation or a truncated exploration), `2` usage error.
 //!
-//! The shipped-model suite (flush-order, ring-prune, gc-protect, publish,
-//! intent, compact-gc) runs each model on its own thread — the models are
-//! independent state spaces, so the wall-clock cost is the largest one,
-//! not the sum. `--model NAME` restricts the suite to one model;
-//! `--require-complete` turns *any* truncated exploration into a hard
-//! failure even if a baseline would have absorbed the finding.
+//! The static passes run first, then the shipped-model suite
+//! (flush-order, ring-prune, gc-protect, publish, intent, compact-gc)
+//! one model after another. `--model NAME` restricts the suite to one
+//! model.
 //!
 //! `--mutant` inverts the contract: it seeds a historical bug into the
 //! named model and exits `0` only if the checker *catches* it — CI runs
@@ -24,7 +20,6 @@
 //! stamp.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -34,20 +29,12 @@ use mhd_lint::mck::{check, CheckResult};
 use mhd_lint::models::{
     CompactGcModel, FlushModel, GcProtectModel, IntentModel, PublishModel, RingModel,
 };
-use mhd_lint::{to_sarif, Baseline, Finding, Workspace};
-use serde_json::{Number, Value};
+use mhd_lint::{Finding, Workspace};
 
 struct Options {
     root: PathBuf,
-    json: bool,
-    sarif: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
-    skip_mck: bool,
-    mck_only: bool,
     model: Option<String>,
     max_states: usize,
-    require_complete: bool,
     mutant: Option<String>,
 }
 
@@ -61,9 +48,7 @@ macro_rules! out {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: mhd-lint [--root DIR] [--json] [--sarif FILE] [--baseline FILE] \
-         [--write-baseline FILE] [--skip-mck] [--mck-only] [--model NAME] \
-         [--max-states N] [--require-complete] \
+        "usage: mhd-lint [--root DIR] [--model NAME] [--max-states N] \
          [--mutant flush-order|ring-prune|gc-protect|splice-order|publish-epoch|\
          intent-retire|compact-sweep]"
     );
@@ -71,19 +56,8 @@ fn usage() -> ExitCode {
 }
 
 fn parse_args() -> Result<Options, ExitCode> {
-    let mut opts = Options {
-        root: PathBuf::from("."),
-        json: false,
-        sarif: None,
-        baseline: None,
-        write_baseline: None,
-        skip_mck: false,
-        mck_only: false,
-        model: None,
-        max_states: 5_000_000,
-        require_complete: false,
-        mutant: None,
-    };
+    let mut opts =
+        Options { root: PathBuf::from("."), model: None, max_states: 5_000_000, mutant: None };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {
@@ -94,16 +68,7 @@ fn parse_args() -> Result<Options, ExitCode> {
         };
         match arg.as_str() {
             "--root" => opts.root = PathBuf::from(value("--root")?),
-            "--json" => opts.json = true,
-            "--baseline" => opts.baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--write-baseline" => {
-                opts.write_baseline = Some(PathBuf::from(value("--write-baseline")?))
-            }
-            "--sarif" => opts.sarif = Some(PathBuf::from(value("--sarif")?)),
-            "--skip-mck" => opts.skip_mck = true,
-            "--mck-only" => opts.mck_only = true,
             "--model" => opts.model = Some(value("--model")?),
-            "--require-complete" => opts.require_complete = true,
             "--max-states" => {
                 opts.max_states = value("--max-states")?.parse().map_err(|_| {
                     eprintln!("mhd-lint: --max-states needs an integer");
@@ -130,161 +95,89 @@ fn main() -> ExitCode {
         return run_mutant(mutant, opts.max_states);
     }
 
-    // Static passes.
-    let mut findings = Vec::new();
-    if !opts.mck_only {
-        let ws = match Workspace::load(&opts.root) {
-            Ok(ws) => ws,
-            Err(e) => {
-                eprintln!("mhd-lint: cannot load workspace at {}: {e}", opts.root.display());
-                return ExitCode::from(2);
-            }
-        };
-        findings = mhd_lint::run_passes(&ws);
-    }
-
-    // Model checking: the shipped protocols, exhaustively, one thread
-    // per model (independent state spaces — wall-clock is the largest
-    // model, not the sum).
-    let mut mck_results: Vec<(&'static str, CheckResult)> = Vec::new();
-    if !opts.skip_mck {
-        mck_results = match shipped_suite(opts.model.as_deref(), opts.max_states) {
-            Ok(results) => results,
-            Err(code) => return code,
-        };
-        for (name, result) in &mck_results {
-            if let Some(v) = &result.violation {
-                findings.push(Finding {
-                    pass: "MCK",
-                    file: format!("model:{name}"),
-                    line: 0,
-                    message: format!("{} [schedule {:?}]", v.message, v.schedule),
-                });
-            } else if result.truncated {
-                findings.push(Finding {
-                    pass: "MCK",
-                    file: format!("model:{name}"),
-                    line: 0,
-                    message: format!(
-                        "exploration truncated at {} states with {} frontier state(s) \
-                         unexplored (deepest path: {} steps {:?}); raise --max-states",
-                        result.states,
-                        result.frontier,
-                        result.deepest_path.len(),
-                        result.deepest_path
-                    ),
-                });
-            }
-        }
-    }
-
-    if let Some(path) = &opts.write_baseline {
-        let baseline = Baseline::from_findings(&findings);
-        if let Err(e) = std::fs::write(path, baseline.to_json()) {
-            eprintln!("mhd-lint: cannot write {}: {e}", path.display());
+    let ws = match Workspace::load(&opts.root) {
+        Ok(ws) => ws,
+        Err(e) => {
+            eprintln!("mhd-lint: cannot load workspace at {}: {e}", opts.root.display());
             return ExitCode::from(2);
         }
-        eprintln!("mhd-lint: wrote baseline covering {} finding(s)", findings.len());
-    }
-
-    let baseline = match &opts.baseline {
-        None => Baseline::default(),
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => match Baseline::from_json(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("mhd-lint: {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            },
-            Err(e) => {
-                eprintln!("mhd-lint: cannot read {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        },
     };
-    let ratchet = baseline.ratchet(findings);
+    let mut findings = mhd_lint::run_passes(&ws);
 
-    if let Some(path) = &opts.sarif {
-        if let Err(e) = std::fs::write(path, to_sarif(&ratchet.new, &ratchet.baselined)) {
-            eprintln!("mhd-lint: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
+    let mck_results = match shipped_suite(opts.model.as_deref(), opts.max_states) {
+        Ok(results) => results,
+        Err(code) => return code,
+    };
+    for (name, result) in &mck_results {
+        let message = if let Some(v) = &result.violation {
+            format!("{} [schedule {:?}]", v.message, v.schedule)
+        } else if result.truncated {
+            // An incomplete exploration proves nothing: it fails the run.
+            format!(
+                "exploration truncated at {} states with {} frontier state(s) \
+                 unexplored (deepest path: {} steps {:?}); raise --max-states",
+                result.states,
+                result.frontier,
+                result.deepest_path.len(),
+                result.deepest_path
+            )
+        } else {
+            continue;
+        };
+        findings.push(Finding { pass: "MCK", file: format!("model:{name}"), line: 0, message });
     }
 
-    if opts.json {
-        out!("{}", report_json(&ratchet.new, &ratchet.baselined, &mck_results));
-    } else {
-        for f in &ratchet.new {
-            out!("{}:{}: [{}] {}", f.file, f.line, f.pass, f.message);
-        }
-        for (name, result) in &mck_results {
-            out!(
-                "model {name}: {} states explored{}",
-                result.states,
-                if result.passed() {
-                    ", no violations".to_string()
-                } else if result.truncated {
-                    format!(", TRUNCATED ({} frontier state(s) abandoned)", result.frontier)
-                } else {
-                    String::new()
-                }
-            );
-        }
+    for f in &findings {
+        out!("{}:{}: [{}] {}", f.file, f.line, f.pass, f.message);
+    }
+    for (name, result) in &mck_results {
         out!(
-            "mhd-lint: {} new finding(s), {} baselined",
-            ratchet.new.len(),
-            ratchet.baselined.len()
+            "model {name}: {} states explored{}",
+            result.states,
+            if result.passed() {
+                ", no violations".to_string()
+            } else if result.truncated {
+                format!(", TRUNCATED ({} frontier state(s) abandoned)", result.frontier)
+            } else {
+                String::new()
+            }
         );
     }
-    // An incomplete exploration proves nothing: under --require-complete
-    // it fails the run outright, baseline or no baseline.
-    let incomplete = mck_results.iter().any(|(_, r)| !r.complete());
-    if opts.require_complete && incomplete {
-        eprintln!("mhd-lint: --require-complete: a model exploration was truncated");
-        return ExitCode::from(1);
-    }
-    if ratchet.new.is_empty() {
+    out!("mhd-lint: {} finding(s)", findings.len());
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
     }
 }
 
-/// Checks each shipped model on its own thread; `only` restricts the
-/// suite to one model by name.
+/// Checks each shipped model in turn; `only` restricts the suite to one
+/// model by name.
 fn shipped_suite(
     only: Option<&str>,
     max_states: usize,
 ) -> Result<Vec<(&'static str, CheckResult)>, ExitCode> {
-    type Runner = Box<dyn FnOnce(usize) -> CheckResult + Send>;
-    let runners: Vec<(&'static str, Runner)> = vec![
-        ("flush-order", Box::new(|n| check(&FlushModel::shipped(), n))),
-        ("ring-prune", Box::new(|n| check(&RingModel::shipped(), n))),
-        ("gc-protect", Box::new(|n| check(&GcProtectModel::shipped(), n))),
-        ("publish", Box::new(|n| check(&PublishModel::shipped(), n))),
-        ("intent", Box::new(|n| check(&IntentModel::shipped(), n))),
-        ("compact-gc", Box::new(|n| check(&CompactGcModel::shipped(), n))),
+    type Runner = fn(usize) -> CheckResult;
+    let models: [(&'static str, Runner); 6] = [
+        ("flush-order", |n| check(&FlushModel::shipped(), n)),
+        ("ring-prune", |n| check(&RingModel::shipped(), n)),
+        ("gc-protect", |n| check(&GcProtectModel::shipped(), n)),
+        ("publish", |n| check(&PublishModel::shipped(), n)),
+        ("intent", |n| check(&IntentModel::shipped(), n)),
+        ("compact-gc", |n| check(&CompactGcModel::shipped(), n)),
     ];
     if let Some(name) = only {
-        if !runners.iter().any(|(n, _)| *n == name) {
-            let known: Vec<&str> = runners.iter().map(|(n, _)| *n).collect();
+        if !models.iter().any(|(n, _)| *n == name) {
+            let known: Vec<&str> = models.iter().map(|(n, _)| *n).collect();
             eprintln!("mhd-lint: unknown model {name:?} (known: {})", known.join(", "));
             return Err(ExitCode::from(2));
         }
     }
-    let selected: Vec<(&'static str, Runner)> =
-        runners.into_iter().filter(|(n, _)| only.is_none_or(|o| o == *n)).collect();
-    Ok(std::thread::scope(|s| {
-        let handles: Vec<_> = selected
-            .into_iter()
-            .map(|(name, run)| (name, s.spawn(move || run(max_states))))
-            .collect();
-        handles
-            .into_iter()
-            .map(|(name, h)| (name, h.join().expect("model thread does not panic")))
-            .collect()
-    }))
+    Ok(models
+        .into_iter()
+        .filter(|(n, _)| only.is_none_or(|o| o == *n))
+        .map(|(name, run)| (name, run(max_states)))
+        .collect())
 }
 
 /// Runs a seeded-bug model and succeeds only when the checker catches it.
@@ -324,48 +217,4 @@ fn run_mutant(name: &str, max_states: usize) -> ExitCode {
             ExitCode::from(1)
         }
     }
-}
-
-fn finding_value(f: &Finding, baselined: bool) -> Value {
-    Value::Object(vec![
-        ("pass".into(), Value::String(f.pass.to_string())),
-        ("file".into(), Value::String(f.file.clone())),
-        ("line".into(), Value::Number(Number::U64(f.line as u64))),
-        ("message".into(), Value::String(f.message.clone())),
-        ("baselined".into(), Value::Bool(baselined)),
-    ])
-}
-
-fn report_json(new: &[Finding], baselined: &[Finding], mck: &[(&str, CheckResult)]) -> String {
-    let mut findings: Vec<Value> = new.iter().map(|f| finding_value(f, false)).collect();
-    findings.extend(baselined.iter().map(|f| finding_value(f, true)));
-    let models: Vec<Value> = mck
-        .iter()
-        .map(|(name, r)| {
-            Value::Object(vec![
-                ("model".into(), Value::String(name.to_string())),
-                ("states".into(), Value::Number(Number::U64(r.states as u64))),
-                ("truncated".into(), Value::Bool(r.truncated)),
-                ("complete".into(), Value::Bool(r.complete())),
-                ("frontier".into(), Value::Number(Number::U64(r.frontier as u64))),
-                (
-                    "deepest_path".into(),
-                    Value::Array(
-                        r.deepest_path
-                            .iter()
-                            .map(|&t| Value::Number(Number::U64(t as u64)))
-                            .collect(),
-                    ),
-                ),
-                ("passed".into(), Value::Bool(r.passed())),
-            ])
-        })
-        .collect();
-    let top = Value::Object(vec![
-        ("new".into(), Value::Number(Number::U64(new.len() as u64))),
-        ("baselined".into(), Value::Number(Number::U64(baselined.len() as u64))),
-        ("findings".into(), Value::Array(findings)),
-        ("models".into(), Value::Array(models)),
-    ]);
-    serde_json::to_string_pretty(&top).expect("report Value serializes")
 }

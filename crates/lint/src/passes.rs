@@ -1,10 +1,11 @@
-//! The static invariant passes (L1–L6) and the workspace loader.
+//! The static invariant passes (L2–L5) and the workspace loader.
 //!
-//! Each pass is a token-pattern scan over [`SourceFile`] streams — no type
-//! information, which is exactly the point: these invariants are *layout*
-//! and *discipline* rules the compiler cannot see (panics on durability
-//! paths, raw filesystem calls bypassing the commit helpers, mutations of
-//! immutable object kinds, unregistered observability labels), and a
+//! Each pass is a token-pattern scan over [`SourceFile`] streams (or, for
+//! L5, over the crate manifests) — no type information, which is exactly
+//! the point: these invariants are *layout* and *discipline* rules the
+//! compiler cannot see (raw filesystem calls bypassing the commit
+//! helpers, mutations of immutable object kinds, unregistered
+//! observability labels, a crate opted out of the workspace lints), and a
 //! token-level scan keeps them checkable in milliseconds on every CI run
 //! with zero external dependencies.
 
@@ -13,10 +14,10 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::findings::Finding;
 use crate::idrange::pass_l8_id_range;
 use crate::locks::pass_l7_lock_order;
-use crate::source::{matching_close, SourceFile, ALLOW_NAMES};
+use crate::source::{matching_close, SourceFile};
+use crate::Finding;
 
 /// Fallback scope-label keys, kept in sync with
 /// `mhd_obs::SCOPE_LABEL_KEYS`; the real registry is re-parsed from the
@@ -47,8 +48,8 @@ const SKIP_DIRS: &[&str] = &["target", ".git", "fixtures", "shims", "node_module
 impl Workspace {
     /// Recursively loads every `.rs` file and `Cargo.toml` under `root`,
     /// skipping `target`, `.git`, `fixtures`, `shims`, `node_modules`
-    /// and dot-directories. Files are sorted by path so every run (and
-    /// therefore the baseline ratchet's attribution) is deterministic.
+    /// and dot-directories. Files are sorted by path so every run reports
+    /// in the same order.
     pub fn load(root: &Path) -> io::Result<Workspace> {
         let mut files = Vec::new();
         let mut manifests = Vec::new();
@@ -93,17 +94,21 @@ fn rel_of(root: &Path, path: &Path) -> String {
         .join("/")
 }
 
-/// Which allow-directive name suppresses findings of each pass. Passes
-/// absent here have no per-line escape hatch — the workspace-shape rules
-/// (L2b, L4–L6) are properties of registries and crate roots, not of an
-/// individual line a reviewer could sanction.
+/// Which allow-directive name suppresses findings of each pass; these
+/// are the only names a directive may use. Passes absent here have no
+/// per-line escape hatch — the workspace-shape rules (L2b, L4, L5) are
+/// properties of registries and manifests, not of an individual line a
+/// reviewer could sanction.
 const SUPPRESSIBLE: &[(&str, &str)] = &[
-    ("L1-no-panic", "unwrap"),
     ("L2-commit-path", "raw-fs"),
     ("L3-immutability", "immutability"),
     ("L7-lock-order", "lock-order"),
     ("L8-id-range", "id-range"),
 ];
+
+fn is_allow_name(name: &str) -> bool {
+    SUPPRESSIBLE.iter().any(|(_, n)| *n == name)
+}
 
 /// Runs every pass over the workspace and returns findings in a stable
 /// order (pass, then file, then line).
@@ -117,14 +122,11 @@ const SUPPRESSIBLE: &[(&str, &str)] = &[
 pub fn run_passes(ws: &Workspace) -> Vec<Finding> {
     let mut findings = Vec::new();
     pass_allow_directives(ws, &mut findings);
-    pass_l1_no_panic(ws, &mut findings);
     pass_l2_commit_path(ws, &mut findings);
     pass_l2_flush_order(ws, &mut findings);
     pass_l3_immutability(ws, &mut findings);
     pass_l4_obs_labels(ws, &mut findings);
-    pass_l5_missing_docs(ws, &mut findings);
-    pass_l5_obs_gating(ws, &mut findings);
-    pass_l6_forbid_unsafe(ws, &mut findings);
+    pass_l5_manifests(ws, &mut findings);
     pass_l7_lock_order(ws, &mut findings);
     pass_l8_id_range(ws, &mut findings);
     let mut findings = apply_suppressions(ws, findings);
@@ -132,10 +134,9 @@ pub fn run_passes(ws: &Workspace) -> Vec<Finding> {
     findings
 }
 
-/// Drops findings covered by a matching allow directive (the directive's
-/// own line or the line below it, same reach as
-/// [`SourceFile::is_allowed`]), then reports every well-formed directive
-/// that covered nothing as stale.
+/// Drops findings covered by a matching allow directive
+/// ([`SourceFile::directive_for`]), then reports every well-formed
+/// directive that covered nothing as stale.
 fn apply_suppressions(ws: &Workspace, findings: Vec<Finding>) -> Vec<Finding> {
     let mut used: BTreeSet<(String, u32)> = BTreeSet::new();
     let mut kept = Vec::new();
@@ -144,10 +145,7 @@ fn apply_suppressions(ws: &Workspace, findings: Vec<Finding>) -> Vec<Finding> {
             kept.push(f);
             continue;
         };
-        let directive = ws.file(&f.file).and_then(|sf| {
-            sf.allows.iter().find(|a| a.name == *name && (a.line == f.line || a.line + 1 == f.line))
-        });
-        match directive {
+        match ws.file(&f.file).and_then(|sf| sf.directive_for(f.line, name)) {
             Some(d) => {
                 used.insert((f.file.clone(), d.line));
             }
@@ -156,7 +154,7 @@ fn apply_suppressions(ws: &Workspace, findings: Vec<Finding>) -> Vec<Finding> {
     }
     for sf in &ws.files {
         for a in &sf.allows {
-            let well_formed = ALLOW_NAMES.contains(&a.name.as_str()) && a.has_reason;
+            let well_formed = is_allow_name(&a.name) && a.has_reason;
             if well_formed && !used.contains(&(sf.rel.clone(), a.line)) {
                 kept.push(Finding {
                     pass: "stale-directive",
@@ -179,93 +177,35 @@ fn apply_suppressions(ws: &Workspace, findings: Vec<Finding>) -> Vec<Finding> {
 // Directive hygiene
 // ---------------------------------------------------------------------
 
-/// Every allow directive must name a known pass and carry a reason — the
-/// reason is what a reviewer audits instead of the exempted code.
+/// Every allow directive must sit on its own line, name a known pass and
+/// carry a reason — the reason is what a reviewer audits instead of the
+/// exempted code.
 fn pass_allow_directives(ws: &Workspace, out: &mut Vec<Finding>) {
     for file in &ws.files {
+        let mut push = |line: u32, message: String| {
+            out.push(Finding { pass: "allow-directive", file: file.rel.clone(), line, message })
+        };
+        for &line in &file.trailing_allows {
+            push(
+                line,
+                "an allow directive after code exempts nothing; put it on its own line".into(),
+            );
+        }
         for a in &file.allows {
-            if !ALLOW_NAMES.contains(&a.name.as_str()) {
-                out.push(Finding {
-                    pass: "allow-directive",
-                    file: file.rel.clone(),
-                    line: a.line,
-                    message: format!(
-                        "unknown allow name `{}` (known: {})",
-                        a.name,
-                        ALLOW_NAMES.join(", ")
-                    ),
-                });
+            if !is_allow_name(&a.name) {
+                let known: Vec<&str> = SUPPRESSIBLE.iter().map(|(_, n)| *n).collect();
+                push(
+                    a.line,
+                    format!("unknown allow name `{}` (known: {})", a.name, known.join(", ")),
+                );
             } else if !a.has_reason {
-                out.push(Finding {
-                    pass: "allow-directive",
-                    file: file.rel.clone(),
-                    line: a.line,
-                    message: format!(
+                push(
+                    a.line,
+                    format!(
                         "allow({}) needs a reason: `// lint: allow({}): why this is safe`",
                         a.name, a.name
                     ),
-                });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// L1: no unwrap/expect/panic on durability paths
-// ---------------------------------------------------------------------
-
-/// Files on which a panic can strand a partially-committed store: the
-/// whole store crate, the CLI (user-facing I/O), the daemon (long-lived
-/// server holding sessions open), and the core modules that drive engine
-/// I/O and recovery (`mhd.rs` and the scaffold in `engine.rs` are the
-/// engine both front ends ship; `statefile.rs` is their
-/// open/recover/persist path) — the front end included: a panic on one of its pool
-/// threads would take every session's ingest down with it.
-fn l1_restricted(rel: &str) -> bool {
-    rel.starts_with("crates/store/src/")
-        || rel.starts_with("crates/cli/src/")
-        || rel.starts_with("crates/daemon/src/")
-        || matches!(
-            rel,
-            "crates/core/src/engine.rs"
-                | "crates/core/src/frontend.rs"
-                | "crates/core/src/fsck.rs"
-                | "crates/core/src/mhd.rs"
-                | "crates/core/src/statefile.rs"
-                | "crates/chunking/src/fastcdc.rs"
-        )
-}
-
-fn pass_l1_no_panic(ws: &Workspace, out: &mut Vec<Finding>) {
-    for file in ws.files.iter().filter(|f| l1_restricted(&f.rel)) {
-        for (i, tok) in file.toks.iter().enumerate() {
-            if file.test_mask[i] {
-                continue;
-            }
-            let method_call = |name: &str| {
-                tok.is_ident(name)
-                    && i > 0
-                    && file.toks[i - 1].is_punct('.')
-                    && file.toks.get(i + 1).map(|t| t.is_punct('(')).unwrap_or(false)
-            };
-            let offense = if method_call("unwrap") || method_call("expect") {
-                Some(format!(".{}() can panic", tok.text))
-            } else if tok.is_ident("panic")
-                && file.toks.get(i + 1).map(|t| t.is_punct('!')).unwrap_or(false)
-            {
-                Some("panic! aborts a durability path".to_string())
-            } else {
-                None
-            };
-            if let Some(what) = offense {
-                out.push(Finding {
-                    pass: "L1-no-panic",
-                    file: file.rel.clone(),
-                    line: tok.line,
-                    message: format!(
-                        "{what}; return StoreError (or `// lint: allow(unwrap): reason`)"
-                    ),
-                });
+                );
             }
         }
     }
@@ -617,61 +557,41 @@ fn pass_l4_obs_labels(ws: &Workspace, out: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------
-// L5: crate-root hygiene (missing_docs, obs feature gating)
+// L5: crate manifests (workspace lints, obs feature gating)
 // ---------------------------------------------------------------------
 
-/// Crate root files: `src/lib.rs` and `src/main.rs` of each crate. Bin
-/// target files under `src/bin/` are thin drivers over a documented lib
-/// and are deliberately out of scope.
-fn crate_roots(ws: &Workspace) -> Vec<&SourceFile> {
-    ws.files
-        .iter()
-        .filter(|f| f.rel.ends_with("/src/lib.rs") || f.rel.ends_with("/src/main.rs"))
-        .collect()
-}
-
-/// True when the file carries inner attribute `#![level(lint)]` for any
-/// of the given levels.
-fn has_inner_attr(file: &SourceFile, levels: &[&str], lint: &str) -> bool {
-    let toks = &file.toks;
-    for i in 0..toks.len().saturating_sub(3) {
-        if toks[i].is_punct('#') && toks[i + 1].is_punct('!') && toks[i + 2].is_punct('[') {
-            if let Some(close) = matching_close(toks, i + 2, '[', ']') {
-                let attr = &toks[i + 3..close];
-                if attr.iter().any(|t| {
-                    t.kind == crate::lexer::TokKind::Ident && levels.contains(&t.text.as_str())
-                }) && attr.iter().any(|t| t.is_ident(lint))
-                {
-                    return true;
-                }
-            }
+/// True when the manifest's `[lints]` table says `workspace = true`.
+fn inherits_workspace_lints(text: &str) -> bool {
+    let mut table = "";
+    for line in text.lines().map(str::trim) {
+        if line.starts_with('[') {
+            table = line;
+        } else if table == "[lints]" && line.replace(' ', "") == "workspace=true" {
+            return true;
         }
     }
     false
 }
 
-fn pass_l5_missing_docs(ws: &Workspace, out: &mut Vec<Finding>) {
-    for root in crate_roots(ws) {
-        if !has_inner_attr(root, &["warn", "deny", "forbid"], "missing_docs") {
+/// Every crate inherits the root's `[workspace.lints]` table, which is
+/// what makes rustc warn on missing docs and deny `unsafe` in it; only a
+/// manifest rooting a workspace of its own is exempt. And only binary and
+/// integration-test crates may force the `obs` feature: a library forcing
+/// it would switch every downstream build into the instrumented
+/// configuration and defeat the zero-cost-when-off design.
+fn pass_l5_manifests(ws: &Workspace, out: &mut Vec<Finding>) {
+    for (rel, text) in &ws.manifests {
+        let roots_a_workspace = text.lines().any(|l| l.trim() == "[workspace]");
+        if !roots_a_workspace && !inherits_workspace_lints(text) {
             out.push(Finding {
-                pass: "L5-missing-docs",
-                file: root.rel.clone(),
+                pass: "L5-workspace-lints",
+                file: rel.clone(),
                 line: 1,
-                message: "crate root lacks #![warn(missing_docs)]".into(),
+                message: "manifest lacks `[lints] workspace = true`: rustc checks neither \
+                          missing docs nor `unsafe` in this crate"
+                    .into(),
             });
         }
-    }
-}
-
-/// Only binary and integration-test crates may force the `obs` feature:
-/// a library forcing it would switch every downstream build into the
-/// instrumented configuration and defeat the zero-cost-when-off design.
-fn pass_l5_obs_gating(ws: &Workspace, out: &mut Vec<Finding>) {
-    for (rel, text) in &ws.manifests {
-        let Some(crate_dir) = rel.strip_suffix("Cargo.toml").map(|p| p.trim_end_matches('/'))
-        else {
-            continue;
-        };
         let forces_obs = text.lines().any(|l| {
             let l = l.trim();
             !l.starts_with('#')
@@ -682,7 +602,7 @@ fn pass_l5_obs_gating(ws: &Workspace, out: &mut Vec<Finding>) {
         if !forces_obs {
             continue;
         }
-        let dir = ws.root.join(crate_dir);
+        let dir = ws.root.join(rel.trim_end_matches("Cargo.toml"));
         let is_binary_like = text.contains("[[bin]]")
             || dir.join("src/main.rs").exists()
             || dir.join("src/bin").exists()
@@ -699,31 +619,6 @@ fn pass_l5_obs_gating(ws: &Workspace, out: &mut Vec<Finding>) {
                 line,
                 message: "library crate forces mhd-obs feature \"obs\"; only binaries and \
                           integration-test crates may opt the build into instrumentation"
-                    .into(),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// L6: every crate root forbids or denies unsafe_code
-// ---------------------------------------------------------------------
-
-/// A crate with no `unsafe` carries `#![forbid(unsafe_code)]`; one that
-/// needs it carries `#![deny(unsafe_code)]`, which the compiler then
-/// makes every use answer with a local, greppable
-/// `#[allow(unsafe_code)]`. Either way the root says so — containing
-/// `unsafe` is no exemption.
-fn pass_l6_forbid_unsafe(ws: &Workspace, out: &mut Vec<Finding>) {
-    for root in crate_roots(ws) {
-        if !has_inner_attr(root, &["forbid", "deny"], "unsafe_code") {
-            out.push(Finding {
-                pass: "L6-forbid-unsafe",
-                file: root.rel.clone(),
-                line: 1,
-                message: "crate root lacks #![forbid(unsafe_code)] (or, in a crate that \
-                          needs unsafe, #![deny(unsafe_code)] with #[allow(unsafe_code)] \
-                          on each use)"
                     .into(),
             });
         }

@@ -3,16 +3,13 @@
 //! * a **test mask** marking tokens inside `#[cfg(test)]` / `#[test]`
 //!   items (and whole files that exist only as test modules), so passes
 //!   that police production code skip tests for free;
-//! * the **allow directives** — `// lint: allow(NAME): reason` comments —
-//!   that exempt the line they sit on *and the next line* from the named
-//!   pass. A directive without a reason is itself reported: the reason is
-//!   the reviewable artifact, not the exemption.
+//! * the **allow directives** — `// lint: allow(NAME): reason` comments
+//!   on a line of their own — that exempt the line they sit on *and the
+//!   next line* from the named pass. A directive without a reason, or one
+//!   trailing code, is itself reported: the reason is the reviewable
+//!   artifact, not the exemption.
 
-use crate::lexer::{lex, Token};
-
-/// Allow-directive names the linter recognizes; anything else is reported
-/// as an unknown directive (usually a typo that silently exempts nothing).
-pub const ALLOW_NAMES: &[&str] = &["unwrap", "raw-fs", "immutability", "lock-order", "id-range"];
+use crate::lexer::{lex, LineComment, Token};
 
 /// One `// lint: allow(NAME): reason` comment.
 #[derive(Debug, Clone)]
@@ -34,23 +31,26 @@ pub struct SourceFile {
     pub toks: Vec<Token>,
     /// `test_mask[i]` is true when token `i` belongs to test-only code.
     pub test_mask: Vec<bool>,
-    /// All allow directives found in comments, in file order.
+    /// The allow directives on lines of their own, in file order.
     pub allows: Vec<AllowDirective>,
+    /// Lines where a `// lint: allow(` comment follows code: it exempts
+    /// nothing.
+    pub trailing_allows: Vec<u32>,
 }
 
 impl SourceFile {
     /// Lexes `text` and computes the overlays.
     pub fn parse(rel: &str, text: &str) -> SourceFile {
-        let toks = lex(text);
+        let (toks, comments) = lex(text);
         let test_mask = compute_test_mask(rel, &toks);
-        let allows = scan_allow_directives(text);
-        SourceFile { rel: rel.to_string(), toks, test_mask, allows }
+        let (allows, trailing_allows) = scan_allow_directives(&comments);
+        SourceFile { rel: rel.to_string(), toks, test_mask, allows, trailing_allows }
     }
 
-    /// True when an `allow(name)` directive covers `line` (the directive's
-    /// own line, or the directive sits on the line directly above).
-    pub fn is_allowed(&self, line: u32, name: &str) -> bool {
-        self.allows.iter().any(|a| a.name == name && (a.line == line || a.line + 1 == line))
+    /// The `allow(name)` directive covering `line`: one on that line, or
+    /// on the line directly above.
+    pub fn directive_for(&self, line: u32, name: &str) -> Option<&AllowDirective> {
+        self.allows.iter().find(|a| a.name == name && (a.line == line || a.line + 1 == line))
     }
 }
 
@@ -149,25 +149,26 @@ pub fn matching_close(toks: &[Token], open_idx: usize, open: char, close: char) 
     None
 }
 
-fn scan_allow_directives(text: &str) -> Vec<AllowDirective> {
-    // A directive is a whole-line `//` comment (never `//!`/`///` docs,
-    // never a trailing comment, never text inside a string literal that
-    // merely *mentions* the syntax — e.g. this linter's own messages).
-    const PREFIX: &str = "// lint: allow(";
-    let mut out = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        let trimmed = line.trim_start();
-        if !trimmed.starts_with(PREFIX) {
+/// Own-line directives and the lines of trailing ones. Only a plain `//`
+/// comment counts (doc comments start `///` or `//!`); the lexer has
+/// already kept string literals that merely *mention* the syntax — e.g.
+/// this linter's own messages — out of the comments.
+fn scan_allow_directives(comments: &[LineComment]) -> (Vec<AllowDirective>, Vec<u32>) {
+    let mut allows = Vec::new();
+    let mut trailing = Vec::new();
+    for c in comments {
+        let Some(after) = c.text.strip_prefix(" lint: allow(") else { continue };
+        if c.trailing {
+            trailing.push(c.line);
             continue;
         }
-        let after = &trimmed[PREFIX.len()..];
         let Some(close) = after.find(')') else { continue };
         let name = after[..close].trim().to_string();
         let rest = after[close + 1..].trim_start();
         let has_reason = rest.starts_with(':') && !rest.trim_start_matches(':').trim().is_empty();
-        out.push(AllowDirective { line: idx as u32 + 1, name, has_reason });
+        allows.push(AllowDirective { line: c.line, name, has_reason });
     }
-    out
+    (allows, trailing)
 }
 
 #[cfg(test)]
@@ -215,14 +216,22 @@ mod tests {
 
     #[test]
     fn allow_directive_parsing_and_reach() {
-        let src = "// lint: allow(unwrap): checked above\nlet x = y.unwrap();\n// lint: allow(raw-fs)\nlet z = 1;";
+        let src = "// lint: allow(raw-fs): checked above\nfs::write(p, b)?;\n\
+                   // lint: allow(lock-order)\nlet z = 1;\n\
+                   f(); // lint: allow(id-range): trails code\n\
+                   /// lint: allow(raw-fs): a doc comment\n\
+                   let s = \"// lint: allow(raw-fs): a string\";";
         let sf = SourceFile::parse("crates/x/src/lib.rs", src);
-        assert!(sf.is_allowed(2, "unwrap"));
-        assert!(!sf.is_allowed(2, "raw-fs"));
-        assert!(sf.is_allowed(4, "raw-fs"));
-        assert!(!sf.is_allowed(3, "unwrap"));
+        assert!(sf.directive_for(2, "raw-fs").is_some());
+        assert!(sf.directive_for(2, "lock-order").is_none());
+        assert!(sf.directive_for(4, "lock-order").is_some());
+        assert!(sf.directive_for(3, "raw-fs").is_none());
         let no_reason: Vec<_> = sf.allows.iter().filter(|a| !a.has_reason).collect();
         assert_eq!(no_reason.len(), 1);
-        assert_eq!(no_reason[0].name, "raw-fs");
+        assert_eq!(no_reason[0].name, "lock-order");
+        // The trailing one binds nothing; doc and string text is no directive.
+        assert_eq!(sf.allows.len(), 2);
+        assert_eq!(sf.trailing_allows, [5]);
+        assert!(sf.directive_for(5, "id-range").is_none());
     }
 }

@@ -1,7 +1,6 @@
 //! Fixture: observability labels drawn from the registered vocabularies.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 /// Emits correctly-labelled scopes and stages.
 pub fn run(idx: usize) {

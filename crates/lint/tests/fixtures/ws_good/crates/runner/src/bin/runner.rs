@@ -1,3 +1,2 @@
-// Fixture: bin-target driver; crate-root hygiene attributes are required
-// only on src/lib.rs and src/main.rs roots.
+// Fixture: the bin-target driver that makes its crate a leaf.
 fn main() {}

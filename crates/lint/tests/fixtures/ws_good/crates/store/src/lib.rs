@@ -1,28 +1,21 @@
-//! Fixture: a store crate satisfying every pass — reasons on every allow
-//! directive, crate-root hygiene attributes, panics only in test code.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+//! Fixture: a store crate satisfying every pass — a reason on every allow
+//! directive, raw fs mutation only where one sanctions it or in tests.
 
 /// Loads a file, tolerating a missing path.
 pub fn load(path: &str) -> Vec<u8> {
     std::fs::read(path).unwrap_or_default()
 }
 
-/// An exempted unwrap with its reviewable reason.
-pub fn head(items: &[u32]) -> u32 {
-    // lint: allow(unwrap): callers guarantee items is non-empty
-    *items.first().unwrap()
+/// An exempted raw write with its reviewable reason.
+pub fn scratch(path: &str) -> std::io::Result<()> {
+    // lint: allow(raw-fs): scratch output that no store object references
+    std::fs::write(path, b"")
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn test_code_may_unwrap_and_panic() {
-        let v: Option<u32> = Some(3);
-        assert_eq!(v.unwrap(), 3);
-        if v.is_none() {
-            panic!("unreachable");
-        }
+    fn test_code_may_write_directly() {
+        std::fs::write("scratch", b"x").unwrap();
     }
 }

@@ -78,7 +78,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 use serde::{Deserialize, Serialize};
 

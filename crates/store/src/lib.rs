@@ -25,7 +25,7 @@
 //! against.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod backend;
 mod batched;

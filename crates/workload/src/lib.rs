@@ -29,7 +29,6 @@
 //! calibration (DER ≈ 4, DAD in the 100–200 KB band).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 mod corpus;
 mod mutate;

@@ -16,7 +16,6 @@
 //! Run with e.g. `cargo run --release -p mhd-examples --bin quickstart`.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 /// Formats a byte count in a friendly unit.
 pub fn human_bytes(n: u64) -> String {

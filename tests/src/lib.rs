@@ -1,7 +1,6 @@
 //! Shared helpers for the cross-crate integration tests in `tests/`.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 use mhd_core::{DedupReport, EngineConfig, EngineKind};
 use mhd_store::{MemBackend, Substrate};
