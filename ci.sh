@@ -13,9 +13,10 @@
 #      and persist recovered by `mhd` and by `mhd serve`
 #   3. feature matrix — the obs-disabled workspace still builds, and the
 #      store/core crash-safety tests pass with obs compiled out
-#   4. analysis  — `mhd compare` finds zero regressions across two
-#      same-seed runs (and flags differing runs), and `mhd trace analyze`
-#      digests a bench-produced trace
+#   4. determinism — two same-seed `table1`/`table2` runs write
+#      byte-identical JSON, a traced smoke backup exports a non-empty
+#      Chrome trace (`mhd trace`, the file Perfetto opens), and `mhd trace`
+#      refuses a sub-verb such as the removed `analyze`
 #   5. daemon    — `mhd serve` end-to-end: three concurrent client
 #      sessions over the Unix socket, per-tenant restore + byte compare,
 #      fsck, clean shutdown
@@ -27,8 +28,8 @@
 #      clock: speed is judged by `benchmark/run.sh --compare`
 #      (benchmark/README.md), not by CI
 #   7. lint      — mhd-lint's invariant passes (L2 commit path and
-#      FLUSH_ORDER, L3 immutability, L4 obs labels, L5 manifests, L7
-#      lock order, L8 id range) + exhaustive model checking of all six
+#      FLUSH_ORDER, L3 immutability, L5 manifests, L7 lock order, L8 id
+#      range) + exhaustive model checking of all six
 #      protocols (flush, trace-ring, GC-protection/splice-order,
 #      two-phase publish, intent-record crash recovery, compaction-vs-GC);
 #      any finding or truncated exploration fails it. Then all seven
@@ -160,26 +161,26 @@ done
 wait "$TORN_PID"
 recovered_store "$SMOKE/torn-serve"
 
-step "analysis: mhd compare on two same-seed runs + mhd trace analyze"
-./target/release/table1 --bytes 4M --internals --out "$SMOKE/run_a" > /dev/null
-./target/release/table1 --bytes 4M --internals --out "$SMOKE/run_b" > /dev/null
-# Same seed, same size: deterministic counters and histogram counts, so
-# the comparator must find zero regressions (timing sums are excluded by
-# default precisely to make this gate stable).
-./target/release/mhd compare \
-    "$SMOKE/run_a/table1_internals.json" "$SMOKE/run_b/table1_internals.json"
-# A differently-sized run must trip the regression gate (nonzero exit).
-# 32M clears the corpus generator's 64 KiB/machine floor (4M does not),
-# so the two runs chunk genuinely different inputs.
-./target/release/table1 --bytes 32M --internals --out "$SMOKE/run_c" \
-    --trace "$SMOKE/run_c/trace.json" > /dev/null
-if ./target/release/mhd compare \
-    "$SMOKE/run_a/table1_internals.json" "$SMOKE/run_c/table1_internals.json" > /dev/null
-then
-    echo "error: mhd compare must exit nonzero on differing runs" >&2
+step "determinism: same-seed exhibits are byte-identical; a traced backup exports"
+# Neither exhibit reports a timing field, so two same-seed runs must
+# write the same bytes.
+for exhibit in table1 table2; do
+    for run in a b; do
+        ./target/release/$exhibit --bytes 4M --out "$SMOKE/run_$run" > /dev/null
+    done
+    cmp "$SMOKE/run_a/$exhibit.json" "$SMOKE/run_b/$exhibit.json"
+done
+./target/release/mhd backup "$SMOKE/src" --store "$SMOKE/trace-store" --trace > /dev/null
+./target/release/mhd trace --store "$SMOKE/trace-store" --format chrome -o "$SMOKE/trace.json"
+if [[ ! -s "$SMOKE/trace.json" ]]; then
+    echo "error: mhd trace wrote an empty Chrome trace" >&2
     exit 1
 fi
-./target/release/mhd trace analyze "$SMOKE/run_c/trace.jsonl"
+# The `analyze` sub-verb went with the analyzer; `mhd trace` refuses it.
+if ./target/release/mhd trace "analyze" "$SMOKE/trace.jsonl" 2> /dev/null; then
+    echo "error: mhd trace must refuse a stray argument" >&2
+    exit 1
+fi
 
 step "feature matrix: cargo build --workspace --no-default-features"
 cargo build --workspace --no-default-features
@@ -281,8 +282,8 @@ if [[ $(wc -l <<< "$CORPUS") -ne 1 ]]; then
     exit 1
 fi
 for exhibit in results/fig*.json results/table*.json; do
-    # Analyzer and obs side-channel files describe a run, not a corpus.
-    [[ "$exhibit" == *_trace.analysis.json || "$exhibit" == *_internals.json ]] && continue
+    # obs side-channel files describe a run, not a corpus.
+    [[ "$exhibit" == *_internals.json ]] && continue
     if [[ "$(corpus_of "$exhibit")" != "$CORPUS" ]]; then
         echo "error: $exhibit is not from results/fig7.json's corpus ($CORPUS):" >&2
         corpus_of "$exhibit" >&2

@@ -58,9 +58,6 @@ pub struct Cli {
     /// Record a structured trace and write it here as Chrome
     /// `trace_event` JSON, plus raw JSONL next to it (`--trace PATH`).
     pub trace: Option<PathBuf>,
-    /// Run the trace analyzer on the recorded trace and print + persist
-    /// its report (`--analyze`). Implies tracing even without `--trace`.
-    pub analyze: bool,
 }
 
 impl Cli {
@@ -74,7 +71,6 @@ impl Cli {
             out: PathBuf::from("results"),
             internals: false,
             trace: None,
-            analyze: false,
         };
         let mut args = std::env::args().skip(1);
         while let Some(flag) = args.next() {
@@ -91,10 +87,9 @@ impl Cli {
                 "--out" => cli.out = PathBuf::from(value()),
                 "--internals" => cli.internals = true,
                 "--trace" => cli.trace = Some(PathBuf::from(value())),
-                "--analyze" => cli.analyze = true,
                 "--help" | "-h" => {
                     eprintln!(
-                        "usage: [--bytes N[M|G]] [--seed N] [--sd N] [--out DIR] [--internals] [--trace PATH] [--analyze]"
+                        "usage: [--bytes N[M|G]] [--seed N] [--sd N] [--out DIR] [--internals] [--trace PATH]"
                     );
                     std::process::exit(0);
                 }
@@ -104,7 +99,7 @@ impl Cli {
                 }
             }
         }
-        if cli.trace.is_some() || cli.analyze {
+        if cli.trace.is_some() {
             mhd_obs::trace_start(mhd_obs::DEFAULT_TRACE_CAPACITY);
         }
         cli
@@ -162,55 +157,31 @@ impl Cli {
 
     /// With `--trace PATH`, drains the recorded trace and writes it as
     /// Chrome `trace_event` JSON at `PATH` plus raw JSONL at
-    /// `PATH.jsonl`. With `--analyze`, additionally runs the trace
-    /// analyzer on the drained records, prints its report to stderr and
-    /// persists the analysis JSON (next to the trace, or as
-    /// `trace_analysis.json` under `--out` when no trace path was
-    /// given). A no-op without either flag.
+    /// `PATH.jsonl`. A no-op without the flag.
     fn write_trace(&self) {
-        if self.trace.is_none() && !self.analyze {
-            return;
-        }
+        let Some(path) = &self.trace else { return };
         let records = mhd_obs::trace_drain();
         let fail = |what: &str, at: &Path, e: std::io::Error| -> ! {
             eprintln!("error: {what} {}: {e}", at.display());
             std::process::exit(1);
         };
-        if let Some(path) = &self.trace {
-            if let Some(parent) = path.parent() {
-                if !parent.as_os_str().is_empty() {
-                    std::fs::create_dir_all(parent)
-                        .unwrap_or_else(|e| fail("create trace dir", parent, e));
-                }
-            }
-            std::fs::write(path, mhd_obs::trace_to_chrome(&records))
-                .unwrap_or_else(|e| fail("write chrome trace to", path, e));
-            let jsonl = path.with_extension("jsonl");
-            std::fs::write(&jsonl, mhd_obs::trace_to_jsonl(&records))
-                .unwrap_or_else(|e| fail("write jsonl trace to", &jsonl, e));
-            eprintln!(
-                "wrote {} trace events to {} (+ {})",
-                records.len(),
-                path.display(),
-                jsonl.display()
-            );
-        }
-        if self.analyze {
-            let opts = mhd_obs::analysis::AnalyzeOptions::default();
-            let analysis = mhd_obs::analysis::analyze(&records, &opts);
-            eprint!("{}", analysis.render());
-            match &self.trace {
-                Some(path) => {
-                    let out = path.with_extension("analysis.json");
-                    let json =
-                        serde_json::to_string_pretty(&analysis).expect("analysis is serialisable");
-                    std::fs::write(&out, json)
-                        .unwrap_or_else(|e| fail("write trace analysis to", &out, e));
-                    eprintln!("wrote {}", out.display());
-                }
-                None => self.write_json("trace_analysis.json", &analysis),
+        if let Some(parent) = path.parent() {
+            if !parent.as_os_str().is_empty() {
+                std::fs::create_dir_all(parent)
+                    .unwrap_or_else(|e| fail("create trace dir", parent, e));
             }
         }
+        std::fs::write(path, mhd_obs::trace_to_chrome(&records))
+            .unwrap_or_else(|e| fail("write chrome trace to", path, e));
+        let jsonl = path.with_extension("jsonl");
+        std::fs::write(&jsonl, mhd_obs::trace_to_jsonl(&records))
+            .unwrap_or_else(|e| fail("write jsonl trace to", &jsonl, e));
+        eprintln!(
+            "wrote {} trace events to {} (+ {})",
+            records.len(),
+            path.display(),
+            jsonl.display()
+        );
     }
 }
 

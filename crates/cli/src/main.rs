@@ -26,7 +26,7 @@ use session::Session;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  mhd backup  <dir>  --store <store> [--label NAME] [--ecs N] [--sd N]\n                     [--chunker rabin|tttd|fixed|fastcdc]\n                     [--io-threads N] [--durability none|rename|fsync] [--trace]\n  mhd restore <name> --store <store> -o <path>\n  mhd ls             --store <store>\n  mhd stats          --store <store> [--internals [--pretty]]\n  mhd trace          --store <store> [--format chrome|jsonl] [-o <path>]\n  mhd trace analyze  <file.jsonl> | --store <store>  [--json] [--buckets N]\n  mhd compare        <a.json> <b.json> [--fail-on <pct>] [--include-timings] [--json]\n  mhd fsck           --store <store> [--deep]   (crash recovery + integrity walk; alias: verify)\n  mhd rm <prefix>    --store <store>   (delete recipes, then gc)\n  mhd gc             --store <store>\n  mhd compact        --store <store> [--threshold 0.7]\n  mhd serve          --store <store> --socket <path> [--ecs N] [--sd N]\n                     [--chunker rabin|tttd|fixed|fastcdc]\n                     [--io-threads N] [--durability none|rename|fsync]\n  mhd client backup <dir>   --socket <path> --tenant T [--label NAME]\n  mhd client restore <name> --socket <path> --tenant T -o <path>\n  mhd client ls             --socket <path> --tenant T\n  mhd client gc|fsck|stats|ping|shutdown   --socket <path>"
+        "usage:\n  mhd backup  <dir>  --store <store> [--label NAME] [--ecs N] [--sd N]\n                     [--chunker rabin|tttd|fixed|fastcdc]\n                     [--io-threads N] [--durability none|rename|fsync] [--trace]\n  mhd restore <name> --store <store> -o <path>\n  mhd ls             --store <store>\n  mhd stats          --store <store> [--internals [--pretty]]\n  mhd trace          --store <store> [--format chrome|jsonl] [-o <path>]\n  mhd fsck           --store <store> [--deep]   (crash recovery + integrity walk; alias: verify)\n  mhd rm <prefix>    --store <store>   (delete recipes, then gc)\n  mhd gc             --store <store>\n  mhd compact        --store <store> [--threshold 0.7]\n  mhd serve          --store <store> --socket <path> [--ecs N] [--sd N]\n                     [--chunker rabin|tttd|fixed|fastcdc]\n                     [--io-threads N] [--durability none|rename|fsync]\n  mhd client backup <dir>   --socket <path> --tenant T [--label NAME]\n  mhd client restore <name> --socket <path> --tenant T -o <path>\n  mhd client ls             --socket <path> --tenant T\n  mhd client gc|fsck|stats|ping|shutdown   --socket <path>"
     );
     std::process::exit(2)
 }
@@ -39,9 +39,7 @@ fn main() -> ExitCode {
         "restore" => cmd_restore(&args[1..]),
         "ls" => cmd_ls(&args[1..]),
         "stats" => cmd_stats(&args[1..]),
-        "trace" if args.get(1).is_some_and(|a| a == "analyze") => cmd_trace_analyze(&args[2..]),
         "trace" => cmd_trace(&args[1..]),
-        "compare" => cmd_compare(&args[1..]),
         "fsck" | "verify" => cmd_fsck(&args[1..]),
         "rm" => cmd_rm(&args[1..]),
         "gc" => cmd_gc(&args[1..]),
@@ -255,7 +253,7 @@ fn cmd_compact(args: &[String]) -> CliResult {
 /// process-local, so a read-only `stats` invocation has none of its own —
 /// the persisted snapshot is the interesting one.
 fn print_internals(store: &Path, pretty: bool) -> CliResult {
-    let Some(snapshot) = session::load_internals(store) else {
+    let Some(snapshot) = session::load_internals(store)? else {
         return Err(
             "no internals snapshot in this store yet; run a mutating command (e.g. `mhd backup`) first"
                 .into(),
@@ -314,11 +312,22 @@ fn print_snapshot_tables(snap: &mhd_obs::Snapshot, indent: &str) {
 /// run, as Chrome `trace_event` JSON (default; loadable in
 /// `about:tracing`/Perfetto) or as the raw JSONL.
 fn cmd_trace(args: &[String]) -> CliResult {
+    // Every argument is a flag and its value: anything else is refused
+    // rather than ignored.
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--store" | "--format" | "-o" | "--output" => {
+                rest.next();
+            }
+            other => return Err(format!("trace: unexpected argument {other:?}").into()),
+        }
+    }
     let store = store_path(args)?;
     let format = flag_value(args, "--format").unwrap_or_else(|| "chrome".to_string());
     let out = flag_value(args, "-o").or_else(|| flag_value(args, "--output"));
     session::require_store(&store)?;
-    let Some(records) = session::load_trace(&store) else {
+    let Some(records) = session::load_trace(&store)? else {
         return Err("no trace in this store yet; run `mhd backup <dir> --trace` first".into());
     };
     let rendered = match format.as_str() {
@@ -339,98 +348,6 @@ fn cmd_trace(args: &[String]) -> CliResult {
         }
     }
     Ok(())
-}
-
-/// `mhd trace analyze`: derive per-stage wall time, thread utilization,
-/// stage overlap, stall intervals and event-rate timelines from a JSONL
-/// trace file (or the trace persisted in a store). Parsing is lenient —
-/// blank and garbage lines are skipped with a warning, and truncated
-/// traces (ring drops, guards outliving `trace_stop`) are reported, not
-/// fatal.
-fn cmd_trace_analyze(args: &[String]) -> CliResult {
-    let records = match args.first().filter(|a| !a.starts_with("--")) {
-        Some(file) => {
-            let input =
-                std::fs::read_to_string(file).map_err(|e| format!("read trace {file}: {e}"))?;
-            let (records, skipped) = mhd_obs::trace_from_jsonl_lossy(&input);
-            if skipped > 0 {
-                eprintln!("warning: skipped {skipped} unparseable line(s) in {file}");
-            }
-            records
-        }
-        None => {
-            let store = store_path(args).map_err(|_| {
-                "trace analyze needs a <file.jsonl> argument or --store <store>".to_string()
-            })?;
-            session::require_store(&store)?;
-            session::load_trace(&store).ok_or_else(|| {
-                "no trace in this store yet; run `mhd backup <dir> --trace` first".to_string()
-            })?
-        }
-    };
-    let mut opts = mhd_obs::analysis::AnalyzeOptions::default();
-    if let Some(buckets) = flag_value(args, "--buckets") {
-        opts.rate_buckets = buckets.parse()?;
-    }
-    let analysis = mhd_obs::analysis::analyze(&records, &opts);
-    if args.iter().any(|a| a == "--json") {
-        println!("{}", serde_json::to_string_pretty(&analysis)?);
-    } else {
-        print!("{}", analysis.render());
-    }
-    Ok(())
-}
-
-/// `mhd compare`: align two `--internals` snapshots (counters, histograms
-/// and per-scope sub-snapshots) and report every drifted metric facet.
-/// Exits nonzero when any aligned facet moved past the threshold, so CI
-/// can gate on it.
-fn cmd_compare(args: &[String]) -> CliResult {
-    let positional: Vec<&String> = {
-        // Skip flag values so `--fail-on 5 a.json b.json` parses too.
-        let mut out = Vec::new();
-        let mut iter = args.iter();
-        while let Some(arg) = iter.next() {
-            if arg == "--fail-on" || arg == "--store" {
-                iter.next();
-            } else if !arg.starts_with("--") {
-                out.push(arg);
-            }
-        }
-        out
-    };
-    let [base_path, new_path] = positional.as_slice() else {
-        return Err("compare needs two internals JSON files: mhd compare <a.json> <b.json>".into());
-    };
-    let load = |path: &str| -> Result<mhd_obs::Snapshot, Box<dyn std::error::Error>> {
-        let data =
-            std::fs::read_to_string(path).map_err(|e| format!("read snapshot {path}: {e}"))?;
-        serde_json::from_str(&data).map_err(|e| format!("parse snapshot {path}: {e}").into())
-    };
-    let base = load(base_path)?;
-    let new = load(new_path)?;
-    let mut opts = mhd_obs::compare::CompareOptions {
-        include_timings: args.iter().any(|a| a == "--include-timings"),
-        ..Default::default()
-    };
-    if let Some(pct) = flag_value(args, "--fail-on") {
-        opts.fail_pct = pct.parse()?;
-    }
-    let report = mhd_obs::compare::compare_snapshots(&base, &new, &opts);
-    if args.iter().any(|a| a == "--json") {
-        println!("{}", serde_json::to_string_pretty(&report)?);
-    } else {
-        print!("{}", report.render());
-    }
-    if report.is_clean() {
-        Ok(())
-    } else {
-        Err(format!(
-            "{} metric facet(s) regressed past {}% ({} vs {})",
-            report.regressions, opts.fail_pct, base_path, new_path
-        )
-        .into())
-    }
 }
 
 fn cmd_stats(args: &[String]) -> CliResult {

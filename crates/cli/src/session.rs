@@ -142,18 +142,30 @@ impl Session {
 const INTERNALS_FILE: &str = "session/internals.json";
 const TRACE_FILE: &str = "session/trace.jsonl";
 
+/// Reads `root/file`: `None` when it does not exist; any other failure
+/// is an error naming the file.
+fn read_session_file(root: &Path, file: &str) -> BoxResult<Option<String>> {
+    match std::fs::read_to_string(root.join(file)) {
+        Ok(data) => Ok(Some(data)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(format!("read {file}: {e}").into()),
+    }
+}
+
 /// The `mhd-obs` snapshot persisted by the last mutating command
-/// (`None` when no such command has run against this store).
-pub fn load_internals(root: &Path) -> Option<mhd_obs::Snapshot> {
-    let data = std::fs::read(root.join(INTERNALS_FILE)).ok()?;
-    serde_json::from_slice(&data).ok()
+/// (`None` when no such command has run against this store; an error
+/// when the file is there but cannot be read or parsed).
+pub fn load_internals(root: &Path) -> BoxResult<Option<mhd_obs::Snapshot>> {
+    let Some(data) = read_session_file(root, INTERNALS_FILE)? else { return Ok(None) };
+    serde_json::from_str(&data).map(Some).map_err(|e| format!("parse {INTERNALS_FILE}: {e}").into())
 }
 
 /// The trace persisted by the last `backup --trace` run (`None` when no
-/// traced command has run against this store).
-pub fn load_trace(root: &Path) -> Option<Vec<mhd_obs::TraceRecord>> {
-    let data = std::fs::read_to_string(root.join(TRACE_FILE)).ok()?;
-    mhd_obs::trace_from_jsonl(&data).ok()
+/// traced command has run against this store; an error naming the line
+/// when a line of the file does not parse).
+pub fn load_trace(root: &Path) -> BoxResult<Option<Vec<mhd_obs::TraceRecord>>> {
+    let Some(data) = read_session_file(root, TRACE_FILE)? else { return Ok(None) };
+    mhd_obs::trace_from_jsonl(&data).map(Some).map_err(|e| format!("parse {TRACE_FILE} {e}").into())
 }
 
 /// Restores one file by recipe name, through the read view.

@@ -12,8 +12,6 @@
 //!   topological order that the batched backend actually uses;
 //! * **L3** — DiskChunks and Hooks are immutable outside GC/compaction
 //!   (the paper's core invariant: HHR rewrites only Manifests);
-//! * **L4** — observability labels come from the registered vocabularies
-//!   (`SCOPE_LABEL_KEYS`, `STAGE_NAME_PREFIXES`), so traces aggregate;
 //! * **L5** — every member manifest inherits the workspace lint table,
 //!   and only binary crates may force the `obs` cargo feature;
 //! * **L7** — the daemon's lock acquisition graph stays acyclic and the

@@ -1,13 +1,12 @@
-//! The static invariant passes (L2–L5) and the workspace loader.
+//! The static invariant passes (L2, L3, L5) and the workspace loader.
 //!
 //! Each pass is a token-pattern scan over [`SourceFile`] streams (or, for
 //! L5, over the crate manifests) — no type information, which is exactly
 //! the point: these invariants are *layout* and *discipline* rules the
 //! compiler cannot see (raw filesystem calls bypassing the commit
-//! helpers, mutations of immutable object kinds, unregistered
-//! observability labels, a crate opted out of the workspace lints), and a
-//! token-level scan keeps them checkable in milliseconds on every CI run
-//! with zero external dependencies.
+//! helpers, mutations of immutable object kinds, a crate opted out of the
+//! workspace lints), and a token-level scan keeps them checkable in
+//! milliseconds on every CI run with zero external dependencies.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -18,16 +17,6 @@ use crate::idrange::pass_l8_id_range;
 use crate::locks::pass_l7_lock_order;
 use crate::source::{matching_close, SourceFile};
 use crate::Finding;
-
-/// Fallback scope-label keys, kept in sync with
-/// `mhd_obs::SCOPE_LABEL_KEYS`; the real registry is re-parsed from the
-/// obs source when present so the two cannot drift silently.
-pub const DEFAULT_SCOPE_KEYS: &[&str] =
-    &["chunker", "cmd", "engine", "io", "run", "shard", "t", "tenant"];
-
-/// Fallback stage-name prefixes, mirroring `mhd_obs::STAGE_NAME_PREFIXES`.
-pub const DEFAULT_STAGE_PREFIXES: &[&str] =
-    &["backup", "commit", "daemon", "engine", "frontend", "io"];
 
 /// A loaded workspace: every lintable source file plus crate manifests.
 #[derive(Debug)]
@@ -96,7 +85,7 @@ fn rel_of(root: &Path, path: &Path) -> String {
 
 /// Which allow-directive name suppresses findings of each pass; these
 /// are the only names a directive may use. Passes absent here have no
-/// per-line escape hatch — the workspace-shape rules (L2b, L4, L5) are
+/// per-line escape hatch — the workspace-shape rules (L2b, L5) are
 /// properties of registries and manifests, not of an individual line a
 /// reviewer could sanction.
 const SUPPRESSIBLE: &[(&str, &str)] = &[
@@ -125,7 +114,6 @@ pub fn run_passes(ws: &Workspace) -> Vec<Finding> {
     pass_l2_commit_path(ws, &mut findings);
     pass_l2_flush_order(ws, &mut findings);
     pass_l3_immutability(ws, &mut findings);
-    pass_l4_obs_labels(ws, &mut findings);
     pass_l5_manifests(ws, &mut findings);
     pass_l7_lock_order(ws, &mut findings);
     pass_l8_id_range(ws, &mut findings);
@@ -431,126 +419,6 @@ fn pass_l3_immutability(ws: &Workspace, out: &mut Vec<Finding>) {
                         toks[i].text
                     ),
                 });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// L4: observability label hygiene
-// ---------------------------------------------------------------------
-
-/// Scope keys and stage prefixes, parsed from the obs crate's registries
-/// when present (so the linter follows the source of truth), else the
-/// built-in mirrors.
-fn obs_registries(ws: &Workspace) -> (Vec<String>, Vec<String>) {
-    let parse = |rel: &str, const_name: &str, fallback: &[&str]| {
-        ws.file(rel)
-            .and_then(|f| const_str_list(f, const_name))
-            .unwrap_or_else(|| fallback.iter().map(|s| s.to_string()).collect())
-    };
-    (
-        parse("crates/obs/src/scope.rs", "SCOPE_LABEL_KEYS", DEFAULT_SCOPE_KEYS),
-        parse("crates/obs/src/trace.rs", "STAGE_NAME_PREFIXES", DEFAULT_STAGE_PREFIXES),
-    )
-}
-
-/// String literals inside `const <name>: … = &[ … ];`.
-fn const_str_list(file: &SourceFile, name: &str) -> Option<Vec<String>> {
-    let toks = &file.toks;
-    for i in 0..toks.len() {
-        if !(toks[i].is_ident("const") && toks.get(i + 1).map(|t| t.is_ident(name)) == Some(true)) {
-            continue;
-        }
-        let mut j = i + 2;
-        while j < toks.len() && !toks[j].is_punct('=') {
-            j += 1;
-        }
-        while j < toks.len() && !toks[j].is_punct('[') {
-            j += 1;
-        }
-        let close = matching_close(toks, j, '[', ']')?;
-        let strs = toks[j + 1..close]
-            .iter()
-            .filter(|t| t.kind == crate::lexer::TokKind::Str)
-            .map(|t| t.text.clone())
-            .collect();
-        return Some(strs);
-    }
-    None
-}
-
-fn pass_l4_obs_labels(ws: &Workspace, out: &mut Vec<Finding>) {
-    let (scope_keys, stage_prefixes) = obs_registries(ws);
-    for file in ws.files.iter().filter(|f| !f.rel.starts_with("crates/obs/src/")) {
-        let toks = &file.toks;
-        for i in 0..toks.len() {
-            // Tests may fabricate foreign labels (e.g. feeding the trace
-            // analyzer synthetic stage names); only production emissions
-            // must use the registered vocabulary.
-            if file.test_mask[i] {
-                continue;
-            }
-            // scope!("key=value" …)
-            if toks[i].is_ident("scope")
-                && toks.get(i + 1).map(|t| t.is_punct('!')) == Some(true)
-                && toks.get(i + 2).map(|t| t.is_punct('(')) == Some(true)
-            {
-                if let Some(lit) = toks.get(i + 3).filter(|t| t.kind == crate::lexer::TokKind::Str)
-                {
-                    match lit.text.split_once('=') {
-                        None => out.push(Finding {
-                            pass: "L4-obs-labels",
-                            file: file.rel.clone(),
-                            line: lit.line,
-                            message: format!("scope label {:?} is not key=value form", lit.text),
-                        }),
-                        Some((key, _)) if !scope_keys.iter().any(|k| k == key) => {
-                            out.push(Finding {
-                                pass: "L4-obs-labels",
-                                file: file.rel.clone(),
-                                line: lit.line,
-                                message: format!(
-                                    "scope key {key:?} not in SCOPE_LABEL_KEYS {scope_keys:?}"
-                                ),
-                            })
-                        }
-                        Some(_) => {}
-                    }
-                }
-            }
-            // stage("name") or stage(format!("name…", …))
-            if toks[i].is_ident("stage") && toks.get(i + 1).map(|t| t.is_punct('(')) == Some(true) {
-                let lit = match toks.get(i + 2) {
-                    Some(t) if t.kind == crate::lexer::TokKind::Str => Some(t),
-                    Some(t)
-                        if t.is_ident("format")
-                            && toks.get(i + 3).map(|t| t.is_punct('!')) == Some(true)
-                            && toks.get(i + 4).map(|t| t.is_punct('(')) == Some(true) =>
-                    {
-                        toks.get(i + 5).filter(|t| t.kind == crate::lexer::TokKind::Str)
-                    }
-                    _ => None,
-                };
-                if let Some(lit) = lit {
-                    let prefix: String = lit
-                        .text
-                        .chars()
-                        .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                        .collect();
-                    if !stage_prefixes.iter().any(|p| p == &prefix) {
-                        out.push(Finding {
-                            pass: "L4-obs-labels",
-                            file: file.rel.clone(),
-                            line: lit.line,
-                            message: format!(
-                                "stage name {:?} has prefix {prefix:?}, not in \
-                                 STAGE_NAME_PREFIXES {stage_prefixes:?}",
-                                lit.text
-                            ),
-                        });
-                    }
-                }
             }
         }
     }

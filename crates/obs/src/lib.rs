@@ -39,12 +39,6 @@
 //! collects the merged, time-sorted event list, exportable as JSONL
 //! ([`trace_to_jsonl`]) or Chrome `trace_event` JSON ([`trace_to_chrome`],
 //! loadable in `about:tracing` / [Perfetto](https://ui.perfetto.dev)).
-//! The [`analysis`] module derives per-stage wall time, thread
-//! utilization, stage overlap, stall intervals and event-rate timelines
-//! from a record stream (tolerating ring-truncated traces), and
-//! [`compare`] aligns two persisted [`Snapshot`]s into a cross-run
-//! regression report — the quantitative side of `mhd trace analyze` and
-//! `mhd compare`.
 //!
 //! # The `obs` feature — no-op-when-disabled guarantee
 //!
@@ -94,17 +88,14 @@ mod disabled;
 pub use disabled::{counter, histogram, reset, snapshot, Counter, Histogram, Span};
 
 mod scope;
-pub use scope::{enter_scopes, scope_labels, Scope, SCOPE_LABEL_KEYS};
+pub use scope::{enter_scopes, scope_labels, Scope};
 
 mod trace;
 pub use trace::{
-    stage, trace, trace_buffer_count, trace_drain, trace_from_jsonl, trace_from_jsonl_lossy,
-    trace_start, trace_stop, trace_to_chrome, trace_to_jsonl, tracing, ExtendDir, TraceEvent,
-    TraceRecord, TraceStage, DEFAULT_TRACE_CAPACITY, STAGE_NAME_PREFIXES,
+    stage, trace, trace_buffer_count, trace_drain, trace_from_jsonl, trace_start, trace_stop,
+    trace_to_chrome, trace_to_jsonl, tracing, ExtendDir, TraceEvent, TraceRecord, TraceStage,
+    DEFAULT_TRACE_CAPACITY,
 };
-
-pub mod analysis;
-pub mod compare;
 
 /// Returns the [`Counter`] registered under a `&'static str` name, cached
 /// per call site (one `OnceLock` lookup ever; afterwards a plain static
@@ -215,7 +206,7 @@ pub fn bucket_index(value: u64) -> usize {
 /// [`Snapshot::histogram`] — so two snapshots of identical state compare
 /// equal and serialize identically. [`Snapshot::scopes`] carries one
 /// sub-snapshot per attribution label, sorted by label.
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Snapshot {
     /// Every registered counter, sorted by name.
     pub counters: Vec<CounterSnapshot>,
@@ -252,33 +243,6 @@ pub struct HistogramSnapshot {
     /// Non-empty log₂ buckets as `(bit_length, count)` pairs — see
     /// [`bucket_index`].
     pub buckets: Vec<(u32, u64)>,
-}
-
-// Hand-written so that snapshots persisted before the scope layer existed
-// (no `scopes` field) still load: the shim's derive has no
-// `#[serde(default)]`.
-impl<'de> Deserialize<'de> for Snapshot {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let mut map = match deserializer.deserialize_content()? {
-            serde::Content::Map(m) => m,
-            _ => return Err(serde::de::Error::custom("expected map for Snapshot")),
-        };
-        let mut take =
-            |key: &str| map.iter().position(|(k, _)| k == key).map(|i| map.swap_remove(i).1);
-        let counters = match take("counters") {
-            Some(c) => Deserialize::deserialize(c).map_err(serde::de::lift_err::<D::Error>)?,
-            None => return Err(serde::de::Error::custom("missing field `counters` in Snapshot")),
-        };
-        let histograms = match take("histograms") {
-            Some(c) => Deserialize::deserialize(c).map_err(serde::de::lift_err::<D::Error>)?,
-            None => return Err(serde::de::Error::custom("missing field `histograms` in Snapshot")),
-        };
-        let scopes = match take("scopes") {
-            Some(c) => Deserialize::deserialize(c).map_err(serde::de::lift_err::<D::Error>)?,
-            None => Vec::new(),
-        };
-        Ok(Snapshot { counters, histograms, scopes })
-    }
 }
 
 impl Snapshot {
@@ -460,16 +424,6 @@ mod tests {
         assert!(snap.is_empty());
         let back: Snapshot = serde_json::from_str(&serde_json::to_string(&snap).unwrap()).unwrap();
         assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn pre_scope_snapshot_json_still_loads() {
-        // A snapshot persisted before the scope layer existed has no
-        // `scopes` key; it must deserialize with an empty scope list.
-        let old = r#"{"counters":[{"name":"a","value":1}],"histograms":[]}"#;
-        let snap: Snapshot = serde_json::from_str(old).unwrap();
-        assert_eq!(snap.counter("a"), 1);
-        assert!(snap.scopes.is_empty());
     }
 
     #[test]

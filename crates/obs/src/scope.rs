@@ -16,16 +16,6 @@
 //! event; with the `obs` feature off the whole module compiles to
 //! nothing.
 
-/// The registered attribution-label families: every [`crate::scope!`]
-/// label is `key=value`, and `key` must appear in this list (`"t"` is
-/// reserved for unit tests). `mhd-lint`'s L4 pass parses this constant
-/// from source and cross-checks every `scope!` call site in the
-/// workspace, so introducing a new label family means registering its
-/// key here — which is also where dashboards and the snapshot comparator
-/// learn what to expect.
-pub const SCOPE_LABEL_KEYS: &[&str] =
-    &["chunker", "cmd", "engine", "io", "run", "shard", "t", "tenant"];
-
 #[cfg(feature = "obs")]
 mod imp {
     use std::cell::RefCell;

@@ -18,22 +18,15 @@
 //! * [`trace_to_chrome`] — Chrome `trace_event` JSON (the
 //!   `{"traceEvents": [...]}` envelope), loadable in `about:tracing` or
 //!   [Perfetto](https://ui.perfetto.dev): stages become `B`/`E` duration
-//!   pairs, point events become thread-scoped instants.
+//!   pairs, point events become thread-scoped instants. Perfetto is the
+//!   trace reader: per-thread stage spans, their overlap and the gaps
+//!   between them are what its timeline shows.
 //!
 //! With the `obs` feature off, recording compiles to nothing; the data
 //! model and exporters stay available so tooling that *reads* traces
 //! builds in every configuration.
 
 use serde::{Content, Deserialize, Serialize};
-
-/// The registered stage-name families: every [`stage`] label must begin
-/// with one of these prefixes (the text before any `=` or `.`
-/// qualifier — `"frontend.job"` and `"engine=mhd"` are both covered).
-/// `mhd-lint`'s L4 pass parses this constant from source and
-/// cross-checks every `mhd_obs::stage(..)` call site, keeping the
-/// analyzer's stage taxonomy closed under review.
-pub const STAGE_NAME_PREFIXES: &[&str] =
-    &["backup", "commit", "daemon", "engine", "frontend", "io"];
 
 /// Direction of a match extension ([`TraceEvent::BmeExtend`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -464,29 +457,79 @@ pub fn trace_to_jsonl(records: &[TraceRecord]) -> String {
 }
 
 /// Parses JSON Lines produced by [`trace_to_jsonl`] (blank lines are
-/// skipped).
-pub fn trace_from_jsonl(input: &str) -> Result<Vec<TraceRecord>, serde_json::Error> {
-    input.lines().filter(|line| !line.trim().is_empty()).map(serde_json::from_str).collect()
+/// skipped). The error names the first line that does not parse
+/// (`"line 2: …"`, counting from 1).
+pub fn trace_from_jsonl(input: &str) -> Result<Vec<TraceRecord>, String> {
+    input
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| serde_json::from_str(line).map_err(|e| format!("line {}: {e}", i + 1)))
+        .collect()
 }
 
-/// Lenient variant of [`trace_from_jsonl`] for files that passed through
-/// editors, partial downloads or log interleaving: blank lines are
-/// skipped, unparseable lines are counted and dropped instead of failing
-/// the whole file. Returns the parsed records plus the number of lines
-/// skipped as garbage.
-pub fn trace_from_jsonl_lossy(input: &str) -> (Vec<TraceRecord>, u64) {
-    let mut records = Vec::new();
-    let mut skipped = 0u64;
-    for line in input.lines() {
-        if line.trim().is_empty() {
+/// One closed stage interval on one thread: what [`trace_to_chrome`]
+/// exports as a `B`/`E` pair.
+#[derive(Debug, PartialEq)]
+struct StageInterval {
+    stage: String,
+    tid: u32,
+    start_ns: u64,
+    end_ns: u64,
+}
+
+/// Pairs `StageBegin`/`StageEnd` events into closed intervals, sorted by
+/// `(start_ns, tid)`, tolerating a truncated trace.
+///
+/// The recording rings are bounded, so a busy run drops its oldest
+/// events, and a stage guard alive when `trace_stop()` disarmed tracing
+/// never records its end. Per thread, begins push onto a stack and an end
+/// closes the nearest open frame with the same name; frames stacked above
+/// it lost their own ends and are closed at the same timestamp (RAII
+/// guards cannot mis-nest, so only partial traces do this). An end with
+/// no open frame of its name lost its begin to a ring drop and yields no
+/// interval: its extent could cross surviving stages on the same thread,
+/// which would corrupt Perfetto's per-thread `B`/`E` nesting. Frames
+/// still open after the last record are closed at the window's last
+/// timestamp, over every record, point events included.
+fn balance_stages(records: &[TraceRecord]) -> Vec<StageInterval> {
+    let Some(window_end) = records.iter().map(|r| r.ts_ns).max() else { return Vec::new() };
+    let mut order: Vec<&TraceRecord> = records.iter().collect();
+    order.sort_by_key(|r| (r.ts_ns, r.tid));
+
+    // Per-tid stacks of open frames: (stage name, begin timestamp).
+    let mut open: Vec<(u32, Vec<(String, u64)>)> = Vec::new();
+    let mut out = Vec::new();
+    for record in order {
+        let (TraceEvent::StageBegin { stage } | TraceEvent::StageEnd { stage }) = &record.event
+        else {
             continue;
-        }
-        match serde_json::from_str(line) {
-            Ok(record) => records.push(record),
-            Err(_) => skipped += 1,
+        };
+        let i = match open.iter().position(|(t, _)| *t == record.tid) {
+            Some(i) => i,
+            None => {
+                open.push((record.tid, Vec::new()));
+                open.len() - 1
+            }
+        };
+        let stack = &mut open[i].1;
+        if matches!(record.event, TraceEvent::StageBegin { .. }) {
+            stack.push((stage.clone(), record.ts_ns));
+        } else if let Some(pos) = stack.iter().rposition(|(name, _)| name == stage) {
+            // Close the match and every frame above it, inner-first.
+            for (stage, start_ns) in stack.drain(pos..).rev() {
+                out.push(StageInterval { stage, tid: record.tid, start_ns, end_ns: record.ts_ns });
+            }
         }
     }
-    (records, skipped)
+    for (tid, stack) in open {
+        // Close leftovers inner-first so same-timestamp ends nest.
+        for (stage, start_ns) in stack.into_iter().rev() {
+            out.push(StageInterval { stage, tid, start_ns, end_ns: window_end });
+        }
+    }
+    out.sort_by_key(|a| (a.start_ns, a.tid));
+    out
 }
 
 /// Serializes records as Chrome `trace_event` JSON — the
@@ -496,27 +539,20 @@ pub fn trace_from_jsonl_lossy(input: &str) -> (Vec<TraceRecord>, u64) {
 /// named by [`TraceEvent::kind`] with their fields under `args`.
 /// Timestamps are microseconds (fractional — the format allows it).
 ///
-/// Stage events are balanced before export (see
-/// [`crate::analysis::balance_stages`]): a `StageBegin` whose end was
+/// Stage events are balanced before export: a `StageBegin` whose end was
 /// lost (guard dropped after `trace_stop`) gets a synthesized `E` at the
 /// window's last timestamp, and an orphan `StageEnd` whose begin fell off
-/// the recording ring is skipped — its reconstructed extent can cross
-/// surviving stages on the same thread, which would corrupt Perfetto's
-/// per-thread `B`/`E` nesting. Every emitted `B` therefore has exactly
+/// the recording ring is skipped. Every emitted `B` therefore has exactly
 /// one matching `E` in stack order.
 pub fn trace_to_chrome(records: &[TraceRecord]) -> String {
     use serde_json::{Number, Value};
-    let balanced = crate::analysis::balance_stages(records);
     // Sort rank at equal timestamps: ends close before new begins open,
     // instants land inside the enclosing stage. Secondary keys keep
     // same-thread nesting valid: at a shared timestamp the innermost
     // interval (latest start) ends first and the outermost (latest end)
     // begins first.
     let mut events: Vec<(u64, u8, u64, Value)> = Vec::with_capacity(records.len());
-    for interval in &balanced.intervals {
-        if interval.synthetic_begin {
-            continue; // orphan E: skipped, tallied by the analyzer
-        }
+    for interval in &balance_stages(records) {
         events.push((
             interval.start_ns,
             1,
@@ -632,6 +668,10 @@ mod tests {
         assert!(trace_from_jsonl("nonsense").is_err());
         let unknown = r#"{"ts_ns":1,"tid":0,"event":{"type":"Mystery"}}"#;
         assert!(trace_from_jsonl(unknown).is_err());
+        // The error names the bad line, blank lines counted.
+        let jsonl = trace_to_jsonl(&sample_records());
+        let bad = format!("\n{}\ngarbage\n", jsonl.lines().next().unwrap_or_default());
+        assert!(trace_from_jsonl(&bad).unwrap_err().starts_with("line 3: "));
     }
 
     #[test]
@@ -668,6 +708,66 @@ mod tests {
         // Every stage opens and closes.
         assert_eq!(begins, 1);
         assert_eq!(begins, ends);
+    }
+
+    fn rec(ts_ns: u64, tid: u32, event: TraceEvent) -> TraceRecord {
+        TraceRecord { ts_ns, tid, event }
+    }
+
+    fn begin(ts: u64, tid: u32, name: &str) -> TraceRecord {
+        rec(ts, tid, TraceEvent::StageBegin { stage: name.to_string() })
+    }
+
+    fn end(ts: u64, tid: u32, name: &str) -> TraceRecord {
+        rec(ts, tid, TraceEvent::StageEnd { stage: name.to_string() })
+    }
+
+    fn interval(stage: &str, tid: u32, start_ns: u64, end_ns: u64) -> StageInterval {
+        StageInterval { stage: stage.to_string(), tid, start_ns, end_ns }
+    }
+
+    #[test]
+    fn balances_nested_and_sequential_stages() {
+        let records = vec![
+            begin(0, 0, "outer"),
+            begin(10, 0, "inner"),
+            end(40, 0, "inner"),
+            end(100, 0, "outer"),
+            begin(120, 0, "next"),
+            end(150, 0, "next"),
+        ];
+        assert_eq!(
+            balance_stages(&records),
+            vec![
+                interval("outer", 0, 0, 100),
+                interval("inner", 0, 10, 40),
+                interval("next", 0, 120, 150)
+            ]
+        );
+    }
+
+    #[test]
+    fn orphan_end_is_dropped() {
+        // The begin fell off the ring; the first surviving record is an
+        // instant at t=5. The orphan end yields no interval, so the
+        // Chrome export carries no `E` without its `B`.
+        let records = vec![rec(5, 0, TraceEvent::HookHit), end(50, 0, "lost-begin")];
+        assert!(balance_stages(&records).is_empty());
+        assert!(!trace_to_chrome(&records).contains("lost-begin"));
+    }
+
+    #[test]
+    fn unclosed_begin_clamps_to_window_end() {
+        let records =
+            vec![begin(10, 0, "never-ends"), rec(80, 0, TraceEvent::ChunkEmitted { bytes: 1 })];
+        assert_eq!(balance_stages(&records), vec![interval("never-ends", 0, 10, 80)]);
+        // A frame above the closed one lost its end too: both close at
+        // the outer end's timestamp.
+        let records = vec![begin(0, 1, "outer"), begin(5, 1, "lost-end"), end(30, 1, "outer")];
+        assert_eq!(
+            balance_stages(&records),
+            vec![interval("outer", 1, 0, 30), interval("lost-end", 1, 5, 30)]
+        );
     }
 
     #[cfg(feature = "obs")]
