@@ -18,8 +18,10 @@
 #      Chrome trace (`mhd trace`, the file Perfetto opens), and `mhd trace`
 #      refuses a sub-verb such as the removed `analyze`
 #   5. daemon    — `mhd serve` end-to-end: three concurrent client
-#      sessions over the Unix socket, per-tenant restore + byte compare,
-#      fsck, clean shutdown
+#      sessions over the Unix socket, per-tenant restore + byte compare
+#      (one file larger than the socket buffer each), a restore of a
+#      missing name that fails while the daemon still answers, fsck,
+#      clean shutdown
 #   6. benchmark — the repo benchmark still builds against this tree and
 #      runs end to end: `benchmark/run.sh --smoke` (every workload once on
 #      the tiny corpus, traced, outputs checked) and the harness's own
@@ -192,9 +194,12 @@ cargo test -q -p mhd-store -p mhd-core
 
 step "daemon: concurrent client sessions over mhd serve"
 mkdir -p "$SMOKE/clients"
+# Each tenant also sends a 3 MiB image: a RESTORE reply larger than the
+# socket buffer, read from more than one container.
 for t in a b c; do
     mkdir -p "$SMOKE/clients/$t"
     head -c 131072 /dev/urandom > "$SMOKE/clients/$t/image.img"
+    head -c 3145728 /dev/urandom > "$SMOKE/clients/$t/large.img"
 done
 ./target/release/mhd serve --store "$SMOKE/daemon-store" \
     --socket "$SMOKE/mhd.sock" &
@@ -211,12 +216,23 @@ for t in a b c; do
     CLIENT_PIDS+=($!)
 done
 for pid in "${CLIENT_PIDS[@]}"; do wait "$pid"; done
+mkdir -p "$SMOKE/restored"
 for t in a b c; do
-    ./target/release/mhd client restore day0_image.img \
-        --socket "$SMOKE/mhd.sock" --tenant "tenant-$t" \
-        -o "$SMOKE/clients/$t/restored.img"
-    cmp "$SMOKE/clients/$t/image.img" "$SMOKE/clients/$t/restored.img"
+    for f in image large; do
+        ./target/release/mhd client restore "day0_$f.img" \
+            --socket "$SMOKE/mhd.sock" --tenant "tenant-$t" \
+            -o "$SMOKE/restored/$t-$f.img"
+        cmp "$SMOKE/clients/$t/$f.img" "$SMOKE/restored/$t-$f.img"
+    done
 done
+# A name the store does not hold is an ERR reply and a failed command; the
+# daemon goes on answering.
+if ./target/release/mhd client restore day0_missing.img \
+    --socket "$SMOKE/mhd.sock" --tenant tenant-a -o "$SMOKE/restored/missing.img" 2> /dev/null; then
+    echo "error: mhd client restore of a missing name succeeded" >&2
+    exit 1
+fi
+./target/release/mhd client ping --socket "$SMOKE/mhd.sock"
 ./target/release/mhd client fsck --socket "$SMOKE/mhd.sock"
 ./target/release/mhd client shutdown --socket "$SMOKE/mhd.sock"
 wait "$SERVE_PID"

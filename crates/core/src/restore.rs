@@ -2,17 +2,16 @@
 //! the correctness proof for every engine (a deduplicator that cannot
 //! restore its input has eliminated the wrong bytes).
 
-use bytes::Bytes;
-use mhd_store::{Backend, FileManifest, StoreResult, Substrate};
+use mhd_store::{Backend, StoreResult, Substrate};
 use mhd_workload::Corpus;
 
-/// Reconstructs one file by concatenating its recipe's extents.
+/// Reconstructs one file by concatenating its recipe's extents, each read
+/// straight into the one buffer reserved for the whole file.
 pub fn restore_file<B: Backend>(substrate: &mut Substrate<B>, name: &str) -> StoreResult<Vec<u8>> {
     let fm = substrate.load_file_manifest(name)?;
     let mut out = Vec::with_capacity(fm.total_len() as usize);
     for extent in fm.extents() {
-        let bytes = substrate.read_chunk_range(extent.container, extent.offset, extent.len)?;
-        out.extend_from_slice(&bytes);
+        substrate.append_chunk_range(extent.container, extent.offset, extent.len, &mut out)?;
     }
     Ok(out)
 }
@@ -48,55 +47,6 @@ pub fn verify_corpus<B: Backend>(
     Ok(verified)
 }
 
-/// A bounded-memory streaming reader over a deduplicated file: extents are
-/// fetched lazily, one at a time, so restoring a multi-gigabyte file never
-/// materialises it (implements [`std::io::Read`]).
-pub struct RestoreReader<'a, B: Backend> {
-    substrate: &'a mut Substrate<B>,
-    recipe: FileManifest,
-    /// Next extent to fetch.
-    next_extent: usize,
-    /// Unconsumed bytes of the current extent.
-    current: Bytes,
-}
-
-impl<'a, B: Backend> RestoreReader<'a, B> {
-    /// Opens `name` for streaming restore.
-    pub fn open(substrate: &'a mut Substrate<B>, name: &str) -> StoreResult<Self> {
-        let recipe = substrate.load_file_manifest(name)?;
-        Ok(RestoreReader { substrate, recipe, next_extent: 0, current: Bytes::new() })
-    }
-
-    /// Total bytes this reader will produce.
-    pub fn len(&self) -> u64 {
-        self.recipe.total_len()
-    }
-
-    /// True for empty files.
-    pub fn is_empty(&self) -> bool {
-        self.recipe.total_len() == 0
-    }
-}
-
-impl<B: Backend> std::io::Read for RestoreReader<'_, B> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        while self.current.is_empty() {
-            let Some(extent) = self.recipe.extents().get(self.next_extent).copied() else {
-                return Ok(0); // end of file
-            };
-            self.next_extent += 1;
-            self.current = self
-                .substrate
-                .read_chunk_range(extent.container, extent.offset, extent.len)
-                .map_err(std::io::Error::other)?;
-        }
-        let n = buf.len().min(self.current.len());
-        buf[..n].copy_from_slice(&self.current[..n]);
-        self.current = self.current.slice(n..);
-        Ok(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::{CdcEngine, Deduplicator, EngineConfig, MhdEngine};
@@ -113,34 +63,6 @@ mod tests {
         e.finish().unwrap();
         let n = super::verify_corpus(e.substrate_mut(), &corpus).unwrap();
         assert_eq!(n as u64, corpus.snapshots.iter().map(|s| s.files.len() as u64).sum::<u64>());
-    }
-
-    #[test]
-    fn streaming_reader_matches_eager_restore() {
-        use std::io::Read;
-        let corpus = Corpus::generate(CorpusSpec::tiny(33));
-        let mut e = MhdEngine::new(MemBackend::new(), EngineConfig::new(512, 8)).unwrap();
-        for s in &corpus.snapshots {
-            e.process_snapshot(s).unwrap();
-        }
-        e.finish().unwrap();
-        let target = &corpus.snapshots.last().unwrap().files[0];
-        let eager = super::restore_file(e.substrate_mut(), &target.path).unwrap();
-
-        let mut reader = super::RestoreReader::open(e.substrate_mut(), &target.path).unwrap();
-        assert_eq!(reader.len(), target.data.len() as u64);
-        // Tiny read buffer exercises extent paging.
-        let mut streamed = Vec::new();
-        let mut buf = [0u8; 113];
-        loop {
-            let n = reader.read(&mut buf).unwrap();
-            if n == 0 {
-                break;
-            }
-            streamed.extend_from_slice(&buf[..n]);
-        }
-        assert_eq!(streamed, eager);
-        assert_eq!(streamed, target.data);
     }
 
     #[test]

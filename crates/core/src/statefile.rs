@@ -541,12 +541,12 @@ fn rollback_above_watermark<B: Backend>(
 
 /// A throwaway, non-mutating substrate over the store's directory tree:
 /// what `RESTORE`/`LS` and `mhd restore|ls` read through. It runs no
-/// recovery, touches no state file and is safe beside a live writer:
-/// writers flush in `FLUSH_ORDER` before they acknowledge, so every
-/// listed recipe of an acknowledged stream is complete on disk, and GC
-/// marks recipes live before sweeping.
+/// recovery, creates no directory, touches no state file and is safe
+/// beside a live writer: writers flush in `FLUSH_ORDER` before they
+/// acknowledge, so every listed recipe of an acknowledged stream is
+/// complete on disk, and GC marks recipes live before sweeping.
 pub fn read_view(root: &Path) -> StoreResult<Substrate<DirBackend>> {
-    Ok(Substrate::new(DirBackend::create_with(root, Durability::None)?))
+    Ok(Substrate::new(DirBackend::open(root)))
 }
 
 #[cfg(test)]

@@ -13,6 +13,9 @@ use std::path::Path;
 use crate::error::{DaemonError, DaemonResult};
 use crate::protocol::Request;
 
+/// The most [`Client::restore`] reserves before a reply's bytes arrive.
+const RESTORE_RESERVE: u64 = 16 << 20;
+
 /// What the server reported for a committed session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommitSummary {
@@ -105,14 +108,23 @@ impl Client {
         Ok(reply.split_ascii_whitespace().map(str::to_string).collect())
     }
 
-    /// Restores one recipe (`label/path`) to bytes.
+    /// Restores one recipe (`label/path`) to bytes, read from the socket
+    /// straight into the returned buffer. The length the server announces
+    /// is not trusted: at most 16 MiB is reserved up front, the buffer
+    /// grows as bytes arrive, and a reply that does not carry exactly
+    /// that many bytes is a protocol error.
     pub fn restore(&mut self, name: &str) -> DaemonResult<Vec<u8>> {
         let reply = self.round_trip(&Request::Restore { name: name.to_string() })?;
         let len: u64 = reply
             .parse()
             .map_err(|_| DaemonError::Protocol(format!("bad RESTORE length {reply:?}")))?;
-        let mut data = vec![0u8; len as usize];
-        self.reader.read_exact(&mut data)?;
+        let mut data = Vec::with_capacity(len.min(RESTORE_RESERVE) as usize);
+        let got = (&mut self.reader).take(len).read_to_end(&mut data)?;
+        if got as u64 != len {
+            return Err(DaemonError::Protocol(format!(
+                "RESTORE reply ended after {got} of {len} bytes"
+            )));
+        }
         Ok(data)
     }
 
@@ -172,5 +184,52 @@ impl Client {
             }
         }
         self.commit()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::os::unix::net::UnixListener;
+    use std::path::PathBuf;
+    use std::thread::JoinHandle;
+
+    /// A server that answers one `RESTORE` line with `reply` and hangs up.
+    fn fake_server(tag: &str, reply: &'static [u8]) -> (PathBuf, JoinHandle<()>) {
+        let dir = std::env::temp_dir().join(format!("mhd-client-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let socket = dir.join("mhd.sock");
+        let listener = UnixListener::bind(&socket).unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.starts_with("RESTORE "), "{line:?}");
+            reader.get_mut().write_all(reply).unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+        });
+        (socket, server)
+    }
+
+    #[test]
+    fn restore_takes_exactly_the_announced_length_or_fails() {
+        let (socket, server) = fake_server("exact", b"OK 3\nabc");
+        assert_eq!(Client::connect(&socket).unwrap().restore("d/a").unwrap(), b"abc");
+        server.join().unwrap();
+
+        for (tag, reply, want) in [
+            // A length no buffer could hold is an error, not an abort.
+            ("huge", &b"OK 18446744073709551615\nabcde"[..], "after 5 of 18446744073709551615"),
+            ("short", b"OK 10\nabc", "after 3 of 10"),
+            ("none", b"OK 10\n", "after 0 of 10"),
+            ("garbled", b"OK ten\n", "bad RESTORE length"),
+        ] {
+            let (socket, server) = fake_server(tag, reply);
+            let err = Client::connect(&socket).unwrap().restore("d/a").unwrap_err();
+            assert!(matches!(&err, DaemonError::Protocol(m) if m.contains(want)), "{tag}: {err}");
+            server.join().unwrap();
+        }
     }
 }

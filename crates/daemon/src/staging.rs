@@ -25,7 +25,7 @@ use std::path::Path;
 
 use bytes::Bytes;
 use mhd_store::{
-    safe_name, Backend, DirBackend, Durability, FileKind, RecoveryReport, StoreError, StoreResult,
+    safe_name, Backend, DirBackend, FileKind, RecoveryReport, StoreError, StoreResult,
 };
 
 /// The staged writes of one commit pipeline, keyed within each kind by
@@ -67,15 +67,11 @@ pub struct StagingBackend {
 impl StagingBackend {
     /// Opens a staging view over the shared store rooted at `root`.
     ///
-    /// The base view is a plain [`DirBackend`] used read-only (durability
-    /// is irrelevant; `Durability::None` avoids pointless fsync setup).
-    /// It is never `recover()`ed — recovery would delete the live store's
-    /// in-flight tmp files.
+    /// The base view is a plain [`DirBackend`] used read-only: it creates
+    /// no directory and is never `recover()`ed — recovery would delete
+    /// the live store's in-flight tmp files.
     pub fn over(root: &Path) -> StoreResult<Self> {
-        Ok(StagingBackend {
-            base: DirBackend::create_with(root, Durability::None)?,
-            overlay: Overlay::default(),
-        })
+        Ok(StagingBackend { base: DirBackend::open(root), overlay: Overlay::default() })
     }
 
     /// Drains the staged writes for the publish phase.
@@ -217,6 +213,7 @@ impl Backend for StagingBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mhd_store::Durability;
 
     fn temp_root(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -299,6 +296,8 @@ mod tests {
         let overlay = s.take_staged();
         let staged: Vec<_> = overlay.fresh_of(kind).iter().collect();
         assert_eq!(staged, [(&"t_day0_sub_b.bin".to_string(), &b"rewritten".to_vec())]);
+        // The view over the empty root read it as empty and created nothing.
+        assert_eq!(std::fs::read_dir(&root).unwrap().count(), 0);
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -159,6 +159,23 @@ pub trait Backend {
         len: u64,
     ) -> StoreResult<Bytes>;
 
+    /// Appends `len` bytes at `offset` to `out`: the read path of a restore,
+    /// which builds one buffer from many ranges. Fails like
+    /// [`get_range`](Backend::get_range) and leaves `out` as it was on any
+    /// error. The default is `get_range` plus a copy; a backend that can
+    /// read straight into `out`'s spare capacity overrides it.
+    fn append_range(
+        &mut self,
+        kind: FileKind,
+        name: &str,
+        offset: u64,
+        len: u64,
+        out: &mut Vec<u8>,
+    ) -> StoreResult<()> {
+        out.extend_from_slice(&self.get_range(kind, name, offset, len)?);
+        Ok(())
+    }
+
     /// Object size in bytes, or `NotFound`.
     fn size_of(&mut self, kind: FileKind, name: &str) -> StoreResult<u64>;
 
@@ -407,14 +424,23 @@ impl DirBackend {
     /// Creates the directory layout under `root` with an explicit
     /// durability level.
     pub fn create_with(root: impl Into<PathBuf>, durability: Durability) -> StoreResult<Self> {
-        let root = root.into();
+        let backend = Self::open(root);
         for kind in FileKind::ALL {
-            let dir = root.join(kind.dir_name());
+            let dir = backend.root.join(kind.dir_name());
             std::fs::create_dir_all(&dir).map_err(|e| io_at("create dir", &dir, e))?;
         }
-        let intents = intent_dir(&root);
+        let intents = intent_dir(&backend.root);
         std::fs::create_dir_all(&intents).map_err(|e| io_at("create dir", &intents, e))?;
-        Ok(DirBackend { root, durability, tear_in: Arc::default() })
+        Ok(DirBackend { durability, ..backend })
+    }
+
+    /// A handle on the layout under `root` that creates nothing, for
+    /// readers: a missing namespace directory reads as empty, and reads of
+    /// its objects fail with `NotFound`. Its durability is
+    /// [`Durability::None`]; writers come in through
+    /// [`create_with`](DirBackend::create_with).
+    pub fn open(root: impl Into<PathBuf>) -> Self {
+        DirBackend { root: root.into(), durability: Durability::None, tear_in: Arc::default() }
     }
 
     /// The store root directory.
@@ -501,6 +527,22 @@ impl Backend for DirBackend {
         offset: u64,
         len: u64,
     ) -> StoreResult<Bytes> {
+        let mut buf = Vec::new();
+        self.append_range(kind, name, offset, len, &mut buf)?;
+        Ok(Bytes::from(buf))
+    }
+
+    /// Reads into `out`'s spare capacity (`read_to_end` neither zero-fills
+    /// it nor, under `take`, reads past the range) without asking for the
+    /// object's size: a range past the end shows up as a short read.
+    fn append_range(
+        &mut self,
+        kind: FileKind,
+        name: &str,
+        offset: u64,
+        len: u64,
+        out: &mut Vec<u8>,
+    ) -> StoreResult<()> {
         let path = self.path(kind, name);
         let mut file = match std::fs::File::open(&path) {
             Ok(f) => f,
@@ -509,14 +551,30 @@ impl Backend for DirBackend {
             }
             Err(e) => return Err(io_at("open", &path, e)),
         };
-        let size = file.metadata().map_err(|e| io_at("stat", &path, e))?.len();
-        if offset.checked_add(len).is_none_or(|e| e > size) {
-            return Err(StoreError::OutOfRange { name: name.to_string(), offset, len, size });
+        let start = out.len();
+        // `seek` refuses offsets past `i64::MAX`, where no file has bytes.
+        if offset.checked_add(len).is_some_and(|end| end <= i64::MAX as u64) {
+            if let Ok(n) = usize::try_from(len) {
+                // Too large to reserve is left to the short read.
+                let _ = out.try_reserve_exact(n);
+            }
+            file.seek(SeekFrom::Start(offset)).map_err(|e| io_at("seek", &path, e))?;
+            let read = (&mut file).take(len).read_to_end(out).map_err(|e| {
+                out.truncate(start);
+                io_at("read", &path, e)
+            })?;
+            if read as u64 == len && len > 0 {
+                return Ok(());
+            }
         }
-        file.seek(SeekFrom::Start(offset)).map_err(|e| io_at("seek", &path, e))?;
-        let mut buf = vec![0u8; len as usize];
-        file.read_exact(&mut buf).map_err(|e| io_at("read", &path, e))?;
-        Ok(Bytes::from(buf))
+        // A short read, an empty range or one out of reach: only now is
+        // the size asked for.
+        out.truncate(start);
+        let size = file.metadata().map_err(|e| io_at("stat", &path, e))?.len();
+        if len == 0 && offset <= size {
+            return Ok(());
+        }
+        Err(StoreError::OutOfRange { name: name.to_string(), offset, len, size })
     }
 
     fn size_of(&mut self, kind: FileKind, name: &str) -> StoreResult<u64> {
@@ -812,6 +870,27 @@ pub(crate) mod tests {
             backend.get_range(FileKind::DiskChunk, "a", 6, 6),
             Err(StoreError::OutOfRange { .. })
         ));
+        // `append_range` appends after what the buffer holds, and leaves it
+        // as it was when the range or the object is not there.
+        let mut out = b"> ".to_vec();
+        backend.append_range(FileKind::DiskChunk, "a", 6, 5, &mut out).unwrap();
+        backend.append_range(FileKind::DiskChunk, "a", 0, 0, &mut out).unwrap();
+        backend.append_range(FileKind::DiskChunk, "a", 0, 5, &mut out).unwrap();
+        assert_eq!(out, b"> worldhello");
+        for (offset, len) in [(6, 6), (11, 1), (12, 0), (u64::MAX, 2), (0, u64::MAX)] {
+            assert!(
+                matches!(
+                    backend.append_range(FileKind::DiskChunk, "a", offset, len, &mut out),
+                    Err(StoreError::OutOfRange { .. })
+                ),
+                "{offset}+{len}"
+            );
+        }
+        assert!(matches!(
+            backend.append_range(FileKind::DiskChunk, "missing", 0, 1, &mut out),
+            Err(StoreError::NotFound { .. })
+        ));
+        assert_eq!(out, b"> worldhello");
         assert_eq!(backend.size_of(FileKind::DiskChunk, "a").unwrap(), 11);
         assert!(backend.exists(FileKind::DiskChunk, "a"));
         assert!(!backend.exists(FileKind::Manifest, "a"));

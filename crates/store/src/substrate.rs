@@ -8,7 +8,7 @@
 //! | operation | Table II counter | Table I category |
 //! |---|---|---|
 //! | [`Substrate::write_disk_chunk`] | Chunk Output | DiskChunk inode, stored data bytes |
-//! | [`Substrate::read_chunk_range`] | Chunk Input | — |
+//! | [`Substrate::read_chunk_range`], [`Substrate::append_chunk_range`] | Chunk Input | — |
 //! | [`Substrate::write_hook`] | Hook Output | Hook inode + 20 bytes |
 //! | [`Substrate::lookup_hook`] | Hook Input | — |
 //! | [`Substrate::write_manifest`] | Manifest Output | Manifest inode + entry bytes |
@@ -168,10 +168,29 @@ impl<B: Backend> Substrate<B> {
         len: u64,
     ) -> StoreResult<Bytes> {
         let data = self.backend.get_range(FileKind::DiskChunk, &id.name(), offset, len)?;
+        self.count_chunk_read(len);
+        Ok(data)
+    }
+
+    /// Appends `len` bytes at `offset` of a sealed DiskChunk to `out` —
+    /// [`read_chunk_range`](Substrate::read_chunk_range) for a reader that
+    /// builds one buffer from many ranges (a restore), counted the same.
+    pub fn append_chunk_range(
+        &mut self,
+        id: DiskChunkId,
+        offset: u64,
+        len: u64,
+        out: &mut Vec<u8>,
+    ) -> StoreResult<()> {
+        self.backend.append_range(FileKind::DiskChunk, &id.name(), offset, len, out)?;
+        self.count_chunk_read(len);
+        Ok(())
+    }
+
+    fn count_chunk_read(&mut self, len: u64) {
         mhd_obs::counter!("store.disk_chunk_reads").inc();
         mhd_obs::histogram!("store.disk_chunk_read_bytes").record(len);
         self.stats.chunk_input += 1;
-        Ok(data)
     }
 
     /// Size of a sealed DiskChunk (no I/O charged: sizes live in the inode,
@@ -496,6 +515,12 @@ mod tests {
         let bytes = s.read_chunk_range(id, 2, 3).unwrap();
         assert_eq!(&bytes[..], b"234");
         assert_eq!(s.stats().chunk_input, 1);
+        // A restore's append counts as one more read; a failed one, none.
+        let mut out = bytes.to_vec();
+        s.append_chunk_range(id, 7, 3, &mut out).unwrap();
+        assert!(s.append_chunk_range(id, 8, 3, &mut out).is_err());
+        assert_eq!(out, b"234789");
+        assert_eq!(s.stats().chunk_input, 2);
     }
 
     #[test]

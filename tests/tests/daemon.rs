@@ -325,6 +325,45 @@ fn stats_track_sessions_and_shared_index() {
     shutdown(&socket, handle);
 }
 
+/// A `RESTORE` the store cannot serve — no such recipe, or a recipe whose
+/// container is gone — answers `ERR` before any payload, so the same
+/// connection goes on to restore a good file byte-exactly.
+#[test]
+fn failed_restores_answer_err_and_leave_the_connection_usable() {
+    let (store, socket, handle) = spawn_daemon("restore-err");
+    let (good, doomed) = (payload(300_000, 61), payload(50_000, 62));
+    let mut c = Client::connect(&socket).expect("connect");
+    c.open("acme").expect("open");
+    for (label, data) in [("day0", &good), ("day1", &doomed)] {
+        c.begin(label).expect("begin");
+        c.send_file("disk.img", data).expect("send");
+        c.commit().expect("commit");
+    }
+
+    let mut view = mhd_core::statefile::read_view(&store).expect("view");
+    let containers = |view: &mut mhd_store::Substrate<mhd_store::DirBackend>, name: &str| {
+        let recipe = view.load_file_manifest(name).expect("recipe");
+        recipe.extents().iter().map(|e| e.container).collect::<Vec<_>>()
+    };
+    let victim = containers(&mut view, "acme/day1/disk.img")[0];
+    assert!(!containers(&mut view, "acme/day0/disk.img").contains(&victim));
+    std::fs::remove_file(store.join("chunks").join(victim.name())).expect("delete container");
+
+    match c.restore("day9_nothing.img") {
+        Err(mhd_daemon::DaemonError::Remote(msg)) => assert!(msg.contains("not found"), "{msg}"),
+        other => panic!("unknown name: {other:?}"),
+    }
+    match c.restore("day1_disk.img") {
+        Err(mhd_daemon::DaemonError::Remote(msg)) => {
+            assert!(msg.contains(&victim.name()), "ERR does not name the container: {msg}")
+        }
+        other => panic!("lost container: {other:?}"),
+    }
+    assert_eq!(c.restore("day0_disk.img").expect("restore after two ERRs"), good);
+    drop(c);
+    shutdown(&socket, handle);
+}
+
 /// Entries of every Manifest in the store.
 fn manifest_entries(
     view: &mut mhd_store::Substrate<mhd_store::DirBackend>,

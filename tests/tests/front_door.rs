@@ -364,3 +364,24 @@ fn read_view_leaves_wip_records_and_tmp_files_alone() {
     }
     std::fs::remove_dir_all(&root).unwrap();
 }
+
+/// Nor does a read create anything: over a store missing `intent/` and
+/// `hooks/`, a listing and a restore leave both absent.
+#[test]
+fn read_view_creates_no_directory() {
+    let (_, first, _) = stream_pairs().swap_remove(0);
+    let root = temp_root("readview-nodirs");
+    backup(FrontEnd::Cli, &root, &first);
+    let gone = [root.join("intent"), root.join(FileKind::Hook.dir_name())];
+    for dir in &gone {
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    assert_eq!(recipes(&root), vec!["t_d-0_f0".to_string()]);
+    let restored = restore_file(&mut statefile::read_view(&root).unwrap(), "t/d-0/f0").unwrap();
+    assert_eq!(restored, first);
+    for dir in &gone {
+        assert!(!dir.exists(), "{} must not be created by a read", dir.display());
+    }
+    std::fs::remove_dir_all(&root).unwrap();
+}
