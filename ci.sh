@@ -29,13 +29,15 @@
 #      `benchmark/` or to `BENCHMARK.json`. No stage gates on a wall
 #      clock: speed is judged by `benchmark/run.sh --compare`
 #      (benchmark/README.md), not by CI
-#   7. lint      — mhd-lint's invariant passes (L2 commit path and
-#      FLUSH_ORDER, L3 immutability, L5 manifests, L7 lock order, L8 id
-#      range) + exhaustive model checking of all six
-#      protocols (flush, trace-ring, GC-protection/splice-order,
-#      two-phase publish, intent-record crash recovery, compaction-vs-GC);
-#      any finding or truncated exploration fails it. Then all seven
-#      seeded-bug mutants as negative tests of the checker itself
+#   7. lint      — the crate manifests: every member outside shims/
+#      inherits the workspace lint table, and only a crate with a binary
+#      or integration tests forces mhd-obs's `obs` feature. Then mhd-lint's
+#      exhaustive model checking of all six protocols (flush, trace-ring,
+#      GC-protection/splice-order, two-phase publish, intent-record crash
+#      recovery, compaction-vs-GC); any violation or truncated exploration
+#      fails it. Then all seven seeded-bug mutants as negative tests of the
+#      checker itself. (The code-level rules are clippy's, stage 9, and
+#      the tests', stage 1: DESIGN.md §9.)
 #   8. rustfmt   — style, enforced via rustfmt.toml
 #   9. clippy    — all targets, warnings are errors. This is what keeps
 #      the durability paths panic-free (unwrap_used/expect_used/panic
@@ -262,9 +264,30 @@ if git rev-parse --git-dir > /dev/null 2>&1; then
     fi
 fi
 
-step "lint: mhd-lint invariant passes + model checking"
+step "lint: crate manifests + mhd-lint model checking"
+# Every member manifest (a manifest with a [workspace] table roots a
+# workspace of its own) inherits the root's [workspace.lints] table, which
+# is what makes rustc warn on missing docs and deny `unsafe` in it. And
+# only a crate with a binary or integration tests may force mhd-obs's
+# `obs` feature: a library forcing it would switch every build that links
+# it into the instrumented configuration.
+while IFS= read -r manifest; do
+    grep -qx '\[workspace\]' "$manifest" && continue
+    if ! awk '/^\[/ { table = $0 } table == "[lints]" && /^workspace *= *true/ { ok = 1 }
+              END { exit !ok }' "$manifest"; then
+        echo "error: $manifest lacks \`[lints] workspace = true\`" >&2
+        exit 1
+    fi
+    dir=$(dirname "$manifest")
+    if grep -qE '^mhd-obs .*features *= *\[[^]]*"obs"' "$manifest" &&
+        ! grep -qx '\[\[bin\]\]' "$manifest" &&
+        [[ ! -f "$dir/src/main.rs" && ! -d "$dir/src/bin" && ! -d "$dir/tests" ]]; then
+        echo "error: $manifest is a library and forces mhd-obs's \"obs\" feature" >&2
+        exit 1
+    fi
+done < <(find . -name Cargo.toml -not -path '*/target/*' -not -path './shims/*' | sort)
 # Release binary: the publish/intent/compact-gc state spaces are explored
-# exhaustively. Any finding fails, and so does a truncated exploration:
+# exhaustively. Any violation fails, and so does a truncated exploration:
 # an unexplored model proves nothing.
 ./target/release/mhd-lint
 # The checker must still catch the seeded historical bugs — a checker

@@ -2,8 +2,8 @@
 //! edges, and accounting invariants that every engine must satisfy.
 
 use bytes::Bytes;
-use mhd_store::MemBackend;
-use mhd_workload::{FileEntry, Snapshot};
+use mhd_store::{Backend, FaultBackend, FaultOp, FaultPoint, FileKind, MemBackend};
+use mhd_workload::{Corpus, CorpusSpec, FileEntry, Snapshot};
 
 use crate::{DedupReport, Deduplicator, EngineConfig, EngineKind, MhdEngine};
 
@@ -43,6 +43,35 @@ pub(crate) fn drive(
         e.process_snapshot(s).unwrap();
     }
     (e.finish().unwrap(), e)
+}
+
+/// A fault point that never fires and counts the `op`s on `kind`.
+pub(crate) fn counting(op: FaultOp, kind: FileKind) -> FaultPoint {
+    FaultPoint { op, kind: Some(kind), fail_at: u64::MAX }
+}
+
+/// The paper's invariant, checked on the calls an ingest path makes:
+/// DiskChunks and Hooks are written once and never deleted; only
+/// Manifests are rewritten (by HHR). `run` drives the path over a store
+/// whose backend stack holds `point`, and returns how many operations
+/// matched it and how many objects of its kind the store holds at the
+/// end. One write per object rules out an `update`, however the call
+/// spells its kind.
+pub(crate) fn assert_write_once(path: &str, mut run: impl FnMut(FaultPoint) -> (u64, u64)) {
+    for kind in [FileKind::DiskChunk, FileKind::Hook] {
+        let (deletes, _) = run(counting(FaultOp::Delete, kind));
+        assert_eq!(deletes, 0, "{path} deleted a {kind:?}");
+        let (writes, objects) = run(counting(FaultOp::Write, kind));
+        assert!(objects > 0, "{path} stored no {kind:?}: the check proves nothing");
+        assert_eq!(writes, objects, "{path} wrote {kind:?}s {writes} times for {objects} objects");
+    }
+}
+
+/// Whether the path `run` drives (as for [`assert_write_once`]) rewrote a
+/// Manifest: more Manifest writes than Manifests.
+pub(crate) fn rewrites_manifests(mut run: impl FnMut(FaultPoint) -> (u64, u64)) -> bool {
+    let (writes, manifests) = run(counting(FaultOp::Write, FileKind::Manifest));
+    writes > manifests
 }
 
 fn run_all(snapshots: &[Snapshot], config: EngineConfig) -> Vec<DedupReport> {
@@ -264,6 +293,27 @@ fn engine_outputs_are_pinned() {
             });
             let want = pinned.iter().find(|p| (p.0, p.1) == (name, chunker)).map(|p| p.2);
             assert_eq!(Some(got.as_str()), want, "{name} {chunker:?} workers={workers}");
+        }
+    }
+}
+
+#[test]
+fn disk_chunks_and_hooks_are_written_once_by_every_engine() {
+    let corpus = Corpus::generate(CorpusSpec::tiny(3));
+    for kind in EngineKind::ALL {
+        let run = |point: FaultPoint| {
+            let backend = FaultBackend::with_point(MemBackend::new(), point);
+            let mut e = kind.build(backend, EngineConfig::new(512, 8)).unwrap();
+            for snapshot in &corpus.snapshots {
+                e.process_snapshot(snapshot).unwrap();
+            }
+            e.finish().unwrap();
+            let backend = e.substrate_mut().backend_mut();
+            (backend.matching_ops(), backend.count(point.kind.unwrap_or(FileKind::DiskChunk)))
+        };
+        assert_write_once(&format!("{kind:?}"), run);
+        if kind == EngineKind::Mhd {
+            assert!(rewrites_manifests(run), "the corpus gave HHR nothing to rewrite");
         }
     }
 }

@@ -42,13 +42,14 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Once, OnceLock};
 use std::thread::{self, ThreadId};
 
 use mhd_chunking::AnyChunker;
 use mhd_workload::FileEntry;
 
 use crate::engine::{chunk_and_hash, EngineError, EngineResult, HashedChunk};
+use crate::sync::{Mutex, MutexGuard, Rank};
 
 /// Files one snapshot may have in flight, the one being consumed included.
 const LOOKAHEAD_FILES: usize = 8;
@@ -80,13 +81,17 @@ struct Job {
 
 impl Job {
     fn new(shipped: bool, work: Work) -> Arc<Job> {
-        Arc::new(Job { state: Mutex::new(JobState::Pending(work)), done: Condvar::new(), shipped })
+        Arc::new(Job {
+            state: Mutex::new(Rank::Leaf, JobState::Pending(work)),
+            done: Condvar::new(),
+            shipped,
+        })
     }
 
     /// Runs the job on this thread if nobody has claimed it yet.
     fn run(&self) -> bool {
         let work = {
-            let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut state = self.state.lock();
             match std::mem::replace(&mut *state, JobState::Running) {
                 JobState::Pending(work) => work,
                 other => {
@@ -96,14 +101,14 @@ impl Job {
             }
         };
         let outcome = panic::catch_unwind(AssertUnwindSafe(work));
-        *self.state.lock().unwrap_or_else(PoisonError::into_inner) = JobState::Done(outcome);
+        *self.state.lock() = JobState::Done(outcome);
         self.done.notify_all();
         true
     }
 
     /// Takes the outcome if the job has finished.
     fn poll(&self) -> Option<Outcome> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut state = self.state.lock();
         match std::mem::replace(&mut *state, JobState::Taken) {
             JobState::Done(outcome) => Some(outcome),
             other => {
@@ -115,9 +120,9 @@ impl Job {
 
     /// The job's state once no thread is running it.
     fn settled(&self) -> MutexGuard<'_, JobState> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut state = self.state.lock();
         while matches!(*state, JobState::Running) {
-            state = self.done.wait(state).unwrap_or_else(PoisonError::into_inner);
+            state = state.wait(&self.done);
         }
         state
     }
@@ -185,7 +190,7 @@ impl Pool {
     fn new(workers: usize) -> Arc<Pool> {
         Arc::new(Pool {
             workers: AtomicUsize::new(workers),
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Rank::Leaf, VecDeque::new()),
             wake: Condvar::new(),
             start: Once::new(),
         })
@@ -218,7 +223,7 @@ impl Pool {
     /// Queues `job` for the workers.
     fn submit(&self, job: &Arc<Job>) {
         mhd_obs::counter!("frontend.jobs").inc();
-        self.queue.lock().unwrap_or_else(PoisonError::into_inner).push_back(Arc::clone(job));
+        self.queue.lock().push_back(Arc::clone(job));
         self.wake.notify_one();
     }
 
@@ -227,12 +232,12 @@ impl Pool {
     fn work(&self) {
         loop {
             let job = {
-                let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+                let mut queue = self.queue.lock();
                 loop {
                     if let Some(job) = queue.pop_front() {
                         break job;
                     }
-                    queue = self.wake.wait(queue).unwrap_or_else(PoisonError::into_inner);
+                    queue = queue.wait(&self.wake);
                 }
             };
             job.run();
@@ -633,9 +638,9 @@ mod tests {
 
             // What the failed call left in the queue was cancelled: no
             // worker will find work in it.
-            let left: Vec<_> = pool.queue.lock().unwrap().iter().cloned().collect();
+            let left: Vec<_> = pool.queue.lock().iter().cloned().collect();
             assert!(
-                left.iter().all(|job| matches!(*job.state.lock().unwrap(), JobState::Taken)),
+                left.iter().all(|job| matches!(*job.state.lock(), JobState::Taken)),
                 "a job outlived process_snapshot"
             );
 

@@ -61,6 +61,7 @@ pub mod gc;
 pub mod metrics;
 pub mod restore;
 pub mod statefile;
+pub mod sync;
 
 mod bimodal;
 mod cdc_engine;

@@ -511,7 +511,6 @@ fn rollback_above_watermark<B: Backend>(
         let payload = backend.get(FileKind::Hook, &name)?;
         let target = payload.get(..8).and_then(|raw| <[u8; 8]>::try_from(raw).ok());
         if target.is_none_or(|raw| u64::from_le_bytes(raw) >= manifest_floor) {
-            // lint: allow(immutability): rollback of hooks above the commit watermark
             backend.delete(FileKind::Hook, &name)?;
             recovery.hooks_rolled_back += 1;
         }
@@ -740,6 +739,49 @@ mod tests {
         let wip = wip_dir(&root);
         assert_eq!(synced, vec![wip.join("t_day0"), wip.clone(), wip]);
 
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_backup_writes_each_disk_chunk_and_hook_once() {
+        use crate::engine_tests::{assert_write_once, rewrites_manifests};
+        use mhd_store::{FaultBackend, FaultPoint};
+        use mhd_workload::{Corpus, CorpusSpec, FileEntry, Snapshot};
+
+        // What `mhd backup` does per invocation, one invocation per
+        // stream: open (recover, resume), take the wip record, ingest,
+        // commit.
+        let corpus = Corpus::generate(CorpusSpec::tiny(5));
+        let root = temp_root("write-once");
+        let run = |point: FaultPoint| {
+            let _ = std::fs::remove_dir_all(&root);
+            let (mut matching, mut objects) = (0, 0);
+            for (i, snapshot) in corpus.snapshots.iter().enumerate() {
+                let stream = format!("s-{i}");
+                let files = snapshot
+                    .files
+                    .iter()
+                    .map(|f| FileEntry {
+                        path: format!("{stream}/{}", f.path),
+                        data: f.data.clone(),
+                    })
+                    .collect();
+                let mut opened = open_write(&root, meta(), IoConfig::default(), |b| {
+                    FaultBackend::with_point(b, point)
+                })
+                .unwrap();
+                opened.begin_stream(&stream).unwrap();
+                opened.engine.process_snapshot(&Snapshot { files, ..*snapshot }).unwrap();
+                opened.meta.streams += 1;
+                opened.commit().unwrap();
+                let backend = opened.engine.substrate_mut().backend_mut();
+                matching += backend.matching_ops();
+                objects = backend.count(point.kind.unwrap_or(FileKind::DiskChunk));
+            }
+            (matching, objects)
+        };
+        assert_write_once("mhd backup", run);
+        assert!(rewrites_manifests(run), "the corpus gave HHR nothing to rewrite");
         std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -26,7 +26,7 @@ use bytes::Bytes;
 use mhd_hash::{ChunkHash, FxHashMap};
 use mhd_store::{Backend, FileKind, ManifestId, RecoveryReport, StoreResult};
 
-use crate::sync::RwLock;
+use mhd_core::sync::{Rank, RwLock};
 
 /// Shards of a [`SharedHookIndex`]. A constant: SHA-1 prefixes spread
 /// evenly, `index_occupancy` in `STATS` shows when they do not, and no
@@ -41,7 +41,9 @@ pub struct SharedHookIndex {
 
 impl Default for SharedHookIndex {
     fn default() -> Self {
-        let shards = (0..INDEX_SHARDS).map(|_| RwLock::new(FxHashMap::default())).collect();
+        let shards = (0..INDEX_SHARDS)
+            .map(|_| RwLock::new(Rank::IndexShard, FxHashMap::default()))
+            .collect();
         SharedHookIndex { shards }
     }
 }

@@ -78,7 +78,6 @@ mod registry;
 mod server;
 mod shared;
 mod staging;
-mod sync;
 
 pub use client::{Client, CommitSummary};
 pub use error::{DaemonError, DaemonResult};

@@ -24,7 +24,7 @@
 
 use mhd_hash::FxHashMap;
 
-use crate::sync::Mutex;
+use mhd_core::sync::{Mutex, Rank};
 
 /// One registered session: its GC watermark and exclusive stream prefix.
 #[derive(Debug, Clone)]
@@ -37,15 +37,20 @@ struct Registration {
 /// exclusivity. All methods take `&self`; the registry is internally
 /// locked and is shared via `Arc` between connection handlers and the
 /// collector.
-#[derive(Default)]
 pub struct SessionRegistry {
     inner: Mutex<FxHashMap<u64, Registration>>,
+}
+
+impl Default for SessionRegistry {
+    fn default() -> Self {
+        SessionRegistry::new()
+    }
 }
 
 impl SessionRegistry {
     /// Creates an empty registry.
     pub fn new() -> Self {
-        SessionRegistry::default()
+        SessionRegistry { inner: Mutex::new(Rank::Registry, FxHashMap::default()) }
     }
 
     /// Registers session `sid` with the chunk-id `watermark` captured at

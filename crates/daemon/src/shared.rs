@@ -48,6 +48,7 @@ use bytes::Bytes;
 use mhd_chunking::ChunkerKind;
 use mhd_core::gc::GcReport;
 use mhd_core::statefile::{self, RecoverySummary, StoreMeta};
+use mhd_core::sync::{Mutex, Rank};
 use mhd_core::{Deduplicator, EngineConfig, MhdEngine, SessionDelta};
 use mhd_hash::{ChunkHash, FxHashMap, FxHashSet};
 use mhd_store::{
@@ -62,7 +63,6 @@ use crate::index::{IndexingBackend, SharedHookIndex};
 use crate::protocol::{valid_path, valid_tenant, MAX_FILE_BYTES};
 use crate::registry::SessionRegistry;
 use crate::staging::StagingBackend;
-use crate::sync::Mutex;
 
 /// The backend stack every daemon store runs on. The fault layer is
 /// disarmed by default ([`FaultPoint::never`]) and exists so tests can
@@ -74,10 +74,11 @@ type DaemonBackend = IndexingBackend<FaultBackend<BatchedDirBackend>>;
 /// never collide with a read-through shared id and the publish remap is
 /// a simple subtraction.
 ///
-/// Public because the invariant it anchors is enforced from outside this
-/// crate too: `mhd-lint`'s L8 id-range pass proves every backend write
-/// either stays below this floor or flows through the splice remap, and
-/// its `PublishModel` model-checks the reserve/remap protocol itself.
+/// That the splice remaps every staged id is checked where the ids are
+/// written: in debug builds `Substrate` refuses any id at or above its
+/// own watermarks, and the shared store's lie far below this floor.
+/// Public because `mhd-lint`'s `PublishModel`, which model-checks the
+/// reserve/remap protocol itself, ties its scaled floor to this value.
 pub const LOCAL_ID_BASE: u64 = 1 << 48;
 
 /// A conflicted commit re-runs phase 1 at most this many times before
@@ -281,12 +282,10 @@ impl SharedStore {
         mhd_obs::counter!("daemon.index_preloaded").add(loaded as u64);
 
         let store = SharedStore {
-            inner: Mutex::new(StoreInner {
-                engine,
-                meta: opened.meta,
-                epoch: 0,
-                publish_log: VecDeque::new(),
-            }),
+            inner: Mutex::new(
+                Rank::Engine,
+                StoreInner { engine, meta: opened.meta, epoch: 0, publish_log: VecDeque::new() },
+            ),
             index,
             registry: SessionRegistry::new(),
             root: root.to_path_buf(),
@@ -1089,6 +1088,80 @@ mod tests {
         // Committing an empty session is an error, not a no-op.
         let s = store.begin_session("t", "d2").unwrap();
         assert!(store.commit(s).is_err());
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn splice_remaps_staged_chunks_in_rewritten_shared_manifests() {
+        // HHR re-tiles a manifest within its own container, so no engine
+        // run points a rewritten shared manifest at a staged chunk. The
+        // splice remaps such a reference all the same (here: the manifest
+        // moved to a staged container); a pipeline that produced one
+        // would otherwise publish a staging id.
+        let root = temp_root("splice-updated");
+        let store = SharedStore::open(&root, small_config()).unwrap();
+        let mut s = store.begin_session("t", "base").unwrap();
+        s.stage("f", &random_bytes(11, 20_000)).unwrap();
+        store.commit(s).unwrap();
+
+        let mut staging = store.build_staging_engine().unwrap();
+        let sub = staging.substrate_mut();
+        let mut manifest = sub.load_manifest(ManifestId(0)).unwrap();
+        let staged = sub.write_disk_chunk_bytes(b"staged bytes").unwrap();
+        assert!(staged.0 >= LOCAL_ID_BASE);
+        manifest.entries = vec![mhd_store::ManifestEntry {
+            hash: mhd_hash::sha1(b"staged bytes"),
+            container: staged,
+            offset: 0,
+            size: 12,
+            is_hook: true,
+        }];
+        sub.update_manifest(&manifest).unwrap();
+
+        let mut inner = store.inner.lock();
+        SharedStore::splice_locked(&mut inner, staging).unwrap();
+        let sub = inner.engine.substrate_mut();
+        let entry = sub.load_manifest(ManifestId(0)).unwrap().entries[0];
+        assert!(entry.container.0 < LOCAL_ID_BASE, "{entry:?}");
+        assert_eq!(&sub.read_chunk_range(entry.container, 0, 12).unwrap()[..], b"staged bytes");
+        drop(inner);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn commits_write_each_disk_chunk_and_hook_once() {
+        use mhd_store::Backend;
+        use mhd_store::FaultOp::{Delete, Write};
+
+        // The paper's invariant on the publish path: DiskChunks and Hooks
+        // are written once and never deleted; only Manifests are
+        // rewritten. Each run replays the same sessions on a fresh store
+        // whose fault layer counts one kind of operation.
+        let corpus = mhd_workload::Corpus::generate(mhd_workload::CorpusSpec::tiny(7));
+        let root = temp_root("write-once");
+        let run = |op, kind| {
+            let _ = std::fs::remove_dir_all(&root);
+            let store = SharedStore::open(&root, small_config()).unwrap();
+            store.arm_fault(FaultPoint { op, kind: Some(kind), fail_at: u64::MAX });
+            for (i, snapshot) in corpus.snapshots.iter().enumerate() {
+                let mut session = store.begin_session("t", &format!("d{i}")).unwrap();
+                for file in &snapshot.files {
+                    session.stage(&file.path, &file.data).unwrap();
+                }
+                store.commit(session).unwrap();
+            }
+            let mut inner = store.inner.lock();
+            let backend = inner.engine.substrate_mut().backend_mut();
+            (backend.inner_mut().matching_ops(), backend.count(kind))
+        };
+        for kind in [FileKind::DiskChunk, FileKind::Hook] {
+            assert_eq!(run(Delete, kind).0, 0, "a commit deleted a {kind:?}");
+            let (writes, objects) = run(Write, kind);
+            assert!(objects > 0, "no {kind:?} stored: the check proves nothing");
+            assert_eq!(writes, objects, "{kind:?}s written {writes} times for {objects} objects");
+        }
+        let (writes, manifests) = run(Write, FileKind::Manifest);
+        assert!(writes > manifests, "the corpus gave HHR nothing to rewrite");
         std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -1,18 +1,17 @@
-//! CLI driver for the workspace linter and model checker.
+//! Command-line entry point of the model checker.
 //!
 //! ```text
-//! mhd-lint [--root DIR] [--model NAME] [--max-states N]
+//! mhd-lint [--model NAME] [--max-states N]
 //!          [--mutant flush-order|ring-prune|gc-protect|splice-order|
 //!                    publish-epoch|intent-retire|compact-sweep]
 //! ```
 //!
-//! Exit codes: `0` clean, `1` any finding (a static-pass finding, a
-//! model-checker violation or a truncated exploration), `2` usage error.
+//! Exit codes: `0` clean, `1` any finding (a model-checker violation or a
+//! truncated exploration), `2` usage error.
 //!
-//! The static passes run first, then the shipped-model suite
-//! (flush-order, ring-prune, gc-protect, publish, intent, compact-gc)
-//! one model after another. `--model NAME` restricts the suite to one
-//! model.
+//! It checks the shipped-model suite (flush-order, ring-prune,
+//! gc-protect, publish, intent, compact-gc) one model after another.
+//! `--model NAME` restricts the suite to one model.
 //!
 //! `--mutant` inverts the contract: it seeds a historical bug into the
 //! named model and exits `0` only if the checker *catches* it — CI runs
@@ -22,17 +21,14 @@
 #![forbid(unsafe_code)]
 
 use std::io::Write;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use mhd_lint::mck::{check, CheckResult};
 use mhd_lint::models::{
     CompactGcModel, FlushModel, GcProtectModel, IntentModel, PublishModel, RingModel,
 };
-use mhd_lint::{Finding, Workspace};
 
 struct Options {
-    root: PathBuf,
     model: Option<String>,
     max_states: usize,
     mutant: Option<String>,
@@ -48,7 +44,7 @@ macro_rules! out {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: mhd-lint [--root DIR] [--model NAME] [--max-states N] \
+        "usage: mhd-lint [--model NAME] [--max-states N] \
          [--mutant flush-order|ring-prune|gc-protect|splice-order|publish-epoch|\
          intent-retire|compact-sweep]"
     );
@@ -56,8 +52,7 @@ fn usage() -> ExitCode {
 }
 
 fn parse_args() -> Result<Options, ExitCode> {
-    let mut opts =
-        Options { root: PathBuf::from("."), model: None, max_states: 5_000_000, mutant: None };
+    let mut opts = Options { model: None, max_states: 5_000_000, mutant: None };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {
@@ -67,7 +62,6 @@ fn parse_args() -> Result<Options, ExitCode> {
             })
         };
         match arg.as_str() {
-            "--root" => opts.root = PathBuf::from(value("--root")?),
             "--model" => opts.model = Some(value("--model")?),
             "--max-states" => {
                 opts.max_states = value("--max-states")?.parse().map_err(|_| {
@@ -95,19 +89,11 @@ fn main() -> ExitCode {
         return run_mutant(mutant, opts.max_states);
     }
 
-    let ws = match Workspace::load(&opts.root) {
-        Ok(ws) => ws,
-        Err(e) => {
-            eprintln!("mhd-lint: cannot load workspace at {}: {e}", opts.root.display());
-            return ExitCode::from(2);
-        }
-    };
-    let mut findings = mhd_lint::run_passes(&ws);
-
     let mck_results = match shipped_suite(opts.model.as_deref(), opts.max_states) {
         Ok(results) => results,
         Err(code) => return code,
     };
+    let mut findings = Vec::new();
     for (name, result) in &mck_results {
         let message = if let Some(v) = &result.violation {
             format!("{} [schedule {:?}]", v.message, v.schedule)
@@ -124,11 +110,11 @@ fn main() -> ExitCode {
         } else {
             continue;
         };
-        findings.push(Finding { pass: "MCK", file: format!("model:{name}"), line: 0, message });
+        findings.push(format!("model:{name}: {message}"));
     }
 
-    for f in &findings {
-        out!("{}:{}: [{}] {}", f.file, f.line, f.pass, f.message);
+    for finding in &findings {
+        out!("{finding}");
     }
     for (name, result) in &mck_results {
         out!(

@@ -1360,6 +1360,21 @@ mod tests {
     }
 
     #[test]
+    fn seeded_concurrency_bugs_are_caught() {
+        // The mutants replicate historical bugs; the checker finding them is
+        // what CI relies on to trust the green shipped-model runs.
+        let flush = check(&FlushModel::mutant_flush_order(), 1_000_000);
+        assert!(flush.violation.is_some(), "reversed FLUSH_ORDER not caught");
+        let ring = check(&RingModel::mutant_ring_prune(), 1_000_000);
+        assert!(ring.violation.is_some(), "eager ring prune not caught");
+
+        let flush = check(&FlushModel::shipped(), 1_000_000);
+        assert!(flush.passed(), "shipped flush protocol flagged: {:?}", flush.violation);
+        let ring = check(&RingModel::shipped(), 1_000_000);
+        assert!(ring.passed(), "shipped ring protocol flagged: {:?}", ring.violation);
+    }
+
+    #[test]
     fn any_flush_order_violating_a_ref_edge_is_caught() {
         // Not just the full reversal: every permutation that breaks an
         // edge must fail, and every permutation preserving all edges must
@@ -1370,12 +1385,9 @@ mod tests {
         let mut fail = 0usize;
         for p in permutations(&kinds) {
             let model = FlushModel { order: p.clone(), workers: 2 };
-            let edges_ok = crate::passes::REF_EDGES.iter().all(|(referrer, referee)| {
-                let pos = |n: &str| p.iter().position(|k| format!("{k:?}") == n);
-                match (pos(referrer), pos(referee)) {
-                    (Some(a), Some(b)) => b < a,
-                    _ => false,
-                }
+            let pos = |kind: FileKind| p.iter().position(|&k| k == kind);
+            let edges_ok = FileKind::ALL.into_iter().all(|referrer| {
+                referrer.references().iter().all(|&referee| pos(referee) < pos(referrer))
             });
             let result = check(&model, BUDGET);
             assert_eq!(
@@ -1521,8 +1533,8 @@ mod tests {
     fn model_constants_track_the_shipped_daemon() {
         // The model scales the id floor down to fit its u8 state, but the
         // protocol facts it abstracts must hold for the shipped values:
-        // the daemon's floor is exactly the documented `1 << 48` (the L8
-        // pass greps for this literal), the model's scaled floor sits
+        // the daemon's floor is exactly the documented `1 << 48`, the
+        // model's scaled floor sits
         // below it, and the model's retry budget does not exceed the
         // daemon's (so "exhausts retries" in the model implies it in the
         // real protocol too).

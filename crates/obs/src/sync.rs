@@ -8,8 +8,8 @@
 //! `crates/lint/src/models.rs` explores bounded interleavings of
 //! precisely these operations (`Arc` strong counts, `Mutex`-guarded ring
 //! pushes and drains), so a primitive added here without a model update
-//! is visible in review. That is a convention: no `mhd-lint` pass checks
-//! where the runtime modules import from.
+//! is visible in review. That is a convention: nothing checks where the
+//! runtime modules import from.
 //!
 //! The re-exports are the real `std` types — there is no behavioral
 //! shim; swapping in an instrumented implementation (loom-style) is a

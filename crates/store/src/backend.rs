@@ -64,15 +64,29 @@ impl FileKind {
         }
     }
 
+    /// The kinds an object of this kind names, each of which must reach
+    /// disk before it does: a Manifest and a FileManifest point into
+    /// DiskChunks, a Hook at a Manifest. Exhaustive, so a new kind does
+    /// not compile until its place in [`FLUSH_ORDER`](Self::FLUSH_ORDER)
+    /// is stated here.
+    pub const fn references(self) -> &'static [FileKind] {
+        match self {
+            FileKind::DiskChunk => &[],
+            FileKind::Manifest => &[FileKind::DiskChunk],
+            FileKind::Hook => &[FileKind::Manifest],
+            FileKind::FileManifest => &[FileKind::DiskChunk],
+        }
+    }
+
     /// All categories, for iteration in reports.
     pub const ALL: [FileKind; 4] =
         [FileKind::DiskChunk, FileKind::Manifest, FileKind::Hook, FileKind::FileManifest];
 
     /// The order in which pending writes must reach disk so that a crash
-    /// between any two operations leaves no dangling reference: Manifests
-    /// reference DiskChunks, Hooks reference Manifests, FileManifests
-    /// reference DiskChunks. Flushing in this order means every object on
-    /// disk only ever points at objects that are also on disk.
+    /// between any two operations leaves no dangling reference: every
+    /// kind comes after the kinds it [`references`](Self::references).
+    /// Flushing in this order means every object on disk only ever points
+    /// at objects that are also on disk.
     pub const FLUSH_ORDER: [FileKind; 4] =
         [FileKind::DiskChunk, FileKind::Manifest, FileKind::Hook, FileKind::FileManifest];
 }
@@ -369,6 +383,7 @@ fn tmp_sibling(path: &Path) -> StoreResult<(&Path, PathBuf)> {
 /// and the parent directory after it. Every object the directory
 /// backends commit and every state file `mhd_core::statefile` persists
 /// goes through here.
+#[expect(clippy::disallowed_methods, reason = "the tmp + rename every commit goes through")]
 pub fn write_atomic(path: &Path, data: &[u8], durability: Durability) -> StoreResult<()> {
     let (dir, tmp) = tmp_sibling(path)?;
     let mut file = std::fs::File::create(&tmp).map_err(|e| io_at("create", &tmp, e))?;
@@ -386,6 +401,7 @@ pub fn write_atomic(path: &Path, data: &[u8], durability: Durability) -> StoreRe
 
 /// The injected fault: half of `data` reaches `target`'s tmp sibling, the
 /// rename never happens — a crash mid-write.
+#[expect(clippy::disallowed_methods, reason = "the injected torn write leaves a half tmp file")]
 fn torn_write(target: &Path, data: &[u8]) -> StoreError {
     if let Ok((_, tmp)) = tmp_sibling(target) {
         let _ = std::fs::write(&tmp, &data[..data.len() / 2]);
@@ -423,6 +439,7 @@ impl DirBackend {
 
     /// Creates the directory layout under `root` with an explicit
     /// durability level.
+    #[expect(clippy::disallowed_methods, reason = "creates the store layout")]
     pub fn create_with(root: impl Into<PathBuf>, durability: Durability) -> StoreResult<Self> {
         let backend = Self::open(root);
         for kind in FileKind::ALL {
@@ -464,6 +481,7 @@ impl DirBackend {
     /// [`write_atomic`], bracketed by a write-ahead intent record when
     /// the object is already on disk (`overwrite`). The caller has
     /// checked existence.
+    #[expect(clippy::disallowed_methods, reason = "writes and clears the intent record")]
     pub(crate) fn commit(
         &self,
         kind: FileKind,
@@ -617,6 +635,7 @@ impl Backend for DirBackend {
         names
     }
 
+    #[expect(clippy::disallowed_methods, reason = "the one object deletion")]
     fn delete(&mut self, kind: FileKind, name: &str) -> StoreResult<()> {
         let path = self.path(kind, name);
         match std::fs::remove_file(&path) {
@@ -633,6 +652,7 @@ impl Backend for DirBackend {
         }
     }
 
+    #[expect(clippy::disallowed_methods, reason = "removes torn tmp files and resolved intents")]
     fn recover(&mut self) -> StoreResult<RecoveryReport> {
         let mut report = RecoveryReport::default();
         // Torn or orphaned tmp files: the rename never happened, so the
@@ -854,6 +874,7 @@ impl<B: Backend> Backend for FaultBackend<B> {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests remove their scratch directories")]
 pub(crate) mod tests {
     use super::*;
     use crate::BatchedDirBackend;
@@ -1126,6 +1147,26 @@ pub(crate) mod tests {
         fsync_dir(&dir).unwrap();
         assert_eq!(record_fsyncs(|| ()), Vec::<PathBuf>::new());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn flush_order_is_a_permutation_that_writes_referees_first() {
+        // `ALL` holds each kind once, in declaration order.
+        for (i, kind) in FileKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind:?}");
+        }
+        let mut sorted = FileKind::FLUSH_ORDER;
+        sorted.sort();
+        assert_eq!(sorted, FileKind::ALL, "FLUSH_ORDER is not a permutation of ALL");
+        let position = |kind: FileKind| FileKind::FLUSH_ORDER.iter().position(|&k| k == kind);
+        for referrer in FileKind::ALL {
+            for &referee in referrer.references() {
+                assert!(
+                    position(referee) < position(referrer),
+                    "FLUSH_ORDER writes {referrer:?} before {referee:?}, which it references"
+                );
+            }
+        }
     }
 
     #[test]

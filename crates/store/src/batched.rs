@@ -481,9 +481,11 @@ impl Drop for BatchedDirBackend {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests remove their scratch directories")]
 mod tests {
     use super::*;
     use crate::backend::tests::{exercise, exercise_colliding_names};
+    use crate::record_fsyncs;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("mhd-batched-{tag}-{}", std::process::id()));
@@ -723,12 +725,28 @@ mod tests {
 
     #[test]
     fn flush_order_is_chunks_before_manifests_before_hooks() {
-        // Not a timing test: verify FLUSH_ORDER is what the dangling-
-        // reference argument in the module docs relies on.
-        assert_eq!(
-            FileKind::FLUSH_ORDER,
-            [FileKind::DiskChunk, FileKind::Manifest, FileKind::Hook, FileKind::FileManifest]
-        );
+        // One batch holding every kind, queued referrers first, reaches
+        // disk in FLUSH_ORDER: the directories fsynced after each rename
+        // name the kinds in the order they were written. Inline workers,
+        // so the fsyncs happen on this thread.
+        let dir = temp_dir("flush-order");
+        let config = IoConfig { threads: 0, durability: Durability::Fsync, ..IoConfig::default() };
+        let mut b = BatchedDirBackend::create_with(&dir, config).unwrap();
+        let synced = record_fsyncs(|| {
+            for kind in FileKind::FLUSH_ORDER.into_iter().rev() {
+                b.put(kind, "a", b"x").unwrap();
+                b.put(kind, "b", b"y").unwrap();
+            }
+            b.flush().unwrap();
+        });
+        let mut written: Vec<FileKind> = synced
+            .iter()
+            .filter_map(|path| FileKind::ALL.into_iter().find(|k| *path == dir.join(k.dir_name())))
+            .collect();
+        written.dedup();
+        assert_eq!(written, FileKind::FLUSH_ORDER);
+        drop(b);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

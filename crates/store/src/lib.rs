@@ -26,6 +26,9 @@
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+// Raw `std::fs` mutation lives only in backend.rs's commit helpers
+// (clippy.toml lists the calls); test code makes its own scratch trees.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 mod backend;
 mod batched;

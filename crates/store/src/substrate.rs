@@ -149,7 +149,7 @@ impl<B: Backend> Substrate<B> {
     /// produced by a staging substrate). Accounts exactly like
     /// [`Substrate::write_disk_chunk`].
     pub fn splice_disk_chunk(&mut self, id: DiskChunkId, data: &[u8]) -> StoreResult<()> {
-        debug_assert!(id.0 < self.next_chunk_id, "splice into an unreserved chunk id");
+        self.debug_check_chunks("spliced chunk", [id]);
         self.backend.put(FileKind::DiskChunk, &id.name(), data)?;
         mhd_obs::counter!("store.disk_chunk_writes").inc();
         mhd_obs::histogram!("store.disk_chunk_write_bytes").record(data.len() as u64);
@@ -208,6 +208,7 @@ impl<B: Backend> Substrate<B> {
     /// (§III): writing a hash that already has a Hook is a no-op (the
     /// first mapping wins) and charges nothing.
     pub fn write_hook(&mut self, hash: ChunkHash, manifest: ManifestId) -> StoreResult<()> {
+        self.debug_check_manifest("hook target", manifest);
         if self.backend.exists(FileKind::Hook, &hash.to_hex()) {
             return Ok(());
         }
@@ -231,6 +232,7 @@ impl<B: Backend> Substrate<B> {
         hash: ChunkHash,
         manifest: ManifestId,
     ) -> StoreResult<()> {
+        self.debug_check_manifest("hook target", manifest);
         let mut payload = [0u8; 20];
         payload[..8].copy_from_slice(&manifest.0.to_le_bytes());
         let name = format!("{}-{:016x}", hash.to_hex(), manifest.0);
@@ -270,6 +272,8 @@ impl<B: Backend> Substrate<B> {
 
     /// Writes a new Manifest.
     pub fn write_manifest(&mut self, manifest: &Manifest) -> StoreResult<()> {
+        self.debug_check_manifest("manifest", manifest.id);
+        self.debug_check_chunks("manifest entry", manifest.entries.iter().map(|e| e.container));
         let encoded = manifest.encode();
         self.backend.put(FileKind::Manifest, &manifest.id.name(), &encoded)?;
         mhd_obs::counter!("store.manifest_writes").inc();
@@ -284,6 +288,7 @@ impl<B: Backend> Substrate<B> {
     /// Rewrites a dirty Manifest (the HHR write-back). No new inode; the
     /// ledger is adjusted by the size delta.
     pub fn update_manifest(&mut self, manifest: &Manifest) -> StoreResult<()> {
+        self.debug_check_chunks("manifest entry", manifest.entries.iter().map(|e| e.container));
         let encoded = manifest.encode();
         self.backend.update(FileKind::Manifest, &manifest.id.name(), &encoded)?;
         mhd_obs::counter!("store.manifest_updates").inc();
@@ -330,6 +335,7 @@ impl<B: Backend> Substrate<B> {
     /// across algorithms (paper §IV) and is excluded from the Table II
     /// counters; only bytes and inodes are recorded.
     pub fn write_file_manifest(&mut self, name: &str, fm: &FileManifest) -> StoreResult<()> {
+        self.debug_check_chunks("recipe extent", fm.extents().iter().map(|e| e.container));
         let encoded = fm.encode();
         self.backend.put(FileKind::FileManifest, name, &encoded)?;
         mhd_obs::counter!("store.file_manifest_writes").inc();
@@ -377,7 +383,6 @@ impl<B: Backend> Substrate<B> {
     /// engines never delete.
     pub fn delete_disk_chunk(&mut self, id: DiskChunkId) -> StoreResult<()> {
         let len = self.backend.size_of(FileKind::DiskChunk, &id.name())?;
-        // lint: allow(immutability): the GC entry point — the one sanctioned chunk deletion
         self.backend.delete(FileKind::DiskChunk, &id.name())?;
         self.ledger.inodes_disk_chunks -= 1;
         self.ledger.stored_data_bytes -= len;
@@ -398,7 +403,6 @@ impl<B: Backend> Substrate<B> {
     /// occurrence-style hook names).
     pub fn delete_hook_by_name(&mut self, name: &str) -> StoreResult<()> {
         let len = self.backend.size_of(FileKind::Hook, name)?;
-        // lint: allow(immutability): the GC entry point — hooks die only with their manifest
         self.backend.delete(FileKind::Hook, name)?;
         self.ledger.inodes_hooks -= 1;
         self.ledger.hook_bytes -= len;
@@ -412,6 +416,36 @@ impl<B: Backend> Substrate<B> {
         self.ledger.inodes_file_manifests -= 1;
         self.ledger.file_manifest_bytes -= len;
         Ok(())
+    }
+
+    // ----- Id discipline (debug builds) ----------------------------------
+    //
+    // Every id a written object is or names was allocated by this
+    // substrate, so it lies below the substrate's watermarks. A two-phase
+    // commit's staging engine allocates far above any store id, so a
+    // staged id that reaches the published store without the splice's
+    // remap fails here, whatever the code that let it through.
+
+    fn debug_check_chunks(&self, what: &str, ids: impl IntoIterator<Item = DiskChunkId>) {
+        if cfg!(debug_assertions) {
+            for id in ids {
+                assert!(
+                    id.0 < self.next_chunk_id,
+                    "{what} names chunk {:#x}, at or above this store's chunk watermark {:#x}",
+                    id.0,
+                    self.next_chunk_id
+                );
+            }
+        }
+    }
+
+    fn debug_check_manifest(&self, what: &str, id: ManifestId) {
+        debug_assert!(
+            id.0 < self.next_manifest_id,
+            "{what} names manifest {:#x}, at or above this store's manifest watermark {:#x}",
+            id.0,
+            self.next_manifest_id
+        );
     }
 
     // ----- Concurrency support -------------------------------------------
@@ -536,6 +570,7 @@ mod tests {
     fn hooks_round_trip_and_account() {
         let mut s = substrate();
         let h = sha1(b"hook");
+        s.ensure_id_floor(0, 43);
         s.write_hook(h, ManifestId(42)).unwrap();
         assert_eq!(s.ledger().hook_bytes, 20);
         assert_eq!(s.ledger().inodes_hooks, 1);
@@ -548,6 +583,7 @@ mod tests {
     #[test]
     fn manifest_update_adjusts_ledger_by_delta() {
         let mut s = substrate();
+        s.reserve_chunk_ids(1);
         let id = s.new_manifest_id();
         let mut m = Manifest::new(id, ManifestFormat::HookFlags);
         m.entries.push(ManifestEntry {
@@ -590,6 +626,7 @@ mod tests {
     #[test]
     fn file_manifest_accounting() {
         let mut s = substrate();
+        s.reserve_chunk_ids(1);
         let mut fm = FileManifest::new();
         fm.push(Extent { container: DiskChunkId(0), offset: 0, len: 10 });
         s.write_file_manifest("stream0/file0", &fm).unwrap();
@@ -605,8 +642,8 @@ mod tests {
         let mut b = s.new_disk_chunk();
         b.append(b"payload");
         s.write_disk_chunk(b).unwrap();
-        s.write_hook(sha1(b"h"), ManifestId(0)).unwrap();
         let id = s.new_manifest_id();
+        s.write_hook(sha1(b"h"), id).unwrap();
         let mut m = Manifest::new(id, ManifestFormat::HookFlags);
         m.entries.push(ManifestEntry {
             hash: sha1(b"e"),
@@ -629,6 +666,17 @@ mod tests {
         assert_eq!(s2.new_manifest_id(), ManifestId(1), "id allocation resumes");
         assert_eq!(s2.new_disk_chunk().id(), DiskChunkId(1));
         assert_eq!(s2.manifest_sizes, s.manifest_sizes, "update deltas resume");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "recipe extent names chunk 0x1000000000000, at or above")]
+    fn an_id_this_substrate_never_allocated_is_refused() {
+        let mut s = substrate();
+        s.reserve_chunk_ids(4);
+        let mut fm = FileManifest::new();
+        fm.push(Extent { container: DiskChunkId(1 << 48), offset: 0, len: 10 });
+        let _ = s.write_file_manifest("stream0/file0", &fm);
     }
 
     #[test]

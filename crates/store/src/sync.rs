@@ -7,8 +7,8 @@
 //! flush-barrier model in `crates/lint/src/models.rs` explores bounded
 //! interleavings of precisely these operations (job send, per-write
 //! commit, done-channel barrier), so a primitive added here without a
-//! model update is visible in review. That is a convention: no
-//! `mhd-lint` pass checks where `batched.rs` imports from.
+//! model update is visible in review. That is a convention: nothing
+//! checks where `batched.rs` imports from.
 //!
 //! The job queue is `mpsc::sync_channel` — a bounded queue whose `send`
 //! blocks while it is full and fails once the receiver is gone, and
