@@ -13,8 +13,9 @@
 #      and persist recovered by `mhd` and by `mhd serve`
 #   3. feature matrix — the obs-disabled workspace still builds, and the
 #      store/core crash-safety tests pass with obs compiled out
-#   4. determinism — two same-seed `table1`/`table2` runs write
-#      byte-identical JSON, a traced smoke backup exports a non-empty
+#   4. determinism — two same-seed `table1`/`table2`/`chunker_bench`
+#      runs write byte-identical JSON (so the gap yardstick stays
+#      count-only), a traced smoke backup exports a non-empty
 #      Chrome trace (`mhd trace`, the file Perfetto opens), and `mhd trace`
 #      refuses a sub-verb such as the removed `analyze`
 #   5. daemon    — `mhd serve` end-to-end: three concurrent client
@@ -166,9 +167,9 @@ wait "$TORN_PID"
 recovered_store "$SMOKE/torn-serve"
 
 step "determinism: same-seed exhibits are byte-identical; a traced backup exports"
-# Neither exhibit reports a timing field, so two same-seed runs must
+# No exhibit here reports a timing field, so two same-seed runs must
 # write the same bytes.
-for exhibit in table1 table2; do
+for exhibit in table1 table2 chunker_bench; do
     for run in a b; do
         ./target/release/$exhibit --bytes 4M --out "$SMOKE/run_$run" > /dev/null
     done

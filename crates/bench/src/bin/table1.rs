@@ -28,7 +28,7 @@ fn main() {
             EngineKind::SubChunk => Algorithm::SubChunk,
             EngineKind::Bimodal => Algorithm::Bimodal,
             EngineKind::Cdc => Algorithm::Cdc,
-            EngineKind::SparseIndexing | EngineKind::Fbc => unreachable!("not in TABLE_SET"),
+            EngineKind::SparseIndexing => unreachable!("not in TABLE_SET"),
         };
         let sym =
             Symbols { n, d, l: run.report.dup_slices, f: run.report.files, sd: cli.sd as u64 };

@@ -17,7 +17,7 @@
 //! | `ablation` | DESIGN.md §5 — MHD design-choice ablations |
 //! | `dataset` | §V-D — engine-independent dataset characteristics |
 //! | `restore_cost` | extension — restore-side fragmentation per algorithm |
-//! | `chunker_bench` | extension — dedup quality per `--chunker` |
+//! | `chunker_bench` | extension — distance to the ideal DER per engine × `--chunker` |
 //!
 //! Exhibits report counts and ratios. No binary here reads a clock: a
 //! speed is a row of the repo benchmark (`benchmark/run.sh`).

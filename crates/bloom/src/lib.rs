@@ -13,10 +13,6 @@
 
 #![forbid(unsafe_code)]
 
-mod sketch;
-
-pub use sketch::CountMinSketch;
-
 use mhd_hash::ChunkHash;
 
 /// A fixed-size Bloom filter over [`ChunkHash`] keys.
@@ -61,16 +57,6 @@ impl BloomFilter {
         let n = expected_keys.max(1) as f64;
         let k = ((m / n) * std::f64::consts::LN_2).round().clamp(1.0, 16.0) as u32;
         Self::with_bytes_and_k(bytes, k)
-    }
-
-    /// Sizes the filter for a target false-positive probability at the
-    /// expected population: `m = −n·ln p / (ln 2)²`.
-    pub fn for_fpr(expected_keys: u64, fpr: f64) -> Self {
-        assert!(fpr > 0.0 && fpr < 1.0, "fpr must be in (0, 1)");
-        let n = expected_keys.max(1) as f64;
-        let m_bits = -n * fpr.ln() / (std::f64::consts::LN_2 * std::f64::consts::LN_2);
-        let bytes = ((m_bits / 8.0).ceil() as usize).max(8);
-        Self::with_bytes(bytes, expected_keys)
     }
 
     #[inline]
@@ -129,12 +115,6 @@ impl BloomFilter {
     pub fn fill_ratio(&self) -> f64 {
         let set: u64 = self.bits.iter().map(|w| w.count_ones() as u64).sum();
         set as f64 / self.m as f64
-    }
-
-    /// Estimated false-positive probability at the current fill:
-    /// `fill_ratio ^ k`.
-    pub fn estimated_fpr(&self) -> f64 {
-        self.fill_ratio().powi(self.k as i32)
     }
 
     /// Clears all bits.
@@ -216,15 +196,16 @@ mod tests {
 
     #[test]
     fn fpr_near_design_point() {
+        // 11 982 bytes is `m = −n·ln p / (ln 2)²` bits for n keys at p = 1 %.
         let n = 10_000u64;
-        let mut bf = BloomFilter::for_fpr(n, 0.01);
+        let mut bf = BloomFilter::with_bytes(11_982, n);
         for i in 0..n {
             bf.insert(&key(i));
         }
         // Query n fresh keys; expect ≈1% false positives, allow 3x slack.
         let fp = (n..2 * n).filter(|&i| bf.contains(&key(i))).count();
         assert!(fp < (n as usize) * 3 / 100, "false positive count {fp} too high");
-        assert!(bf.estimated_fpr() < 0.03);
+        assert!(bf.fill_ratio().powi(bf.k() as i32) < 0.03);
     }
 
     #[test]

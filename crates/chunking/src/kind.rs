@@ -2,7 +2,7 @@
 //! [`AnyChunker`] is the runtime-dispatched instance engines embed.
 //!
 //! The kind is what flows through configuration: `--chunker
-//! rabin|tttd|fixed|fastcdc` on the CLI and daemon, a field in
+//! rabin|fixed|fastcdc` on the CLI and daemon, a field in
 //! `EngineConfig`, and a persisted entry in store metadata so re-backups
 //! and restores keep cutting the same boundaries the store was built with.
 
@@ -11,15 +11,13 @@ use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Chunker, FastCdcChunker, FixedChunker, ParamError, RabinChunker, TttdChunker};
+use crate::{Chunker, FastCdcChunker, FixedChunker, ParamError, RabinChunker};
 
 /// The selectable chunking algorithms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ChunkerKind {
     /// LBFS-style Rabin-fingerprint CDC (the paper's base chunker).
     Rabin,
-    /// Two-Threshold Two-Divisor CDC with backup cuts.
-    Tttd,
     /// Fixed-size partitioning (FSP).
     Fixed,
     /// Gear-hash FastCDC with normalized chunking.
@@ -28,14 +26,13 @@ pub enum ChunkerKind {
 
 impl ChunkerKind {
     /// Every kind, in CLI presentation order.
-    pub const ALL: [ChunkerKind; 4] =
-        [ChunkerKind::Rabin, ChunkerKind::Tttd, ChunkerKind::Fixed, ChunkerKind::FastCdc];
+    pub const ALL: [ChunkerKind; 3] =
+        [ChunkerKind::Rabin, ChunkerKind::Fixed, ChunkerKind::FastCdc];
 
     /// The CLI/store-metadata spelling.
     pub fn as_str(&self) -> &'static str {
         match self {
             ChunkerKind::Rabin => "rabin",
-            ChunkerKind::Tttd => "tttd",
             ChunkerKind::Fixed => "fixed",
             ChunkerKind::FastCdc => "fastcdc",
         }
@@ -45,7 +42,6 @@ impl ChunkerKind {
     pub fn build(&self, avg: usize) -> Result<AnyChunker, ParamError> {
         Ok(match self {
             ChunkerKind::Rabin => AnyChunker::Rabin(RabinChunker::with_avg(avg)?),
-            ChunkerKind::Tttd => AnyChunker::Tttd(TttdChunker::with_avg(avg)?),
             ChunkerKind::Fixed => {
                 if avg == 0 {
                     return Err(ParamError::ZeroMin);
@@ -77,7 +73,7 @@ pub struct UnknownChunker(pub String);
 
 impl fmt::Display for UnknownChunker {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unknown chunker `{}` (expected rabin|tttd|fixed|fastcdc)", self.0)
+        write!(f, "unknown chunker `{}` (expected rabin|fixed|fastcdc)", self.0)
     }
 }
 
@@ -102,8 +98,6 @@ impl FromStr for ChunkerKind {
 pub enum AnyChunker {
     /// See [`RabinChunker`].
     Rabin(RabinChunker),
-    /// See [`TttdChunker`].
-    Tttd(TttdChunker),
     /// See [`FixedChunker`].
     Fixed(FixedChunker),
     /// See [`FastCdcChunker`].
@@ -115,7 +109,6 @@ impl AnyChunker {
     pub fn kind(&self) -> ChunkerKind {
         match self {
             AnyChunker::Rabin(_) => ChunkerKind::Rabin,
-            AnyChunker::Tttd(_) => ChunkerKind::Tttd,
             AnyChunker::Fixed(_) => ChunkerKind::Fixed,
             AnyChunker::FastCdc(_) => ChunkerKind::FastCdc,
         }
@@ -124,7 +117,6 @@ impl AnyChunker {
     fn inner(&self) -> &dyn Chunker {
         match self {
             AnyChunker::Rabin(c) => c,
-            AnyChunker::Tttd(c) => c,
             AnyChunker::Fixed(c) => c,
             AnyChunker::FastCdc(c) => c,
         }

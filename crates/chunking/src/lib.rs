@@ -13,16 +13,13 @@
 //! * [`RabinFingerprint`] — the table-driven rolling fingerprint itself,
 //! * [`RabinChunker`] — the LBFS-style min/avg/max content-defined chunker
 //!   (the paper's base chunker, §II),
-//! * [`TttdChunker`] — the Two-Threshold Two-Divisor variant \[3\] that
-//!   falls back to a secondary divisor instead of a hard cut at the upper
-//!   bound,
 //! * [`FixedChunker`] — fixed-size partitioning (FSP), the Venti/OceanStore
 //!   strawman that suffers from boundary shifting, and
 //! * [`FastCdcChunker`] — the gear-hash chunker with FastCDC-style
 //!   normalized chunking.
 //!
 //! Chunker choice is a first-class parameter: [`ChunkerKind`] names each
-//! algorithm (`rabin|tttd|fixed|fastcdc`), and [`AnyChunker`] is the
+//! algorithm (`rabin|fixed|fastcdc`), and [`AnyChunker`] is the
 //! concrete dispatch enum engines embed.
 //!
 //! All chunkers implement the [`Chunker`] trait and produce boundaries that
@@ -38,9 +35,7 @@ mod fixed;
 mod kind;
 mod params;
 mod rabin;
-mod stats;
 mod stream;
-mod tttd;
 
 #[cfg(test)]
 mod matrix;
@@ -51,9 +46,7 @@ pub use fixed::FixedChunker;
 pub use kind::{AnyChunker, ChunkerKind};
 pub use params::{ChunkerParams, ParamError, DEFAULT_WINDOW};
 pub use rabin::{RabinFingerprint, RabinTables, DEFAULT_POLY};
-pub use stats::SizeStats;
 pub use stream::StreamChunker;
-pub use tttd::TttdChunker;
 
 /// A chunk boundary description: a half-open byte range within one input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

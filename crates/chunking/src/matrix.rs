@@ -7,6 +7,8 @@
 //! * **bounds** — every chunk is at most `max_chunk_size`, and every
 //!   non-final chunk is at least the algorithm's minimum,
 //! * **determinism** — identical inputs produce identical boundaries,
+//! * **size distribution** — the mean chunk is near the expected size on
+//!   random data, and data with no content to cut on is cut at `max`,
 //! * **stream equivalence** — [`StreamChunker`] reproduces the in-memory
 //!   boundaries byte-for-byte, including through a one-byte-at-a-time
 //!   reader.
@@ -109,6 +111,42 @@ fn every_chunker_is_deterministic() {
     }
 }
 
+/// Chunk lengths `chunker` cuts from `data`.
+fn chunk_sizes(chunker: &AnyChunker, data: &[u8]) -> Vec<usize> {
+    chunker.spans(data).iter().map(|s| s.len).collect()
+}
+
+#[test]
+fn every_chunker_mean_is_near_avg_on_random_data() {
+    // `avg` is a mean, not a size: CDC sizes are a truncated geometric
+    // distribution, but their mean stays within 2x of it.
+    let avg = 1024;
+    let data = random_data(2 << 20, 900);
+    for chunker in matrix(avg) {
+        let sizes = chunk_sizes(&chunker, &data);
+        let mean = data.len() as f64 / sizes.len() as f64;
+        assert!(
+            mean > avg as f64 / 2.0 && mean < avg as f64 * 2.0,
+            "{}: mean {mean}",
+            chunker.kind()
+        );
+    }
+}
+
+#[test]
+fn every_chunker_cuts_content_free_data_at_max() {
+    // All-zero bytes match neither Rabin's nor the gear hash's divisor,
+    // so (more than 90 % of) their chunks are hard cuts at `max`; FSP
+    // cuts there by definition.
+    let data = vec![0u8; 1 << 20];
+    for chunker in matrix(1024) {
+        let sizes = chunk_sizes(&chunker, &data);
+        let at_max = sizes.iter().filter(|&&s| s == chunker.max_chunk_size()).count();
+        let kind = chunker.kind();
+        assert!(at_max * 10 > sizes.len() * 9, "{kind}: {at_max} of {} at max", sizes.len());
+    }
+}
+
 /// A reader that trickles a few bytes at a time, exercising refill logic.
 struct Trickle<'a>(&'a [u8]);
 impl std::io::Read for Trickle<'_> {
@@ -151,11 +189,9 @@ fn every_chunker_streams_identically_to_memory() {
 
 /// The cut the ring-buffer [`RabinFingerprint`] finds from `start`: the
 /// reference the ring-free `RabinTables::scan` kernel must reproduce.
-/// `backup` is TTTD's `(mask, magic)` fallback divisor.
 fn ring_reference_cut(
     p: &ChunkerParams,
     tables: &std::sync::Arc<RabinTables>,
-    backup: Option<(u64, u64)>,
     data: &[u8],
     start: usize,
 ) -> usize {
@@ -169,7 +205,6 @@ fn ring_reference_cut(
     for &b in &data[first_test - p.window..first_test] {
         fp.roll(b);
     }
-    let mut fallback = None;
     for pos in first_test..=start + limit {
         if pos > first_test {
             fp.roll(data[pos - 1]);
@@ -177,11 +212,8 @@ fn ring_reference_cut(
         if fp.value() & p.mask() == p.magic() {
             return pos;
         }
-        if backup.is_some_and(|(mask, magic)| fp.value() & mask == magic) {
-            fallback = Some(pos);
-        }
     }
-    fallback.filter(|_| limit == p.max).unwrap_or(start + limit)
+    start + limit
 }
 
 /// The cut list `next_cut` gives when chained from 0: what a `cut_points`
@@ -197,36 +229,25 @@ fn chained_cuts(chunker: &impl Chunker, data: &[u8]) -> Vec<usize> {
 }
 
 #[test]
-fn rabin_and_tttd_match_the_ring_buffer_reference() {
+fn rabin_matches_the_ring_buffer_reference() {
     // avg 2 and 8 are the dense end: up to half of all positions match.
     for avg in [2usize, 8, 64, 512, 4096] {
         let p = ChunkerParams::with_avg(avg).unwrap();
         let tables = RabinTables::default_with_window(p.window);
-        let backup_mask = p.mask() >> 1;
-        let backup = (backup_mask != 0).then_some((backup_mask, p.magic() & backup_mask));
         let rabin = ChunkerKind::Rabin.build(avg).unwrap();
-        let tttd = ChunkerKind::Tttd.build(avg).unwrap();
         for (i, data) in corpora(500 + avg as u64).iter().enumerate() {
-            for (chunker, backup) in [(&rabin, None), (&tttd, backup)] {
-                let mut start = 0usize;
-                let mut expect = Vec::new();
-                while start < data.len() {
-                    start = ring_reference_cut(&p, &tables, backup, data, start);
-                    expect.push(start);
-                }
-                assert_eq!(
-                    chunker.cut_points(data),
-                    expect,
-                    "{} avg={avg} corpus {i}: cut points moved",
-                    chunker.kind()
-                );
-                assert_eq!(
-                    chained_cuts(chunker, data),
-                    expect,
-                    "{} avg={avg} corpus {i}: chained next_cut moved",
-                    chunker.kind()
-                );
+            let mut start = 0usize;
+            let mut expect = Vec::new();
+            while start < data.len() {
+                start = ring_reference_cut(&p, &tables, data, start);
+                expect.push(start);
             }
+            assert_eq!(rabin.cut_points(data), expect, "avg={avg} corpus {i}: cut points moved");
+            assert_eq!(
+                chained_cuts(&rabin, data),
+                expect,
+                "avg={avg} corpus {i}: chained next_cut moved"
+            );
         }
     }
 }

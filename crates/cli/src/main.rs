@@ -26,7 +26,7 @@ use session::Session;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  mhd backup  <dir>  --store <store> [--label NAME] [--ecs N] [--sd N]\n                     [--chunker rabin|tttd|fixed|fastcdc]\n                     [--io-threads N] [--durability none|rename|fsync] [--trace]\n  mhd restore <name> --store <store> -o <path>\n  mhd ls             --store <store>\n  mhd stats          --store <store> [--internals [--pretty]]\n  mhd trace          --store <store> [--format chrome|jsonl] [-o <path>]\n  mhd fsck           --store <store> [--deep]   (crash recovery + integrity walk; alias: verify)\n  mhd rm <prefix>    --store <store>   (delete recipes, then gc)\n  mhd gc             --store <store>\n  mhd compact        --store <store> [--threshold 0.7]\n  mhd serve          --store <store> --socket <path> [--ecs N] [--sd N]\n                     [--chunker rabin|tttd|fixed|fastcdc]\n                     [--io-threads N] [--durability none|rename|fsync]\n  mhd client backup <dir>   --socket <path> --tenant T [--label NAME]\n  mhd client restore <name> --socket <path> --tenant T -o <path>\n  mhd client ls             --socket <path> --tenant T\n  mhd client gc|fsck|stats|ping|shutdown   --socket <path>"
+        "usage:\n  mhd backup  <dir>  --store <store> [--label NAME] [--ecs N] [--sd N]\n                     [--chunker rabin|fixed|fastcdc]\n                     [--io-threads N] [--durability none|rename|fsync] [--trace]\n  mhd restore <name> --store <store> -o <path>\n  mhd ls             --store <store>\n  mhd stats          --store <store> [--internals [--pretty]]\n  mhd trace          --store <store> [--format chrome|jsonl] [-o <path>]\n  mhd fsck           --store <store> [--deep]   (crash recovery + integrity walk; alias: verify)\n  mhd rm <prefix>    --store <store>   (delete recipes, then gc)\n  mhd gc             --store <store>\n  mhd compact        --store <store> [--threshold 0.7]\n  mhd serve          --store <store> --socket <path> [--ecs N] [--sd N]\n                     [--chunker rabin|fixed|fastcdc]\n                     [--io-threads N] [--durability none|rename|fsync]\n  mhd client backup <dir>   --socket <path> --tenant T [--label NAME]\n  mhd client restore <name> --socket <path> --tenant T -o <path>\n  mhd client ls             --socket <path> --tenant T\n  mhd client gc|fsck|stats|ping|shutdown   --socket <path>"
     );
     std::process::exit(2)
 }

@@ -83,7 +83,7 @@ pub struct EngineConfig {
     /// Manifest cache capacity (number of resident manifests).
     pub cache_manifests: usize,
     /// Chunking algorithm used for the small-chunk stream (and, scaled to
-    /// `ECS × SD`, for Bimodal/SubChunk/FBC big chunks). Persisted in store
+    /// `ECS × SD`, for Bimodal/SubChunk big chunks). Persisted in store
     /// metadata so re-backups keep cutting the boundaries the store's
     /// existing chunks were built with.
     pub chunker: ChunkerKind,

@@ -25,9 +25,7 @@ use mhd_workload::{FileEntry, Snapshot};
 use serde::{Deserialize, Serialize};
 
 use crate::config::EngineConfig;
-use crate::{
-    frontend, BimodalEngine, CdcEngine, FbcEngine, MhdEngine, SparseIndexEngine, SubChunkEngine,
-};
+use crate::{frontend, BimodalEngine, CdcEngine, MhdEngine, SparseIndexEngine, SubChunkEngine};
 
 /// Result alias for engine operations.
 pub type EngineResult<T> = Result<T, EngineError>;
@@ -98,7 +96,7 @@ impl HashedChunk {
 ///
 /// Takes the chunker as a trait object: every engine routes through here
 /// (whole files by way of the front end's jobs, sub-ranges directly), so
-/// any [`Chunker`] — Rabin, TTTD, fixed, FastCDC — plugs into every
+/// any [`Chunker`] — Rabin, fixed, FastCDC — plugs into every
 /// engine unchanged.
 pub fn chunk_and_hash(chunker: &dyn Chunker, data: &Bytes) -> Vec<HashedChunk> {
     let spans = chunker.spans(data);
@@ -125,7 +123,7 @@ pub fn chunk_and_hash(chunker: &dyn Chunker, data: &Bytes) -> Vec<HashedChunk> {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DedupReport {
     /// Engine name ("bf-mhd", "si-mhd", "cdc", "bimodal", "subchunk",
-    /// "sparse-indexing", "fbc").
+    /// "sparse-indexing").
     pub algorithm: String,
     /// Total input bytes processed.
     pub input_bytes: u64,
@@ -492,7 +490,7 @@ pub(crate) fn ingest_files<E, B: Backend>(
     Ok(())
 }
 
-/// The six engines, in the paper's plotting order: the registry every
+/// The five engines, in the paper's plotting order: the registry every
 /// "all engines" loop iterates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
@@ -506,20 +504,16 @@ pub enum EngineKind {
     SparseIndexing,
     /// Flat CDC (Tables I–II only; not plotted in Figs. 7–8).
     Cdc,
-    /// Frequency-based chunking (paper §I–II; outside its evaluation —
-    /// available for the shootout and ablation comparisons).
-    Fbc,
 }
 
 impl EngineKind {
     /// Every engine.
-    pub const ALL: [EngineKind; 6] = [
+    pub const ALL: [EngineKind; 5] = [
         EngineKind::Mhd,
         EngineKind::Bimodal,
         EngineKind::SubChunk,
         EngineKind::SparseIndexing,
         EngineKind::Cdc,
-        EngineKind::Fbc,
     ];
 
     /// The four algorithms plotted in Figs. 7–8.
@@ -538,7 +532,6 @@ impl EngineKind {
             EngineKind::SubChunk => "SubChunk",
             EngineKind::SparseIndexing => "SparseIndexing",
             EngineKind::Cdc => "CDC",
-            EngineKind::Fbc => "FBC",
         }
     }
 
@@ -554,7 +547,6 @@ impl EngineKind {
             EngineKind::SubChunk => Box::new(SubChunkEngine::new(backend, config)?),
             EngineKind::SparseIndexing => Box::new(SparseIndexEngine::new(backend, config)?),
             EngineKind::Cdc => Box::new(CdcEngine::new(backend, config)?),
-            EngineKind::Fbc => Box::new(FbcEngine::new(backend, config)?),
         })
     }
 }

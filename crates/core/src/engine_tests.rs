@@ -276,8 +276,6 @@ fn engine_outputs_are_pinned() {
         ("subchunk", ChunkerKind::FastCdc, "13edf4f06fbf62c1248b0476a28a946e118fa542"),
         ("sparse-indexing", ChunkerKind::Rabin, "385fe8562f5a7d863159997a67d4a133fb3627d4"),
         ("sparse-indexing", ChunkerKind::FastCdc, "858ef5032ef97e5812752d739ec92dfd5c0d3b26"),
-        ("fbc", ChunkerKind::Rabin, "7d250a23058e535063cf368dfd776ca22225b4b6"),
-        ("fbc", ChunkerKind::FastCdc, "a77867b6c8178a1372d3b3d940beb8f239cd6b9d"),
     ];
     for (kind, chunker) in EngineKind::ALL.into_iter().flat_map(|k| CHUNKERS.map(|c| (k, c))) {
         let mut config = EngineConfig::new(512, 8).with_chunker(chunker);

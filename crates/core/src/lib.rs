@@ -4,7 +4,7 @@
 //! Deduplication** ([`MhdEngine`]): Sampling-and-Hash-Merging (SHM),
 //! Bi-Directional Match Extension (BME/FME), and Hysteresis Hash
 //! Re-chunking (HHR) — together with the four comparison systems of its
-//! evaluation and a fifth the paper discusses:
+//! evaluation:
 //!
 //! * [`CdcEngine`] — flat content-defined chunking with a full per-chunk
 //!   hook index (the "CDC" column of Tables I–II),
@@ -14,12 +14,9 @@
 //!   non-duplicate big chunk, coalescing its small chunks into one
 //!   container,
 //! * [`SparseIndexEngine`] — segment-based dedup against champion
-//!   manifests chosen by a RAM sparse index, and
-//! * [`FbcEngine`] — frequency-based chunking (count-min-sketch-driven
-//!   selective re-chunking), the third big-chunk algorithm the paper's
-//!   §I–II discuss.
+//!   manifests chosen by a RAM sparse index.
 //!
-//! All six are one scaffold (substrate, Bloom filter, Manifest cache,
+//! All five are one scaffold (substrate, Bloom filter, Manifest cache,
 //! counters, index lookup, per-file commit, ingest loop, report — private
 //! to this crate) plus a policy, so they run against the same
 //! [`mhd_store::Substrate`] with the same accounting and their
@@ -69,7 +66,6 @@ mod config;
 mod engine;
 #[cfg(test)]
 mod engine_tests;
-mod fbc;
 mod frontend;
 mod mhd;
 mod sparse_index;
@@ -82,7 +78,6 @@ pub use engine::{
     chunk_and_hash, DedupReport, Deduplicator, EngineError, EngineKind, EngineResult, HashedChunk,
     HookPresence,
 };
-pub use fbc::FbcEngine;
 pub use mhd::{MhdEngine, MhdState, SessionDelta};
 pub use sparse_index::SparseIndexEngine;
 pub use subchunk::SubChunkEngine;

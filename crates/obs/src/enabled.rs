@@ -1,9 +1,9 @@
 //! The real implementation, compiled when the `obs` feature is on.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
-
-use crate::sync::{AtomicU64, Mutex, OnceLock, Ordering};
 
 use crate::{bucket_index, CounterSnapshot, HistogramSnapshot, Snapshot, BUCKETS};
 

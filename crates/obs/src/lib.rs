@@ -75,8 +75,6 @@
 
 use serde::{Deserialize, Serialize};
 
-pub mod sync;
-
 #[cfg(feature = "obs")]
 mod enabled;
 #[cfg(feature = "obs")]

@@ -21,8 +21,8 @@ mod imp {
     use std::cell::RefCell;
     use std::collections::{BTreeMap, HashMap};
     use std::marker::PhantomData;
-
-    use crate::sync::{AtomicUsize, Mutex, OnceLock, Ordering};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Mutex, OnceLock};
 
     use crate::enabled::{lock_ignore_poison, Counter, Histogram, Registry};
     use crate::Snapshot;

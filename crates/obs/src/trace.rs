@@ -191,9 +191,9 @@ pub struct TraceRecord {
 mod rt {
     use std::cell::OnceCell;
     use std::collections::VecDeque;
+    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+    use std::sync::{Arc, Mutex, OnceLock};
     use std::time::Instant;
-
-    use crate::sync::{Arc, AtomicBool, AtomicU32, AtomicUsize, Mutex, OnceLock, Ordering};
 
     use super::{TraceEvent, TraceRecord};
     use crate::enabled::lock_ignore_poison;

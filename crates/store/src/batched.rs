@@ -29,11 +29,11 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use bytes::Bytes;
 
-use crate::sync::{mpsc, Arc, Mutex, PoisonError};
 use crate::{
     safe_name, Backend, DirBackend, Durability, FileKind, RecoveryReport, StoreError, StoreResult,
 };
@@ -82,6 +82,10 @@ struct Job {
     done: mpsc::Sender<StoreResult<()>>,
 }
 
+/// Workers fed by one bounded queue: `send` blocks while it is full, and
+/// dropping the sender ends them. `std`'s receiver has one owner, so the
+/// workers share it behind a mutex each holds only while it waits for a
+/// job, never while it writes.
 struct WorkerPool {
     jobs: mpsc::SyncSender<Job>,
     handles: Vec<std::thread::JoinHandle<()>>,

@@ -39,7 +39,6 @@ mod iostats;
 mod ledger;
 mod manifest;
 mod substrate;
-pub mod sync;
 
 pub use backend::{
     fsync_dir, fsync_file, record_fsyncs, safe_name, write_atomic, Backend, DirBackend, Durability,

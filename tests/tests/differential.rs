@@ -56,7 +56,7 @@ fn cdc_dominates_big_chunk_engines_on_data() {
     let mut config = EngineConfig::new(1024, 8);
     config.cache_manifests = 8;
     let (cdc, _) = run_kind(EngineKind::Cdc, &corpus.snapshots, config);
-    for kind in [EngineKind::Bimodal, EngineKind::SubChunk, EngineKind::Fbc] {
+    for kind in [EngineKind::Bimodal, EngineKind::SubChunk] {
         let (r, _) = run_kind(kind, &corpus.snapshots, config);
         assert!(
             r.dup_bytes <= cdc.dup_bytes,

@@ -1,4 +1,4 @@
-//! End-to-end correctness across all six engines: byte-exact restore,
+//! End-to-end correctness across all five engines: byte-exact restore,
 //! conservation of bytes, and metric sanity over a shared corpus.
 
 use mhd_chunking::ChunkerKind;
