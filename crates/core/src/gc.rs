@@ -91,8 +91,9 @@ pub fn collect<B: Backend>(substrate: &mut Substrate<B>) -> StoreResult<GcReport
 /// landed yet. Chunks below the cutoff belong to sessions that finished
 /// (their recipes are on disk and participate in the mark) or died
 /// (their intent records were rolled back at recovery), so for them the
-/// classic mark result is authoritative. The interleaving argument is
-/// model-checked exhaustively by `mhd-lint`'s `gc-protect` model.
+/// classic mark result is authoritative. The daemon holds this to every
+/// interleaving of its commit steps with a GC, on a real store
+/// (`mhd-daemon`'s schedule exploration, DESIGN.md §12).
 ///
 /// `cutoff = u64::MAX` protects nothing and degenerates to [`collect`].
 pub fn collect_protected<B: Backend>(

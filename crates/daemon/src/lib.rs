@@ -31,9 +31,10 @@
 //! * **GC is watermark-protected.** Chunk ids are monotonic, so each
 //!   session registers the id watermark at open
 //!   ([`SessionRegistry`]); garbage collection sweeps only below
-//!   `min(watermarks)` ([`mhd_core::gc::collect_protected`]). The
-//!   protocol is model-checked exhaustively by `mhd-lint`'s `gc-protect`
-//!   model.
+//!   `min(watermarks)` ([`mhd_core::gc::collect_protected`]), and a
+//!   sweep that deleted anything sends every running pipeline back to
+//!   re-run against what is left. The crate's tests run every
+//!   interleaving of `BEGIN`, pipeline, publish and GC on a real store.
 //! * **The hook index is sharded and shared.** [`SharedHookIndex`] keeps
 //!   the hash→manifest hook mapping in N `RwLock` shards, kept coherent
 //!   by [`IndexingBackend`] on the store's own write path; `HAVE` queries
@@ -87,8 +88,5 @@ pub use mhd_core::statefile::RecoverySummary;
 pub use protocol::{Request, MAX_FILE_BYTES, MAX_LINE_BYTES};
 pub use registry::SessionRegistry;
 pub use server::{Daemon, ServeHandle};
-pub use shared::{
-    CommitReport, DaemonConfig, DaemonStats, SharedStore, WriteSession, LOCAL_ID_BASE,
-    MAX_COMMIT_RETRIES,
-};
+pub use shared::{CommitReport, DaemonConfig, DaemonStats, SharedStore, WriteSession};
 pub use staging::{Overlay, StagingBackend};

@@ -17,10 +17,11 @@
 //! the session's pipeline runs: every id the session later reserves in
 //! its publish phase is allocated after registration and therefore at or
 //! above its watermark, so staged splices are protected from the moment
-//! they hit disk. The interleaving-sensitive parts of this protocol
-//! (register before reserve; splice before publishing a recipe; cutoff =
-//! min of registered watermarks) are model-checked exhaustively by
-//! `mhd-lint --mutant gc-protect` and `--mutant splice-order`.
+//! they hit disk. Objects written *before* a session began are not
+//! protected: a GC that deletes any sends every running pipeline back
+//! (`SharedStore::gc`). The crate's schedule exploration runs every
+//! interleaving of `BEGIN`, pipeline, publish and GC on a real store and
+//! checks that no sweep reaches an open session's watermark.
 
 use mhd_hash::FxHashMap;
 

@@ -14,17 +14,19 @@
 //!
 //! # Two-phase commits
 //!
-//! `COMMIT` no longer serialises the dedup pipeline on the engine lock.
-//! **Phase 1** (stage `commit.pipeline`, no lock) runs the full BF-MHD
-//! pipeline on a throwaway engine over a [`StagingBackend`]: reads fall
-//! through to the shared store's directory tree, hook probes go to the
-//! lock-free [`SharedHookIndex`] (the engine's presence oracle), and all
-//! writes land in an in-memory overlay under a private id range
-//! ([`LOCAL_ID_BASE`] and up). Any number of sessions run phase 1
-//! concurrently. **Phase 2** (stage `commit.publish`, engine lock held)
-//! is O(metadata): it validates the pipeline's view against hooks other
-//! sessions published meanwhile (retrying phase 1 on a real conflict, so
-//! shared content is stored once), reserves real id ranges, splices the
+//! `COMMIT` does not serialise the dedup pipeline on the engine lock.
+//! **Phase 1** (`SharedStore::pipeline`, stage `commit.pipeline`, no
+//! lock) runs the full BF-MHD pipeline on a throwaway engine over a
+//! [`StagingBackend`]: reads fall through to the shared store's
+//! directory tree, hook probes go to the lock-free [`SharedHookIndex`]
+//! (the engine's presence oracle), and all writes land in an in-memory
+//! overlay under a private id range ([`LOCAL_ID_BASE`] and up). Any
+//! number of sessions run phase 1 concurrently. **Phase 2**
+//! (`SharedStore::publish`, stage `commit.publish`, engine lock held) is
+//! O(metadata): it validates the pipeline's view against hooks other
+//! sessions published meanwhile and against GCs that deleted anything
+//! (retrying phase 1 on a conflict, so shared content is stored once and
+//! nothing swept is referenced), reserves real id ranges, splices the
 //! staged objects in `FLUSH_ORDER`, absorbs the session's counters,
 //! flushes, and persists the watermark. `RESTORE`/`LS` use a read-only
 //! directory view and take no lock at all.
@@ -77,20 +79,17 @@ type DaemonBackend = IndexingBackend<FaultBackend<BatchedDirBackend>>;
 /// That the splice remaps every staged id is checked where the ids are
 /// written: in debug builds `Substrate` refuses any id at or above its
 /// own watermarks, and the shared store's lie far below this floor.
-/// Public because `mhd-lint`'s `PublishModel`, which model-checks the
-/// reserve/remap protocol itself, ties its scaled floor to this value.
-pub const LOCAL_ID_BASE: u64 = 1 << 48;
+const LOCAL_ID_BASE: u64 = 1 << 48;
 
 /// A conflicted commit re-runs phase 1 at most this many times before
 /// publishing anyway — still correct, just storing some duplicate chunks
 /// (which the within-tolerance dedup-equivalence bound accounts for). A
 /// retry costs one staged pipeline run (milliseconds), so the budget is
 /// generous: exhausting it needs a fresh racing publish on every attempt,
-/// which heavy day-0 hook sharing can produce under oversubscription.
-///
-/// Public so `mhd-lint`'s `PublishModel` (which model-checks the bounded
-/// retry against the epoch log) can tie itself to the shipped value.
-pub const MAX_COMMIT_RETRIES: u32 = 8;
+/// which heavy day-0 hook sharing can produce under oversubscription. A
+/// pipeline a sweeping GC raced is the exception: it is never published,
+/// so past this budget its commit fails.
+const MAX_COMMIT_RETRIES: u32 = 8;
 
 /// How many recent publishes keep their hook-hash sets for conflict
 /// detection. A pipeline that started more than this many publishes ago
@@ -154,6 +153,23 @@ pub struct DaemonStats {
     pub index_occupancy: Vec<usize>,
 }
 
+/// What phase 1 of a commit hands phase 2: the staging engine holding the
+/// session's objects under private ids, the publish epoch the pipeline
+/// started at, and the hashes its hook probes missed.
+struct Staged {
+    engine: MhdEngine<StagingBackend>,
+    epoch0: u64,
+    missed: FxHashSet<ChunkHash>,
+}
+
+/// How phase 2 of a commit ended.
+enum Published {
+    /// The stream is committed and durable.
+    Committed(CommitReport),
+    /// A publish or a sweeping GC raced the pipeline: re-run phase 1.
+    Conflict,
+}
+
 /// An in-progress write session: files staged in memory, nothing in the
 /// store until [`SharedStore::commit`].
 pub struct WriteSession {
@@ -182,7 +198,8 @@ impl WriteSession {
         &self.label
     }
 
-    /// The `tenant/label` stream prefix this session will commit under.
+    /// The `tenant/label` stream this session commits under: its recipes
+    /// are `tenant/label/<path>`, its wip record is keyed by it.
     pub fn prefix(&self) -> String {
         format!("{}/{}", self.tenant, self.label)
     }
@@ -233,8 +250,12 @@ struct StoreInner {
     /// The store's parameters and stream count, as last persisted or
     /// about to be.
     meta: StoreMeta,
-    /// Monotonic publish sequence: bumped once per committed session.
+    /// Monotonic publish sequence: bumped once per committed session and
+    /// once per GC that deleted anything.
     epoch: u64,
+    /// The epoch of the last GC that deleted anything. A pipeline that
+    /// started before it may have deduplicated against what it deleted.
+    swept: u64,
     /// Hook hashes of the last [`PUBLISH_LOG`] publishes, tagged by the
     /// epoch that produced them, for phase-2 conflict detection.
     publish_log: VecDeque<(u64, FxHashSet<ChunkHash>)>,
@@ -259,12 +280,6 @@ pub struct SharedStore {
 }
 
 impl SharedStore {
-    /// The stream name `tenant`/`label` commits under: its recipes are
-    /// `tenant/label/<path>`, its wip record is keyed by it.
-    fn stream_of(tenant: &str, label: &str) -> String {
-        format!("{tenant}/{label}")
-    }
-
     /// Opens (or initialises) the shared store at `root` through
     /// [`statefile::open_write`] — backend recovery and the rollback of
     /// everything above the commit watermark run before anything reads a
@@ -284,7 +299,13 @@ impl SharedStore {
         let store = SharedStore {
             inner: Mutex::new(
                 Rank::Engine,
-                StoreInner { engine, meta: opened.meta, epoch: 0, publish_log: VecDeque::new() },
+                StoreInner {
+                    engine,
+                    meta: opened.meta,
+                    epoch: 0,
+                    swept: 0,
+                    publish_log: VecDeque::new(),
+                },
             ),
             index,
             registry: SessionRegistry::new(),
@@ -345,7 +366,7 @@ impl SharedStore {
         if !valid_tenant(label) {
             return Err(DaemonError::Protocol(format!("invalid label {label:?}")));
         }
-        let prefix = Self::stream_of(tenant, label);
+        let prefix = format!("{tenant}/{label}");
         let recipe_prefix = safe_name(&format!("{prefix}/"));
 
         // The existence check, watermark capture and registration happen
@@ -382,9 +403,10 @@ impl SharedStore {
     }
 
     /// Commits a staged session with the two-phase protocol (module
-    /// docs): the dedup pipeline runs outside the engine lock, the lock
-    /// is taken only to validate, splice the staged objects in
-    /// `FLUSH_ORDER`, and persist the watermark. The intent record is
+    /// docs): phase 1 (`pipeline`) runs the dedup pipeline outside the
+    /// engine lock, phase 2 (`publish`) takes the lock only to validate,
+    /// splice the staged objects in `FLUSH_ORDER`, and persist the
+    /// watermark; a conflict re-runs the pipeline. The intent record is
     /// retired and the stream lease released on **every** exit path —
     /// success, pipeline error, or publish/persist failure — so a failed
     /// commit never leaves the stream un-writable or GC pinned.
@@ -394,106 +416,138 @@ impl SharedStore {
             return Err(DaemonError::Protocol("session has no staged files".into()));
         }
         let _scope = mhd_obs::scope!("tenant={}", session.tenant);
-        let files = session.files.len() as u64;
-        let input_bytes = session.staged_bytes;
-        // `Bytes` clones are refcounted: retries re-read, not re-copy.
-        let snapshot = Snapshot { machine: 0, day: 0, files: session.files.clone() };
-
         let mut attempt = 0u32;
         loop {
-            let epoch0 = self.epoch.load(Ordering::Acquire);
+            let staged = self.pipeline(&session)?;
+            match self.publish(&session, staged, attempt)? {
+                Published::Committed(report) => return Ok(report),
+                Published::Conflict => {
+                    attempt += 1;
+                    mhd_obs::counter!("daemon.commit_retries").inc();
+                }
+            }
+        }
+    }
 
-            // Phase 1: the full dedup pipeline against a staging engine,
-            // concurrent with other sessions' pipelines and publishes.
-            let pipeline = mhd_obs::stage("commit.pipeline");
-            let pipeline_timer = mhd_obs::span!("daemon.commit_pipeline_ns");
-            let mut staging = match self.build_staging_engine() {
-                Ok(s) => s,
+    /// Phase 1 of [`commit`](Self::commit): the full dedup pipeline
+    /// against a staging engine, concurrent with other sessions'
+    /// pipelines and publishes. On failure the lease and intent record
+    /// are released: nothing touched the shared store, staging writes are
+    /// in memory.
+    fn pipeline(&self, session: &WriteSession) -> DaemonResult<Staged> {
+        let epoch0 = self.epoch.load(Ordering::Acquire);
+        // `Bytes` clones are refcounted: retries re-read, not re-copy.
+        let snapshot = Snapshot { machine: 0, day: 0, files: session.files.clone() };
+        let ran = {
+            let _pipeline = mhd_obs::stage("commit.pipeline");
+            let _pipeline_timer = mhd_obs::span!("daemon.commit_pipeline_ns");
+            self.build_staging_engine().and_then(|mut engine| {
+                engine.process_snapshot(&snapshot)?;
+                engine.finish()?;
+                Ok(engine)
+            })
+        };
+        match ran {
+            Ok(mut engine) => {
+                let missed = engine.take_missed_hashes();
+                Ok(Staged { engine, epoch0, missed })
+            }
+            Err(e) => {
+                self.cleanup_session(session);
+                Err(e)
+            }
+        }
+    }
+
+    /// Phase 2 of [`commit`](Self::commit): validate, reserve, splice,
+    /// persist — O(metadata), under the lock. `attempt` counts the
+    /// conflicts this session has already retried: past
+    /// [`MAX_COMMIT_RETRIES`] a publish race no longer sends the pipeline
+    /// back (its staged objects are stored as they are), but a sweeping
+    /// GC still does not let it through — the commit fails instead. On
+    /// any failure the lease and intent record are released.
+    fn publish(
+        &self,
+        session: &WriteSession,
+        staged: Staged,
+        attempt: u32,
+    ) -> DaemonResult<Published> {
+        let _publish = mhd_obs::stage("commit.publish");
+        let _publish_timer = mhd_obs::span!("daemon.commit_publish_ns");
+        let mut inner = self.inner.lock();
+        // A GC that deleted objects after the pipeline began may have
+        // deleted what it deduplicated against: such a pipeline is never
+        // spliced.
+        let swept = inner.swept > staged.epoch0;
+        if attempt < MAX_COMMIT_RETRIES
+            && (swept || Self::conflicts(&inner, staged.epoch0, &staged.missed))
+        {
+            return Ok(Published::Conflict);
+        }
+        if swept {
+            drop(inner);
+            self.cleanup_session(session);
+            return Err(DaemonError::State(format!(
+                "stream {:?}: gave up after {} commit attempts, the last of which a \
+                 garbage collection raced",
+                session.prefix(),
+                MAX_COMMIT_RETRIES + 1
+            )));
+        }
+
+        let before = inner.engine.substrate().ledger().total_output_bytes();
+        let result = {
+            let _t = mhd_obs::span!("daemon.commit_splice_ns");
+            Self::splice_locked(&mut inner, staged.engine)
+        }
+        .and_then(|hook_hashes| {
+            inner.meta.streams += 1;
+            let _t = mhd_obs::span!("daemon.commit_persist_ns");
+            match self.persist_locked(&inner) {
+                Ok(()) => Ok(hook_hashes),
                 Err(e) => {
-                    self.cleanup_session(&session.tenant, &session.label, session.sid);
-                    return Err(e);
-                }
-            };
-            let ran =
-                staging.process_snapshot(&snapshot).and_then(|()| staging.finish().map(|_| ()));
-            drop(pipeline_timer);
-            drop(pipeline);
-            if let Err(e) = ran {
-                // Nothing touched the shared store: staging writes are in
-                // memory. Release the lease and intent record.
-                self.cleanup_session(&session.tenant, &session.label, session.sid);
-                return Err(DaemonError::Engine(e));
-            }
-            let missed = staging.take_missed_hashes();
-
-            // Phase 2: validate, reserve, splice, persist — O(metadata),
-            // under the lock.
-            let _publish = mhd_obs::stage("commit.publish");
-            let _publish_timer = mhd_obs::span!("daemon.commit_publish_ns");
-            let mut inner = self.inner.lock();
-            if attempt < MAX_COMMIT_RETRIES && Self::conflicts(&inner, epoch0, &missed) {
-                drop(inner);
-                attempt += 1;
-                mhd_obs::counter!("daemon.commit_retries").inc();
-                continue;
-            }
-
-            let before = inner.engine.substrate().ledger().total_output_bytes();
-            let result = {
-                let _t = mhd_obs::span!("daemon.commit_splice_ns");
-                Self::splice_locked(&mut inner, staging)
-            }
-            .and_then(|hook_hashes| {
-                inner.meta.streams += 1;
-                let _t = mhd_obs::span!("daemon.commit_persist_ns");
-                match self.persist_locked(&inner) {
-                    Ok(()) => Ok(hook_hashes),
-                    Err(e) => {
-                        inner.meta.streams -= 1;
-                        Err(e)
-                    }
-                }
-            });
-            return match result {
-                Ok(hook_hashes) => {
-                    inner.epoch += 1;
-                    let epoch = inner.epoch;
-                    inner.publish_log.push_back((epoch, hook_hashes));
-                    while inner.publish_log.len() > PUBLISH_LOG {
-                        inner.publish_log.pop_front();
-                    }
-                    self.epoch.store(epoch, Ordering::Release);
-                    let grown_bytes = inner
-                        .engine
-                        .substrate()
-                        .ledger()
-                        .total_output_bytes()
-                        .saturating_sub(before);
-                    drop(inner);
-                    // Commit is durable; only now retire the intent
-                    // record. A crash between persist and this point
-                    // re-deletes nothing at recovery (everything is below
-                    // the new watermark) except the recipes — exactly the
-                    // unacknowledged-commit semantics we want.
-                    self.cleanup_session(&session.tenant, &session.label, session.sid);
-                    mhd_obs::counter!("daemon.commits").inc();
-                    Ok(CommitReport { files, input_bytes, grown_bytes })
-                }
-                Err(e) => {
-                    // Splice or persist failed. Roll the visible parts
-                    // back and — the fix for the leaked-lease bug —
-                    // release the lease and intent record before
-                    // surfacing the error, so the stream stays writable
-                    // and GC unpinned.
-                    let recipe_prefix =
-                        safe_name(&format!("{}/{}/", session.tenant, session.label));
-                    Self::undo_failed_publish(&mut inner, &recipe_prefix);
-                    let _ = self.persist_locked(&inner);
-                    drop(inner);
-                    self.cleanup_session(&session.tenant, &session.label, session.sid);
+                    inner.meta.streams -= 1;
                     Err(e)
                 }
-            };
+            }
+        });
+        match result {
+            Ok(hook_hashes) => {
+                inner.epoch += 1;
+                let epoch = inner.epoch;
+                inner.publish_log.push_back((epoch, hook_hashes));
+                while inner.publish_log.len() > PUBLISH_LOG {
+                    inner.publish_log.pop_front();
+                }
+                self.epoch.store(epoch, Ordering::Release);
+                let grown_bytes =
+                    inner.engine.substrate().ledger().total_output_bytes().saturating_sub(before);
+                drop(inner);
+                // Commit is durable; only now retire the intent record. A
+                // crash between persist and this point re-deletes nothing
+                // at recovery (everything is below the new watermark)
+                // except the recipes — exactly the unacknowledged-commit
+                // semantics we want.
+                self.cleanup_session(session);
+                mhd_obs::counter!("daemon.commits").inc();
+                Ok(Published::Committed(CommitReport {
+                    files: session.files.len() as u64,
+                    input_bytes: session.staged_bytes,
+                    grown_bytes,
+                }))
+            }
+            Err(e) => {
+                // Splice or persist failed. Roll the visible parts back
+                // and release the lease and intent record before
+                // surfacing the error, so the stream stays writable and
+                // GC unpinned.
+                let recipe_prefix = safe_name(&format!("{}/", session.prefix()));
+                Self::undo_failed_publish(&mut inner, &recipe_prefix);
+                let _ = self.persist_locked(&inner);
+                drop(inner);
+                self.cleanup_session(session);
+                Err(e)
+            }
         }
     }
 
@@ -665,15 +719,15 @@ impl SharedStore {
     /// Discards a staged session. Nothing reached the store, so this only
     /// retires the intent record and releases the lease.
     pub fn abort(&self, session: WriteSession) {
-        self.cleanup_session(&session.tenant, &session.label, session.sid);
+        self.cleanup_session(&session);
         mhd_obs::counter!("daemon.aborts").inc();
     }
 
-    fn cleanup_session(&self, tenant: &str, label: &str, sid: u64) {
+    fn cleanup_session(&self, session: &WriteSession) {
         // Removal failure is not actionable here: a leftover record only
         // causes a benign re-rollback of an already-clean stream.
-        let _ = statefile::wip_end(&self.root, self.durability, &Self::stream_of(tenant, label));
-        self.registry.deregister(sid);
+        let _ = statefile::wip_end(&self.root, self.durability, &session.prefix());
+        self.registry.deregister(session.sid);
     }
 
     /// Restores one file. `name` is tenant-relative (`label/path`, as
@@ -716,8 +770,11 @@ impl SharedStore {
 
     /// Protected mark-sweep garbage collection: sweeps only below
     /// `min(current watermark, every active session's watermark)`, so an
-    /// in-progress session can never lose objects it wrote. Safe to call
-    /// with sessions open.
+    /// in-progress session can never lose objects written after it began.
+    /// A sweep that deleted anything sends every pipeline already running
+    /// back to phase 1, since one may have deduplicated against a deleted
+    /// object written before its session began. Safe to call with
+    /// sessions open.
     pub fn gc(&self) -> DaemonResult<GcReport> {
         let mut inner = self.inner.lock();
         // Drain the manifest cache first: GC must not race a dirty
@@ -726,6 +783,14 @@ impl SharedStore {
         let watermark = inner.engine.substrate().chunk_id_watermark();
         let cutoff = self.registry.min_watermark().map_or(watermark, |w| w.min(watermark));
         let report = mhd_core::gc::collect_protected(inner.engine.substrate_mut(), cutoff)?;
+        if report.containers_deleted + report.manifests_deleted + report.hooks_deleted > 0 {
+            // Every pipeline running now started before this sweep and
+            // may have deduplicated against what it deleted: each one's
+            // publish sees the bump and re-runs it.
+            inner.epoch += 1;
+            inner.swept = inner.epoch;
+            self.epoch.store(inner.epoch, Ordering::Release);
+        }
         self.persist_locked(&inner)?;
         mhd_obs::counter!("daemon.gc_runs").inc();
         Ok(report)
@@ -872,6 +937,53 @@ mod tests {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
+    /// Begins `tenant`/`d` with `data` staged as `f` and fails its
+    /// publish at the first recipe write: its objects stay behind as
+    /// orphans.
+    fn fail_publish(store: &SharedStore, tenant: &str, data: &[u8]) {
+        let mut s = store.begin_session(tenant, "d").unwrap();
+        s.stage("f", data).unwrap();
+        let staged = store.pipeline(&s).unwrap();
+        store.arm_fault(FaultPoint::write(Some(FileKind::FileManifest), 0));
+        assert!(store.publish(&s, staged, 0).is_err(), "injected fault must surface");
+        store.arm_fault(FaultPoint::never());
+    }
+
+    #[test]
+    fn gc_between_pipeline_and_publish_sends_the_pipeline_back() {
+        // X's failed publish leaves orphans below A's watermark; A's
+        // pipeline dedups against them, a GC sweeps them, and A's publish
+        // must not splice a recipe naming the swept chunks.
+        let root = temp_root("gcrace");
+        let store = SharedStore::open(&root, small_config()).unwrap();
+        let data = random_bytes(14, 40_000);
+        fail_publish(&store, "x", &data);
+
+        let mut a = store.begin_session("a", "d").unwrap();
+        a.stage("f", &data).unwrap();
+        let staged = store.pipeline(&a).unwrap();
+        let report = store.gc().unwrap();
+        assert!(report.containers_deleted >= 1, "X's orphans must be swept: {report:?}");
+        assert!(matches!(store.publish(&a, staged, 0).unwrap(), Published::Conflict));
+        let staged = store.pipeline(&a).unwrap();
+        assert!(matches!(store.publish(&a, staged, 1).unwrap(), Published::Committed(_)));
+        assert_eq!(store.restore("a", "d/f").unwrap(), data);
+        assert!(store.fsck().is_healthy());
+
+        // Past the retry budget the commit fails and lets go of its
+        // stream, rather than publishing what the sweep may have deleted.
+        fail_publish(&store, "y", &random_bytes(15, 20_000));
+        let mut b = store.begin_session("b", "d").unwrap();
+        b.stage("f", &data).unwrap();
+        let staged = store.pipeline(&b).unwrap();
+        assert!(store.gc().unwrap().containers_deleted >= 1);
+        assert!(store.publish(&b, staged, MAX_COMMIT_RETRIES).is_err());
+        assert_eq!(store.registry().active(), 0);
+        assert_eq!(std::fs::read_dir(statefile::wip_dir(&root)).unwrap().count(), 0);
+        assert!(store.fsck().is_healthy());
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
     #[test]
     fn torn_session_rolls_back_at_open() {
         let root = temp_root("torn");
@@ -952,33 +1064,64 @@ mod tests {
 
     #[test]
     fn publish_failure_releases_lease_and_gc_recovers() {
+        // Day 1 shares half its bytes with day 0. Fail its publish at each
+        // of its writes in turn.
         let root = temp_root("faultpub");
-        let store = SharedStore::open(&root, small_config()).unwrap();
-        let data = random_bytes(11, 40_000);
+        let day0 = random_bytes(11, 48_000);
+        let mut day1 = day0[..24_000].to_vec();
+        day1.extend_from_slice(&random_bytes(12, 24_000));
+        let commit = |store: &SharedStore, label: &str, data: &[u8]| {
+            let mut s = store.begin_session("t", label).unwrap();
+            s.stage("f", data).unwrap();
+            store.commit(s)
+        };
 
-        // Fail the first Manifest write of the publish splice: the
-        // session's chunks are already on disk, its manifests are not.
-        let mut s = store.begin_session("t", "d").unwrap();
-        s.stage("f", &data).unwrap();
-        store.arm_fault(FaultPoint::write(Some(FileKind::Manifest), 0));
-        assert!(store.commit(s).is_err(), "injected fault must surface");
-        store.arm_fault(FaultPoint::never());
+        let mut writes = None;
+        let mut n = 0;
+        while writes.is_none_or(|w| n < w) {
+            let _ = std::fs::remove_dir_all(&root);
+            let store = SharedStore::open(&root, small_config()).unwrap();
+            commit(&store, "d0", &day0).unwrap();
+            if writes.is_none() {
+                store.arm_fault(FaultPoint::write(None, u64::MAX));
+                commit(&store, "d1", &day1).unwrap();
+                let mut inner = store.inner.lock();
+                writes =
+                    Some(inner.engine.substrate_mut().backend_mut().inner_mut().matching_ops());
+                continue;
+            }
+            store.arm_fault(FaultPoint::write(None, n));
+            assert!(commit(&store, "d1", &day1).is_err(), "write {n}: the fault must surface");
+            store.arm_fault(FaultPoint::never());
 
-        // The lease and the intent record are released — the stream is
-        // not stuck and GC is not pinned at a dead session's watermark.
-        assert_eq!(store.registry().active(), 0);
-        assert_eq!(std::fs::read_dir(statefile::wip_dir(&root)).unwrap().count(), 0);
+            // The lease and the intent record are released — the stream
+            // is not stuck and GC is not pinned at a dead session's
+            // watermark.
+            assert_eq!(store.registry().active(), 0, "write {n}");
+            assert_eq!(std::fs::read_dir(statefile::wip_dir(&root)).unwrap().count(), 0);
 
-        // The GC cutoff recovered: a run reclaims the orphaned splice.
-        let report = store.gc().unwrap();
-        assert!(report.containers_deleted >= 1, "orphans must be swept: {report:?}");
+            // A crash now leaves a store that reopens healthy, day 0 whole.
+            let crash = root.with_extension("crash");
+            let _ = std::fs::remove_dir_all(&crash);
+            super::schedules::link_tree(&root, &crash);
+            let reopened = SharedStore::open(&crash, small_config()).unwrap();
+            assert!(reopened.fsck().is_healthy(), "write {n}: {:?}", reopened.fsck().problems);
+            assert_eq!(reopened.restore("t", "d0/f").unwrap(), day0, "write {n}");
+            drop(reopened);
+            std::fs::remove_dir_all(&crash).unwrap();
 
-        // A retry of the very same tenant/label succeeds end to end.
-        let mut s = store.begin_session("t", "d").unwrap();
-        s.stage("f", &data).unwrap();
-        store.commit(s).unwrap();
-        assert_eq!(store.restore("t", "d/f").unwrap(), data);
-        assert!(store.fsck().is_healthy());
+            // The GC cutoff recovered: a run reclaims the DiskChunks the
+            // failed splice wrote (it writes them first), and a retry of
+            // the very same label succeeds.
+            let report = store.gc().unwrap();
+            assert_eq!(report.containers_deleted > 0, n > 0, "write {n}: {report:?}");
+            commit(&store, "d1", &day1).unwrap();
+            assert_eq!(store.restore("t", "d1/f").unwrap(), day1, "write {n}");
+            assert_eq!(store.restore("t", "d0/f").unwrap(), day0, "write {n}");
+            assert!(store.fsck().is_healthy(), "write {n}");
+            n += 1;
+        }
+        assert!(n >= 4, "day 1's publish made {n} writes, fewer than the four kinds");
         std::fs::remove_dir_all(&root).unwrap();
     }
 
@@ -1129,6 +1272,35 @@ mod tests {
     }
 
     #[test]
+    fn publish_writes_referees_before_referrers() {
+        // An overlay that flushes at every write puts the splice's own
+        // order on disk, as a large session's auto-flushes do: a
+        // lock-free RESTORE or LS must never find a recipe whose chunks
+        // are not there yet. The kind directories fsynced after each
+        // rename name the order the objects landed in.
+        let root = temp_root("splice-order");
+        let io = IoConfig {
+            threads: 0,
+            batch_ops: 1,
+            durability: Durability::Fsync,
+            ..IoConfig::default()
+        };
+        let store = SharedStore::open(&root, DaemonConfig { io, ..small_config() }).unwrap();
+        let mut s = store.begin_session("t", "d").unwrap();
+        s.stage("f", &random_bytes(16, 20_000)).unwrap();
+        let synced = mhd_store::record_fsyncs(|| {
+            store.commit(s).unwrap();
+        });
+        let mut written: Vec<FileKind> = synced
+            .iter()
+            .filter_map(|path| FileKind::ALL.into_iter().find(|k| *path == root.join(k.dir_name())))
+            .collect();
+        written.dedup();
+        assert_eq!(written, FileKind::FLUSH_ORDER, "a publish wrote kinds out of order");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
     fn commits_write_each_disk_chunk_and_hook_once() {
         use mhd_store::Backend;
         use mhd_store::FaultOp::{Delete, Write};
@@ -1163,5 +1335,372 @@ mod tests {
         let (writes, manifests) = run(Write, FileKind::Manifest);
         assert!(writes > manifests, "the corpus gave HHR nothing to rewrite");
         std::fs::remove_dir_all(&root).unwrap();
+    }
+}
+
+#[cfg(test)]
+mod schedules {
+    //! Every interleaving of whole commit steps, run on a real on-disk
+    //! [`SharedStore`]: the daemon's concurrency protocols checked on the
+    //! shipped code rather than on a copy of it.
+    //!
+    //! A writer's steps are `begin_session`, [`SharedStore::pipeline`] and
+    //! [`SharedStore::publish`]; a conflict sends it back to `pipeline`, as
+    //! [`SharedStore::commit`]'s loop does. The collector's one step is
+    //! [`SharedStore::gc`]. Everything that takes the engine lock (`begin`,
+    //! `publish`, `gc`) runs as one step, so for those the step granularity
+    //! is exact. Races inside a lock-free pipeline (its degrade-to-miss paths)
+    //! are left to `parallel_commits_match_serial_dedup_within_tolerance`.
+    //!
+    //! A state's first successor continues on its store; every other one
+    //! replays its schedule on a fresh store. Each state is checked once,
+    //! and so is a copy of the root reopened with [`SharedStore::open`],
+    //! which is a crash at that step boundary.
+
+    use std::collections::BTreeMap;
+    use std::path::{Path, PathBuf};
+
+    use mhd_store::{FaultPoint, FileKind, IoConfig};
+    use mhd_workload::Rng;
+
+    use super::{DaemonConfig, Published, SharedStore, Staged, WriteSession};
+
+    const LABEL: &str = "d";
+
+    /// One writer: its tenant, its files, and whether its every publish fails
+    /// at its first recipe write.
+    struct Writer {
+        tenant: &'static str,
+        files: Vec<(&'static str, Vec<u8>)>,
+        fails: bool,
+    }
+
+    enum Phase {
+        Idle,
+        Begun(WriteSession),
+        Piped(WriteSession, Box<Staged>),
+        Committed,
+        Failed,
+    }
+
+    /// One replay: the store, each writer's phase, and the steps taken, by
+    /// actor and by name.
+    struct World<'w> {
+        writers: &'w [Writer],
+        root: PathBuf,
+        store: SharedStore,
+        phases: Vec<Phase>,
+        attempts: Vec<u32>,
+        gc_done: bool,
+        schedule: Vec<usize>,
+        trace: Vec<String>,
+        /// The tree last reopened as a crash on this path: a step that wrote
+        /// nothing leaves the same crash state, already checked.
+        crashed: Vec<(PathBuf, u64, u64, i64)>,
+    }
+
+    /// Small chunks, so a few KiB make several DiskChunks; inline I/O,
+    /// since a step boundary sees every write flushed however many workers
+    /// made them (the pooled flush has its own crash matrix).
+    fn config() -> DaemonConfig {
+        let io = IoConfig { threads: 0, ..IoConfig::default() };
+        DaemonConfig { ecs: 512, sd: 8, io, ..DaemonConfig::default() }
+    }
+
+    /// DiskChunk id → length, read from the directory itself.
+    fn disk_chunks(root: &Path) -> BTreeMap<u64, u64> {
+        std::fs::read_dir(root.join(FileKind::DiskChunk.dir_name()))
+            .unwrap()
+            .map(|e| e.unwrap())
+            .filter_map(|e| {
+                let id = u64::from_str_radix(e.file_name().to_str()?, 16).ok()?;
+                Some((id, e.metadata().unwrap().len()))
+            })
+            .collect()
+    }
+
+    fn wip_records(root: &Path) -> usize {
+        std::fs::read_dir(mhd_core::statefile::wip_dir(root)).map_or(0, |d| d.count())
+    }
+
+    /// Every file under `dir`: path, inode, length and mtime, sorted.
+    fn tree(dir: &Path) -> Vec<(PathBuf, u64, u64, i64)> {
+        use std::os::unix::fs::MetadataExt;
+        let mut files = Vec::new();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let (path, meta) = entry.map(|e| (e.path(), e.metadata().unwrap())).unwrap();
+            if meta.is_dir() {
+                files.extend(tree(&path));
+            } else {
+                files.push((path, meta.ino(), meta.len(), meta.mtime_nsec()));
+            }
+        }
+        files.sort();
+        files
+    }
+
+    /// A snapshot of the tree at `from`. Every store write renames a new
+    /// file into place, so hard links are as good as copies.
+    pub(crate) fn link_tree(from: &Path, to: &Path) {
+        std::fs::create_dir_all(to).unwrap();
+        for entry in std::fs::read_dir(from).unwrap() {
+            let entry = entry.unwrap();
+            let target = to.join(entry.file_name());
+            if entry.file_type().unwrap().is_dir() {
+                link_tree(&entry.path(), &target);
+            } else {
+                std::fs::hard_link(entry.path(), target).unwrap();
+            }
+        }
+    }
+
+    impl<'w> World<'w> {
+        /// A fresh store at `root` with `schedule` replayed on it.
+        fn replay(writers: &'w [Writer], root: &Path, schedule: &[usize]) -> World<'w> {
+            let _ = std::fs::remove_dir_all(root);
+            let mut world = World {
+                writers,
+                root: root.to_path_buf(),
+                store: SharedStore::open(root, config()).unwrap(),
+                phases: writers.iter().map(|_| Phase::Idle).collect(),
+                attempts: vec![0; writers.len()],
+                gc_done: false,
+                schedule: Vec::new(),
+                trace: Vec::new(),
+                crashed: Vec::new(),
+            };
+            for &actor in schedule {
+                world.step(actor);
+            }
+            world
+        }
+
+        /// The actors with a step left: writers by index, then the collector.
+        fn enabled(&self) -> Vec<usize> {
+            let writers = self.phases.iter().enumerate().filter_map(|(i, phase)| {
+                (!matches!(phase, Phase::Committed | Phase::Failed)).then_some(i)
+            });
+            writers.chain((!self.gc_done).then_some(self.writers.len())).collect()
+        }
+
+        fn fail(&self, what: std::fmt::Arguments) -> ! {
+            panic!("{what}\n  schedule: {}", self.trace.join(", "))
+        }
+
+        fn step(&mut self, actor: usize) {
+            self.schedule.push(actor);
+            let Some(writer) = self.writers.get(actor) else {
+                self.trace.push("GC".into());
+                self.gc();
+                self.gc_done = true;
+                return;
+            };
+            let phase = std::mem::replace(&mut self.phases[actor], Phase::Idle);
+            let (name, next) = match phase {
+                Phase::Idle => {
+                    let mut s = self.store.begin_session(writer.tenant, LABEL).unwrap();
+                    for (path, data) in &writer.files {
+                        s.stage(path, data).unwrap();
+                    }
+                    ("begin", Phase::Begun(s))
+                }
+                Phase::Begun(s) => {
+                    let staged = self.store.pipeline(&s).unwrap();
+                    ("pipeline", Phase::Piped(s, Box::new(staged)))
+                }
+                Phase::Piped(s, staged) => {
+                    if writer.fails {
+                        self.store.arm_fault(FaultPoint::write(Some(FileKind::FileManifest), 0));
+                    }
+                    let published = self.store.publish(&s, *staged, self.attempts[actor]);
+                    self.store.arm_fault(FaultPoint::never());
+                    match published {
+                        Ok(Published::Committed(_)) => ("publish", Phase::Committed),
+                        Ok(Published::Conflict) => {
+                            self.attempts[actor] += 1;
+                            ("publish (conflict)", Phase::Begun(s))
+                        }
+                        Err(_) if writer.fails => ("publish (fails)", Phase::Failed),
+                        Err(e) => {
+                            self.fail(format_args!("{}'s publish failed: {e}", writer.tenant))
+                        }
+                    }
+                }
+                Phase::Committed | Phase::Failed => unreachable!("a finished writer has no step"),
+            };
+            self.phases[actor] = next;
+            self.trace.push(format!("{}.{name}", writer.tenant));
+        }
+
+        /// One collection, held to the registry's promise: nothing at or
+        /// above an open session's BEGIN watermark is swept.
+        fn gc(&mut self) {
+            let protected = self.store.registry().min_watermark().unwrap_or(u64::MAX);
+            let before = disk_chunks(&self.root);
+            self.store.gc().unwrap();
+            let after = disk_chunks(&self.root);
+            if let Some(id) = before.keys().find(|id| **id >= protected && !after.contains_key(id))
+            {
+                self.fail(format_args!(
+                    "GC swept chunk {id:x}, at or above an open session's watermark {protected:x}"
+                ));
+            }
+        }
+
+        fn open_sessions(&self) -> usize {
+            self.phases.iter().filter(|p| matches!(p, Phase::Begun(_) | Phase::Piped(..))).count()
+        }
+
+        /// What must hold after every step, here and after a crash there.
+        fn check(&mut self) {
+            let open = self.open_sessions();
+            if self.store.registry().active() != open || wip_records(&self.root) != open {
+                self.fail(format_args!(
+                    "{open} sessions open, {} registered, {} wip records",
+                    self.store.registry().active(),
+                    wip_records(&self.root)
+                ));
+            }
+            self.check_store(&self.store, "live store");
+
+            let tree = tree(&self.root);
+            if tree == self.crashed {
+                return;
+            }
+            self.crashed = tree;
+            let crash = self.root.with_extension("crash");
+            let _ = std::fs::remove_dir_all(&crash);
+            link_tree(&self.root, &crash);
+            let reopened = SharedStore::open(&crash, config()).unwrap();
+            self.check_store(&reopened, "after a crash");
+            if wip_records(&crash) != 0 {
+                self.fail(format_args!(
+                    "a reopened store kept {} wip records",
+                    wip_records(&crash)
+                ));
+            }
+            drop(reopened);
+            std::fs::remove_dir_all(&crash).unwrap();
+        }
+
+        /// `store` is healthy and restores every acknowledged stream.
+        fn check_store(&self, store: &SharedStore, which: &str) {
+            let fsck = store.fsck();
+            if !fsck.is_healthy() {
+                self.fail(format_args!("{which}: fsck: {:?}", fsck.problems));
+            }
+            for (writer, phase) in self.writers.iter().zip(&self.phases) {
+                if !matches!(phase, Phase::Committed) {
+                    continue;
+                }
+                for (path, data) in &writer.files {
+                    match store.restore(writer.tenant, &format!("{LABEL}/{path}")) {
+                        Ok(back) if back == *data => {}
+                        Ok(_) => {
+                            self.fail(format_args!("{which}: {}/{path} differs", writer.tenant))
+                        }
+                        Err(e) => self.fail(format_args!("{which}: {}/{path}: {e}", writer.tenant)),
+                    }
+                }
+            }
+        }
+
+        /// At quiescence: every writer that does not fail committed; then a
+        /// final GC. Returns the DiskChunk data bytes left on disk.
+        fn quiesce(mut self) -> u64 {
+            for (writer, phase) in self.writers.iter().zip(&self.phases) {
+                if !writer.fails && !matches!(phase, Phase::Committed) {
+                    self.fail(format_args!("{} did not commit", writer.tenant));
+                }
+            }
+            self.trace.push("final GC".into());
+            self.gc();
+            self.check();
+            disk_chunks(&self.root).values().sum()
+        }
+    }
+
+    /// Explores every schedule that extends `world`'s, checking each state
+    /// once; `leaf` gets each quiescent world's DiskChunk data bytes and
+    /// trace. The first successor continues on `world` itself, every other
+    /// one is a replay under `base`, in a directory named by its depth, so no
+    /// two live worlds share a root. Returns the number of complete
+    /// schedules.
+    fn explore(mut world: World, base: &Path, leaf: &mut dyn FnMut(u64, &[String])) -> usize {
+        let next = world.enabled();
+        let Some((&first, rest)) = next.split_first() else {
+            let trace = world.trace.clone();
+            leaf(world.quiesce(), &trace);
+            return 1;
+        };
+        let mut schedules = 0;
+        for &actor in rest {
+            let mut schedule = world.schedule.clone();
+            schedule.push(actor);
+            let root = base.join(schedule.len().to_string());
+            let mut sibling = World::replay(world.writers, &root, &schedule);
+            sibling.check();
+            schedules += explore(sibling, base, leaf);
+        }
+        world.step(first);
+        world.check();
+        schedules + explore(world, base, leaf)
+    }
+
+    fn base(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("mhd-schedules-{tag}-{}", std::process::id()))
+    }
+
+    fn bytes(seed: u64) -> Vec<u8> {
+        Rng::new(seed).bytes(12_000)
+    }
+
+    #[test]
+    fn failed_publish_orphans_survive_or_send_the_racing_pipeline_back() {
+        // X's publish fails at its first recipe write, after its chunks,
+        // manifests and hooks are down; A stages X's bytes and dedups
+        // against those orphans whenever it runs after them.
+        let writers = [
+            Writer { tenant: "x", files: vec![("img", bytes(1))], fails: true },
+            Writer { tenant: "a", files: vec![("img", bytes(1))], fails: false },
+        ];
+        let base = base("orphans");
+        let start = World::replay(&writers, &base.join("0"), &[]);
+        let schedules = explore(start, &base, &mut |_, _| {});
+        println!("failed publish + writer + GC: {schedules} schedules");
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    #[test]
+    fn racing_writers_dedup_as_if_serial() {
+        // A and B share one file and own one each: whichever publishes
+        // second must dedup the shared file against the first, in every
+        // schedule, with a GC anywhere among the steps.
+        let writers = [
+            Writer {
+                tenant: "a",
+                files: vec![("shared", bytes(2)), ("own", bytes(3))],
+                fails: false,
+            },
+            Writer {
+                tenant: "b",
+                files: vec![("shared", bytes(2)), ("own", bytes(4))],
+                fails: false,
+            },
+        ];
+        let base = base("dedup");
+        let serial =
+            World::replay(&writers, &base.join("serial"), &[0, 0, 0, 1, 1, 1, 2]).quiesce();
+        let start = World::replay(&writers, &base.join("0"), &[]);
+        let schedules = explore(start, &base, &mut |data_bytes, trace| {
+            assert_eq!(
+                data_bytes,
+                serial,
+                "DiskChunk bytes differ from the serial schedule's\n  schedule: {}",
+                trace.join(", ")
+            );
+        });
+        println!("two racing writers + GC: {schedules} schedules");
+        std::fs::remove_dir_all(&base).unwrap();
     }
 }

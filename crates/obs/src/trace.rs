@@ -240,10 +240,10 @@ mod rt {
     /// takes the ring mutex but not the registry lock, so a thread can
     /// push a final event after [`trace_drain`] drained its ring and
     /// exit before the same drain's prune step — pruning on liveness
-    /// alone would silently drop that event (the drained-event-loss
-    /// window `mhd-lint mck`'s ring model explores; the pre-fix
-    /// behaviour is preserved there as the `ring-prune` mutant). A
-    /// dead-but-nonempty ring survives until the next drain empties it.
+    /// alone would silently drop that event
+    /// (`dead_nonempty_rings_survive_pruning_until_drained` drives that
+    /// window). A dead-but-nonempty ring survives until the next drain
+    /// empties it.
     fn prune_dead_threads(registry: &mut Vec<Arc<ThreadBuf>>) {
         registry.retain(|buf| {
             Arc::strong_count(buf) > 1 || !lock_ignore_poison(&buf.events).is_empty()

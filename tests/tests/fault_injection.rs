@@ -20,7 +20,7 @@ use mhd_core::{CdcEngine, Deduplicator, EngineConfig, EngineError, EngineKind, M
 use mhd_integration::hhr_pair_bytes;
 use mhd_store::{
     Backend, BatchedDirBackend, DirBackend, Durability, FaultBackend, FaultPoint, FileKind,
-    IoConfig, MemBackend,
+    IoConfig, MemBackend, Substrate,
 };
 use mhd_workload::{Corpus, CorpusSpec, FileEntry, Snapshot};
 
@@ -303,6 +303,47 @@ fn crash_matrix_during_hhr_recovers_day0() {
         drop(engine);
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// The same matrix on the backend `mhd backup` and `mhd serve` write
+/// through, with a pool of writers racing inside each kind's batch and
+/// batches small enough that backup 2 flushes more than once. A write torn
+/// half-way at every physical write index of backup 2 is a crash: the
+/// overlay is lost, and what reached the directory must recover to a
+/// healthy store that restores day 0 byte-identically. The kind-by-kind
+/// flush barrier is what keeps a referrer off disk until its referees are.
+#[test]
+fn crash_matrix_during_pooled_hhr_recovers_day0() {
+    let (day0, day1) = hhr_backup_pair();
+    let config = IoConfig { threads: 3, batch_ops: 4, ..IoConfig::default() };
+    let mut torn = 0;
+    loop {
+        let dir = temp_dir("pooled-matrix");
+        let backend = BatchedDirBackend::create_with(&dir, config).unwrap();
+        let mut engine = MhdEngine::new(backend, EngineConfig::new(512, 8)).expect("config");
+        engine.process_snapshot(&day0).unwrap();
+        engine.finish().unwrap();
+        engine.substrate_mut().backend_mut().fault_short_write_at(torn);
+        let result = engine.process_snapshot(&day1).and_then(|()| engine.finish().map(|_| ()));
+        if result.is_ok() {
+            // Past the last write of backup 2.
+            drop(engine);
+            std::fs::remove_dir_all(&dir).unwrap();
+            break;
+        }
+        let mut on_disk = Substrate::new(DirBackend::create(&dir).unwrap());
+        on_disk.recover().unwrap();
+        let fsck = check_store(&mut on_disk);
+        assert!(fsck.is_healthy(), "torn write {torn}: {:?}", fsck.problems);
+        let restored = mhd_core::restore::restore_file(&mut on_disk, "day0/disk.img")
+            .unwrap_or_else(|e| panic!("torn write {torn}: day0 unrestorable: {e}"));
+        assert_eq!(restored, day0.files[0].data, "torn write {torn}");
+        // Dropping the engine flushes what its overlay still holds.
+        drop(engine);
+        std::fs::remove_dir_all(&dir).unwrap();
+        torn += 1;
+    }
+    assert!(torn >= 2, "backup 2 made {torn} writes: the matrix proves nothing");
 }
 
 /// The batched backend with worker threads and fsync durability must
