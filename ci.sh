@@ -10,7 +10,9 @@
 #      (which must have hashed on the SHA extensions if the CPU has them,
 #      and whose deep scrub must pass, and fail naming the damaged entry
 #      once a byte of a copy is flipped), and a store torn between flush
-#      and persist recovered by `mhd` and by `mhd serve`
+#      and persist recovered by `mhd` and by `mhd serve`; none of these
+#      stores, nor stage 5's, holds a `session/bloom.bin` or
+#      `session/idmaps.bin` (both are derived at open, never persisted)
 #   3. feature matrix — the obs-disabled workspace still builds, and the
 #      store/core crash-safety tests pass with obs compiled out
 #   4. determinism — two same-seed `table1`/`table2`/`chunker_bench`
@@ -52,6 +54,17 @@ cd "$(dirname "$0")"
 
 step() { printf '\n==> %s\n' "$*"; }
 
+# Fails if the store at $1 persisted a sidecar older stores kept: the
+# Bloom filter and the Manifest sizes are derived from the objects.
+no_sidecars() {
+    for f in bloom.bin idmaps.bin; do
+        if [[ -e "$1/session/$f" ]]; then
+            echo "error: $1 holds session/$f" >&2
+            exit 1
+        fi
+    done
+}
+
 step "tier-1: cargo build --release"
 cargo build --release
 
@@ -84,6 +97,7 @@ head -c 262144 /dev/urandom > "$SMOKE/src/disk.img"
 ./target/release/mhd fsck --store "$SMOKE/store" --deep
 ./target/release/mhd restore smoke-0/disk.img --store "$SMOKE/store" -o "$SMOKE/restored.img"
 cmp "$SMOKE/src/disk.img" "$SMOKE/restored.img"
+no_sidecars "$SMOKE/store"
 # The deep scrub re-hashes every manifest entry's bytes: one flipped byte
 # in a copy of the store must fail it, naming the container and the
 # damaged entry's offset+size.
@@ -139,6 +153,7 @@ recovered_store() {
         echo "error: the torn stream is still listed in $1" >&2
         exit 1
     fi
+    no_sidecars "$1"
 }
 torn_store "$SMOKE/torn-cli"
 ./target/release/mhd fsck --store "$SMOKE/torn-cli" | tee "$SMOKE/torn-fsck.txt"
@@ -237,6 +252,7 @@ fi
 ./target/release/mhd client shutdown --socket "$SMOKE/mhd.sock"
 wait "$SERVE_PID"
 ./target/release/mhd fsck --store "$SMOKE/daemon-store" --deep
+no_sidecars "$SMOKE/daemon-store"
 
 step "benchmark: smoke run of every workload + harness tests"
 # benchmark/ is a package of its own (own lock file, own target dir) that

@@ -26,15 +26,13 @@ use mhd_hash::ChunkHash;
 /// assert!(bf.contains(&sha1(b"stored chunk"))); // never a false negative
 /// assert!(!bf.contains(&sha1(b"never seen")));  // (almost always) negative
 /// ```
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 pub struct BloomFilter {
     bits: Vec<u64>,
     /// Number of bits (always a multiple of 64).
     m: u64,
     /// Number of probe positions per key.
     k: u32,
-    /// Number of keys inserted.
-    inserted: u64,
 }
 
 impl BloomFilter {
@@ -46,7 +44,7 @@ impl BloomFilter {
         assert!(bytes > 0, "bloom filter needs at least one byte");
         assert!(k > 0, "bloom filter needs at least one probe");
         let words = bytes.div_ceil(8);
-        BloomFilter { bits: vec![0u64; words], m: (words as u64) * 64, k, inserted: 0 }
+        BloomFilter { bits: vec![0u64; words], m: (words as u64) * 64, k }
     }
 
     /// Creates a filter occupying `bytes`, choosing `k` optimally for an
@@ -77,7 +75,6 @@ impl BloomFilter {
             let bit = h1.wrapping_add(i.wrapping_mul(h2)) % m;
             self.bits[(bit / 64) as usize] |= 1u64 << (bit % 64);
         }
-        self.inserted += 1;
         mhd_obs::counter!("bloom.inserts").inc();
     }
 
@@ -106,51 +103,10 @@ impl BloomFilter {
         self.k
     }
 
-    /// Number of `insert` calls so far.
-    pub fn inserted(&self) -> u64 {
-        self.inserted
-    }
-
     /// Fraction of bits set, in `[0, 1]`.
     pub fn fill_ratio(&self) -> f64 {
         let set: u64 = self.bits.iter().map(|w| w.count_ones() as u64).sum();
         set as f64 / self.m as f64
-    }
-
-    /// Clears all bits.
-    pub fn clear(&mut self) {
-        self.bits.fill(0);
-        self.inserted = 0;
-    }
-
-    /// Serialises the filter (header + bit array) for persistence.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.bits.len() * 8);
-        out.extend_from_slice(&self.k.to_le_bytes());
-        out.extend_from_slice(&0u32.to_le_bytes()); // reserved
-        out.extend_from_slice(&self.inserted.to_le_bytes());
-        for w in &self.bits {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        out
-    }
-
-    /// Restores a filter serialised by [`BloomFilter::to_bytes`].
-    pub fn from_bytes(data: &[u8]) -> Option<Self> {
-        if data.len() < 16 || (data.len() - 16) % 8 != 0 || data.len() == 16 {
-            return None;
-        }
-        let k = u32::from_le_bytes(data[0..4].try_into().ok()?);
-        if k == 0 {
-            return None;
-        }
-        let inserted = u64::from_le_bytes(data[8..16].try_into().ok()?);
-        let bits: Vec<u64> = data[16..]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect();
-        let m = (bits.len() as u64) * 64;
-        Some(BloomFilter { bits, m, k, inserted })
     }
 }
 
@@ -159,7 +115,6 @@ impl std::fmt::Debug for BloomFilter {
         f.debug_struct("BloomFilter")
             .field("bytes", &self.ram_bytes())
             .field("k", &self.k)
-            .field("inserted", &self.inserted)
             .field("fill_ratio", &self.fill_ratio())
             .finish()
     }
@@ -184,7 +139,6 @@ mod tests {
         for i in 0..1000 {
             assert!(bf.contains(&key(i)), "false negative for key {i}");
         }
-        assert_eq!(bf.inserted(), 1000);
     }
 
     #[test]
@@ -222,16 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets() {
-        let mut bf = BloomFilter::with_bytes(1024, 10);
-        bf.insert(&key(1));
-        assert!(bf.contains(&key(1)));
-        bf.clear();
-        assert!(!bf.contains(&key(1)));
-        assert_eq!(bf.inserted(), 0);
-    }
-
-    #[test]
     fn k_is_clamped_sane() {
         assert_eq!(BloomFilter::with_bytes(8, u64::MAX).k(), 1);
         assert!(BloomFilter::with_bytes(1 << 20, 10).k() <= 16);
@@ -241,24 +185,6 @@ mod tests {
     #[should_panic(expected = "at least one byte")]
     fn zero_bytes_rejected() {
         let _ = BloomFilter::with_bytes_and_k(0, 4);
-    }
-
-    #[test]
-    fn serialisation_round_trip() {
-        let mut bf = BloomFilter::with_bytes(4096, 100);
-        for i in 0..100 {
-            bf.insert(&key(i));
-        }
-        let bytes = bf.to_bytes();
-        let back = BloomFilter::from_bytes(&bytes).expect("valid");
-        assert_eq!(back.ram_bytes(), bf.ram_bytes());
-        assert_eq!(back.k(), bf.k());
-        assert_eq!(back.inserted(), bf.inserted());
-        for i in 0..100 {
-            assert!(back.contains(&key(i)));
-        }
-        assert!(BloomFilter::from_bytes(&bytes[..8]).is_none());
-        assert!(BloomFilter::from_bytes(&[]).is_none());
     }
 
     proptest! {

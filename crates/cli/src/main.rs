@@ -356,9 +356,9 @@ fn cmd_stats(args: &[String]) -> CliResult {
     if args.iter().any(|a| a == "--internals") {
         return print_internals(&store, args.iter().any(|a| a == "--pretty"));
     }
-    // The counters as last persisted: the slim `state.json` is all this
-    // needs (no sidecars, no engine, no recovery).
-    let state = mhd_core::statefile::load_slim_state(&store)?.unwrap_or_default();
+    // The counters as last persisted: `state.json` is all this needs (no
+    // engine, no recovery).
+    let state = mhd_core::statefile::load_state(&store)?.unwrap_or_default();
     let ledger = &state.substrate.ledger;
     println!("input bytes:      {}", state.input_bytes);
     println!("stored data:      {}", ledger.stored_data_bytes);

@@ -13,7 +13,7 @@
 //!
 //! The read-only verbs (`restore`, `ls`, `stats`, `trace`) do not open a
 //! session at all: they read through [`statefile::read_view`] and
-//! [`statefile::load_slim_state`], which mutate nothing.
+//! [`statefile::load_state`], which mutate nothing.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -278,7 +278,7 @@ mod tests {
         write_tree(&src, 2);
         backup_once(open(&store), &src, "d");
 
-        let state = statefile::load_slim_state(&store).unwrap().unwrap();
+        let state = statefile::load_state(&store).unwrap().unwrap();
         assert!(state.input_bytes > 60_000);
         assert!(state.substrate.ledger.stored_data_bytes > 0);
         assert!(require_store(&src).is_err(), "a plain directory is not a store");

@@ -18,8 +18,8 @@ use mhd_cache::ManifestCache;
 use mhd_chunking::{AnyChunker, Chunker};
 use mhd_hash::{sha1, ChunkHash};
 use mhd_store::{
-    Backend, DiskChunkBuilder, Extent, FileManifest, IoStats, Manifest, ManifestEntry,
-    ManifestFormat, ManifestId, MetadataLedger, StoreError, Substrate,
+    plain_hook_hash, Backend, DiskChunkBuilder, Extent, FileKind, FileManifest, IoStats, Manifest,
+    ManifestEntry, ManifestFormat, ManifestId, MetadataLedger, StoreError, Substrate,
 };
 use mhd_workload::{FileEntry, Snapshot};
 use serde::{Deserialize, Serialize};
@@ -238,9 +238,19 @@ pub(crate) struct Scaffold<B: Backend, Bloom = BloomFilter> {
 impl<B: Backend> Scaffold<B> {
     /// Scaffold over `backend` whose front end cuts at `ingest_size`.
     pub(crate) fn new(backend: B, config: EngineConfig, ingest_size: usize) -> EngineResult<Self> {
-        Self::build(backend, config, ingest_size, |c| {
-            BloomFilter::with_bytes(c.bloom_bytes, (c.bloom_bytes * 2) as u64)
-        })
+        Self::build(backend, config, ingest_size, new_bloom)
+    }
+
+    /// Replaces the Bloom filter with one holding every plain Hook on the
+    /// backend. The filter summarises the Hook set, so a store resumes it
+    /// by this rebuild rather than persisting it.
+    pub(crate) fn rebuild_bloom(&mut self) {
+        self.bloom = new_bloom(&self.config);
+        for name in self.substrate.backend_mut().list(FileKind::Hook) {
+            if let Some(hash) = plain_hook_hash(&name) {
+                self.bloom.insert(&hash);
+            }
+        }
     }
 
     /// Full-index lookup: Manifest cache, then Bloom filter, then the
@@ -463,6 +473,12 @@ impl<B: Backend, Bloom> Scaffold<B, Bloom> {
             dedup_seconds: self.dedup_seconds,
         })
     }
+}
+
+/// The Bloom filter an engine starts with: `bloom_bytes`, sized for two
+/// keys per byte.
+fn new_bloom(config: &EngineConfig) -> BloomFilter {
+    BloomFilter::with_bytes(config.bloom_bytes, (config.bloom_bytes * 2) as u64)
 }
 
 /// The configured chunking algorithm at expected chunk size `size`.

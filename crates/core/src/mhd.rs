@@ -37,7 +37,6 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use mhd_bloom::BloomFilter;
 use mhd_hash::{sha1, ChunkHash, FxHashMap, FxHashSet, Sha1};
 use mhd_store::{
     Backend, Extent, FileManifest, IoStats, ManifestEntry, ManifestFormat, ManifestId, StoreError,
@@ -797,15 +796,15 @@ impl<B: Backend> MhdEngine<B> {
     }
 }
 
-/// Serialisable snapshot of an [`MhdEngine`]'s session state (everything
-/// except the Manifest cache, which is rebuilt on demand, and the backend
-/// itself). Enables durable, resumable stores — see the `mhd` CLI.
+/// Serialisable snapshot of an [`MhdEngine`]'s session state: everything
+/// except the backend itself and what is derived from it — the Manifest
+/// cache, refilled on demand, and BF-MHD's Bloom filter, which
+/// [`MhdEngine::import_state`] rebuilds from the Hook names. Enables
+/// durable, resumable stores — see the `mhd` CLI.
 #[derive(Clone, Default, serde::Serialize, serde::Deserialize)]
 pub struct MhdState {
     /// Substrate bookkeeping.
     pub substrate: mhd_store::SubstrateState,
-    /// Serialised Bloom filter (BF-MHD).
-    pub bloom: Vec<u8>,
     /// Sparse hook index (SI-MHD): hex hash → manifest id.
     pub sparse_hooks: Vec<(String, u64)>,
     /// Input bytes processed so far.
@@ -872,11 +871,8 @@ impl<B: Backend> MhdEngine<B> {
         }
     }
 
-    /// Merges a staged session's counters into this engine and registers
-    /// its published hook hashes in the Bloom filter — required so the
-    /// persisted filter stays coherent with the on-disk hook set (batch
-    /// CLI runs reopen the same store from `state.json`).
-    pub fn absorb_delta(&mut self, delta: &SessionDelta, hook_hashes: &[ChunkHash]) {
+    /// Merges a staged session's counters into this engine.
+    pub fn absorb_delta(&mut self, delta: &SessionDelta) {
         self.s.input_bytes += delta.input_bytes;
         self.s.slice.slices += delta.dup_slices;
         self.s.slice.dup_bytes += delta.dup_bytes;
@@ -891,9 +887,6 @@ impl<B: Backend> MhdEngine<B> {
         stats.manifest_input += delta.stats.manifest_input;
         stats.cache_hits += delta.stats.cache_hits;
         stats.bloom_suppressed += delta.stats.bloom_suppressed;
-        for hash in hook_hashes {
-            self.s.bloom.insert(hash);
-        }
     }
 
     /// Exports the resumable session state. Call after
@@ -901,7 +894,6 @@ impl<B: Backend> MhdEngine<B> {
     pub fn export_state(&self) -> MhdState {
         MhdState {
             substrate: self.s.substrate.export_state(),
-            bloom: self.s.bloom.to_bytes(),
             sparse_hooks: self.sparse_hooks.iter().map(|(h, m)| (h.to_hex(), m.0)).collect(),
             input_bytes: self.s.input_bytes,
             dup_slices: self.s.slice.slices,
@@ -915,11 +907,13 @@ impl<B: Backend> MhdEngine<B> {
     }
 
     /// Restores a session exported by [`MhdEngine::export_state`]. The
-    /// backend must be the same durable store.
+    /// backend must be the same durable store: BF-MHD's Bloom filter is
+    /// rebuilt from its Hook names.
     pub fn import_state(&mut self, state: MhdState) -> EngineResult<()> {
         self.s.substrate.import_state(state.substrate);
-        self.s.bloom = BloomFilter::from_bytes(&state.bloom)
-            .ok_or_else(|| EngineError::Config("corrupt bloom filter state".into()))?;
+        if self.s.config.mhd.hook_index == HookIndex::Bloom {
+            self.s.rebuild_bloom();
+        }
         self.sparse_hooks = state
             .sparse_hooks
             .into_iter()
@@ -1234,5 +1228,88 @@ mod tests {
         let full = run(crate::MhdOptions::default());
         let fwd_only = run(crate::MhdOptions { backward_extension: false, ..Default::default() });
         assert!(full.dup_bytes >= fwd_only.dup_bytes);
+    }
+
+    /// BF-MHD's filter summarises the Hook set: with no Hook deleted, the
+    /// one rebuilt at import is bit for bit the one built insert by
+    /// insert, mid-corpus and after the rest of it.
+    #[test]
+    fn bloom_rebuilt_at_import_is_the_incremental_one() {
+        use mhd_workload::{Corpus, CorpusSpec};
+        let corpus = Corpus::generate(CorpusSpec::tiny(813));
+        let config = EngineConfig::new(512, 8);
+        let half = corpus.snapshots.len() / 2;
+        let mut whole = MhdEngine::new(MemBackend::new(), config).unwrap();
+        let mut first = MhdEngine::new(MemBackend::new(), config).unwrap();
+        for s in &corpus.snapshots[..half] {
+            whole.process_snapshot(s).unwrap();
+            first.process_snapshot(s).unwrap();
+        }
+        let _ = first.finish().unwrap();
+        let state = first.export_state();
+        let backend = std::mem::replace(first.substrate_mut().backend_mut(), MemBackend::new());
+        let mut resumed = MhdEngine::new(backend, config).unwrap();
+        resumed.import_state(state).unwrap();
+        assert!(whole.s.bloom.fill_ratio() > 0.0);
+        assert_eq!(resumed.s.bloom, whole.s.bloom, "rebuilt mid-corpus");
+        for s in &corpus.snapshots[half..] {
+            whole.process_snapshot(s).unwrap();
+            resumed.process_snapshot(s).unwrap();
+        }
+        assert_eq!(resumed.s.bloom, whole.s.bloom, "after the rest of the corpus");
+    }
+
+    /// A reopened store's filter holds exactly its Hooks: every one that
+    /// remains, none that a GC swept or an open-time rollback deleted.
+    #[test]
+    fn reopened_bloom_holds_no_deleted_hook() {
+        use crate::statefile::{self, StoreMeta};
+        use mhd_store::{plain_hook_hash, BatchedDirBackend, FileKind, IoConfig};
+
+        let root = std::env::temp_dir().join(format!("mhd-bloom-reopen-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let meta =
+            StoreMeta { ecs: 512, sd: 8, streams: 0, chunker: EngineConfig::new(512, 8).chunker };
+        let open = || statefile::open_write(&root, meta, IoConfig::default(), |b| b).unwrap();
+        let hooks = |backend: &mut dyn Backend| -> FxHashSet<ChunkHash> {
+            backend.list(FileKind::Hook).iter().filter_map(|n| plain_hook_hash(n)).collect()
+        };
+        // `before`: the Hooks on disk before some were deleted.
+        let check = |engine: &mut MhdEngine<BatchedDirBackend>, before: FxHashSet<ChunkHash>| {
+            let kept = hooks(engine.substrate_mut().backend_mut());
+            let gone: Vec<_> = before.difference(&kept).collect();
+            assert!(!gone.is_empty() && kept.is_subset(&before));
+            assert!(kept.iter().all(|h| engine.s.bloom.contains(h)), "a kept hook is missing");
+            assert!(!gone.iter().any(|h| engine.s.bloom.contains(h)), "a deleted hook is in");
+        };
+        let backup = |stream: &str, seed: u64| {
+            let mut opened = open();
+            opened.begin_stream(stream).unwrap();
+            opened
+                .engine
+                .process_snapshot(&snapshot(stream, vec![random(64 << 10, seed)]))
+                .unwrap();
+            opened
+        };
+        backup("s-0", 1).commit().unwrap();
+        backup("s-1", 2).commit().unwrap();
+
+        // `mhd rm s-1`: the GC sweeps s-1's Hooks.
+        let mut opened = open();
+        let before = hooks(opened.engine.substrate_mut().backend_mut());
+        crate::gc::delete_stream(opened.engine.substrate_mut(), "s-1_").unwrap();
+        opened.commit().unwrap();
+        check(&mut open().engine, before);
+
+        // A backup flushed but never committed: the next open rolls its
+        // Hooks back.
+        let mut torn = backup("s-2", 3);
+        let _ = torn.engine.finish().unwrap();
+        let flushed = hooks(torn.engine.substrate_mut().backend_mut());
+        drop(torn);
+        let mut opened = open();
+        assert!(opened.recovery.hooks_rolled_back > 0);
+        check(&mut opened.engine, flushed);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 }

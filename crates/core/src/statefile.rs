@@ -8,26 +8,19 @@
 //! * `session/meta.json` — [`StoreMeta`]: the chunking parameters a store
 //!   keeps for life, and its stream count.
 //! * `session/state.json` — the [`MhdState`] counters, ledger and id
-//!   allocators, minus the two O(store) payloads below. Its id allocators
-//!   are the **commit watermark** (DESIGN.md §8).
-//! * `session/bloom.bin` — the raw Bloom filter bits ([`MhdState::bloom`]).
-//! * `session/idmaps.bin` — the substrate's per-manifest encoded sizes in
-//!   a fixed-width binary record format.
+//!   allocators. Its id allocators are the **commit watermark**
+//!   (DESIGN.md §8).
 //! * `daemon/wip/<stream>` — one empty intent record per stream being
 //!   written ([`wip_begin`] / [`wip_end`]); its *name* is the recipe
 //!   prefix to delete if the writer dies before [`persist`].
 //!
-//! The sidecars exist because serde_json renders a megabyte Bloom filter
-//! as roughly one JSON node per byte and the id maps as one node per
-//! entry; as raw bytes both serialize by memcpy. [`persist`] writes them
-//! *before* `state.json`: a crash between the writes pairs newer sidecars
-//! with older counters, which is benign — a superset Bloom filter only
-//! costs false "maybe" probes, and map entries above the persisted
-//! watermark describe objects [`open_write`] deletes (their entries are
-//! overwritten when the ids are re-allocated).
+//! Nothing an engine can derive from the objects is persisted: BF-MHD's
+//! Bloom filter is rebuilt from the Hook names at open
+//! ([`MhdEngine::import_state`]), and a Manifest's size is its file's.
+//! [`persist`] writes `state.json`, then `meta.json`.
 //!
 //! Every file with content is written through [`mhd_store::write_atomic`].
-//! Readers that only look ([`read_view`], [`load_slim_state`]) never
+//! Readers that only look ([`read_view`], [`load_state`]) never
 //! create, remove or recover anything. Writers come in through
 //! [`open_write`]; the [`OpenedStore`] it returns carries the order of a
 //! single writer's steps ([`OpenedStore::begin_stream`] → write →
@@ -48,13 +41,11 @@ use serde::{Deserialize, Serialize};
 use crate::compact::{self, CompactReport};
 use crate::{Deduplicator, EngineConfig, EngineResult, MhdEngine, MhdState};
 
-/// Magic + version tag for the `session/idmaps.bin` sidecar.
-const IDMAPS_MAGIC: &[u8; 8] = b"MHDIDMP1";
-
 const STATE: &str = "session/state.json";
 const META: &str = "session/meta.json";
-const BLOOM: &str = "session/bloom.bin";
-const IDMAPS: &str = "session/idmaps.bin";
+/// Sidecars older stores persisted beside `state.json` (the Bloom filter,
+/// the Manifest sizes); [`open_write`] removes them.
+const LEGACY_SIDECARS: [&str; 2] = ["session/bloom.bin", "session/idmaps.bin"];
 
 /// Directory holding the per-stream intent records.
 pub fn wip_dir(root: &Path) -> PathBuf {
@@ -117,110 +108,26 @@ pub fn load_meta(root: &Path) -> StoreResult<Option<StoreMeta>> {
     Ok(Some(StoreMeta { ecs: file.ecs, sd: file.sd, streams: file.streams, chunker }))
 }
 
-// ----- state.json + sidecars ------------------------------------------------
+// ----- state.json -----------------------------------------------------------
 
-/// Width of one chunk entry of the sidecar (`id:u64` + 40 hex digits of
-/// a container content hash). Stores no longer record those hashes; the
-/// entries are still read, and dropped, from a store that has them.
-const IDMAPS_CHUNK_ENTRY: usize = 48;
-
-/// Encodes the substrate's manifest sizes as the compact binary sidecar
-/// format: magic, two LE counts, then fixed-width `id:u64, size:u64`
-/// entries. The second count is of chunk entries, always 0 here.
-fn encode_idmaps(manifest_sizes: &[(u64, u64)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24 + manifest_sizes.len() * 16);
-    out.extend_from_slice(IDMAPS_MAGIC);
-    out.extend_from_slice(&(manifest_sizes.len() as u64).to_le_bytes());
-    out.extend_from_slice(&0u64.to_le_bytes());
-    for (id, size) in manifest_sizes {
-        out.extend_from_slice(&id.to_le_bytes());
-        out.extend_from_slice(&size.to_le_bytes());
-    }
-    out
-}
-
-/// Decodes [`encode_idmaps`] output, or a sidecar an older store wrote
-/// with chunk entries (each checked for shape, then ignored). Errors
-/// describe the corruption rather than panicking, since the sidecar is
-/// read at store open.
-fn decode_idmaps(raw: &[u8]) -> Result<Vec<(u64, u64)>, String> {
-    fn take<'a>(rest: &mut &'a [u8], n: usize) -> Result<&'a [u8], String> {
-        let (head, tail) = rest.split_at_checked(n).ok_or("truncated sidecar")?;
-        *rest = tail;
-        Ok(head)
-    }
-    fn u64_of(rest: &mut &[u8]) -> Result<u64, String> {
-        let bytes = <[u8; 8]>::try_from(take(rest, 8)?).map_err(|e| e.to_string())?;
-        Ok(u64::from_le_bytes(bytes))
-    }
-    let mut rest = raw;
-    if take(&mut rest, 8)? != IDMAPS_MAGIC {
-        return Err("bad idmaps magic".into());
-    }
-    let manifests = u64_of(&mut rest)? as usize;
-    let chunks = u64_of(&mut rest)? as usize;
-    let need = manifests
-        .checked_mul(16)
-        .and_then(|m| chunks.checked_mul(IDMAPS_CHUNK_ENTRY).and_then(|c| m.checked_add(c)))
-        .ok_or("idmaps counts overflow")?;
-    if rest.len() != need {
-        return Err(format!("idmaps length {} != expected {need}", rest.len()));
-    }
-    let mut manifest_sizes = Vec::with_capacity(manifests);
-    for _ in 0..manifests {
-        manifest_sizes.push((u64_of(&mut rest)?, u64_of(&mut rest)?));
-    }
-    for _ in 0..chunks {
-        let id = u64_of(&mut rest)?;
-        if !take(&mut rest, 40)?.iter().all(u8::is_ascii_hexdigit) {
-            return Err(format!("chunk {id}: malformed hash"));
-        }
-    }
-    Ok(manifest_sizes)
-}
-
-/// Reads `session/state.json` alone: counters, ledger and id allocators,
-/// with the Bloom filter and id maps left empty. `None` when the store has
-/// never persisted. Enough for `mhd stats`; opening for writes goes
-/// through [`open_write`], which also loads the sidecars.
-pub fn load_slim_state(root: &Path) -> StoreResult<Option<MhdState>> {
+/// Reads `session/state.json`: counters, ledger and id allocators. `None`
+/// when the store has never persisted.
+pub fn load_state(root: &Path) -> StoreResult<Option<MhdState>> {
     let path = root.join(STATE);
     let Some(data) = read_file(&path)? else { return Ok(None) };
     serde_json::from_slice(&data).map(Some).map_err(|e| corrupt(&path, e))
 }
 
-/// `state.json` plus both sidecars. A missing sidecar is an error naming
-/// it: an empty Bloom filter would silently stop deduplicating against
-/// everything already stored.
-fn load_state(root: &Path) -> StoreResult<Option<MhdState>> {
-    let Some(mut state) = load_slim_state(root)? else { return Ok(None) };
-    let sidecar = |path: PathBuf| {
-        read_file(&path)?.ok_or_else(|| {
-            corrupt(&path, "missing beside session/state.json (sidecars are written with it)")
-        })
-    };
-    state.bloom = sidecar(root.join(BLOOM))?;
-    let idmaps = root.join(IDMAPS);
-    state.substrate.manifest_sizes =
-        decode_idmaps(&sidecar(idmaps.clone())?).map_err(|e| corrupt(&idmaps, e))?;
-    Ok(Some(state))
-}
-
-/// Persists an exported engine state and the store metadata: sidecars,
-/// then `state.json` (the commit watermark), then `meta.json` — see the
-/// module docs for the crash-ordering argument. Call after
-/// [`Deduplicator::finish`], so every object
-/// the state describes is on disk first.
+/// Persists an exported engine state and the store metadata: `state.json`
+/// (the commit watermark), then `meta.json`. Call after
+/// [`Deduplicator::finish`], so every object the state describes is on
+/// disk first.
 pub fn persist(
     root: &Path,
     durability: Durability,
-    mut state: MhdState,
+    state: MhdState,
     meta: &StoreMeta,
 ) -> StoreResult<()> {
-    write_atomic(&root.join(BLOOM), &std::mem::take(&mut state.bloom), durability)?;
-    let encoded = encode_idmaps(&std::mem::take(&mut state.substrate.manifest_sizes));
-    write_atomic(&root.join(IDMAPS), &encoded, durability)?;
-
     let state_path = root.join(STATE);
     let state_json = serde_json::to_vec(&state).map_err(|e| corrupt(&state_path, e))?;
     write_atomic(&state_path, &state_json, durability)?;
@@ -388,8 +295,10 @@ impl<B: Backend> OpenedStore<B> {
 /// Opens (or initialises) the store at `root` for writes: `meta.json` or
 /// `new_store` → [`BatchedDirBackend`] (wrapped by `wrap`, so a front end
 /// can layer its index or fault injection underneath the engine) →
-/// [`Backend::recover`] → `state.json` + sidecars → rollback of everything
-/// above the commit watermark → engine with the state imported.
+/// [`Backend::recover`] → `state.json` → rollback of everything above the
+/// commit watermark → engine with the state imported (which rebuilds the
+/// Bloom filter from the Hooks the rollback left) → removal of an older
+/// store's sidecars.
 ///
 /// The caller must be the store's only writer.
 pub fn open_write<B: Backend>(
@@ -429,6 +338,15 @@ pub fn open_write<B: Backend>(
     let mut engine = MhdEngine::new(backend, config)?;
     if let Some(state) = state {
         engine.import_state(state)?;
+    }
+    for legacy in LEGACY_SIDECARS {
+        let path = root.join(legacy);
+        match std::fs::remove_file(&path) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                return Err(io_at("remove", &path, e).into());
+            }
+            _ => {}
+        }
     }
     Ok(OpenedStore {
         engine,
@@ -565,105 +483,28 @@ mod tests {
         StoreMeta { ecs: 512, sd: 8, streams: 3, chunker: ChunkerKind::FastCdc }
     }
 
-    fn sample_sizes() -> Vec<(u64, u64)> {
-        vec![(1, 512), (7, 40_960)]
-    }
-
     fn sample_state() -> MhdState {
-        let mut state = MhdState { bloom: vec![0xAB; 4096], input_bytes: 77, ..Default::default() };
-        state.substrate.manifest_sizes = sample_sizes();
-        state
+        MhdState { input_bytes: 77, ..Default::default() }
     }
 
-    /// An `idmaps.bin` in the layout stores carried before container
-    /// hashes were dropped: the manifest sizes, then one 48-byte chunk
-    /// entry per container (`id:u64` + 40 hex digits).
-    fn older_idmaps(sizes: &[(u64, u64)], chunks: &[(u64, &str)]) -> Vec<u8> {
-        let mut out = IDMAPS_MAGIC.to_vec();
-        out.extend_from_slice(&(sizes.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(chunks.len() as u64).to_le_bytes());
-        for (id, size) in sizes {
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&size.to_le_bytes());
-        }
-        for (id, hex) in chunks {
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(hex.as_bytes());
-        }
-        out
-    }
-
-    const OLDER_CHUNKS: [(u64, &str); 2] = [
-        (3, "0123456789abcdef0123456789abcdef01234567"),
-        (9, "ffffffffffffffffffffffffffffffffffffffff"),
-    ];
-
-    #[test]
-    fn idmaps_round_trip() {
-        let raw = encode_idmaps(&sample_sizes());
-        assert_eq!(raw.len(), 24 + 16 * sample_sizes().len());
-        assert_eq!(raw[16..24], [0u8; 8], "no chunk entries are written");
-        assert_eq!(decode_idmaps(&raw).unwrap(), sample_sizes());
-    }
-
-    #[test]
-    fn idmaps_reads_the_older_layout_and_ignores_its_chunk_entries() {
-        let raw = older_idmaps(&sample_sizes(), &OLDER_CHUNKS);
-        assert_eq!(raw.len(), 24 + 16 * 2 + 48 * 2);
-        assert_eq!(decode_idmaps(&raw).unwrap(), sample_sizes());
-
-        // A length that disagrees with the counts is still refused.
-        let mut long = raw.clone();
-        long.push(0);
-        assert!(decode_idmaps(&long).unwrap_err().contains("length"));
-        let mut miscounted = raw.clone();
-        miscounted[16] = 3; // claims three chunk entries, carries two
-        assert!(decode_idmaps(&miscounted).unwrap_err().contains("length"));
-
-        // The whole open path: an older `state.json` still names the
-        // (emptied) `chunk_hashes` list beside the older sidecar.
-        let root = temp_root("older");
-        persist(&root, Durability::Rename, sample_state(), &meta()).unwrap();
-        let state_json = std::fs::read_to_string(root.join(STATE)).unwrap();
-        let older_json = state_json.replacen('{', r#"{"chunk_hashes":[],"#, 1);
-        std::fs::write(root.join(STATE), older_json).unwrap();
-        std::fs::write(root.join(IDMAPS), &raw).unwrap();
-        let state = load_state(&root).unwrap().unwrap();
-        assert_eq!(state.substrate.manifest_sizes, sample_sizes());
-        assert_eq!(state.input_bytes, 77);
-        std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn idmaps_rejects_malformed_hash() {
-        let raw = older_idmaps(&[], &[(1, "not-hex-not-hex-not-hex-not-hex-not-hex!")]);
-        let err = decode_idmaps(&raw).unwrap_err();
-        assert!(err.contains("malformed hash"), "{err}");
-    }
-
-    #[test]
-    fn idmaps_rejects_truncation_and_bad_magic() {
-        for raw in [encode_idmaps(&sample_sizes()), older_idmaps(&sample_sizes(), &OLDER_CHUNKS)] {
-            assert!(decode_idmaps(&raw[..raw.len() - 1]).is_err());
-            let mut bad = raw.clone();
-            bad[0] ^= 0xff;
-            assert!(decode_idmaps(&bad).is_err());
-        }
+    /// The names in `session/`, sorted.
+    fn session_files(root: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(root.join("session"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
     }
 
     #[test]
     fn persist_then_load_restores_state_and_meta() {
         let root = temp_root("roundtrip");
-        let full = sample_state();
-        persist(&root, Durability::Rename, full.clone(), &meta()).unwrap();
+        persist(&root, Durability::Rename, sample_state(), &meta()).unwrap();
 
         assert_eq!(load_meta(&root).unwrap(), Some(meta()));
-        let slim = load_slim_state(&root).unwrap().unwrap();
-        assert_eq!(slim.input_bytes, 77);
-        assert!(slim.bloom.is_empty() && slim.substrate.manifest_sizes.is_empty());
-        let state = load_state(&root).unwrap().unwrap();
-        assert_eq!(state.bloom, full.bloom);
-        assert_eq!(state.substrate.manifest_sizes, full.substrate.manifest_sizes);
+        assert_eq!(load_state(&root).unwrap().unwrap().input_bytes, 77);
+        assert_eq!(session_files(&root), ["meta.json", "state.json"]);
 
         std::fs::remove_dir_all(&root).unwrap();
     }
@@ -698,18 +539,32 @@ mod tests {
         }
     }
 
+    /// An older store kept the Bloom filter and the Manifest sizes in
+    /// sidecars and named both in `state.json`: it still opens, and a
+    /// write-open deletes the sidecars. A read leaves them alone.
     #[test]
-    fn state_without_a_sidecar_is_rejected_by_name() {
-        for (tag, victim) in [("nobloom", "bloom.bin"), ("noidmaps", "idmaps.bin")] {
-            let root = temp_root(tag);
-            persist(&root, Durability::Rename, sample_state(), &meta()).unwrap();
-            std::fs::remove_file(root.join("session").join(victim)).unwrap();
-            let err = load_state(&root).err().expect("missing sidecar must fail").to_string();
-            assert!(err.contains(victim), "{err}");
-            let opened = open_write(&root, meta(), IoConfig::default(), |b| b);
-            assert!(opened.is_err_and(|e| e.to_string().contains(victim)));
-            std::fs::remove_dir_all(&root).unwrap();
+    fn an_older_stores_sidecars_are_removed_at_write_open() {
+        let root = temp_root("legacy");
+        persist(&root, Durability::Rename, sample_state(), &meta()).unwrap();
+        let state_json = std::fs::read_to_string(root.join(STATE)).unwrap();
+        let older_json = state_json.replacen('{', r#"{"bloom":[],"chunk_hashes":[],"#, 1).replacen(
+            r#""substrate":{"#,
+            r#""substrate":{"manifest_sizes":[],"#,
+            1,
+        );
+        assert!(older_json.contains(r#""substrate":{"manifest_sizes":[],"#), "{state_json}");
+        std::fs::write(root.join(STATE), older_json).unwrap();
+        for legacy in LEGACY_SIDECARS {
+            std::fs::write(root.join(legacy), b"older sidecar").unwrap();
         }
+
+        assert_eq!(load_state(&root).unwrap().unwrap().input_bytes, 77);
+        read_view(&root).unwrap().list_file_manifests();
+        assert_eq!(session_files(&root), ["bloom.bin", "idmaps.bin", "meta.json", "state.json"]);
+        let opened = open_write(&root, meta(), IoConfig::default(), |b| b).unwrap();
+        assert_eq!(opened.engine.export_state().input_bytes, 77);
+        assert_eq!(session_files(&root), ["meta.json", "state.json"]);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
@@ -725,11 +580,11 @@ mod tests {
         assert_eq!(synced, Vec::<PathBuf>::new());
 
         // Every state file: its tmp before the rename, its directory after;
-        // the sidecars before `state.json` (the watermark), `meta.json` last.
+        // `state.json` (the watermark), then `meta.json`.
         let synced = record_fsyncs(|| {
             persist(&root, Durability::Fsync, sample_state(), &meta()).unwrap();
         });
-        let want: Vec<PathBuf> = ["bloom.bin", "idmaps.bin", "state.json", "meta.json"]
+        let want: Vec<PathBuf> = ["state.json", "meta.json"]
             .iter()
             .flat_map(|f| [session.join(format!(".{f}.tmp")), session.clone()])
             .collect();

@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use mhd_hash::{ChunkHash, FxHashMap};
-use mhd_store::{Backend, FileKind, ManifestId, RecoveryReport, StoreResult};
+use mhd_store::{plain_hook_hash, Backend, FileKind, ManifestId, RecoveryReport, StoreResult};
 
 use mhd_core::sync::{Rank, RwLock};
 
@@ -106,16 +106,6 @@ impl SharedHookIndex {
 impl mhd_core::HookPresence for SharedHookIndex {
     fn contains(&self, hash: &ChunkHash) -> bool {
         SharedHookIndex::contains(self, hash)
-    }
-}
-
-/// The hash of a *plain* Hook object name (40 hex chars). Occurrence
-/// hooks (`hash-manifest`, SparseIndexing only) are not indexed.
-fn plain_hook_hash(name: &str) -> Option<ChunkHash> {
-    if name.len() == 40 {
-        ChunkHash::from_hex(name).ok()
-    } else {
-        None
     }
 }
 

@@ -54,8 +54,8 @@ use mhd_core::sync::{Mutex, Rank};
 use mhd_core::{Deduplicator, EngineConfig, MhdEngine, SessionDelta};
 use mhd_hash::{ChunkHash, FxHashMap, FxHashSet};
 use mhd_store::{
-    safe_name, BatchedDirBackend, DiskChunkId, Durability, FaultBackend, FaultPoint, FileKind,
-    FileManifest, IoConfig, Manifest, ManifestId,
+    plain_hook_hash, safe_name, BatchedDirBackend, DiskChunkId, Durability, FaultBackend,
+    FaultPoint, FileKind, FileManifest, IoConfig, Manifest, ManifestId,
 };
 use mhd_workload::{FileEntry, Snapshot};
 use serde::Serialize;
@@ -662,8 +662,8 @@ impl SharedStore {
         //    store-wide first-mapping-wins rule under concurrency.
         let mut hook_hashes = FxHashSet::default();
         for (name, payload) in overlay.fresh_of(FileKind::Hook) {
-            let hash = ChunkHash::from_hex(name)
-                .map_err(|e| DaemonError::State(format!("staged hook name {name:?}: {e}")))?;
+            let hash = plain_hook_hash(name)
+                .ok_or_else(|| DaemonError::State(format!("staged hook with odd name {name:?}")))?;
             let raw: [u8; 8] =
                 payload.get(..8).and_then(|b| b.try_into().ok()).ok_or_else(|| {
                     DaemonError::State(format!("staged hook {name} payload truncated"))
@@ -685,8 +685,7 @@ impl SharedStore {
         }
 
         sub.flush()?;
-        let hashes: Vec<ChunkHash> = hook_hashes.iter().copied().collect();
-        inner.engine.absorb_delta(&delta, &hashes);
+        inner.engine.absorb_delta(&delta);
         Ok(hook_hashes)
     }
 

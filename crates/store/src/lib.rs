@@ -51,4 +51,4 @@ pub use file_manifest::{Extent, FileManifest, EXTENT_BYTES};
 pub use iostats::IoStats;
 pub use ledger::{MetadataLedger, INODE_BYTES};
 pub use manifest::{Manifest, ManifestEntry, ManifestFormat, ManifestId};
-pub use substrate::{Substrate, SubstrateState};
+pub use substrate::{plain_hook_hash, Substrate, SubstrateState};

@@ -20,13 +20,14 @@
 //! method exists for them, enforcing the paper's "the DiskChunk and the
 //! Hook files that have been written to disk will not be further modified".
 //!
-//! The substrate keeps no per-container content hash: the Manifest entries
-//! that tile a container already hash every byte of it, and `fsck --deep`
-//! checks the container against them. Its only per-object bookkeeping is
-//! each Manifest's encoded size.
+//! The substrate keeps no per-object bookkeeping. There is no
+//! per-container content hash: the Manifest entries that tile a container
+//! already hash every byte of it, and `fsck --deep` checks the container
+//! against them. An update or a delete reads the object's current size
+//! from the backend to adjust the ledger.
 
 use bytes::Bytes;
-use mhd_hash::{ChunkHash, FxHashMap};
+use mhd_hash::ChunkHash;
 use serde::{Deserialize, Serialize};
 
 use crate::backend::{Backend, FileKind};
@@ -44,9 +45,6 @@ pub struct Substrate<B: Backend> {
     ledger: MetadataLedger,
     next_chunk_id: u64,
     next_manifest_id: u64,
-    /// Size of each manifest as currently stored, so updates adjust the
-    /// ledger by the delta.
-    manifest_sizes: FxHashMap<ManifestId, u64>,
 }
 
 impl<B: Backend> Substrate<B> {
@@ -58,7 +56,6 @@ impl<B: Backend> Substrate<B> {
             ledger: MetadataLedger::default(),
             next_chunk_id: 0,
             next_manifest_id: 0,
-            manifest_sizes: FxHashMap::default(),
         }
     }
 
@@ -201,8 +198,8 @@ impl<B: Backend> Substrate<B> {
 
     // ----- Hooks --------------------------------------------------------
 
-    /// Writes a Hook: a file named by `hash` whose 20-byte payload is the
-    /// address of `manifest`.
+    /// Writes a Hook: a file named by `hash` (see [`plain_hook_hash`])
+    /// whose 20-byte payload is the address of `manifest`.
     ///
     /// Hooks are content-addressed and "mapped to only one Manifest"
     /// (§III): writing a hash that already has a Hook is a no-op (the
@@ -281,7 +278,6 @@ impl<B: Backend> Substrate<B> {
         self.stats.manifest_output += 1;
         self.ledger.inodes_manifests += 1;
         self.ledger.manifest_bytes += encoded.len() as u64;
-        self.manifest_sizes.insert(manifest.id, encoded.len() as u64);
         Ok(())
     }
 
@@ -289,23 +285,18 @@ impl<B: Backend> Substrate<B> {
     /// ledger is adjusted by the size delta.
     pub fn update_manifest(&mut self, manifest: &Manifest) -> StoreResult<()> {
         self.debug_check_chunks("manifest entry", manifest.entries.iter().map(|e| e.container));
+        let name = manifest.id.name();
+        let old = self.backend.size_of(FileKind::Manifest, &name)?;
         let encoded = manifest.encode();
-        self.backend.update(FileKind::Manifest, &manifest.id.name(), &encoded)?;
+        self.backend.update(FileKind::Manifest, &name, &encoded)?;
         mhd_obs::counter!("store.manifest_updates").inc();
         mhd_obs::histogram!("store.manifest_write_bytes").record(encoded.len() as u64);
         self.stats.manifest_output += 1;
-        let old =
-            self.manifest_sizes.insert(manifest.id, encoded.len() as u64).ok_or_else(|| {
-                crate::StoreError::Corrupt(format!(
-                    "update_manifest: {:?} was never written through this substrate",
-                    manifest.id
-                ))
-            })?;
         // Saturating: a staging substrate's ledger starts at zero but may
-        // rewrite a manifest it only ever loaded from its base view, so
-        // the delta can exceed the running total. (Its ledger is a
-        // discarded scratch value; durable substrates wrote every
-        // manifest they update and never saturate here.)
+        // rewrite a manifest it only ever loaded from its base view, so a
+        // shrinking rewrite's delta can exceed the running total. (Its
+        // ledger is a discarded scratch value; a durable substrate's
+        // ledger counts every manifest it updates and never saturates.)
         self.ledger.manifest_bytes =
             (self.ledger.manifest_bytes + encoded.len() as u64).saturating_sub(old);
         Ok(())
@@ -316,11 +307,6 @@ impl<B: Backend> Substrate<B> {
         let data = self.backend.get(FileKind::Manifest, &id.name())?;
         mhd_obs::counter!("store.manifest_reads").inc();
         self.stats.manifest_input += 1;
-        // A substrate may legitimately update a manifest it only ever
-        // loaded (a staging substrate rewriting a shared-store manifest
-        // copy-on-write): record the current encoded size so the update's
-        // ledger delta has a base.
-        self.manifest_sizes.entry(id).or_insert(data.len() as u64);
         Manifest::decode(id, &data)
     }
 
@@ -395,7 +381,6 @@ impl<B: Backend> Substrate<B> {
         self.backend.delete(FileKind::Manifest, &id.name())?;
         self.ledger.inodes_manifests -= 1;
         self.ledger.manifest_bytes -= len;
-        self.manifest_sizes.remove(&id);
         Ok(())
     }
 
@@ -490,7 +475,6 @@ impl<B: Backend> Substrate<B> {
             ledger: self.ledger,
             next_chunk_id: self.next_chunk_id,
             next_manifest_id: self.next_manifest_id,
-            manifest_sizes: self.manifest_sizes.iter().map(|(k, v)| (k.0, *v)).collect(),
         }
     }
 
@@ -501,8 +485,6 @@ impl<B: Backend> Substrate<B> {
         self.ledger = state.ledger;
         self.next_chunk_id = state.next_chunk_id;
         self.next_manifest_id = state.next_manifest_id;
-        self.manifest_sizes =
-            state.manifest_sizes.into_iter().map(|(k, v)| (ManifestId(k), v)).collect();
     }
 }
 
@@ -518,16 +500,30 @@ pub struct SubstrateState {
     pub next_chunk_id: u64,
     /// Next Manifest id to allocate.
     pub next_manifest_id: u64,
-    /// Current encoded size per manifest (update deltas need it).
-    pub manifest_sizes: Vec<(u64, u64)>,
+}
+
+/// The hash a *plain* Hook object is named by (40 hex digits, as
+/// [`Substrate::write_hook`] names it); `None` for SparseIndexing's
+/// occurrence hooks (`hash-manifest`) and anything else. What an index
+/// over the Hook set — the BF-MHD Bloom filter, the daemon's hook index —
+/// is rebuilt from.
+pub fn plain_hook_hash(name: &str) -> Option<ChunkHash> {
+    if name.len() == 40 {
+        ChunkHash::from_hex(name).ok()
+    } else {
+        None
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    #![expect(clippy::disallowed_methods, reason = "tests remove their scratch directories")]
+
     use super::*;
     use crate::backend::MemBackend;
     use crate::file_manifest::Extent;
     use crate::manifest::{ManifestEntry, ManifestFormat};
+    use crate::{BatchedDirBackend, IoConfig};
     use mhd_hash::sha1;
 
     fn substrate() -> Substrate<MemBackend> {
@@ -580,47 +576,72 @@ mod tests {
         assert_eq!(s.stats().hook_input, 2);
     }
 
+    /// A Manifest entry in container 0.
+    fn entry(tag: &[u8], offset: u64, size: u64, is_hook: bool) -> ManifestEntry {
+        ManifestEntry { hash: sha1(tag), container: DiskChunkId(0), offset, size, is_hook }
+    }
+
+    /// HHR-style growth: the last entry is split in two.
+    fn split_last(m: &mut Manifest) {
+        let last = m.entries.pop().unwrap();
+        let half = last.size / 2;
+        m.entries.push(ManifestEntry { size: half, ..last });
+        m.entries.push(entry(
+            &last.offset.to_le_bytes(),
+            last.offset + half,
+            last.size - half,
+            false,
+        ));
+    }
+
+    fn temp_root(tag: &str) -> std::path::PathBuf {
+        let root = std::env::temp_dir().join(format!("mhd-substrate-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        root
+    }
+
+    /// A batched store that writes nothing before an explicit flush.
+    fn unbatched_io() -> IoConfig {
+        IoConfig {
+            threads: 0,
+            batch_ops: usize::MAX,
+            batch_bytes: usize::MAX,
+            ..IoConfig::default()
+        }
+    }
+
+    /// The update reads the old size from the backend, so the delta is
+    /// exact in memory and for a write still pending in a batch.
     #[test]
     fn manifest_update_adjusts_ledger_by_delta() {
-        let mut s = substrate();
-        s.reserve_chunk_ids(1);
-        let id = s.new_manifest_id();
-        let mut m = Manifest::new(id, ManifestFormat::HookFlags);
-        m.entries.push(ManifestEntry {
-            hash: sha1(b"e0"),
-            container: DiskChunkId(0),
-            offset: 0,
-            size: 100,
-            is_hook: true,
-        });
-        s.write_manifest(&m).unwrap();
-        let first = s.ledger().manifest_bytes;
-        assert_eq!(first, m.encoded_len() as u64);
+        fn check<B: Backend>(mut s: Substrate<B>, before_update: impl FnOnce(&mut B)) {
+            s.reserve_chunk_ids(1);
+            let id = s.new_manifest_id();
+            let mut m = Manifest::new(id, ManifestFormat::HookFlags);
+            m.entries.push(entry(b"e0", 0, 200, true));
+            s.write_manifest(&m).unwrap();
+            let first = s.ledger().manifest_bytes;
+            assert_eq!(first, m.encoded_len() as u64);
+            before_update(s.backend_mut());
 
-        // HHR-style growth: one entry becomes three.
-        m.entries.push(ManifestEntry {
-            hash: sha1(b"e1"),
-            container: DiskChunkId(0),
-            offset: 100,
-            size: 50,
-            is_hook: false,
-        });
-        m.entries.push(ManifestEntry {
-            hash: sha1(b"e2"),
-            container: DiskChunkId(0),
-            offset: 150,
-            size: 50,
-            is_hook: false,
-        });
-        s.update_manifest(&m).unwrap();
-        assert_eq!(s.ledger().manifest_bytes, m.encoded_len() as u64);
-        assert!(s.ledger().manifest_bytes > first);
-        assert_eq!(s.ledger().inodes_manifests, 1, "update must not add inodes");
-        assert_eq!(s.stats().manifest_output, 2);
+            // One entry becomes three.
+            split_last(&mut m);
+            split_last(&mut m);
+            s.update_manifest(&m).unwrap();
+            assert_eq!(s.ledger().manifest_bytes, m.encoded_len() as u64);
+            assert!(s.ledger().manifest_bytes > first);
+            assert_eq!(s.ledger().inodes_manifests, 1, "update must not add inodes");
+            assert_eq!(s.stats().manifest_output, 2);
 
-        let back = s.load_manifest(id).unwrap();
-        assert_eq!(back, m);
-        assert_eq!(s.stats().manifest_input, 1);
+            let back = s.load_manifest(id).unwrap();
+            assert_eq!(back, m);
+            assert_eq!(s.stats().manifest_input, 1);
+        }
+        check(substrate(), |_| {});
+        let root = temp_root("pending");
+        let batched = BatchedDirBackend::create_with(&root, unbatched_io()).unwrap();
+        check(Substrate::new(batched), |b| assert_eq!(b.pending_ops(), 1, "manifest not pending"));
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
@@ -638,34 +659,46 @@ mod tests {
 
     #[test]
     fn state_export_import_round_trip() {
-        let mut s = substrate();
+        let root = temp_root("reopen");
+        let open =
+            || Substrate::new(BatchedDirBackend::create_with(&root, unbatched_io()).unwrap());
+        let mut s = open();
         let mut b = s.new_disk_chunk();
         b.append(b"payload");
         s.write_disk_chunk(b).unwrap();
         let id = s.new_manifest_id();
         s.write_hook(sha1(b"h"), id).unwrap();
         let mut m = Manifest::new(id, ManifestFormat::HookFlags);
-        m.entries.push(ManifestEntry {
-            hash: sha1(b"e"),
-            container: DiskChunkId(0),
-            offset: 0,
-            size: 7,
-            is_hook: true,
-        });
+        m.entries.push(entry(b"e", 0, 7, true));
         s.write_manifest(&m).unwrap();
+        s.flush().unwrap();
 
         let state = s.export_state();
         let json = serde_json::to_string(&state).unwrap();
         let back: crate::SubstrateState = serde_json::from_str(&json).unwrap();
 
-        // Import into a substrate over the same backend contents.
-        let mut s2 = Substrate::new(MemBackend::new());
+        // Reopen the same directory and resume.
+        let mut s2 = open();
         s2.import_state(back);
         assert_eq!(s2.stats(), s.stats());
         assert_eq!(s2.ledger(), s.ledger());
+        split_last(&mut m);
+        s2.update_manifest(&m).unwrap();
+        assert_eq!(s2.ledger().manifest_bytes, m.encoded_len() as u64, "update deltas resume");
+        s2.flush().unwrap();
         assert_eq!(s2.new_manifest_id(), ManifestId(1), "id allocation resumes");
         assert_eq!(s2.new_disk_chunk().id(), DiskChunkId(1));
-        assert_eq!(s2.manifest_sizes, s.manifest_sizes, "update deltas resume");
+
+        // A staging substrate: its ledger starts at zero and it rewrites a
+        // Manifest it only loaded, so its ledger holds just the delta.
+        let mut staging = open();
+        staging.ensure_id_floor(1, 1);
+        let mut loaded = staging.load_manifest(id).unwrap();
+        split_last(&mut loaded);
+        staging.update_manifest(&loaded).unwrap();
+        let delta = (loaded.encoded_len() - m.encoded_len()) as u64;
+        assert_eq!(staging.ledger().manifest_bytes, delta);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -302,7 +302,7 @@ fn stores_interchange_with_identical_totals() {
         let root = temp_root(&format!("interchange-{:?}", order[0]));
         backup(order[0], &root, &first);
         backup(order[1], &root, &second);
-        let state = statefile::load_slim_state(&root).unwrap().unwrap();
+        let state = statefile::load_state(&root).unwrap().unwrap();
         let stats = daemon_open(&root).stats();
         assert_eq!(stats.input_bytes, state.input_bytes);
         assert_eq!(stats.stored_bytes, state.substrate.ledger.total_output_bytes());
@@ -356,7 +356,7 @@ fn read_view_leaves_wip_records_and_tmp_files_alone() {
     assert_eq!(recipes(&root), vec!["t_d-0_f0".to_string()]);
     let restored = restore_file(&mut statefile::read_view(&root).unwrap(), "t/d-0/f0").unwrap();
     assert_eq!(restored, first);
-    assert!(statefile::load_slim_state(&root).unwrap().is_some());
+    assert!(statefile::load_state(&root).unwrap().is_some());
 
     assert!(statefile::wip_dir(&root).join("t_live").exists(), "wip record must survive a read");
     for path in &debris {
