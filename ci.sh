@@ -9,10 +9,13 @@
 #   2. crash safety — the fault matrix, a --durability fsync smoke backup
 #      (which must have hashed on the SHA extensions if the CPU has them,
 #      and whose deep scrub must pass, and fail naming the damaged entry
-#      once a byte of a copy is flipped), and a store torn between flush
-#      and persist recovered by `mhd` and by `mhd serve`; none of these
-#      stores, nor stage 5's, holds a `session/bloom.bin` or
-#      `session/idmaps.bin` (both are derived at open, never persisted)
+#      once a byte of a copy is flipped; a byte flipped inside a committed
+#      record of a copy's Hook log fails `mhd fsck` naming the record),
+#      and a store torn between flush and persist recovered by `mhd` and
+#      by `mhd serve`; none of these stores, nor stage 5's, holds a
+#      `session/bloom.bin` or `session/idmaps.bin` (both are derived at
+#      open, never persisted) or a per-Hook file (Hooks are records of
+#      the one log `hooks`)
 #   3. feature matrix — the obs-disabled workspace still builds, and the
 #      store/core crash-safety tests pass with obs compiled out
 #   4. determinism — two same-seed `table1`/`table2`/`chunker_bench`
@@ -23,8 +26,9 @@
 #   5. daemon    — `mhd serve` end-to-end: three concurrent client
 #      sessions over the Unix socket, per-tenant restore + byte compare
 #      (one file larger than the socket buffer each), a restore of a
-#      missing name that fails while the daemon still answers, fsck,
-#      clean shutdown
+#      missing name that fails while the daemon still answers, an
+#      `mhd backup` of the served store refused naming the daemon's pid,
+#      fsck, clean shutdown
 #   6. benchmark — the repo benchmark still builds against this tree and
 #      runs end to end: `benchmark/run.sh --smoke` (every workload once on
 #      the tiny corpus, traced, outputs checked) and the harness's own
@@ -65,6 +69,17 @@ no_sidecars() {
     done
 }
 
+# Fails if the store at $1 keeps a Hook as a file of its own: every Hook
+# is a record of the one log `hooks`, and an older store's `hooks/`
+# directory is gone once something opened it for writes.
+no_hook_files() {
+    if [[ ! -f "$1/hooks" || -e "$1/.hooks.old" ]]; then
+        echo "error: $1 holds per-Hook files, not one Hook log:" >&2
+        ls -la "$1" >&2
+        exit 1
+    fi
+}
+
 step "tier-1: cargo build --release"
 cargo build --release
 
@@ -98,6 +113,7 @@ head -c 262144 /dev/urandom > "$SMOKE/src/disk.img"
 ./target/release/mhd restore smoke-0/disk.img --store "$SMOKE/store" -o "$SMOKE/restored.img"
 cmp "$SMOKE/src/disk.img" "$SMOKE/restored.img"
 no_sidecars "$SMOKE/store"
+no_hook_files "$SMOKE/store"
 # The deep scrub re-hashes every manifest entry's bytes: one flipped byte
 # in a copy of the store must fail it, naming the container and the
 # damaged entry's offset+size.
@@ -115,6 +131,23 @@ grep -qE "chunk $ROT: manifest [0-9a-f]+ entry [0-9]+ \([0-9]+\+[0-9]+\): conten
     "$SMOKE/rot.txt" || {
     echo "error: mhd fsck --deep did not name the damaged container and entry:" >&2
     cat "$SMOKE/rot.txt" >&2
+    exit 1
+}
+# A flipped byte inside a committed Hook record (record 0's name, 20 bytes
+# past the log's 8-byte magic and the record's 8-byte header) is damage,
+# not a torn tail: `mhd fsck` fails naming the log and the record.
+cp -r "$SMOKE/store" "$SMOKE/hook-rot-store"
+BYTE=$(od -An -tu1 -j 20 -N 1 "$SMOKE/hook-rot-store/hooks" | tr -d ' ')
+# shellcheck disable=SC2059 # the octal escape is the byte written
+printf "\\$(printf '%03o' $((255 - BYTE)))" |
+    dd of="$SMOKE/hook-rot-store/hooks" bs=1 seek=20 conv=notrunc status=none
+if ./target/release/mhd fsck --store "$SMOKE/hook-rot-store" 2> "$SMOKE/hook-rot.txt"; then
+    echo "error: mhd fsck passed a store with a flipped byte in a Hook record" >&2
+    exit 1
+fi
+grep -q "hook-rot-store/hooks: record 0 at byte 8: checksum mismatch" "$SMOKE/hook-rot.txt" || {
+    echo "error: mhd fsck did not name the damaged Hook record:" >&2
+    cat "$SMOKE/hook-rot.txt" >&2
     exit 1
 }
 # mhd picks its SHA-1 kernel from the CPU at run time. Where the CPU has
@@ -154,6 +187,7 @@ recovered_store() {
         exit 1
     fi
     no_sidecars "$1"
+    no_hook_files "$1"
 }
 torn_store "$SMOKE/torn-cli"
 ./target/release/mhd fsck --store "$SMOKE/torn-cli" | tee "$SMOKE/torn-fsck.txt"
@@ -248,11 +282,23 @@ if ./target/release/mhd client restore day0_missing.img \
     exit 1
 fi
 ./target/release/mhd client ping --socket "$SMOKE/mhd.sock"
+# The daemon is the store's one writer: a second one is refused at once,
+# naming the store and the daemon's pid.
+if ./target/release/mhd backup "$SMOKE/src" --store "$SMOKE/daemon-store" 2> "$SMOKE/locked.txt"; then
+    echo "error: mhd backup wrote to a store mhd serve is serving" >&2
+    exit 1
+fi
+grep -q "store $SMOKE/daemon-store is open for writes by pid $SERVE_PID" "$SMOKE/locked.txt" || {
+    echo "error: mhd backup was refused without naming the store and the daemon's pid:" >&2
+    cat "$SMOKE/locked.txt" >&2
+    exit 1
+}
 ./target/release/mhd client fsck --socket "$SMOKE/mhd.sock"
 ./target/release/mhd client shutdown --socket "$SMOKE/mhd.sock"
 wait "$SERVE_PID"
 ./target/release/mhd fsck --store "$SMOKE/daemon-store" --deep
 no_sidecars "$SMOKE/daemon-store"
+no_hook_files "$SMOKE/daemon-store"
 
 step "benchmark: smoke run of every workload + harness tests"
 # benchmark/ is a package of its own (own lock file, own target dir) that

@@ -38,7 +38,7 @@ impl Chunker for FixedChunker {
 
     fn cut_points(&self, data: &[u8]) -> Vec<usize> {
         let mut cuts: Vec<usize> = (self.size..=data.len()).step_by(self.size).collect();
-        if data.len() % self.size != 0 {
+        if !data.len().is_multiple_of(self.size) {
             cuts.push(data.len());
         }
         cuts

@@ -64,13 +64,13 @@ pub fn cmd_client(args: &[String]) -> CliResult {
             client.open(&tenant_arg(rest)?)?;
             let label = flag_value(rest, "--label").unwrap_or_else(|| "snapshot".to_string());
             let summary = client.backup_dir(Path::new(dir), &label)?;
-            println!(
+            outln!(
                 "committed {} files ({} B) as {label}: store grew by {} B ({:.1}% of input)",
                 summary.files,
                 summary.input_bytes,
                 summary.grown_bytes,
                 summary.grown_bytes as f64 / summary.input_bytes.max(1) as f64 * 100.0
-            );
+            )?;
         }
         "restore" => {
             let Some(name) = rest.first().filter(|a| !a.starts_with("--")) else {
@@ -87,30 +87,30 @@ pub fn cmd_client(args: &[String]) -> CliResult {
                 }
             }
             std::fs::write(&out, &data)?;
-            println!("restored {name} -> {out} ({} B)", data.len());
+            outln!("restored {name} -> {out} ({} B)", data.len())?;
         }
         "ls" => {
             client.open(&tenant_arg(rest)?)?;
             for name in client.ls()? {
-                println!("{name}");
+                outln!("{name}")?;
             }
         }
         "gc" => {
             let reply = client.gc()?;
-            println!("gc: {reply} (deleted / protected / bytes freed)");
+            outln!("gc: {reply} (deleted / protected / bytes freed)")?;
         }
         "fsck" => {
             let reply = client.fsck()?;
-            println!("fsck: {reply}");
+            outln!("fsck: {reply}")?;
         }
-        "stats" => println!("{}", client.stats()?),
+        "stats" => outln!("{}", client.stats()?)?,
         "ping" => {
             client.ping()?;
-            println!("pong");
+            outln!("pong")?;
         }
         "shutdown" => {
             client.shutdown()?;
-            println!("daemon is shutting down");
+            outln!("daemon is shutting down")?;
         }
         other => return Err(format!("unknown client verb {other:?}").into()),
     }

@@ -16,8 +16,21 @@
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => { $crate::write_stdout(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => { $crate::write_stdout(format_args!("\n")) };
+    ($($arg:tt)*) => { $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
+}
 
 mod daemon_cmd;
 mod session;
@@ -62,6 +75,24 @@ fn main() -> ExitCode {
 }
 
 type CliResult = Result<(), Box<dyn std::error::Error>>;
+
+/// Every verb's stdout. A reader that went away early (`mhd stats --store
+/// S --internals | head -2`) is not an error: the rest of the output is
+/// dropped and the verb ends as it would have, with its own exit status.
+/// Any other failure to write is the verb's error.
+fn write_stdout(args: std::fmt::Arguments) -> std::io::Result<()> {
+    static CLOSED: AtomicBool = AtomicBool::new(false);
+    if CLOSED.load(Ordering::Relaxed) {
+        return Ok(());
+    }
+    match std::io::stdout().lock().write_fmt(args) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => {
+            CLOSED.store(true, Ordering::Relaxed);
+            Ok(())
+        }
+        written => written,
+    }
+}
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
@@ -120,11 +151,11 @@ fn cmd_backup(args: &[String]) -> CliResult {
     let after = session.ledger_output_bytes();
     session.close()?;
 
-    println!(
+    outln!(
         "backed up {files} files ({bytes} B) as {stream}: store grew by {} B ({:.1}% of input)",
         after - before,
         (after - before) as f64 / bytes.max(1) as f64 * 100.0
-    );
+    )?;
     Ok(())
 }
 
@@ -143,14 +174,14 @@ fn cmd_restore(args: &[String]) -> CliResult {
         }
     }
     std::fs::write(&out, &data)?;
-    println!("restored {name} -> {out} ({} B)", data.len());
+    outln!("restored {name} -> {out} ({} B)", data.len())?;
     Ok(())
 }
 
 fn cmd_ls(args: &[String]) -> CliResult {
     let store = store_path(args)?;
     for name in session::list_files(&store)? {
-        println!("{name}");
+        outln!("{name}")?;
     }
     Ok(())
 }
@@ -166,25 +197,30 @@ fn cmd_fsck(args: &[String]) -> CliResult {
     let deep = args.iter().any(|a| a == "--deep");
     let mut session = Session::open_existing(&store)?;
     if session.recovery().is_clean() {
-        println!("recovery: store was clean (no interrupted writes)");
+        outln!("recovery: store was clean (no interrupted writes)")?;
     } else {
-        println!("recovery: {}", session.recovery());
+        outln!("recovery: {}", session.recovery())?;
     }
     let mut report = mhd_core::fsck::check_store(session.substrate());
-    println!(
+    outln!(
         "checked {} manifests ({} entries), {} hooks, {} file recipes",
-        report.manifests, report.entries, report.hooks, report.file_manifests
-    );
+        report.manifests,
+        report.entries,
+        report.hooks,
+        report.file_manifests
+    )?;
     if deep {
         let scrub = mhd_core::fsck::scrub(session.substrate());
-        println!(
+        outln!(
             "re-hashed {} manifest entries over {} containers ({} bytes)",
-            scrub.entries, scrub.containers, scrub.bytes
-        );
+            scrub.entries,
+            scrub.containers,
+            scrub.bytes
+        )?;
         report.problems.extend(scrub.problems);
     }
     if report.is_healthy() {
-        println!("store is consistent");
+        outln!("store is consistent")?;
         Ok(())
     } else {
         for p in &report.problems {
@@ -202,7 +238,7 @@ fn cmd_rm(args: &[String]) -> CliResult {
     let mut session = Session::open_existing(&store)?;
     let report = mhd_core::gc::delete_stream(session.substrate(), prefix)?;
     session.close()?;
-    println!(
+    outln!(
         "deleted {} recipes; reclaimed {} containers ({} B), {} manifests, {} hooks; {} containers live",
         report.recipes_deleted,
         report.containers_deleted,
@@ -210,7 +246,7 @@ fn cmd_rm(args: &[String]) -> CliResult {
         report.manifests_deleted,
         report.hooks_deleted,
         report.containers_live,
-    );
+    )?;
     Ok(())
 }
 
@@ -219,14 +255,14 @@ fn cmd_gc(args: &[String]) -> CliResult {
     let mut session = Session::open_existing(&store)?;
     let report = mhd_core::gc::collect(session.substrate())?;
     session.close()?;
-    println!(
+    outln!(
         "reclaimed {} containers ({} B), {} manifests, {} hooks; {} containers live",
         report.containers_deleted,
         report.data_bytes_freed,
         report.manifests_deleted,
         report.hooks_deleted,
         report.containers_live,
-    );
+    )?;
     Ok(())
 }
 
@@ -237,13 +273,13 @@ fn cmd_compact(args: &[String]) -> CliResult {
     let mut session = Session::open_existing(&store)?;
     let report = session.compact(threshold)?;
     session.close()?;
-    println!(
+    outln!(
         "compacted {} containers, reclaimed {} B, re-targeted {} extents ({} skipped)",
         report.containers_compacted,
         report.bytes_reclaimed,
         report.extents_rewritten,
         report.containers_skipped,
-    );
+    )?;
     Ok(())
 }
 
@@ -260,37 +296,44 @@ fn print_internals(store: &Path, pretty: bool) -> CliResult {
         );
     };
     if pretty {
-        print_snapshot_tables(&snapshot, "");
+        print_snapshot_tables(&snapshot, "")?;
         for (label, sub) in &snapshot.scopes {
-            println!("\nscope {label}");
-            print_snapshot_tables(sub, "  ");
+            outln!("\nscope {label}")?;
+            print_snapshot_tables(sub, "  ")?;
         }
     } else {
-        println!("{}", serde_json::to_string_pretty(&snapshot)?);
+        outln!("{}", serde_json::to_string_pretty(&snapshot)?)?;
     }
     Ok(())
 }
 
 /// Prints one snapshot section (counters, then histograms with
 /// bucket-estimated percentiles) as aligned tables.
-fn print_snapshot_tables(snap: &mhd_obs::Snapshot, indent: &str) {
+fn print_snapshot_tables(snap: &mhd_obs::Snapshot, indent: &str) -> std::io::Result<()> {
     if !snap.counters.is_empty() {
         let width = snap.counters.iter().map(|c| c.name.len()).max().unwrap_or(0);
-        println!("{indent}counters:");
+        outln!("{indent}counters:")?;
         for c in &snap.counters {
-            println!("{indent}  {:<width$}  {:>14}", c.name, c.value);
+            outln!("{indent}  {:<width$}  {:>14}", c.name, c.value)?;
         }
     }
     if !snap.histograms.is_empty() {
         let width =
             snap.histograms.iter().map(|h| h.name.len()).max().unwrap_or(0).max("name".len());
-        println!("{indent}histograms:");
-        println!(
+        outln!("{indent}histograms:")?;
+        outln!(
             "{indent}  {:<width$}  {:>10} {:>14} {:>12} {:>12} {:>12} {:>12} {:>14}",
-            "name", "count", "mean", "p50", "p90", "p99", "min", "max"
-        );
+            "name",
+            "count",
+            "mean",
+            "p50",
+            "p90",
+            "p99",
+            "min",
+            "max"
+        )?;
         for h in &snap.histograms {
-            println!(
+            outln!(
                 "{indent}  {:<width$}  {:>10} {:>14.1} {:>12.1} {:>12.1} {:>12.1} {:>12} {:>14}",
                 h.name,
                 h.count,
@@ -300,12 +343,13 @@ fn print_snapshot_tables(snap: &mhd_obs::Snapshot, indent: &str) {
                 h.p99(),
                 h.min,
                 h.max
-            );
+            )?;
         }
     }
     if snap.counters.is_empty() && snap.histograms.is_empty() {
-        println!("{indent}(no metrics)");
+        outln!("{indent}(no metrics)")?;
     }
+    Ok(())
 }
 
 /// `mhd trace`: export the trace persisted by the last `backup --trace`
@@ -338,12 +382,12 @@ fn cmd_trace(args: &[String]) -> CliResult {
     match out {
         Some(path) => {
             std::fs::write(&path, &rendered)?;
-            println!("wrote {} trace events ({format}) to {path}", records.len());
+            outln!("wrote {} trace events ({format}) to {path}", records.len())?;
         }
         None => {
-            print!("{rendered}");
+            out!("{rendered}")?;
             if !rendered.ends_with('\n') {
-                println!();
+                outln!()?;
             }
         }
     }
@@ -360,29 +404,30 @@ fn cmd_stats(args: &[String]) -> CliResult {
     // engine, no recovery).
     let state = mhd_core::statefile::load_state(&store)?.unwrap_or_default();
     let ledger = &state.substrate.ledger;
-    println!("input bytes:      {}", state.input_bytes);
-    println!("stored data:      {}", ledger.stored_data_bytes);
-    println!("duplicate bytes:  {} in {} slices", state.dup_bytes, state.dup_slices);
-    println!("metadata bytes:   {}", ledger.total_metadata_bytes());
-    println!("  hooks:          {} ({} inodes)", ledger.hook_bytes, ledger.inodes_hooks);
-    println!("  manifests:      {} ({} inodes)", ledger.manifest_bytes, ledger.inodes_manifests);
-    println!(
+    outln!("input bytes:      {}", state.input_bytes)?;
+    outln!("stored data:      {}", ledger.stored_data_bytes)?;
+    outln!("duplicate bytes:  {} in {} slices", state.dup_bytes, state.dup_slices)?;
+    outln!("metadata bytes:   {}", ledger.total_metadata_bytes())?;
+    outln!("  hooks:          {} ({} inodes)", ledger.hook_bytes, ledger.inodes_hooks)?;
+    outln!("  manifests:      {} ({} inodes)", ledger.manifest_bytes, ledger.inodes_manifests)?;
+    outln!(
         "  file recipes:   {} ({} inodes)",
-        ledger.file_manifest_bytes, ledger.inodes_file_manifests
-    );
-    println!("HHR re-chunks:    {}", state.hhr_count);
+        ledger.file_manifest_bytes,
+        ledger.inodes_file_manifests
+    )?;
+    outln!("HHR re-chunks:    {}", state.hhr_count)?;
     if state.input_bytes > 0 {
-        println!(
+        outln!(
             "data-only DER:    {:.3}",
             state.input_bytes as f64 / ledger.stored_data_bytes.max(1) as f64
-        );
-        println!(
+        )?;
+        outln!(
             "real DER:         {:.3}",
             state.input_bytes as f64 / ledger.total_output_bytes().max(1) as f64
-        );
+        )?;
     }
     // A property of this host, not of the store: which SHA-1 block
     // implementation `mhd` hashes with here (OPERATIONS.md).
-    println!("sha-1 kernel:     {}", mhd_hash::kernel());
+    outln!("sha-1 kernel:     {}", mhd_hash::kernel())?;
     Ok(())
 }

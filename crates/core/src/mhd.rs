@@ -1232,31 +1232,48 @@ mod tests {
 
     /// BF-MHD's filter summarises the Hook set: with no Hook deleted, the
     /// one rebuilt at import is bit for bit the one built insert by
-    /// insert, mid-corpus and after the rest of it.
+    /// insert, mid-corpus and after the rest of it — from a `MemBackend`'s
+    /// Hooks, and from the Hook log a directory store reopens.
     #[test]
     fn bloom_rebuilt_at_import_is_the_incremental_one() {
+        use crate::statefile::{self, StoreMeta};
+        use mhd_store::IoConfig;
         use mhd_workload::{Corpus, CorpusSpec};
         let corpus = Corpus::generate(CorpusSpec::tiny(813));
         let config = EngineConfig::new(512, 8);
         let half = corpus.snapshots.len() / 2;
         let mut whole = MhdEngine::new(MemBackend::new(), config).unwrap();
         let mut first = MhdEngine::new(MemBackend::new(), config).unwrap();
+        let root = std::env::temp_dir().join(format!("mhd-bloom-import-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let meta = StoreMeta { ecs: 512, sd: 8, streams: 0, chunker: config.chunker };
+        let open = || statefile::open_write(&root, meta, IoConfig::default(), |b| b).unwrap();
+        let mut on_disk = open();
         for s in &corpus.snapshots[..half] {
             whole.process_snapshot(s).unwrap();
             first.process_snapshot(s).unwrap();
+            on_disk.engine.process_snapshot(s).unwrap();
         }
         let _ = first.finish().unwrap();
         let state = first.export_state();
         let backend = std::mem::replace(first.substrate_mut().backend_mut(), MemBackend::new());
         let mut resumed = MhdEngine::new(backend, config).unwrap();
         resumed.import_state(state).unwrap();
+        on_disk.commit().unwrap();
+        drop(on_disk);
+        let mut reopened = open();
         assert!(whole.s.bloom.fill_ratio() > 0.0);
         assert_eq!(resumed.s.bloom, whole.s.bloom, "rebuilt mid-corpus");
+        assert_eq!(reopened.engine.s.bloom, whole.s.bloom, "rebuilt from the Hook log");
         for s in &corpus.snapshots[half..] {
             whole.process_snapshot(s).unwrap();
             resumed.process_snapshot(s).unwrap();
+            reopened.engine.process_snapshot(s).unwrap();
         }
         assert_eq!(resumed.s.bloom, whole.s.bloom, "after the rest of the corpus");
+        assert_eq!(reopened.engine.s.bloom, whole.s.bloom, "the directory store, at the end");
+        drop(reopened);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// A reopened store's filter holds exactly its Hooks: every one that
@@ -1294,15 +1311,21 @@ mod tests {
         backup("s-0", 1).commit().unwrap();
         backup("s-1", 2).commit().unwrap();
 
-        // `mhd rm s-1`: the GC sweeps s-1's Hooks.
+        // `mhd rm s-1`: the GC sweeps s-1's Hooks, and the reopened Hook
+        // log holds exactly what the sweep left.
         let mut opened = open();
         let before = hooks(opened.engine.substrate_mut().backend_mut());
         crate::gc::delete_stream(opened.engine.substrate_mut(), "s-1_").unwrap();
         opened.commit().unwrap();
-        check(&mut open().engine, before);
+        let swept = hooks(opened.engine.substrate_mut().backend_mut());
+        drop(opened);
+        let mut opened = open();
+        assert_eq!(hooks(opened.engine.substrate_mut().backend_mut()), swept);
+        check(&mut opened.engine, before);
+        drop(opened);
 
         // A backup flushed but never committed: the next open rolls its
-        // Hooks back.
+        // Hooks back, and the open after that finds them gone from the log.
         let mut torn = backup("s-2", 3);
         let _ = torn.engine.finish().unwrap();
         let flushed = hooks(torn.engine.substrate_mut().backend_mut());
@@ -1310,6 +1333,11 @@ mod tests {
         let mut opened = open();
         assert!(opened.recovery.hooks_rolled_back > 0);
         check(&mut opened.engine, flushed);
+        drop(opened);
+        let mut opened = open();
+        assert!(opened.recovery.is_clean());
+        assert_eq!(hooks(opened.engine.substrate_mut().backend_mut()), swept);
+        drop(opened);
         std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -66,7 +66,7 @@ impl<B: Backend> SparseIndexEngine<B> {
             return Ok(());
         }
         let config = self.s.config;
-        let is_hook = |hash: &ChunkHash| hash.prefix_u64() % config.sd as u64 == 0;
+        let is_hook = |hash: &ChunkHash| hash.prefix_u64().is_multiple_of(config.sd as u64);
 
         // 1. Champions: manifests voted for by this segment's hooks.
         let mut votes: FxHashMap<ManifestId, u32> = FxHashMap::default();

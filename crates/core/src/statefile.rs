@@ -13,22 +13,28 @@
 //! * `daemon/wip/<stream>` — one empty intent record per stream being
 //!   written ([`wip_begin`] / [`wip_end`]); its *name* is the recipe
 //!   prefix to delete if the writer dies before [`persist`].
+//! * `session/lock` — the lock of the store's one writer ([`WriterLock`]),
+//!   holding the pid that took it.
 //!
 //! Nothing an engine can derive from the objects is persisted: BF-MHD's
 //! Bloom filter is rebuilt from the Hook names at open
 //! ([`MhdEngine::import_state`]), and a Manifest's size is its file's.
 //! [`persist`] writes `state.json`, then `meta.json`.
 //!
-//! Every file with content is written through [`mhd_store::write_atomic`].
-//! Readers that only look ([`read_view`], [`load_state`]) never
-//! create, remove or recover anything. Writers come in through
-//! [`open_write`]; the [`OpenedStore`] it returns carries the order of a
+//! Every file with content but the lock is written through
+//! [`mhd_store::write_atomic`]. Readers that only look ([`read_view`],
+//! [`load_state`]) never create, remove, lock or recover anything.
+//! Writers come in through [`open_write`], which refuses a second one;
+//! the [`OpenedStore`] it returns carries the order of a
 //! single writer's steps ([`OpenedStore::begin_stream`] → write →
 //! [`OpenedStore::commit`], and [`OpenedStore::compact`], which persists
 //! mid-pass).
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use std::fs::{File, TryLockError};
+use std::io::Read;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use mhd_chunking::ChunkerKind;
@@ -43,6 +49,7 @@ use crate::{Deduplicator, EngineConfig, EngineResult, MhdEngine, MhdState};
 
 const STATE: &str = "session/state.json";
 const META: &str = "session/meta.json";
+const LOCK: &str = "session/lock";
 /// Sidecars older stores persisted beside `state.json` (the Bloom filter,
 /// the Manifest sizes); [`open_write`] removes them.
 const LEGACY_SIDECARS: [&str; 2] = ["session/bloom.bin", "session/idmaps.bin"];
@@ -178,13 +185,52 @@ pub fn wip_end(root: &Path, durability: Durability, stream: &str) -> StoreResult
     Ok(())
 }
 
+// ----- the writer lock ------------------------------------------------------
+
+/// The exclusive lock a store's one writer holds on `session/lock`, from
+/// [`open_write`] until it is dropped (or its process ends). Two writers
+/// would interleave their id ranges, rollbacks and Hook-log appends; a
+/// second [`open_write`] therefore fails at once with
+/// [`StoreError::Locked`], naming the store and the pid the holder wrote
+/// into the file. Readers never take it.
+#[derive(Debug)]
+pub struct WriterLock {
+    _file: File,
+}
+
+fn lock_writer(root: &Path) -> StoreResult<WriterLock> {
+    let path = root.join(LOCK);
+    let mut file = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(&path)
+        .map_err(|e| io_at("open", &path, e))?;
+    match file.try_lock() {
+        Ok(()) => {}
+        Err(TryLockError::WouldBlock) => {
+            let mut holder = String::new();
+            let _ = file.read_to_string(&mut holder);
+            let (store, holder) = (root.display().to_string(), holder.trim().to_string());
+            return Err(StoreError::Locked { store, holder });
+        }
+        Err(TryLockError::Error(e)) => return Err(io_at("lock", &path, e)),
+    }
+    // Fixed width, so the pid overwrites the last holder's whole.
+    let pid = format!("{:>10}\n", std::process::id());
+    file.write_all_at(pid.as_bytes(), 0).map_err(|e| io_at("write", &path, e))?;
+    Ok(WriterLock { _file: file })
+}
+
 // ----- open, recover, roll back ----------------------------------------------
 
 /// What opening a store for writes undid: the backend's own pass over tmp
 /// files and write intents, then the rollback above the commit watermark.
 #[derive(Debug, Default, Clone, PartialEq, Eq, Serialize)]
 pub struct RecoverySummary {
-    /// Torn tmp files removed by the backend's own recovery.
+    /// Torn writes undone by the backend's own recovery: tmp files
+    /// removed, and a torn tail dropped from the Hook log.
     pub tmp_files_removed: u64,
     /// Write intents resolved by the backend's own recovery.
     pub intents_resolved: u64,
@@ -211,7 +257,7 @@ impl std::fmt::Display for RecoverySummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "removed {} torn tmp file(s), resolved {} write intent(s); rolled back {} torn \
+            "undid {} torn write(s), resolved {} write intent(s); rolled back {} torn \
              session(s) ({} recipes, {} chunks, {} manifests, {} hooks)",
             self.tmp_files_removed,
             self.intents_resolved,
@@ -236,6 +282,9 @@ pub struct OpenedStore<B: Backend> {
     pub meta: StoreMeta,
     /// What recovery did on the way in.
     pub recovery: RecoverySummary,
+    /// The store's writer lock. A front end that moves `engine` out keeps
+    /// this beside it for as long as it writes.
+    pub lock: WriterLock,
     root: PathBuf,
     durability: Durability,
     /// The stream [`OpenedStore::begin_stream`] took a wip record for,
@@ -292,15 +341,16 @@ impl<B: Backend> OpenedStore<B> {
     }
 }
 
-/// Opens (or initialises) the store at `root` for writes: `meta.json` or
-/// `new_store` → [`BatchedDirBackend`] (wrapped by `wrap`, so a front end
-/// can layer its index or fault injection underneath the engine) →
-/// [`Backend::recover`] → `state.json` → rollback of everything above the
-/// commit watermark → engine with the state imported (which rebuilds the
-/// Bloom filter from the Hooks the rollback left) → removal of an older
-/// store's sidecars.
-///
-/// The caller must be the store's only writer.
+/// Opens (or initialises) the store at `root` for writes: the
+/// [`WriterLock`] (refused while another writer holds it) → `meta.json`
+/// or `new_store` → [`BatchedDirBackend`] (which loads the Hook log,
+/// moving an older store's per-Hook files into it once; wrapped by
+/// `wrap`, so a front end can layer its index or fault injection
+/// underneath the engine) → [`Backend::recover`] (torn tmp files, write
+/// intents, a torn tail of the Hook log) → `state.json` → rollback of
+/// everything above the commit watermark → engine with the state
+/// imported (which rebuilds the Bloom filter from the Hook log's index as
+/// the rollback left it) → removal of an older store's sidecars.
 pub fn open_write<B: Backend>(
     root: &Path,
     new_store: StoreMeta,
@@ -310,6 +360,7 @@ pub fn open_write<B: Backend>(
     for dir in [root.join("session"), wip_dir(root)] {
         std::fs::create_dir_all(&dir).map_err(|e| io_at("create dir", &dir, e))?;
     }
+    let lock = lock_writer(root)?;
     let meta = load_meta(root)?.unwrap_or(new_store);
     let mut backend = wrap(BatchedDirBackend::create_with(root, io)?);
     let backend_recovery = backend.recover()?;
@@ -352,6 +403,7 @@ pub fn open_write<B: Backend>(
         engine,
         meta,
         recovery,
+        lock,
         root: root.to_path_buf(),
         durability: io.durability,
         wip: None,
@@ -424,7 +476,9 @@ fn rollback_above_watermark<B: Backend>(
     recovery.sessions_rolled_back = wip_files.len() as u64;
 
     // 2. Hooks pointing at rolled-back manifests (payload first 8 bytes,
-    //    little endian, is the target ManifestId).
+    //    little endian, is the target ManifestId), read from the Hook
+    //    log's index; the deletes reach the log in one replacement, before
+    //    the first Manifest delete below.
     for name in backend.list(FileKind::Hook) {
         let payload = backend.get(FileKind::Hook, &name)?;
         let target = payload.get(..8).and_then(|raw| <[u8; 8]>::try_from(raw).ok());
@@ -563,7 +617,41 @@ mod tests {
         assert_eq!(session_files(&root), ["bloom.bin", "idmaps.bin", "meta.json", "state.json"]);
         let opened = open_write(&root, meta(), IoConfig::default(), |b| b).unwrap();
         assert_eq!(opened.engine.export_state().input_bytes, 77);
-        assert_eq!(session_files(&root), ["meta.json", "state.json"]);
+        // What remains beside the two state files is the writer's lock.
+        assert_eq!(session_files(&root), ["lock", "meta.json", "state.json"]);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A store has one writer: a second `open_write` is refused at once,
+    /// naming the store and the holder's pid, and leaves the first to
+    /// commit a store that checks clean. Once the first is dropped, the
+    /// store opens again.
+    #[test]
+    fn a_second_writer_is_refused_and_the_first_commits() {
+        use crate::fsck::check_store;
+        use crate::EngineError;
+        use mhd_workload::{FileEntry, Snapshot};
+
+        let root = temp_root("lock");
+        let mut first = open_write(&root, meta(), IoConfig::default(), |b| b).unwrap();
+        let err = open_write(&root, meta(), IoConfig::default(), |b| b).err().unwrap();
+        let want =
+            format!("store {} is open for writes by pid {}", root.display(), std::process::id());
+        assert!(err.to_string().contains(&want), "{err}");
+        assert!(matches!(err, EngineError::Store(StoreError::Locked { .. })), "{err}");
+
+        first.begin_stream("s-0").unwrap();
+        let data = bytes::Bytes::from(mhd_workload::Rng::new(7).bytes(200_000));
+        let files = vec![FileEntry { path: "s-0/f".into(), data }];
+        first.engine.process_snapshot(&Snapshot { machine: 0, day: 0, files }).unwrap();
+        first.commit().unwrap();
+        drop(first);
+
+        let mut again = open_write(&root, meta(), IoConfig::default(), |b| b).unwrap();
+        assert!(again.recovery.is_clean());
+        let report = check_store(again.engine.substrate_mut());
+        assert!(report.is_healthy() && report.file_manifests == 1, "{:?}", report.problems);
+        drop(again);
         std::fs::remove_dir_all(&root).unwrap();
     }
 

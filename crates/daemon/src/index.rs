@@ -1,12 +1,14 @@
 //! The sharded, shared Hook/hash index and the backend wrapper that
 //! keeps it coherent.
 //!
-//! The engines find duplicate data through on-disk Hook files (hash →
-//! Manifest). A daemon serving many concurrent clients also wants to
-//! answer "do you already have this chunk?" (`HAVE`) and occupancy
-//! queries *without* taking the engine lock, so the daemon mirrors the
+//! The engines find duplicate data through Hooks (hash → Manifest), which
+//! a directory store keeps in its Hook log. A daemon serving many
+//! concurrent clients also wants to answer "do you already have this
+//! chunk?" (`HAVE`), occupancy queries and its staging engines' Hook
+//! lookups *without* taking the engine lock, so the daemon mirrors the
 //! Hook namespace into [`SharedHookIndex`]: an N-way sharded
-//! `RwLock<FxHashMap>` keyed by the hash's first eight bytes.
+//! `RwLock<FxHashMap>` keyed by the hash's first eight bytes, loaded from
+//! the log once at open.
 //!
 //! Coherence is structural, not cooperative: [`IndexingBackend`] wraps
 //! the real store backend and publishes/forgets index entries on the
@@ -36,7 +38,7 @@ pub const INDEX_SHARDS: usize = 8;
 /// A concurrently-readable hash → manifest map, sharded to keep writer
 /// contention away from readers.
 pub struct SharedHookIndex {
-    shards: Vec<RwLock<FxHashMap<ChunkHash, Option<ManifestId>>>>,
+    shards: Vec<RwLock<FxHashMap<ChunkHash, ManifestId>>>,
 }
 
 impl Default for SharedHookIndex {
@@ -53,10 +55,8 @@ impl SharedHookIndex {
         (hash.prefix_u64() % self.shards.len() as u64) as usize
     }
 
-    /// Inserts (or refreshes) a mapping. `manifest` is `None` when only
-    /// presence is known — e.g. entries bulk-loaded from Hook *names* at
-    /// startup, resolved lazily if anyone needs the target.
-    pub fn publish(&self, hash: ChunkHash, manifest: Option<ManifestId>) {
+    /// Inserts (or refreshes) a mapping.
+    pub fn publish(&self, hash: ChunkHash, manifest: ManifestId) {
         let shard = self.shard_of(&hash);
         let _scope = mhd_obs::scope!("shard={shard}");
         mhd_obs::counter!("daemon.index_inserts").inc();
@@ -77,10 +77,14 @@ impl SharedHookIndex {
         self.shards[self.shard_of(hash)].read().contains_key(hash)
     }
 
-    /// The manifest mapped to `hash`, if known (`None` inner value means
-    /// presence-only).
-    pub fn lookup(&self, hash: &ChunkHash) -> Option<Option<ManifestId>> {
+    /// The manifest `hash`'s Hook points at, if it has one.
+    pub fn lookup(&self, hash: &ChunkHash) -> Option<ManifestId> {
         self.shards[self.shard_of(hash)].read().get(hash).copied()
+    }
+
+    /// Every hash with a Hook, in no particular order.
+    pub fn hashes(&self) -> Vec<ChunkHash> {
+        self.shards.iter().flat_map(|s| s.read().keys().copied().collect::<Vec<_>>()).collect()
     }
 
     /// Total entries across shards.
@@ -111,7 +115,7 @@ impl mhd_core::HookPresence for SharedHookIndex {
 
 /// Manifest id from a 20-byte Hook payload (first 8 bytes, little
 /// endian).
-fn payload_manifest(data: &[u8]) -> Option<ManifestId> {
+pub(crate) fn payload_manifest(data: &[u8]) -> Option<ManifestId> {
     let raw: [u8; 8] = data.get(..8)?.try_into().ok()?;
     Some(ManifestId(u64::from_le_bytes(raw)))
 }
@@ -144,18 +148,20 @@ impl<B: Backend> IndexingBackend<B> {
         &mut self.inner
     }
 
-    /// Bulk-loads the index from the Hook names already on disk
-    /// (presence-only entries; see [`SharedHookIndex::publish`]). Called
-    /// once at daemon open, after recovery rollback.
-    pub fn populate_index(&mut self) -> usize {
+    /// Bulk-loads the index with the hash → Manifest pair of every Hook
+    /// the store holds — read from the Hook log's in-memory index, not
+    /// from disk. Called once at daemon open, after recovery rollback.
+    pub fn populate_index(&mut self) -> StoreResult<usize> {
         let mut loaded = 0usize;
         for name in self.inner.list(FileKind::Hook) {
-            if let Some(hash) = plain_hook_hash(&name) {
-                self.index.publish(hash, None);
+            let Some(hash) = plain_hook_hash(&name) else { continue };
+            // A payload too short to name a Manifest is fsck's to report.
+            if let Some(manifest) = payload_manifest(&self.inner.get(FileKind::Hook, &name)?) {
+                self.index.publish(hash, manifest);
                 loaded += 1;
             }
         }
-        loaded
+        Ok(loaded)
     }
 }
 
@@ -163,8 +169,8 @@ impl<B: Backend> Backend for IndexingBackend<B> {
     fn put(&mut self, kind: FileKind, name: &str, data: &[u8]) -> StoreResult<()> {
         self.inner.put(kind, name, data)?;
         if kind == FileKind::Hook {
-            if let Some(hash) = plain_hook_hash(name) {
-                self.index.publish(hash, payload_manifest(data));
+            if let (Some(hash), Some(manifest)) = (plain_hook_hash(name), payload_manifest(data)) {
+                self.index.publish(hash, manifest);
             }
         }
         Ok(())
@@ -239,7 +245,7 @@ mod tests {
 
         b.put(FileKind::Hook, &hash.to_hex(), &payload).unwrap();
         assert!(index.contains(&hash));
-        assert_eq!(index.lookup(&hash), Some(Some(ManifestId(7))));
+        assert_eq!(index.lookup(&hash), Some(ManifestId(7)));
 
         b.delete(FileKind::Hook, &hash.to_hex()).unwrap();
         assert!(!index.contains(&hash));
@@ -250,7 +256,7 @@ mod tests {
     fn a_panic_under_a_shard_lock_leaves_the_shard_usable() {
         let index = SharedHookIndex::default();
         let hash = sha1(b"published before the panic");
-        index.publish(hash, Some(ManifestId(3)));
+        index.publish(hash, ManifestId(3));
         let shard = index.shard_of(&hash);
         let holder = std::thread::scope(|s| {
             s.spawn(|| {
@@ -262,9 +268,9 @@ mod tests {
         assert!(holder.is_err());
         // A std lock is poisoned from here on; `read()` and `write()`
         // of this one still hand out their guards.
-        assert_eq!(index.lookup(&hash), Some(Some(ManifestId(3))));
+        assert_eq!(index.lookup(&hash), Some(ManifestId(3)));
         index.forget(&hash);
-        index.publish(hash, None);
+        index.publish(hash, ManifestId(4));
         assert_eq!(index.occupancy()[shard], 1);
     }
 
@@ -277,7 +283,7 @@ mod tests {
         // Second put of the same name fails with AlreadyExists…
         assert!(b.put(FileKind::Hook, &hash.to_hex(), &[1u8; 20]).is_err());
         // …and must not have refreshed the index entry.
-        assert_eq!(index.lookup(&hash), Some(Some(ManifestId(0))));
+        assert_eq!(index.lookup(&hash), Some(ManifestId(0)));
         assert_eq!(index.len(), 1);
     }
 
@@ -296,21 +302,24 @@ mod tests {
         let mut b = IndexingBackend::new(MemBackend::new(), index.clone());
         let h1 = sha1(b"a");
         let h2 = sha1(b"b");
-        b.inner_mut().put(FileKind::Hook, &h1.to_hex(), &[0u8; 20]).unwrap();
+        let mut payload = [0u8; 20];
+        payload[..8].copy_from_slice(&5u64.to_le_bytes());
+        b.inner_mut().put(FileKind::Hook, &h1.to_hex(), &payload).unwrap();
         // An occurrence-style name must be skipped.
         b.inner_mut()
             .put(FileKind::Hook, &format!("{}-{:016x}", h2.to_hex(), 3), &[0u8; 20])
             .unwrap();
-        assert_eq!(b.populate_index(), 1);
-        assert_eq!(index.lookup(&h1), Some(None), "presence-only entry");
+        assert_eq!(b.populate_index().unwrap(), 1);
+        assert_eq!(index.lookup(&h1), Some(ManifestId(5)));
         assert!(!index.contains(&h2));
+        assert_eq!(index.hashes(), [h1]);
     }
 
     #[test]
     fn occupancy_covers_all_shards() {
         let index = SharedHookIndex::default();
         for i in 0..100u32 {
-            index.publish(sha1(&i.to_le_bytes()), None);
+            index.publish(sha1(&i.to_le_bytes()), ManifestId(u64::from(i)));
         }
         let occ = index.occupancy();
         assert_eq!(occ.len(), INDEX_SHARDS);

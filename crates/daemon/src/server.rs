@@ -224,18 +224,26 @@ impl Connection {
         }
     }
 
-    /// Reads exactly `len` payload bytes, riding out read timeouts.
+    /// Reads exactly `len` payload bytes, riding out read timeouts, into
+    /// a vector that reserves them up front: `read_to_end` fills its spare
+    /// capacity without zeroing it first, and never reads past `len`.
     fn read_payload(&mut self, len: u64) -> DaemonResult<Vec<u8>> {
-        let mut buf = vec![0u8; len as usize];
-        let mut filled = 0usize;
-        while filled < buf.len() {
-            match self.reader.read(&mut buf[filled..]) {
+        let mut buf = Vec::new();
+        let want = usize::try_from(len)
+            .map_err(|_| DaemonError::Protocol(format!("FILE payload {len} is too large")))?;
+        buf.try_reserve_exact(want)
+            .map_err(|e| DaemonError::Protocol(format!("FILE payload {len}: {e}")))?;
+        while buf.len() < want {
+            let left = (want - buf.len()) as u64;
+            // On an error, the bytes read before it are in `buf` already.
+            match (&mut self.reader).take(left).read_to_end(&mut buf) {
                 Ok(0) => {
                     return Err(DaemonError::Protocol(format!(
-                        "connection closed {filled}/{len} bytes into a FILE payload"
+                        "connection closed {}/{len} bytes into a FILE payload",
+                        buf.len()
                     )))
                 }
-                Ok(n) => filled += n,
+                Ok(_) => {}
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                     if self.shutdown.load(Ordering::SeqCst) {
                         return Err(DaemonError::Protocol("shutdown during FILE payload".into()));
@@ -300,7 +308,7 @@ impl Connection {
                     .session
                     .as_mut()
                     .ok_or_else(|| DaemonError::Protocol("FILE outside a session".into()))?;
-                session.stage(&path, &data)?;
+                session.stage_owned(&path, data)?;
                 Ok(format!("OK {}", session.staged_files()))
             }
             Request::Commit => {

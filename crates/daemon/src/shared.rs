@@ -49,7 +49,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use mhd_chunking::ChunkerKind;
 use mhd_core::gc::GcReport;
-use mhd_core::statefile::{self, RecoverySummary, StoreMeta};
+use mhd_core::statefile::{self, RecoverySummary, StoreMeta, WriterLock};
 use mhd_core::sync::{Mutex, Rank};
 use mhd_core::{Deduplicator, EngineConfig, MhdEngine, SessionDelta};
 use mhd_hash::{ChunkHash, FxHashMap, FxHashSet};
@@ -214,11 +214,18 @@ impl WriteSession {
         self.staged_bytes
     }
 
-    /// Stages one file for commit. Validates the path, rejects
-    /// duplicates — a repeated path, or two paths whose recipes would be
-    /// stored under one [`safe_name`] — and enforces the per-file size
-    /// cap; the store is not touched.
+    /// Stages one file for commit: a copy of `data`, through
+    /// [`stage_owned`](WriteSession::stage_owned).
     pub fn stage(&mut self, path: &str, data: &[u8]) -> DaemonResult<()> {
+        self.stage_owned(path, data.to_vec())
+    }
+
+    /// Stages one file for commit, keeping `data`'s buffer (the `FILE`
+    /// payload as read off the socket) without copying it. Validates the
+    /// path, rejects duplicates — a repeated path, or two paths whose
+    /// recipes would be stored under one [`safe_name`] — and enforces the
+    /// per-file size cap; the store is not touched.
+    pub fn stage_owned(&mut self, path: &str, data: Vec<u8>) -> DaemonResult<()> {
         if !valid_path(path) {
             return Err(DaemonError::Protocol(format!("invalid file path {path:?}")));
         }
@@ -236,11 +243,11 @@ impl WriteSession {
             }));
         }
         self.seen.insert(stored_as, path.to_string());
+        self.staged_bytes += data.len() as u64;
         self.files.push(FileEntry {
             path: format!("{}/{}/{path}", self.tenant, self.label),
-            data: Bytes::copy_from_slice(data),
+            data: Bytes::from(data),
         });
-        self.staged_bytes += data.len() as u64;
         Ok(())
     }
 }
@@ -277,13 +284,17 @@ pub struct SharedStore {
     /// The store's own chunking shape, for the lock-free staging engines.
     engine_config: EngineConfig,
     durability: Durability,
+    /// The store's writer lock, released when the store is dropped.
+    _lock: WriterLock,
 }
 
 impl SharedStore {
     /// Opens (or initialises) the shared store at `root` through
-    /// [`statefile::open_write`] — backend recovery and the rollback of
-    /// everything above the commit watermark run before anything reads a
-    /// byte — then preloads the hook index.
+    /// [`statefile::open_write`] — the writer lock, backend recovery and
+    /// the rollback of everything above the commit watermark run before
+    /// anything reads a byte — then preloads the hook index with every
+    /// Hook's hash → Manifest pair from the Hook log's index. The lock is
+    /// held until the store is dropped.
     pub fn open(root: &Path, config: DaemonConfig) -> DaemonResult<SharedStore> {
         let index = Arc::new(SharedHookIndex::default());
         let new_store =
@@ -293,7 +304,7 @@ impl SharedStore {
             IndexingBackend::new(backend, index.clone())
         })?;
         let mut engine = opened.engine;
-        let loaded = engine.substrate_mut().backend_mut().populate_index();
+        let loaded = engine.substrate_mut().backend_mut().populate_index()?;
         mhd_obs::counter!("daemon.index_preloaded").add(loaded as u64);
 
         let store = SharedStore {
@@ -307,6 +318,7 @@ impl SharedStore {
                     publish_log: VecDeque::new(),
                 },
             ),
+            _lock: opened.lock,
             index,
             registry: SessionRegistry::new(),
             root: root.to_path_buf(),
@@ -555,7 +567,7 @@ impl SharedStore {
     /// ids floored at [`LOCAL_ID_BASE`], the shared hook index installed
     /// as the presence oracle.
     fn build_staging_engine(&self) -> DaemonResult<MhdEngine<StagingBackend>> {
-        let backend = StagingBackend::over(&self.root)?;
+        let backend = StagingBackend::over(&self.root, self.index.clone())?;
         let mut engine = MhdEngine::new(backend, self.engine_config)?;
         engine.substrate_mut().ensure_id_floor(LOCAL_ID_BASE, LOCAL_ID_BASE);
         engine.set_hook_presence(self.index.clone());
@@ -1102,7 +1114,7 @@ mod tests {
             // A crash now leaves a store that reopens healthy, day 0 whole.
             let crash = root.with_extension("crash");
             let _ = std::fs::remove_dir_all(&crash);
-            super::schedules::link_tree(&root, &crash);
+            super::schedules::copy_tree(&root, &crash);
             let reopened = SharedStore::open(&crash, small_config()).unwrap();
             assert!(reopened.fsck().is_healthy(), "write {n}: {:?}", reopened.fsck().problems);
             assert_eq!(reopened.restore("t", "d0/f").unwrap(), day0, "write {n}");
@@ -1438,17 +1450,18 @@ mod schedules {
         files
     }
 
-    /// A snapshot of the tree at `from`. Every store write renames a new
-    /// file into place, so hard links are as good as copies.
-    pub(crate) fn link_tree(from: &Path, to: &Path) {
+    /// A snapshot of the tree at `from`: copies, not hard links, since
+    /// the Hook log grows in place and the writer lock is a lock on its
+    /// file's inode.
+    pub(crate) fn copy_tree(from: &Path, to: &Path) {
         std::fs::create_dir_all(to).unwrap();
         for entry in std::fs::read_dir(from).unwrap() {
             let entry = entry.unwrap();
             let target = to.join(entry.file_name());
             if entry.file_type().unwrap().is_dir() {
-                link_tree(&entry.path(), &target);
+                copy_tree(&entry.path(), &target);
             } else {
-                std::fs::hard_link(entry.path(), target).unwrap();
+                std::fs::copy(entry.path(), target).unwrap();
             }
         }
     }
@@ -1569,7 +1582,7 @@ mod schedules {
             self.crashed = tree;
             let crash = self.root.with_extension("crash");
             let _ = std::fs::remove_dir_all(&crash);
-            link_tree(&self.root, &crash);
+            copy_tree(&self.root, &crash);
             let reopened = SharedStore::open(&crash, config()).unwrap();
             self.check_store(&reopened, "after a crash");
             if wip_records(&crash) != 0 {

@@ -2,8 +2,10 @@
 //!
 //! Phase 1 of a daemon commit runs a full dedup pipeline *outside* the
 //! engine lock. [`StagingBackend`] is the backend that pipeline runs on:
-//! reads fall through to a read-only directory view of the shared store,
-//! while writes land in in-memory overlays — [`Overlay::fresh`] for
+//! reads fall through to a read-only directory view of the shared store
+//! — Hook reads to the daemon's [`SharedHookIndex`] instead, so no
+//! pipeline reads the Hook log — while writes land in in-memory
+//! overlays — [`Overlay::fresh`] for
 //! brand-new objects (the session's chunks, manifests, hooks and recipes,
 //! allocated in a private id range far above the shared store's) and
 //! [`Overlay::updated`] for copy-on-write rewrites of shared manifests
@@ -22,11 +24,15 @@
 
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use mhd_store::{
-    safe_name, Backend, DirBackend, FileKind, RecoveryReport, StoreError, StoreResult,
+    plain_hook_hash, safe_name, Backend, DirBackend, FileKind, RecoveryReport, StoreError,
+    StoreResult,
 };
+
+use crate::index::SharedHookIndex;
 
 /// The staged writes of one commit pipeline, keyed within each kind by
 /// the name the object will have on disk ([`safe_name`]): two names that
@@ -57,21 +63,51 @@ impl Overlay {
 }
 
 /// Copy-on-write backend for one staging pipeline: reads fall through to
-/// a read-only view of the shared store's directory tree, writes stay in
-/// memory until the publish phase splices them in. See the module docs.
+/// a read-only view of the shared store's directory tree (Hook reads to
+/// the shared Hook index), writes stay in memory until the publish phase
+/// splices them in. See the module docs.
 pub struct StagingBackend {
     base: DirBackend,
+    hooks: Arc<SharedHookIndex>,
     overlay: Overlay,
 }
 
 impl StagingBackend {
-    /// Opens a staging view over the shared store rooted at `root`.
+    /// Opens a staging view over the shared store rooted at `root`, whose
+    /// Hooks `hooks` mirrors.
     ///
     /// The base view is a plain [`DirBackend`] used read-only: it creates
-    /// no directory and is never `recover()`ed — recovery would delete
-    /// the live store's in-flight tmp files.
-    pub fn over(root: &Path) -> StoreResult<Self> {
-        Ok(StagingBackend { base: DirBackend::open(root), overlay: Overlay::default() })
+    /// no directory, never loads the Hook log and is never `recover()`ed
+    /// — recovery would delete the live store's in-flight tmp files.
+    pub fn over(root: &Path, hooks: Arc<SharedHookIndex>) -> StoreResult<Self> {
+        Ok(StagingBackend { base: DirBackend::open(root), hooks, overlay: Overlay::default() })
+    }
+
+    /// The shared store's Hook named `name`, as a 20-byte payload, from
+    /// the shared index.
+    fn shared_hook(&self, name: &str) -> Option<[u8; 20]> {
+        let manifest = self.hooks.lookup(&plain_hook_hash(name)?)?;
+        let mut payload = [0u8; 20];
+        payload[..8].copy_from_slice(&manifest.0.to_le_bytes());
+        Some(payload)
+    }
+
+    /// Reads an object of the shared store: a Hook from the index, any
+    /// other kind from the directory view.
+    fn shared(&mut self, kind: FileKind, name: &str) -> StoreResult<Bytes> {
+        if kind != FileKind::Hook {
+            return self.base.get(kind, name);
+        }
+        self.shared_hook(name)
+            .map(|payload| Bytes::copy_from_slice(&payload))
+            .ok_or_else(|| StoreError::NotFound { kind, name: name.to_string() })
+    }
+
+    fn shared_exists(&mut self, kind: FileKind, name: &str) -> bool {
+        match kind {
+            FileKind::Hook => self.shared_hook(name).is_some(),
+            _ => self.base.exists(kind, name),
+        }
     }
 
     /// Drains the staged writes for the publish phase.
@@ -115,7 +151,7 @@ impl Backend for StagingBackend {
             *entry = data.to_vec();
             return Ok(());
         }
-        if self.base.exists(kind, name) {
+        if self.shared_exists(kind, name) {
             // Copy-on-write: the shared object stays untouched until the
             // publish phase decides what to do with the rewrite.
             self.overlay.updated[kind as usize].insert(name.to_string(), data.to_vec());
@@ -129,7 +165,7 @@ impl Backend for StagingBackend {
         if let Some(data) = self.staged(kind, name) {
             return Ok(Bytes::from(data.clone()));
         }
-        self.base.get(kind, name)
+        self.shared(kind, name)
     }
 
     fn get_range(
@@ -152,6 +188,14 @@ impl Backend for StagingBackend {
             }
             return Ok(Bytes::from(data[offset as usize..end as usize].to_vec()));
         }
+        if kind == FileKind::Hook {
+            let hook = self.shared(kind, name)?;
+            let size = hook.len() as u64;
+            let end = offset.checked_add(len).filter(|&end| end <= size).ok_or_else(|| {
+                StoreError::OutOfRange { name: name.to_string(), offset, len, size }
+            })?;
+            return Ok(hook.slice(offset as usize..end as usize));
+        }
         self.base.get_range(kind, name, offset, len)
     }
 
@@ -160,12 +204,15 @@ impl Backend for StagingBackend {
         if let Some(data) = self.staged(kind, name) {
             return Ok(data.len() as u64);
         }
-        self.base.size_of(kind, name)
+        match kind {
+            FileKind::Hook => self.shared(kind, name).map(|hook| hook.len() as u64),
+            _ => self.base.size_of(kind, name),
+        }
     }
 
     fn exists(&mut self, kind: FileKind, name: &str) -> bool {
         let name = &safe_name(name);
-        self.staged(kind, name).is_some() || self.base.exists(kind, name)
+        self.staged(kind, name).is_some() || self.shared_exists(kind, name)
     }
 
     fn count(&mut self, kind: FileKind) -> u64 {
@@ -175,11 +222,18 @@ impl Backend for StagingBackend {
         // the racy base), overcounting by one until the splice resolves
         // it — tolerable for a staging view that only feeds pipeline
         // stats.
-        self.base.count(kind) + self.overlay.fresh[kind as usize].len() as u64
+        let shared = match kind {
+            FileKind::Hook => self.hooks.len() as u64,
+            _ => self.base.count(kind),
+        };
+        shared + self.overlay.fresh[kind as usize].len() as u64
     }
 
     fn list(&mut self, kind: FileKind) -> Vec<String> {
-        let mut names = self.base.list(kind);
+        let mut names = match kind {
+            FileKind::Hook => self.hooks.hashes().iter().map(|h| h.to_hex()).collect(),
+            _ => self.base.list(kind),
+        };
         names.extend(self.overlay.fresh[kind as usize].keys().cloned());
         names.sort();
         names
@@ -213,7 +267,8 @@ impl Backend for StagingBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mhd_store::Durability;
+    use mhd_hash::sha1;
+    use mhd_store::{Durability, ManifestId};
 
     fn temp_root(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -232,9 +287,12 @@ mod tests {
         let mut base = DirBackend::create_with(&root, Durability::None).unwrap();
         base.put(FileKind::DiskChunk, "base", b"old").unwrap();
         base.put(FileKind::Manifest, "m1", b"manifest-v1").unwrap();
-        base.put(FileKind::Hook, "h1", b"hook-shared").unwrap();
+        let shared = sha1(b"a shared chunk");
+        let h1 = shared.to_hex();
+        let index = Arc::new(SharedHookIndex::default());
+        index.publish(shared, ManifestId(7));
 
-        let mut s = StagingBackend::over(&root).unwrap();
+        let mut s = StagingBackend::over(&root, index).unwrap();
         // Reads fall through.
         assert_eq!(&s.get(FileKind::DiskChunk, "base").unwrap()[..], b"old");
         // Fresh writes stay in memory and shadow reads.
@@ -249,8 +307,8 @@ mod tests {
         // mid-pipeline (a racing hook publish) must not fail this
         // pipeline — the splice resolves the collision under the lock
         // (write_hook's first-mapping-wins guard).
-        s.put(FileKind::Hook, "h1", b"hook-mine").unwrap();
-        assert_eq!(&s.get(FileKind::Hook, "h1").unwrap()[..], b"hook-mine");
+        s.put(FileKind::Hook, &h1, b"hook-mine").unwrap();
+        assert_eq!(&s.get(FileKind::Hook, &h1).unwrap()[..], b"hook-mine");
         // Updates of shared objects copy on write.
         s.update(FileKind::Manifest, "m1", b"manifest-v2").unwrap();
         assert_eq!(&s.get(FileKind::Manifest, "m1").unwrap()[..], b"manifest-v2");
@@ -265,6 +323,16 @@ mod tests {
         assert_eq!(overlay.updated_of(FileKind::Manifest).len(), 1);
         // Drained: the backend is clean again.
         assert_eq!(s.count(FileKind::DiskChunk), 1);
+        // The shared Hook reads from the index: its payload names the
+        // Manifest, and nothing read the Hook log.
+        let payload = s.get(FileKind::Hook, &h1).unwrap();
+        assert_eq!(payload.len(), 20);
+        assert_eq!(payload[..8], 7u64.to_le_bytes());
+        assert_eq!(s.list(FileKind::Hook), std::slice::from_ref(&h1));
+        assert_eq!(s.count(FileKind::Hook), 1);
+        assert!(!s.exists(FileKind::Hook, &sha1(b"no hook").to_hex()));
+        base.put(FileKind::Hook, &h1, b"not what the index says").unwrap();
+        assert_eq!(s.get(FileKind::Hook, &h1).unwrap(), payload);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -275,7 +343,7 @@ mod tests {
     #[test]
     fn names_that_sanitise_alike_are_one_staged_object() {
         let root = temp_root("colliding");
-        let mut s = StagingBackend::over(&root).unwrap();
+        let mut s = StagingBackend::over(&root, Arc::default()).unwrap();
         let kind = FileKind::FileManifest;
         s.put(kind, "t/day0/sub/b.bin", b"first").unwrap();
         assert!(matches!(

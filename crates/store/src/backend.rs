@@ -14,9 +14,11 @@
 //! (HHR) while DiskChunks and Hooks stay immutable, so the manifest rewrite
 //! is the one place a crash or short write can corrupt a store.
 //! [`DirBackend`] therefore never writes an object in place: every `put`
-//! and `update` lands in a hidden `.*.tmp` sibling and is atomically
-//! renamed over the target. The [`Durability`] level controls what happens
-//! around that rename:
+//! and `update` of a file lands in a hidden `.*.tmp` sibling and is
+//! atomically renamed over the target, and Hooks, which all live in one
+//! log, are appended to it as checksummed records (a torn append is
+//! dropped at the next open; see `hook_log.rs`). The [`Durability`] level
+//! controls what happens around that rename:
 //!
 //! * [`Durability::None`] — tmp + rename only (atomic against torn writes,
 //!   no fsync, no intent records; fastest, for tests and benches).
@@ -26,18 +28,20 @@
 //!   files to detect and roll back a rewrite that was in flight at crash
 //!   time.
 //! * [`Durability::Fsync`] — additionally fsyncs the tmp file before the
-//!   rename and the parent directory after it, so a committed object
-//!   survives power loss, not just process death.
+//!   rename and the parent directory after it, and the Hook log after
+//!   each append, so a committed object survives power loss, not just
+//!   process death.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use bytes::Bytes;
 
+use crate::hook_log::HookLog;
 use crate::{StoreError, StoreResult};
 
 /// The four metadata file categories of the paper's system (Fig. 3).
@@ -54,7 +58,8 @@ pub enum FileKind {
 }
 
 impl FileKind {
-    /// Directory name used by [`DirBackend`].
+    /// Directory name used by [`DirBackend`]; for Hooks, the name of
+    /// their log file.
     pub fn dir_name(&self) -> &'static str {
         match self {
             FileKind::DiskChunk => "chunks",
@@ -129,8 +134,10 @@ impl Durability {
 /// Outcome of a [`Backend::recover`] pass.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Torn or orphaned `.*.tmp` files removed (writes that never
-    /// committed; the target object still holds its previous content).
+    /// Torn writes undone: orphaned `.*.tmp` files removed (writes that
+    /// never committed; the target object still holds its previous
+    /// content), and a torn tail dropped from the Hook log (an append
+    /// that never completed; the records before it are intact).
     pub tmp_files_removed: usize,
     /// Write-ahead intent records cleared. Each one marks an overwrite
     /// that was in flight when the store was last open; thanks to the
@@ -337,7 +344,7 @@ fn intent_dir(root: &Path) -> PathBuf {
     root.join("intent")
 }
 
-fn io_at(op: &'static str, path: &Path, source: std::io::Error) -> StoreError {
+pub(crate) fn io_at(op: &'static str, path: &Path, source: std::io::Error) -> StoreError {
     StoreError::IoAt { op, path: path.display().to_string(), source }
 }
 
@@ -370,7 +377,7 @@ pub fn fsync_dir(dir: &Path) -> StoreResult<()> {
 
 /// `path`'s directory and the hidden `.<name>.tmp` sibling a write lands
 /// in before it is renamed over `path`.
-fn tmp_sibling(path: &Path) -> StoreResult<(&Path, PathBuf)> {
+pub(crate) fn tmp_sibling(path: &Path) -> StoreResult<(&Path, PathBuf)> {
     match (path.parent(), path.file_name().and_then(|n| n.to_str())) {
         (Some(dir), Some(name)) => Ok((dir, dir.join(format!(".{name}.tmp")))),
         _ => Err(StoreError::Corrupt(format!("{}: not a file path", path.display()))),
@@ -402,25 +409,33 @@ pub fn write_atomic(path: &Path, data: &[u8], durability: Durability) -> StoreRe
 /// The injected fault: half of `data` reaches `target`'s tmp sibling, the
 /// rename never happens — a crash mid-write.
 #[expect(clippy::disallowed_methods, reason = "the injected torn write leaves a half tmp file")]
-fn torn_write(target: &Path, data: &[u8]) -> StoreError {
+pub(crate) fn torn_write(target: &Path, data: &[u8]) -> StoreError {
     if let Ok((_, tmp)) = tmp_sibling(target) {
         let _ = std::fs::write(&tmp, &data[..data.len() / 2]);
     }
     StoreError::Io(std::io::Error::other(format!("injected short write at {}", target.display())))
 }
 
-/// Directory-tree backend: `root/{chunks,manifests,hooks,file_manifests}/`
-/// plus `root/intent/` for write-ahead overwrite records.
+/// Directory-tree backend: `root/{chunks,manifests,file_manifests}/`, one
+/// file per object, the Hook log `root/hooks` (`hook_log.rs`: every
+/// Hook one record of it) and `root/intent/` for write-ahead overwrite
+/// records.
 ///
 /// Object names become file names (names used by the substrate are always
 /// hex strings or sanitised paths, so no escaping is needed beyond `/`
 /// replacement). Temporary files are hidden (`.*.tmp`) and never reported
 /// by [`Backend::list`]/[`Backend::count`].
 ///
+/// Hooks are answered from the log's in-memory index: a put appends one
+/// record, a delete leaves the index at once and reaches the log with the
+/// other deletes since, in one replacement of it, before the next delete
+/// of another kind, the next Hook write, a [`flush`](Backend::flush) or a
+/// [`recover`](Backend::recover).
+///
 /// A clone is another handle on the same directory, sharing the fault
-/// hook: the batched backend's pool workers each commit through one, so
-/// there is one object-commit routine (`DirBackend::commit`) however a
-/// write reaches the disk.
+/// hook and the Hook log: the batched backend's pool workers each commit
+/// through one, so there is one object-commit routine
+/// (`DirBackend::commit`) however a write reaches the disk.
 #[derive(Clone)]
 pub struct DirBackend {
     root: PathBuf,
@@ -428,6 +443,9 @@ pub struct DirBackend {
     /// Test-only fault hook: physical writes left until one is torn
     /// half-way and fails (0 = disarmed).
     tear_in: Arc<AtomicU64>,
+    /// The Hook log: loaded by [`create_with`](DirBackend::create_with),
+    /// or at a reader's first Hook access.
+    hooks: Arc<Mutex<Option<HookLog>>>,
 }
 
 impl DirBackend {
@@ -438,26 +456,35 @@ impl DirBackend {
     }
 
     /// Creates the directory layout under `root` with an explicit
-    /// durability level.
+    /// durability level, and loads the Hook log (moving an older store's
+    /// per-Hook files into it first). A log damaged before its tail is an
+    /// error naming it and the record.
     #[expect(clippy::disallowed_methods, reason = "creates the store layout")]
     pub fn create_with(root: impl Into<PathBuf>, durability: Durability) -> StoreResult<Self> {
-        let backend = Self::open(root);
-        for kind in FileKind::ALL {
+        let backend = DirBackend { durability, ..Self::open(root) };
+        for kind in FileKind::ALL.into_iter().filter(|&k| k != FileKind::Hook) {
             let dir = backend.root.join(kind.dir_name());
             std::fs::create_dir_all(&dir).map_err(|e| io_at("create dir", &dir, e))?;
         }
         let intents = intent_dir(&backend.root);
         std::fs::create_dir_all(&intents).map_err(|e| io_at("create dir", &intents, e))?;
-        Ok(DirBackend { durability, ..backend })
+        let log = HookLog::create(&backend.root, durability, backend.tear_in.clone())?;
+        *backend.hook_slot() = Some(log);
+        Ok(backend)
     }
 
     /// A handle on the layout under `root` that creates nothing, for
-    /// readers: a missing namespace directory reads as empty, and reads of
-    /// its objects fail with `NotFound`. Its durability is
+    /// readers: a missing namespace directory or Hook log reads as empty,
+    /// and reads of its objects fail with `NotFound`. Its durability is
     /// [`Durability::None`]; writers come in through
     /// [`create_with`](DirBackend::create_with).
     pub fn open(root: impl Into<PathBuf>) -> Self {
-        DirBackend { root: root.into(), durability: Durability::None, tear_in: Arc::default() }
+        DirBackend {
+            root: root.into(),
+            durability: Durability::None,
+            tear_in: Arc::default(),
+            hooks: Arc::default(),
+        }
     }
 
     /// The store root directory.
@@ -466,9 +493,9 @@ impl DirBackend {
     }
 
     /// Fault injection for crash tests: the `nth` physical file write
-    /// from now (0-based, counted across puts and updates, on every
-    /// clone) writes only half its bytes and then fails, simulating a
-    /// crash mid-write. One-shot.
+    /// from now (0-based, counted across puts, updates and Hook-log
+    /// appends and replacements, on every clone) writes only half its
+    /// bytes and then fails, simulating a crash mid-write. One-shot.
     pub fn fault_short_write_at(&mut self, nth: u64) {
         self.tear_in.store(nth + 1, Ordering::SeqCst);
     }
@@ -477,10 +504,42 @@ impl DirBackend {
         self.root.join(kind.dir_name()).join(safe_name(name))
     }
 
-    /// The atomic commit path of every `put` and `update`, pooled or not:
-    /// [`write_atomic`], bracketed by a write-ahead intent record when
-    /// the object is already on disk (`overwrite`). The caller has
-    /// checked existence.
+    fn hook_slot(&self) -> MutexGuard<'_, Option<HookLog>> {
+        self.hooks.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Runs `f` on the Hook log, loading it first if this handle has not.
+    fn with_hooks<R>(&self, f: impl FnOnce(&mut HookLog) -> StoreResult<R>) -> StoreResult<R> {
+        let mut slot = self.hook_slot();
+        let log = match &mut *slot {
+            Some(log) => log,
+            empty => {
+                empty.insert(HookLog::load(&self.root, self.durability, self.tear_in.clone())?)
+            }
+        };
+        f(log)
+    }
+
+    /// Writes the Hook deletes only the log's index holds yet; nothing to
+    /// do on a handle that never loaded the log.
+    fn sync_hooks(&self) -> StoreResult<()> {
+        match &mut *self.hook_slot() {
+            Some(log) => log.sync(),
+            None => Ok(()),
+        }
+    }
+
+    /// A batch of Hook puts (`false`) and updates (`true`), named by
+    /// [`safe_name`], in one append to the Hook log (or one replacement
+    /// of it): how the batched backend flushes its pending Hooks.
+    pub(crate) fn commit_hooks(&self, writes: Vec<(String, Bytes, bool)>) -> StoreResult<()> {
+        self.with_hooks(|log| log.commit(writes))
+    }
+
+    /// The atomic commit path of every `put` and `update` of a kind other
+    /// than Hook, pooled or not: [`write_atomic`], bracketed by a
+    /// write-ahead intent record when the object is already on disk
+    /// (`overwrite`). The caller has checked existence.
     #[expect(clippy::disallowed_methods, reason = "writes and clears the intent record")]
     pub(crate) fn commit(
         &self,
@@ -514,6 +573,9 @@ impl DirBackend {
 
 impl Backend for DirBackend {
     fn put(&mut self, kind: FileKind, name: &str, data: &[u8]) -> StoreResult<()> {
+        if kind == FileKind::Hook {
+            return self.with_hooks(|log| log.put(&safe_name(name), data));
+        }
         if self.path(kind, name).exists() {
             return Err(StoreError::AlreadyExists { kind, name: name.to_string() });
         }
@@ -521,6 +583,9 @@ impl Backend for DirBackend {
     }
 
     fn update(&mut self, kind: FileKind, name: &str, data: &[u8]) -> StoreResult<()> {
+        if kind == FileKind::Hook {
+            return self.with_hooks(|log| log.update(&safe_name(name), data));
+        }
         if !self.path(kind, name).exists() {
             return Err(StoreError::NotFound { kind, name: name.to_string() });
         }
@@ -528,6 +593,13 @@ impl Backend for DirBackend {
     }
 
     fn get(&mut self, kind: FileKind, name: &str) -> StoreResult<Bytes> {
+        if kind == FileKind::Hook {
+            return self.with_hooks(|log| {
+                log.get(&safe_name(name))
+                    .cloned()
+                    .ok_or_else(|| StoreError::NotFound { kind, name: name.to_string() })
+            });
+        }
         let path = self.path(kind, name);
         match std::fs::read(&path) {
             Ok(data) => Ok(Bytes::from(data)),
@@ -561,6 +633,16 @@ impl Backend for DirBackend {
         len: u64,
         out: &mut Vec<u8>,
     ) -> StoreResult<()> {
+        if kind == FileKind::Hook {
+            let hook = self.get(kind, name)?;
+            let size = hook.len() as u64;
+            let range = offset.checked_add(len).filter(|&end| end <= size).map(|end| offset..end);
+            let Some(range) = range else {
+                return Err(StoreError::OutOfRange { name: name.to_string(), offset, len, size });
+            };
+            out.extend_from_slice(&hook[range.start as usize..range.end as usize]);
+            return Ok(());
+        }
         let path = self.path(kind, name);
         let mut file = match std::fs::File::open(&path) {
             Ok(f) => f,
@@ -596,6 +678,9 @@ impl Backend for DirBackend {
     }
 
     fn size_of(&mut self, kind: FileKind, name: &str) -> StoreResult<u64> {
+        if kind == FileKind::Hook {
+            return self.get(kind, name).map(|hook| hook.len() as u64);
+        }
         let path = self.path(kind, name);
         match std::fs::metadata(&path) {
             Ok(m) => Ok(m.len()),
@@ -607,10 +692,16 @@ impl Backend for DirBackend {
     }
 
     fn exists(&mut self, kind: FileKind, name: &str) -> bool {
+        if kind == FileKind::Hook {
+            return self.with_hooks(|log| Ok(log.get(&safe_name(name)).is_some())).unwrap_or(false);
+        }
         self.path(kind, name).exists()
     }
 
     fn count(&mut self, kind: FileKind) -> u64 {
+        if kind == FileKind::Hook {
+            return self.with_hooks(|log| Ok(log.len())).unwrap_or(0);
+        }
         std::fs::read_dir(self.root.join(kind.dir_name()))
             .map(|d| {
                 d.filter(|e| {
@@ -624,6 +715,9 @@ impl Backend for DirBackend {
     }
 
     fn list(&mut self, kind: FileKind) -> Vec<String> {
+        if kind == FileKind::Hook {
+            return self.with_hooks(|log| Ok(log.names())).unwrap_or_default();
+        }
         let mut names: Vec<String> = std::fs::read_dir(self.root.join(kind.dir_name()))
             .map(|d| {
                 d.filter_map(|e| e.ok().and_then(|e| e.file_name().into_string().ok()))
@@ -637,6 +731,12 @@ impl Backend for DirBackend {
 
     #[expect(clippy::disallowed_methods, reason = "the one object deletion")]
     fn delete(&mut self, kind: FileKind, name: &str) -> StoreResult<()> {
+        if kind == FileKind::Hook {
+            return self.with_hooks(|log| log.delete(&safe_name(name)));
+        }
+        // A Hook this handle deleted may name the object: the log must not
+        // hold it past the object.
+        self.sync_hooks()?;
         let path = self.path(kind, name);
         match std::fs::remove_file(&path) {
             Ok(()) => {
@@ -652,13 +752,17 @@ impl Backend for DirBackend {
         }
     }
 
+    fn flush(&mut self) -> StoreResult<()> {
+        self.sync_hooks()
+    }
+
     #[expect(clippy::disallowed_methods, reason = "removes torn tmp files and resolved intents")]
     fn recover(&mut self) -> StoreResult<RecoveryReport> {
         let mut report = RecoveryReport::default();
         // Torn or orphaned tmp files: the rename never happened, so the
         // target still holds the pre-write content — removing the tmp is
         // the rollback.
-        for kind in FileKind::ALL {
+        for kind in FileKind::ALL.into_iter().filter(|&k| k != FileKind::Hook) {
             let dir = self.root.join(kind.dir_name());
             let entries = match std::fs::read_dir(&dir) {
                 Ok(e) => e,
@@ -675,6 +779,8 @@ impl Backend for DirBackend {
                 }
             }
         }
+        // The Hook log's torn replacement or torn tail.
+        report.tmp_files_removed += self.with_hooks(HookLog::recover)?;
         // Intent records: the overwrite either committed (rename done; the
         // target holds the new bytes) or rolled back above — either way
         // the store is consistent and the intent is resolved.
@@ -879,66 +985,59 @@ pub(crate) mod tests {
     use super::*;
     use crate::BatchedDirBackend;
 
+    /// The contract every backend keeps, for a kind kept in files and
+    /// for the Hooks a directory store keeps in its log.
     pub(crate) fn exercise(backend: &mut dyn Backend) {
-        backend.put(FileKind::DiskChunk, "a", b"hello world").unwrap();
-        assert!(matches!(
-            backend.put(FileKind::DiskChunk, "a", b"x"),
-            Err(StoreError::AlreadyExists { .. })
-        ));
-        assert_eq!(&backend.get(FileKind::DiskChunk, "a").unwrap()[..], b"hello world");
-        assert_eq!(&backend.get_range(FileKind::DiskChunk, "a", 6, 5).unwrap()[..], b"world");
-        assert!(matches!(
-            backend.get_range(FileKind::DiskChunk, "a", 6, 6),
-            Err(StoreError::OutOfRange { .. })
-        ));
+        for kind in [FileKind::DiskChunk, FileKind::Hook] {
+            exercise_kind(backend, kind);
+        }
+    }
+
+    fn exercise_kind(backend: &mut dyn Backend, kind: FileKind) {
+        backend.put(kind, "a", b"hello world").unwrap();
+        assert!(matches!(backend.put(kind, "a", b"x"), Err(StoreError::AlreadyExists { .. })));
+        assert_eq!(&backend.get(kind, "a").unwrap()[..], b"hello world");
+        assert_eq!(&backend.get_range(kind, "a", 6, 5).unwrap()[..], b"world");
+        assert!(matches!(backend.get_range(kind, "a", 6, 6), Err(StoreError::OutOfRange { .. })));
         // `append_range` appends after what the buffer holds, and leaves it
         // as it was when the range or the object is not there.
         let mut out = b"> ".to_vec();
-        backend.append_range(FileKind::DiskChunk, "a", 6, 5, &mut out).unwrap();
-        backend.append_range(FileKind::DiskChunk, "a", 0, 0, &mut out).unwrap();
-        backend.append_range(FileKind::DiskChunk, "a", 0, 5, &mut out).unwrap();
+        backend.append_range(kind, "a", 6, 5, &mut out).unwrap();
+        backend.append_range(kind, "a", 0, 0, &mut out).unwrap();
+        backend.append_range(kind, "a", 0, 5, &mut out).unwrap();
         assert_eq!(out, b"> worldhello");
         for (offset, len) in [(6, 6), (11, 1), (12, 0), (u64::MAX, 2), (0, u64::MAX)] {
             assert!(
                 matches!(
-                    backend.append_range(FileKind::DiskChunk, "a", offset, len, &mut out),
+                    backend.append_range(kind, "a", offset, len, &mut out),
                     Err(StoreError::OutOfRange { .. })
                 ),
                 "{offset}+{len}"
             );
         }
         assert!(matches!(
-            backend.append_range(FileKind::DiskChunk, "missing", 0, 1, &mut out),
+            backend.append_range(kind, "missing", 0, 1, &mut out),
             Err(StoreError::NotFound { .. })
         ));
         assert_eq!(out, b"> worldhello");
-        assert_eq!(backend.size_of(FileKind::DiskChunk, "a").unwrap(), 11);
-        assert!(backend.exists(FileKind::DiskChunk, "a"));
+        assert_eq!(backend.size_of(kind, "a").unwrap(), 11);
+        assert!(backend.exists(kind, "a"));
         assert!(!backend.exists(FileKind::Manifest, "a"));
-        assert_eq!(backend.count(FileKind::DiskChunk), 1);
-        assert_eq!(backend.count(FileKind::Hook), 0);
+        assert_eq!(backend.count(kind), 1);
+        assert_eq!(backend.count(FileKind::Manifest), 0);
 
-        backend.update(FileKind::DiskChunk, "a", b"rewritten").unwrap();
-        assert_eq!(&backend.get(FileKind::DiskChunk, "a").unwrap()[..], b"rewritten");
-        assert!(matches!(
-            backend.update(FileKind::DiskChunk, "missing", b"x"),
-            Err(StoreError::NotFound { .. })
-        ));
-        assert!(matches!(
-            backend.get(FileKind::DiskChunk, "missing"),
-            Err(StoreError::NotFound { .. })
-        ));
+        backend.update(kind, "a", b"rewritten").unwrap();
+        assert_eq!(&backend.get(kind, "a").unwrap()[..], b"rewritten");
+        assert!(matches!(backend.update(kind, "missing", b"x"), Err(StoreError::NotFound { .. })));
+        assert!(matches!(backend.get(kind, "missing"), Err(StoreError::NotFound { .. })));
 
-        backend.put(FileKind::DiskChunk, "b", b"second").unwrap();
-        assert_eq!(backend.list(FileKind::DiskChunk), vec!["a".to_string(), "b".to_string()]);
+        backend.put(kind, "b", b"second").unwrap();
+        assert_eq!(backend.list(kind), vec!["a".to_string(), "b".to_string()]);
 
-        backend.delete(FileKind::DiskChunk, "a").unwrap();
-        assert!(!backend.exists(FileKind::DiskChunk, "a"));
-        assert!(matches!(
-            backend.delete(FileKind::DiskChunk, "a"),
-            Err(StoreError::NotFound { .. })
-        ));
-        assert_eq!(backend.count(FileKind::DiskChunk), 1);
+        backend.delete(kind, "a").unwrap();
+        assert!(!backend.exists(kind, "a"));
+        assert!(matches!(backend.delete(kind, "a"), Err(StoreError::NotFound { .. })));
+        assert_eq!(backend.count(kind), 1);
         backend.flush().unwrap();
         assert!(backend.recover().unwrap().is_clean());
     }
@@ -949,7 +1048,15 @@ pub(crate) mod tests {
     /// under either spelling — and the second `put` fails instead of
     /// replacing the first.
     pub(crate) fn exercise_colliding_names(backend: &mut dyn Backend) {
-        let kind = FileKind::FileManifest;
+        for kind in [FileKind::FileManifest, FileKind::Hook] {
+            exercise_colliding_names_of(backend, kind);
+        }
+    }
+
+    fn exercise_colliding_names_of(backend: &mut dyn Backend, kind: FileKind) {
+        let others = backend.list(kind);
+        let mut with = [&others[..], &["t_sub_b.bin".to_string()]].concat();
+        with.sort();
         backend.put(kind, "t/sub/b.bin", b"first").unwrap();
         for flushed in [false, true] {
             if flushed {
@@ -968,15 +1075,15 @@ pub(crate) mod tests {
                 assert_eq!(&backend.get_range(kind, alias, 1, 3).unwrap()[..], b"irs");
                 assert_eq!(backend.size_of(kind, alias).unwrap(), 5);
             }
-            assert_eq!(backend.count(kind), 1);
-            assert_eq!(backend.list(kind), vec!["t_sub_b.bin".to_string()]);
+            assert_eq!(backend.count(kind), with.len() as u64);
+            assert_eq!(backend.list(kind), with);
         }
         backend.update(kind, "t/sub_b.bin", b"rewritten").unwrap();
         assert_eq!(&backend.get(kind, "t/sub/b.bin").unwrap()[..], b"rewritten");
         backend.delete(kind, "t_sub/b.bin").unwrap();
         assert!(!backend.exists(kind, "t/sub/b.bin"));
         backend.flush().unwrap();
-        assert_eq!(backend.count(kind), 0);
+        assert_eq!(backend.list(kind), others);
     }
 
     fn temp_dir(tag: &str) -> PathBuf {

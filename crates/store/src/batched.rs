@@ -18,7 +18,8 @@
 //! every Manifest on disk points at DiskChunks on disk, every Hook at a
 //! Manifest on disk. Each individual object write goes through the same
 //! tmp + rename (+ intent, + fsync, per [`Durability`]) path as the plain
-//! directory backend, so a crash *inside* a flush is also recoverable.
+//! directory backend, and a batch's Hooks reach the Hook log in one
+//! append, so a crash *inside* a flush is also recoverable.
 //!
 //! # Read-ahead
 //!
@@ -277,6 +278,11 @@ impl BatchedDirBackend {
         // pending_bytes must keep matching what the overlay still holds.
         let drained_bytes: usize = drained.values().map(|p| p.data.len()).sum();
         self.pending_bytes -= drained_bytes;
+        if kind == FileKind::Hook {
+            // One append to the Hook log, on this thread.
+            let writes = drained.into_iter().map(|(name, p)| (name, p.data, p.update)).collect();
+            return self.inner.commit_hooks(writes);
+        }
         match &self.pool {
             Some(pool) => {
                 // Split the batch into one contiguous group per worker so
@@ -454,13 +460,16 @@ impl Backend for BatchedDirBackend {
     fn flush(&mut self) -> StoreResult<()> {
         let ops = self.pending_ops();
         if ops == 0 {
-            return Ok(());
+            // Hook deletes go straight to the inner backend, whose log
+            // applies them at its flush.
+            return self.inner.flush();
         }
         let bytes = self.pending_bytes;
         let start = Instant::now();
         for kind in FileKind::FLUSH_ORDER {
             self.flush_kind(kind)?;
         }
+        self.inner.flush()?;
         mhd_obs::histogram!("store.io_batch_ops").record(ops as u64);
         mhd_obs::histogram!("store.io_batch_bytes").record(bytes as u64);
         mhd_obs::histogram!("store.io_flush_ns").record(start.elapsed().as_nanos() as u64);

@@ -38,6 +38,14 @@ pub enum StoreError {
     },
     /// Stored bytes failed to decode.
     Corrupt(String),
+    /// Another writer holds the store: its lock file is locked.
+    Locked {
+        /// The store root.
+        store: String,
+        /// The pid the holder wrote into the lock file (empty when it
+        /// could not be read).
+        holder: String,
+    },
     /// Underlying I/O failure (directory backend) or injected fault.
     Io(std::io::Error),
     /// An I/O failure with the operation and path that hit it, so a full
@@ -63,6 +71,12 @@ impl fmt::Display for StoreError {
                 write!(f, "range {offset}+{len} outside object {name:?} of size {size}")
             }
             StoreError::Corrupt(msg) => write!(f, "corrupt object: {msg}"),
+            StoreError::Locked { store, holder } if holder.is_empty() => {
+                write!(f, "store {store} is open for writes by another process")
+            }
+            StoreError::Locked { store, holder } => {
+                write!(f, "store {store} is open for writes by pid {holder}")
+            }
             StoreError::Io(e) => write!(f, "I/O error: {e}"),
             StoreError::IoAt { op, path, source } => {
                 write!(f, "I/O error: {op} {path}: {source}")

@@ -9,7 +9,9 @@
 //!   describing the data blocks inside one DiskChunk; the *only* files
 //!   updated during deduplication (by HHR).
 //! * **Hooks** — sampled hash values, each a tiny file holding the 20-byte
-//!   address of the Manifest it belongs to; immutable once written.
+//!   address of the Manifest it belongs to; immutable once written. (The
+//!   directory backend keeps them as records of one log instead; the
+//!   ledger still charges each an inode, as the paper counts them.)
 //! * **FileManifests** — the per-input-file recipes used to reconstruct the
 //!   original files.
 //!
@@ -35,6 +37,7 @@ mod batched;
 mod chunk_store;
 mod error;
 mod file_manifest;
+mod hook_log;
 mod iostats;
 mod ledger;
 mod manifest;

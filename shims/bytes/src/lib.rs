@@ -1,9 +1,10 @@
 //! In-tree, offline facade for the `bytes` crate: a cheaply-cloneable,
 //! sliceable, immutable byte buffer (see `shims/README.md`).
 //!
-//! [`Bytes`] is an `Arc<[u8]>` plus a window; `clone` and `slice` are O(1)
-//! and never copy, which is the property the workload generator and the
-//! staged pipeline rely on.
+//! [`Bytes`] is an `Arc<Vec<u8>>` plus a window; `clone` and `slice` are
+//! O(1) and never copy, which is the property the workload generator and
+//! the staged pipeline rely on, and — as in the real crate — `From<Vec<u8>>`
+//! takes the vector's buffer without copying it.
 
 #![warn(missing_docs)]
 
@@ -13,13 +14,13 @@ use std::sync::Arc;
 /// A cheaply-cloneable immutable byte buffer.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     len: usize,
 }
 
 impl Bytes {
-    /// Creates an empty buffer (no allocation).
+    /// Creates an empty buffer.
     pub fn new() -> Self {
         Bytes::default()
     }
@@ -81,7 +82,7 @@ impl AsRef<[u8]> for Bytes {
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let len = v.len();
-        Bytes { data: Arc::from(v), start: 0, len }
+        Bytes { data: Arc::new(v), start: 0, len }
     }
 }
 

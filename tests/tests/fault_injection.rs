@@ -312,11 +312,23 @@ fn crash_matrix_during_hhr_recovers_day0() {
 /// overlay is lost, and what reached the directory must recover to a
 /// healthy store that restores day 0 byte-identically. The kind-by-kind
 /// flush barrier is what keeps a referrer off disk until its referees are.
+///
+/// The Hook log's appends are physical writes like any other: at least
+/// one index of the matrix tears one, leaving a torn tail that recovery
+/// drops (counted in `tmp_files_removed` beyond the `.tmp` files).
 #[test]
 fn crash_matrix_during_pooled_hhr_recovers_day0() {
     let (day0, day1) = hhr_backup_pair();
     let config = IoConfig { threads: 3, batch_ops: 4, ..IoConfig::default() };
+    let tmp_files = |dir: &std::path::Path| -> usize {
+        [FileKind::DiskChunk, FileKind::Manifest, FileKind::FileManifest]
+            .iter()
+            .flat_map(|k| std::fs::read_dir(dir.join(k.dir_name())).unwrap())
+            .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().ends_with(".tmp"))
+            .count()
+    };
     let mut torn = 0;
+    let mut torn_log_tails = 0;
     loop {
         let dir = temp_dir("pooled-matrix");
         let backend = BatchedDirBackend::create_with(&dir, config).unwrap();
@@ -331,8 +343,10 @@ fn crash_matrix_during_pooled_hhr_recovers_day0() {
             std::fs::remove_dir_all(&dir).unwrap();
             break;
         }
+        let debris = tmp_files(&dir);
         let mut on_disk = Substrate::new(DirBackend::create(&dir).unwrap());
-        on_disk.recover().unwrap();
+        let report = on_disk.recover().unwrap();
+        torn_log_tails += report.tmp_files_removed - debris;
         let fsck = check_store(&mut on_disk);
         assert!(fsck.is_healthy(), "torn write {torn}: {:?}", fsck.problems);
         let restored = mhd_core::restore::restore_file(&mut on_disk, "day0/disk.img")
@@ -344,6 +358,7 @@ fn crash_matrix_during_pooled_hhr_recovers_day0() {
         torn += 1;
     }
     assert!(torn >= 2, "backup 2 made {torn} writes: the matrix proves nothing");
+    assert!(torn_log_tails > 0, "no torn write of the {torn} hit the Hook log");
 }
 
 /// The batched backend with worker threads and fsync durability must

@@ -366,16 +366,15 @@ fn read_view_leaves_wip_records_and_tmp_files_alone() {
 }
 
 /// Nor does a read create anything: over a store missing `intent/` and
-/// `hooks/`, a listing and a restore leave both absent.
+/// its Hook log, a listing and a restore leave both absent.
 #[test]
 fn read_view_creates_no_directory() {
     let (_, first, _) = stream_pairs().swap_remove(0);
     let root = temp_root("readview-nodirs");
     backup(FrontEnd::Cli, &root, &first);
     let gone = [root.join("intent"), root.join(FileKind::Hook.dir_name())];
-    for dir in &gone {
-        std::fs::remove_dir_all(dir).unwrap();
-    }
+    std::fs::remove_dir_all(&gone[0]).unwrap();
+    std::fs::remove_file(&gone[1]).unwrap();
 
     assert_eq!(recipes(&root), vec!["t_d-0_f0".to_string()]);
     let restored = restore_file(&mut statefile::read_view(&root).unwrap(), "t/d-0/f0").unwrap();
@@ -383,5 +382,96 @@ fn read_view_creates_no_directory() {
     for dir in &gone {
         assert!(!dir.exists(), "{} must not be created by a read", dir.display());
     }
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// A store as an older build left it — one file per Hook under `hooks/`,
+/// no writer lock — opens under either front end: its Hooks move into the
+/// log once, one more backup deduplicates against the old data, the deep
+/// scrub is clean and every stream restores byte-exactly.
+#[test]
+fn an_older_stores_hook_files_move_into_the_log_once() {
+    let (first, second) = (xorshift_bytes(60_000, 41), xorshift_bytes(60_000, 42));
+    for reader in [FrontEnd::Cli, FrontEnd::Daemon] {
+        let root = temp_root(&format!("upgrade-{reader:?}"));
+        backup(FrontEnd::Cli, &root, &first);
+        backup(FrontEnd::Daemon, &root, &second);
+        let mut view = statefile::read_view(&root).unwrap();
+        let hooks: Vec<(String, Vec<u8>)> = view
+            .backend_mut()
+            .list(FileKind::Hook)
+            .into_iter()
+            .map(|name| {
+                let payload = view.backend_mut().get(FileKind::Hook, &name).unwrap().to_vec();
+                (name, payload)
+            })
+            .collect();
+        assert!(hooks.len() > 2, "the store must have Hooks to move");
+        let log = root.join(FileKind::Hook.dir_name());
+        std::fs::remove_file(&log).unwrap();
+        std::fs::remove_file(root.join("session/lock")).unwrap();
+        std::fs::create_dir(&log).unwrap();
+        for (name, payload) in &hooks {
+            std::fs::write(log.join(name), payload).unwrap();
+        }
+
+        // The retaken third stream repeats the first: it must dedup
+        // against Hooks only the old files held.
+        let grown = backup(reader, &root, &first);
+        assert!(grown < first.len() as u64 / 5, "{reader:?}: grew {grown} against the old Hooks");
+        assert!(log.is_file() && !root.join(".hooks.old").exists(), "{reader:?}");
+        let mut opened = cli_open(&root);
+        let moved: Vec<String> = hooks.iter().map(|(name, _)| name.clone()).collect();
+        let backend = opened.engine.substrate_mut().backend_mut();
+        assert!(moved.iter().all(|name| backend.exists(FileKind::Hook, name)), "{reader:?}");
+        let mut report = check_store(opened.engine.substrate_mut());
+        report.problems.extend(mhd_core::fsck::scrub(opened.engine.substrate_mut()).problems);
+        assert!(report.is_healthy(), "{reader:?}: {:?}", report.problems);
+        drop(opened);
+        for (n, data) in [(0, &first), (1, &second), (2, &first)] {
+            let name = format!("{}/f0", stream(n));
+            let restored = restore_file(&mut statefile::read_view(&root).unwrap(), &name).unwrap();
+            assert_eq!(&restored, data, "{reader:?}: {name}");
+        }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+}
+
+/// A write-open drops a torn last Hook record — the append a kill cut
+/// short — and the store checks clean; a flipped byte inside a committed
+/// record fails the open (and so `mhd fsck`) naming the log and the
+/// record, and no Hook is dropped.
+#[test]
+fn a_torn_hook_record_is_dropped_and_a_damaged_one_is_reported() {
+    let (_, first, second) = stream_pairs().swap_remove(0);
+    let root = temp_root("hook-records");
+    backup(FrontEnd::Cli, &root, &first);
+    backup(FrontEnd::Cli, &root, &second);
+    let log = root.join(FileKind::Hook.dir_name());
+    let whole = std::fs::read(&log).unwrap();
+    let hooks = statefile::read_view(&root).unwrap().backend_mut().count(FileKind::Hook);
+
+    // A torn append: the first 30 bytes of a record.
+    let record = whole[8..8 + 72].to_vec();
+    std::fs::write(&log, [&whole[..], &record[..30]].concat()).unwrap();
+    let mut opened = cli_open(&root);
+    assert_eq!(opened.recovery.tmp_files_removed, 1, "{}", opened.recovery);
+    assert!(check_store(opened.engine.substrate_mut()).is_healthy());
+    assert_eq!(opened.engine.substrate_mut().backend_mut().count(FileKind::Hook), hooks);
+    drop(opened);
+    // Rewritten in name order, without the torn record.
+    let rewritten = std::fs::read(&log).unwrap();
+    assert_eq!(rewritten.len(), whole.len(), "the torn record is gone from the log");
+    let whole = rewritten;
+
+    // Damage inside the second record.
+    let mut damaged = whole.clone();
+    damaged[8 + 72 + 30] ^= 0x01;
+    std::fs::write(&log, &damaged).unwrap();
+    let new_store = StoreMeta { ecs: 512, sd: 8, streams: 0, chunker: ChunkerKind::Rabin };
+    let err = statefile::open_write(&root, new_store, IoConfig::default(), |b| b).err().unwrap();
+    let want = format!("{}: record 1 at byte 80: checksum mismatch", log.display());
+    assert!(err.to_string().contains(&want), "{err}");
+    assert!(std::fs::read(&log).unwrap() == damaged, "a damaged log is left as it is");
     std::fs::remove_dir_all(&root).unwrap();
 }
