@@ -12,10 +12,11 @@
 #      once a byte of a copy is flipped; a byte flipped inside a committed
 #      record of a copy's Hook log fails `mhd fsck` naming the record),
 #      and a store torn between flush and persist recovered by `mhd` and
-#      by `mhd serve`; none of these stores, nor stage 5's, holds a
+#      by `mhd serve`; none of these stores, nor stage 4's or 5's, holds a
 #      `session/bloom.bin` or `session/idmaps.bin` (both are derived at
-#      open, never persisted) or a per-Hook file (Hooks are records of
-#      the one log `hooks`)
+#      open, never persisted), an `intent/` directory (no write keeps an
+#      overwrite record) or a per-Hook file (Hooks are records of the one
+#      log `hooks`)
 #   3. feature matrix — the obs-disabled workspace still builds, and the
 #      store/core crash-safety tests pass with obs compiled out
 #   4. determinism — two same-seed `table1`/`table2`/`chunker_bench`
@@ -59,7 +60,8 @@ cd "$(dirname "$0")"
 step() { printf '\n==> %s\n' "$*"; }
 
 # Fails if the store at $1 persisted a sidecar older stores kept: the
-# Bloom filter and the Manifest sizes are derived from the objects.
+# Bloom filter and the Manifest sizes are derived from the objects, and
+# no write keeps an overwrite intent record under intent/.
 no_sidecars() {
     for f in bloom.bin idmaps.bin; do
         if [[ -e "$1/session/$f" ]]; then
@@ -67,6 +69,10 @@ no_sidecars() {
             exit 1
         fi
     done
+    if [[ -e "$1/intent" ]]; then
+        echo "error: $1 holds intent/" >&2
+        exit 1
+    fi
 }
 
 # Fails if the store at $1 keeps a Hook as a file of its own: every Hook
@@ -223,6 +229,7 @@ for exhibit in table1 table2 chunker_bench; do
 done
 ./target/release/mhd backup "$SMOKE/src" --store "$SMOKE/trace-store" --trace > /dev/null
 ./target/release/mhd trace --store "$SMOKE/trace-store" --format chrome -o "$SMOKE/trace.json"
+no_sidecars "$SMOKE/trace-store"
 if [[ ! -s "$SMOKE/trace.json" ]]; then
     echo "error: mhd trace wrote an empty Chrome trace" >&2
     exit 1

@@ -109,6 +109,38 @@ fn a_second_writer_is_refused_by_name() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
+/// `--io-threads` and `--durability` are input from outside the program:
+/// a thread count above the limit and a level other than `rename|fsync`
+/// are refused by name, the first before any thread is started. A backup
+/// the flags allow writes no `intent/` directory.
+#[test]
+fn out_of_range_io_flags_are_refused() {
+    let root = temp_root("io-flags");
+    let (src, store) = (source(&root, "src", 100_000, 5), root.join("store"));
+    let (src_arg, store_arg) = (src.to_str().unwrap(), store.to_str().unwrap());
+    let with = |flag: &str, value: &str| {
+        run(&["backup", src_arg, "--store", store_arg, "--label", "s", flag, value])
+    };
+
+    let out = with("--io-threads", "100000");
+    let want = "100000 I/O threads asked for; the limit is 64";
+    assert!(!out.status.success() && text(&out.stderr).contains(want), "{}", text(&out.stderr));
+    assert!(!store.join("chunks").exists(), "no layout behind a refused thread count");
+
+    let out = with("--durability", "none");
+    let want = "unknown durability level \"none\" (rename|fsync)";
+    assert!(!out.status.success() && text(&out.stderr).contains(want), "{}", text(&out.stderr));
+
+    for level in ["rename", "fsync"] {
+        assert_ok(&with("--durability", level), level);
+    }
+    assert!(!store.join("intent").exists(), "a backup writes no intent/");
+    assert_ok(&run(&["fsck", "--store", store_arg, "--deep"]), "fsck");
+    assert_restores(&store, "s-0", &src, &root);
+    assert_restores(&store, "s-1", &src, &root);
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
 /// Two `mhd backup` processes started together on one store: each either
 /// commits or is refused by name, never both at once, and the store that
 /// results is sound and restores what was committed.

@@ -50,9 +50,11 @@ use crate::{Deduplicator, EngineConfig, EngineResult, MhdEngine, MhdState};
 const STATE: &str = "session/state.json";
 const META: &str = "session/meta.json";
 const LOCK: &str = "session/lock";
-/// Sidecars older stores persisted beside `state.json` (the Bloom filter,
-/// the Manifest sizes); [`open_write`] removes them.
-const LEGACY_SIDECARS: [&str; 2] = ["session/bloom.bin", "session/idmaps.bin"];
+/// What older stores kept and nothing reads: the sidecars beside
+/// `state.json` (the Bloom filter, the Manifest sizes) and the directory
+/// of overwrite intent records, which recovery never acted on.
+/// [`open_write`] removes them.
+const LEGACY: [&str; 3] = ["session/bloom.bin", "session/idmaps.bin", "intent"];
 
 /// Directory holding the per-stream intent records.
 pub fn wip_dir(root: &Path) -> PathBuf {
@@ -226,14 +228,13 @@ fn lock_writer(root: &Path) -> StoreResult<WriterLock> {
 // ----- open, recover, roll back ----------------------------------------------
 
 /// What opening a store for writes undid: the backend's own pass over tmp
-/// files and write intents, then the rollback above the commit watermark.
+/// files and the Hook log's tail, then the rollback above the commit
+/// watermark.
 #[derive(Debug, Default, Clone, PartialEq, Eq, Serialize)]
 pub struct RecoverySummary {
     /// Torn writes undone by the backend's own recovery: tmp files
     /// removed, and a torn tail dropped from the Hook log.
     pub tmp_files_removed: u64,
-    /// Write intents resolved by the backend's own recovery.
-    pub intents_resolved: u64,
     /// Torn streams rolled back from `daemon/wip` intent records.
     pub sessions_rolled_back: u64,
     /// Recipes (FileManifests) of torn streams deleted.
@@ -257,10 +258,9 @@ impl std::fmt::Display for RecoverySummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "undid {} torn write(s), resolved {} write intent(s); rolled back {} torn \
-             session(s) ({} recipes, {} chunks, {} manifests, {} hooks)",
+            "undid {} torn write(s); rolled back {} torn session(s) ({} recipes, {} chunks, \
+             {} manifests, {} hooks)",
             self.tmp_files_removed,
-            self.intents_resolved,
             self.sessions_rolled_back,
             self.recipes_rolled_back,
             self.chunks_rolled_back,
@@ -346,11 +346,11 @@ impl<B: Backend> OpenedStore<B> {
 /// or `new_store` → [`BatchedDirBackend`] (which loads the Hook log,
 /// moving an older store's per-Hook files into it once; wrapped by
 /// `wrap`, so a front end can layer its index or fault injection
-/// underneath the engine) → [`Backend::recover`] (torn tmp files, write
-/// intents, a torn tail of the Hook log) → `state.json` → rollback of
-/// everything above the commit watermark → engine with the state
-/// imported (which rebuilds the Bloom filter from the Hook log's index as
-/// the rollback left it) → removal of an older store's sidecars.
+/// underneath the engine) → [`Backend::recover`] (torn tmp files, a torn
+/// tail of the Hook log) → `state.json` → rollback of everything above the
+/// commit watermark → engine with the state imported (which rebuilds the
+/// Bloom filter from the Hook log's index as the rollback left it) →
+/// removal of an older store's sidecars and `intent/` directory.
 pub fn open_write<B: Backend>(
     root: &Path,
     new_store: StoreMeta,
@@ -373,7 +373,6 @@ pub fn open_write<B: Backend>(
         .map_or((0, 0), |s| (s.substrate.next_chunk_id, s.substrate.next_manifest_id));
     let mut recovery = RecoverySummary {
         tmp_files_removed: backend_recovery.tmp_files_removed as u64,
-        intents_resolved: backend_recovery.intents_resolved as u64,
         ..RecoverySummary::default()
     };
     rollback_above_watermark(
@@ -390,9 +389,14 @@ pub fn open_write<B: Backend>(
     if let Some(state) = state {
         engine.import_state(state)?;
     }
-    for legacy in LEGACY_SIDECARS {
+    for legacy in LEGACY {
         let path = root.join(legacy);
-        match std::fs::remove_file(&path) {
+        let removed = if path.is_dir() {
+            std::fs::remove_dir_all(&path)
+        } else {
+            std::fs::remove_file(&path)
+        };
+        match removed {
             Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
                 return Err(io_at("remove", &path, e).into());
             }
@@ -594,8 +598,9 @@ mod tests {
     }
 
     /// An older store kept the Bloom filter and the Manifest sizes in
-    /// sidecars and named both in `state.json`: it still opens, and a
-    /// write-open deletes the sidecars. A read leaves them alone.
+    /// sidecars and named both in `state.json`, and overwrite records in
+    /// `intent/`: it still opens, and a write-open deletes the sidecars
+    /// and the directory. A read leaves them alone.
     #[test]
     fn an_older_stores_sidecars_are_removed_at_write_open() {
         let root = temp_root("legacy");
@@ -608,17 +613,21 @@ mod tests {
         );
         assert!(older_json.contains(r#""substrate":{"manifest_sizes":[],"#), "{state_json}");
         std::fs::write(root.join(STATE), older_json).unwrap();
-        for legacy in LEGACY_SIDECARS {
+        for legacy in &LEGACY[..2] {
             std::fs::write(root.join(legacy), b"older sidecar").unwrap();
         }
+        std::fs::create_dir(root.join(LEGACY[2])).unwrap();
+        std::fs::write(root.join(LEGACY[2]).join("manifests__0"), b"0").unwrap();
 
         assert_eq!(load_state(&root).unwrap().unwrap().input_bytes, 77);
         read_view(&root).unwrap().list_file_manifests();
         assert_eq!(session_files(&root), ["bloom.bin", "idmaps.bin", "meta.json", "state.json"]);
+        assert!(root.join(LEGACY[2]).exists());
         let opened = open_write(&root, meta(), IoConfig::default(), |b| b).unwrap();
         assert_eq!(opened.engine.export_state().input_bytes, 77);
         // What remains beside the two state files is the writer's lock.
         assert_eq!(session_files(&root), ["lock", "meta.json", "state.json"]);
+        assert!(!root.join(LEGACY[2]).exists());
         std::fs::remove_dir_all(&root).unwrap();
     }
 

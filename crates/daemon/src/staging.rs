@@ -268,7 +268,7 @@ impl Backend for StagingBackend {
 mod tests {
     use super::*;
     use mhd_hash::sha1;
-    use mhd_store::{Durability, ManifestId};
+    use mhd_store::ManifestId;
 
     fn temp_root(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -284,7 +284,7 @@ mod tests {
     #[test]
     fn overlay_shadows_and_merges_with_base() {
         let root = temp_root("overlay");
-        let mut base = DirBackend::create_with(&root, Durability::None).unwrap();
+        let mut base = DirBackend::create(&root).unwrap();
         base.put(FileKind::DiskChunk, "base", b"old").unwrap();
         base.put(FileKind::Manifest, "m1", b"manifest-v1").unwrap();
         let shared = sha1(b"a shared chunk");

@@ -17,16 +17,14 @@
 //! and `update` of a file lands in a hidden `.*.tmp` sibling and is
 //! atomically renamed over the target, and Hooks, which all live in one
 //! log, are appended to it as checksummed records (a torn append is
-//! dropped at the next open; see `hook_log.rs`). The [`Durability`] level
-//! controls what happens around that rename:
+//! dropped at the next open; see `hook_log.rs`). A crash therefore leaves
+//! every object holding either its old or its new bytes, and at most a
+//! tmp file, which [`DirBackend::recover`] removes: that is the rollback
+//! of a write that never committed. The [`Durability`] level controls
+//! what happens around that rename:
 //!
-//! * [`Durability::None`] — tmp + rename only (atomic against torn writes,
-//!   no fsync, no intent records; fastest, for tests and benches).
-//! * [`Durability::Rename`] — additionally records a write-ahead *intent*
-//!   file under `root/intent/` before every overwrite, removed once the
-//!   rename commits. [`DirBackend::recover`] uses leftover intents and tmp
-//!   files to detect and roll back a rewrite that was in flight at crash
-//!   time.
+//! * [`Durability::Rename`] — tmp + rename only: crash-consistent against
+//!   process death.
 //! * [`Durability::Fsync`] — additionally fsyncs the tmp file before the
 //!   rename and the parent directory after it, and the Hook log after
 //!   each append, so a committed object survives power loss, not just
@@ -101,8 +99,6 @@ impl FileKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Durability {
     /// tmp + atomic rename, nothing else.
-    None,
-    /// tmp + rename with write-ahead intent records for overwrites.
     #[default]
     Rename,
     /// Like `Rename`, plus fsync of the object before the rename and of
@@ -111,10 +107,9 @@ pub enum Durability {
 }
 
 impl Durability {
-    /// Parses a CLI-style level name (`none`, `rename`, `fsync`).
+    /// Parses a CLI-style level name (`rename`, `fsync`).
     pub fn parse(s: &str) -> Option<Durability> {
         match s {
-            "none" => Some(Durability::None),
             "rename" => Some(Durability::Rename),
             "fsync" => Some(Durability::Fsync),
             _ => None,
@@ -124,7 +119,6 @@ impl Durability {
     /// The CLI-style level name.
     pub fn name(&self) -> &'static str {
         match self {
-            Durability::None => "none",
             Durability::Rename => "rename",
             Durability::Fsync => "fsync",
         }
@@ -139,18 +133,12 @@ pub struct RecoveryReport {
     /// content), and a torn tail dropped from the Hook log (an append
     /// that never completed; the records before it are intact).
     pub tmp_files_removed: usize,
-    /// Write-ahead intent records cleared. Each one marks an overwrite
-    /// that was in flight when the store was last open; thanks to the
-    /// atomic rename the target holds either the old or the new bytes, so
-    /// clearing the intent completes the rollback (tmp removed) or the
-    /// commit (rename already done).
-    pub intents_resolved: usize,
 }
 
 impl RecoveryReport {
     /// True when the store was already clean (nothing was in flight).
     pub fn is_clean(&self) -> bool {
-        self.tmp_files_removed == 0 && self.intents_resolved == 0
+        self.tmp_files_removed == 0
     }
 }
 
@@ -221,7 +209,7 @@ pub trait Backend {
     }
 
     /// Detects and rolls back mutations that were in flight when the store
-    /// was last open (torn tmp files, unresolved overwrite intents). A
+    /// was last open (torn tmp files, a torn tail of the Hook log). A
     /// no-op for backends without crash state.
     fn recover(&mut self) -> StoreResult<RecoveryReport> {
         Ok(RecoveryReport::default())
@@ -339,11 +327,6 @@ pub fn safe_name(name: &str) -> String {
     name.chars().map(|c| if c == '/' || c == '\\' { '_' } else { c }).collect()
 }
 
-/// The directory holding write-ahead intent records.
-fn intent_dir(root: &Path) -> PathBuf {
-    root.join("intent")
-}
-
 pub(crate) fn io_at(op: &'static str, path: &Path, source: std::io::Error) -> StoreError {
     StoreError::IoAt { op, path: path.display().to_string(), source }
 }
@@ -417,9 +400,8 @@ pub(crate) fn torn_write(target: &Path, data: &[u8]) -> StoreError {
 }
 
 /// Directory-tree backend: `root/{chunks,manifests,file_manifests}/`, one
-/// file per object, the Hook log `root/hooks` (`hook_log.rs`: every
-/// Hook one record of it) and `root/intent/` for write-ahead overwrite
-/// records.
+/// file per object, and the Hook log `root/hooks` (`hook_log.rs`: every
+/// Hook one record of it).
 ///
 /// Object names become file names (names used by the substrate are always
 /// hex strings or sanitised paths, so no escaping is needed beyond `/`
@@ -466,8 +448,6 @@ impl DirBackend {
             let dir = backend.root.join(kind.dir_name());
             std::fs::create_dir_all(&dir).map_err(|e| io_at("create dir", &dir, e))?;
         }
-        let intents = intent_dir(&backend.root);
-        std::fs::create_dir_all(&intents).map_err(|e| io_at("create dir", &intents, e))?;
         let log = HookLog::create(&backend.root, durability, backend.tear_in.clone())?;
         *backend.hook_slot() = Some(log);
         Ok(backend)
@@ -476,12 +456,12 @@ impl DirBackend {
     /// A handle on the layout under `root` that creates nothing, for
     /// readers: a missing namespace directory or Hook log reads as empty,
     /// and reads of its objects fail with `NotFound`. Its durability is
-    /// [`Durability::None`]; writers come in through
+    /// the default; writers come in through
     /// [`create_with`](DirBackend::create_with).
     pub fn open(root: impl Into<PathBuf>) -> Self {
         DirBackend {
             root: root.into(),
-            durability: Durability::None,
+            durability: Durability::default(),
             tear_in: Arc::default(),
             hooks: Arc::default(),
         }
@@ -537,37 +517,16 @@ impl DirBackend {
     }
 
     /// The atomic commit path of every `put` and `update` of a kind other
-    /// than Hook, pooled or not: [`write_atomic`], bracketed by a
-    /// write-ahead intent record when the object is already on disk
-    /// (`overwrite`). The caller has checked existence.
-    #[expect(clippy::disallowed_methods, reason = "writes and clears the intent record")]
-    pub(crate) fn commit(
-        &self,
-        kind: FileKind,
-        name: &str,
-        data: &[u8],
-        overwrite: bool,
-    ) -> StoreResult<()> {
+    /// than Hook, pooled or not: [`write_atomic`]. The caller has checked
+    /// existence.
+    pub(crate) fn commit(&self, kind: FileKind, name: &str, data: &[u8]) -> StoreResult<()> {
         let target = self.path(kind, name);
-        // Write-ahead intent: recovery knows an overwrite was in flight
-        // and can clear the torn tmp file it may have left behind.
-        let intent = (overwrite && self.durability != Durability::None).then(|| {
-            intent_dir(&self.root).join(format!("{}__{}", kind.dir_name(), safe_name(name)))
-        });
-        if let Some(intent) = &intent {
-            std::fs::write(intent, name.as_bytes())
-                .map_err(|e| io_at("write intent", intent, e))?;
-        }
         let countdown =
             self.tear_in.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
         if countdown == Ok(1) {
             return Err(torn_write(&target, data));
         }
-        write_atomic(&target, data, self.durability)?;
-        if let Some(intent) = &intent {
-            std::fs::remove_file(intent).map_err(|e| io_at("clear intent", intent, e))?;
-        }
-        Ok(())
+        write_atomic(&target, data, self.durability)
     }
 }
 
@@ -579,7 +538,7 @@ impl Backend for DirBackend {
         if self.path(kind, name).exists() {
             return Err(StoreError::AlreadyExists { kind, name: name.to_string() });
         }
-        self.commit(kind, name, data, false)
+        self.commit(kind, name, data)
     }
 
     fn update(&mut self, kind: FileKind, name: &str, data: &[u8]) -> StoreResult<()> {
@@ -589,7 +548,7 @@ impl Backend for DirBackend {
         if !self.path(kind, name).exists() {
             return Err(StoreError::NotFound { kind, name: name.to_string() });
         }
-        self.commit(kind, name, data, true)
+        self.commit(kind, name, data)
     }
 
     fn get(&mut self, kind: FileKind, name: &str) -> StoreResult<Bytes> {
@@ -756,7 +715,7 @@ impl Backend for DirBackend {
         self.sync_hooks()
     }
 
-    #[expect(clippy::disallowed_methods, reason = "removes torn tmp files and resolved intents")]
+    #[expect(clippy::disallowed_methods, reason = "removes torn tmp files")]
     fn recover(&mut self) -> StoreResult<RecoveryReport> {
         let mut report = RecoveryReport::default();
         // Torn or orphaned tmp files: the rename never happened, so the
@@ -781,19 +740,6 @@ impl Backend for DirBackend {
         }
         // The Hook log's torn replacement or torn tail.
         report.tmp_files_removed += self.with_hooks(HookLog::recover)?;
-        // Intent records: the overwrite either committed (rename done; the
-        // target holds the new bytes) or rolled back above — either way
-        // the store is consistent and the intent is resolved.
-        let intents = intent_dir(&self.root);
-        if intents.exists() {
-            let entries =
-                std::fs::read_dir(&intents).map_err(|e| io_at("read dir", &intents, e))?;
-            for entry in entries.filter_map(|e| e.ok()) {
-                let path = entry.path();
-                std::fs::remove_file(&path).map_err(|e| io_at("clear intent", &path, e))?;
-                report.intents_resolved += 1;
-            }
-        }
         if !report.is_clean() {
             mhd_obs::counter!("store.recoveries").inc();
         }
@@ -1099,7 +1045,7 @@ pub(crate) mod tests {
 
     #[test]
     fn dir_backend_contract() {
-        for durability in [Durability::None, Durability::Rename, Durability::Fsync] {
+        for durability in [Durability::Rename, Durability::Fsync] {
             let dir = temp_dir(&format!("contract-{}", durability.name()));
             let mut backend = DirBackend::create_with(&dir, durability).unwrap();
             exercise(&mut backend);
@@ -1171,10 +1117,8 @@ pub(crate) mod tests {
             b"manifest v1, intact",
             "in-place content untouched by torn rewrite"
         );
-        // The torn tmp and the unresolved intent are visible to recovery…
-        let report = b.recover().unwrap();
-        assert_eq!(report.tmp_files_removed, 1);
-        assert_eq!(report.intents_resolved, 1);
+        // The torn tmp is visible to recovery, which removes it…
+        assert_eq!(b.recover().unwrap().tmp_files_removed, 1);
         // …and a second pass is clean.
         assert!(b.recover().unwrap().is_clean());
         assert_eq!(b.list(FileKind::Manifest), vec!["0".to_string()]);
@@ -1278,9 +1222,10 @@ pub(crate) mod tests {
 
     #[test]
     fn durability_parse_round_trips() {
-        for d in [Durability::None, Durability::Rename, Durability::Fsync] {
+        for d in [Durability::Rename, Durability::Fsync] {
             assert_eq!(Durability::parse(d.name()), Some(d));
         }
+        assert_eq!(Durability::parse("none"), None);
         assert_eq!(Durability::parse("paranoid"), None);
     }
 }

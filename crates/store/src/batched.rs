@@ -17,16 +17,13 @@
 //! this means a crash at any flush boundary leaves no dangling reference:
 //! every Manifest on disk points at DiskChunks on disk, every Hook at a
 //! Manifest on disk. Each individual object write goes through the same
-//! tmp + rename (+ intent, + fsync, per [`Durability`]) path as the plain
-//! directory backend, and a batch's Hooks reach the Hook log in one
-//! append, so a crash *inside* a flush is also recoverable.
+//! tmp + rename (+ fsync, per [`Durability`]) path as the plain directory
+//! backend, and a batch's Hooks reach the Hook log in one append, so a
+//! crash *inside* a flush is also recoverable.
 //!
-//! # Read-ahead
-//!
-//! HHR's backward/forward extension reloads stored chunk bytes through
-//! `get_range` in small pieces. With `readahead > 0` the backend pulls the
-//! whole DiskChunk on first touch into a small FIFO cache and serves
-//! subsequent ranges from memory.
+//! Reads of what is no longer pending go straight to the
+//! [`DirBackend`](crate::DirBackend): a `get_range` reads just its range
+//! of the file.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -39,18 +36,21 @@ use crate::{
     safe_name, Backend, DirBackend, Durability, FileKind, RecoveryReport, StoreError, StoreResult,
 };
 
+/// The most worker threads [`BatchedDirBackend::create_with`] starts: a
+/// larger [`IoConfig::threads`] is refused before any is spawned.
+pub const MAX_IO_THREADS: usize = 64;
+
 /// Tuning knobs for [`BatchedDirBackend`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoConfig {
     /// Worker threads servicing write batches (`0` = write inline on the
-    /// caller thread; batching and crash ordering still apply).
+    /// caller thread; batching and crash ordering still apply), at most
+    /// [`MAX_IO_THREADS`].
     pub threads: usize,
     /// Flush automatically once this many mutations are pending.
     pub batch_ops: usize,
     /// Flush automatically once this many payload bytes are pending.
     pub batch_bytes: usize,
-    /// DiskChunk read-ahead cache capacity in objects (`0` = off).
-    pub readahead: usize,
     /// Durability level for every committed write.
     pub durability: Durability,
 }
@@ -61,7 +61,6 @@ impl Default for IoConfig {
             threads: 4,
             batch_ops: 128,
             batch_bytes: 4 << 20,
-            readahead: 8,
             durability: Durability::default(),
         }
     }
@@ -105,12 +104,12 @@ impl WorkerPool {
                 .spawn(move || {
                     loop {
                         // The receiver lock is held for this statement
-                        // alone, never across a write (`sync.rs`).
+                        // alone, never across a write.
                         let job = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
                         let Ok(job) = job else { break };
                         let mut result = Ok(());
                         for (name, p) in &job.writes {
-                            result = writer.commit(job.kind, name, &p.data, p.update);
+                            result = writer.commit(job.kind, name, &p.data);
                             if result.is_err() {
                                 break;
                             }
@@ -132,44 +131,12 @@ impl WorkerPool {
     }
 }
 
-/// A simple FIFO cache of whole DiskChunk payloads for the HHR reload
-/// path. (Deliberately not the LRU from `mhd-cache`: that crate depends on
-/// this one.)
-struct ReadaheadCache {
-    capacity: usize,
-    entries: Vec<(String, Bytes)>,
-}
-
-impl ReadaheadCache {
-    fn new(capacity: usize) -> Self {
-        ReadaheadCache { capacity, entries: Vec::new() }
-    }
-
-    fn get(&self, name: &str) -> Option<&Bytes> {
-        self.entries.iter().find(|(n, _)| n == name).map(|(_, b)| b)
-    }
-
-    fn insert(&mut self, name: String, data: Bytes) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.entries.len() >= self.capacity {
-            self.entries.remove(0);
-        }
-        self.entries.push((name, data));
-    }
-
-    fn invalidate(&mut self, name: &str) {
-        self.entries.retain(|(n, _)| n != name);
-    }
-}
-
 /// Batched, crash-safe directory backend. See the module docs.
 ///
-/// The overlay and the read-ahead cache are keyed by [`safe_name`], the
-/// name the object has on disk: two names that sanitise to one object
-/// are one object here too, so a colliding `put` fails with
-/// `AlreadyExists` exactly as on a write-through [`DirBackend`].
+/// The overlay is keyed by [`safe_name`], the name the object has on
+/// disk: two names that sanitise to one object are one object here too,
+/// so a colliding `put` fails with `AlreadyExists` exactly as on a
+/// write-through [`DirBackend`].
 ///
 /// Dropping the backend flushes pending writes best-effort; call
 /// [`Backend::flush`] explicitly (the engines do, in `finish()`) to observe
@@ -180,7 +147,6 @@ pub struct BatchedDirBackend {
     pending: [BTreeMap<String, Pending>; 4],
     pending_bytes: usize,
     pool: Option<WorkerPool>,
-    readahead: ReadaheadCache,
 }
 
 impl BatchedDirBackend {
@@ -189,22 +155,23 @@ impl BatchedDirBackend {
         Self::create_with(root, IoConfig::default())
     }
 
-    /// Creates the store layout under `root` with explicit tuning.
+    /// Creates the store layout under `root` with explicit tuning. More
+    /// than [`MAX_IO_THREADS`] threads is an error, before anything is
+    /// created or spawned.
     pub fn create_with(root: impl Into<PathBuf>, config: IoConfig) -> StoreResult<Self> {
+        if config.threads > MAX_IO_THREADS {
+            return Err(StoreError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("{} I/O threads asked for; the limit is {MAX_IO_THREADS}", config.threads),
+            )));
+        }
         let inner = DirBackend::create_with(root, config.durability)?;
         let pool = if config.threads > 0 {
             Some(WorkerPool::spawn(config.threads, inner.clone())?)
         } else {
             None
         };
-        Ok(BatchedDirBackend {
-            inner,
-            config,
-            pending: Default::default(),
-            pending_bytes: 0,
-            pool,
-            readahead: ReadaheadCache::new(config.readahead),
-        })
+        Ok(BatchedDirBackend { inner, config, pending: Default::default(), pending_bytes: 0, pool })
     }
 
     /// The store root directory.
@@ -247,9 +214,6 @@ impl BatchedDirBackend {
         update: bool,
     ) -> StoreResult<()> {
         self.pending_bytes += data.len();
-        if kind == FileKind::DiskChunk {
-            self.readahead.invalidate(name);
-        }
         if let Some(replaced) = self
             .pending_mut(kind)
             .insert(name.to_string(), Pending { data: Bytes::copy_from_slice(data), update })
@@ -322,9 +286,7 @@ impl BatchedDirBackend {
                     None => Ok(()),
                 }
             }
-            None => drained
-                .iter()
-                .try_for_each(|(name, p)| self.inner.commit(kind, name, &p.data, p.update)),
+            None => drained.iter().try_for_each(|(name, p)| self.inner.commit(kind, name, &p.data)),
         }
     }
 }
@@ -359,12 +321,6 @@ impl Backend for BatchedDirBackend {
         if let Some(p) = self.pending_of(kind).get(name) {
             return Ok(p.data.clone());
         }
-        if let Some(cached) = self.readahead.get(name) {
-            if kind == FileKind::DiskChunk {
-                mhd_obs::counter!("store.readahead_hits").inc();
-                return Ok(cached.clone());
-            }
-        }
         self.inner.get(kind, name)
     }
 
@@ -376,33 +332,13 @@ impl Backend for BatchedDirBackend {
         len: u64,
     ) -> StoreResult<Bytes> {
         let name = &safe_name(name);
-        let slice = |obj: &Bytes| -> StoreResult<Bytes> {
-            let end = offset.checked_add(len).filter(|&e| e <= obj.len() as u64).ok_or(
-                StoreError::OutOfRange {
-                    name: name.to_string(),
-                    offset,
-                    len,
-                    size: obj.len() as u64,
-                },
-            )?;
-            Ok(obj.slice(offset as usize..end as usize))
-        };
         if let Some(p) = self.pending_of(kind).get(name) {
-            let data = p.data.clone();
-            return slice(&data);
-        }
-        if kind == FileKind::DiskChunk && self.config.readahead > 0 {
-            if let Some(cached) = self.readahead.get(name) {
-                mhd_obs::counter!("store.readahead_hits").inc();
-                let cached = cached.clone();
-                return slice(&cached);
-            }
-            // Prefetch the whole chunk: HHR's backward/forward extension
-            // walks ranges of the same object.
-            let whole = self.inner.get(kind, name)?;
-            mhd_obs::counter!("store.readahead_fills").inc();
-            self.readahead.insert(name.to_string(), whole.clone());
-            return slice(&whole);
+            let size = p.data.len() as u64;
+            let end = offset
+                .checked_add(len)
+                .filter(|&e| e <= size)
+                .ok_or(StoreError::OutOfRange { name: name.to_string(), offset, len, size })?;
+            return Ok(p.data.slice(offset as usize..end as usize));
         }
         self.inner.get_range(kind, name, offset, len)
     }
@@ -439,9 +375,6 @@ impl Backend for BatchedDirBackend {
 
     fn delete(&mut self, kind: FileKind, name: &str) -> StoreResult<()> {
         let name = &safe_name(name);
-        if kind == FileKind::DiskChunk {
-            self.readahead.invalidate(name);
-        }
         let removed = self.pending_mut(kind).remove(name);
         if let Some(p) = &removed {
             // The dropped mutation no longer counts toward the batch
@@ -518,7 +451,6 @@ mod tests {
                 "fsync",
                 IoConfig { threads: 2, durability: Durability::Fsync, ..IoConfig::default() },
             ),
-            ("no-readahead", IoConfig { readahead: 0, ..IoConfig::default() }),
         ]
     }
 
@@ -532,6 +464,18 @@ mod tests {
             drop(backend);
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    #[test]
+    fn too_many_io_threads_are_refused_before_anything_is_made() {
+        let dir = temp_dir("max-threads");
+        let config = IoConfig { threads: MAX_IO_THREADS + 1, ..IoConfig::default() };
+        let err = BatchedDirBackend::create_with(&dir, config).err().unwrap();
+        assert_eq!(err.to_string(), "I/O error: 65 I/O threads asked for; the limit is 64");
+        assert!(!dir.exists(), "a refused config creates nothing");
+        let config = IoConfig { threads: MAX_IO_THREADS, ..IoConfig::default() };
+        drop(BatchedDirBackend::create_with(&dir, config).unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -610,7 +554,7 @@ mod tests {
         assert_eq!(b.pending_ops(), 1, "three mutations, one queued write");
         b.flush().unwrap();
         assert_eq!(&b.get(FileKind::Manifest, "m").unwrap()[..], b"v3");
-        // No intent was needed: the coalesced write was a fresh put.
+        // The coalesced write was a fresh put: nothing is left to recover.
         assert!(b.recover().unwrap().is_clean());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -656,39 +600,16 @@ mod tests {
     }
 
     #[test]
-    fn readahead_serves_ranges_from_one_fill() {
-        let dir = temp_dir("readahead");
-        let config = IoConfig { threads: 0, readahead: 4, ..IoConfig::default() };
-        let mut b = BatchedDirBackend::create_with(&dir, config).unwrap();
-        let payload: Vec<u8> = (0..=255u8).cycle().take(4096).collect();
-        b.put(FileKind::DiskChunk, "c", &payload).unwrap();
-        b.flush().unwrap();
-        for offset in [0u64, 100, 2048, 4000] {
-            let got = b.get_range(FileKind::DiskChunk, "c", offset, 96).unwrap();
-            assert_eq!(&got[..], &payload[offset as usize..offset as usize + 96]);
-        }
-        assert!(matches!(
-            b.get_range(FileKind::DiskChunk, "c", 4090, 100),
-            Err(StoreError::OutOfRange { .. })
-        ));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn update_of_pending_manifest_never_serves_stale_bytes() {
-        // Regression guard for the suspected read-ahead stale-read window:
-        // a manifest that is updated while an earlier version is still
+        // A manifest that is updated while an earlier version is still
         // pending in the overlay must be read back as the newest bytes on
-        // every read path, before and after the flush, with the
-        // read-ahead cache enabled. (Manifests are never inserted into
-        // the read-ahead cache — only DiskChunks are — so the window does
-        // not exist; this test pins that down.)
+        // every read path, before and after the flush.
         let dir = temp_dir("stale-manifest");
-        let config = IoConfig { threads: 2, batch_ops: 1000, readahead: 4, ..IoConfig::default() };
+        let config = IoConfig { threads: 2, batch_ops: 1000, ..IoConfig::default() };
         let mut b = BatchedDirBackend::create_with(&dir, config).unwrap();
         b.put(FileKind::Manifest, "m", b"manifest v1").unwrap();
         b.flush().unwrap();
-        // Warm every cache path with the on-disk v1.
+        // Read the on-disk v1 through every read path.
         assert_eq!(&b.get(FileKind::Manifest, "m").unwrap()[..], b"manifest v1");
         assert_eq!(&b.get_range(FileKind::Manifest, "m", 9, 2).unwrap()[..], b"v1");
         // Overwrite while nothing is pending, then again while the first
@@ -702,11 +623,10 @@ mod tests {
         b.flush().unwrap();
         assert_eq!(&b.get(FileKind::Manifest, "m").unwrap()[..], b"manifest v3");
         assert_eq!(&b.get_range(FileKind::Manifest, "m", 9, 2).unwrap()[..], b"v3");
-        // The same dance on a DiskChunk, which *is* read-ahead cached:
-        // the update must invalidate the cached payload.
+        // The same dance on a DiskChunk.
         b.put(FileKind::DiskChunk, "c", b"chunk v1").unwrap();
         b.flush().unwrap();
-        assert_eq!(&b.get_range(FileKind::DiskChunk, "c", 6, 2).unwrap()[..], b"v1"); // fill
+        assert_eq!(&b.get_range(FileKind::DiskChunk, "c", 6, 2).unwrap()[..], b"v1");
         b.update(FileKind::DiskChunk, "c", b"chunk v2").unwrap();
         assert_eq!(&b.get_range(FileKind::DiskChunk, "c", 6, 2).unwrap()[..], b"v2");
         b.flush().unwrap();

@@ -47,7 +47,7 @@ pub use backend::{
     fsync_dir, fsync_file, record_fsyncs, safe_name, write_atomic, Backend, DirBackend, Durability,
     FaultBackend, FaultOp, FaultPoint, FileKind, MemBackend, RecoveryReport,
 };
-pub use batched::{BatchedDirBackend, IoConfig};
+pub use batched::{BatchedDirBackend, IoConfig, MAX_IO_THREADS};
 pub use chunk_store::{DiskChunkBuilder, DiskChunkId};
 pub use error::{StoreError, StoreResult};
 pub use file_manifest::{Extent, FileManifest, EXTENT_BYTES};

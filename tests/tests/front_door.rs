@@ -365,15 +365,15 @@ fn read_view_leaves_wip_records_and_tmp_files_alone() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
-/// Nor does a read create anything: over a store missing `intent/` and
-/// its Hook log, a listing and a restore leave both absent.
+/// Nor does a read create anything: over a store missing its Hook log, a
+/// listing and a restore leave it absent, and make no `intent/` either.
 #[test]
 fn read_view_creates_no_directory() {
     let (_, first, _) = stream_pairs().swap_remove(0);
     let root = temp_root("readview-nodirs");
     backup(FrontEnd::Cli, &root, &first);
     let gone = [root.join("intent"), root.join(FileKind::Hook.dir_name())];
-    std::fs::remove_dir_all(&gone[0]).unwrap();
+    assert!(!gone[0].exists(), "a write-open makes no intent/");
     std::fs::remove_file(&gone[1]).unwrap();
 
     assert_eq!(recipes(&root), vec!["t_d-0_f0".to_string()]);
@@ -429,6 +429,49 @@ fn an_older_stores_hook_files_move_into_the_log_once() {
         assert!(report.is_healthy(), "{reader:?}: {:?}", report.problems);
         drop(opened);
         for (n, data) in [(0, &first), (1, &second), (2, &first)] {
+            let name = format!("{}/f0", stream(n));
+            let restored = restore_file(&mut statefile::read_view(&root).unwrap(), &name).unwrap();
+            assert_eq!(&restored, data, "{reader:?}: {name}");
+        }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+}
+
+/// A store an older build left with an `intent/` directory, holding an
+/// overwrite record of a Manifest rewrite, opens under either front end:
+/// reads leave the directory alone, the first write-open removes it
+/// without counting anything as recovered, the deep scrub is clean and
+/// every stream restores byte-exactly.
+#[test]
+fn an_older_stores_intent_directory_is_removed_at_write_open() {
+    let (first, second) = (xorshift_bytes(60_000, 51), xorshift_bytes(60_000, 52));
+    for reader in [FrontEnd::Cli, FrontEnd::Daemon] {
+        let root = temp_root(&format!("intent-{reader:?}"));
+        backup(FrontEnd::Cli, &root, &first);
+        let intents = root.join("intent");
+        assert!(!intents.exists(), "{reader:?}: a new store has no intent/");
+        let manifest = statefile::read_view(&root).unwrap().backend_mut().list(FileKind::Manifest);
+        let record = format!("manifests__{}", manifest[0]);
+        std::fs::create_dir(&intents).unwrap();
+        std::fs::write(intents.join(record), manifest[0].as_bytes()).unwrap();
+        assert_eq!(recipes(&root), vec!["t_d-0_f0".to_string()]);
+        assert!(intents.exists(), "{reader:?}: a read leaves intent/ alone");
+
+        let recovery = match reader {
+            FrontEnd::Cli => cli_open(&root).recovery,
+            FrontEnd::Daemon => daemon_open(&root).recovery().clone(),
+        };
+        assert!(recovery.is_clean(), "{reader:?}: {recovery}");
+        assert!(!intents.exists(), "{reader:?}: the write-open removes intent/");
+        backup(reader, &root, &second);
+        assert!(!intents.exists(), "{reader:?}");
+
+        let mut opened = cli_open(&root);
+        let mut report = check_store(opened.engine.substrate_mut());
+        report.problems.extend(mhd_core::fsck::scrub(opened.engine.substrate_mut()).problems);
+        assert!(report.is_healthy(), "{reader:?}: {:?}", report.problems);
+        drop(opened);
+        for (n, data) in [(0, &first), (1, &second)] {
             let name = format!("{}/f0", stream(n));
             let restored = restore_file(&mut statefile::read_view(&root).unwrap(), &name).unwrap();
             assert_eq!(&restored, data, "{reader:?}: {name}");
