@@ -10,13 +10,15 @@
 #      (which must have hashed on the SHA extensions if the CPU has them,
 #      and whose deep scrub must pass, and fail naming the damaged entry
 #      once a byte of a copy is flipped; a byte flipped inside a committed
-#      record of a copy's Hook log fails `mhd fsck` naming the record),
+#      record of a copy's Hook log, or of its recipe log, fails `mhd fsck`
+#      naming the log and the record),
 #      and a store torn between flush and persist recovered by `mhd` and
 #      by `mhd serve`; none of these stores, nor stage 4's or 5's, holds a
 #      `session/bloom.bin` or `session/idmaps.bin` (both are derived at
 #      open, never persisted), an `intent/` directory (no write keeps an
-#      overwrite record) or a per-Hook file (Hooks are records of the one
-#      log `hooks`)
+#      overwrite record) or a Hook, Manifest or recipe as a file of its
+#      own (each is a record of its kind's log: `hooks`, `manifests`,
+#      `file_manifests`)
 #   3. feature matrix — the obs-disabled workspace still builds, and the
 #      store/core crash-safety tests pass with obs compiled out
 #   4. determinism — two same-seed `table1`/`table2`/`chunker_bench`
@@ -75,15 +77,18 @@ no_sidecars() {
     fi
 }
 
-# Fails if the store at $1 keeps a Hook as a file of its own: every Hook
-# is a record of the one log `hooks`, and an older store's `hooks/`
-# directory is gone once something opened it for writes.
-no_hook_files() {
-    if [[ ! -f "$1/hooks" || -e "$1/.hooks.old" ]]; then
-        echo "error: $1 holds per-Hook files, not one Hook log:" >&2
-        ls -la "$1" >&2
-        exit 1
-    fi
+# Fails if the store at $1 keeps a Hook, a Manifest or a recipe as a file
+# of its own: every one is a record of its kind's log (`hooks`,
+# `manifests`, `file_manifests`), and an older store's directories of
+# them are gone once something opened it for writes.
+no_object_files() {
+    for log in hooks manifests file_manifests; do
+        if [[ ! -f "$1/$log" || -e "$1/.$log.old" ]]; then
+            echo "error: $1 holds per-object files, not the log $log:" >&2
+            ls -la "$1" >&2
+            exit 1
+        fi
+    done
 }
 
 step "tier-1: cargo build --release"
@@ -119,7 +124,7 @@ head -c 262144 /dev/urandom > "$SMOKE/src/disk.img"
 ./target/release/mhd restore smoke-0/disk.img --store "$SMOKE/store" -o "$SMOKE/restored.img"
 cmp "$SMOKE/src/disk.img" "$SMOKE/restored.img"
 no_sidecars "$SMOKE/store"
-no_hook_files "$SMOKE/store"
+no_object_files "$SMOKE/store"
 # The deep scrub re-hashes every manifest entry's bytes: one flipped byte
 # in a copy of the store must fail it, naming the container and the
 # damaged entry's offset+size.
@@ -154,6 +159,24 @@ fi
 grep -q "hook-rot-store/hooks: record 0 at byte 8: checksum mismatch" "$SMOKE/hook-rot.txt" || {
     echo "error: mhd fsck did not name the damaged Hook record:" >&2
     cat "$SMOKE/hook-rot.txt" >&2
+    exit 1
+}
+# The same for a recipe: a flipped byte inside record 0 of a copy's recipe
+# log (its name, 12 bytes past the 8-byte magic: records there carry a
+# 10-byte header) fails `mhd fsck` naming the log and the record.
+cp -r "$SMOKE/store" "$SMOKE/recipe-rot-store"
+BYTE=$(od -An -tu1 -j 20 -N 1 "$SMOKE/recipe-rot-store/file_manifests" | tr -d ' ')
+# shellcheck disable=SC2059 # the octal escape is the byte written
+printf "\\$(printf '%03o' $((255 - BYTE)))" |
+    dd of="$SMOKE/recipe-rot-store/file_manifests" bs=1 seek=20 conv=notrunc status=none
+if ./target/release/mhd fsck --store "$SMOKE/recipe-rot-store" 2> "$SMOKE/recipe-rot.txt"; then
+    echo "error: mhd fsck passed a store with a flipped byte in a recipe record" >&2
+    exit 1
+fi
+grep -q "recipe-rot-store/file_manifests: record 0 at byte 8: checksum mismatch" \
+    "$SMOKE/recipe-rot.txt" || {
+    echo "error: mhd fsck did not name the damaged recipe record:" >&2
+    cat "$SMOKE/recipe-rot.txt" >&2
     exit 1
 }
 # mhd picks its SHA-1 kernel from the CPU at run time. Where the CPU has
@@ -193,7 +216,7 @@ recovered_store() {
         exit 1
     fi
     no_sidecars "$1"
-    no_hook_files "$1"
+    no_object_files "$1"
 }
 torn_store "$SMOKE/torn-cli"
 ./target/release/mhd fsck --store "$SMOKE/torn-cli" | tee "$SMOKE/torn-fsck.txt"
@@ -305,7 +328,7 @@ grep -q "store $SMOKE/daemon-store is open for writes by pid $SERVE_PID" "$SMOKE
 wait "$SERVE_PID"
 ./target/release/mhd fsck --store "$SMOKE/daemon-store" --deep
 no_sidecars "$SMOKE/daemon-store"
-no_hook_files "$SMOKE/daemon-store"
+no_object_files "$SMOKE/daemon-store"
 
 step "benchmark: smoke run of every workload + harness tests"
 # benchmark/ is a package of its own (own lock file, own target dir) that

@@ -22,7 +22,7 @@ use bytes::Bytes;
 use mhd_chunking::ChunkerKind;
 use mhd_core::statefile::{self, OpenedStore, RecoverySummary, StoreMeta};
 use mhd_core::Deduplicator;
-use mhd_store::{safe_name, BatchedDirBackend, Durability, IoConfig, Substrate};
+use mhd_store::{safe_name, BatchedDirBackend, Durability, FileKind, IoConfig, Substrate};
 use mhd_workload::{FileEntry, Snapshot};
 
 type BoxResult<T> = Result<T, Box<dyn std::error::Error>>;
@@ -177,7 +177,9 @@ pub fn restore(root: &Path, name: &str) -> BoxResult<Vec<u8>> {
 /// Lists stored file recipes, through the read view.
 pub fn list_files(root: &Path) -> BoxResult<Vec<String>> {
     require_store(root)?;
-    Ok(statefile::read_view(root)?.list_file_manifests())
+    let mut view = statefile::read_view(root)?;
+    view.backend_mut().load(FileKind::FileManifest)?;
+    Ok(view.list_file_manifests())
 }
 
 /// Builds a backup stream from a real directory: files are read in sorted

@@ -122,10 +122,19 @@ fn out_of_range_io_flags_are_refused() {
         run(&["backup", src_arg, "--store", store_arg, "--label", "s", flag, value])
     };
 
-    let out = with("--io-threads", "100000");
-    let want = "100000 I/O threads asked for; the limit is 64";
-    assert!(!out.status.success() && text(&out.stderr).contains(want), "{}", text(&out.stderr));
-    assert!(!store.join("chunks").exists(), "no layout behind a refused thread count");
+    // Refused before any thread is spawned, and before anything is made:
+    // no store skeleton that `fsck` and `ls` would then call "not an mhd
+    // store".
+    for threads in ["65", "100000"] {
+        let out = with("--io-threads", threads);
+        let want = format!("{threads} I/O threads asked for; the limit is 64");
+        assert!(
+            !out.status.success() && text(&out.stderr).contains(&want),
+            "{}",
+            text(&out.stderr)
+        );
+        assert!(!store.exists(), "a refused thread count left {}", store.display());
+    }
 
     let out = with("--durability", "none");
     let want = "unknown durability level \"none\" (rename|fsync)";

@@ -7,9 +7,11 @@
 //!
 //! 1. **mark** — walk every live FileManifest and collect the set of
 //!    referenced containers;
-//! 2. **sweep** — delete DiskChunks no recipe references, the Manifests
-//!    that describe only dead containers, and the Hooks pointing at
-//!    deleted Manifests.
+//! 2. **sweep** — delete the Hooks pointing at Manifests that describe
+//!    only dead containers (DiskChunks no recipe references), then those
+//!    Manifests, then — once both deletes are on disk — the containers:
+//!    referrers before what they name, so a crash mid-sweep leaves no
+//!    dangling reference.
 //!
 //! DiskChunks are immutable, so reclamation is whole-container: a
 //! container stays alive while any byte of it is referenced (the classic
@@ -111,9 +113,14 @@ pub fn collect_protected<B: Backend>(
         }
     }
 
-    // Sweep containers.
+    // Sweep, referrers first (reverse `FLUSH_ORDER`), so a crash at any
+    // point leaves no Hook naming a missing Manifest and no Manifest or
+    // recipe naming a missing container: decide which containers die,
+    // delete the Hooks and Manifests that name them and rewrite the
+    // Manifests that span both, flush, and only then delete the
+    // containers.
     let chunk_names = substrate.backend_mut().list(FileKind::DiskChunk);
-    let mut dead: FxHashSet<DiskChunkId> = FxHashSet::default();
+    let mut doomed = Vec::new();
     for name in chunk_names {
         let id = DiskChunkId(
             u64::from_str_radix(&name, 16)
@@ -127,17 +134,16 @@ pub fn collect_protected<B: Backend>(
             // pass (after the session commits or is rolled back) decides.
             report.containers_protected += 1;
         } else {
-            report.data_bytes_freed += substrate.disk_chunk_len(id)?;
-            substrate.delete_disk_chunk(id)?;
-            dead.insert(id);
-            report.containers_deleted += 1;
+            doomed.push(id);
         }
     }
+    let dead: FxHashSet<DiskChunkId> = doomed.iter().copied().collect();
 
-    // Sweep manifests: delete those describing only dead containers, and
-    // prune dead entries from manifests that span both (SubChunk and
-    // SparseIndexing manifests reference many containers).
-    let mut dead_manifests: FxHashSet<ManifestId> = FxHashSet::default();
+    // Manifests describing only dead containers go; those that span both
+    // (SubChunk and SparseIndexing manifests reference many containers)
+    // lose their dead entries.
+    let mut dead_manifests: Vec<ManifestId> = Vec::new();
+    let mut pruned_manifests: Vec<Manifest> = Vec::new();
     // Hashes whose entries were pruned, per manifest (their hooks dangle).
     let mut pruned: FxHashSet<(mhd_hash::ChunkHash, ManifestId)> = FxHashSet::default();
     for name in substrate.backend_mut().list(FileKind::Manifest) {
@@ -152,9 +158,7 @@ pub fn collect_protected<B: Backend>(
             continue;
         }
         if dead_count == manifest.entries.len() {
-            substrate.delete_manifest(id)?;
-            dead_manifests.insert(id);
-            report.manifests_deleted += 1;
+            dead_manifests.push(id);
         } else {
             for e in manifest.entries.iter().filter(|e| dead.contains(&e.container)) {
                 pruned.insert((e.hash, id));
@@ -165,11 +169,12 @@ pub fn collect_protected<B: Backend>(
             for e in &manifest.entries {
                 pruned.remove(&(e.hash, id));
             }
-            substrate.update_manifest(&manifest)?;
+            pruned_manifests.push(manifest);
         }
     }
+    let deleted_manifests: FxHashSet<ManifestId> = dead_manifests.iter().copied().collect();
 
-    // Sweep hooks pointing at deleted manifests or pruned entries.
+    // Hooks pointing at deleted manifests or pruned entries.
     for name in substrate.backend_mut().list(FileKind::Hook) {
         let payload = substrate.backend_mut().get(FileKind::Hook, &name)?;
         if payload.len() != 20 {
@@ -177,7 +182,7 @@ pub fn collect_protected<B: Backend>(
         }
         let mid = ManifestId(u64::from_le_bytes(payload[..8].try_into().expect("8 bytes")));
         let hash_hex = name.split('-').next().unwrap_or(&name);
-        let dangling = dead_manifests.contains(&mid)
+        let dangling = deleted_manifests.contains(&mid)
             || mhd_hash::ChunkHash::from_hex(hash_hex)
                 .map(|h| pruned.contains(&(h, mid)))
                 .unwrap_or(false);
@@ -186,9 +191,23 @@ pub fn collect_protected<B: Backend>(
             report.hooks_deleted += 1;
         }
     }
+    for id in dead_manifests {
+        substrate.delete_manifest(id)?;
+        report.manifests_deleted += 1;
+    }
+    for manifest in &pruned_manifests {
+        substrate.update_manifest(manifest)?;
+    }
+    substrate.flush()?;
 
-    // GC is a commit point: the pruned-manifest rewrites must be on disk
-    // before the pass reports success.
+    for id in doomed {
+        report.data_bytes_freed += substrate.disk_chunk_len(id)?;
+        substrate.delete_disk_chunk(id)?;
+        report.containers_deleted += 1;
+    }
+
+    // GC is a commit point: every delete must be on disk before the pass
+    // reports success.
     substrate.flush()?;
     Ok(report)
 }

@@ -2,16 +2,25 @@
 //! the correctness proof for every engine (a deduplicator that cannot
 //! restore its input has eliminated the wrong bytes).
 
-use mhd_store::{Backend, StoreResult, Substrate};
+use mhd_store::{Backend, DiskChunkId, FileManifest, StoreResult, Substrate};
 use mhd_workload::Corpus;
 
 /// Reconstructs one file by concatenating its recipe's extents, each read
 /// straight into the one buffer reserved for the whole file.
 pub fn restore_file<B: Backend>(substrate: &mut Substrate<B>, name: &str) -> StoreResult<Vec<u8>> {
     let fm = substrate.load_file_manifest(name)?;
+    assemble(&fm, |id, offset, len, out| substrate.append_chunk_range(id, offset, len, out))
+}
+
+/// Concatenates `fm`'s extents, each appended by `read` (container,
+/// offset, length, buffer) into the one buffer reserved for the file.
+pub fn assemble(
+    fm: &FileManifest,
+    mut read: impl FnMut(DiskChunkId, u64, u64, &mut Vec<u8>) -> StoreResult<()>,
+) -> StoreResult<Vec<u8>> {
     let mut out = Vec::with_capacity(fm.total_len() as usize);
     for extent in fm.extents() {
-        substrate.append_chunk_range(extent.container, extent.offset, extent.len, &mut out)?;
+        read(extent.container, extent.offset, extent.len, &mut out)?;
     }
     Ok(out)
 }

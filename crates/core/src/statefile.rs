@@ -18,7 +18,7 @@
 //!
 //! Nothing an engine can derive from the objects is persisted: BF-MHD's
 //! Bloom filter is rebuilt from the Hook names at open
-//! ([`MhdEngine::import_state`]), and a Manifest's size is its file's.
+//! ([`MhdEngine::import_state`]), and a Manifest's size is its record's.
 //! [`persist`] writes `state.json`, then `meta.json`.
 //!
 //! Every file with content but the lock is written through
@@ -191,7 +191,7 @@ pub fn wip_end(root: &Path, durability: Durability, stream: &str) -> StoreResult
 
 /// The exclusive lock a store's one writer holds on `session/lock`, from
 /// [`open_write`] until it is dropped (or its process ends). Two writers
-/// would interleave their id ranges, rollbacks and Hook-log appends; a
+/// would interleave their id ranges, rollbacks and log appends; a
 /// second [`open_write`] therefore fails at once with
 /// [`StoreError::Locked`], naming the store and the pid the holder wrote
 /// into the file. Readers never take it.
@@ -228,12 +228,12 @@ fn lock_writer(root: &Path) -> StoreResult<WriterLock> {
 // ----- open, recover, roll back ----------------------------------------------
 
 /// What opening a store for writes undid: the backend's own pass over tmp
-/// files and the Hook log's tail, then the rollback above the commit
+/// files and the logs' tails, then the rollback above the commit
 /// watermark.
 #[derive(Debug, Default, Clone, PartialEq, Eq, Serialize)]
 pub struct RecoverySummary {
     /// Torn writes undone by the backend's own recovery: tmp files
-    /// removed, and a torn tail dropped from the Hook log.
+    /// removed, and torn tails dropped from the logs.
     pub tmp_files_removed: u64,
     /// Torn streams rolled back from `daemon/wip` intent records.
     pub sessions_rolled_back: u64,
@@ -341,26 +341,34 @@ impl<B: Backend> OpenedStore<B> {
     }
 }
 
-/// Opens (or initialises) the store at `root` for writes: the
-/// [`WriterLock`] (refused while another writer holds it) → `meta.json`
-/// or `new_store` → [`BatchedDirBackend`] (which loads the Hook log,
-/// moving an older store's per-Hook files into it once; wrapped by
-/// `wrap`, so a front end can layer its index or fault injection
-/// underneath the engine) → [`Backend::recover`] (torn tmp files, a torn
-/// tail of the Hook log) → `state.json` → rollback of everything above the
-/// commit watermark → engine with the state imported (which rebuilds the
-/// Bloom filter from the Hook log's index as the rollback left it) →
-/// removal of an older store's sidecars and `intent/` directory.
+/// Opens (or initialises) the store at `root` for writes: the checks that
+/// can refuse it (`io`, a readable `meta.json`), before anything is
+/// created → the [`WriterLock`] (refused while another writer holds it)
+/// → `meta.json` or `new_store` → [`BatchedDirBackend`] (which loads the
+/// Manifest, Hook and recipe logs, moving an older store's per-object
+/// files into them once; wrapped by `wrap`, so a front end can layer its
+/// index or fault injection underneath the engine) → [`Backend::recover`]
+/// (torn DiskChunk tmp files, torn log tails) → `state.json` → rollback
+/// of everything above the commit watermark → engine with the state
+/// imported (which rebuilds the Bloom filter from the Hook log's index as
+/// the rollback left it) → removal of an older store's sidecars and
+/// `intent/` directory.
 pub fn open_write<B: Backend>(
     root: &Path,
     new_store: StoreMeta,
     io: IoConfig,
     wrap: impl FnOnce(BatchedDirBackend) -> B,
 ) -> EngineResult<OpenedStore<B>> {
+    // Every check that can refuse the open runs before anything is made,
+    // so a refused open leaves no store skeleton behind.
+    io.check()?;
+    load_meta(root)?;
     for dir in [root.join("session"), wip_dir(root)] {
         std::fs::create_dir_all(&dir).map_err(|e| io_at("create dir", &dir, e))?;
     }
     let lock = lock_writer(root)?;
+    // Read again under the lock: a writer that held it may have
+    // committed a stream since.
     let meta = load_meta(root)?.unwrap_or(new_store);
     let mut backend = wrap(BatchedDirBackend::create_with(root, io)?);
     let backend_recovery = backend.recover()?;
@@ -434,11 +442,13 @@ fn names_above<B: Backend>(backend: &mut B, kind: FileKind, floor: u64) -> Vec<S
 /// its counters.
 ///
 /// Every write-open, clean or not, pays for the trigger: a listing each
-/// of the Manifest and DiskChunk names and a `read_dir` of `daemon/wip`
-/// ([`Backend::recover`] just walked those directories, but reports
-/// counts, not names). No object is read unless a wip record exists or a
-/// name is at or above its floor (hooks and recipes flush after both
-/// kinds, so a torn one never exists without them or a wip record).
+/// of the Manifest names (from the Manifest log's index) and the
+/// DiskChunk names (a `read_dir` of `chunks/`, which [`Backend::recover`]
+/// just walked for tmp files, but reports counts, not names), and a
+/// `read_dir` of `daemon/wip`. No object is read unless a wip record
+/// exists or a name is at or above its floor (hooks and recipes flush
+/// after both kinds, so a torn one never exists without them or a wip
+/// record).
 fn rollback_above_watermark<B: Backend>(
     root: &Path,
     durability: Durability,

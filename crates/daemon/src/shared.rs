@@ -54,8 +54,8 @@ use mhd_core::sync::{Mutex, Rank};
 use mhd_core::{Deduplicator, EngineConfig, MhdEngine, SessionDelta};
 use mhd_hash::{ChunkHash, FxHashMap, FxHashSet};
 use mhd_store::{
-    plain_hook_hash, safe_name, BatchedDirBackend, DiskChunkId, Durability, FaultBackend,
-    FaultPoint, FileKind, FileManifest, IoConfig, Manifest, ManifestId,
+    plain_hook_hash, safe_name, BatchedDirBackend, DirReader, DiskChunkId, Durability,
+    FaultBackend, FaultPoint, FileKind, FileManifest, IoConfig, Manifest, ManifestId,
 };
 use mhd_workload::{FileEntry, Snapshot};
 use serde::Serialize;
@@ -281,6 +281,10 @@ pub struct SharedStore {
     /// Lock-free mirror of `StoreInner::epoch`, read at phase-1 start.
     epoch: AtomicU64,
     recovery: RecoverySummary,
+    /// A read-only handle on the engine's directory backend, sharing its
+    /// logs: what staging pipelines, `RESTORE` and `LS` read through, so
+    /// none of them loads a log.
+    reader: DirReader,
     /// The store's own chunking shape, for the lock-free staging engines.
     engine_config: EngineConfig,
     durability: Durability,
@@ -299,10 +303,14 @@ impl SharedStore {
         let index = Arc::new(SharedHookIndex::default());
         let new_store =
             StoreMeta { ecs: config.ecs, sd: config.sd, streams: 0, chunker: config.chunker };
+        let mut reader = None;
         let opened = statefile::open_write(root, new_store, config.io, |backend| {
+            reader = Some(backend.reader());
             let backend = FaultBackend::with_point(backend, FaultPoint::never());
             IndexingBackend::new(backend, index.clone())
         })?;
+        let reader =
+            reader.ok_or_else(|| DaemonError::State("the store opened no backend".into()))?;
         let mut engine = opened.engine;
         let loaded = engine.substrate_mut().backend_mut().populate_index()?;
         mhd_obs::counter!("daemon.index_preloaded").add(loaded as u64);
@@ -325,6 +333,7 @@ impl SharedStore {
             next_session: AtomicU64::new(1),
             epoch: AtomicU64::new(0),
             recovery: opened.recovery,
+            reader,
             engine_config: EngineConfig::new(opened.meta.ecs, opened.meta.sd)
                 .with_chunker(opened.meta.chunker),
             durability: config.io.durability,
@@ -567,7 +576,7 @@ impl SharedStore {
     /// ids floored at [`LOCAL_ID_BASE`], the shared hook index installed
     /// as the presence oracle.
     fn build_staging_engine(&self) -> DaemonResult<MhdEngine<StagingBackend>> {
-        let backend = StagingBackend::over(&self.root, self.index.clone())?;
+        let backend = StagingBackend::over(self.reader.clone(), self.index.clone());
         let mut engine = MhdEngine::new(backend, self.engine_config)?;
         engine.substrate_mut().ensure_id_floor(LOCAL_ID_BASE, LOCAL_ID_BASE);
         engine.set_hook_presence(self.index.clone());
@@ -727,6 +736,21 @@ impl SharedStore {
         inner.engine.substrate_mut().backend_mut().inner_mut().arm(point);
     }
 
+    /// Tears the `nth` physical write from now half-way, on whichever
+    /// thread makes it ([`mhd_store::DirBackend::fault_short_write_at`]): a crash
+    /// mid-write. Test instrumentation, like
+    /// [`arm_fault`](SharedStore::arm_fault).
+    pub fn tear_write_at(&self, nth: u64) {
+        let mut inner = self.inner.lock();
+        inner
+            .engine
+            .substrate_mut()
+            .backend_mut()
+            .inner_mut()
+            .inner_mut()
+            .fault_short_write_at(nth);
+    }
+
     /// Discards a staged session. Nothing reached the store, so this only
     /// retires the intent record and releases the lease.
     pub fn abort(&self, session: WriteSession) {
@@ -749,8 +773,11 @@ impl SharedStore {
             return Err(DaemonError::Protocol(format!("invalid tenant name {tenant:?}")));
         }
         let full = format!("{tenant}/{name}");
-        let mut view = statefile::read_view(&self.root)?;
-        Ok(mhd_core::restore::restore_file(&mut view, &full)?)
+        let mut reader = self.reader.clone();
+        let fm = FileManifest::decode(&reader.get(FileKind::FileManifest, &full)?)?;
+        Ok(mhd_core::restore::assemble(&fm, |id, offset, len, out| {
+            reader.append_range(FileKind::DiskChunk, &id.name(), offset, len, out)
+        })?)
     }
 
     /// Lists `tenant`'s recipes, tenant prefix stripped. Lock-free, like
@@ -760,9 +787,10 @@ impl SharedStore {
             return Err(DaemonError::Protocol(format!("invalid tenant name {tenant:?}")));
         }
         let prefix = safe_name(&format!("{tenant}/"));
-        let mut view = statefile::read_view(&self.root)?;
-        Ok(view
-            .list_file_manifests()
+        Ok(self
+            .reader
+            .clone()
+            .list(FileKind::FileManifest)
             .into_iter()
             .filter_map(|n| n.strip_prefix(&prefix).map(str::to_string))
             .collect())
@@ -1287,8 +1315,9 @@ mod tests {
         // An overlay that flushes at every write puts the splice's own
         // order on disk, as a large session's auto-flushes do: a
         // lock-free RESTORE or LS must never find a recipe whose chunks
-        // are not there yet. The kind directories fsynced after each
-        // rename name the order the objects landed in.
+        // are not there yet. The chunk directory fsynced after each
+        // rename and the logs fsynced after each append name the order
+        // the objects landed in.
         let root = temp_root("splice-order");
         let io = IoConfig {
             threads: 0,
@@ -1451,7 +1480,7 @@ mod schedules {
     }
 
     /// A snapshot of the tree at `from`: copies, not hard links, since
-    /// the Hook log grows in place and the writer lock is a lock on its
+    /// the logs grow in place and the writer lock is a lock on its
     /// file's inode.
     pub(crate) fn copy_tree(from: &Path, to: &Path) {
         std::fs::create_dir_all(to).unwrap();

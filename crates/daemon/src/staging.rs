@@ -2,7 +2,7 @@
 //!
 //! Phase 1 of a daemon commit runs a full dedup pipeline *outside* the
 //! engine lock. [`StagingBackend`] is the backend that pipeline runs on:
-//! reads fall through to a read-only directory view of the shared store
+//! reads fall through to a read-only handle on the shared store
 //! — Hook reads to the daemon's [`SharedHookIndex`] instead, so no
 //! pipeline reads the Hook log — while writes land in in-memory
 //! overlays — [`Overlay::fresh`] for
@@ -13,8 +13,10 @@
 //! [`StagingBackend::take_staged`] and splices them into the shared store
 //! under the lock.
 //!
-//! The base view reads the directory tree directly, so it only observes
-//! objects the durable backend has flushed. The shared store flushes in
+//! The base view reads the shared store through the writer's own
+//! directory handle — DiskChunk files, and the Manifest and recipe logs'
+//! indexes — so it only observes objects the durable backend has
+//! flushed. The shared store flushes in
 //! `FileKind::FLUSH_ORDER` (referee before referrer), which gives the
 //! staging pipeline the invariant it needs: a visible manifest implies
 //! its chunks are visible. The one racy edge — the lock-free hook index
@@ -23,12 +25,11 @@
 //! lookup miss).
 
 use std::collections::BTreeMap;
-use std::path::Path;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use mhd_store::{
-    plain_hook_hash, safe_name, Backend, DirBackend, FileKind, RecoveryReport, StoreError,
+    plain_hook_hash, safe_name, Backend, DirReader, FileKind, RecoveryReport, StoreError,
     StoreResult,
 };
 
@@ -63,24 +64,25 @@ impl Overlay {
 }
 
 /// Copy-on-write backend for one staging pipeline: reads fall through to
-/// a read-only view of the shared store's directory tree (Hook reads to
+/// a read-only handle on the shared store (Hook reads to
 /// the shared Hook index), writes stay in memory until the publish phase
 /// splices them in. See the module docs.
 pub struct StagingBackend {
-    base: DirBackend,
+    base: DirReader,
     hooks: Arc<SharedHookIndex>,
     overlay: Overlay,
 }
 
 impl StagingBackend {
-    /// Opens a staging view over the shared store rooted at `root`, whose
+    /// Opens a staging view over the shared store `base` reads, whose
     /// Hooks `hooks` mirrors.
     ///
-    /// The base view is a plain [`DirBackend`] used read-only: it creates
-    /// no directory, never loads the Hook log and is never `recover()`ed
-    /// — recovery would delete the live store's in-flight tmp files.
-    pub fn over(root: &Path, hooks: Arc<SharedHookIndex>) -> StoreResult<Self> {
-        Ok(StagingBackend { base: DirBackend::open(root), hooks, overlay: Overlay::default() })
+    /// The shared store passes a read-only handle on its own logs
+    /// ([`BatchedDirBackend::reader`](mhd_store::BatchedDirBackend::reader)),
+    /// so a commit reads Manifests and recipes from the indexes the writer
+    /// keeps and loads no log. Its Hook log is never read.
+    pub fn over(base: DirReader, hooks: Arc<SharedHookIndex>) -> Self {
+        StagingBackend { base, hooks, overlay: Overlay::default() }
     }
 
     /// The shared store's Hook named `name`, as a 20-byte payload, from
@@ -268,7 +270,7 @@ impl Backend for StagingBackend {
 mod tests {
     use super::*;
     use mhd_hash::sha1;
-    use mhd_store::ManifestId;
+    use mhd_store::{DirBackend, ManifestId};
 
     fn temp_root(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -292,7 +294,7 @@ mod tests {
         let index = Arc::new(SharedHookIndex::default());
         index.publish(shared, ManifestId(7));
 
-        let mut s = StagingBackend::over(&root, index).unwrap();
+        let mut s = StagingBackend::over(base.reader(), index);
         // Reads fall through.
         assert_eq!(&s.get(FileKind::DiskChunk, "base").unwrap()[..], b"old");
         // Fresh writes stay in memory and shadow reads.
@@ -343,7 +345,7 @@ mod tests {
     #[test]
     fn names_that_sanitise_alike_are_one_staged_object() {
         let root = temp_root("colliding");
-        let mut s = StagingBackend::over(&root, Arc::default()).unwrap();
+        let mut s = StagingBackend::over(DirBackend::open(&root).reader(), Arc::default());
         let kind = FileKind::FileManifest;
         s.put(kind, "t/day0/sub/b.bin", b"first").unwrap();
         assert!(matches!(

@@ -13,22 +13,23 @@
 //! MHD's defining invariant is that only Manifest files are ever rewritten
 //! (HHR) while DiskChunks and Hooks stay immutable, so the manifest rewrite
 //! is the one place a crash or short write can corrupt a store.
-//! [`DirBackend`] therefore never writes an object in place: every `put`
-//! and `update` of a file lands in a hidden `.*.tmp` sibling and is
-//! atomically renamed over the target, and Hooks, which all live in one
-//! log, are appended to it as checksummed records (a torn append is
-//! dropped at the next open; see `hook_log.rs`). A crash therefore leaves
-//! every object holding either its old or its new bytes, and at most a
-//! tmp file, which [`DirBackend::recover`] removes: that is the rollback
-//! of a write that never committed. The [`Durability`] level controls
-//! what happens around that rename:
+//! [`DirBackend`] therefore never writes an object in place: a DiskChunk
+//! lands in a hidden `.*.tmp` sibling and is atomically renamed over the
+//! target, and Manifests, Hooks and recipes, which live in one log per
+//! kind, are appended to it as checksummed records — a rewrite is a newer
+//! record, and a torn append is dropped at the next open (see
+//! `hook_log.rs`). A crash therefore leaves every object holding either
+//! its old or its new bytes, and at most a tmp file or a torn log tail,
+//! which [`DirBackend::recover`] removes: that is the rollback of a write
+//! that never committed. The [`Durability`] level controls what happens
+//! around that rename or append:
 //!
 //! * [`Durability::Rename`] — tmp + rename only: crash-consistent against
 //!   process death.
 //! * [`Durability::Fsync`] — additionally fsyncs the tmp file before the
-//!   rename and the parent directory after it, and the Hook log after
-//!   each append, so a committed object survives power loss, not just
-//!   process death.
+//!   rename and the parent directory after it, and a log after each
+//!   append, so a committed object survives power loss, not just process
+//!   death.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -39,7 +40,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use bytes::Bytes;
 
-use crate::hook_log::HookLog;
+use crate::hook_log::{Log, Logs, Space, Unsynced};
 use crate::{StoreError, StoreResult};
 
 /// The four metadata file categories of the paper's system (Fig. 3).
@@ -56,8 +57,8 @@ pub enum FileKind {
 }
 
 impl FileKind {
-    /// Directory name used by [`DirBackend`]; for Hooks, the name of
-    /// their log file.
+    /// Directory name used by [`DirBackend`] for DiskChunks; for every
+    /// other kind, the name of its log file.
     pub fn dir_name(&self) -> &'static str {
         match self {
             FileKind::DiskChunk => "chunks",
@@ -130,8 +131,8 @@ impl Durability {
 pub struct RecoveryReport {
     /// Torn writes undone: orphaned `.*.tmp` files removed (writes that
     /// never committed; the target object still holds its previous
-    /// content), and a torn tail dropped from the Hook log (an append
-    /// that never completed; the records before it are intact).
+    /// content), and torn tails dropped from the logs (appends that never
+    /// completed; the records before them are intact).
     pub tmp_files_removed: usize,
 }
 
@@ -209,8 +210,8 @@ pub trait Backend {
     }
 
     /// Detects and rolls back mutations that were in flight when the store
-    /// was last open (torn tmp files, a torn tail of the Hook log). A
-    /// no-op for backends without crash state.
+    /// was last open (torn tmp files, torn log tails). A no-op for
+    /// backends without crash state.
     fn recover(&mut self) -> StoreResult<RecoveryReport> {
         Ok(RecoveryReport::default())
     }
@@ -399,25 +400,28 @@ pub(crate) fn torn_write(target: &Path, data: &[u8]) -> StoreError {
     StoreError::Io(std::io::Error::other(format!("injected short write at {}", target.display())))
 }
 
-/// Directory-tree backend: `root/{chunks,manifests,file_manifests}/`, one
-/// file per object, and the Hook log `root/hooks` (`hook_log.rs`: every
-/// Hook one record of it).
+/// Directory-tree backend: `root/chunks/`, one file per DiskChunk, and
+/// one append-only log per other kind — `root/manifests`, `root/hooks`
+/// and `root/file_manifests` (`hook_log.rs`: every object one record of
+/// its kind's log).
 ///
-/// Object names become file names (names used by the substrate are always
-/// hex strings or sanitised paths, so no escaping is needed beyond `/`
-/// replacement). Temporary files are hidden (`.*.tmp`) and never reported
-/// by [`Backend::list`]/[`Backend::count`].
+/// Object names become file and record names (names used by the
+/// substrate are always hex strings or sanitised paths, so no escaping is
+/// needed beyond `/` replacement). Temporary files are hidden (`.*.tmp`)
+/// and never reported by [`Backend::list`]/[`Backend::count`].
 ///
-/// Hooks are answered from the log's in-memory index: a put appends one
-/// record, a delete leaves the index at once and reaches the log with the
-/// other deletes since, in one replacement of it, before the next delete
-/// of another kind, the next Hook write, a [`flush`](Backend::flush) or a
-/// [`recover`](Backend::recover).
+/// The logged kinds are answered from their logs' in-memory indexes: a
+/// put or an update appends one record, a `get` reads one record (a Hook
+/// from RAM). A delete leaves the index at once and reaches the log with
+/// the other deletes since, in one replacement of each log with deletes,
+/// before the next log write, the next DiskChunk delete, a
+/// [`flush`](Backend::flush) or a [`recover`](Backend::recover).
 ///
 /// A clone is another handle on the same directory, sharing the fault
-/// hook and the Hook log: the batched backend's pool workers each commit
-/// through one, so there is one object-commit routine
-/// (`DirBackend::commit`) however a write reaches the disk.
+/// hook and the logs: the batched backend's pool workers each commit
+/// DiskChunks through one, so there is one file-commit routine
+/// (`DirBackend::commit`) however a write reaches the disk, and the
+/// daemon's staging views read Manifests and recipes through one.
 #[derive(Clone)]
 pub struct DirBackend {
     root: PathBuf,
@@ -425,9 +429,17 @@ pub struct DirBackend {
     /// Test-only fault hook: physical writes left until one is torn
     /// half-way and fails (0 = disarmed).
     tear_in: Arc<AtomicU64>,
-    /// The Hook log: loaded by [`create_with`](DirBackend::create_with),
-    /// or at a reader's first Hook access.
-    hooks: Arc<Mutex<Option<HookLog>>>,
+    /// The logs: loaded by [`create_with`](DirBackend::create_with), or at
+    /// a reader's first access of each kind.
+    logs: Arc<Mutex<Logs>>,
+}
+
+/// Where a handle finds one kind's objects.
+enum Place {
+    /// One file each, in this directory.
+    Files(PathBuf),
+    /// Records of the kind's log.
+    Log,
 }
 
 impl DirBackend {
@@ -438,33 +450,31 @@ impl DirBackend {
     }
 
     /// Creates the directory layout under `root` with an explicit
-    /// durability level, and loads the Hook log (moving an older store's
-    /// per-Hook files into it first). A log damaged before its tail is an
-    /// error naming it and the record.
+    /// durability level, and loads the logs (moving an older store's
+    /// per-object files into them first). A log damaged before its tail
+    /// is an error naming it and the record.
     #[expect(clippy::disallowed_methods, reason = "creates the store layout")]
     pub fn create_with(root: impl Into<PathBuf>, durability: Durability) -> StoreResult<Self> {
-        let backend = DirBackend { durability, ..Self::open(root) };
-        for kind in FileKind::ALL.into_iter().filter(|&k| k != FileKind::Hook) {
-            let dir = backend.root.join(kind.dir_name());
-            std::fs::create_dir_all(&dir).map_err(|e| io_at("create dir", &dir, e))?;
-        }
-        let log = HookLog::create(&backend.root, durability, backend.tear_in.clone())?;
-        *backend.hook_slot() = Some(log);
+        let backend = Self::with(root.into(), durability);
+        let dir = backend.root.join(FileKind::DiskChunk.dir_name());
+        std::fs::create_dir_all(&dir).map_err(|e| io_at("create dir", &dir, e))?;
+        backend.logs().create()?;
         Ok(backend)
     }
 
     /// A handle on the layout under `root` that creates nothing, for
-    /// readers: a missing namespace directory or Hook log reads as empty,
-    /// and reads of its objects fail with `NotFound`. Its durability is
-    /// the default; writers come in through
-    /// [`create_with`](DirBackend::create_with).
+    /// readers: a missing chunk directory or log reads as empty, and reads
+    /// of its objects fail with `NotFound`; an older store's directory of
+    /// a logged kind is read file by file. Its durability is the default;
+    /// writers come in through [`create_with`](DirBackend::create_with).
     pub fn open(root: impl Into<PathBuf>) -> Self {
-        DirBackend {
-            root: root.into(),
-            durability: Durability::default(),
-            tear_in: Arc::default(),
-            hooks: Arc::default(),
-        }
+        Self::with(root.into(), Durability::default())
+    }
+
+    fn with(root: PathBuf, durability: Durability) -> Self {
+        let tear_in = Arc::<AtomicU64>::default();
+        let logs = Logs::new(&root, durability, tear_in.clone());
+        DirBackend { root, durability, tear_in, logs: Arc::new(Mutex::new(logs)) }
     }
 
     /// The store root directory.
@@ -472,100 +482,248 @@ impl DirBackend {
         &self.root
     }
 
+    /// A read-only handle on this directory that shares this handle's
+    /// logs.
+    pub fn reader(&self) -> DirReader {
+        DirReader(self.clone())
+    }
+
     /// Fault injection for crash tests: the `nth` physical file write
-    /// from now (0-based, counted across puts, updates and Hook-log
-    /// appends and replacements, on every clone) writes only half its
-    /// bytes and then fails, simulating a crash mid-write. One-shot.
+    /// from now (0-based, counted across DiskChunk files and log appends
+    /// and replacements, on every clone) writes only half its bytes and
+    /// then fails, simulating a crash mid-write. One-shot.
     pub fn fault_short_write_at(&mut self, nth: u64) {
         self.tear_in.store(nth + 1, Ordering::SeqCst);
     }
 
-    fn path(&self, kind: FileKind, name: &str) -> PathBuf {
-        self.root.join(kind.dir_name()).join(safe_name(name))
-    }
-
-    fn hook_slot(&self) -> MutexGuard<'_, Option<HookLog>> {
-        self.hooks.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Runs `f` on the Hook log, loading it first if this handle has not.
-    fn with_hooks<R>(&self, f: impl FnOnce(&mut HookLog) -> StoreResult<R>) -> StoreResult<R> {
-        let mut slot = self.hook_slot();
-        let log = match &mut *slot {
-            Some(log) => log,
-            empty => {
-                empty.insert(HookLog::load(&self.root, self.durability, self.tear_in.clone())?)
-            }
-        };
-        f(log)
-    }
-
-    /// Writes the Hook deletes only the log's index holds yet; nothing to
-    /// do on a handle that never loaded the log.
-    fn sync_hooks(&self) -> StoreResult<()> {
-        match &mut *self.hook_slot() {
-            Some(log) => log.sync(),
-            None => Ok(()),
+    /// Loads and indexes `kind`'s log now, checking every record, if this
+    /// handle has not: a damaged log is an error here, where a listing or
+    /// a count would read it as empty.
+    pub fn load(&self, kind: FileKind) -> StoreResult<()> {
+        match self.place(kind)? {
+            Place::Log => self.with_log(kind, Log::check),
+            Place::Files(_) => Ok(()),
         }
     }
 
-    /// A batch of Hook puts (`false`) and updates (`true`), named by
-    /// [`safe_name`], in one append to the Hook log (or one replacement
-    /// of it): how the batched backend flushes its pending Hooks.
-    pub(crate) fn commit_hooks(&self, writes: Vec<(String, Bytes, bool)>) -> StoreResult<()> {
-        self.with_hooks(|log| log.commit(writes))
+    fn logs(&self) -> MutexGuard<'_, Logs> {
+        self.logs.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The atomic commit path of every `put` and `update` of a kind other
-    /// than Hook, pooled or not: [`write_atomic`]. The caller has checked
-    /// existence.
+    fn place(&self, kind: FileKind) -> StoreResult<Place> {
+        if kind == FileKind::DiskChunk {
+            return Ok(Place::Files(self.root.join(kind.dir_name())));
+        }
+        Ok(match self.logs().space(kind)? {
+            Space::Files(dir) => Place::Files(dir.clone()),
+            Space::Log(_) => Place::Log,
+        })
+    }
+
+    /// Runs `f` on `kind`'s log.
+    fn with_log<R>(
+        &self,
+        kind: FileKind,
+        f: impl FnOnce(&mut Log) -> StoreResult<R>,
+    ) -> StoreResult<R> {
+        f(self.logs().log(kind)?)
+    }
+
+    /// A batch of puts and updates of a logged kind, named by
+    /// [`safe_name`], in one append to its log (or one replacement of
+    /// it): how the batched backend flushes its pending Manifests, Hooks
+    /// and recipes.
+    pub(crate) fn commit_log(&self, kind: FileKind, writes: &[(String, Bytes)]) -> StoreResult<()> {
+        let unsynced = self.logs().commit(kind, writes)?;
+        unsynced.map_or(Ok(()), Unsynced::sync)
+    }
+
+    /// The atomic commit path of every DiskChunk `put` and `update`,
+    /// pooled or not: [`write_atomic`]. The caller has checked existence.
     pub(crate) fn commit(&self, kind: FileKind, name: &str, data: &[u8]) -> StoreResult<()> {
-        let target = self.path(kind, name);
+        self.commit_file(&self.root.join(kind.dir_name()).join(safe_name(name)), data)
+    }
+
+    fn commit_file(&self, target: &Path, data: &[u8]) -> StoreResult<()> {
         let countdown =
             self.tear_in.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
         if countdown == Ok(1) {
-            return Err(torn_write(&target, data));
+            return Err(torn_write(target, data));
         }
-        write_atomic(&target, data, self.durability)
+        write_atomic(target, data, self.durability)
     }
+}
+
+/// A read-only handle on a [`DirBackend`]'s directory that shares its
+/// logs (see [`DirBackend::reader`]): it answers the reads of
+/// [`Backend`] and has no way to write, so what reads a writer's store
+/// through it can never bypass the writer.
+#[derive(Clone)]
+pub struct DirReader(DirBackend);
+
+impl DirReader {
+    /// [`Backend::get`].
+    pub fn get(&mut self, kind: FileKind, name: &str) -> StoreResult<Bytes> {
+        self.0.get(kind, name)
+    }
+
+    /// [`Backend::get_range`].
+    pub fn get_range(
+        &mut self,
+        kind: FileKind,
+        name: &str,
+        offset: u64,
+        len: u64,
+    ) -> StoreResult<Bytes> {
+        self.0.get_range(kind, name, offset, len)
+    }
+
+    /// [`Backend::append_range`].
+    pub fn append_range(
+        &mut self,
+        kind: FileKind,
+        name: &str,
+        offset: u64,
+        len: u64,
+        out: &mut Vec<u8>,
+    ) -> StoreResult<()> {
+        self.0.append_range(kind, name, offset, len, out)
+    }
+
+    /// [`Backend::size_of`].
+    pub fn size_of(&mut self, kind: FileKind, name: &str) -> StoreResult<u64> {
+        self.0.size_of(kind, name)
+    }
+
+    /// [`Backend::exists`].
+    pub fn exists(&mut self, kind: FileKind, name: &str) -> bool {
+        self.0.exists(kind, name)
+    }
+
+    /// [`Backend::count`].
+    pub fn count(&mut self, kind: FileKind) -> u64 {
+        self.0.count(kind)
+    }
+
+    /// [`Backend::list`].
+    pub fn list(&mut self, kind: FileKind) -> Vec<String> {
+        self.0.list(kind)
+    }
+}
+
+/// Reads the file at `path`; `NotFound` names the object.
+fn read_object(path: &Path, kind: FileKind, name: &str) -> StoreResult<Bytes> {
+    match std::fs::read(path) {
+        Ok(data) => Ok(Bytes::from(data)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            Err(StoreError::NotFound { kind, name: name.to_string() })
+        }
+        Err(e) => Err(io_at("read", path, e)),
+    }
+}
+
+/// Appends `len` bytes at `offset` of the file at `path` to `out`, reading
+/// into `out`'s spare capacity (`read_to_end` neither zero-fills it nor,
+/// under `take`, reads past the range) without asking for the file's
+/// size: a range past the end shows up as a short read.
+fn append_file_range(
+    path: &Path,
+    kind: FileKind,
+    name: &str,
+    offset: u64,
+    len: u64,
+    out: &mut Vec<u8>,
+) -> StoreResult<()> {
+    let mut file = match std::fs::File::open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            return Err(StoreError::NotFound { kind, name: name.to_string() })
+        }
+        Err(e) => return Err(io_at("open", path, e)),
+    };
+    let start = out.len();
+    // `seek` refuses offsets past `i64::MAX`, where no file has bytes.
+    if offset.checked_add(len).is_some_and(|end| end <= i64::MAX as u64) {
+        if let Ok(n) = usize::try_from(len) {
+            // Too large to reserve is left to the short read.
+            let _ = out.try_reserve_exact(n);
+        }
+        file.seek(SeekFrom::Start(offset)).map_err(|e| io_at("seek", path, e))?;
+        let read = (&mut file).take(len).read_to_end(out).map_err(|e| {
+            out.truncate(start);
+            io_at("read", path, e)
+        })?;
+        if read as u64 == len && len > 0 {
+            return Ok(());
+        }
+    }
+    // A short read, an empty range or one out of reach: only now is the
+    // size asked for.
+    out.truncate(start);
+    let size = file.metadata().map_err(|e| io_at("stat", path, e))?.len();
+    if len == 0 && offset <= size {
+        return Ok(());
+    }
+    Err(StoreError::OutOfRange { name: name.to_string(), offset, len, size })
+}
+
+/// The names of the visible files in `dir`, sorted; none if it is missing.
+fn list_files(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .map(|d| {
+            d.filter_map(|e| e.ok().and_then(|e| e.file_name().into_string().ok()))
+                .filter(|n| !n.starts_with('.'))
+                .collect()
+        })
+        .unwrap_or_default();
+    names.sort();
+    names
 }
 
 impl Backend for DirBackend {
     fn put(&mut self, kind: FileKind, name: &str, data: &[u8]) -> StoreResult<()> {
-        if kind == FileKind::Hook {
-            return self.with_hooks(|log| log.put(&safe_name(name), data));
+        let name = &safe_name(name);
+        match self.place(kind)? {
+            Place::Log => {
+                let unsynced = self.logs().put(kind, name, data)?;
+                unsynced.map_or(Ok(()), Unsynced::sync)
+            }
+            Place::Files(dir) => {
+                let path = dir.join(name);
+                if path.exists() {
+                    return Err(StoreError::AlreadyExists { kind, name: name.to_string() });
+                }
+                self.commit_file(&path, data)
+            }
         }
-        if self.path(kind, name).exists() {
-            return Err(StoreError::AlreadyExists { kind, name: name.to_string() });
-        }
-        self.commit(kind, name, data)
     }
 
     fn update(&mut self, kind: FileKind, name: &str, data: &[u8]) -> StoreResult<()> {
-        if kind == FileKind::Hook {
-            return self.with_hooks(|log| log.update(&safe_name(name), data));
+        let name = &safe_name(name);
+        match self.place(kind)? {
+            Place::Log => {
+                let unsynced = self.logs().update(kind, name, data)?;
+                unsynced.map_or(Ok(()), Unsynced::sync)
+            }
+            Place::Files(dir) => {
+                let path = dir.join(name);
+                if !path.exists() {
+                    return Err(StoreError::NotFound { kind, name: name.to_string() });
+                }
+                self.commit_file(&path, data)
+            }
         }
-        if !self.path(kind, name).exists() {
-            return Err(StoreError::NotFound { kind, name: name.to_string() });
-        }
-        self.commit(kind, name, data)
     }
 
     fn get(&mut self, kind: FileKind, name: &str) -> StoreResult<Bytes> {
-        if kind == FileKind::Hook {
-            return self.with_hooks(|log| {
-                log.get(&safe_name(name))
-                    .cloned()
-                    .ok_or_else(|| StoreError::NotFound { kind, name: name.to_string() })
-            });
-        }
-        let path = self.path(kind, name);
-        match std::fs::read(&path) {
-            Ok(data) => Ok(Bytes::from(data)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                Err(StoreError::NotFound { kind, name: name.to_string() })
-            }
-            Err(e) => Err(io_at("read", &path, e)),
+        let safe = &safe_name(name);
+        match self.place(kind)? {
+            // The lock is released before the record is read.
+            Place::Log => self
+                .with_log(kind, |log| log.locate(safe))?
+                .ok_or_else(|| StoreError::NotFound { kind, name: name.to_string() })?
+                .read(safe),
+            Place::Files(dir) => read_object(&dir.join(safe), kind, name),
         }
     }
 
@@ -581,9 +739,6 @@ impl Backend for DirBackend {
         Ok(Bytes::from(buf))
     }
 
-    /// Reads into `out`'s spare capacity (`read_to_end` neither zero-fills
-    /// it nor, under `take`, reads past the range) without asking for the
-    /// object's size: a range past the end shows up as a short read.
     fn append_range(
         &mut self,
         kind: FileKind,
@@ -592,115 +747,83 @@ impl Backend for DirBackend {
         len: u64,
         out: &mut Vec<u8>,
     ) -> StoreResult<()> {
-        if kind == FileKind::Hook {
-            let hook = self.get(kind, name)?;
-            let size = hook.len() as u64;
-            let range = offset.checked_add(len).filter(|&end| end <= size).map(|end| offset..end);
-            let Some(range) = range else {
-                return Err(StoreError::OutOfRange { name: name.to_string(), offset, len, size });
-            };
-            out.extend_from_slice(&hook[range.start as usize..range.end as usize]);
-            return Ok(());
-        }
-        let path = self.path(kind, name);
-        let mut file = match std::fs::File::open(&path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(StoreError::NotFound { kind, name: name.to_string() })
-            }
-            Err(e) => return Err(io_at("open", &path, e)),
-        };
-        let start = out.len();
-        // `seek` refuses offsets past `i64::MAX`, where no file has bytes.
-        if offset.checked_add(len).is_some_and(|end| end <= i64::MAX as u64) {
-            if let Ok(n) = usize::try_from(len) {
-                // Too large to reserve is left to the short read.
-                let _ = out.try_reserve_exact(n);
-            }
-            file.seek(SeekFrom::Start(offset)).map_err(|e| io_at("seek", &path, e))?;
-            let read = (&mut file).take(len).read_to_end(out).map_err(|e| {
-                out.truncate(start);
-                io_at("read", &path, e)
-            })?;
-            if read as u64 == len && len > 0 {
+        let dir = match self.place(kind)? {
+            Place::Files(dir) => dir,
+            Place::Log => {
+                let object = self.get(kind, name)?;
+                let size = object.len() as u64;
+                let end = offset.checked_add(len).filter(|&end| end <= size);
+                let Some(end) = end else {
+                    return Err(StoreError::OutOfRange {
+                        name: name.to_string(),
+                        offset,
+                        len,
+                        size,
+                    });
+                };
+                out.extend_from_slice(&object[offset as usize..end as usize]);
                 return Ok(());
             }
-        }
-        // A short read, an empty range or one out of reach: only now is
-        // the size asked for.
-        out.truncate(start);
-        let size = file.metadata().map_err(|e| io_at("stat", &path, e))?.len();
-        if len == 0 && offset <= size {
-            return Ok(());
-        }
-        Err(StoreError::OutOfRange { name: name.to_string(), offset, len, size })
+        };
+        append_file_range(&dir.join(safe_name(name)), kind, name, offset, len, out)
     }
 
     fn size_of(&mut self, kind: FileKind, name: &str) -> StoreResult<u64> {
-        if kind == FileKind::Hook {
-            return self.get(kind, name).map(|hook| hook.len() as u64);
-        }
-        let path = self.path(kind, name);
-        match std::fs::metadata(&path) {
-            Ok(m) => Ok(m.len()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                Err(StoreError::NotFound { kind, name: name.to_string() })
+        let safe = &safe_name(name);
+        let not_found = || StoreError::NotFound { kind, name: name.to_string() };
+        match self.place(kind)? {
+            Place::Log => self.with_log(kind, |log| log.size_of(safe))?.ok_or_else(not_found),
+            Place::Files(dir) => {
+                let path = dir.join(safe);
+                match std::fs::metadata(&path) {
+                    Ok(m) => Ok(m.len()),
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(not_found()),
+                    Err(e) => Err(io_at("stat", &path, e)),
+                }
             }
-            Err(e) => Err(io_at("stat", &path, e)),
         }
     }
 
     fn exists(&mut self, kind: FileKind, name: &str) -> bool {
-        if kind == FileKind::Hook {
-            return self.with_hooks(|log| Ok(log.get(&safe_name(name)).is_some())).unwrap_or(false);
+        let name = &safe_name(name);
+        match self.place(kind) {
+            Ok(Place::Log) => self.with_log(kind, |log| log.contains(name)).unwrap_or(false),
+            Ok(Place::Files(dir)) => dir.join(name).exists(),
+            Err(_) => false,
         }
-        self.path(kind, name).exists()
     }
 
     fn count(&mut self, kind: FileKind) -> u64 {
-        if kind == FileKind::Hook {
-            return self.with_hooks(|log| Ok(log.len())).unwrap_or(0);
+        match self.place(kind) {
+            Ok(Place::Log) => self.with_log(kind, |log| log.len()).unwrap_or(0),
+            Ok(Place::Files(dir)) => list_files(&dir).len() as u64,
+            Err(_) => 0,
         }
-        std::fs::read_dir(self.root.join(kind.dir_name()))
-            .map(|d| {
-                d.filter(|e| {
-                    e.as_ref()
-                        .ok()
-                        .is_some_and(|e| !e.file_name().to_string_lossy().starts_with('.'))
-                })
-                .count() as u64
-            })
-            .unwrap_or(0)
     }
 
     fn list(&mut self, kind: FileKind) -> Vec<String> {
-        if kind == FileKind::Hook {
-            return self.with_hooks(|log| Ok(log.names())).unwrap_or_default();
+        match self.place(kind) {
+            Ok(Place::Log) => self.with_log(kind, |log| log.names()).unwrap_or_default(),
+            Ok(Place::Files(dir)) => list_files(&dir),
+            Err(_) => Vec::new(),
         }
-        let mut names: Vec<String> = std::fs::read_dir(self.root.join(kind.dir_name()))
-            .map(|d| {
-                d.filter_map(|e| e.ok().and_then(|e| e.file_name().into_string().ok()))
-                    .filter(|n| !n.starts_with('.'))
-                    .collect()
-            })
-            .unwrap_or_default();
-        names.sort();
-        names
     }
 
-    #[expect(clippy::disallowed_methods, reason = "the one object deletion")]
+    #[expect(clippy::disallowed_methods, reason = "the one object file deletion")]
     fn delete(&mut self, kind: FileKind, name: &str) -> StoreResult<()> {
-        if kind == FileKind::Hook {
-            return self.with_hooks(|log| log.delete(&safe_name(name)));
-        }
-        // A Hook this handle deleted may name the object: the log must not
+        let name = &safe_name(name);
+        let dir = match self.place(kind)? {
+            Place::Log => return self.with_log(kind, |log| log.delete(kind, name)),
+            Place::Files(dir) => dir,
+        };
+        // A record this handle deleted may name the object: no log may
         // hold it past the object.
-        self.sync_hooks()?;
-        let path = self.path(kind, name);
+        self.logs().sync()?;
+        let path = dir.join(name);
         match std::fs::remove_file(&path) {
             Ok(()) => {
                 if self.durability == Durability::Fsync {
-                    fsync_dir(&self.root.join(kind.dir_name()))?;
+                    fsync_dir(&dir)?;
                 }
                 Ok(())
             }
@@ -712,34 +835,32 @@ impl Backend for DirBackend {
     }
 
     fn flush(&mut self) -> StoreResult<()> {
-        self.sync_hooks()
+        self.logs().flush(false)
     }
 
     #[expect(clippy::disallowed_methods, reason = "removes torn tmp files")]
     fn recover(&mut self) -> StoreResult<RecoveryReport> {
         let mut report = RecoveryReport::default();
-        // Torn or orphaned tmp files: the rename never happened, so the
-        // target still holds the pre-write content — removing the tmp is
-        // the rollback.
-        for kind in FileKind::ALL.into_iter().filter(|&k| k != FileKind::Hook) {
-            let dir = self.root.join(kind.dir_name());
-            let entries = match std::fs::read_dir(&dir) {
-                Ok(e) => e,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(io_at("read dir", &dir, e)),
-            };
-            for entry in entries.filter_map(|e| e.ok()) {
-                let name = entry.file_name();
-                let name = name.to_string_lossy();
-                if name.starts_with('.') && name.ends_with(".tmp") {
-                    let path = entry.path();
-                    std::fs::remove_file(&path).map_err(|e| io_at("remove tmp", &path, e))?;
-                    report.tmp_files_removed += 1;
-                }
+        // Torn or orphaned DiskChunk tmp files: the rename never happened,
+        // so the target still holds the pre-write content — removing the
+        // tmp is the rollback.
+        let dir = self.root.join(FileKind::DiskChunk.dir_name());
+        let entries = match std::fs::read_dir(&dir) {
+            Ok(entries) => Some(entries),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => return Err(io_at("read dir", &dir, e)),
+        };
+        for entry in entries.into_iter().flatten().filter_map(|e| e.ok()) {
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            if name.starts_with('.') && name.ends_with(".tmp") {
+                let path = entry.path();
+                std::fs::remove_file(&path).map_err(|e| io_at("remove tmp", &path, e))?;
+                report.tmp_files_removed += 1;
             }
         }
-        // The Hook log's torn replacement or torn tail.
-        report.tmp_files_removed += self.with_hooks(HookLog::recover)?;
+        // Each log's torn replacement or torn tail.
+        report.tmp_files_removed += self.logs().recover()?;
         if !report.is_clean() {
             mhd_obs::counter!("store.recoveries").inc();
         }
@@ -931,10 +1052,11 @@ pub(crate) mod tests {
     use super::*;
     use crate::BatchedDirBackend;
 
-    /// The contract every backend keeps, for a kind kept in files and
-    /// for the Hooks a directory store keeps in its log.
+    /// The contract every backend keeps, for the kind a directory store
+    /// keeps in files, for the Hooks it keeps in a log held in RAM and for
+    /// the recipes it reads from a log on disk.
     pub(crate) fn exercise(backend: &mut dyn Backend) {
-        for kind in [FileKind::DiskChunk, FileKind::Hook] {
+        for kind in [FileKind::DiskChunk, FileKind::Hook, FileKind::FileManifest] {
             exercise_kind(backend, kind);
         }
     }
@@ -1169,29 +1291,37 @@ pub(crate) mod tests {
     #[test]
     fn fsync_durability_syncs_tmp_then_parent_and_rename_syncs_nothing() {
         let dir = temp_dir("fsync-path");
-        let manifests = dir.join("manifests");
+        let chunks = dir.join("chunks");
 
         let mut b = DirBackend::create_with(&dir, Durability::Rename).unwrap();
         let synced = record_fsyncs(|| {
-            b.put(FileKind::Manifest, "0", b"v1").unwrap();
+            b.put(FileKind::DiskChunk, "0", b"v1").unwrap();
+            b.update(FileKind::DiskChunk, "0", b"v2").unwrap();
+            // Enough live Manifests that the rewrites below append.
+            for name in ["0", "1", "2", "3"] {
+                b.put(FileKind::Manifest, name, b"v1").unwrap();
+            }
             b.update(FileKind::Manifest, "0", b"v2").unwrap();
             write_atomic(&dir.join("state"), b"s", Durability::Rename).unwrap();
         });
         assert_eq!(synced, Vec::<PathBuf>::new());
 
-        // Every write: its tmp before the rename, its directory after.
+        // Every file write: its tmp before the rename, its directory
+        // after; every log append: the log.
         let mut b = DirBackend::create_with(&dir, Durability::Fsync).unwrap();
         let synced = record_fsyncs(|| {
+            b.update(FileKind::DiskChunk, "0", b"v3").unwrap();
             b.update(FileKind::Manifest, "0", b"v3").unwrap();
             write_atomic(&dir.join("state"), b"s", Durability::Fsync).unwrap();
-            b.delete(FileKind::Manifest, "0").unwrap();
+            b.delete(FileKind::DiskChunk, "0").unwrap();
         });
         let want = vec![
-            manifests.join(".0.tmp"),
-            manifests.clone(),
+            chunks.join(".0.tmp"),
+            chunks.clone(),
+            dir.join("manifests"),
             dir.join(".state.tmp"),
             dir.clone(),
-            manifests,
+            chunks,
         ];
         assert_eq!(synced, want);
         // Disarmed again: nothing accumulates outside `record_fsyncs`.

@@ -16,10 +16,13 @@
 //! with a barrier between kinds. Within the engines' per-file write order
 //! this means a crash at any flush boundary leaves no dangling reference:
 //! every Manifest on disk points at DiskChunks on disk, every Hook at a
-//! Manifest on disk. Each individual object write goes through the same
-//! tmp + rename (+ fsync, per [`Durability`]) path as the plain directory
-//! backend, and a batch's Hooks reach the Hook log in one append, so a
-//! crash *inside* a flush is also recoverable.
+//! Manifest on disk. A kind whose writes fail takes the pending writes of
+//! every kind after it with it, so no later flush writes a referrer of an
+//! object that never landed. Each DiskChunk write goes through the same tmp +
+//! rename (+ fsync, per [`Durability`]) path as the plain directory
+//! backend, on the worker pool, and a batch's Manifests, Hooks and recipes
+//! each reach their kind's log in one append (one fsync), so a crash
+//! *inside* a flush is also recoverable.
 //!
 //! Reads of what is no longer pending go straight to the
 //! [`DirBackend`](crate::DirBackend): a `get_range` reads just its range
@@ -33,7 +36,8 @@ use std::time::Instant;
 use bytes::Bytes;
 
 use crate::{
-    safe_name, Backend, DirBackend, Durability, FileKind, RecoveryReport, StoreError, StoreResult,
+    safe_name, Backend, DirBackend, DirReader, Durability, FileKind, RecoveryReport, StoreError,
+    StoreResult,
 };
 
 /// The most worker threads [`BatchedDirBackend::create_with`] starts: a
@@ -53,6 +57,20 @@ pub struct IoConfig {
     pub batch_bytes: usize,
     /// Durability level for every committed write.
     pub durability: Durability,
+}
+
+impl IoConfig {
+    /// Refuses a configuration no backend is created with: more than
+    /// [`MAX_IO_THREADS`] threads.
+    pub fn check(&self) -> StoreResult<()> {
+        if self.threads > MAX_IO_THREADS {
+            return Err(StoreError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("{} I/O threads asked for; the limit is {MAX_IO_THREADS}", self.threads),
+            )));
+        }
+        Ok(())
+    }
 }
 
 impl Default for IoConfig {
@@ -159,12 +177,7 @@ impl BatchedDirBackend {
     /// than [`MAX_IO_THREADS`] threads is an error, before anything is
     /// created or spawned.
     pub fn create_with(root: impl Into<PathBuf>, config: IoConfig) -> StoreResult<Self> {
-        if config.threads > MAX_IO_THREADS {
-            return Err(StoreError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("{} I/O threads asked for; the limit is {MAX_IO_THREADS}", config.threads),
-            )));
-        }
+        config.check()?;
         let inner = DirBackend::create_with(root, config.durability)?;
         let pool = if config.threads > 0 {
             Some(WorkerPool::spawn(config.threads, inner.clone())?)
@@ -177,6 +190,13 @@ impl BatchedDirBackend {
     /// The store root directory.
     pub fn root(&self) -> &Path {
         self.inner.root()
+    }
+
+    /// A read-only handle that reads what this backend has flushed,
+    /// sharing the logs of the directory backend underneath, so a reader
+    /// loads no log of its own.
+    pub fn reader(&self) -> DirReader {
+        self.inner.reader()
     }
 
     /// [`DirBackend::fault_short_write_at`] for the writes a flush makes,
@@ -237,15 +257,15 @@ impl BatchedDirBackend {
         if drained.is_empty() {
             return Ok(());
         }
-        // Account the drained bytes here, not in flush(): if an earlier
-        // kind's flush fails, later kinds stay in the overlay and
-        // pending_bytes must keep matching what the overlay still holds.
+        // Account the drained bytes here, not in flush(): the overlay holds
+        // none of them from now on, whether the writes succeed or not.
         let drained_bytes: usize = drained.values().map(|p| p.data.len()).sum();
         self.pending_bytes -= drained_bytes;
-        if kind == FileKind::Hook {
-            // One append to the Hook log, on this thread.
-            let writes = drained.into_iter().map(|(name, p)| (name, p.data, p.update)).collect();
-            return self.inner.commit_hooks(writes);
+        if kind != FileKind::DiskChunk {
+            // One append to the kind's log, on this thread.
+            let writes: Vec<(String, Bytes)> =
+                drained.into_iter().map(|(name, p)| (name, p.data)).collect();
+            return self.inner.commit_log(kind, &writes);
         }
         match &self.pool {
             Some(pool) => {
@@ -393,14 +413,25 @@ impl Backend for BatchedDirBackend {
     fn flush(&mut self) -> StoreResult<()> {
         let ops = self.pending_ops();
         if ops == 0 {
-            // Hook deletes go straight to the inner backend, whose log
-            // applies them at its flush.
+            // Deletes of logged kinds go straight to the inner backend,
+            // whose logs apply them at its flush.
             return self.inner.flush();
         }
         let bytes = self.pending_bytes;
         let start = Instant::now();
-        for kind in FileKind::FLUSH_ORDER {
-            self.flush_kind(kind)?;
+        for (i, kind) in FileKind::FLUSH_ORDER.into_iter().enumerate() {
+            if let Err(e) = self.flush_kind(kind) {
+                // What this kind failed to write may be named by what is
+                // pending of the kinds after it: those go too, so no later
+                // flush writes a reference to an object that never
+                // reached disk. (The caller's operation has failed; what
+                // did reach disk is unreferenced.)
+                for later in &FileKind::FLUSH_ORDER[i + 1..] {
+                    let dropped = std::mem::take(self.pending_mut(*later));
+                    self.pending_bytes -= dropped.values().map(|p| p.data.len()).sum::<usize>();
+                }
+                return Err(e);
+            }
         }
         self.inner.flush()?;
         mhd_obs::histogram!("store.io_batch_ops").record(ops as u64);

@@ -44,8 +44,8 @@ mod manifest;
 mod substrate;
 
 pub use backend::{
-    fsync_dir, fsync_file, record_fsyncs, safe_name, write_atomic, Backend, DirBackend, Durability,
-    FaultBackend, FaultOp, FaultPoint, FileKind, MemBackend, RecoveryReport,
+    fsync_dir, fsync_file, record_fsyncs, safe_name, write_atomic, Backend, DirBackend, DirReader,
+    Durability, FaultBackend, FaultOp, FaultPoint, FileKind, MemBackend, RecoveryReport,
 };
 pub use batched::{BatchedDirBackend, IoConfig, MAX_IO_THREADS};
 pub use chunk_store::{DiskChunkBuilder, DiskChunkId};

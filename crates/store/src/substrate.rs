@@ -86,8 +86,8 @@ impl<B: Backend> Substrate<B> {
         self.backend.flush()
     }
 
-    /// Runs the backend's crash-recovery pass (torn tmp files, a torn tail
-    /// of the Hook log). Call before reading a store that may have been
+    /// Runs the backend's crash-recovery pass (torn tmp files, torn log
+    /// tails). Call before reading a store that may have been
     /// interrupted.
     pub fn recover(&mut self) -> StoreResult<crate::RecoveryReport> {
         self.backend.recover()

@@ -313,17 +313,18 @@ fn crash_matrix_during_hhr_recovers_day0() {
 /// healthy store that restores day 0 byte-identically. The kind-by-kind
 /// flush barrier is what keeps a referrer off disk until its referees are.
 ///
-/// The Hook log's appends are physical writes like any other: at least
-/// one index of the matrix tears one, leaving a torn tail that recovery
-/// drops (counted in `tmp_files_removed` beyond the `.tmp` files).
+/// The logs' appends are physical writes like any other: at least one
+/// index of the matrix tears one, leaving a torn tail that recovery drops
+/// (counted in `tmp_files_removed` beyond the `.tmp` files).
 #[test]
 fn crash_matrix_during_pooled_hhr_recovers_day0() {
     let (day0, day1) = hhr_backup_pair();
     let config = IoConfig { threads: 3, batch_ops: 4, ..IoConfig::default() };
+    // DiskChunk tmp files, and the tmp siblings of torn log replacements.
     let tmp_files = |dir: &std::path::Path| -> usize {
-        [FileKind::DiskChunk, FileKind::Manifest, FileKind::FileManifest]
+        [dir.join(FileKind::DiskChunk.dir_name()), dir.to_path_buf()]
             .iter()
-            .flat_map(|k| std::fs::read_dir(dir.join(k.dir_name())).unwrap())
+            .flat_map(|d| std::fs::read_dir(d).unwrap())
             .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().ends_with(".tmp"))
             .count()
     };
@@ -358,7 +359,7 @@ fn crash_matrix_during_pooled_hhr_recovers_day0() {
         torn += 1;
     }
     assert!(torn >= 2, "backup 2 made {torn} writes: the matrix proves nothing");
-    assert!(torn_log_tails > 0, "no torn write of the {torn} hit the Hook log");
+    assert!(torn_log_tails > 0, "no torn write of the {torn} hit a log");
 }
 
 /// The batched backend with worker threads and fsync durability must
